@@ -724,7 +724,7 @@ let bechamel_section () =
 (* ------------------------------------------------------------------ *)
 (* Numeric-tower benchmark: BENCH_numeric.json artefact                *)
 
-(* Times the live tagged tower against Numeric.Reference (the seed
+(* Times the live tagged tower against Reference (the seed
    array-only implementation) on identical operand pools, at small and
    multi-limb magnitudes, plus an end-to-end [Pure.is_nash] throughput
    figure.  Writes machine-readable JSON (schema documented in

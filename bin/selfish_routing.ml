@@ -471,7 +471,10 @@ let run_serve game_file log_file domains max_moves =
         (idx + 1) (List.length batch) r.Serve.Repair.moves r.Serve.Repair.users_moved
         r.Serve.Repair.seeded_classes r.Serve.Repair.seeded_links r.Serve.Repair.frontier_links
         r.Serve.Repair.fallback r.Serve.Repair.nash !users
-        (Rational.to_string (Cview.social_cost1 v)))
+        (Rational.to_string (Cview.social_cost1 v));
+      (* Serving never undoes: drop the history so memory stays flat
+         over arbitrarily long logs. *)
+      Cview.clear_history v)
     log
 
 let serve_cmd =

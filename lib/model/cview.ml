@@ -8,60 +8,36 @@ open Numeric
    [-1] paired with a variant on the [shist] side stack, so moves keep
    their two-int cost and [undo] reverts both kinds in LIFO order.
 
-   Like [View], loads live in one of two lanes: a packed native-int
-   lane backed by the game's [Packing] tables (loads scaled by a common
-   denominator, capacities as reduced int pairs, every predicate a
-   three-factor native product) and an exact big-rational lane taken
-   whenever packing would spill.  Both lanes produce identical
-   canonical rationals.  A structural delta re-checks the [Packing]
-   product bound against the revised totals and, when it no longer
-   holds, spills the live loads to the exact lane without rebuilding;
-   the abandoned packed tables are kept in the undo entry so reverting
-   the delta restores the fast lane bit-identically.
+   Like [View], loads live in a [Packing] lane, one row per class.  A
+   structural delta that breaks the packed product bound spills the
+   live loads to the exact lane without rebuilding; the abandoned
+   packed lane is kept in the undo entry so reverting the delta
+   restores the fast lane bit-identically.
 
    The class tables (weights, contributions, biases, capacity rows)
    are view-local copies: revisions mutate the view, never the
    underlying [Cgame.t], and [to_cgame] re-materialises a game from
    the revised state. *)
 
-type packed_lane = {
-  pscale : int;
-  mutable ppw : int array; (* scaled weight per class *)
-  piload : int array; (* scaled load per link *)
-  mutable pcn : int array; (* capacity numerators, row-major c*m + l *)
-  mutable pcd : int array;
-  mutable powned : bool; (* ppw/pcn/pcd are private copies, safe to mutate *)
-  mutable pmaxcn : int; (* monotone upper bounds for the product bound *)
-  mutable pmaxcd : int;
-  mutable ptotal : int; (* current total scaled traffic, initial included *)
-}
-
-type lane = Exact of Rational.t array | Packed of packed_lane
-
 (* Undo record for one structural delta.  [restore = Some lane] marks
    a delta that spilled the packed lane; reverting it reinstates the
-   saved lane (whose tables were snapshotted before the delta touched
-   anything, so they still hold the pre-delta values). *)
+   saved lane, which the delta never touched. *)
 type sdelta =
-  | Scount of { cls : int; link : int; delta : int; restore : lane option }
+  | Scount of { cls : int; link : int; delta : int; restore : Packing.lane option }
   | Sweight of {
       cls : int;
       weight : Rational.t;
       contrib : Rational.t;
       bias : Rational.t;
-      ppw : int;
-      restore : lane option;
+      restore : Packing.lane option;
     }
-  | Scap of { cls : int; link : int; cap : Rational.t; pcn : int; pcd : int; restore : lane option }
+  | Scap of { cls : int; link : int; cap : Rational.t; restore : Packing.lane option }
 
 type t = {
   game : Cgame.t;
   assign : int array array;
-  weights : Rational.t array; (* view-local class tables *)
-  contribs : Rational.t array;
-  biases : Rational.t array;
-  caps : Rational.t array array;
-  mutable lane : lane;
+  rows : Packing.rows; (* view-local class tables *)
+  mutable lane : Packing.lane;
   mutable hist : int array;
   mutable depth : int;
   mutable shist : sdelta list;
@@ -71,13 +47,8 @@ type t = {
 
 let game v = v.game
 let classes v = Array.length v.assign
-
-let links v =
-  match v.lane with
-  | Exact loads -> Array.length loads
-  | Packed pk -> Array.length pk.piload
-
-let packed v = match v.lane with Packed _ -> true | Exact _ -> false
+let links v = Packing.links v.lane
+let packed v = Packing.is_packed v.lane
 
 let of_profile g ?initial x =
   Cgame.validate g x;
@@ -92,65 +63,23 @@ let of_profile g ?initial x =
          if Rational.sign q < 0 then invalid_arg "Cview.of_profile: negative initial traffic")
        t);
   let k = Cgame.classes g in
-  let contribs = Array.init k (Cgame.contribution g) in
-  let lane =
-    match Cgame.packed_tables g with
-    | Some pk when (match initial with None -> pk.Packing.base_ok | Some _ -> true) -> begin
-      let attempt =
-        match initial with
-        | None -> Some (pk.Packing.scale, pk.Packing.pw, Array.make m 0, pk.Packing.wsum)
-        | Some t -> Packing.rescale pk t
-      in
-      match attempt with
-      | None -> None
-      | Some (scale, pw, iload, total) ->
-        Array.iteri
-          (fun c row -> Array.iteri (fun l e -> iload.(l) <- iload.(l) + (e * pw.(c))) row)
-          x;
-        Some
-          (Packed
-             {
-               pscale = scale;
-               ppw = pw;
-               piload = iload;
-               pcn = pk.Packing.cn;
-               pcd = pk.Packing.cd;
-               powned = false;
-               pmaxcn = pk.Packing.maxcn;
-               pmaxcd = pk.Packing.maxcd;
-               ptotal = total;
-             })
-    end
-    | _ -> None
+  let rows =
+    {
+      Packing.weights = Array.init k (Cgame.weight g);
+      contribs = Array.init k (Cgame.contribution g);
+      biases = Array.init k (Cgame.bias g);
+      caps = Array.init k (Cgame.capacity_row g);
+    }
   in
-  let lane =
-    match lane with
-    | Some lane -> lane
-    | None ->
-      let loads =
-        match initial with
-        | None -> Array.make m Rational.zero
-        | Some t -> Array.copy t
-      in
-      (* Loads sum per-user contributions (= weights for load-linear
-         classes, presence-discounted under Bernoulli participation). *)
-      Array.iteri
-        (fun c row ->
-          let w = contribs.(c) in
-          Array.iteri
-            (fun l e ->
-              if e > 0 then loads.(l) <- Rational.add loads.(l) (Rational.mul (Rational.of_int e) w))
-            row)
-        x;
-      Exact loads
-  in
+  let lane = Packing.make_lane (Cgame.packed_tables g) ?initial m in
+  Array.iteri
+    (fun c row ->
+      Array.iteri (fun l e -> if e > 0 then Packing.add_count lane rows c ~link:l ~delta:e) row)
+    x;
   {
     game = g;
     assign = Array.map Array.copy x;
-    weights = Array.init k (Cgame.weight g);
-    contribs;
-    biases = Array.init k (Cgame.bias g);
-    caps = Array.init k (Cgame.capacity_row g);
+    rows;
     lane;
     hist = Array.make 32 0;
     depth = 0;
@@ -163,34 +92,19 @@ let assigned v c l = v.assign.(c).(l)
 let profile v = Array.map Array.copy v.assign
 let owner v = v.owner
 let unsafe_set_owner v id = v.owner <- id
-let weight v c = v.weights.(c)
-let capacity v c l = v.caps.(c).(l)
+let weight v c = v.rows.weights.(c)
+let capacity v c l = v.rows.caps.(c).(l)
 let class_count v c = Array.fold_left ( + ) 0 v.assign.(c)
 let revised v = v.nrev > 0
-
-let load v l =
-  match v.lane with
-  | Exact loads -> loads.(l)
-  | Packed pk -> Rational.make (Bigint.of_int pk.piload.(l)) (Bigint.of_int pk.pscale)
-
+let load v l = Packing.load v.lane l
 let loads v = Array.init (links v) (load v)
 let depth v = v.depth
 
 (* Unrecorded block reassignment shared by [move] and [undo]: one
-   exact multiplication and two load updates, whatever [count] is.
-   On the packed lane [count·pw] cannot wrap: it is at most the total
-   scaled traffic, which fits by construction. *)
+   exact multiplication and two load updates, whatever [count] is. *)
 let shift v cls src dst count =
   if count > 0 && src <> dst then begin
-    (match v.lane with
-     | Exact loads ->
-       let delta = Rational.mul (Rational.of_int count) v.contribs.(cls) in
-       loads.(src) <- Rational.sub loads.(src) delta;
-       loads.(dst) <- Rational.add loads.(dst) delta
-     | Packed pk ->
-       let delta = count * pk.ppw.(cls) in
-       pk.piload.(src) <- pk.piload.(src) - delta;
-       pk.piload.(dst) <- pk.piload.(dst) + delta);
+    Packing.shift v.lane v.rows cls ~src ~dst count;
     v.assign.(cls).(src) <- v.assign.(cls).(src) - count;
     v.assign.(cls).(dst) <- v.assign.(cls).(dst) + count
   end
@@ -213,53 +127,20 @@ let move v ~cls ~src ~dst ~count =
   if count > v.assign.(cls).(src) && src <> dst then
     invalid_arg "Cview.move: not enough users of the class on the source link";
   Parallel.Ownership.guard "Cview cursor" v.owner;
-  push v (((cls * m) + src) * m + dst) count;
+  push v ((((cls * m) + src) * m) + dst) count;
   shift v cls src dst count
 
-(* Copy-on-write: the packed class tables start out shared with the
-   game's [Packing] record (and with sibling views); take private
-   copies before the first structural write. *)
-let own pk =
-  if not pk.powned then begin
-    pk.ppw <- Array.copy pk.ppw;
-    pk.pcn <- Array.copy pk.pcn;
-    pk.pcd <- Array.copy pk.pcd;
-    pk.powned <- true
-  end
-
-(* Abandon the packed lane: materialise the current loads as exact
-   rationals (same canonical values the exact lane would have held)
-   and switch over.  The packed record is left untouched so an undo
-   entry can reinstate it. *)
-let spill v pk =
-  let loads =
-    Array.map
-      (fun s -> Rational.make (Bigint.of_int s) (Bigint.of_int pk.pscale))
-      pk.piload
-  in
-  v.lane <- Exact loads;
-  loads
-
-(* [q·scale] as a positive native int, when integral and representable. *)
-let scaled_int ~scale q =
-  let d, r = Bigint.divmod (Bigint.of_int scale) (Rational.den q) in
-  if not (Bigint.is_zero r) then None
-  else
-    match Bigint.to_int_opt (Bigint.mul (Rational.num q) d) with
-    | Some x when x > 0 -> Some x
-    | _ -> None
+(* Install the lane a [Packing.revise_*] returned.  A fresh lane means
+   the delta spilled: the old one is the lane to restore on undo. *)
+let relane v lane =
+  let old = v.lane in
+  v.lane <- lane;
+  if lane == old then None else Some old
 
 let push_structural v d =
   push v (-1) 0;
   v.shist <- d :: v.shist;
   v.nrev <- v.nrev + 1
-
-let exact_count_patch loads link delta contrib =
-  if delta <> 0 then begin
-    let d = Rational.mul (Rational.of_int (abs delta)) contrib in
-    loads.(link) <-
-      (if delta > 0 then Rational.add loads.(link) d else Rational.sub loads.(link) d)
-  end
 
 let revise_count v ~cls ~link ~delta =
   let k = classes v and m = links v in
@@ -272,94 +153,27 @@ let revise_count v ~cls ~link ~delta =
   if delta < 0 && class_count v cls + delta <= 0 then
     invalid_arg "Cview.revise_count: revision would empty the class";
   Parallel.Ownership.guard "Cview cursor" v.owner;
-  let restore =
-    match v.lane with
-    | Exact loads ->
-      exact_count_patch loads link delta v.contribs.(cls);
-      None
-    | Packed pk ->
-      let pw = pk.ppw.(cls) in
-      let fits =
-        delta <= 0
-        || (delta <= (max_int - pk.ptotal) / pw
-            && Packing.admits ~total:(pk.ptotal + (delta * pw)) ~maxcn:pk.pmaxcn
-                 ~maxcd:pk.pmaxcd)
-      in
-      if fits then begin
-        let d = delta * pw in
-        pk.piload.(link) <- pk.piload.(link) + d;
-        pk.ptotal <- pk.ptotal + d;
-        None
-      end
-      else begin
-        let old = v.lane in
-        let loads = spill v pk in
-        exact_count_patch loads link delta v.contribs.(cls);
-        Some old
-      end
-  in
+  let lane = Packing.revise_count v.lane v.rows cls ~link ~delta in
   v.assign.(cls).(link) <- v.assign.(cls).(link) + delta;
-  push_structural v (Scount { cls; link; delta; restore })
-
-let exact_weight_patch v cls contrib' =
-  match v.lane with
-  | Packed _ -> assert false
-  | Exact loads ->
-    let d = Rational.sub contrib' v.contribs.(cls) in
-    if not (Rational.is_zero d) then
-      Array.iteri
-        (fun l e -> if e > 0 then loads.(l) <- Rational.add loads.(l) (Rational.mul (Rational.of_int e) d))
-        v.assign.(cls)
+  push_structural v (Scount { cls; link; delta; restore = relane v lane })
 
 let set_class_weight v cls w contrib bias =
-  v.weights.(cls) <- w;
-  v.contribs.(cls) <- contrib;
-  v.biases.(cls) <- bias
+  v.rows.weights.(cls) <- w;
+  v.rows.contribs.(cls) <- contrib;
+  v.rows.biases.(cls) <- bias
 
 let revise_weight v ~cls w' =
   let k = classes v in
   if cls < 0 || cls >= k then invalid_arg "Cview.revise_weight: class out of range";
   if Rational.sign w' <= 0 then invalid_arg "Cview.revise_weight: weight must be positive";
   Parallel.Ownership.guard "Cview cursor" v.owner;
-  let lf = Uncertainty.load_factor (Cgame.uncertainty v.game cls) in
-  let contrib' = Rational.mul lf w' in
-  let bias' = Rational.sub w' contrib' in
-  let old_w = v.weights.(cls)
-  and old_c = v.contribs.(cls)
-  and old_b = v.biases.(cls) in
-  let restore, old_ppw =
-    match v.lane with
-    | Exact _ ->
-      exact_weight_patch v cls contrib';
-      (None, 0)
-    | Packed pk -> begin
-      let pw = pk.ppw.(cls) in
-      let occ = class_count v cls in
-      (* The packed lane exists only for load-linear games, where the
-         contribution is the weight itself. *)
-      match scaled_int ~scale:pk.pscale w' with
-      | Some pw'
-        when occ <= max_int / pw'
-             && pk.ptotal - (occ * pw) <= max_int - (occ * pw')
-             && Packing.admits
-                  ~total:(pk.ptotal - (occ * pw) + (occ * pw'))
-                  ~maxcn:pk.pmaxcn ~maxcd:pk.pmaxcd ->
-        own pk;
-        Array.iteri
-          (fun l e -> if e > 0 then pk.piload.(l) <- pk.piload.(l) + (e * (pw' - pw)))
-          v.assign.(cls);
-        pk.ptotal <- pk.ptotal - (occ * pw) + (occ * pw');
-        pk.ppw.(cls) <- pw';
-        (None, pw)
-      | _ ->
-        let old = v.lane in
-        ignore (spill v pk);
-        exact_weight_patch v cls contrib';
-        (Some old, pw)
-    end
-  in
-  set_class_weight v cls w' contrib' bias';
-  push_structural v (Sweight { cls; weight = old_w; contrib = old_c; bias = old_b; ppw = old_ppw; restore })
+  let contrib' = Rational.mul (Uncertainty.load_factor (Cgame.uncertainty v.game cls)) w' in
+  let weight = v.rows.weights.(cls)
+  and contrib = v.rows.contribs.(cls)
+  and bias = v.rows.biases.(cls) in
+  let lane = Packing.revise_weight v.lane v.rows cls v.assign.(cls) ~weight:w' ~contrib:contrib' in
+  set_class_weight v cls w' contrib' (Rational.sub w' contrib');
+  push_structural v (Sweight { cls; weight; contrib; bias; restore = relane v lane })
 
 let revise_capacity v ~cls ~link cap' =
   let k = classes v and m = links v in
@@ -367,31 +181,10 @@ let revise_capacity v ~cls ~link cap' =
   if link < 0 || link >= m then invalid_arg "Cview.revise_capacity: link out of range";
   if Rational.sign cap' <= 0 then invalid_arg "Cview.revise_capacity: capacity must be positive";
   Parallel.Ownership.guard "Cview cursor" v.owner;
-  let old_cap = v.caps.(cls).(link) in
-  let restore, old_cn, old_cd =
-    match v.lane with
-    | Exact _ -> (None, 0, 0)
-    | Packed pk -> begin
-      let idx = (cls * m) + link in
-      match (Bigint.to_int_opt (Rational.num cap'), Bigint.to_int_opt (Rational.den cap')) with
-      | Some a, Some b
-        when a > 0 && b > 0
-             && Packing.admits ~total:pk.ptotal ~maxcn:(max pk.pmaxcn a) ~maxcd:(max pk.pmaxcd b) ->
-        own pk;
-        let ocn = pk.pcn.(idx) and ocd = pk.pcd.(idx) in
-        pk.pcn.(idx) <- a;
-        pk.pcd.(idx) <- b;
-        pk.pmaxcn <- max pk.pmaxcn a;
-        pk.pmaxcd <- max pk.pmaxcd b;
-        (None, ocn, ocd)
-      | _ ->
-        let old = v.lane in
-        ignore (spill v pk);
-        (Some old, 0, 0)
-    end
-  in
-  v.caps.(cls).(link) <- cap';
-  push_structural v (Scap { cls; link; cap = old_cap; pcn = old_cn; pcd = old_cd; restore })
+  let cap = v.rows.caps.(cls).(link) in
+  let lane = Packing.revise_capacity v.lane cls ~link cap' in
+  v.rows.caps.(cls).(link) <- cap';
+  push_structural v (Scap { cls; link; cap; restore = relane v lane })
 
 let undo_structural v =
   match v.shist with
@@ -399,48 +192,19 @@ let undo_structural v =
   | d :: rest ->
     v.shist <- rest;
     v.nrev <- v.nrev - 1;
+    let revert_lane restore revert =
+      match restore with Some lane -> v.lane <- lane | None -> revert ()
+    in
     (match d with
      | Scount { cls; link; delta; restore } ->
        v.assign.(cls).(link) <- v.assign.(cls).(link) - delta;
-       (match restore with
-        | Some lane -> v.lane <- lane
-        | None ->
-          (match v.lane with
-           | Exact loads -> exact_count_patch loads link (-delta) v.contribs.(cls)
-           | Packed pk ->
-             let d = delta * pk.ppw.(cls) in
-             pk.piload.(link) <- pk.piload.(link) - d;
-             pk.ptotal <- pk.ptotal - d))
-     | Sweight { cls; weight; contrib; bias; ppw; restore } ->
-       (match restore with
-        | Some lane ->
-          set_class_weight v cls weight contrib bias;
-          v.lane <- lane
-        | None ->
-          (match v.lane with
-           | Exact _ ->
-             exact_weight_patch v cls contrib;
-             set_class_weight v cls weight contrib bias
-           | Packed pk ->
-             let pw' = pk.ppw.(cls) in
-             let occ = class_count v cls in
-             Array.iteri
-               (fun l e -> if e > 0 then pk.piload.(l) <- pk.piload.(l) + (e * (ppw - pw')))
-               v.assign.(cls);
-             pk.ptotal <- pk.ptotal - (occ * pw') + (occ * ppw);
-             pk.ppw.(cls) <- ppw;
-             set_class_weight v cls weight contrib bias))
-     | Scap { cls; link; cap; pcn; pcd; restore } ->
-       v.caps.(cls).(link) <- cap;
-       (match restore with
-        | Some lane -> v.lane <- lane
-        | None ->
-          (match v.lane with
-           | Exact _ -> ()
-           | Packed pk ->
-             let idx = (cls * links v) + link in
-             pk.pcn.(idx) <- pcn;
-             pk.pcd.(idx) <- pcd)))
+       revert_lane restore (fun () -> Packing.add_count v.lane v.rows cls ~link ~delta:(-delta))
+     | Sweight { cls; weight; contrib; bias; restore } ->
+       revert_lane restore (fun () -> Packing.reweight v.lane v.rows cls v.assign.(cls) ~weight ~contrib);
+       set_class_weight v cls weight contrib bias
+     | Scap { cls; link; cap; restore } ->
+       v.rows.caps.(cls).(link) <- cap;
+       revert_lane restore (fun () -> Packing.set_capacity v.lane cls ~link cap))
 
 let undo v =
   if v.depth = 0 then invalid_arg "Cview.undo: empty history";
@@ -456,164 +220,41 @@ let undo v =
     shift v cls dst src count
   end
 
-let q_latency pk total idx =
-  Rational.make
-    (Bigint.of_int (total * pk.pcd.(idx)))
-    (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int pk.pcn.(idx)))
+(* Forget the undo history without touching the state: the structural
+   deltas stay applied ([nrev] is kept), they just can no longer be
+   reverted. *)
+let clear_history v =
+  v.hist <- Array.make 32 0;
+  v.depth <- 0;
+  v.shist <- []
 
-(* A class member's own latency carries the class bias w − t (the user
-   is always present for itself); zero — and skipped — for load-linear
-   classes, keeping the seed's exact code path. *)
-let biased v c q =
-  let b = v.biases.(c) in
-  if Rational.is_zero b then q else Rational.add q b
-
-let latency v c l =
-  match v.lane with
-  | Exact loads -> Rational.div (biased v c loads.(l)) v.caps.(c).(l)
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    q_latency pk pk.piload.(l) ((c * m) + l)
-
-let latency_after_move v ~cls ~src dst =
-  match v.lane with
-  | Exact loads ->
-    let base = loads.(dst) in
-    (* Deviation numerator: contribution + bias = w, the seed form. *)
-    let total =
-      if dst = src then biased v cls base else Rational.add base v.weights.(cls)
-    in
-    Rational.div total v.caps.(cls).(dst)
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    let total = pk.piload.(dst) + (if dst = src then 0 else pk.ppw.(cls)) in
-    q_latency pk total ((cls * m) + dst)
-
-(* Packed best response as the int pair (load'·cd, cn); candidate l
-   beats the incumbent iff a·cn_best < best·cn_l, all within the
-   packed product bound. *)
-let packed_best pk ~cls ~src =
-  let m = Array.length pk.piload in
-  let base = cls * m and w = pk.ppw.(cls) in
-  let best_link = ref 0 in
-  let t0 = pk.piload.(0) + (if src = 0 then 0 else w) in
-  let bnum = ref (t0 * pk.pcd.(base)) and bcn = ref pk.pcn.(base) in
-  for l = 1 to m - 1 do
-    let t = pk.piload.(l) + (if src = l then 0 else w) in
-    let a = t * pk.pcd.(base + l) in
-    if a * !bcn < !bnum * pk.pcn.(base + l) then begin
-      best_link := l;
-      bnum := a;
-      bcn := pk.pcn.(base + l)
-    end
-  done;
-  (!best_link, !bnum, !bcn)
-
-let best_response_for v ~cls ~src =
-  match v.lane with
-  | Exact _ ->
-    let best_link = ref 0 and best = ref (latency_after_move v ~cls ~src 0) in
-    for l = 1 to links v - 1 do
-      let lat = latency_after_move v ~cls ~src l in
-      if Rational.compare lat !best < 0 then begin
-        best_link := l;
-        best := lat
-      end
-    done;
-    (!best_link, !best)
-  | Packed pk ->
-    let best_link, bnum, bcn = packed_best pk ~cls ~src in
-    ( best_link,
-      Rational.make (Bigint.of_int bnum)
-        (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int bcn)) )
-
-(* The Nash inequality rides [Rational.compare_sum] on the exact lane
-   ((load_l + w)/cap_l < current ⟺ load_l + w < current·cap_l) and a
-   three-factor native product on the packed lane. *)
-let is_defector v ~cls ~src =
-  match v.lane with
-  | Exact loads ->
-    let current = latency v cls src in
-    let w = v.weights.(cls) in
-    let m = links v in
-    let rec scan l =
-      if l >= m then false
-      else if
-        l <> src
-        && Rational.compare_sum loads.(l) w (Rational.mul current v.caps.(cls).(l)) < 0
-      then true
-      else scan (l + 1)
-    in
-    scan 0
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = cls * m and w = pk.ppw.(cls) in
-    let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
-    let rec scan l =
-      if l >= m then false
-      else if l <> src && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
-      then true
-      else scan (l + 1)
-    in
-    scan 0
-
-(* Single-destination restriction of [is_defector]: does moving into
-   [dst] strictly improve?  Native three-factor products on the packed
-   lane, one [compare_sum] on the exact lane — no rational is built on
-   the fast path, so callers may probe candidate links one at a time
-   without paying for a full best-response sweep. *)
-let improves v ~cls ~src dst =
-  dst <> src
-  && (match v.lane with
-     | Exact loads ->
-       let current = latency v cls src in
-       Rational.compare_sum loads.(dst) v.weights.(cls)
-         (Rational.mul current v.caps.(cls).(dst))
-       < 0
-     | Packed pk ->
-       let m = Array.length pk.piload in
-       let base = cls * m and w = pk.ppw.(cls) in
-       (pk.piload.(dst) + w) * pk.pcd.(base + dst) * pk.pcn.(base + src)
-       < pk.piload.(src) * pk.pcd.(base + src) * pk.pcn.(base + dst))
+let latency v c l = Packing.latency v.lane v.rows c l
+let latency_after_move v ~cls ~src dst = Packing.latency_after_move v.lane v.rows cls ~src dst
+let best_response_for v ~cls ~src = Packing.best_response v.lane v.rows cls ~src
+let is_defector v ~cls ~src = Packing.is_defector v.lane v.rows cls ~src
+let improves v ~cls ~src dst = Packing.improves v.lane v.rows cls ~src dst
 
 (* Class ascending, source link ascending: the exact order in which
-   [Cgame.expand_profile] lays out the users, so this is the per-user
-   first-defector choice computed without any per-user work. *)
-let first_defector v =
-  let k = classes v and m = links v in
-  match v.lane with
-  | Exact _ ->
-    let rec over_links c l =
-      if l >= m then over_classes (c + 1)
-      else if v.assign.(c).(l) > 0 then begin
-        let target, best = best_response_for v ~cls:c ~src:l in
-        if Rational.compare best (latency v c l) < 0 then Some (c, l, target)
-        else over_links c (l + 1)
-      end
-      else over_links c (l + 1)
-    and over_classes c = if c >= k then None else over_links c 0 in
-    over_classes 0
-  | Packed pk ->
-    let rec over_links c l =
-      if l >= m then over_classes (c + 1)
-      else if v.assign.(c).(l) > 0 then begin
-        let target, bnum, bcn = packed_best pk ~cls:c ~src:l in
-        let base = c * m in
-        let cnum = pk.piload.(l) * pk.pcd.(base + l) and ccn = pk.pcn.(base + l) in
-        if bnum * ccn < cnum * bcn then Some (c, l, target) else over_links c (l + 1)
-      end
-      else over_links c (l + 1)
-    and over_classes c = if c >= k then None else over_links c 0 in
-    over_classes 0
-
-let is_nash v =
+   [Cgame.expand_profile] lays out the users, so the first defecting
+   pair is the per-user first-defector choice computed without any
+   per-user work. *)
+let first_defecting_pair v =
   let k = classes v and m = links v in
   let rec over_links c l =
     if l >= m then over_classes (c + 1)
-    else if v.assign.(c).(l) > 0 && is_defector v ~cls:c ~src:l then false
+    else if v.assign.(c).(l) > 0 && is_defector v ~cls:c ~src:l then Some (c, l)
     else over_links c (l + 1)
-  and over_classes c = c >= k || over_links c 0 in
+  and over_classes c = if c >= k then None else over_links c 0 in
   over_classes 0
+
+(* A pair defects iff its best response strictly beats staying put, so
+   that best response (lowest index among the minimisers) is the move. *)
+let first_defector v =
+  Option.map
+    (fun (c, l) -> (c, l, fst (best_response_for v ~cls:c ~src:l)))
+    (first_defecting_pair v)
+
+let is_nash v = Option.is_none (first_defecting_pair v)
 
 (* The j-th sequential mover (j ≥ 1) improves iff
      (load_dst + (j-1)·t + w + β)·/c_dst < (load_src - (j-1)·t + β)/c_src
@@ -629,13 +270,9 @@ let max_improving_block v ~cls ~src ~dst =
   if src < 0 || src >= m || dst < 0 || dst >= m then
     invalid_arg "Cview.max_improving_block: link out of range";
   if src = dst then invalid_arg "Cview.max_improving_block: source and destination coincide";
-  let t = v.contribs.(cls) in
-  let cap_s = v.caps.(cls).(src) and cap_d = v.caps.(cls).(dst) in
-  let delta =
-    Rational.sub
-      (Rational.div (biased v cls (load v src)) cap_s)
-      (Rational.div (biased v cls (load v dst)) cap_d)
-  in
+  let t = v.rows.contribs.(cls) in
+  let cap_s = v.rows.caps.(cls).(src) and cap_d = v.rows.caps.(cls).(dst) in
+  let delta = Rational.sub (latency v cls src) (latency v cls dst) in
   let q =
     Rational.div
       (Rational.add delta (Rational.div t cap_s))
@@ -680,7 +317,7 @@ let to_cgame v =
     let uncertainty =
       Array.init k (fun c ->
         let u = Cgame.uncertainty v.game c in
-        let row = v.caps.(c) in
+        let row = v.rows.caps.(c) in
         let original = Cgame.capacity_row v.game c in
         if Array.for_all2 Rational.equal row original then u
         else begin
@@ -693,5 +330,5 @@ let to_cgame v =
             Uncertainty.strict_of_intervals (Array.map (fun q -> (q, q)) row)
         end)
     in
-    Cgame.make_uncertain ~counts ~weights:(Array.copy v.weights) ~uncertainty
+    Cgame.make_uncertain ~counts ~weights:(Array.copy v.rows.weights) ~uncertainty
   end

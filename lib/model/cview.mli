@@ -25,6 +25,9 @@
     magnitudes no longer fit.  {!to_cgame} re-materialises a class
     game from the revised state.
 
+    The lane and its kernels live in {!Packing}, shared with {!View}:
+    each class is one row.
+
     Like {!View}, this is a mutable cursor, not a value: share it only
     within one traversal. *)
 
@@ -86,6 +89,12 @@ val undo : t -> unit
 (** [depth v] is the number of moves and structural deltas {!undo} can
     still revert. *)
 val depth : t -> int
+
+(** [clear_history v] forgets the undo history ([depth v] becomes 0)
+    without changing the state: applied structural deltas stay applied,
+    so {!revised} and {!to_cgame} still reflect them.  Bounds the
+    memory of a long-lived cursor that never undoes. *)
+val clear_history : t -> unit
 
 (** [weight v c] is class [c]'s current (possibly revised) weight. *)
 val weight : t -> int -> Numeric.Rational.t

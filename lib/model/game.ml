@@ -114,6 +114,9 @@ let capacity_row g i =
 let capacity_matrix g = Array.map Array.copy g.capacities
 let packed_tables g = g.packed
 
+let rows g =
+  { Packing.weights = g.weights; contribs = g.contribs; biases = g.biases; caps = g.capacities }
+
 let is_kp g =
   let first = g.capacities.(0) in
   Array.for_all (fun row -> Array.for_all2 Rational.equal first row) g.capacities

@@ -106,6 +106,11 @@ val capacity_matrix : t -> Numeric.Rational.t array array
     the exact lane. *)
 val packed_tables : t -> Packing.t option
 
+(** [rows g] is the game's per-user tables, one row per user, sharing
+    the game's own arrays: read-only.  The exact lane of a [View] reads
+    them. *)
+val rows : t -> Packing.rows
+
 (** [is_kp g] holds when all users share the same effective capacity
     vector — the game is (observationally) a KP-model instance. *)
 val is_kp : t -> bool

@@ -1,15 +1,22 @@
-(** Native-int packing of a game's numeric data.
+(** Native-int packing of a game's numeric data, and the load lanes of
+    the [View]/[Cview] cursors.
 
-    The packed tables are the backing store of the [View]/[Cview] fast
-    lanes: link loads as integers scaled by the lcm of the weight
-    denominators, capacities as reduced [(num, den)] int pairs.  Under
-    the product bound checked by {!admits}, every latency comparison in
+    The packed tables are the backing store of the fast lane: link
+    loads as integers scaled by the lcm of the weight denominators,
+    capacities as reduced [(num, den)] int pairs.  Under the product
+    bound [2·total·maxcd·maxcn <= max_int], every latency comparison in
     the packed representation is a three-factor native multiply whose
     intermediates provably fit a native int — an exact computation with
-    zero allocation and zero per-operation checks.  Construction
-    returns [None] whenever any component would spill the native range;
-    callers then fall back to the big-rational lane, so packing never
-    changes results, only speed. *)
+    zero allocation and zero per-operation checks.  Whenever any
+    component would spill the native range the lane is the exact
+    big-rational one instead, so packing never changes results, only
+    speed.
+
+    This module is the only one that knows which lane a cursor runs on
+    ({!lane} is abstract).  A {e row} is a user for [View] and a class
+    for [Cview]; the kernels take the lane, the exact {!rows} tables and
+    a row index, and are plain first-order functions so the hot path
+    pays no closure or functor indirection. *)
 
 type t = {
   scale : int;  (** lcm of the weight denominators *)
@@ -19,7 +26,7 @@ type t = {
   wsum : int;  (** Σ mult_r · pw.(r): total scaled traffic *)
   maxcn : int;
   maxcd : int;
-  base_ok : bool;  (** {!admits} holds at [total = wsum] (no initial traffic) *)
+  base_ok : bool;  (** the product bound holds at [total = wsum] (no initial traffic) *)
 }
 
 (** [build ~mults weights capacities] packs one row per weight, where
@@ -28,12 +35,111 @@ type t = {
     any scaled component exceeds the native range. *)
 val build : mults:int array -> Numeric.Rational.t array -> Numeric.Rational.t array array -> t option
 
-(** [admits ~total ~maxcn ~maxcd] holds when
-    [2·total·maxcd·maxcn <= max_int] — the single bound under which
-    every packed predicate product is exact. *)
-val admits : total:int -> maxcn:int -> maxcd:int -> bool
+(** {1 Lanes} *)
 
-(** [rescale pk initial] extends the scale to cover initial link
-    traffic: [(scale, pw, iload0, total)] with the initial loads
-    pre-scaled, or [None] on spill or bound failure. *)
-val rescale : t -> Numeric.Rational.t array -> (int * int array * int array * int) option
+(** The exact per-row tables the big-rational lane reads: weight,
+    contribution (the presence-discounted traffic other users meet),
+    bias (weight − contribution, the own-latency surcharge) and the
+    effective capacity row. *)
+type rows = {
+  weights : Numeric.Rational.t array;
+  contribs : Numeric.Rational.t array;
+  biases : Numeric.Rational.t array;
+  caps : Numeric.Rational.t array array;
+}
+
+(** Mutable per-link loads, packed or exact. *)
+type lane
+
+(** [make_lane pk ?initial m] is a lane over [m] links holding only the
+    [initial] traffic (none when absent): packed when [pk] is given and
+    the product bound holds at [pk]'s full population plus [initial],
+    exact otherwise.  The caller then places every occupant with
+    {!add_count}. *)
+val make_lane : t option -> ?initial:Numeric.Rational.t array -> int -> lane
+
+val links : lane -> int
+
+(** [is_packed lane] holds on the native-int lane. *)
+val is_packed : lane -> bool
+
+(** [load lane l] is the current traffic on link [l], canonical on both
+    lanes. O(1). *)
+val load : lane -> int -> Numeric.Rational.t
+
+(** [add_count lane rows r ~link ~delta] adds [delta] (possibly
+    negative) row-[r] users to [link]'s load, unchecked. O(1). *)
+val add_count : lane -> rows -> int -> link:int -> delta:int -> unit
+
+(** [shift lane rows r ~src ~dst count] moves [count > 0] row-[r] users
+    from [src] to [dst]: one exact patch of each of the two loads. *)
+val shift : lane -> rows -> int -> src:int -> dst:int -> int -> unit
+
+(** {1 Kernels}
+
+    [src] is the link the row's users currently play. *)
+
+(** [latency lane rows r l] is a row-[r] user's latency on link [l]. *)
+val latency : lane -> rows -> int -> int -> Numeric.Rational.t
+
+(** [latency_after_move lane rows r ~src dst] is the latency of one
+    row-[r] user after unilaterally moving from [src] to [dst] (its
+    current latency when [dst = src]). *)
+val latency_after_move : lane -> rows -> int -> src:int -> int -> Numeric.Rational.t
+
+(** [best_response lane rows r ~src] is the lowest-index link
+    minimising that post-move latency, paired with the latency. O(m). *)
+val best_response : lane -> rows -> int -> src:int -> int * Numeric.Rational.t
+
+(** [is_defector lane rows r ~src] holds when some link strictly
+    improves on [src]. O(m), allocation-free on the packed lane. *)
+val is_defector : lane -> rows -> int -> src:int -> bool
+
+(** [improves lane rows r ~src dst] holds when moving to [dst] strictly
+    improves on [src]; [false] when [dst = src].  O(1),
+    allocation-free on the packed lane. *)
+val improves : lane -> rows -> int -> src:int -> int -> bool
+
+(** {1 Structural deltas}
+
+    Each [revise_*] patches the lane and returns the lane to carry on
+    with: the argument itself, or — when the revised magnitudes break
+    the product bound — a fresh exact lane.  A spill leaves the old
+    packed lane untouched, so it is the lane to restore on undo.  The
+    unchecked [reweight]/[set_capacity] revert a delta that did not
+    spill. *)
+
+(** [revise_count lane rows r ~link ~delta] adds [delta] row-[r] users
+    on [link]; undo with [add_count ~delta:(-delta)]. *)
+val revise_count : lane -> rows -> int -> link:int -> delta:int -> lane
+
+(** [revise_weight lane rows r counts ~weight ~contrib] gives each
+    row-[r] user (laid out over the links as [counts]) the weight
+    [weight] and contribution [contrib].  Reads the previous
+    contribution from [rows], so call it before updating [rows]. *)
+val revise_weight :
+  lane ->
+  rows ->
+  int ->
+  int array ->
+  weight:Numeric.Rational.t ->
+  contrib:Numeric.Rational.t ->
+  lane
+
+(** [reweight] is {!revise_weight} without the bound check or spill. *)
+val reweight :
+  lane ->
+  rows ->
+  int ->
+  int array ->
+  weight:Numeric.Rational.t ->
+  contrib:Numeric.Rational.t ->
+  unit
+
+(** [revise_capacity lane r ~link cap] sets row [r]'s effective
+    capacity on [link] to [cap > 0].  Loads are unaffected. *)
+val revise_capacity : lane -> int -> link:int -> Numeric.Rational.t -> lane
+
+(** [set_capacity] is {!revise_capacity} without the bound check or
+    spill. *)
+val set_capacity : lane -> int -> link:int -> Numeric.Rational.t -> unit

@@ -69,8 +69,7 @@ val is_nash : Game.t -> ?initial:Numeric.Rational.t array -> profile -> bool
 
 (** [defectors g ?initial p] is the list of users violating the Nash
     condition in [p].
-    @deprecated in per-step loops: use {!View.defectors} (or
-    {!View.first_and_last_defector} for just the ends). *)
+    @deprecated in per-step loops: use {!View.defectors}. *)
 val defectors : Game.t -> ?initial:Numeric.Rational.t array -> profile -> int list
 
 (** [social_cost1 g ?initial p] is [SC1 = Σ_i λ_{i,b_i}(σ)]. *)

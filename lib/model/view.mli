@@ -22,20 +22,10 @@
     equilibrium predicate is a three-factor native product — exact,
     allocation-free and check-free.  Otherwise the loads are
     big-rational values.  Both lanes compute identical canonical
-    rationals; lane choice is observable only through {!packed}.
-
-    Beyond single-user moves, the cursor supports {e structural
-    deltas}: {!add_user}, {!remove_user} and {!revise_capacity}, each
-    an exact O(m)-or-better load patch with undo.  Views are born
-    {e sealed} — per-user data is read from the immutable {!Game.t}
-    and moves cost exactly what they cost in the seed; the first
-    structural delta unseals the view, materialising view-local
-    per-user tables in one O(n·m) pass.  Departures tombstone their
-    slot: user indices stay stable, {!users} counts slots (departed
-    included) and scans skip inactive slots.  Structural deltas
-    re-check the {!Packing} bound and spill to the big-rational lane
-    in place when the revised magnitudes no longer fit; {!undo}
-    restores the fast lane. *)
+    rationals; lane choice is observable only through {!packed}.  The
+    lane and its kernels live in {!Packing}, shared with {!Cview}: each
+    user is one row, and per-user data is read straight from the
+    immutable {!Game.t}. *)
 
 type t
 
@@ -50,24 +40,11 @@ val packed : t -> bool
     checks as {!Pure.validate}). *)
 val of_profile : Game.t -> ?initial:Numeric.Rational.t array -> int array -> t
 
-(** [game v] is the game the view was constructed over.  After a
-    structural delta it reflects the {e original} spec, not the
-    revised one — use {!to_game} for the live state. *)
+(** [game v] is the game the view was constructed over. *)
 val game : t -> Game.t
 
-(** [users v] is the number of user {e slots}, departed users
-    included; equals the game's user count until the first
-    {!add_user}. *)
 val users : t -> int
-
 val links : t -> int
-
-(** [is_active v i] holds unless user [i] has departed via
-    {!remove_user} (and the departure was not undone). O(1). *)
-val is_active : t -> int -> bool
-
-(** [active_users v] is the number of live users. O(1). *)
-val active_users : t -> int
 
 (** [link v i] is the link user [i] currently plays. O(1). *)
 val link : t -> int -> int
@@ -101,65 +78,12 @@ val loads : t -> Numeric.Rational.t array
     @raise Invalid_argument when [i] or [l] is out of range. *)
 val move : t -> int -> int -> unit
 
-(** [undo v] reverts the most recent un-undone {!move} or structural
-    delta — O(1) for a move, O(m) for a delta.
+(** [undo v] reverts the most recent un-undone {!move}. O(1).
     @raise Invalid_argument when the history is empty. *)
 val undo : t -> unit
 
-(** [depth v] is the number of moves and structural deltas that
-    {!undo} can still revert. *)
+(** [depth v] is the number of moves that {!undo} can still revert. *)
 val depth : t -> int
-
-(** [weight v i], [capacity v i l], [contribution v i],
-    [uncertainty v i]: user [i]'s current per-user data, reflecting
-    any structural revision (read from the game while the view is
-    sealed). O(1). *)
-val weight : t -> int -> Numeric.Rational.t
-
-val capacity : t -> int -> int -> Numeric.Rational.t
-val contribution : t -> int -> Numeric.Rational.t
-val uncertainty : t -> int -> Uncertainty.t
-
-(** [add_user v ~weight ?uncertainty ?capacities ~link ()] appends a
-    user on [link] and returns its slot index ([users v] before the
-    call).  Exactly one of [~uncertainty] (any backend) or
-    [~capacities] (wrapped as a certain Bayesian belief) must be
-    given.  One O(1) load patch after the first unsealing; on the
-    packed lane the new user's scaled weight and capacity pairs are
-    admitted against the grown totals, spilling to the exact lane when
-    the bound fails.
-    @raise Invalid_argument on a malformed weight, row or link. *)
-val add_user :
-  t ->
-  weight:Numeric.Rational.t ->
-  ?uncertainty:Uncertainty.t ->
-  ?capacities:Numeric.Rational.t array ->
-  link:int ->
-  unit ->
-  int
-
-(** [remove_user v i] tombstones user [i]: its contribution leaves its
-    link's load (O(1)) and every scan skips it.  The slot index stays
-    allocated, so indices of other users are stable and {!undo}
-    restores the user in place.
-    @raise Invalid_argument when [i] is out of range, already
-    departed, or the last active user. *)
-val remove_user : t -> int -> unit
-
-(** [revise_capacity v ~user ~link cap'] rewrites user [user]'s
-    effective capacity on [link].  Loads are unaffected (O(1)); the
-    packed capacity pair is patched when the revised reduced pair
-    keeps the product bound, else the view spills.
-    @raise Invalid_argument on an index out of range or [cap' ≤ 0]. *)
-val revise_capacity : t -> user:int -> link:int -> Numeric.Rational.t -> unit
-
-(** [to_game v] re-materialises a per-user game over the active slots
-    (in slot order) together with the slot index of each of its users.
-    Untouched capacity rows keep their uncertainty backend; revised
-    rows are re-wrapped as the matching certain belief (degenerate
-    interval for [Strict]).  Returns the original game and the
-    identity map while the view is sealed. *)
-val to_game : t -> Game.t * int array
 
 (** [latency v i] is user [i]'s expected latency [λ_{i,b_i}] at the
     current profile. O(1). *)
@@ -184,11 +108,6 @@ val is_defector : t -> int -> bool
 (** [defectors v] lists the users violating the Nash condition, in
     increasing order. O(n·m). *)
 val defectors : t -> int list
-
-(** [first_and_last_defector v] returns both ends of {!defectors} in a
-    single pass, or [None] at a Nash equilibrium — the one-pass answer
-    to the [Last_defector] best-response policy. O(n·m). *)
-val first_and_last_defector : t -> (int * int) option
 
 (** [is_nash v] holds when no user can strictly improve by switching
     links. O(n·m). *)

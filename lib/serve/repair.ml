@@ -1,4 +1,3 @@
-open Numeric
 open Model
 
 type outcome = {
@@ -161,99 +160,6 @@ let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
   {
     moves = !moves;
     users_moved = !users_moved;
-    seeded_classes;
-    seeded_links;
-    frontier_links = !touched_count;
-    fallback;
-    nash = true;
-  }
-
-(* Per-user restricted scan, in slot order; departed slots are
-   skipped. *)
-let find_user_candidate v touched dirty n =
-  let m = View.links v in
-  let rec go i =
-    if i >= n then None
-    else if not (View.is_active v i) then go (i + 1)
-    else begin
-      let s = View.link v i in
-      if dirty.(i) || touched.(s) then if View.is_defector v i then Some i else go (i + 1)
-      else begin
-        let cur = View.latency v i in
-        let found = ref false in
-        let l = ref 0 in
-        while (not !found) && !l < m do
-          if
-            touched.(!l) && !l <> s
-            && Rational.compare (View.latency_on_link v i !l) cur < 0
-          then found := true;
-          incr l
-        done;
-        if !found then Some i else go (i + 1)
-      end
-    end
-  in
-  go 0
-
-let repair_view ?(max_steps = 1_000_000) v ~dirty_users ~touched_links =
-  if max_steps <= 0 then invalid_arg "Repair.repair_view: max_steps must be positive";
-  let n = View.users v and m = View.links v in
-  let touched = Array.make m false and dirty = Array.make n false in
-  let touched_count = ref 0 in
-  let touch l =
-    if l < 0 || l >= m then invalid_arg "Repair.repair_view: link out of range";
-    if not touched.(l) then begin
-      touched.(l) <- true;
-      incr touched_count
-    end
-  in
-  List.iter touch touched_links;
-  let seeded_links = !touched_count in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= n then invalid_arg "Repair.repair_view: user out of range";
-      dirty.(i) <- true)
-    dirty_users;
-  let seeded_classes = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty in
-  let moves = ref 0 in
-  let rec epochs restricted =
-    if !moves >= max_steps then false
-    else begin
-      let cand =
-        if restricted then find_user_candidate v touched dirty n
-        else begin
-          let rec full i =
-            if i >= n then None
-            else if View.is_active v i && View.is_defector v i then Some i
-            else full (i + 1)
-          in
-          full 0
-        end
-      in
-      match cand with
-      | None -> true
-      | Some i ->
-        let dst, _ = View.best_response_for v i in
-        let s = View.link v i in
-        View.move v i dst;
-        touch s;
-        touch dst;
-        dirty.(i) <- true;
-        incr moves;
-        epochs restricted
-    end
-  in
-  let clean = epochs true in
-  let fallback = (not clean) || not (View.is_nash v) in
-  if fallback then begin
-    if not (epochs false) then
-      invalid_arg "Repair.repair_view: did not converge within max_steps";
-    if not (View.is_nash v) then
-      invalid_arg "Repair.repair_view: repaired profile is not a Nash equilibrium"
-  end;
-  {
-    moves = !moves;
-    users_moved = !moves;
     seeded_classes;
     seeded_links;
     frontier_links = !touched_count;

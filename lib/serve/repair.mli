@@ -39,7 +39,11 @@
     a clean scan implies Nash — and the final [is_nash] doubles as the
     CI-gated verdict.  From an arbitrary (non-Nash) start the scan may
     terminate early; the verification then routes into the fallback,
-    so the result is an equilibrium regardless. *)
+    so the result is an equilibrium regardless.
+
+    This is the only repair driver.  A per-user game is served as its
+    class game ({!Model.Cgame.compress}): users differ only by weight
+    and uncertainty, so nothing per-user is lost. *)
 
 type outcome = {
   moves : int;  (** block moves performed (fallback steps included) *)
@@ -62,14 +66,3 @@ type outcome = {
     converge within [max_steps]. *)
 val repair_batch :
   ?domains:int -> ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome
-
-(** [repair_view ?max_steps v ~dirty_users ~touched_links] is the
-    per-user analogue over a {!Model.View} cursor: the caller applies
-    its structural deltas directly ({!Model.View.add_user} and
-    friends) and states which users and links they perturbed.  Runs the
-    same restricted first-defector scan (departed slots are skipped;
-    [moves = users_moved]); the fallback is the unrestricted scan on
-    the same view.  @raise Invalid_argument on an index out of range,
-    [max_steps <= 0], or a repair that exceeds [max_steps]. *)
-val repair_view :
-  ?max_steps:int -> Model.View.t -> dirty_users:int list -> touched_links:int list -> outcome

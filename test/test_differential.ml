@@ -1,5 +1,5 @@
 (* Differential testing of the live numeric tower (tagged small-value
-   fast path) against Numeric.Reference, the seed array-only
+   fast path) against Reference (test/reference/), the seed array-only
    implementation.  Randomized op sequences — adds, subs, muls,
    divmods, gcds, compares, string round trips — run against both
    towers in lockstep; every produced value must render to the same

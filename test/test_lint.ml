@@ -202,6 +202,16 @@ let test_default_rules_scoping () =
   Alcotest.(check bool) "cgame.ml: R2 on" true (has Float_op cgame);
   let cview = default_rules "lib/model/cview.ml" in
   Alcotest.(check bool) "cview.ml: R1 on" true (has Poly cview);
+  (* Packing owns the load lanes and every exactness-critical cursor
+     kernel behind View and Cview: full numeric and domain-safety
+     scope. *)
+  let packing = default_rules "lib/model/packing.ml" in
+  Alcotest.(check bool) "packing.ml: R1 on" true (has Poly packing);
+  Alcotest.(check bool) "packing.ml: R2 on" true (has Float_op packing);
+  Alcotest.(check bool) "packing.ml: D1 on" true (has Capture packing);
+  Alcotest.(check bool) "packing.ml: D2 on" true (has Domain_prim packing);
+  Alcotest.(check bool) "packing.ml: D3 on" true (has Top_mutable packing);
+  Alcotest.(check bool) "packing.ml: D4 on" true (has Wall_clock packing);
   let combinat = default_rules "lib/numeric/combinat.ml" in
   Alcotest.(check bool) "combinat.ml: R1 on" true (has Poly combinat);
   Alcotest.(check bool) "combinat.ml: R2 on" true (has Float_op combinat);

@@ -423,55 +423,6 @@ let test_repair_domains_identical () =
       views
   done
 
-(* Per-user repair over a View cursor: expand a class equilibrium,
-   mutate at the user level, repair, and check the exact predicate. *)
-let test_repair_view () =
-  let rng = Prng.Rng.create 31337 in
-  for trial = 1 to 300 do
-    let cg = random_cgame rng in
-    let o = Algo.Cbr.converge cg (Algo.Cbr.proportional_start cg) in
-    if not o.Algo.Cbr.converged then Alcotest.failf "trial %d: seed solve diverged" trial;
-    let g = Cgame.expand cg in
-    let x = Cgame.expand_profile cg o.Algo.Cbr.profile in
-    let v = View.of_profile g x in
-    let m = View.links v in
-    let dirty = ref [] and touched = ref [] in
-    let ops = 1 + Prng.Rng.int rng 3 in
-    for _ = 1 to ops do
-      match Prng.Rng.int rng 3 with
-      | 0 ->
-        let link = Prng.Rng.int rng m in
-        let i =
-          View.add_user v
-            ~weight:(q (1 + Prng.Rng.int rng 4) (1 + Prng.Rng.int rng 2))
-            ~capacities:(Array.init m (fun _ -> q (1 + Prng.Rng.int rng 6) 1))
-            ~link ()
-        in
-        dirty := i :: !dirty;
-        touched := link :: !touched
-      | 1 ->
-        if View.active_users v > 1 then begin
-          let i = ref (Prng.Rng.int rng (View.users v)) in
-          while not (View.is_active v !i) do
-            i := (!i + 1) mod View.users v
-          done;
-          touched := View.link v !i :: !touched;
-          View.remove_user v !i
-        end
-      | _ ->
-        let i = ref (Prng.Rng.int rng (View.users v)) in
-        while not (View.is_active v !i) do
-          i := (!i + 1) mod View.users v
-        done;
-        View.revise_capacity v ~user:!i ~link:(Prng.Rng.int rng m)
-          (q (1 + Prng.Rng.int rng 6) (1 + Prng.Rng.int rng 2));
-        dirty := !i :: !dirty
-    done;
-    let r = Repair.repair_view v ~dirty_users:!dirty ~touched_links:!touched in
-    if not r.Repair.nash then Alcotest.failf "trial %d: repair_view returned nash=false" trial;
-    if not (View.is_nash v) then Alcotest.failf "trial %d: repaired View is not Nash" trial
-  done
-
 let test_repair_argument_errors () =
   let g =
     Cgame.kp ~counts:[| 4 |] ~weights:[| Rational.one |]
@@ -481,11 +432,54 @@ let test_repair_argument_errors () =
   raises_invalid "Repair.repair_batch: domains must be positive" (fun () ->
       Repair.repair_batch ~domains:0 v []);
   raises_invalid "Repair.repair_batch: max_steps must be positive" (fun () ->
-      Repair.repair_batch ~max_steps:0 v []);
-  raises_invalid "Repair.repair_view: max_steps must be positive" (fun () ->
-      let pg = Cgame.expand g in
-      Repair.repair_view ~max_steps:0 (View.of_profile pg (Array.make 4 0)) ~dirty_users:[]
-        ~touched_links:[])
+      Repair.repair_batch ~max_steps:0 v [])
+
+(* Clearing the history after a repaired batch (as the serve loop does)
+   keeps the live state bit-identical, leaves nothing to undo, and
+   later move/undo pairs still balance. *)
+let test_clear_history () =
+  let rng = Prng.Rng.create 1303 in
+  for trial = 1 to 300 do
+    let g = random_cgame rng in
+    let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
+    if not o.Algo.Cbr.converged then Alcotest.failf "trial %d: seed solve diverged" trial;
+    let v = Cview.of_profile g o.Algo.Cbr.profile in
+    let batch =
+      List.init (1 + Prng.Rng.int rng 4) (fun _ ->
+          let mu = random_mutation rng v in
+          Mutation.apply v mu;
+          mu)
+    in
+    while Cview.depth v > 0 do
+      Cview.undo v
+    done;
+    ignore (Repair.repair_batch v batch);
+    let game0 = Wire.encode_cgame (Cview.to_cgame v) in
+    let loads0 = Cview.loads v and profile0 = Cview.profile v and revised0 = Cview.revised v in
+    Cview.clear_history v;
+    (match Cview.undo v with
+     | () -> Alcotest.failf "trial %d: undo after clear_history succeeded" trial
+     | exception Invalid_argument msg when String.equal msg "Cview.undo: empty history" -> ());
+    if Cview.revised v <> revised0 then Alcotest.failf "trial %d: clear changed revised" trial;
+    if Wire.encode_cgame (Cview.to_cgame v) <> game0 then
+      Alcotest.failf "trial %d: clear changed to_cgame" trial;
+    let same_loads () = Array.for_all2 Rational.equal loads0 (Cview.loads v) in
+    if not (same_loads ()) then Alcotest.failf "trial %d: clear changed the loads" trial;
+    let k = Cview.classes v and m = Cview.links v in
+    for _ = 1 to 4 do
+      let cls = Prng.Rng.int rng k and dst = Prng.Rng.int rng m in
+      let src = ref 0 in
+      while Cview.assigned v cls !src = 0 do
+        incr src
+      done;
+      Cview.move v ~cls ~src:!src ~dst ~count:(1 + Prng.Rng.int rng (Cview.assigned v cls !src))
+    done;
+    while Cview.depth v > 0 do
+      Cview.undo v
+    done;
+    if not (same_loads ()) then Alcotest.failf "trial %d: move/undo left the loads changed" trial;
+    if Cview.profile v <> profile0 then Alcotest.failf "trial %d: move/undo changed the profile" trial
+  done
 
 (* An exhausted move budget must raise, never return a non-Nash
    profile. *)
@@ -568,8 +562,8 @@ let () =
           Alcotest.test_case "repair vs full re-solve" `Slow test_repair_differential;
           Alcotest.test_case "parallel scans are bit-identical" `Quick
             test_repair_domains_identical;
-          Alcotest.test_case "per-user repair_view" `Slow test_repair_view;
           Alcotest.test_case "argument errors" `Quick test_repair_argument_errors;
+          Alcotest.test_case "clear_history keeps the state" `Quick test_clear_history;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
         ] );
     ]

@@ -116,12 +116,6 @@ let check_predicates g ?initial v shadow =
   if View.is_nash v <> Seed.is_nash g ?initial shadow then Alcotest.fail "is_nash diverged";
   let vd = View.defectors v and sd = Seed.defectors g ?initial shadow in
   if vd <> sd then Alcotest.fail "defectors diverged";
-  (match View.first_and_last_defector v, sd with
-   | None, [] -> ()
-   | Some (first, last), (d0 :: _ as ds) ->
-     if first <> d0 || last <> List.nth ds (List.length ds - 1) then
-       Alcotest.fail "first_and_last_defector disagrees with defectors' ends"
-   | Some _, [] | None, _ :: _ -> Alcotest.fail "first_and_last_defector presence diverged");
   for i = 0 to n - 1 do
     if View.improving_moves v i <> Seed.improving_moves g ?initial shadow i then
       Alcotest.failf "improving_moves(%d) diverged" i;
