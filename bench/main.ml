@@ -943,10 +943,11 @@ let bench_engine_json () =
    incremental [Model.View] existed — every latency pays an O(n) load
    scan, every step re-lists the defectors and then re-derives the
    mover's best response — because [Pure] itself now delegates to
-   views, so timing [Pure] would no longer measure the old core.  Two
+   views, so timing [Pure] would no longer measure the old core.  Three
    fixed workloads run through both cores and must agree exactly: a
-   First_defector best-response walk and an exhaustive OPT1 sweep.
-   Writes schema bench-walk/1 to BENCH_walk.json or $BENCH_WALK_JSON.
+   First_defector best-response walk, an exhaustive OPT1 sweep and a
+   Nash-verification batch.
+   Writes schema bench-walk/3 to BENCH_walk.json or $BENCH_WALK_JSON.
    BENCH_WALK_ONLY=1 runs just this section. *)
 module Seed_eval = struct
   let load_on g p l =
@@ -1093,51 +1094,22 @@ let bench_walk_json () =
         done)
   in
   let nash_checks = reps * List.length nash_batch in
-  (* Workload 4: the same OPT1 sweep sharded across domains — the
-     multi-core row.  "seed" is the serial View-based scan, so the
-     speedup isolates domain parallelism; value and argmin must be
-     bit-identical. *)
-  let n_par = if quick then 8 else 10 and m_par = 3 in
-  let g_par =
-    Generators.game rng ~n:n_par ~m:m_par
-      ~weights:(Generators.Integer_weights 5)
-      ~beliefs:(Generators.Private_point { cap_bound = 6 })
-  in
-  let domains = max 2 (min 8 (Parallel.available_domains ())) in
-  (* Wall clock, not CPU time: parallel work accumulates CPU time on
-     every domain, so [Sys.time] would hide the very speedup this row
-     measures.  One warmed timed run — the workloads are >= 10 ms. *)
-  let wall_ms_of f =
-    f ();
-    let start = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. start) *. 1000.0
-  in
-  let serial_par = ref None in
-  let par_serial_ms = wall_ms_of (fun () -> serial_par := Some (Social.opt1 g_par)) in
-  let multi_par = ref None in
-  let par_multi_ms = wall_ms_of (fun () -> multi_par := Some (Social.opt1 ~domains g_par)) in
-  let psv, psp = Option.get !serial_par and pmv, pmp = Option.get !multi_par in
-  let par_identical = Rational.equal psv pmv && Pure.equal psp pmp in
-  let par_profiles = int_of_float (float_of_int m_par ** float_of_int n_par) in
   let rows =
     [
-      ("br_walk", n_walk, m_walk, !seed_steps, 1, walk_seed_ms, walk_inc_ms, walk_identical);
-      ("opt1_sweep", n_opt, m_opt, profiles, 1, opt_seed_ms, opt_inc_ms, opt_identical);
-      ("is_nash_check", n_nash, m_nash, nash_checks, 1, nash_seed_ms, nash_live_ms, nash_identical);
-      ("opt1_multicore", n_par, m_par, par_profiles, domains, par_serial_ms, par_multi_ms,
-       par_identical);
+      ("br_walk", n_walk, m_walk, !seed_steps, walk_seed_ms, walk_inc_ms, walk_identical);
+      ("opt1_sweep", n_opt, m_opt, profiles, opt_seed_ms, opt_inc_ms, opt_identical);
+      ("is_nash_check", n_nash, m_nash, nash_checks, nash_seed_ms, nash_live_ms, nash_identical);
     ]
   in
   let t =
     Stats.Table.create
-      [ "workload"; "n"; "m"; "work"; "domains"; "seed ms"; "incremental ms"; "speedup"; "identical" ]
+      [ "workload"; "n"; "m"; "work"; "seed ms"; "incremental ms"; "speedup"; "identical" ]
   in
   List.iter
-    (fun (name, n, m, work, d, s, i, ident) ->
+    (fun (name, n, m, work, s, i, ident) ->
       Stats.Table.add_row t
         [
-          name; string_of_int n; string_of_int m; string_of_int work; string_of_int d;
+          name; string_of_int n; string_of_int m; string_of_int work;
           Report.flt s; Report.flt i; Printf.sprintf "%.2fx" (s /. i); string_of_bool ident;
         ])
     rows;
@@ -1147,16 +1119,16 @@ let bench_walk_json () =
     (1000.0 *. float_of_int nash_checks /. nash_seed_ms);
   let out = Buffer.create 1024 in
   Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-walk/2\",\n";
+  Buffer.add_string out "  \"schema\": \"bench-walk/3\",\n";
   Printf.bprintf out "  \"quick\": %b,\n" quick;
   Buffer.add_string out "  \"results\": [\n";
   let last = List.length rows - 1 in
   List.iteri
-    (fun idx (name, n, m, work, d, s, i, ident) ->
+    (fun idx (name, n, m, work, s, i, ident) ->
       Printf.bprintf out
-        "    {\"workload\": \"%s\", \"n\": %d, \"m\": %d, \"work\": %d, \"domains\": %d, \
+        "    {\"workload\": \"%s\", \"n\": %d, \"m\": %d, \"work\": %d, \
          \"seed_ms\": %.3f, \"incremental_ms\": %.3f, \"speedup\": %.3f, \"identical\": %b}%s\n"
-        name n m work d s i (s /. i) ident
+        name n m work s i (s /. i) ident
         (if idx = last then "" else ","))
     rows;
   Buffer.add_string out "  ]\n";
@@ -1179,7 +1151,7 @@ let bench_walk_json () =
    engines run on the same instances and their exact rationals must be
    bit-identical before times are reported; instances whose m^n exceeds
    the seed's 10^6 realisation cap run the DP only and record the state
-   count that made them feasible.  Writes schema bench-mixed/1 to
+   count that made them feasible.  Writes schema bench-mixed/3 to
    BENCH_mixed.json or $BENCH_MIXED_JSON.  BENCH_MIXED_ONLY=1 runs just
    this section. *)
 let seed_expected_max_congestion g p =
@@ -1214,14 +1186,12 @@ let bench_mixed_json () =
       ~capacities:caps3
   in
   (* Three classes of distinct power-of-two weights: enough distinct
-     load vectors that the DP frontier crosses the parallel-expansion
-     threshold and the multi-core columns measure real sharding. *)
+     load vectors for a frontier of a few thousand states. *)
   let three_class_kp n =
     Game.kp
       ~weights:(Array.init n (fun i -> Rational.of_int (1 lsl (3 * i / n))))
       ~capacities:caps3
   in
-  let domains = max 2 (min 8 (Parallel.available_domains ())) in
   (* (instance label, game, profile, m^n within the seed's cap?) *)
   let instances =
     [
@@ -1239,19 +1209,6 @@ let bench_mixed_json () =
         let dist = Load_dist.of_mixed g p in
         let dp_value = ref Rational.zero in
         let dp_ms = ms_of (fun () -> dp_value := Congestion.expected_max_congestion g p) in
-        (* Wall clock for the sharded DP: CPU time would sum over
-           domains and hide the parallel speedup. *)
-        let dp_par_value = ref Rational.zero in
-        let wall_ms_of f =
-          f ();
-          let start = Unix.gettimeofday () in
-          f ();
-          (Unix.gettimeofday () -. start) *. 1000.0
-        in
-        let dp_par_ms =
-          wall_ms_of (fun () -> dp_par_value := Congestion.expected_max_congestion ~domains g p)
-        in
-        let par_identical = Rational.equal !dp_value !dp_par_value in
         let seed =
           if not seed_feasible then None
           else begin
@@ -1266,18 +1223,16 @@ let bench_mixed_json () =
           Load_dist.classes dist,
           Load_dist.size dist,
           dp_ms,
-          (dp_par_ms, par_identical),
           seed,
           Rational.to_string !dp_value ))
       instances
   in
   let t =
     Stats.Table.create
-      [ "instance"; "n"; "m"; "classes"; "states"; "seed ms"; "DP ms";
-        Printf.sprintf "DP ms (%dd)" domains; "speedup"; "identical"; "par identical" ]
+      [ "instance"; "n"; "m"; "classes"; "states"; "seed ms"; "DP ms"; "speedup"; "identical" ]
   in
   List.iter
-    (fun (name, n, m, classes, states, dp_ms, (dp_par_ms, par_ident), seed, _) ->
+    (fun (name, n, m, classes, states, dp_ms, seed, _) ->
       let seed_ms, speedup, identical =
         match seed with
         | Some (s, ident) -> (Report.flt s, Printf.sprintf "%.1fx" (s /. dp_ms), string_of_bool ident)
@@ -1286,20 +1241,18 @@ let bench_mixed_json () =
       Stats.Table.add_row t
         [
           name; string_of_int n; string_of_int m; string_of_int classes;
-          string_of_int states; seed_ms; Report.flt dp_ms; Report.flt dp_par_ms; speedup;
-          identical; string_of_bool par_ident;
+          string_of_int states; seed_ms; Report.flt dp_ms; speedup; identical;
         ])
     rows;
   Stats.Table.print t;
   let out = Buffer.create 1024 in
   Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-mixed/2\",\n";
+  Buffer.add_string out "  \"schema\": \"bench-mixed/3\",\n";
   Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Printf.bprintf out "  \"domains\": %d,\n" domains;
   Buffer.add_string out "  \"results\": [\n";
   let last = List.length rows - 1 in
   List.iteri
-    (fun idx (name, n, m, classes, states, dp_ms, (dp_par_ms, par_ident), seed, value) ->
+    (fun idx (name, n, m, classes, states, dp_ms, seed, value) ->
       let seed_ms, speedup, identical =
         match seed with
         | Some (s, ident) ->
@@ -1310,9 +1263,9 @@ let bench_mixed_json () =
       in
       Printf.bprintf out
         "    {\"instance\": \"%s\", \"n\": %d, \"m\": %d, \"classes\": %d, \"states\": %d, \
-         \"seed_ms\": %s, \"dp_ms\": %.3f, \"dp_par_ms\": %.3f, \"par_identical\": %b, \
+         \"seed_ms\": %s, \"dp_ms\": %.3f, \
          \"speedup\": %s, \"identical\": %s, \"exceeds_seed_limit\": %b, \"value\": \"%s\"}%s\n"
-        name n m classes states seed_ms dp_ms dp_par_ms par_ident speedup identical (seed = None)
+        name n m classes states seed_ms dp_ms speedup identical (seed = None)
         value
         (if idx = last then "" else ","))
     rows;

@@ -39,6 +39,19 @@ let initial_arg =
   let doc = "Initial per-link traffic, comma separated (e.g. 1/2,0)." in
   Arg.(value & opt (some string) None & info [ "initial" ] ~docv:"T" ~doc)
 
+(* A malformed input file or a rejected mutation is a user error, not a
+   bug: report it as one line on stderr and exit 2, instead of letting
+   cmdliner print an uncaught-exception trace and exit 125.  Earlier
+   stdout is flushed first so the two streams stay in order. *)
+let input_guard ?(context = "") f x =
+  try f x
+  with Invalid_argument msg ->
+    flush stdout;
+    prerr_endline ("selfish_routing: " ^ context ^ msg);
+    exit 2
+
+let parse_game file = input_guard Game_io.parse_file file
+
 let print_profile g ?initial sigma =
   Printf.printf "profile: [%s]\n"
     (String.concat "; " (Array.to_list (Array.map string_of_int sigma)));
@@ -98,7 +111,7 @@ let check_backend flag kind =
   then Printf.printf "uncertainty backend: %s\n" (Uncertainty.kind_name kind)
 
 let run_solve_classes file uflag =
-  let g = Game_io.parse_cgame_file file in
+  let g = input_guard Game_io.parse_cgame_file file in
   check_backend uflag (Uncertainty.kind (Cgame.uncertainty g 0));
   Printf.printf "class game: %d classes, %d users, %d links\n" (Cgame.classes g)
     (Cgame.users g) (Cgame.links g);
@@ -143,7 +156,7 @@ let pick_auto g initial =
   else `Best_response
 
 let run_solve_users file uflag algo initial_str seed =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   check_backend uflag (Uncertainty.kind (Game.uncertainty g 0));
   let initial = parse_initial g initial_str in
   let algo = if algo = `Auto then pick_auto g initial else algo in
@@ -192,7 +205,7 @@ let solve_cmd =
 (* fmne                                                                *)
 
 let run_fmne file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let candidate = Algo.Fully_mixed.candidate g in
   Printf.printf "candidate probabilities (Lemma 4.3):\n";
   Array.iteri
@@ -221,7 +234,7 @@ let fmne_cmd =
 (* enumerate                                                           *)
 
 let run_enumerate file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let nes = Algo.Enumerate.pure_nash g in
   Printf.printf "%d pure Nash equilibria (out of %s profiles):\n" (List.length nes)
     (match Social.profile_count g with Some c -> string_of_int c | None -> "many");
@@ -245,7 +258,7 @@ let enumerate_cmd =
 (* bounds                                                              *)
 
 let run_bounds file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   Printf.printf "Theorem 4.14 (general) bound: %s ≈ %.4f\n"
     (Rational.to_string (Bounds.theorem_4_14 g))
     (Rational.to_float (Bounds.theorem_4_14 g));
@@ -263,7 +276,7 @@ let bounds_cmd =
 (* mixed (support enumeration)                                         *)
 
 let run_mixed file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let result = Algo.Support_enum.all_nash g in
   Printf.printf "%d mixed Nash equilibria found by support enumeration"
     (List.length result.equilibria);
@@ -296,7 +309,7 @@ let mixed_cmd =
 (* potential                                                           *)
 
 let run_potential file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   match Algo.Potential.find_nonzero_square g with
   | None ->
     Printf.printf
@@ -318,7 +331,7 @@ let potential_cmd =
 (* monte-carlo                                                         *)
 
 let run_monte_carlo file samples seed =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let rng = Prng.Rng.create seed in
   let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
   let o = Algo.Best_response.converge g ~max_steps:1000 start in
@@ -349,7 +362,7 @@ let monte_carlo_cmd =
 (* correlated                                                          *)
 
 let run_correlated file =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let show label (r : Algo.Correlated.result) =
     Printf.printf "%s SC1 = %s (%s):\n" label
       (Rational.to_string r.value)
@@ -377,7 +390,7 @@ let correlated_cmd =
 (* fictitious                                                          *)
 
 let run_fictitious file rounds seed =
-  let g = Game_io.parse_file file in
+  let g = parse_game file in
   let rng = Prng.Rng.create seed in
   let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
   let o = Algo.Fictitious.play g ~rounds ~window:10 start in
@@ -448,9 +461,9 @@ let load_log path =
   let data = read_binary_file path in
   if Serve.Wire.is_wire data then Serve.Wire.decode_log data else Serve.Mutation.parse data
 
-let run_serve game_file log_file domains max_moves =
-  let g = load_cgame game_file in
-  let log = load_log log_file in
+let run_serve game_file log_file (_deprecated_domains : int) max_moves =
+  let g = input_guard load_cgame game_file in
+  let log = input_guard load_log log_file in
   Printf.printf "class game: %d classes, %d users, %d links; %d mutation batches\n"
     (Cgame.classes g) (Cgame.users g) (Cgame.links g) (List.length log);
   let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
@@ -459,7 +472,12 @@ let run_serve game_file log_file domains max_moves =
   let v = Cview.of_profile g o.profile in
   List.iteri
     (fun idx batch ->
-      let r = Serve.Repair.repair_batch ~domains ~max_steps:max_moves v batch in
+      let r =
+        input_guard
+          ~context:(Printf.sprintf "batch %d: " (idx + 1))
+          (Serve.Repair.repair_batch ~max_steps:max_moves v)
+          batch
+      in
       let users = ref 0 in
       for c = 0 to Cview.classes v - 1 do
         users := !users + Cview.class_count v c
@@ -487,10 +505,8 @@ let serve_cmd =
   let domains =
     Arg.(
       value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains for the repair scans (results are bit-identical \
-             for any value).")
+      & info [ "domains" ] ~deprecated:"repair scans are serial; the value is ignored"
+          ~doc:"Ignored; kept so existing invocations still parse.")
   in
   let max_moves =
     Arg.(

@@ -35,12 +35,12 @@ let max_congestion_of_view g v =
    [limit] now bounds distinct load states instead of m^n.  The result
    is bit-identical to the seed sweep (exact arithmetic throughout);
    test/test_load_dist.ml pins that equality differentially. *)
-let expected_max_congestion ?limit ?domains g p =
+let expected_max_congestion ?limit g p =
   require_kp "expected_max_congestion" g;
   Mixed.validate g p;
   let caps = Game.capacity_row g 0 in
   let m = Game.links g in
-  let dist = Load_dist.of_mixed ?limit ?domains g p in
+  let dist = Load_dist.of_mixed ?limit g p in
   Load_dist.expect dist (fun loads ->
       let best = ref (Rational.div loads.(0) caps.(0)) in
       for l = 1 to m - 1 do
@@ -67,20 +67,15 @@ let estimate g p ~samples rng =
   done;
   Rational.to_float (Rational.div !acc (Rational.of_int samples))
 
-let optimum ?(limit = 1_000_000) ?(domains = 1) g =
+let optimum ?(limit = 1_000_000) g =
   require_kp "optimum" g;
   guard "optimum" limit g;
   let best =
-    View.fold ~domains g ~init:None
-      ~f:(fun acc v ->
+    View.fold g ~init:None ~f:(fun acc v ->
         let c = max_congestion_of_view g v in
         match acc with
         | Some (b, _) when Rational.compare b c <= 0 -> acc
         | _ -> Some (c, View.profile v))
-      ~combine:(fun a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some (va, _), Some (vb, _) -> if Rational.compare va vb <= 0 then a else b)
   in
   match best with
   | Some (v, p) -> (v, p)

@@ -25,13 +25,10 @@ val max_congestion : Game.t -> Pure.profile -> Numeric.Rational.t
     weight, equal row) cost [C(n_c + m - 1, m - 1)] states per class:
     uniform fully mixed profiles far beyond the seed enumerator's
     [m^n <= 1_000_000] range are exact and fast.  [limit] bounds the
-    number of distinct load states (default [1_000_000]); [domains]
-    shards each large DP layer across OCaml domains with bit-identical
-    results (see {!Load_dist.of_mixed}).
+    number of distinct load states (default [1_000_000]).
     @raise Invalid_argument unless [g] is a KP instance, or when the
     load-state space exceeds [limit]. *)
-val expected_max_congestion :
-  ?limit:int -> ?domains:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
+val expected_max_congestion : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
 
 (** [estimate g p ~samples rng] is a Monte-Carlo estimate of
     {!expected_max_congestion} usable beyond the exact limit.  The
@@ -39,9 +36,8 @@ val expected_max_congestion :
 val estimate : Game.t -> Mixed.profile -> samples:int -> Prng.Rng.t -> float
 
 (** [optimum g] is the makespan optimum: the minimum over pure profiles
-    of {!max_congestion}, with an argmin (the classical OPT of [13]).
-    [domains] shards the sweep across OCaml domains, bit-identically
-    (see {!View.fold}).
+    of {!max_congestion}, with an argmin (the classical OPT of [13]),
+    found by one serial {!View.fold}.
     @raise Invalid_argument unless [g] is a KP instance or when [m^n]
     exceeds [limit]. *)
-val optimum : ?limit:int -> ?domains:int -> Game.t -> Numeric.Rational.t * Pure.profile
+val optimum : ?limit:int -> Game.t -> Numeric.Rational.t * Pure.profile

@@ -70,99 +70,42 @@ let class_splits ~links:m ~count ~weight ~(row : Qvec.t) =
 
 let limit_message = "Load_dist.of_mixed: distinct load states exceed the limit"
 
-(* DP accumulator: the layer table plus the id of the domain that owns
-   it, so the SELFISH_OWNERSHIP sanitizer can assert every mutation
-   happens on the creating domain (worker shards build private steps;
-   the merge below writes only into a fresh caller-owned step). *)
-type step = { tbl : Rational.t Tbl.t; owner : int }
-
-let fresh_step size = { tbl = Tbl.create size; owner = Parallel.Ownership.record () }
-
-(* Fold one state's outgoing splits into an accumulator step.  A
-   negative limit disables the per-insert check (used by the parallel
-   shards, which bound the merged table instead). *)
+(* Fold one state's outgoing splits into the next layer's table. *)
 let expand_into ~limit next splits loads prob =
-  Parallel.Ownership.guard "Load_dist table" next.owner;
   List.iter
     (fun (delta, mass) ->
       let loads' = Qvec.add loads delta in
       let contribution = Rational.mul prob mass in
-      match Tbl.find_opt next.tbl loads' with
-      | Some q -> Tbl.replace next.tbl loads' (Rational.add q contribution)
+      match Tbl.find_opt next loads' with
+      | Some q -> Tbl.replace next loads' (Rational.add q contribution)
       | None ->
-        if limit >= 0 && Tbl.length next.tbl >= limit then invalid_arg limit_message;
-        Tbl.add next.tbl loads' contribution)
+        if Tbl.length next >= limit then invalid_arg limit_message;
+        Tbl.add next loads' contribution)
     splits
 
-(* Add every (state, probability) of [local] into [merged]; exact
-   rational addition makes the result independent of merge order. *)
-let merge_into merged local =
-  Parallel.Ownership.guard "Load_dist table" merged.owner;
-  Tbl.iter
-    (fun loads' contribution ->
-      match Tbl.find_opt merged.tbl loads' with
-      | Some q -> Tbl.replace merged.tbl loads' (Rational.add q contribution)
-      | None -> Tbl.add merged.tbl loads' contribution)
-    local.tbl
-
 (* One DP layer: fold a class's splits into every accumulated state,
-   merging states that land on the same load vector.
+   merging states that land on the same load vector.  Each layer's
+   table is built and dropped inside [of_mixed], so it never crosses a
+   domain and needs no ownership guard. *)
+let apply ~limit layer splits =
+  let next = Tbl.create (2 * Tbl.length layer) in
+  Tbl.iter (expand_into ~limit next splits) layer;
+  next
 
-   With [~domains > 1] and a frontier large enough to amortise domain
-   spawns, the current states are snapshotted and block-sharded; each
-   worker expands its block into a private table and the local tables
-   are merged sequentially.  Rational addition is exact, so the merged
-   probabilities are bit-identical to the serial layer whatever the
-   accumulation order — sharding is observable only through speed.
-   The state limit then applies to the merged layer size (the same
-   "distinct states > limit" condition the serial path enforces). *)
-let apply ?(domains = 1) ~limit step splits =
-  let k = Tbl.length step.tbl in
-  if domains <= 1 || k < 256 then begin
-    let next = fresh_step (2 * k) in
-    Tbl.iter (expand_into ~limit next splits) step.tbl;
-    next
-  end
-  else begin
-    let states = Array.of_seq (Tbl.to_seq step.tbl) in
-    let workers = min domains k in
-    let per = k / workers and extra = k mod workers in
-    let shard w =
-      let lo = (w * per) + Stdlib.min w extra in
-      let size = per + if w < extra then 1 else 0 in
-      let local = fresh_step (2 * size) in
-      for j = lo to lo + size - 1 do
-        let loads, prob = states.(j) in
-        expand_into ~limit:(-1) local splits loads prob
-      done;
-      local
-    in
-    let locals = Parallel.map ~domains:workers shard (List.init workers Fun.id) in
-    (* Worker-local tables are owned by the domains that built them, so
-       the merge never touches them: everything is re-added, in worker
-       order, to a fresh step owned by the calling domain.  Per-state
-       probabilities accumulate in the same order as before (shard 0
-       first), and rational addition is exact, so the merged layer is
-       bit-identical to the serial one. *)
-    let merged = fresh_step (2 * k) in
-    List.iter (merge_into merged) locals;
-    if Tbl.length merged.tbl > limit then invalid_arg limit_message;
-    merged
-  end
-
-let of_mixed ?(limit = 1_000_000) ?domains g p =
+let of_mixed ?(limit = 1_000_000) g p =
   Mixed.validate g p;
   if limit <= 0 then invalid_arg "Load_dist.of_mixed: limit must be positive";
   let m = Game.links g in
   let cls = classes_of g p in
-  let step0 = fresh_step 16 in
-  Tbl.add step0.tbl (Qvec.make m Rational.zero) Rational.one;
-  let step = ref step0 in
-  List.iter
-    (fun (weight, row, count) ->
-      step := apply ?domains ~limit !step (class_splits ~links:m ~count ~weight ~row))
-    cls;
-  { table = (!step).tbl; links = m; classes = List.length cls }
+  let layer0 = Tbl.create 16 in
+  Tbl.add layer0 (Qvec.make m Rational.zero) Rational.one;
+  let table =
+    List.fold_left
+      (fun layer (weight, row, count) ->
+        apply ~limit layer (class_splits ~links:m ~count ~weight ~row))
+      layer0 cls
+  in
+  { table; links = m; classes = List.length cls }
 
 let total_probability d =
   let acc = ref Rational.zero in

@@ -35,15 +35,11 @@ type t
     program may hold at any point (default [1_000_000]; the seed
     enumerator's limit bounded [m^n] instead, which this bound only
     reaches when every user is its own class and no loads collide).
-    With [~domains > 1], each DP layer whose frontier is large enough
-    to amortise domain spawns is expanded in parallel: the frontier is
-    block-sharded, workers accumulate into private tables, and the
-    merge re-sums probabilities — exactly, so the distribution (and
-    every expectation of it) is bit-identical to the serial DP.  The
-    state limit then applies to the merged layer.
+    The DP is serial; run independent instances as [Engine] tasks to
+    use more cores.
     @raise Invalid_argument when [p] is not a valid mixed profile for
     [g] or when the state space exceeds [limit]. *)
-val of_mixed : ?limit:int -> ?domains:int -> Game.t -> Mixed.profile -> t
+val of_mixed : ?limit:int -> Game.t -> Mixed.profile -> t
 
 (** [links d] is the dimension of the load vectors. *)
 val links : t -> int

@@ -43,31 +43,22 @@ let guard name limit g =
    amortised O(1) number of single-user moves, so the per-profile cost
    is the O(n) cost evaluation against O(1) loads — the seed path
    rebuilt every load with an O(n) scan, i.e. O(n²) per profile.
-   With [~domains > 1] the odometer is sharded across domains; the
-   first-wins argmin (strict improvement, earlier shard kept on ties)
-   makes the parallel result bit-identical to the serial scan. *)
-let optimum name cost ?(limit = 10_000_000) ?(domains = 1) g =
+   Strict improvement keeps the first minimum in odometer order. *)
+let optimum name cost ?(limit = 10_000_000) g =
   guard name limit g;
-  let better a b =
-    match a, b with
-    | None, x | x, None -> x
-    | Some (va, _), Some (vb, _) -> if Rational.compare va vb <= 0 then a else b
-  in
   let best =
-    View.fold ~domains g ~init:None
-      ~f:(fun acc v ->
+    View.fold g ~init:None ~f:(fun acc v ->
         let c = cost v in
         match acc with
         | Some (b, _) when Rational.compare b c <= 0 -> acc
         | _ -> Some (c, View.profile v))
-      ~combine:better
   in
   match best with
   | Some (v, p) -> (v, p)
   | None -> assert false (* the sweep visits at least one profile *)
 
-let opt1 ?limit ?domains g = optimum "opt1" View.social_cost1 ?limit ?domains g
-let opt2 ?limit ?domains g = optimum "opt2" View.social_cost2 ?limit ?domains g
+let opt1 ?limit g = optimum "opt1" View.social_cost1 ?limit g
+let opt2 ?limit g = optimum "opt2" View.social_cost2 ?limit g
 
 let ratio1 ?limit g p =
   let opt, _ = opt1 ?limit g in

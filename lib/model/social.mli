@@ -17,16 +17,15 @@ val profile_count : Game.t -> int option
 (** [opt1 g] is [(OPT1, argmin)] — the minimum over pure profiles of
     [Σ_i λ_{i,b_i}(σ)].  The scan walks profiles in odometer order on
     an incremental {!View}, so each profile costs O(n) instead of the
-    seed path's O(n²) recompute.  With [~domains > 1] the odometer is
-    sharded across that many OCaml domains ({!View.fold}); the result —
-    value and argmin profile, first minimum in odometer order — is
-    bit-identical to the serial scan.
+    seed path's O(n²) recompute.  The argmin is the first minimum in
+    odometer order.  The scan is serial; experiments that repeat it
+    over many instances shard the instances through [Engine].
     @raise Invalid_argument when [m^n] exceeds [limit]
     (default [10_000_000]). *)
-val opt1 : ?limit:int -> ?domains:int -> Game.t -> Numeric.Rational.t * Pure.profile
+val opt1 : ?limit:int -> Game.t -> Numeric.Rational.t * Pure.profile
 
 (** [opt2 g] is [(OPT2, argmin)] for the max-cost objective. *)
-val opt2 : ?limit:int -> ?domains:int -> Game.t -> Numeric.Rational.t * Pure.profile
+val opt2 : ?limit:int -> Game.t -> Numeric.Rational.t * Pure.profile
 
 (** [ratio1 g p] is [SC1(G,P) / OPT1(G)] for a mixed profile [p]. *)
 val ratio1 : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t

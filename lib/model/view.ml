@@ -153,51 +153,7 @@ let sweep g ?initial f =
     continue := tick v
   done
 
-(* [m^n] as a native int, or None on overflow (in which case a sweep
-   of that size would never finish anyway and sharding is moot). *)
-let profile_space g =
-  let n = Game.users g and m = Game.links g in
-  let rec go acc k =
-    if k = 0 then Some acc
-    else begin
-      let next = acc * m in
-      if next / m <> acc then None else go next (k - 1)
-    end
-  in
-  go 1 n
-
-let fold ?(domains = 1) ?initial g ~init ~f ~combine =
-  let serial () =
-    let acc = ref init in
-    sweep g ?initial (fun v -> acc := f !acc v);
-    !acc
-  in
-  match profile_space g with
-  | Some total when domains > 1 && total > 1 ->
-    let n = Game.users g and m = Game.links g in
-    let workers = min domains total in
-    let per = total / workers and extra = total mod workers in
-    (* Shard w covers the contiguous odometer index block
-       [w·per + min w extra, …) of size per (+1 for the first [extra]
-       shards); each worker decodes its start index into a profile,
-       builds a private view there and ticks through its block. *)
-    let run_shard w =
-      let lo = (w * per) + Stdlib.min w extra in
-      let size = per + if w < extra then 1 else 0 in
-      let p = Array.make n 0 in
-      let idx = ref lo in
-      for i = n - 1 downto 0 do
-        p.(i) <- !idx mod m;
-        idx := !idx / m
-      done;
-      let v = of_profile g ?initial p in
-      let acc = ref (f init v) in
-      for _ = 2 to size do
-        ignore (tick v);
-        acc := f !acc v
-      done;
-      !acc
-    in
-    let parts = Parallel.map ~domains:workers run_shard (List.init workers Fun.id) in
-    List.fold_left combine init parts
-  | _ -> serial ()
+let fold ?initial g ~init ~f =
+  let acc = ref init in
+  sweep g ?initial (fun v -> acc := f !acc v);
+  !acc

@@ -130,25 +130,10 @@ val social_cost2 : t -> Numeric.Rational.t
     move is undone before it returns; do not retain the view. *)
 val sweep : Game.t -> ?initial:Numeric.Rational.t array -> (t -> unit) -> unit
 
-(** [fold ?domains ?initial g ~init ~f ~combine] folds [f] over every
-    pure profile in {!sweep} order and reduces with [combine].  With
-    [domains <= 1] this is exactly the serial
-    [f (… (f init v₀) …) v_last].  With [domains > 1] the odometer
-    index space [0, m^n) is cut into [domains] contiguous blocks, each
-    folded from [init] by a private view on its own domain, and the
-    block results are combined left to right — so the result is
-    bit-identical to the serial fold whenever [(init, f, combine)]
-    satisfies [combine (f… init xs) (f… init ys) = f… init (xs @ ys)]
-    (any associative reduction with unit [init]; first-wins argmin
-    folds qualify because earlier blocks combine from the left).  [f]
-    must not touch shared mutable state: it runs concurrently on
-    distinct views.  Falls back to the serial path when [m^n]
-    overflows a native int. *)
+(** [fold ?initial g ~init ~f] folds [f] over every pure profile in
+    {!sweep} order: [f (… (f init v₀) …) v_last].  The fold is serial;
+    to spread many such folds over cores, run them as separate
+    [Engine] tasks, each on its own view.  [f] follows {!sweep}'s
+    rules: balance its moves and do not retain the view. *)
 val fold :
-  ?domains:int ->
-  ?initial:Numeric.Rational.t array ->
-  Game.t ->
-  init:'a ->
-  f:('a -> t -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  'a
+  ?initial:Numeric.Rational.t array -> Game.t -> init:'a -> f:('a -> t -> 'a) -> 'a

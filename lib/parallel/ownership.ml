@@ -1,7 +1,7 @@
 (* Runtime domain-ownership sanitizer (SELFISH_OWNERSHIP=1).
 
-   The determinism contract requires every mutable structure (View and
-   Cview cursors, Load_dist accumulator tables) to stay domain-local:
+   The determinism contract requires every mutable structure (the View
+   and Cview cursors) to stay domain-local:
    created, mutated and dropped on one domain, with only immutable
    results crossing the fork-join boundary.  The static lint (D1-D4)
    checks this syntactically; this sanitizer checks it dynamically.

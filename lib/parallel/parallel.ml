@@ -2,9 +2,6 @@ module Ownership = Ownership
 
 let available_domains () = Domain.recommended_domain_count ()
 
-let check_domains domains =
-  if domains <= 0 then invalid_arg "Parallel: domains must be positive"
-
 (* Run [work w] for w in [0, workers) on separate domains and collect
    the results in worker order, re-raising the first failure. *)
 let fork_join ~workers work =
@@ -25,7 +22,7 @@ let fork_join ~workers work =
   end
 
 let map_array ~domains f xs =
-  check_domains domains;
+  if domains <= 0 then invalid_arg "Parallel: domains must be positive";
   let len = Array.length xs in
   if len = 0 then [||]
   else begin
@@ -43,29 +40,4 @@ let map_array ~domains f xs =
       Array.iter (List.iter (fun (i, v) -> out.(i) <- Some v)) chunks;
       Array.map (function Some v -> v | None -> assert false) out
     end
-  end
-
-let map ~domains f xs = Array.to_list (map_array ~domains f (Array.of_list xs))
-
-let reduce ~domains ~neutral ~combine f xs =
-  check_domains domains;
-  let xs = Array.of_list xs in
-  let len = Array.length xs in
-  if len = 0 then neutral
-  else begin
-    let workers = min domains len in
-    let work w =
-      (* Block distribution keeps the per-worker fold order equal to the
-         global order restricted to the block, so the final left-to-right
-         combine of worker results reproduces the serial fold for any
-         associative [combine]. *)
-      let lo = w * len / workers and hi = ((w + 1) * len / workers) - 1 in
-      let acc = ref neutral in
-      for i = lo to hi do
-        acc := combine !acc (f xs.(i))
-      done;
-      !acc
-    in
-    let partials = fork_join ~workers work in
-    Array.fold_left combine neutral partials
   end

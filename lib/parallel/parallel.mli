@@ -4,17 +4,18 @@
     each cell derives its own PRNG from a fixed seed, so results are
     identical no matter how work is scheduled.  This module provides the
     minimal fork–join layer the harness needs — no dependency on
-    domainslib (not installed in this environment).
+    domainslib.  Its one caller in the libraries is [Engine]'s task
+    grid; every algorithm below it is serial.
 
-    All functions run [f] in the calling domain when [domains <= 1], so
+    {!map_array} runs [f] in the calling domain when [domains <= 1], so
     code paths stay identical in serial mode. *)
 
 (** Runtime domain-ownership sanitizer.  Under [SELFISH_OWNERSHIP=1],
-    mutable structures shipped near the fork-join boundary ([View.t],
-    [Cview.t], [Load_dist] accumulator tables) record the creating
-    domain's id at construction and assert on every mutating entry
-    point that the caller matches, raising {!Ownership.Violation}
-    otherwise.  Disabled (a single bool test) by default. *)
+    the mutable cursors a caller might capture inside an [Engine] task
+    ([View.t], [Cview.t]) record the creating domain's id at
+    construction and assert on every mutating entry point that the
+    caller matches, raising {!Ownership.Violation} otherwise.
+    Disabled (a single bool test) by default. *)
 module Ownership : sig
   (** Raised by {!guard} on a cross-domain mutation attempt.  The
       message pins the structure kind and both domain ids:
@@ -63,20 +64,9 @@ val available_domains : unit -> int
     @raise Invalid_argument when [workers <= 0]. *)
 val fork_join : workers:int -> (int -> 'a) -> 'a array
 
-(** [map ~domains f xs] is [List.map f xs], computed by up to [domains]
-    domains with a block distribution.  Results keep list order.  The
-    first exception raised by any worker is re-raised.
+(** [map_array ~domains f xs] is [Array.map f xs], computed by up to
+    [domains] domains with an index-interleaved distribution (better
+    balance when cost grows along the array).  Results keep array
+    order.  The first exception raised by any worker is re-raised.
     @raise Invalid_argument when [domains <= 0]. *)
-val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_array ~domains f xs] is the array counterpart of {!map} with an
-    index-interleaved distribution (better balance when cost grows along
-    the array). *)
 val map_array : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [reduce ~domains ~neutral ~combine f xs] maps [f] over [xs] and
-    folds the results with [combine]; [combine] must be associative and
-    [neutral] its unit.  Combination order is deterministic (worker 0
-    first), so non-commutative monoids are safe. *)
-val reduce :
-  domains:int -> neutral:'b -> combine:('b -> 'b -> 'b) -> ('a -> 'b) -> 'a list -> 'b

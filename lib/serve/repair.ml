@@ -10,17 +10,15 @@ type outcome = {
   nash : bool;
 }
 
-(* First defecting candidate among classes [lo, hi), visiting occupied
-   (class, link) pairs in Cbr's first-defector order.  A clean pair —
-   clean class on an untouched link — kept its latency, so from an
-   equilibrium start any new improving move leads into a touched link:
-   only those comparisons are made.  Dirty or touched pairs get the
-   full O(m) defector check.  Read-only on the view, so domains may
-   share it during a scan. *)
-let find_candidate v touched dirty lo hi =
-  let m = Cview.links v in
+(* First defecting candidate, visiting occupied (class, link) pairs in
+   Cbr's first-defector order.  A clean pair — clean class on an
+   untouched link — kept its latency, so from an equilibrium start any
+   new improving move leads into a touched link: only those comparisons
+   are made.  Dirty or touched pairs get the full O(m) defector check. *)
+let find_candidate v touched dirty =
+  let k = Cview.classes v and m = Cview.links v in
   let rec classes cls =
-    if cls >= hi then None
+    if cls >= k then None
     else begin
       let found = ref None in
       let src = ref 0 in
@@ -43,25 +41,7 @@ let find_candidate v touched dirty lo hi =
       match !found with Some _ as r -> r | None -> classes (cls + 1)
     end
   in
-  classes lo
-
-let shard_bounds k domains =
-  let d = max 1 (min domains k) in
-  List.init d (fun i -> ((i * k) / d, ((i + 1) * k) / d))
-
-(* Workers receive frozen copies of the seed sets; the view itself is
-   not mutated while a scan runs.  Shards are contiguous ascending
-   class blocks and each reports its first candidate, so the first
-   [Some] in shard order is exactly the serial scan's candidate —
-   bit-identical for every domain count. *)
-let scan ~domains v touched dirty =
-  let k = Cview.classes v in
-  if domains <= 1 then find_candidate v touched dirty 0 k
-  else begin
-    let tc = Array.copy touched and dc = Array.copy dirty in
-    Parallel.map ~domains (fun (lo, hi) -> find_candidate v tc dc lo hi) (shard_bounds k domains)
-    |> List.find_map Fun.id
-  end
+  classes 0
 
 (* Re-apply a solved class profile to the live view as undoable block
    moves: per class, drain surplus links into deficit links with a
@@ -90,9 +70,7 @@ let apply_profile v target =
     done
   done
 
-let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
-  if domains <= 0 then invalid_arg "Repair.repair_batch: domains must be positive";
-  if max_steps <= 0 then invalid_arg "Repair.repair_batch: max_steps must be positive";
+let repair ~max_steps v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
   let touched = Array.make m false and dirty = Array.make k false in
@@ -131,7 +109,7 @@ let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
   let rec epochs () =
     if !moves >= max_steps then false
     else
-      match scan ~domains v touched dirty with
+      match find_candidate v touched dirty with
       | None -> true
       | Some (cls, src) ->
         let dst, _ = Cview.best_response_for v ~cls ~src in
@@ -166,3 +144,17 @@ let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
     fallback;
     nash = true;
   }
+
+(* Every mutation and move goes through the view's undo history, so a
+   failure anywhere in the batch unwinds to the entry depth and the
+   view is exactly as it was before the batch. *)
+let repair_batch ?(max_steps = 1_000_000) v batch =
+  if max_steps <= 0 then invalid_arg "Repair.repair_batch: max_steps must be positive";
+  let base = Cview.depth v in
+  try repair ~max_steps v batch
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    while Cview.depth v > base do
+      Cview.undo v
+    done;
+    Printexc.raise_with_backtrace e bt

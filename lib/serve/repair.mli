@@ -33,7 +33,7 @@
       undoable block moves.
     - {b Verification.}  Every return passes the exact
       {!Model.Cview.is_nash}; a repair that cannot reach equilibrium
-      raises instead of returning.
+      rolls the batch back and raises instead of returning.
 
     Starting from a genuine equilibrium the restricted scan is sound —
     a clean scan implies Nash — and the final [is_nash] doubles as the
@@ -55,14 +55,12 @@ type outcome = {
   nash : bool;  (** exact final verdict; [true] on every return *)
 }
 
-(** [repair_batch ?domains ?max_steps v batch] applies [batch] to [v]
-    (via {!Mutation.apply}, in order) and repairs equilibrium as
-    described above.  With [domains > 1] each defector scan shards the
-    class range across domains — the view is only read during a scan,
-    and the first candidate in shard order equals the serial scan's
-    candidate, so the repair is bit-identical for every domain count.
-    @raise Invalid_argument when a mutation is rejected, [domains <= 0],
+(** [repair_batch ?max_steps v batch] applies [batch] to [v] (via
+    {!Mutation.apply}, in order) and repairs equilibrium as described
+    above.  The batch is atomic: when it raises, every mutation and
+    move it made has been undone, so [v]'s profile, loads, lane and
+    undo depth are exactly those before the call.
+    @raise Invalid_argument when a mutation is rejected,
     [max_steps <= 0] (default [1_000_000]), or the fallback fails to
     converge within [max_steps]. *)
-val repair_batch :
-  ?domains:int -> ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome
+val repair_batch : ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome

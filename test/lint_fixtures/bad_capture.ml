@@ -2,7 +2,7 @@
    capture or mutate outside mutable state.  Parsed, never compiled. *)
 let view_capture g p xs =
   let v = View.of_profile g p in
-  Parallel.map (fun x -> View.move v x 0) xs
+  Parallel.map_array (fun x -> View.move v x 0) xs
 
 let table_capture xs =
   let tbl = Hashtbl.create 16 in
@@ -11,7 +11,7 @@ let table_capture xs =
 let named_closure xs =
   let acc = ref 0 in
   let work x = acc := !acc + x in
-  Parallel.map work xs
+  Parallel.map_array work xs
 
 let sweep_capture g cells =
   let out = Array.make 8 0 in

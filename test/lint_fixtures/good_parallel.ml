@@ -2,7 +2,7 @@
    worker-local mutable state, read-only captures, shadowed names.
    Parsed, never compiled. *)
 let local_table xs =
-  Parallel.map
+  Parallel.map_array
     (fun x ->
       let tbl = Hashtbl.create 4 in
       Hashtbl.replace tbl x x;
@@ -14,7 +14,7 @@ let read_only_array xs =
   Parallel.map_array (fun x -> weights.(x)) xs
 
 let fresh_view g xs =
-  Parallel.map
+  Parallel.map_array
     (fun p ->
       let v = View.of_profile g p in
       View.is_nash v)
@@ -23,11 +23,15 @@ let fresh_view g xs =
 let shadowed xs =
   let acc = ref 0 in
   ignore !acc;
-  Parallel.map
+  Parallel.map_array
     (fun x ->
       let acc = ref x in
       incr acc;
       !acc)
     xs
 
-let reduce_local xs = Parallel.reduce ~neutral:0 ~combine:(fun a b -> a + b) (fun x -> x) xs
+let local_fork () =
+  Parallel.fork_join ~workers:2 (fun w ->
+      let acc = ref w in
+      incr acc;
+      !acc)

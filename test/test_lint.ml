@@ -97,7 +97,7 @@ let test_bad_capture () =
     [ (5, "D1", false); (9, "D1", false); (13, "D1", false); (18, "D1", false) ]
     fs;
   Alcotest.(check string) "View-capture message"
-    "closure passed to Parallel.map captures 'v', bound outside the closure to a View cursor \
+    "closure passed to Parallel.map_array captures 'v', bound outside the closure to a View cursor \
      (mutable load state); shared mutable state races across domains — build it inside the \
      worker instead"
     (find_message 5 fs);
@@ -107,7 +107,7 @@ let test_bad_capture () =
     (find_message 9 fs);
   (* Closures passed by name are resolved to their definition. *)
   Alcotest.(check string) "named-closure message"
-    "closure passed to Parallel.map mutates captured 'acc' (ref assignment); cross-domain \
+    "closure passed to Parallel.map_array mutates captured 'acc' (ref assignment); cross-domain \
      writes race — accumulate into worker-local state and merge the results"
     (find_message 13 fs);
   Alcotest.(check string) "Engine.sweep ~task message"

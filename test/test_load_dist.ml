@@ -203,69 +203,30 @@ let test_state_limit_guard () =
     (fun () -> ignore (Load_dist.of_mixed ~limit:2 g p))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel layer expansion: sharded DP layers must merge to the same
-   distribution as the serial DP, bit for bit.  Distinct powers-of-two
-   weights keep every realisation's load vector unique, so the frontier
-   grows past the 256-state parallel threshold (3^6 = 729 states by the
-   seventh user) and the sharded path actually runs. *)
+(* Large frontiers: distinct powers-of-two weights keep every
+   realisation's load vector unique, so each user is its own class and
+   the DP holds all 3^8 states by the last layer. *)
 
-let render_dist d =
-  let acc = ref [] in
-  Load_dist.iter d (fun loads prob ->
-      let key = String.concat "," (Array.to_list (Array.map Rational.to_string loads)) in
-      acc := (key, Rational.to_string prob) :: !acc);
-  List.sort compare !acc
-
-let test_parallel_dp_bit_identity () =
+let test_distinct_weights_frontier () =
   let n = 8 and m = 3 in
   let g =
     Game.kp
       ~weights:(Array.init n (fun i -> Rational.of_int (1 lsl i)))
       ~capacities:(Array.init m (fun l -> Rational.of_int (l + 1)))
   in
-  let check_profile name p =
-    let serial = Load_dist.of_mixed g p in
-    let serial_dist = render_dist serial in
-    let serial_emc = Congestion.expected_max_congestion g p in
-    List.iter
-      (fun domains ->
-        let par = Load_dist.of_mixed ~domains g p in
-        Alcotest.(check int)
-          (Printf.sprintf "%s: size at %d domains" name domains)
-          (Load_dist.size serial) (Load_dist.size par);
-        Alcotest.check check_q
-          (Printf.sprintf "%s: total probability at %d domains" name domains)
-          Rational.one (Load_dist.total_probability par);
-        if serial_dist <> render_dist par then
-          Alcotest.failf "%s: distribution diverged at %d domains" name domains;
-        Alcotest.check check_q
-          (Printf.sprintf "%s: expected max congestion at %d domains" name domains)
-          serial_emc
-          (Congestion.expected_max_congestion ~domains g p))
-      [ 1; 2; 5 ]
+  let total name p =
+    Alcotest.check check_q (name ^ ": total probability") Rational.one
+      (Load_dist.total_probability (Load_dist.of_mixed g p))
   in
-  (* Fully mixed: every user is its own class, all 3^8 load vectors
-     distinct — the largest frontier this instance can produce. *)
   let uniform = Mixed.uniform g in
-  check_profile "uniform" uniform;
+  total "uniform" uniform;
   Alcotest.(check int) "distinct weights keep all realisations distinct" 6561
     (Load_dist.size (Load_dist.of_mixed g uniform));
-  (* Rows with zero entries: some realisations vanish, shards see
-     uneven state counts. *)
-  let skewed =
-    Array.init n (fun i ->
-        if i mod 2 = 0 then
-          [| Rational.of_ints 1 2; Rational.of_ints 1 2; Rational.zero |]
-        else [| Rational.zero; Rational.of_ints 1 3; Rational.of_ints 2 3 |])
-  in
-  check_profile "skewed" skewed;
-  (* Below the 256-state threshold the parallel request falls back to
-     the serial path; the result must (trivially) still be identical. *)
-  let small = Game.kp ~weights:[| Rational.one; Rational.two |]
-      ~capacities:[| Rational.one; Rational.two |] in
-  let sp = Mixed.uniform small in
-  if render_dist (Load_dist.of_mixed small sp) <> render_dist (Load_dist.of_mixed ~domains:4 small sp)
-  then Alcotest.fail "small-frontier fallback diverged"
+  (* Rows with zero entries: some realisations vanish. *)
+  total "skewed"
+    (Array.init n (fun i ->
+         if i mod 2 = 0 then [| Rational.of_ints 1 2; Rational.of_ints 1 2; Rational.zero |]
+         else [| Rational.zero; Rational.of_ints 1 3; Rational.of_ints 2 3 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Mixed.Eval vs the seed Mixed formulas                               *)
@@ -321,37 +282,6 @@ let test_eval_is_nash_on_equilibria () =
   done;
   if !seen_nash = 0 then Alcotest.fail "no equilibrium profile was ever exercised"
 
-let test_ownership_guard () =
-  (* The DP accumulator records its owning domain; forging the owner
-     through Parallel.Ownership.unsafe_forge makes the very first
-     expansion step look like a cross-domain write, pinning the
-     Load_dist-specific violation message. *)
-  let module O = Parallel.Ownership in
-  let saved_enabled = !O.enabled and saved_forge = !O.unsafe_forge in
-  O.enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      O.enabled := saved_enabled;
-      O.unsafe_forge := saved_forge)
-    (fun () ->
-      let g =
-        Game.kp
-          ~weights:[| Rational.one; Rational.of_int 2 |]
-          ~capacities:[| Rational.one; Rational.one |]
-      in
-      let half = Rational.of_ints 1 2 in
-      let p = Array.init 2 (fun _ -> Array.make 2 half) in
-      (* Same-domain construction passes under the sanitizer. *)
-      Alcotest.(check int) "distribution built under the sanitizer" 4
-        (Load_dist.size (Load_dist.of_mixed g p));
-      O.unsafe_forge := Some 999;
-      Alcotest.check_raises "forged table owner trips the DP guard"
-        (O.Violation
-           (Printf.sprintf
-              "SELFISH_OWNERSHIP: Load_dist table created on domain 999 mutated from domain %d"
-              (O.self_id ())))
-        (fun () -> ignore (Load_dist.of_mixed g p)))
-
 let () =
   Alcotest.run "load_dist"
     [
@@ -364,8 +294,8 @@ let () =
           Alcotest.test_case "shared combinatorics regression" `Quick
             test_shared_combinatorics_regression;
           Alcotest.test_case "state limit guard" `Quick test_state_limit_guard;
-          Alcotest.test_case "parallel expansion is bit-identical" `Quick
-            test_parallel_dp_bit_identity;
+          Alcotest.test_case "distinct weights fill the frontier" `Quick
+            test_distinct_weights_frontier;
         ] );
       ( "eval",
         [
@@ -374,6 +304,4 @@ let () =
           Alcotest.test_case "is_nash on real equilibria" `Quick
             test_eval_is_nash_on_equilibria;
         ] );
-      ( "ownership",
-        [ Alcotest.test_case "sanitizer guards the DP accumulator" `Quick test_ownership_guard ] );
     ]

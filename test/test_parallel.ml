@@ -5,18 +5,17 @@ let prop name ?(count = 50) gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
 
 let test_map_identity_scheduling () =
-  let xs = List.init 100 Fun.id in
-  let expected = List.map (fun x -> x * x) xs in
+  let xs = Array.init 100 Fun.id in
+  let expected = Array.map (fun x -> x * x) xs in
   List.iter
     (fun domains ->
-      Alcotest.(check (list int))
+      Alcotest.(check (array int))
         (Printf.sprintf "domains=%d" domains)
         expected
-        (Parallel.map ~domains (fun x -> x * x) xs))
+        (Parallel.map_array ~domains (fun x -> x * x) xs))
     [ 1; 2; 3; 8; 200 ]
 
 let test_map_empty () =
-  Alcotest.(check (list int)) "empty list" [] (Parallel.map ~domains:4 (fun x -> x) []);
   Alcotest.(check int) "empty array" 0 (Array.length (Parallel.map_array ~domains:4 Fun.id [||]))
 
 let test_map_array_order () =
@@ -28,7 +27,7 @@ let test_map_array_order () =
 
 let test_invalid_domains () =
   Alcotest.check_raises "zero domains" (Invalid_argument "Parallel: domains must be positive")
-    (fun () -> ignore (Parallel.map ~domains:0 Fun.id [ 1 ]))
+    (fun () -> ignore (Parallel.map_array ~domains:0 Fun.id [| 1 |]))
 
 let test_exception_propagates () =
   let boom = Failure "worker exploded" in
@@ -38,7 +37,8 @@ let test_exception_propagates () =
         (Printf.sprintf "domains=%d" domains)
         boom
         (fun () ->
-          ignore (Parallel.map ~domains (fun x -> if x = 41 then raise boom else x) (List.init 64 Fun.id))))
+          ignore
+            (Parallel.map_array ~domains (fun x -> if x = 41 then raise boom else x) (Array.init 64 Fun.id))))
     [ 1; 4 ]
 
 let test_map_array_more_domains_than_elements () =
@@ -95,14 +95,11 @@ let test_oversubscribed_machine () =
   (* More domains than the machine has: results must not depend on how
      the runtime schedules the excess. *)
   let domains = 4 * Parallel.available_domains () in
-  let xs = List.init ((2 * domains) + 3) Fun.id in
-  Alcotest.(check (list int))
+  let xs = Array.init ((2 * domains) + 3) Fun.id in
+  Alcotest.(check (array int))
     (Printf.sprintf "domains=%d > available" domains)
-    (List.map (fun x -> x * 7) xs)
-    (Parallel.map ~domains (fun x -> x * 7) xs);
-  Alcotest.(check int) "reduce oversubscribed"
-    (List.fold_left ( + ) 0 xs)
-    (Parallel.reduce ~domains ~neutral:0 ~combine:( + ) Fun.id xs)
+    (Array.map (fun x -> x * 7) xs)
+    (Parallel.map_array ~domains (fun x -> x * 7) xs)
 
 let test_fork_join_direct () =
   Alcotest.(check (array int)) "worker order" [| 0; 10; 20; 30 |]
@@ -199,32 +196,15 @@ let test_ownership_real_cross_domain () =
   with_sanitizer true (fun () ->
       let owner = Ownership.record () in
       let verdicts =
-        Parallel.map ~domains:2
+        Parallel.map_array ~domains:2
           (fun w ->
             ignore w;
             match Ownership.guard "test widget" owner with
             | () -> false
             | exception Ownership.Violation _ -> true)
-          [ 0; 1 ]
+          [| 0; 1 |]
       in
-      Alcotest.(check (list bool)) "only the spawned domain trips" [ false; true ] verdicts)
-
-let test_reduce_non_commutative () =
-  (* String concatenation is associative but not commutative: the fold
-     order must match the serial one for every worker count. *)
-  let xs = List.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-  let serial = String.concat "" xs in
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "domains=%d" domains)
-        serial
-        (Parallel.reduce ~domains ~neutral:"" ~combine:( ^ ) Fun.id xs))
-    [ 1; 2; 3; 7; 100 ]
-
-let test_reduce_empty () =
-  Alcotest.(check int) "neutral on empty" 42
-    (Parallel.reduce ~domains:4 ~neutral:42 ~combine:( + ) Fun.id [])
+      Alcotest.(check (array bool)) "only the spawned domain trips" [| false; true |] verdicts)
 
 let test_available_domains () =
   Alcotest.(check bool) "at least one" true (Parallel.available_domains () >= 1)
@@ -242,12 +222,9 @@ let parallel_properties =
   [
     prop "map agrees with List.map for any worker count"
       QCheck2.Gen.(pair (int_range 1 16) (list_size (int_range 0 50) (int_bound 1000)))
-      (fun (domains, xs) -> Parallel.map ~domains (fun x -> x + 1) xs = List.map (fun x -> x + 1) xs);
-    prop "reduce agrees with fold_left for any worker count"
-      QCheck2.Gen.(pair (int_range 1 16) (list_size (int_range 0 50) (int_bound 1000)))
       (fun (domains, xs) ->
-        Parallel.reduce ~domains ~neutral:0 ~combine:( + ) (fun x -> 2 * x) xs
-        = List.fold_left (fun acc x -> acc + (2 * x)) 0 xs);
+        let xs = Array.of_list xs in
+        Parallel.map_array ~domains (fun x -> x + 1) xs = Array.map (fun x -> x + 1) xs);
   ]
 
 let suite =
@@ -263,8 +240,6 @@ let suite =
     ("oversubscribed beyond available_domains", `Quick, test_oversubscribed_machine);
     ("fork_join direct", `Quick, test_fork_join_direct);
     ("nested fork_join exception backtrace", `Quick, test_nested_fork_join_exception_backtrace);
-    ("reduce non-commutative monoid", `Quick, test_reduce_non_commutative);
-    ("reduce empty", `Quick, test_reduce_empty);
     ("available domains", `Quick, test_available_domains);
     ("existence sweep deterministic under parallelism", `Slow, test_existence_sweep_parallel_deterministic);
   ]

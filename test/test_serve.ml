@@ -388,51 +388,27 @@ let test_repair_differential () =
       Alcotest.failf "trial %d: re-solve verdict diverged" trial
   done
 
-(* Parallel repair scans must pick the same first defector as the
-   serial scan: profiles after every batch are bit-identical across
-   domain counts. *)
-let test_repair_domains_identical () =
-  let k = 12 and m = 4 in
-  let counts = Array.init k (fun _ -> 40) in
-  let weights = Array.init k (fun c -> Rational.of_int ((c mod 5) + 1)) in
-  let caps =
-    Array.init k (fun c ->
-        Array.init m (fun l -> Rational.of_int (((c + l) mod 3 + 1) * (m - l + 1))))
-  in
-  let g = Cgame.of_capacities ~counts ~weights caps in
-  let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
-  Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
-  let views = List.map (fun _ -> Cview.of_profile g o.Algo.Cbr.profile) [ 1; 2; 5 ] in
-  let rng = Prng.Rng.create 99 in
-  for batchno = 1 to 30 do
-    let v0 = List.hd views in
-    let mu = random_mutation rng v0 in
-    List.iteri
-      (fun i v ->
-        let domains = List.nth [ 1; 2; 5 ] i in
-        let r = Repair.repair_batch ~domains v [ mu ] in
-        if not r.Repair.nash then
-          Alcotest.failf "batch %d: domains=%d returned nash=false" batchno domains)
-      views;
-    let p0 = Cview.profile v0 in
-    List.iteri
-      (fun i v ->
-        if Cview.profile v <> p0 then
-          Alcotest.failf "batch %d: domains=%d profile diverged from serial" batchno
-            (List.nth [ 1; 2; 5 ] i))
-      views
-  done
-
 let test_repair_argument_errors () =
   let g =
     Cgame.kp ~counts:[| 4 |] ~weights:[| Rational.one |]
       ~capacities:[| Rational.one; Rational.one |]
   in
   let v = Cview.of_profile g [| [| 4; 0 |] |] in
-  raises_invalid "Repair.repair_batch: domains must be positive" (fun () ->
-      Repair.repair_batch ~domains:0 v []);
   raises_invalid "Repair.repair_batch: max_steps must be positive" (fun () ->
       Repair.repair_batch ~max_steps:0 v [])
+
+(* A batch that raises must leave the view exactly as it found it:
+   profile, loads, lane, undo depth and the materialised game. *)
+let check_rolled_back v msg run =
+  let profile = Cview.profile v and loads = Cview.loads v and packed = Cview.packed v in
+  let depth = Cview.depth v and game = Wire.encode_cgame (Cview.to_cgame v) in
+  raises_invalid msg run;
+  if Cview.profile v <> profile then Alcotest.failf "%s: profile not rolled back" msg;
+  Alcotest.(check (array check_q)) (msg ^ ": loads rolled back") loads (Cview.loads v);
+  Alcotest.(check bool) (msg ^ ": lane rolled back") packed (Cview.packed v);
+  Alcotest.(check int) (msg ^ ": depth rolled back") depth (Cview.depth v);
+  if Wire.encode_cgame (Cview.to_cgame v) <> game then
+    Alcotest.failf "%s: to_cgame not rolled back" msg
 
 (* Clearing the history after a repaired batch (as the serve loop does)
    keeps the live state bit-identical, leaves nothing to undo, and
@@ -482,7 +458,8 @@ let test_clear_history () =
   done
 
 (* An exhausted move budget must raise, never return a non-Nash
-   profile. *)
+   profile, and the raise rolls back the arrivals and the moves made
+   before the budget ran out. *)
 let test_repair_budget_exhaustion () =
   let g =
     Cgame.kp
@@ -499,8 +476,43 @@ let test_repair_budget_exhaustion () =
       Mutation.Arrive { cls = 1; link = 2; count = 30 };
     ]
   in
-  raises_invalid "Repair.repair_batch: fallback did not converge within max_steps" (fun () ->
-      Repair.repair_batch ~max_steps:1 v batch)
+  check_rolled_back v "Repair.repair_batch: fallback did not converge within max_steps" (fun () ->
+      Repair.repair_batch ~max_steps:1 v batch);
+  (* The rolled-back view is still a live equilibrium: the same batch
+     repairs with the default budget. *)
+  Alcotest.(check bool) "batch repairs after rollback" true (Repair.repair_batch v batch).Repair.nash
+
+(* A mutation rejected mid-batch undoes the mutations applied before
+   it, including a reweight that spilled the packed lane, and stops at
+   the history left by the previous batch. *)
+let test_repair_mid_batch_rejection () =
+  let g =
+    Cgame.kp
+      ~counts:[| 6; 4 |]
+      ~weights:[| Rational.one; Rational.of_int 2 |]
+      ~capacities:[| Rational.of_int 2; Rational.one |]
+  in
+  let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
+  Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
+  let v = Cview.of_profile g o.Algo.Cbr.profile in
+  ignore (Repair.repair_batch v [ Mutation.Arrive { cls = 1; link = 0; count = 1 } ]);
+  Alcotest.(check bool) "earlier batch left history" true (Cview.depth v > 0);
+  let over = Cview.assigned v 0 1 + 1 in
+  let msg = "Cview.revise_count: departures exceed the users of the class on the link" in
+  check_rolled_back v msg (fun () ->
+      Repair.repair_batch v
+        [
+          Mutation.Arrive { cls = 0; link = 0; count = 2 };
+          Mutation.Depart { cls = 0; link = 1; count = over };
+        ]);
+  Alcotest.(check bool) "integer game is packed" true (Cview.packed v);
+  check_rolled_back v msg (fun () ->
+      Repair.repair_batch v
+        [
+          Mutation.Arrive { cls = 0; link = 0; count = 2 };
+          Mutation.Reweight { cls = 1; weight = q 1 3 };
+          Mutation.Depart { cls = 0; link = 1; count = over };
+        ])
 
 (* Mutation.apply guards and the view's ownership sanitizer on the
    mutation path. *)
@@ -560,10 +572,10 @@ let () =
       ( "repair",
         [
           Alcotest.test_case "repair vs full re-solve" `Slow test_repair_differential;
-          Alcotest.test_case "parallel scans are bit-identical" `Quick
-            test_repair_domains_identical;
           Alcotest.test_case "argument errors" `Quick test_repair_argument_errors;
           Alcotest.test_case "clear_history keeps the state" `Quick test_clear_history;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
+          Alcotest.test_case "mid-batch rejection rolls back" `Quick
+            test_repair_mid_batch_rejection;
         ] );
     ]

@@ -214,7 +214,12 @@ let test_sweep_matches_iter_profiles () =
     if List.length reference <> List.length swept then Alcotest.fail "sweep profile count diverged";
     List.iter2
       (fun a b -> if not (Pure.equal a b) then Alcotest.fail "sweep order diverged from iter_profiles")
-      reference swept
+      reference swept;
+    match Social.profile_count g with
+    | Some c ->
+      Alcotest.(check int) "fold visits every profile" c
+        (View.fold ?initial g ~init:0 ~f:(fun acc _ -> acc + 1))
+    | None -> ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -286,73 +291,6 @@ let test_initial_spill_falls_back_exactly () =
   if not (View.packed (View.of_profile g p)) then Alcotest.fail "plain KP instance did not pack"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fold: sharded odometer folds must be bit-identical to the
-   serial sweep for first-wins argmin reductions, at every domain
-   count (1 = serial path, 2 and 5 = sharded; 5 typically exceeds the
-   profile count of the smallest instances, exercising empty shards). *)
-
-let test_fold_domains_bit_identity () =
-  let rng = Rng.create 0xF01D in
-  let argmin_fold ?initial ~domains g =
-    View.fold ~domains ?initial g ~init:None
-      ~f:(fun acc v ->
-        let c = View.social_cost1 v in
-        match acc with
-        | Some (b, _) when Rational.compare b c <= 0 -> acc
-        | _ -> Some (c, View.profile v))
-      ~combine:(fun a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some (va, _), Some (vb, _) -> if Rational.compare va vb <= 0 then a else b)
-  in
-  for _ = 1 to 30 do
-    let g = random_game rng in
-    let initial = random_initial rng (Game.links g) in
-    let count_serial =
-      View.fold ?initial g ~init:0 ~f:(fun acc _ -> acc + 1) ~combine:( + )
-    in
-    (match Social.profile_count g with
-     | Some c -> Alcotest.(check int) "fold visits every profile" c count_serial
-     | None -> ());
-    match argmin_fold ?initial ~domains:1 g with
-    | None -> Alcotest.fail "serial fold on a non-empty game returned no argmin"
-    | Some (vs, ps) ->
-      List.iter
-        (fun domains ->
-          let count =
-            View.fold ~domains ?initial g ~init:0 ~f:(fun acc _ -> acc + 1) ~combine:( + )
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "profile count at %d domains" domains)
-            count_serial count;
-          match argmin_fold ?initial ~domains g with
-          | None -> Alcotest.failf "fold at %d domains returned no argmin" domains
-          | Some (vp, pp) ->
-            if not (Rational.equal vs vp) then
-              Alcotest.failf "argmin value diverged at %d domains" domains;
-            if not (Pure.equal ps pp) then
-              Alcotest.failf "argmin profile diverged at %d domains (first-wins broken)" domains)
-        [ 2; 5 ]
-  done
-
-let test_social_opt_domains_bit_identity () =
-  let rng = Rng.create 0x50C1A1 in
-  for _ = 1 to 15 do
-    let g = random_game rng in
-    let c1, p1 = Social.opt1 g in
-    let c2, p2 = Social.opt2 g in
-    List.iter
-      (fun domains ->
-        let c1', p1' = Social.opt1 ~domains g in
-        let c2', p2' = Social.opt2 ~domains g in
-        if not (Rational.equal c1 c1' && Pure.equal p1 p1') then
-          Alcotest.failf "opt1 diverged at %d domains" domains;
-        if not (Rational.equal c2 c2' && Pure.equal p2 p2') then
-          Alcotest.failf "opt2 diverged at %d domains" domains)
-      [ 2; 5 ]
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Guard rails                                                         *)
 
 let test_validation () =
@@ -421,8 +359,6 @@ let () =
           ("sweep matches iter_profiles", `Quick, test_sweep_matches_iter_profiles);
           ("packed and exact lanes agree", `Quick, test_packed_lane_agreement);
           ("initial-traffic spill stays exact", `Quick, test_initial_spill_falls_back_exactly);
-          ("fold is domain-count invariant", `Quick, test_fold_domains_bit_identity);
-          ("opt1/opt2 are domain-count invariant", `Quick, test_social_opt_domains_bit_identity);
           ("validation and empty-history errors", `Quick, test_validation);
           ("ownership sanitizer guards move/undo", `Quick, test_ownership_guard);
         ] );

@@ -9,10 +9,10 @@
    the same untyped best-effort style as [Lint_core] (DESIGN §15):
 
      D1 (capture) closures passed to the parallel entry points
-                  ([Parallel.map]/[map_array]/[reduce]/[fork_join],
-                  and the [?domains] entry points [View.fold],
-                  [Load_dist.apply], [Engine.sweep]/[map_tasks]/
-                  [fold_tasks]) must not capture identifiers bound
+                  ([Parallel.map_array]/[fork_join] and the task grid
+                  [Engine.sweep]/[map_tasks]/[fold_tasks]; every
+                  algorithm below them is serial) must not capture
+                  identifiers bound
                   outside the closure to mutable constructs ([ref],
                   [Hashtbl]/[Buffer]/[Queue]/[Stack] values — incl.
                   project-local [Hashtbl.Make] functor instances —
@@ -67,18 +67,13 @@ let last2 parts =
 (* D1 policy: which arguments of which entry points run on workers.    *)
 
 (* Argument labels whose closures execute on worker domains ("" is the
-   unlabelled position).  [View.fold]'s ~combine and [Engine.sweep]'s
-   ~reduce fold shard results serially in the calling domain, so they
-   are deliberately not scanned; [Parallel.reduce]'s ~combine runs in
-   the per-worker folds and is. *)
+   unlabelled position).  [Engine.sweep]'s ~reduce and [fold_tasks]'
+   ~combine fold task results serially in the calling domain, so they
+   are deliberately not scanned. *)
 let entry_policy =
   [
-    (("Parallel", "map"), [ "" ]);
     (("Parallel", "map_array"), [ "" ]);
-    (("Parallel", "reduce"), [ ""; "combine" ]);
     (("Parallel", "fork_join"), [ "" ]);
-    (("View", "fold"), [ "f" ]);
-    (("Load_dist", "apply"), [ "" ]);
     (("Engine", "sweep"), [ "task" ]);
     (("Engine", "map_tasks"), [ "" ]);
     (("Engine", "fold_tasks"), [ "task" ]);

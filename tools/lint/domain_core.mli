@@ -2,10 +2,10 @@
     DESIGN.md §15 "Domain-safety contract").
 
     - [Capture] (D1): closures passed to the parallel entry points
-      ([Parallel.map]/[map_array]/[reduce]/[fork_join], [View.fold],
-      [Load_dist.apply], [Engine.sweep]/[map_tasks]/[fold_tasks]) must
-      not capture mutable state bound outside the closure, nor mutate
-      anything they captured.
+      ([Parallel.map_array]/[fork_join],
+      [Engine.sweep]/[map_tasks]/[fold_tasks]) must not capture
+      mutable state bound outside the closure, nor mutate anything
+      they captured.
     - [Domain_prim] (D2): raw [Domain]/[Atomic]/[Mutex]/[Condition]/
       [Semaphore] primitives outside lib/parallel.
     - [Top_mutable] (D3): top-level mutable state in lib/ modules.
