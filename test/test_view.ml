@@ -214,12 +214,7 @@ let test_sweep_matches_iter_profiles () =
     if List.length reference <> List.length swept then Alcotest.fail "sweep profile count diverged";
     List.iter2
       (fun a b -> if not (Pure.equal a b) then Alcotest.fail "sweep order diverged from iter_profiles")
-      reference swept;
-    match Social.profile_count g with
-    | Some c ->
-      Alcotest.(check int) "fold visits every profile" c
-        (View.fold ?initial g ~init:0 ~f:(fun acc _ -> acc + 1))
-    | None -> ()
+      reference swept
   done
 
 (* ------------------------------------------------------------------ *)
@@ -291,6 +286,63 @@ let test_initial_spill_falls_back_exactly () =
   if not (View.packed (View.of_profile g p)) then Alcotest.fail "plain KP instance did not pack"
 
 (* ------------------------------------------------------------------ *)
+(* Folds across domains: View.fold is serial, and many folds spread
+   over cores by running one per task on the task grid, each on its own
+   view.  The per-game count and first-wins argmin must be
+   bit-identical to the in-order serial folds at every domain count
+   (1 = calling domain, 2 and 5 = forked; 5 exceeds the smallest
+   batches' task counts). *)
+
+let test_fold_domains_bit_identity () =
+  let rng = Rng.create 0xF01D in
+  let fold_task (g, initial) =
+    let count = View.fold ?initial g ~init:0 ~f:(fun acc _ -> acc + 1) in
+    let argmin =
+      View.fold ?initial g ~init:None ~f:(fun acc v ->
+          let c = View.social_cost1 v in
+          match acc with
+          | Some (b, _) when Rational.compare b c <= 0 -> acc
+          | _ -> Some (c, View.profile v))
+    in
+    (count, argmin)
+  in
+  for _ = 1 to 10 do
+    let batch =
+      Array.init (Rng.int_in rng 1 4) (fun _ ->
+          let g = random_game rng in
+          (g, random_initial rng (Game.links g)))
+    in
+    let serial = Array.map fold_task batch in
+    Array.iteri
+      (fun k (count, argmin) ->
+        let g, _ = batch.(k) in
+        (match Social.profile_count g with
+         | Some c -> Alcotest.(check int) "fold visits every profile" c count
+         | None -> ());
+        if argmin = None then Alcotest.fail "serial fold on a non-empty game returned no argmin")
+      serial;
+    List.iter
+      (fun domains ->
+        let par = Parallel.map_array ~domains fold_task batch in
+        Array.iteri
+          (fun k (count, argmin) ->
+            let pcount, pargmin = par.(k) in
+            Alcotest.(check int)
+              (Printf.sprintf "profile count at %d domains" domains)
+              count pcount;
+            match argmin, pargmin with
+            | Some (vs, ps), Some (vp, pp) ->
+              if not (Rational.equal vs vp) then
+                Alcotest.failf "argmin value diverged at %d domains" domains;
+              if not (Pure.equal ps pp) then
+                Alcotest.failf "argmin profile diverged at %d domains (first-wins broken)"
+                  domains
+            | _ -> Alcotest.failf "fold at %d domains returned no argmin" domains)
+          serial)
+      [ 1; 2; 5 ]
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Guard rails                                                         *)
 
 let test_validation () =
@@ -359,6 +411,7 @@ let () =
           ("sweep matches iter_profiles", `Quick, test_sweep_matches_iter_profiles);
           ("packed and exact lanes agree", `Quick, test_packed_lane_agreement);
           ("initial-traffic spill stays exact", `Quick, test_initial_spill_falls_back_exactly);
+          ("fold is domain-count invariant", `Quick, test_fold_domains_bit_identity);
           ("validation and empty-history errors", `Quick, test_validation);
           ("ownership sanitizer guards move/undo", `Quick, test_ownership_guard);
         ] );
