@@ -1,12 +1,15 @@
 (* Benchmark & reproduction harness.
 
    Running this executable regenerates every experiment row of the
-   reproduction (E1–E13 in DESIGN.md): the paper has no numbered tables
+   reproduction (E1–E20 in DESIGN.md): the paper has no numbered tables
    or figures (theory venue), so each measurable claim — each algorithm
    theorem, the n = 3 result, Conjecture 3.7's simulations, the fully
    mixed equilibrium theorems and the price-of-anarchy bounds — gets a
-   table here.  A Bechamel timing section at the end measures the
-   polynomial-time algorithms.
+   table here.  A Bechamel timing section measures the polynomial-time
+   algorithms.  Seven artefact sections (numeric, engine, walk, mixed,
+   class, ignorance, serve) then record their measurements as rows of
+   one file, BENCH.json, which bench/validate.py checks against its
+   gate table.
 
    QUICK=1 dune exec bench/main.exe  — reduced trial counts. *)
 
@@ -722,16 +725,61 @@ let bechamel_section () =
   Stats.Table.print table
 
 (* ------------------------------------------------------------------ *)
-(* Numeric-tower benchmark: BENCH_numeric.json artefact                *)
+(* The BENCH.json artefact                                             *)
+
+(* Each artefact section hands long-form rows {section, workload,
+   metric, value} to [emit]; [write_artefact] writes them all to
+   BENCH.json in the current directory (schema bench-main/1, see
+   README.md) once every section has run. *)
+type value = Num of float | Int of int | Bool of bool | Str of string
+
+let artefact = ref []
+
+let emit section workload metrics =
+  List.iter (fun (metric, v) -> artefact := (section, workload, metric, v) :: !artefact) metrics
+
+let write_artefact () =
+  (* The shortest decimal that reads back as the same float.  JSON has
+     no infinities or NaN: those become null, which fails every gate. *)
+  let num x =
+    if not (Float.is_finite x) then "null"
+    else
+      let s = Printf.sprintf "%.15g" x in
+      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+  in
+  (* Names and [Str] values are plain ASCII, where OCaml's %S quoting
+     coincides with JSON's. *)
+  let json = function
+    | Num x -> num x
+    | Int i -> string_of_int i
+    | Bool b -> string_of_bool b
+    | Str s -> Printf.sprintf "%S" s
+  in
+  let oc = open_out "BENCH.json" in
+  Printf.fprintf oc "{\"schema\": \"bench-main/1\", \"quick\": %b, \"rows\": [" quick;
+  List.iteri
+    (fun i (section, workload, metric, v) ->
+      Printf.fprintf oc "%s\n  {\"section\": %S, \"workload\": %S, \"metric\": %S, \"value\": %s}"
+        (if i = 0 then "" else ",") section workload metric (json v))
+    (List.rev !artefact);
+  output_string oc "\n]}\n";
+  close_out oc;
+  print_endline "wrote BENCH.json"
+
+(* Milliseconds per call of [f], timed by [Scaling.time_call]. *)
+let ms_of f =
+  let us, _ = Scaling.time_call f in
+  us /. 1000.0
+
+(* ------------------------------------------------------------------ *)
+(* Numeric-tower benchmark                                             *)
 
 (* Times the live tagged tower against Reference (the seed
    array-only implementation) on identical operand pools, at small and
    multi-limb magnitudes, plus an end-to-end [Pure.is_nash] throughput
-   figure.  Writes machine-readable JSON (schema documented in
-   README.md) to BENCH_numeric.json, or to $BENCH_JSON if set.
-   BENCH_NUMERIC_ONLY=1 runs just this section. *)
-let bench_numeric_json () =
-  Report.heading "NUMERIC" "tagged fast path vs reference tower (emits BENCH_numeric.json)";
+   figure. *)
+let bench_numeric () =
+  Report.heading "NUMERIC" "tagged fast path vs reference tower";
   let module R = Reference in
   let rng = Prng.Rng.create 0xBE7C in
   let bench_pairs pairs f =
@@ -815,43 +863,27 @@ let bench_numeric_json () =
     results;
   Stats.Table.print t;
   Printf.printf "is_nash (n=%d, m=%d): %.0f calls/s\n" n_users n_links calls_per_sec;
-  (* JSON artefact. *)
-  let out = Buffer.create 2048 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-numeric/1\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length results - 1 in
-  List.iteri
-    (fun i (op, mag, f, r) ->
-      Printf.bprintf out
-        "    {\"op\": \"%s\", \"magnitude\": \"%s\", \"fast_ns_per_op\": %.3f, \
-         \"reference_ns_per_op\": %.3f, \"speedup\": %.3f}%s\n"
-        op mag f r (r /. f)
-        (if i = last then "" else ","))
+  List.iter
+    (fun (op, mag, f, r) ->
+      emit "numeric" (op ^ "_" ^ mag)
+        [ ("fast_ns_per_op", Num f); ("reference_ns_per_op", Num r); ("speedup", Num (r /. f)) ])
     results;
-  Buffer.add_string out "  ],\n";
-  Printf.bprintf out
-    "  \"is_nash\": {\"games\": %d, \"users\": %d, \"links\": %d, \"calls_per_sec\": %.1f}\n"
-    (List.length games) n_users n_links calls_per_sec;
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_JSON") ~default:"BENCH_numeric.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  emit "numeric" "is_nash"
+    [
+      ("games", Int (List.length games)); ("users", Int n_users); ("links", Int n_links);
+      ("calls_per_sec", Num calls_per_sec);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine benchmark: BENCH_engine.json artefact                        *)
+(* Engine benchmark                                                    *)
 
 (* Serial vs sharded wall time for every engine-backed experiment
    driver.  Identity of the two result lists doubles as an end-to-end
    determinism check ([compare] not [=]: rows may hold NaN fields).
    Wall clock, not [Sys.time] — CPU time sums over domains and would
-   hide the speedup.  Writes schema bench-engine/1 to BENCH_engine.json
-   or $BENCH_ENGINE_JSON.  BENCH_ENGINE_ONLY=1 runs just this section. *)
-let bench_engine_json () =
-  Report.heading "ENGINE" "serial vs sharded experiment drivers (emits BENCH_engine.json)";
+   hide the speedup. *)
+let bench_engine () =
+  Report.heading "ENGINE" "serial vs sharded experiment drivers";
   let sharded = Parallel.available_domains () in
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -909,34 +941,17 @@ let bench_engine_json () =
   List.iter
     (fun (name, s, p, ident) ->
       Stats.Table.add_row tbl
-        [ name; Report.flt s; Report.flt p; Printf.sprintf "%.2fx" (s /. p); string_of_bool ident ])
+        [ name; Report.flt s; Report.flt p; Printf.sprintf "%.2fx" (s /. p); string_of_bool ident ];
+      emit "engine" name
+        [
+          ("domains", Int sharded); ("serial_ms", Num s); ("sharded_ms", Num p);
+          ("speedup", Num (s /. p)); ("identical", Bool ident);
+        ])
     rows;
-  Stats.Table.print tbl;
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-engine/1\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Printf.bprintf out "  \"domains\": %d,\n" sharded;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (name, s, p, ident) ->
-      Printf.bprintf out
-        "    {\"driver\": \"%s\", \"serial_ms\": %.3f, \"sharded_ms\": %.3f, \
-         \"speedup\": %.3f, \"identical\": %b}%s\n"
-        name s p (s /. p) ident
-        (if i = last then "" else ","))
-    rows;
-  Buffer.add_string out "  ]\n";
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_ENGINE_JSON") ~default:"BENCH_engine.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  Stats.Table.print tbl
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-evaluation benchmark: BENCH_walk.json artefact          *)
+(* Incremental-evaluation benchmark                                    *)
 
 (* Old-vs-new evaluation core.  [Seed_eval] reimplements the seed's
    recompute-from-scratch semantics exactly as shipped before the
@@ -946,9 +961,7 @@ let bench_engine_json () =
    views, so timing [Pure] would no longer measure the old core.  Three
    fixed workloads run through both cores and must agree exactly: a
    First_defector best-response walk, an exhaustive OPT1 sweep and a
-   Nash-verification batch.
-   Writes schema bench-walk/3 to BENCH_walk.json or $BENCH_WALK_JSON.
-   BENCH_WALK_ONLY=1 runs just this section. *)
+   Nash-verification batch. *)
 module Seed_eval = struct
   let load_on g p l =
     let acc = ref Rational.zero in
@@ -1013,12 +1026,8 @@ module Seed_eval = struct
     (Option.get !best, !best_profile)
 end
 
-let bench_walk_json () =
-  Report.heading "WALK" "seed recompute vs incremental view (emits BENCH_walk.json)";
-  let ms_of f =
-    let us, _ = Scaling.time_call f in
-    us /. 1000.0
-  in
+let bench_walk () =
+  Report.heading "WALK" "seed recompute vs incremental view";
   (* Workload 1: a fixed First_defector best-response walk. *)
   let n_walk = if quick then 8 else 12 and m_walk = 4 in
   let rng = Prng.Rng.create 0x11A1 in
@@ -1111,36 +1120,20 @@ let bench_walk_json () =
         [
           name; string_of_int n; string_of_int m; string_of_int work;
           Report.flt s; Report.flt i; Printf.sprintf "%.2fx" (s /. i); string_of_bool ident;
+        ];
+      emit "walk" name
+        [
+          ("n", Int n); ("m", Int m); ("work", Int work); ("seed_ms", Num s);
+          ("incremental_ms", Num i); ("speedup", Num (s /. i)); ("identical", Bool ident);
         ])
     rows;
   Stats.Table.print t;
   Printf.printf "is_nash (n=%d, m=%d): %.0f checks/s live vs %.0f checks/s seed\n" n_nash m_nash
     (1000.0 *. float_of_int nash_checks /. nash_live_ms)
-    (1000.0 *. float_of_int nash_checks /. nash_seed_ms);
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-walk/3\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun idx (name, n, m, work, s, i, ident) ->
-      Printf.bprintf out
-        "    {\"workload\": \"%s\", \"n\": %d, \"m\": %d, \"work\": %d, \
-         \"seed_ms\": %.3f, \"incremental_ms\": %.3f, \"speedup\": %.3f, \"identical\": %b}%s\n"
-        name n m work s i (s /. i) ident
-        (if idx = last then "" else ","))
-    rows;
-  Buffer.add_string out "  ]\n";
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_WALK_JSON") ~default:"BENCH_walk.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+    (1000.0 *. float_of_int nash_checks /. nash_seed_ms)
 
 (* ------------------------------------------------------------------ *)
-(* Mixed-layer benchmark: BENCH_mixed.json artefact                    *)
+(* Mixed-layer benchmark                                               *)
 
 (* Old-vs-new exact expectation engine for the classical KP social
    cost E[max congestion].  [seed_expected_max_congestion] reimplements
@@ -1151,9 +1144,7 @@ let bench_walk_json () =
    engines run on the same instances and their exact rationals must be
    bit-identical before times are reported; instances whose m^n exceeds
    the seed's 10^6 realisation cap run the DP only and record the state
-   count that made them feasible.  Writes schema bench-mixed/3 to
-   BENCH_mixed.json or $BENCH_MIXED_JSON.  BENCH_MIXED_ONLY=1 runs just
-   this section. *)
+   count that made them feasible. *)
 let seed_expected_max_congestion g p =
   let n = Game.users g and m = Game.links g in
   let caps = Game.capacity_row g 0 in
@@ -1172,12 +1163,8 @@ let seed_expected_max_congestion g p =
       end);
   !acc
 
-let bench_mixed_json () =
-  Report.heading "MIXED" "seed m^n enumerator vs load-distribution DP (emits BENCH_mixed.json)";
-  let ms_of f =
-    let us, _ = Scaling.time_call f in
-    us /. 1000.0
-  in
+let bench_mixed () =
+  Report.heading "MIXED" "seed m^n enumerator vs load-distribution DP";
   let caps3 = [| Rational.one; Rational.two; Rational.of_int 3 |] in
   let uniform_kp n = Game.kp ~weights:(Array.make n Rational.one) ~capacities:caps3 in
   let two_class_kp n =
@@ -1232,7 +1219,7 @@ let bench_mixed_json () =
       [ "instance"; "n"; "m"; "classes"; "states"; "seed ms"; "DP ms"; "speedup"; "identical" ]
   in
   List.iter
-    (fun (name, n, m, classes, states, dp_ms, seed, _) ->
+    (fun (name, n, m, classes, states, dp_ms, seed, value) ->
       let seed_ms, speedup, identical =
         match seed with
         | Some (s, ident) -> (Report.flt s, Printf.sprintf "%.1fx" (s /. dp_ms), string_of_bool ident)
@@ -1242,43 +1229,22 @@ let bench_mixed_json () =
         [
           name; string_of_int n; string_of_int m; string_of_int classes;
           string_of_int states; seed_ms; Report.flt dp_ms; speedup; identical;
-        ])
-    rows;
-  Stats.Table.print t;
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-mixed/3\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun idx (name, n, m, classes, states, dp_ms, seed, value) ->
-      let seed_ms, speedup, identical =
+        ];
+      (* Instances beyond the seed's cap have no seed time to compare. *)
+      emit "mixed" name
+        ([
+           ("n", Int n); ("m", Int m); ("classes", Int classes); ("states", Int states);
+           ("dp_ms", Num dp_ms); ("exceeds_seed_limit", Bool (seed = None)); ("value", Str value);
+         ]
+        @
         match seed with
-        | Some (s, ident) ->
-          ( Printf.sprintf "%.3f" s,
-            Printf.sprintf "%.3f" (s /. dp_ms),
-            string_of_bool ident )
-        | None -> ("null", "null", "null")
-      in
-      Printf.bprintf out
-        "    {\"instance\": \"%s\", \"n\": %d, \"m\": %d, \"classes\": %d, \"states\": %d, \
-         \"seed_ms\": %s, \"dp_ms\": %.3f, \
-         \"speedup\": %s, \"identical\": %s, \"exceeds_seed_limit\": %b, \"value\": \"%s\"}%s\n"
-        name n m classes states seed_ms dp_ms speedup identical (seed = None)
-        value
-        (if idx = last then "" else ","))
+        | Some (s, ident) -> [ ("seed_ms", Num s); ("speedup", Num (s /. dp_ms)); ("identical", Bool ident) ]
+        | None -> []))
     rows;
-  Buffer.add_string out "  ]\n";
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_MIXED_JSON") ~default:"BENCH_mixed.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  Stats.Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Class-layer benchmark: BENCH_class.json artefact                    *)
+(* Class-layer benchmark                                               *)
 
 (* Exact equilibria at population scale.  The same k = 8, m = 4 class
    family is instantiated at n ≈ 10^3 and n ≈ 10^6 (per-class counts
@@ -1289,14 +1255,9 @@ let bench_mixed_json () =
    [Model.Cview.is_nash] on the result — both poly(k, m), so the two
    sizes should cost the same — and at the small size the verdict is
    cross-checked against the per-user [Pure.is_nash] on the expanded
-   game.  Writes schema bench-class/1 to BENCH_class.json or
-   $BENCH_CLASS_JSON.  BENCH_CLASS_ONLY=1 runs just this section. *)
-let bench_class_json () =
-  Report.heading "CLASS" "exact equilibria for millions of users (emits BENCH_class.json)";
-  let ms_of f =
-    let us, _ = Scaling.time_call f in
-    us /. 1000.0
-  in
+   game. *)
+let bench_class () =
+  Report.heading "CLASS" "exact equilibria for millions of users";
   let k = 8 and m = 4 in
   let base = [| Rational.of_int 5; Rational.of_int 4; Rational.of_int 3; Rational.two |] in
   let class_game per_class =
@@ -1330,6 +1291,14 @@ let bench_class_json () =
             let ep = Cgame.expand_profile g o.Algo.Cbr.profile in
             Some (Pure.is_nash eg ep = nash)
         in
+        emit "class" name
+          ([
+             ("n", Int n); ("k", Int k); ("m", Int m); ("steps", Int o.Algo.Cbr.steps);
+             ("users_moved", Int o.Algo.Cbr.users_moved); ("converge_ms", Num converge_ms);
+             ("is_nash_us", Num is_nash_us); ("converged", Bool o.Algo.Cbr.converged);
+             ("nash", Bool nash);
+           ]
+          @ match expand_agrees with Some b -> [ ("expand_agrees", Bool b) ] | None -> []);
         (name, n, o.Algo.Cbr.steps, o.Algo.Cbr.users_moved, converge_ms, is_nash_us, nash,
          expand_agrees))
       sizes
@@ -1356,80 +1325,36 @@ let bench_class_json () =
   let converge_ratio = pick (fun (_, _, _, _, ms, _, _, _) -> ms) in
   Printf.printf "cost flatness across 1000x population growth: is_nash %.2fx, converge %.2fx\n"
     is_nash_ratio converge_ratio;
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-class/1\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun idx (name, n, steps, moved, converge_ms, is_nash_us, nash, agrees) ->
-      Printf.bprintf out
-        "    {\"instance\": \"%s\", \"n\": %d, \"k\": %d, \"m\": %d, \"steps\": %d, \
-         \"users_moved\": %d, \"converge_ms\": %.4f, \"is_nash_us\": %.3f, \
-         \"converged\": true, \"nash\": %b, \"expand_agrees\": %s}%s\n"
-        name n k m steps moved converge_ms is_nash_us nash
-        (match agrees with Some b -> string_of_bool b | None -> "null")
-        (if idx = last then "" else ","))
-    rows;
-  Buffer.add_string out "  ],\n";
-  Printf.bprintf out
-    "  \"flatness\": {\"is_nash_ratio\": %.3f, \"converge_ratio\": %.3f}\n"
-    is_nash_ratio converge_ratio;
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_CLASS_JSON") ~default:"BENCH_class.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  emit "class" "flatness"
+    [ ("is_nash_ratio", Num is_nash_ratio); ("converge_ratio", Num converge_ratio) ]
 
 (* ------------------------------------------------------------------ *)
-(* Price-of-ignorance benchmark: BENCH_ignorance.json artefact         *)
+(* Price-of-ignorance benchmark                                        *)
 
 (* Four populations — informed Bayesian, misinformed Bayesian, robust
    Strict and Bernoulli Participation — play shared sampled instances;
    every equilibrium is priced under the true capacities (see
    Experiments.Ignorance).  All arithmetic is exact, so the rows are
-   bit-identical across runs and domain counts; the JSON records the
-   exact ratios.  Writes schema bench-ignorance/1 to
-   BENCH_ignorance.json or $BENCH_IGNORANCE_JSON.  BENCH_IGNORANCE_ONLY=1
-   runs just this section. *)
-let bench_ignorance_json () =
-  Report.heading "IGNORANCE"
-    "price of ignorance across uncertainty backends (emits BENCH_ignorance.json)";
+   bit-identical across runs and domain counts. *)
+let bench_ignorance () =
+  Report.heading "IGNORANCE" "price of ignorance across uncertainty backends";
   let presences = Rational.[ one; of_ints 3 4; of_ints 1 2; of_ints 1 4 ] in
   let t = trials 40 in
   let rows = Ignorance.run ~seed:2006 ~n:4 ~m:2 ~states:3 ~presences ~trials:t () in
   Stats.Table.print (Ignorance.table rows);
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-ignorance/1\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Buffer.add_string out "  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun idx (r : Ignorance.row) ->
-      Printf.bprintf out
-        "    {\"presence\": \"%s\", \"trials\": %d, \"informed_ratio\": %.6f, \
-         \"misinformed_ratio\": %.6f, \"robust_ratio\": %.6f, \"demand_gain\": %.6f, \
-         \"expected_congestion\": %.6f, \"equilibrium_failures\": %d}%s\n"
-        (Rational.to_string r.presence)
-        r.trials r.informed_ratio r.misinformed_ratio r.robust_ratio r.demand_gain
-        r.expected_congestion r.equilibrium_failures
-        (if idx = last then "" else ","))
-    rows;
-  Buffer.add_string out "  ]\n";
-  Buffer.add_string out "}\n";
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_IGNORANCE_JSON") ~default:"BENCH_ignorance.json"
-  in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  List.iter
+    (fun (r : Ignorance.row) ->
+      emit "ignorance" ("presence=" ^ Rational.to_string r.presence)
+        [
+          ("trials", Int r.trials); ("informed_ratio", Num r.informed_ratio);
+          ("misinformed_ratio", Num r.misinformed_ratio); ("robust_ratio", Num r.robust_ratio);
+          ("demand_gain", Num r.demand_gain); ("expected_congestion", Num r.expected_congestion);
+          ("equilibrium_failures", Int r.equilibrium_failures);
+        ])
+    rows
 
 (* ------------------------------------------------------------------ *)
-(* Streaming-repair benchmark: BENCH_serve.json artefact               *)
+(* Streaming-repair benchmark                                          *)
 
 (* A rolling 10^5-user class game absorbs a deterministic mutation
    stream (arrivals, departures, reweights, whole-row capacity
@@ -1442,12 +1367,9 @@ let bench_ignorance_json () =
    every row stays a rational multiple of one common base vector and
    block best-response dynamics keep their weighted potential.  Each
    side is timed single-shot per batch (repair mutates the view, so it
-   cannot be replayed) and aggregated over the stream.  Writes schema
-   bench-serve/1 to BENCH_serve.json or $BENCH_SERVE_JSON.
-   BENCH_SERVE_ONLY=1 runs just this section. *)
-let bench_serve_json () =
-  Report.heading "SERVE"
-    "incremental repair vs re-solve under mutation streams (emits BENCH_serve.json)";
+   cannot be replayed) and aggregated over the stream. *)
+let bench_serve () =
+  Report.heading "SERVE" "incremental repair vs re-solve under mutation streams";
   (* All weights carry denominator 4 so the view's packed lane survives
      reweights (the packing scale is the lcm of weight denominators and
      is fixed at view creation); all capacity rows are rational
@@ -1562,31 +1484,17 @@ let bench_serve_json () =
   Stats.Table.print t;
   Printf.printf "repair-vs-resolve speedup over %d batches: %.1fx (verdicts identical: %b)\n"
     batches speedup !verdicts_ok;
-  let out = Buffer.create 1024 in
-  Buffer.add_string out "{\n";
-  Buffer.add_string out "  \"schema\": \"bench-serve/1\",\n";
-  Printf.bprintf out "  \"quick\": %b,\n" quick;
-  Printf.bprintf out "  \"instance\": {\"k\": %d, \"m\": %d, \"users_initial\": %d},\n" k m
-    users_initial;
-  Printf.bprintf out "  \"batches\": %d,\n" batches;
-  Printf.bprintf out "  \"mutations\": %d,\n" !total_mutations;
-  Printf.bprintf out "  \"repair_ms\": %.4f,\n" (!repair_total *. 1000.0);
-  Printf.bprintf out "  \"resolve_ms\": %.4f,\n" (!resolve_total *. 1000.0);
-  Printf.bprintf out "  \"speedup\": %.3f,\n" speedup;
-  Printf.bprintf out "  \"mutations_per_sec\": %.1f,\n" mutations_per_sec;
-  Printf.bprintf out "  \"repair_moves\": %d,\n" !repair_moves;
-  Printf.bprintf out "  \"repair_users_moved\": %d,\n" !repair_users_moved;
-  Printf.bprintf out "  \"fallbacks\": %d,\n" !fallbacks;
-  Printf.bprintf out "  \"resolve_steps\": %d,\n" !resolve_steps;
-  Printf.bprintf out "  \"users\": {\"min\": %d, \"max\": %d, \"final\": %d},\n" !min_users
-    !max_users (cur_users ());
-  Printf.bprintf out "  \"verdicts_identical\": %b\n" !verdicts_ok;
-  Buffer.add_string out "}\n";
-  let path = Option.value (Sys.getenv_opt "BENCH_SERVE_JSON") ~default:"BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents out);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  emit "serve" "k96_m8_stream"
+    [
+      ("k", Int k); ("m", Int m); ("users_initial", Int users_initial); ("batches", Int batches);
+      ("mutations", Int !total_mutations); ("repair_ms", Num (!repair_total *. 1000.0));
+      ("resolve_ms", Num (!resolve_total *. 1000.0)); ("speedup", Num speedup);
+      ("mutations_per_sec", Num mutations_per_sec); ("repair_moves", Int !repair_moves);
+      ("repair_users_moved", Int !repair_users_moved); ("fallbacks", Int !fallbacks);
+      ("resolve_steps", Int !resolve_steps); ("users_min", Int !min_users);
+      ("users_max", Int !max_users); ("users_final", Int (cur_users ()));
+      ("verdicts_identical", Bool !verdicts_ok);
+    ]
 
 let main () =
   Printf.printf "Network Uncertainty in Selfish Routing — reproduction harness%s\n"
@@ -1612,21 +1520,14 @@ let main () =
   figures ();
   ablations ();
   bechamel_section ();
-  bench_numeric_json ();
-  bench_engine_json ();
-  bench_walk_json ();
-  bench_mixed_json ();
-  bench_class_json ();
-  bench_ignorance_json ();
-  bench_serve_json ();
+  bench_numeric ();
+  bench_engine ();
+  bench_walk ();
+  bench_mixed ();
+  bench_class ();
+  bench_ignorance ();
+  bench_serve ();
+  write_artefact ();
   print_endline "\nAll experiment tables regenerated. See EXPERIMENTS.md for the paper-vs-measured record."
 
-let () =
-  if Sys.getenv_opt "BENCH_NUMERIC_ONLY" <> None then bench_numeric_json ()
-  else if Sys.getenv_opt "BENCH_ENGINE_ONLY" <> None then bench_engine_json ()
-  else if Sys.getenv_opt "BENCH_WALK_ONLY" <> None then bench_walk_json ()
-  else if Sys.getenv_opt "BENCH_MIXED_ONLY" <> None then bench_mixed_json ()
-  else if Sys.getenv_opt "BENCH_CLASS_ONLY" <> None then bench_class_json ()
-  else if Sys.getenv_opt "BENCH_IGNORANCE_ONLY" <> None then bench_ignorance_json ()
-  else if Sys.getenv_opt "BENCH_SERVE_ONLY" <> None then bench_serve_json ()
-  else main ()
+let () = main ()

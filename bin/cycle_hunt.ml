@@ -148,6 +148,16 @@ let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
   in
   go 0
 
+(* A worker-domain count: 0 and negatives are a usage error (exit 124)
+   reported by cmdliner, not an exception from the task grid. *)
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let random_cmd =
   let attempts = Arg.(value & opt int 1_000_000 & info [ "attempts" ]) in
   let w_hi = Arg.(value & opt int 9 & info [ "max-weight" ]) in
@@ -156,7 +166,7 @@ let random_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Parallel.available_domains ())
+      & opt domains_conv (Parallel.available_domains ())
       & info [ "domains" ]
           ~doc:"Worker domains (default: all available cores; same hits for any value).")
   in

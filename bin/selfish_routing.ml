@@ -39,10 +39,11 @@ let initial_arg =
   let doc = "Initial per-link traffic, comma separated (e.g. 1/2,0)." in
   Arg.(value & opt (some string) None & info [ "initial" ] ~docv:"T" ~doc)
 
-(* A malformed input file or a rejected mutation is a user error, not a
-   bug: report it as one line on stderr and exit 2, instead of letting
-   cmdliner print an uncaught-exception trace and exit 125.  Earlier
-   stdout is flushed first so the two streams stay in order. *)
+(* A malformed input file, a rejected mutation or a request the input
+   cannot satisfy is a user error, not a bug: report it as one line on
+   stderr and exit 2, instead of letting cmdliner print an
+   uncaught-exception trace and exit 125.  Earlier stdout is flushed
+   first so the two streams stay in order. *)
 let input_guard ?(context = "") f x =
   try f x
   with Invalid_argument msg ->
@@ -112,7 +113,7 @@ let check_backend flag kind =
 
 let run_solve_classes file uflag =
   let g = input_guard Game_io.parse_cgame_file file in
-  check_backend uflag (Uncertainty.kind (Cgame.uncertainty g 0));
+  input_guard (check_backend uflag) (Uncertainty.kind (Cgame.uncertainty g 0));
   Printf.printf "class game: %d classes, %d users, %d links\n" (Cgame.classes g)
     (Cgame.users g) (Cgame.links g);
   Printf.printf "algorithm: block best-response dynamics from the proportional start\n";
@@ -157,7 +158,7 @@ let pick_auto g initial =
 
 let run_solve_users file uflag algo initial_str seed =
   let g = parse_game file in
-  check_backend uflag (Uncertainty.kind (Game.uncertainty g 0));
+  input_guard (check_backend uflag) (Uncertainty.kind (Game.uncertainty g 0));
   let initial = parse_initial g initial_str in
   let algo = if algo = `Auto then pick_auto g initial else algo in
   let sigma =
@@ -426,6 +427,16 @@ let run_sweep seed trials n_hi m_hi domains =
   in
   Stats.Table.print (Experiments.Existence.table rows)
 
+(* A worker-domain count: 0 and negatives are a usage error (exit 124)
+   reported by cmdliner, not an exception from the task grid. *)
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sweep_cmd =
   let trials = Arg.(value & opt int 50 & info [ "trials" ] ~doc:"Instances per (n,m) cell.") in
   let n_hi = Arg.(value & opt int 5 & info [ "max-users" ] ~doc:"Largest n (from 2).") in
@@ -433,7 +444,7 @@ let sweep_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Parallel.available_domains ())
+      & opt domains_conv (Parallel.available_domains ())
       & info [ "domains" ]
           ~doc:
             "Worker domains (default: all available cores; results are \
@@ -542,30 +553,28 @@ let classify_text text =
 
 let run_wire file out =
   let data = read_binary_file file in
-  let write_out content =
-    match out with
-    | Some path ->
-      let oc = open_out_bin path in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
-    | None -> print_string content
+  let convert data =
+    if Serve.Wire.is_wire data then
+      match Serve.Wire.peek_kind data with
+      | Serve.Wire.Game -> Game_io.to_string (Serve.Wire.decode_game data)
+      | Serve.Wire.Cgame -> Game_io.to_class_string (Serve.Wire.decode_cgame data)
+      | Serve.Wire.Log -> Serve.Mutation.render (Serve.Wire.decode_log data)
+      | Serve.Wire.Profile | Serve.Wire.Cprofile ->
+        invalid_arg "wire: profile payloads have no text form"
+    else if out = None then
+      invalid_arg "wire: refusing to write binary data to stdout; pass --out FILE"
+    else
+      match classify_text data with
+      | `Log -> Serve.Wire.encode_log (Serve.Mutation.parse data)
+      | `Cgame -> Serve.Wire.encode_cgame (Game_io.parse_cgame data)
+      | `Game -> Serve.Wire.encode_game (Game_io.parse data)
   in
-  if Serve.Wire.is_wire data then begin
-    match Serve.Wire.peek_kind data with
-    | Serve.Wire.Game -> write_out (Game_io.to_string (Serve.Wire.decode_game data))
-    | Serve.Wire.Cgame -> write_out (Game_io.to_class_string (Serve.Wire.decode_cgame data))
-    | Serve.Wire.Log -> write_out (Serve.Mutation.render (Serve.Wire.decode_log data))
-    | Serve.Wire.Profile | Serve.Wire.Cprofile ->
-      invalid_arg "wire: profile payloads have no text form"
-  end
-  else
-    match out with
-    | None -> invalid_arg "wire: refusing to write binary data to stdout; pass --out FILE"
-    | Some _ ->
-      write_out
-        (match classify_text data with
-         | `Log -> Serve.Wire.encode_log (Serve.Mutation.parse data)
-         | `Cgame -> Serve.Wire.encode_cgame (Game_io.parse_cgame data)
-         | `Game -> Serve.Wire.encode_game (Game_io.parse data))
+  let content = input_guard convert data in
+  match out with
+  | Some path ->
+    let oc = open_out_bin path in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
+  | None -> print_string content
 
 let wire_cmd =
   let file_arg =

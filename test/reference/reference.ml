@@ -6,7 +6,7 @@
    test/test_differential.ml drives randomized op sequences against
    both towers and requires bit-for-bit agreement of the decimal
    renderings; bench/main.ml times this tower against the live one to
-   produce the speedup figures in BENCH_numeric.json.  Do not "improve"
+   produce the numeric speedup rows of BENCH.json.  Do not "improve"
    this module: its value is that it does not change. *)
 
 module Nat = struct
