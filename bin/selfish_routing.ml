@@ -39,17 +39,29 @@ let initial_arg =
   let doc = "Initial per-link traffic, comma separated (e.g. 1/2,0)." in
   Arg.(value & opt (some string) None & info [ "initial" ] ~docv:"T" ~doc)
 
-(* A malformed input file, a rejected mutation or a request the input
-   cannot satisfy is a user error, not a bug: report it as one line on
-   stderr and exit 2, instead of letting cmdliner print an
-   uncaught-exception trace and exit 125.  Earlier stdout is flushed
-   first so the two streams stay in order. *)
+(* A count such as a worker-domain number or a move budget: 0 and
+   negatives are a usage error (exit 124) reported by cmdliner before
+   any output, not an exception from the code that uses it. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A malformed input file, a rejected mutation, conflicting flags or a
+   request the input cannot satisfy is a user error, not a bug: report
+   it as one line on stderr and exit 2, instead of letting cmdliner
+   print an uncaught-exception trace and exit 125.  Earlier stdout is
+   flushed first so the two streams stay in order. *)
+let fail_input msg =
+  flush stdout;
+  prerr_endline ("selfish_routing: " ^ msg);
+  exit 2
+
 let input_guard ?(context = "") f x =
-  try f x
-  with Invalid_argument msg ->
-    flush stdout;
-    prerr_endline ("selfish_routing: " ^ context ^ msg);
-    exit 2
+  try f x with Invalid_argument msg -> fail_input (context ^ msg)
 
 let parse_game file = input_guard Game_io.parse_file file
 
@@ -118,8 +130,7 @@ let run_solve_classes file uflag =
     (Cgame.users g) (Cgame.links g);
   Printf.printf "algorithm: block best-response dynamics from the proportional start\n";
   let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
-  if not o.converged then
-    failwith "block best-response dynamics did not converge within budget";
+  if not o.converged then fail_input "block best-response dynamics did not converge within budget";
   Printf.printf "(converged after %d block moves, %d users moved)\n" o.steps o.users_moved;
   let v = Cview.of_profile g o.profile in
   Array.iteri
@@ -167,7 +178,7 @@ let run_solve_users file uflag algo initial_str seed =
       Printf.printf "algorithm: A_twolinks (Theorem 3.3)\n";
       Algo.Two_links.solve ?initial g
     | `Symmetric ->
-      if initial <> None then invalid_arg "A_symmetric does not support initial traffic";
+      if initial <> None then fail_input "A_symmetric does not support initial traffic";
       Printf.printf "algorithm: A_symmetric (Theorem 3.5)\n";
       Algo.Symmetric.solve g
     | `Uniform ->
@@ -179,7 +190,7 @@ let run_solve_users file uflag algo initial_str seed =
       let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
       let budget = 64 * Game.users g * Game.links g * (Game.users g + Game.links g) in
       let o = Algo.Best_response.converge g ?initial ~max_steps:budget start in
-      if not o.converged then failwith "best-response dynamics did not converge within budget";
+      if not o.converged then fail_input "best-response dynamics did not converge within budget";
       Printf.printf "(converged after %d moves)\n" o.steps;
       o.profile
   in
@@ -187,10 +198,8 @@ let run_solve_users file uflag algo initial_str seed =
 
 let run_solve file classes uflag algo initial_str seed =
   if classes then begin
-    if initial_str <> None then invalid_arg "--initial is not supported with --classes";
-    (match algo with
-     | `Auto -> ()
-     | _ -> invalid_arg "--algo is not supported with --classes");
+    if initial_str <> None then fail_input "--initial is not supported with --classes";
+    if algo <> `Auto then fail_input "--algo is not supported with --classes";
     run_solve_classes file uflag
   end
   else run_solve_users file uflag algo initial_str seed
@@ -427,16 +436,6 @@ let run_sweep seed trials n_hi m_hi domains =
   in
   Stats.Table.print (Experiments.Existence.table rows)
 
-(* A worker-domain count: 0 and negatives are a usage error (exit 124)
-   reported by cmdliner, not an exception from the task grid. *)
-let domains_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let sweep_cmd =
   let trials = Arg.(value & opt int 50 & info [ "trials" ] ~doc:"Instances per (n,m) cell.") in
   let n_hi = Arg.(value & opt int 5 & info [ "max-users" ] ~doc:"Largest n (from 2).") in
@@ -444,7 +443,7 @@ let sweep_cmd =
   let domains =
     Arg.(
       value
-      & opt domains_conv (Parallel.available_domains ())
+      & opt positive_int (Parallel.available_domains ())
       & info [ "domains" ]
           ~doc:
             "Worker domains (default: all available cores; results are \
@@ -477,8 +476,9 @@ let run_serve game_file log_file (_deprecated_domains : int) max_moves =
   let log = input_guard load_log log_file in
   Printf.printf "class game: %d classes, %d users, %d links; %d mutation batches\n"
     (Cgame.classes g) (Cgame.users g) (Cgame.links g) (List.length log);
-  let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
-  if not o.converged then failwith "initial solve did not converge within budget";
+  let o = Algo.Cbr.converge ~max_steps:max_moves g (Algo.Cbr.proportional_start g) in
+  if not o.converged then
+    fail_input (Printf.sprintf "initial solve did not converge within --max-moves %d" max_moves);
   Printf.printf "initial equilibrium: %d block moves, %d users moved\n" o.steps o.users_moved;
   let v = Cview.of_profile g o.profile in
   List.iteri
@@ -521,8 +521,9 @@ let serve_cmd =
   in
   let max_moves =
     Arg.(
-      value & opt int 1_000_000
-      & info [ "max-moves" ] ~doc:"Block-move budget per batch repair.")
+      value & opt positive_int 1_000_000
+      & info [ "max-moves" ]
+          ~doc:"Block-move budget for the initial solve and for each batch repair.")
   in
   let doc =
     "Replay a mutation log against a class game, repairing equilibrium after \
@@ -559,8 +560,6 @@ let run_wire file out =
       | Serve.Wire.Game -> Game_io.to_string (Serve.Wire.decode_game data)
       | Serve.Wire.Cgame -> Game_io.to_class_string (Serve.Wire.decode_cgame data)
       | Serve.Wire.Log -> Serve.Mutation.render (Serve.Wire.decode_log data)
-      | Serve.Wire.Profile | Serve.Wire.Cprofile ->
-        invalid_arg "wire: profile payloads have no text form"
     else if out = None then
       invalid_arg "wire: refusing to write binary data to stdout; pass --out FILE"
     else

@@ -28,23 +28,25 @@ let proportional_start g =
           prev := upto;
           here))
 
+(* The budget is checked only when a defector is found, so a run that
+   needs exactly [max_steps] moves still converges. *)
+let converge_in_place ~max_steps v =
+  if max_steps < 0 then invalid_arg "Cbr.converge_in_place: max_steps must be non-negative";
+  let rec loop steps users_moved =
+    match Cview.first_defector v with
+    | None -> (steps, users_moved, true)
+    | Some _ when steps >= max_steps -> (steps, users_moved, false)
+    | Some (cls, src, dst) ->
+      (* first_defector guarantees the first mover improves, so the
+         maximal block is ≥ 1 and progress is made every step. *)
+      let count = Cview.max_improving_block v ~cls ~src ~dst in
+      Cview.move v ~cls ~src ~dst ~count;
+      loop (steps + 1) (users_moved + count)
+  in
+  loop 0 0
+
 let converge ?(max_steps = 1_000_000) g x =
   if max_steps <= 0 then invalid_arg "Cbr.converge: max_steps must be positive";
   let v = Cview.of_profile g x in
-  let steps = ref 0 and users_moved = ref 0 in
-  let rec loop () =
-    if !steps >= max_steps then false
-    else
-      match Cview.first_defector v with
-      | None -> true
-      | Some (cls, src, dst) ->
-        (* first_defector guarantees the first mover improves, so the
-           maximal block is ≥ 1 and progress is made every step. *)
-        let count = Cview.max_improving_block v ~cls ~src ~dst in
-        Cview.move v ~cls ~src ~dst ~count;
-        incr steps;
-        users_moved := !users_moved + count;
-        loop ()
-  in
-  let converged = loop () in
-  { profile = Cview.profile v; steps = !steps; users_moved = !users_moved; converged }
+  let steps, users_moved, converged = converge_in_place ~max_steps v in
+  { profile = Cview.profile v; steps; users_moved; converged }

@@ -27,6 +27,19 @@ type outcome = {
     count). *)
 val proportional_start : Model.Cgame.t -> Model.Cgame.profile
 
+(** [converge_in_place ~max_steps v] runs block best-response dynamics
+    on the live cursor [v], from its current profile, through [v]'s
+    undoable {!Model.Cview.move}s, and returns
+    [(steps, users_moved, converged)] with {!outcome}'s meanings.  It
+    stops at the first equilibrium, or at a defector when [max_steps]
+    moves are already spent ([0] only checks for an equilibrium).  This
+    is the one move loop: {!converge} runs it on a fresh cursor, and
+    [Serve.Repair] runs it on its live one.
+    @raise Invalid_argument when [max_steps < 0]. *)
+val converge_in_place : max_steps:int -> Model.Cview.t -> int * int * bool
+
 (** [converge ?max_steps g x] runs block best-response dynamics from
-    [x] (default [max_steps] 1_000_000 block moves). *)
+    [x] (default [max_steps] 1_000_000 block moves) on a fresh
+    {!Model.Cview} cursor.
+    @raise Invalid_argument when [max_steps <= 0]. *)
 val converge : ?max_steps:int -> Model.Cgame.t -> Model.Cgame.profile -> outcome

@@ -128,15 +128,6 @@ let capacity_row g c =
 let total_traffic g = g.total
 let packed_tables g = g.packed
 
-let is_kp g =
-  let first = g.capacities.(0) in
-  Array.for_all (fun row -> Array.for_all2 Rational.equal first row) g.capacities
-
-let has_uniform_beliefs g =
-  Array.for_all (fun row -> Array.for_all (Rational.equal row.(0)) row) g.capacities
-
-let is_symmetric g = Array.for_all (Rational.equal g.weights.(0)) g.weights
-
 (* Group by (weight, effective capacity row, contribution), first-seen
    order — the observational identity of a user: two users with this
    triple equal are interchangeable in every latency and every

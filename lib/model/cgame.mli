@@ -6,8 +6,8 @@
     {!Load_dist} exploits inside the mixed DP.  A [Cgame.t] stores
     [k] {e classes}, each with a user count (up to [10^6] and beyond),
     one weight and one belief, instead of [n] individual users, so the
-    class-aware consumers ({!Cview}, {!Cmixed}, the [C*] algorithms in
-    [lib/algo]) run in poly(k, m) with no dependence on [n].
+    class-aware consumers ({!Cview}, [Algo.Cbr], [Serve.Repair]) run
+    in poly(k, m) with no dependence on [n].
 
     A {e class profile} assigns per-class user counts to links:
     [x.(c).(l)] users of class [c] play link [l], with
@@ -93,17 +93,6 @@ val total_traffic : t -> Numeric.Rational.t
     one row per class with count multiplicities), computed once at
     construction; [None] when any component exceeds the native range. *)
 val packed_tables : t -> Packing.t option
-
-(** [is_kp g] holds when all classes share one effective capacity
-    vector. *)
-val is_kp : t -> bool
-
-(** [has_uniform_beliefs g] holds when every class sees all links with
-    equal effective capacity. *)
-val has_uniform_beliefs : t -> bool
-
-(** [is_symmetric g] holds when all class weights are equal. *)
-val is_symmetric : t -> bool
 
 (** [compress g] groups the users of a per-user game into classes of
     equal weight, equal effective-capacity row and equal contribution,

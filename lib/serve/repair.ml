@@ -43,33 +43,6 @@ let find_candidate v touched dirty =
   in
   classes 0
 
-(* Re-apply a solved class profile to the live view as undoable block
-   moves: per class, drain surplus links into deficit links with a
-   two-pointer pass.  Class totals agree by construction, so the pass
-   always balances. *)
-let apply_profile v target =
-  let k = Cview.classes v and m = Cview.links v in
-  for cls = 0 to k - 1 do
-    let cur = Array.init m (fun l -> Cview.assigned v cls l) in
-    let s = ref 0 and d = ref 0 in
-    let advance () =
-      while !s < m && cur.(!s) <= target.(cls).(!s) do
-        incr s
-      done;
-      while !d < m && cur.(!d) >= target.(cls).(!d) do
-        incr d
-      done
-    in
-    advance ();
-    while !s < m && !d < m do
-      let count = min (cur.(!s) - target.(cls).(!s)) (target.(cls).(!d) - cur.(!d)) in
-      Cview.move v ~cls ~src:!s ~dst:!d ~count;
-      cur.(!s) <- cur.(!s) - count;
-      cur.(!d) <- cur.(!d) + count;
-      advance ()
-    done
-  done
-
 let repair ~max_steps v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
@@ -102,36 +75,38 @@ let repair ~max_steps v batch =
   let seeded_classes = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty in
   let seeded_links = !touched_count in
   let moves = ref 0 and users_moved = ref 0 in
-  (* [true] when the restricted scan came back clean; [false] when the
-     budget ran out.  Once the frontier saturates (every link touched)
-     the restricted scan IS the full first-defector scan, i.e. exactly
-     Cbr's policy running in place on the warm profile — no rebuild. *)
+  let out_of_budget () = invalid_arg "Repair.repair_batch: did not converge within max_steps" in
+  (* Once the frontier saturates (every link touched) the restricted
+     scan IS the full first-defector scan, i.e. exactly Cbr's policy
+     running in place on the warm profile — no rebuild.  The budget is
+     checked only when a move is due, as in Cbr. *)
   let rec epochs () =
-    if !moves >= max_steps then false
-    else
-      match find_candidate v touched dirty with
-      | None -> true
-      | Some (cls, src) ->
-        let dst, _ = Cview.best_response_for v ~cls ~src in
-        let count = Cview.max_improving_block v ~cls ~src ~dst in
-        Cview.move v ~cls ~src ~dst ~count;
-        touch src;
-        touch dst;
-        dirty.(cls) <- true;
-        incr moves;
-        users_moved := !users_moved + count;
-        epochs ()
+    match find_candidate v touched dirty with
+    | None -> ()
+    | Some _ when !moves >= max_steps -> out_of_budget ()
+    | Some (cls, src) ->
+      let dst, _ = Cview.best_response_for v ~cls ~src in
+      let count = Cview.max_improving_block v ~cls ~src ~dst in
+      Cview.move v ~cls ~src ~dst ~count;
+      touch src;
+      touch dst;
+      dirty.(cls) <- true;
+      incr moves;
+      users_moved := !users_moved + count;
+      epochs ()
   in
-  let clean = epochs () in
-  let fallback = (not clean) || not (Cview.is_nash v) in
+  epochs ();
+  (* A clean scan proves Nash only from an equilibrium start; otherwise
+     Cbr's loop finishes the job on this cursor with what is left of
+     the budget. *)
+  let fallback = not (Cview.is_nash v) in
   if fallback then begin
-    let g = Cview.to_cgame v in
-    let oc = Algo.Cbr.converge ~max_steps g (Cview.profile v) in
-    if not oc.Algo.Cbr.converged then
-      invalid_arg "Repair.repair_batch: fallback did not converge within max_steps";
-    apply_profile v oc.Algo.Cbr.profile;
-    moves := !moves + oc.Algo.Cbr.steps;
-    users_moved := !users_moved + oc.Algo.Cbr.users_moved;
+    let steps, users, converged =
+      Algo.Cbr.converge_in_place ~max_steps:(max_steps - !moves) v
+    in
+    moves := !moves + steps;
+    users_moved := !users_moved + users;
+    if not converged then out_of_budget ();
     if not (Cview.is_nash v) then
       invalid_arg "Repair.repair_batch: repaired profile is not a Nash equilibrium"
   end;

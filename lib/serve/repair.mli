@@ -25,12 +25,14 @@
     - {b Saturation and fallback.}  When the frontier saturates (every
       link touched) the restricted scan degrades to exactly
       {!Algo.Cbr}'s full first-defector scan, i.e. full best-response
-      convergence running in place on the warm profile.  When the move
-      budget runs out, or a clean scan fails the final verification
-      (non-equilibrium start), the repair falls back to
-      {!Algo.Cbr.converge} on {!Model.Cview.to_cgame} from the current
-      profile and re-applies the result to the live view through
-      undoable block moves.
+      convergence running in place on the warm profile.  When a clean
+      scan fails the final verification (non-equilibrium start), the
+      repair falls back to {!Algo.Cbr.converge_in_place} on the same
+      live view, from the current profile: no second cursor, no
+      rebuilt game, and every fallback move is undoable like the rest.
+    - {b One budget.}  [max_steps] bounds the block moves of the whole
+      batch, restricted scan and fallback together; the fallback gets
+      what the scan left.
     - {b Verification.}  Every return passes the exact
       {!Model.Cview.is_nash}; a repair that cannot reach equilibrium
       rolls the batch back and raises instead of returning.
@@ -61,6 +63,6 @@ type outcome = {
     move it made has been undone, so [v]'s profile, loads, lane and
     undo depth are exactly those before the call.
     @raise Invalid_argument when a mutation is rejected,
-    [max_steps <= 0] (default [1_000_000]), or the fallback fails to
-    converge within [max_steps]. *)
+    [max_steps <= 0] (default [1_000_000]), or the batch needs more
+    than [max_steps] block moves in all. *)
 val repair_batch : ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome

@@ -1,17 +1,17 @@
 open Numeric
 
-type kind = Game | Cgame | Profile | Cprofile | Log
+type kind = Game | Cgame | Log
 
 let magic = "SRWF"
 let version = 1
 
-let kind_byte = function Game -> 1 | Cgame -> 2 | Profile -> 3 | Cprofile -> 4 | Log -> 5
+(* Bytes 3 and 4 stay unassigned: payloads that earlier versions tagged
+   with them are rejected as an unknown kind, never misread. *)
+let kind_byte = function Game -> 1 | Cgame -> 2 | Log -> 5
 
 let kind_name = function
   | Game -> "game"
   | Cgame -> "class game"
-  | Profile -> "profile"
-  | Cprofile -> "class profile"
   | Log -> "mutation log"
 
 let fail_at pos msg = invalid_arg (Printf.sprintf "Wire: offset %d: %s" pos msg)
@@ -19,8 +19,6 @@ let fail_at pos msg = invalid_arg (Printf.sprintf "Wire: offset %d: %s" pos msg)
 let kind_of_byte pos = function
   | 1 -> Game
   | 2 -> Cgame
-  | 3 -> Profile
-  | 4 -> Cprofile
   | 5 -> Log
   | b -> fail_at pos (Printf.sprintf "unknown payload kind %d" b)
 
@@ -349,36 +347,6 @@ let decode_cgame s =
     end
   in
   finish d g
-
-(* ------------------------------------------------------------------ *)
-(* Profiles                                                            *)
-
-let encode_profile p =
-  let buf = Buffer.create 64 in
-  header buf Profile;
-  add_u32 buf (Array.length p);
-  Array.iter (fun l -> add_u32 buf l) p;
-  Buffer.contents buf
-
-let decode_profile s =
-  let d, _ = open_dec ~expect:Profile s in
-  let n = checked_count d "user" (u32 d) in
-  finish d (read_array n (fun _ -> u32 d))
-
-let encode_cprofile x =
-  let buf = Buffer.create 64 in
-  header buf Cprofile;
-  let k = Array.length x in
-  add_u32 buf k;
-  add_u32 buf (if k = 0 then 0 else Array.length x.(0));
-  Array.iter (fun row -> Array.iter (fun n -> add_u32 buf n) row) x;
-  Buffer.contents buf
-
-let decode_cprofile s =
-  let d, _ = open_dec ~expect:Cprofile s in
-  let k = checked_count d "class" (u32 d) in
-  let m = checked_count d "link" (u32 d) in
-  finish d (read_array k (fun _ -> read_array m (fun _ -> u32 d)))
 
 (* ------------------------------------------------------------------ *)
 (* Mutation logs                                                       *)

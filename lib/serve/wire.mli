@@ -1,9 +1,12 @@
-(** Compact binary wire format for games, profiles and mutation logs.
+(** Compact binary wire format for games, class games and mutation logs.
 
     The binary companion to {!Model.Game_io}'s text format: every
     payload starts with the 4-byte magic ["SRWF"], a little-endian
     [u16] format version and a [u8] payload kind, followed by a
-    length-prefixed little-endian body.  Scalars are exact rationals
+    length-prefixed little-endian body.  There are three payload
+    kinds: a per-user game (kind byte 1), a class game (2) and a
+    mutation log (5); bytes 3 and 4 are unassigned and decode as an
+    unknown kind.  Scalars are exact rationals
     encoded as two arbitrary-precision integers (sign byte, [u32] byte
     count, minimal little-endian magnitude), so the encoding is
     lossless: decoding an encoded value is the identity, and
@@ -22,7 +25,7 @@
     version, unknown or mismatched payload kind, malformed integers,
     and trailing bytes are all pinned errors. *)
 
-type kind = Game | Cgame | Profile | Cprofile | Log
+type kind = Game | Cgame | Log
 
 val kind_name : kind -> string
 
@@ -44,9 +47,5 @@ val encode_game : Model.Game.t -> string
 val decode_game : string -> Model.Game.t
 val encode_cgame : Model.Cgame.t -> string
 val decode_cgame : string -> Model.Cgame.t
-val encode_profile : int array -> string
-val decode_profile : string -> int array
-val encode_cprofile : Model.Cgame.profile -> string
-val decode_cprofile : string -> Model.Cgame.profile
 val encode_log : Mutation.log -> string
 val decode_log : string -> Mutation.log

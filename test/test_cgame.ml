@@ -13,9 +13,6 @@
      - pure-profile loads, latencies, is_nash, SC1/SC2 (Cview vs Pure)
      - the first-defector best-response step (Cview vs Best_response)
      - maximal improving blocks against single-move simulation
-     - class-symmetric mixed evaluation (Cmixed.Eval vs Mixed.Eval)
-     - FMNE closed forms (Cfully_mixed vs Fully_mixed)
-     - LPT schedules (Cuniform_beliefs vs Uniform_beliefs)
      - block best-response convergence (Nash at both levels). *)
 
 open Model
@@ -222,122 +219,6 @@ let test_max_improving_block () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Mixed layer: Cmixed.Eval vs Mixed.Eval                              *)
-
-let test_mixed_differential () =
-  let rng = Prng.Rng.create 0x3ED1 in
-  for trial = 1 to 2_000 do
-    let n = 1 + Prng.Rng.int rng 6 and m = Prng.Rng.int_in rng 2 3 in
-    let g = random_game rng ~kind:trial ~n ~m in
-    let cg, _ = Cgame.compress g in
-    let k = Cgame.classes cg in
-    let q =
-      Array.init k (fun _ ->
-          if Prng.Rng.bool rng then Prng.Rng.positive_simplex rng ~dim:m ~grain:(m + 2)
-          else Prng.Rng.simplex rng ~dim:m ~grain:(m + 1))
-    in
-    let ce = Cmixed.Eval.make cg q in
-    let ex = Cgame.expand cg in
-    let e = Mixed.Eval.make ex (Cmixed.expand cg q) in
-    let off = offsets cg in
-    for l = 0 to m - 1 do
-      Alcotest.check check_q "expected traffic" (Mixed.Eval.expected_traffic e l)
-        (Cmixed.Eval.expected_traffic ce l)
-    done;
-    for c = 0 to k - 1 do
-      let u = off.(c) in
-      for l = 0 to m - 1 do
-        Alcotest.check check_q "latency on link" (Mixed.Eval.latency_on_link e u l)
-          (Cmixed.Eval.latency_on_link ce c l)
-      done;
-      Alcotest.check check_q "min latency" (Mixed.Eval.min_latency e u)
-        (Cmixed.Eval.min_latency ce c)
-    done;
-    Alcotest.check check_q "SC1" (Mixed.Eval.social_cost1 e) (Cmixed.Eval.social_cost1 ce);
-    Alcotest.check check_q "SC2" (Mixed.Eval.social_cost2 e) (Cmixed.Eval.social_cost2 ce);
-    if Mixed.Eval.is_nash e <> Cmixed.Eval.is_nash ce then
-      Alcotest.failf "trial %d: mixed is_nash disagrees" trial
-  done
-
-(* ------------------------------------------------------------------ *)
-(* FMNE closed forms: Cfully_mixed vs Fully_mixed                      *)
-
-let test_fmne_differential () =
-  let rng = Prng.Rng.create 0xF43E in
-  let existed = ref 0 in
-  for trial = 1 to 1_500 do
-    let n = Prng.Rng.int_in rng 2 7 and m = Prng.Rng.int_in rng 2 3 in
-    let g = random_game rng ~kind:trial ~n ~m in
-    let cg, _ = Cgame.compress g in
-    let ex = Cgame.expand cg in
-    let off = offsets cg in
-    let class_cand = Algo.Cfully_mixed.candidate cg in
-    let user_cand = Algo.Fully_mixed.candidate ex in
-    for c = 0 to Cgame.classes cg - 1 do
-      Alcotest.check check_q "equilibrium latency"
-        (Algo.Fully_mixed.equilibrium_latency ex off.(c))
-        (Algo.Cfully_mixed.equilibrium_latency cg c);
-      for l = 0 to m - 1 do
-        Alcotest.check check_q "candidate row" user_cand.(off.(c)).(l) class_cand.(c).(l)
-      done
-    done;
-    for l = 0 to m - 1 do
-      Alcotest.check check_q "FMNE expected traffic"
-        (Algo.Fully_mixed.expected_traffic ex l)
-        (Algo.Cfully_mixed.expected_traffic cg l)
-    done;
-    let class_some = Algo.Cfully_mixed.exists cg in
-    if class_some <> Algo.Fully_mixed.exists ex then
-      Alcotest.failf "trial %d: FMNE existence disagrees" trial;
-    (match Algo.Cfully_mixed.compute cg with
-    | None -> ()
-    | Some p ->
-      incr existed;
-      if not (Cmixed.is_nash cg p) then
-        Alcotest.failf "trial %d: class FMNE fails the class Nash predicate" trial)
-  done;
-  if !existed = 0 then Alcotest.fail "no FMNE instance was ever exercised"
-
-(* ------------------------------------------------------------------ *)
-(* LPT: Cuniform_beliefs vs Uniform_beliefs                            *)
-
-let test_uniform_differential () =
-  let rng = Prng.Rng.create 0x14B7 in
-  for trial = 1 to 2_000 do
-    let n = 1 + Prng.Rng.int rng 8 and m = Prng.Rng.int_in rng 2 4 in
-    (* Uniform beliefs: each user sees all links with one capacity
-       value; pools keep classes fat. *)
-    let g =
-      Game.of_capacities
-        ~weights:(Array.init n (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 3)))
-        (Array.init n (fun _ ->
-             let c = Rational.of_int (1 + Prng.Rng.int rng 3) in
-             Array.make m c))
-    in
-    let cg, _ = Cgame.compress g in
-    let ex = Cgame.expand cg in
-    let off = offsets cg in
-    let initial =
-      if Prng.Rng.bool rng then None
-      else Some (Array.init m (fun _ -> Rational.of_ints (Prng.Rng.int rng 5) 2))
-    in
-    let x = Algo.Cuniform_beliefs.solve ?initial cg in
-    let sigma = Algo.Uniform_beliefs.solve ?initial ex in
-    (* Fold the expanded schedule back into class counts. *)
-    for c = 0 to Cgame.classes cg - 1 do
-      let counts = Array.make m 0 in
-      for u = off.(c) to off.(c) + Cgame.count cg c - 1 do
-        counts.(sigma.(u)) <- counts.(sigma.(u)) + 1
-      done;
-      if counts <> x.(c) then
-        Alcotest.failf "trial %d: LPT class %d schedules disagree" trial c
-    done;
-    (* LPT on uniform beliefs is a Nash equilibrium (Theorem 3.6). *)
-    let v = Cview.of_profile cg ?initial x in
-    if not (Cview.is_nash v) then Alcotest.failf "trial %d: class LPT is not Nash" trial
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Block best-response dynamics                                        *)
 
 let test_cbr_convergence () =
@@ -364,30 +245,6 @@ let test_cbr_convergence () =
   done;
   if !converged < 1_000 then
     Alcotest.failf "block dynamics converged on only %d of 1500 instances" !converged
-
-(* The proportional start is a valid profile and Csymmetric solves
-   equal-weight instances end to end. *)
-let test_csymmetric () =
-  let rng = Prng.Rng.create 0x5E77 in
-  for trial = 1 to 500 do
-    let n = Prng.Rng.int_in rng 2 9 and m = Prng.Rng.int_in rng 2 3 in
-    (* Equal weights; capacity rows proportional to a common base so a
-       weighted potential exists and convergence is guaranteed. *)
-    let base = Array.init m (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 4)) in
-    let g =
-      Game.of_capacities
-        ~weights:(Array.make n Rational.one)
-        (Array.init n (fun _ ->
-             let alpha = Rational.of_int (1 + Prng.Rng.int rng 3) in
-             Array.map (Rational.mul alpha) base))
-    in
-    let cg, _ = Cgame.compress g in
-    let start = Algo.Cbr.proportional_start cg in
-    Cgame.validate cg start;
-    let x = Algo.Csymmetric.solve cg in
-    let v = Cview.of_profile cg x in
-    if not (Cview.is_nash v) then Alcotest.failf "trial %d: Csymmetric output is not Nash" trial
-  done
 
 let test_ownership_guard () =
   (* Cview mutators carry the same SELFISH_OWNERSHIP guard as View;
@@ -433,16 +290,9 @@ let () =
           Alcotest.test_case "maximal blocks vs single-move simulation" `Quick
             test_max_improving_block;
         ] );
-      ( "mixed",
-        [
-          Alcotest.test_case "2k-game differential vs Mixed.Eval" `Slow test_mixed_differential;
-          Alcotest.test_case "FMNE closed forms vs Fully_mixed" `Slow test_fmne_differential;
-        ] );
       ( "algo",
         [
-          Alcotest.test_case "LPT vs Uniform_beliefs" `Slow test_uniform_differential;
           Alcotest.test_case "block best-response convergence" `Slow test_cbr_convergence;
-          Alcotest.test_case "Csymmetric end to end" `Quick test_csymmetric;
         ] );
       ( "ownership",
         [ Alcotest.test_case "sanitizer guards Cview mutators" `Quick test_ownership_guard ] );

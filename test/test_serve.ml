@@ -129,19 +129,6 @@ let test_wire_cgame_roundtrip () =
       Alcotest.failf "trial %d: re-encoding is not byte-identical" trial
   done
 
-let test_wire_profile_roundtrip () =
-  let x = [| 0; 3; 1; 0; 7; 2 |] in
-  let bytes = Wire.encode_profile x in
-  Alcotest.(check (array int)) "profile round-trips" x (Wire.decode_profile bytes);
-  Alcotest.(check string) "profile re-encodes byte-identically" bytes
-    (Wire.encode_profile (Wire.decode_profile bytes));
-  let cx = [| [| 1; 0; 2 |]; [| 0; 4; 0 |] |] in
-  let cbytes = Wire.encode_cprofile cx in
-  Alcotest.(check (array (array int))) "class profile round-trips" cx
-    (Wire.decode_cprofile cbytes);
-  Alcotest.(check string) "class profile re-encodes byte-identically" cbytes
-    (Wire.encode_cprofile (Wire.decode_cprofile cbytes))
-
 (* A log mixing every mutation kind, including a rational whose
    magnitude needs the multi-byte bigint path. *)
 let test_wire_log_roundtrip () =
@@ -191,16 +178,22 @@ let test_wire_errors () =
       Wire.decode_game "SRWF\002\000\001");
   raises_invalid "Wire: offset 6: unknown payload kind 9" (fun () ->
       Wire.decode_game "SRWF\001\000\009");
-  raises_invalid "Wire: offset 6: expected game payload (kind 1), found profile (kind 3)"
-    (fun () -> Wire.decode_game (Wire.encode_profile [| 1; 2 |]));
-  let profile_bytes = Wire.encode_profile [| 1; 2 |] in
+  (* Kind bytes 3 and 4 are unassigned. *)
+  raises_invalid "Wire: offset 6: unknown payload kind 3" (fun () ->
+      Wire.decode_game "SRWF\001\000\003");
+  raises_invalid "Wire: offset 6: unknown payload kind 4" (fun () ->
+      Wire.peek_kind "SRWF\001\000\004");
+  (* Two empty batches: the batch counts sit at offsets 11 and 15. *)
+  let log_bytes = Wire.encode_log [ []; [] ] in
+  raises_invalid "Wire: offset 6: expected game payload (kind 1), found mutation log (kind 5)"
+    (fun () -> Wire.decode_game log_bytes);
   raises_invalid
-    (Printf.sprintf "Wire: offset %d: trailing bytes after payload" (String.length profile_bytes))
-    (fun () -> Wire.decode_profile (profile_bytes ^ "x"));
+    (Printf.sprintf "Wire: offset %d: trailing bytes after payload" (String.length log_bytes))
+    (fun () -> Wire.decode_log (log_bytes ^ "x"));
   (* A truncated body fails inside the payload, not at the header. *)
-  let cut = String.sub profile_bytes 0 (String.length profile_bytes - 2) in
+  let cut = String.sub log_bytes 0 (String.length log_bytes - 2) in
   raises_invalid "Wire: offset 15: truncated input (need 4 more bytes, 2 available)" (fun () ->
-      Wire.decode_profile cut);
+      Wire.decode_log cut);
   (* An element count larger than the remaining bytes is rejected
      before any allocation. *)
   raises_invalid "Wire: offset 12: user count 16777216 exceeds remaining payload" (fun () ->
@@ -476,11 +469,67 @@ let test_repair_budget_exhaustion () =
       Mutation.Arrive { cls = 1; link = 2; count = 30 };
     ]
   in
-  check_rolled_back v "Repair.repair_batch: fallback did not converge within max_steps" (fun () ->
+  check_rolled_back v "Repair.repair_batch: did not converge within max_steps" (fun () ->
       Repair.repair_batch ~max_steps:1 v batch);
   (* The rolled-back view is still a live equilibrium: the same batch
      repairs with the default budget. *)
   Alcotest.(check bool) "batch repairs after rollback" true (Repair.repair_batch v batch).Repair.nash
+
+(* From a non-equilibrium start an empty batch leaves nothing dirty or
+   touched, so the restricted scan comes back clean at once and the
+   exact verification routes into the fallback: Cbr's loop on the same
+   cursor.  It must land exactly where Cbr.converge lands, and its
+   moves count against the batch's one budget. *)
+let test_repair_fallback () =
+  let rng = Prng.Rng.create 1717 in
+  let exercised = ref 0 in
+  for trial = 1 to 600 do
+    let g = random_cgame rng in
+    let start = Algo.Cbr.proportional_start g in
+    if not (Cview.is_nash (Cview.of_profile g start)) then begin
+      incr exercised;
+      let o = Algo.Cbr.converge g start in
+      if not o.Algo.Cbr.converged then Alcotest.failf "trial %d: Cbr.converge diverged" trial;
+      let steps = o.Algo.Cbr.steps in
+      let check_like_cbr v (r : Repair.outcome) =
+        if not (r.fallback && r.nash) then
+          Alcotest.failf "trial %d: expected a verified fallback" trial;
+        if r.moves <> steps || r.users_moved <> o.Algo.Cbr.users_moved then
+          Alcotest.failf "trial %d: fallback counters differ from Cbr.converge" trial;
+        if Cview.profile v <> o.Algo.Cbr.profile then
+          Alcotest.failf "trial %d: fallback profile differs from Cbr.converge" trial
+      in
+      let v = Cview.of_profile g start in
+      check_like_cbr v (Repair.repair_batch v []);
+      let v = Cview.of_profile g start in
+      if steps > 1 then
+        check_rolled_back v "Repair.repair_batch: did not converge within max_steps" (fun () ->
+            Repair.repair_batch ~max_steps:(steps - 1) v []);
+      check_like_cbr v (Repair.repair_batch ~max_steps:steps v [])
+    end
+  done;
+  if !exercised < 500 then
+    Alcotest.failf "only %d of 600 starts were non-equilibria" !exercised;
+  (* The scan and the fallback share one budget.  Class 1 arrives on
+     link 1 and the scan moves its block to link 0; class 0 never gets
+     dirty and sits on untouched link 3, so the clean scan misses its
+     move to link 2 and the fallback makes it: two moves in all. *)
+  let g =
+    Cgame.of_capacities ~counts:[| 2; 4 |] ~weights:[| Rational.one; Rational.one |]
+      [|
+        [| q 1 1; q 1 1; q 100 1; q 1 1 |];
+        [| q 1 1; q 1 1; q 1 100; q 1 100 |];
+      |]
+  in
+  let start = [| [| 0; 0; 0; 2 |]; [| 0; 4; 0; 0 |] |] in
+  let batch = [ Mutation.Arrive { cls = 1; link = 1; count = 4 } ] in
+  let v = Cview.of_profile g start in
+  check_rolled_back v "Repair.repair_batch: did not converge within max_steps" (fun () ->
+      Repair.repair_batch ~max_steps:1 v batch);
+  let r = Repair.repair_batch ~max_steps:2 v batch in
+  Alcotest.(check (pair int bool)) "scan move plus fallback move" (2, true) (r.moves, r.fallback);
+  Alcotest.(check (array (array int))) "repaired profile"
+    [| [| 0; 0; 2; 0 |]; [| 4; 4; 0; 0 |] |] (Cview.profile v)
 
 (* A mutation rejected mid-batch undoes the mutations applied before
    it, including a reweight that spilled the packed lane, and stops at
@@ -552,7 +601,6 @@ let () =
         [
           Alcotest.test_case "shipped game files round-trip" `Quick test_wire_game_files;
           Alcotest.test_case "random class games round-trip" `Quick test_wire_cgame_roundtrip;
-          Alcotest.test_case "profiles round-trip" `Quick test_wire_profile_roundtrip;
           Alcotest.test_case "mutation logs round-trip" `Quick test_wire_log_roundtrip;
           Alcotest.test_case "header and framing errors" `Quick test_wire_errors;
           Alcotest.test_case "integer and payload errors" `Quick test_wire_bigint_errors;
@@ -575,6 +623,7 @@ let () =
           Alcotest.test_case "argument errors" `Quick test_repair_argument_errors;
           Alcotest.test_case "clear_history keeps the state" `Quick test_clear_history;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
+          Alcotest.test_case "fallback matches Cbr.converge" `Quick test_repair_fallback;
           Alcotest.test_case "mid-batch rejection rolls back" `Quick
             test_repair_mid_batch_rejection;
         ] );
