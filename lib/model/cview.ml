@@ -17,7 +17,14 @@ open Numeric
    The class tables (weights, contributions, biases, capacity rows)
    are view-local copies: revisions mutate the view, never the
    underlying [Cgame.t], and [to_cgame] re-materialises a game from
-   the revised state. *)
+   the revised state.
+
+   A latency is (load_l + bias_c)/cap_{c,l}, so SC1 = Σ_l (load_l·A_l +
+   B_l) with A_l = Σ_c e_{c,l}/cap_{c,l} and B_l = Σ_c e_{c,l}·bias_c/cap_{c,l}.
+   The first [social_cost1] builds A and B; from then on count changes
+   only mark their (class, link) pair — no rational work on the move
+   path — and the next query folds the marked pairs in.  Capacity and
+   bias changes refold the class's terms around the change. *)
 
 (* Undo record for one structural delta.  [restore = Some lane] marks
    a delta that spilled the packed lane; reverting it reinstates the
@@ -33,6 +40,18 @@ type sdelta =
     }
   | Scap of { cls : int; link : int; cap : Rational.t; restore : Packing.lane option }
 
+(* SC1 aggregates.  [folded] holds the counts A and B were last built
+   from, row-major [c * m + l]; [marked] pairs sit on [pending], whose
+   k·m slots hold every pair at most once. *)
+type sc1 = {
+  a : Rational.t array;
+  b : Rational.t array;
+  folded : int array;
+  marked : bool array;
+  pending : int array;
+  mutable npending : int;
+}
+
 type t = {
   game : Cgame.t;
   assign : int array array;
@@ -43,6 +62,7 @@ type t = {
   mutable shist : sdelta list;
   mutable nrev : int; (* structural deltas currently applied *)
   mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
+  mutable sc1 : sc1 option; (* built by the first [social_cost1] *)
 }
 
 let game v = v.game
@@ -86,6 +106,7 @@ let of_profile g ?initial x =
     shist = [];
     nrev = 0;
     owner = Parallel.Ownership.record ();
+    sc1 = None;
   }
 
 let assigned v c l = v.assign.(c).(l)
@@ -100,13 +121,51 @@ let load v l = Packing.load v.lane l
 let loads v = Array.init (links v) (load v)
 let depth v = v.depth
 
+(* Queue pair (c, l) for the next SC1 fold once the aggregates exist. *)
+let mark v c l =
+  match v.sc1 with
+  | None -> ()
+  | Some s ->
+    let i = (c * Array.length s.a) + l in
+    if not s.marked.(i) then begin
+      s.marked.(i) <- true;
+      s.pending.(s.npending) <- i;
+      s.npending <- s.npending + 1
+    end
+
+(* Add [e] class-[c] users on link [l] to the aggregates. *)
+let fold_in rows s c l e =
+  let r = Rational.div (Rational.of_int e) rows.Packing.caps.(c).(l) in
+  s.a.(l) <- Rational.add s.a.(l) r;
+  let bias = rows.biases.(c) in
+  if not (Rational.is_zero bias) then s.b.(l) <- Rational.add s.b.(l) (Rational.mul bias r)
+
+(* Run [f], which changes class [c]'s capacity row or bias, with the
+   class's folded terms taken out of the aggregates and put back. *)
+let refolding v c f =
+  match v.sc1 with
+  | None -> f ()
+  | Some s ->
+    let m = Array.length s.a in
+    let each sign =
+      for l = 0 to m - 1 do
+        let e = s.folded.((c * m) + l) in
+        if e > 0 then fold_in v.rows s c l (sign * e)
+      done
+    in
+    each (-1);
+    f ();
+    each 1
+
 (* Unrecorded block reassignment shared by [move] and [undo]: one
    exact multiplication and two load updates, whatever [count] is. *)
 let shift v cls src dst count =
   if count > 0 && src <> dst then begin
     Packing.shift v.lane v.rows cls ~src ~dst count;
     v.assign.(cls).(src) <- v.assign.(cls).(src) - count;
-    v.assign.(cls).(dst) <- v.assign.(cls).(dst) + count
+    v.assign.(cls).(dst) <- v.assign.(cls).(dst) + count;
+    mark v cls src;
+    mark v cls dst
   end
 
 let push v meta count =
@@ -155,6 +214,7 @@ let revise_count v ~cls ~link ~delta =
   Parallel.Ownership.guard "Cview cursor" v.owner;
   let lane = Packing.revise_count v.lane v.rows cls ~link ~delta in
   v.assign.(cls).(link) <- v.assign.(cls).(link) + delta;
+  mark v cls link;
   push_structural v (Scount { cls; link; delta; restore = relane v lane })
 
 let set_class_weight v cls w contrib bias =
@@ -172,7 +232,7 @@ let revise_weight v ~cls w' =
   and contrib = v.rows.contribs.(cls)
   and bias = v.rows.biases.(cls) in
   let lane = Packing.revise_weight v.lane v.rows cls v.assign.(cls) ~weight:w' ~contrib:contrib' in
-  set_class_weight v cls w' contrib' (Rational.sub w' contrib');
+  refolding v cls (fun () -> set_class_weight v cls w' contrib' (Rational.sub w' contrib'));
   push_structural v (Sweight { cls; weight; contrib; bias; restore = relane v lane })
 
 let revise_capacity v ~cls ~link cap' =
@@ -183,7 +243,7 @@ let revise_capacity v ~cls ~link cap' =
   Parallel.Ownership.guard "Cview cursor" v.owner;
   let cap = v.rows.caps.(cls).(link) in
   let lane = Packing.revise_capacity v.lane cls ~link cap' in
-  v.rows.caps.(cls).(link) <- cap';
+  refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap');
   push_structural v (Scap { cls; link; cap; restore = relane v lane })
 
 let undo_structural v =
@@ -198,12 +258,13 @@ let undo_structural v =
     (match d with
      | Scount { cls; link; delta; restore } ->
        v.assign.(cls).(link) <- v.assign.(cls).(link) - delta;
+       mark v cls link;
        revert_lane restore (fun () -> Packing.add_count v.lane v.rows cls ~link ~delta:(-delta))
      | Sweight { cls; weight; contrib; bias; restore } ->
        revert_lane restore (fun () -> Packing.reweight v.lane v.rows cls v.assign.(cls) ~weight ~contrib);
-       set_class_weight v cls weight contrib bias
+       refolding v cls (fun () -> set_class_weight v cls weight contrib bias)
      | Scap { cls; link; cap; restore } ->
-       v.rows.caps.(cls).(link) <- cap;
+       refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap);
        revert_lane restore (fun () -> Packing.set_capacity v.lane cls ~link cap))
 
 let undo v =
@@ -285,13 +346,40 @@ let max_improving_block v ~cls ~src ~dst =
     (* q ∈ (1, avail]: ceil(q) − 1 ∈ [1, avail] fits a native int. *)
     Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
 
+(* The aggregates with every marked pair's count change folded in.  The
+   first call builds them by marking every occupied pair. *)
+let sc1_aggregates v =
+  let m = links v in
+  let s =
+    match v.sc1 with
+    | Some s -> s
+    | None ->
+      let km = classes v * m and zeros () = Array.make m Rational.zero in
+      let folded = Array.make km 0 and marked = Array.make km false in
+      let pending = Array.make km 0 in
+      let s = { a = zeros (); b = zeros (); folded; marked; pending; npending = 0 } in
+      v.sc1 <- Some s;
+      Array.iteri (fun c row -> Array.iteri (fun l e -> if e > 0 then mark v c l) row) v.assign;
+      s
+  in
+  for j = 0 to s.npending - 1 do
+    let i = s.pending.(j) in
+    let e = v.assign.(i / m).(i mod m) in
+    s.marked.(i) <- false;
+    if e <> s.folded.(i) then begin
+      fold_in v.rows s (i / m) (i mod m) (e - s.folded.(i));
+      s.folded.(i) <- e
+    end
+  done;
+  s.npending <- 0;
+  s
+
 let social_cost1 v =
+  Parallel.Ownership.guard "Cview cursor" v.owner;
+  let s = sc1_aggregates v in
   let acc = ref Rational.zero in
-  for c = 0 to classes v - 1 do
-    for l = 0 to links v - 1 do
-      let e = v.assign.(c).(l) in
-      if e > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int e) (latency v c l))
-    done
+  for l = 0 to links v - 1 do
+    acc := Rational.add !acc (Rational.add (Rational.mul (load v l) s.a.(l)) s.b.(l))
   done;
   !acc
 

@@ -6,8 +6,8 @@
     moving from one link to another — in O(1) exact rational updates,
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
-    is O(k·m²) and the social costs are O(k·m): no operation ever
-    scales with [n].
+    is O(k·m²), SC2 is O(k·m) and SC1 is O(m) plus the (class, link)
+    pairs changed since the last query: no operation scales with [n].
 
     All per-user predicates survive compression exactly: users of one
     class on one link are interchangeable, so "some user defects" is a
@@ -58,9 +58,9 @@ val assigned : t -> int -> int -> int
 val profile : t -> Cgame.profile
 
 (** [owner v] is the creating domain's id as recorded for the
-    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); {!move} and
-    {!undo} raise {!Parallel.Ownership.Violation} under the sanitizer
-    when called from another domain. *)
+    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); the mutators
+    and {!social_cost1} raise {!Parallel.Ownership.Violation} under the
+    sanitizer when called from another domain. *)
 val owner : t -> int
 
 (** [unsafe_set_owner v id] rewrites the recorded owner.  Test-only
@@ -196,7 +196,11 @@ val is_nash : t -> bool
     [assigned v cls src].  Requires [dst <> src]. *)
 val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 
-(** [social_cost1 v] is [SC1 = Σ_c count-weighted latencies].  O(k·m). *)
+(** [social_cost1 v] is [SC1 = Σ_c count-weighted latencies].  Not a
+    pure read: it keeps per-link aggregates on the cursor, built by the
+    first call in O(k·m) ({!of_profile} builds none), so a later call
+    is O(m) plus the (class, link) pairs whose counts changed since the
+    previous one.  Guarded like a mutator ({!owner}). *)
 val social_cost1 : t -> Numeric.Rational.t
 
 (** [social_cost2 v] is [SC2 = max latency over occupied (c, l)].

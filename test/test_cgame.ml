@@ -153,7 +153,13 @@ let check_pure trial g (cg, class_of) p =
     let expected = Array.copy ex_p in
     expected.(u) <- dst;
     if stepped <> expected then
-      Alcotest.failf "trial %d: step mismatch (class %d, %d→%d, user %d)" trial cls src dst u);
+      Alcotest.failf "trial %d: step mismatch (class %d, %d→%d, user %d)" trial cls src dst u;
+    (* SC1 stays the per-user value across the move and its undo, now
+       on the aggregates the query above built. *)
+    Cview.move v ~cls ~src ~dst ~count:1;
+    Alcotest.check check_q "SC1 after a move" (Pure.social_cost1 ex stepped) (Cview.social_cost1 v);
+    Cview.undo v;
+    Alcotest.check check_q "SC1 after undo" (Pure.social_cost1 g p) (Cview.social_cost1 v));
   (* Nash agreement must also hold on the expanded pair. *)
   if Pure.is_nash ex ex_p <> Cview.is_nash v then
     Alcotest.failf "trial %d: is_nash disagrees on the expanded profile" trial
@@ -276,6 +282,8 @@ let test_ownership_guard () =
           Cview.move v ~cls:0 ~src:0 ~dst:0 ~count:0);
       Alcotest.check_raises "foreign-domain undo trips the guard" expected (fun () ->
           Cview.undo v);
+      Alcotest.check_raises "foreign-domain social_cost1 trips the guard" expected (fun () ->
+          ignore (Cview.social_cost1 v));
       Cview.unsafe_set_owner v (O.self_id ());
       Cview.undo v;
       Alcotest.(check int) "history balanced after guarded attempts" 0 (Cview.depth v))

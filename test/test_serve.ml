@@ -269,9 +269,32 @@ let test_mutation_parse_errors () =
 (* ------------------------------------------------------------------ *)
 (* Structural-delta differential harness                               *)
 
-let check_view_identity trial v =
+(* The O(k·m) fold SC1 = Σ_{c,l} e_{c,l}·latency(c, l): the reference
+   for the cursor's incremental aggregates. *)
+let reference_sc1 v =
+  let acc = ref Rational.zero in
+  for c = 0 to Cview.classes v - 1 do
+    for l = 0 to Cview.links v - 1 do
+      let e = Cview.assigned v c l in
+      if e > 0 then
+        acc := Rational.add !acc (Rational.mul (Rational.of_int e) (Cview.latency v c l))
+    done
+  done;
+  !acc
+
+(* The live SC1 must equal the fold and a fresh cursor's first query. *)
+let check_sc1 ?initial what v =
+  let live = Cview.social_cost1 v in
+  if not (Rational.equal live (reference_sc1 v)) then
+    Alcotest.failf "%s: live SC1 %s differs from the fold %s" what (Rational.to_string live)
+      (Rational.to_string (reference_sc1 v));
+  let fresh = Cview.of_profile (Cview.to_cgame v) ?initial (Cview.profile v) in
+  if not (Rational.equal live (Cview.social_cost1 fresh)) then
+    Alcotest.failf "%s: live SC1 differs from a fresh cursor" what
+
+let check_view_identity ?initial trial v =
   let g' = Cview.to_cgame v in
-  let fresh = Cview.of_profile g' (Cview.profile v) in
+  let fresh = Cview.of_profile g' ?initial (Cview.profile v) in
   let k = Cview.classes v and m = Cview.links v in
   for l = 0 to m - 1 do
     if not (Rational.equal (Cview.load v l) (Cview.load fresh l)) then
@@ -288,27 +311,51 @@ let check_view_identity trial v =
     done
   done;
   if Cview.is_nash v <> Cview.is_nash fresh then
-    Alcotest.failf "trial %d: is_nash diverged from re-materialised view" trial
+    Alcotest.failf "trial %d: is_nash diverged from re-materialised view" trial;
+  check_sc1 ?initial (Printf.sprintf "trial %d" trial) v
 
-(* 10^4 randomized mutation sequences: after every sequence the live
+(* A recorded block move of some occupied class-link pair. *)
+let random_move rng v =
+  let cls = Prng.Rng.int rng (Cview.classes v) and m = Cview.links v in
+  let src = ref (Prng.Rng.int rng m) in
+  while Cview.assigned v cls !src = 0 do
+    src := (!src + 1) mod m
+  done;
+  Cview.move v ~cls ~src:!src ~dst:(Prng.Rng.int rng m)
+    ~count:(1 + Prng.Rng.int rng (Cview.assigned v cls !src))
+
+(* 10^4 randomized sequences of mutations and block moves, a quarter of
+   them over views with initial traffic: after every sequence the live
    cursor is bit-identical to a fresh of_profile (to_cgame v)
    (profile v), and undoing everything restores the original state —
-   loads, profile, and the packed fast lane. *)
+   loads, profile, SC1 and the packed fast lane.  SC1 is queried before
+   the sequence and now and then inside it, so the deltas land on live
+   aggregates. *)
 let test_differential_mutations () =
   let rng = Prng.Rng.create 2006 in
   for trial = 1 to 10_000 do
     let g = random_cgame rng in
     let x = Algo.Cbr.proportional_start g in
-    let v = Cview.of_profile g x in
+    let initial =
+      if trial mod 4 <> 0 then None
+      else
+        Some (Array.init (Cgame.links g) (fun _ -> q (Prng.Rng.int rng 5) (1 + Prng.Rng.int rng 2)))
+    in
+    let v = Cview.of_profile g ?initial x in
     let loads0 = Cview.loads v and packed0 = Cview.packed v in
+    let sc0 = Cview.social_cost1 v in
+    Alcotest.check check_q "initial SC1 is the fold" (reference_sc1 v) sc0;
     let len = 1 + Prng.Rng.int rng 6 in
     for _ = 1 to len do
-      Mutation.apply v (random_mutation rng v)
+      if Prng.Rng.int rng 3 = 0 then random_move rng v
+      else Mutation.apply v (random_mutation rng v);
+      if Prng.Rng.int rng 3 = 0 then check_sc1 ?initial (Printf.sprintf "trial %d" trial) v
     done;
-    check_view_identity trial v;
+    check_view_identity ?initial trial v;
     while Cview.depth v > 0 do
       Cview.undo v
     done;
+    Alcotest.check check_q "undo-all restores SC1" sc0 (Cview.social_cost1 v);
     if Cview.revised v then Alcotest.failf "trial %d: undo-all left revisions applied" trial;
     if Cview.packed v <> packed0 then
       Alcotest.failf "trial %d: undo-all did not restore the fast lane" trial;
@@ -359,6 +406,7 @@ let test_repair_differential () =
     let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
     if not o.Algo.Cbr.converged then Alcotest.failf "trial %d: seed solve diverged" trial;
     let v = Cview.of_profile g o.Algo.Cbr.profile in
+    ignore (Cview.social_cost1 v);
     let d0 = Cview.depth v in
     let len = 1 + Prng.Rng.int rng 4 in
     let batch =
@@ -373,6 +421,7 @@ let test_repair_differential () =
     let r = Repair.repair_batch v batch in
     if not r.Repair.nash then Alcotest.failf "trial %d: repair returned nash=false" trial;
     if not (Cview.is_nash v) then Alcotest.failf "trial %d: repaired view is not Nash" trial;
+    check_sc1 (Printf.sprintf "trial %d" trial) v;
     (* The full re-solve reaches the same verdict on the same game. *)
     let g' = Cview.to_cgame v in
     let o' = Algo.Cbr.converge g' (Algo.Cbr.proportional_start g') in
@@ -391,11 +440,15 @@ let test_repair_argument_errors () =
       Repair.repair_batch ~max_steps:0 v [])
 
 (* A batch that raises must leave the view exactly as it found it:
-   profile, loads, lane, undo depth and the materialised game. *)
+   profile, loads, lane, undo depth, the materialised game and SC1
+   (queried first, so the batch runs on live aggregates). *)
 let check_rolled_back v msg run =
   let profile = Cview.profile v and loads = Cview.loads v and packed = Cview.packed v in
   let depth = Cview.depth v and game = Wire.encode_cgame (Cview.to_cgame v) in
+  let sc1 = Cview.social_cost1 v in
   raises_invalid msg run;
+  Alcotest.check check_q (msg ^ ": SC1 rolled back") sc1 (Cview.social_cost1 v);
+  check_sc1 msg v;
   if Cview.profile v <> profile then Alcotest.failf "%s: profile not rolled back" msg;
   Alcotest.(check (array check_q)) (msg ^ ": loads rolled back") loads (Cview.loads v);
   Alcotest.(check bool) (msg ^ ": lane rolled back") packed (Cview.packed v);
@@ -592,6 +645,8 @@ let test_mutation_apply_guards () =
       in
       Alcotest.check_raises "foreign-domain mutation trips the sanitizer" expected (fun () ->
           Mutation.apply v (Mutation.Arrive { cls = 0; link = 0; count = 1 }));
+      Alcotest.check_raises "foreign-domain social_cost1 trips the sanitizer" expected (fun () ->
+          ignore (Cview.social_cost1 v));
       Cview.unsafe_set_owner v (O.self_id ()))
 
 let () =
