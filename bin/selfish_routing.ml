@@ -27,14 +27,6 @@ let seed_arg =
   let doc = "PRNG seed; every run is deterministic given the seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let parse_initial g = function
-  | None -> None
-  | Some s ->
-    let parts = String.split_on_char ',' s in
-    if List.length parts <> Game.links g then
-      invalid_arg "initial traffic must have one entry per link";
-    Some (Array.of_list (List.map Rational.of_string parts))
-
 let initial_arg =
   let doc = "Initial per-link traffic, comma separated (e.g. 1/2,0)." in
   Arg.(value & opt (some string) None & info [ "initial" ] ~docv:"T" ~doc)
@@ -63,7 +55,37 @@ let fail_input msg =
 let input_guard ?(context = "") f x =
   try f x with Invalid_argument msg -> fail_input (context ^ msg)
 
-let parse_game file = input_guard Game_io.parse_file file
+(* One reader for every input file; game, class-game and log files are
+   text or SRWF, told apart by the wire magic. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let parse_game file = input_guard Game_io.parse (read_file file)
+
+let load_cgame path =
+  let data = read_file path in
+  if Serve.Wire.is_wire data then Serve.Wire.decode_cgame data else Game_io.parse_cgame data
+
+let load_log path =
+  let data = read_file path in
+  if Serve.Wire.is_wire data then Serve.Wire.decode_log data else Serve.Mutation.parse data
+
+let parse_initial g = function
+  | None -> None
+  | Some s ->
+    let parts = String.split_on_char ',' s in
+    if List.length parts <> Game.links g then
+      fail_input
+        (Printf.sprintf "--initial: expected %d entries (one per link), got %d" (Game.links g)
+           (List.length parts));
+    let entry q =
+      try Rational.of_string q
+      with Invalid_argument _ -> fail_input (Printf.sprintf "--initial: bad number %S" q)
+    in
+    Some (Array.of_list (List.map entry parts))
 
 let print_profile g ?initial sigma =
   Printf.printf "profile: [%s]\n"
@@ -124,7 +146,7 @@ let check_backend flag kind =
   then Printf.printf "uncertainty backend: %s\n" (Uncertainty.kind_name kind)
 
 let run_solve_classes file uflag =
-  let g = input_guard Game_io.parse_cgame_file file in
+  let g = input_guard load_cgame file in
   input_guard (check_backend uflag) (Uncertainty.kind (Cgame.uncertainty g 0));
   Printf.printf "class game: %d classes, %d users, %d links\n" (Cgame.classes g)
     (Cgame.users g) (Cgame.links g);
@@ -216,7 +238,7 @@ let solve_cmd =
 
 let run_fmne file =
   let g = parse_game file in
-  let candidate = Algo.Fully_mixed.candidate g in
+  let candidate = input_guard Algo.Fully_mixed.candidate g in
   Printf.printf "candidate probabilities (Lemma 4.3):\n";
   Array.iteri
     (fun i row ->
@@ -287,7 +309,7 @@ let bounds_cmd =
 
 let run_mixed file =
   let g = parse_game file in
-  let result = Algo.Support_enum.all_nash g in
+  let result = input_guard Algo.Support_enum.all_nash g in
   Printf.printf "%d mixed Nash equilibria found by support enumeration"
     (List.length result.equilibria);
   if result.degenerate_supports > 0 then
@@ -403,7 +425,7 @@ let run_fictitious file rounds seed =
   let g = parse_game file in
   let rng = Prng.Rng.create seed in
   let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
-  let o = Algo.Fictitious.play g ~rounds ~window:10 start in
+  let o = input_guard (Algo.Fictitious.play g ~rounds ~window:10) start in
   Printf.printf "fictitious play: %d rounds, stabilised at a pure NE: %b\n" o.rounds o.stabilised;
   Printf.printf "last round actions: [%s]\n"
     (String.concat "; " (Array.to_list (Array.map string_of_int o.last_profile)));
@@ -456,20 +478,6 @@ let sweep_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
-
-let read_binary_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_cgame path =
-  let data = read_binary_file path in
-  if Serve.Wire.is_wire data then Serve.Wire.decode_cgame data else Game_io.parse_cgame data
-
-let load_log path =
-  let data = read_binary_file path in
-  if Serve.Wire.is_wire data then Serve.Wire.decode_log data else Serve.Mutation.parse data
 
 let run_serve game_file log_file (_deprecated_domains : int) max_moves =
   let g = input_guard load_cgame game_file in
@@ -553,7 +561,7 @@ let classify_text text =
   else `Game
 
 let run_wire file out =
-  let data = read_binary_file file in
+  let data = read_file file in
   let convert data =
     if Serve.Wire.is_wire data then
       match Serve.Wire.peek_kind data with

@@ -65,8 +65,86 @@
     interval 2 2 1 5
     v}
 
-    Numbers are exact rationals ([3], [1/2], [0.75]).  Lines starting
-    with [#] and blank lines are ignored. *)
+    Numbers are exact rationals ([3], [1/2], [0.75]; a zero denominator
+    is a [bad number]).  Lines starting with [#] and blank lines are
+    ignored.
+
+    Every form except the belief form is a printing of one
+    {!table}: optional class counts, one weight per entry (user or
+    class) and one backend body.  The binary [Serve.Wire] codec encodes
+    the same table, so the two formats cannot drift apart, and both
+    build games through the one construction path
+    ({!game_of_table}, {!cgame_of_table}). *)
+
+(** {1 Line scanner}
+
+    Shared with [Serve.Mutation]'s log reader. *)
+
+(** [scan_lines text f] calls [f lineno line words] on every line of
+    [text] that is neither blank nor a [#] comment, in order: [lineno]
+    counts from 1, [line] is trimmed and [words] are its blank- or
+    tab-separated words (never empty). *)
+val scan_lines : string -> (int -> string -> string list -> unit) -> unit
+
+(** [line_error src lineno msg] raises
+    [Invalid_argument "<src>: line <lineno>: <msg>"]. *)
+val line_error : string -> int -> string -> 'a
+
+(** [line_rational src lineno word] parses an exact rational;
+    malformed input raises {!line_error} with [bad number "<word>"]. *)
+val line_rational : string -> int -> string -> Numeric.Rational.t
+
+(** {1 The reduced-form table} *)
+
+(** One row per entry. *)
+type rows =
+  | Capacities of Numeric.Rational.t array array
+      (** effective capacities, one per link (Bayesian, participation) *)
+  | Intervals of Numeric.Rational.t array array
+      (** strict: [lo hi] capacity pairs, one per link, flattened *)
+  | Beliefs of Belief.t array
+      (** the per-user belief form; written as its effective capacities *)
+
+type table = {
+  counts : int array option;  (** class counts; [None] for per-user games *)
+  weights : Numeric.Rational.t array;
+  presence : Numeric.Rational.t array option;  (** participation only *)
+  rows : rows;
+}
+
+(** What a construction error concerns: the whole table, the presence
+    data, or entry [i]'s row. *)
+type site = Whole | Presence | Row of int
+
+(** The backend a table stores: strict for {!Intervals}, participation
+    when [presence] is set, Bayesian otherwise. *)
+val table_kind : table -> Uncertainty.kind
+
+(** Number of links (of a non-empty table). *)
+val table_links : table -> int
+
+(** The per-entry rationals a payload stores: capacity rows, flattened
+    interval pairs, or beliefs reduced to their effective capacities. *)
+val table_rows : table -> Numeric.Rational.t array array
+
+(** [table_of_game ~what g] and [table_of_cgame ~what g] extract the
+    table (capacity rows, or interval rows under strict).
+    @raise Invalid_argument ["<what>: cannot serialise mixed uncertainty
+    backends"] when entries mix backend kinds. *)
+val table_of_game : what:string -> Game.t -> table
+
+val table_of_cgame : what:string -> Cgame.t -> table
+
+(** [game_of_table ~prefix t] builds the per-user game; [cgame_of_table]
+    the class game (its table must carry counts).  These hold every
+    check between the table's parts (presence and row arity, interval
+    rows), the participation wrap, and the error wrapping: a rejected
+    table raises [Invalid_argument (prefix site ^ msg)]. *)
+val game_of_table : prefix:(site -> string) -> table -> Game.t
+
+val cgame_of_table : prefix:(site -> string) -> table -> Cgame.t
+
+(** {1 Text form} *)
 
 (** [parse text] builds the game described by [text].
     @raise Invalid_argument with a line-numbered message on malformed
@@ -74,9 +152,6 @@
     [Serve.Wire]) is rejected with a pinned line-1 error pointing at
     the binary reader. *)
 val parse : string -> Game.t
-
-(** [parse_file path] reads and parses [path]. *)
-val parse_file : string -> Game.t
 
 (** [to_string g] renders [g] in the reduced form (which is always
     faithful: every latency in the game factors through the effective
@@ -105,9 +180,6 @@ val to_generative_string : Game.t -> string
     input — non-integer or non-positive counts, width mismatches,
     per-user directives. *)
 val parse_cgame : string -> Cgame.t
-
-(** [parse_cgame_file path] reads and parses [path] as a class game. *)
-val parse_cgame_file : string -> Cgame.t
 
 (** [to_class_string g] renders [g] in the class form (with the
     [uncertainty] stanza and its companion data when non-Bayesian);

@@ -262,6 +262,9 @@ let of_string s =
   | Some i ->
     let n = Bigint.of_string (String.sub s 0 i) in
     let d = Bigint.of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+    (* Text input is untrusted: a zero denominator is malformed input,
+       not the programmer error [make]'s Division_by_zero signals. *)
+    if Bigint.is_zero d then invalid_arg (Printf.sprintf "Rational.of_string: %S" s);
     make n d
   | None ->
     (match String.index_opt s '.' with

@@ -108,7 +108,8 @@ val floor : t -> t
 val ceil : t -> t
 
 (** [of_string s] parses ["a/b"], ["a"], or a decimal like ["3.25"]
-    (with optional sign). @raise Invalid_argument on malformed input. *)
+    (with optional sign). @raise Invalid_argument on malformed input,
+    a zero denominator included. *)
 val of_string : string -> t
 
 val to_string : t -> string

@@ -19,11 +19,8 @@ let apply v = function
   | Reweight { cls; weight } -> Cview.revise_weight v ~cls weight
   | Revise_capacity { cls; link; cap } -> Cview.revise_capacity v ~cls ~link cap
 
-let fail_line lineno msg = invalid_arg (Printf.sprintf "Mutation: line %d: %s" lineno msg)
-
-let split_words s =
-  String.split_on_char ' ' s |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
+let fail_line = Game_io.line_error "Mutation"
+let parse_rational = Game_io.line_rational "Mutation"
 
 let parse_int lineno what s =
   match int_of_string_opt s with
@@ -36,10 +33,6 @@ let parse_positive lineno what s =
   if n = 0 then fail_line lineno (Printf.sprintf "%s must be positive" what);
   n
 
-let parse_rational lineno s =
-  try Rational.of_string s
-  with Invalid_argument _ -> fail_line lineno (Printf.sprintf "bad number %S" s)
-
 let parse text =
   (* [batches] holds completed batches reversed; [cur] the open batch
      reversed, [None] before the first 'batch' directive. *)
@@ -50,60 +43,48 @@ let parse text =
     | None -> fail_line lineno "mutation before first 'batch' directive"
     | Some b -> cur := Some (mu :: b)
   in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = String.trim raw in
-      if line <> "" && line.[0] <> '#' then begin
-        match split_words line with
-        | [ "batch" ] ->
-          close ();
-          cur := Some []
-        | "batch" :: _ -> fail_line lineno "expected: batch (no arguments)"
-        | [ "arrive"; cls; link; count ] ->
-          push lineno
-            (Arrive
-               {
-                 cls = parse_int lineno "class" cls;
-                 link = parse_int lineno "link" link;
-                 count = parse_positive lineno "count" count;
-               })
-        | "arrive" :: _ -> fail_line lineno "expected: arrive <class> <link> <count>"
-        | [ "depart"; cls; link; count ] ->
-          push lineno
-            (Depart
-               {
-                 cls = parse_int lineno "class" cls;
-                 link = parse_int lineno "link" link;
-                 count = parse_positive lineno "count" count;
-               })
-        | "depart" :: _ -> fail_line lineno "expected: depart <class> <link> <count>"
-        | [ "reweight"; cls; weight ] ->
-          let weight = parse_rational lineno weight in
-          if Rational.sign weight <= 0 then fail_line lineno "weight must be positive";
-          push lineno (Reweight { cls = parse_int lineno "class" cls; weight })
-        | "reweight" :: _ -> fail_line lineno "expected: reweight <class> <weight>"
-        | [ "capacity"; cls; link; cap ] ->
-          let cap = parse_rational lineno cap in
-          if Rational.sign cap <= 0 then fail_line lineno "capacity must be positive";
-          push lineno
-            (Revise_capacity
-               { cls = parse_int lineno "class" cls; link = parse_int lineno "link" link; cap })
-        | "capacity" :: _ -> fail_line lineno "expected: capacity <class> <link> <capacity>"
-        | word :: _ -> fail_line lineno (Printf.sprintf "unknown directive %S" word)
-        | [] -> ()
-      end)
-    (String.split_on_char '\n' text);
+  Game_io.scan_lines text (fun lineno _ words ->
+    match words with
+    | [ "batch" ] ->
+      close ();
+      cur := Some []
+    | "batch" :: _ -> fail_line lineno "expected: batch (no arguments)"
+    | [ "arrive"; cls; link; count ] ->
+      push lineno
+        (Arrive
+           {
+             cls = parse_int lineno "class" cls;
+             link = parse_int lineno "link" link;
+             count = parse_positive lineno "count" count;
+           })
+    | "arrive" :: _ -> fail_line lineno "expected: arrive <class> <link> <count>"
+    | [ "depart"; cls; link; count ] ->
+      push lineno
+        (Depart
+           {
+             cls = parse_int lineno "class" cls;
+             link = parse_int lineno "link" link;
+             count = parse_positive lineno "count" count;
+           })
+    | "depart" :: _ -> fail_line lineno "expected: depart <class> <link> <count>"
+    | [ "reweight"; cls; weight ] ->
+      let weight = parse_rational lineno weight in
+      if Rational.sign weight <= 0 then fail_line lineno "weight must be positive";
+      push lineno (Reweight { cls = parse_int lineno "class" cls; weight })
+    | "reweight" :: _ -> fail_line lineno "expected: reweight <class> <weight>"
+    | [ "capacity"; cls; link; cap ] ->
+      let cap = parse_rational lineno cap in
+      if Rational.sign cap <= 0 then fail_line lineno "capacity must be positive";
+      push lineno
+        (Revise_capacity
+           { cls = parse_int lineno "class" cls; link = parse_int lineno "link" link; cap })
+    | "capacity" :: _ -> fail_line lineno "expected: capacity <class> <link> <capacity>"
+    | word :: _ -> fail_line lineno (Printf.sprintf "unknown directive %S" word)
+    | [] -> ());
   close ();
   match List.rev !batches with
   | [] -> invalid_arg "Mutation: need at least one 'batch' directive"
   | log -> log
-
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
 
 let render log =
   let buf = Buffer.create 256 in

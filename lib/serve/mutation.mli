@@ -9,7 +9,7 @@
     deltas the view supports.
 
     The log has a text form (one directive per line, ['#'] comments and
-    blank lines ignored, same conventions as {!Model.Game_io}) and a
+    blank lines ignored, read by {!Model.Game_io}'s line scanner) and a
     binary form ({!Wire}, kind 5):
 
     {v
@@ -46,9 +46,6 @@ val apply : Model.Cview.t -> t -> unit
     ["Mutation: need at least one 'batch' directive"] on a log with no
     batches. *)
 val parse : string -> log
-
-(** [parse_file path] is {!parse} on the file's contents. *)
-val parse_file : string -> log
 
 (** [render log] is the canonical text form; [parse (render log) = log]. *)
 val render : log -> string

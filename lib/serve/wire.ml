@@ -139,12 +139,17 @@ let dec_bigint d =
   if sign = 1 && Bigint.is_zero mag then fail_at spos "negative zero";
   if sign = 1 then Bigint.neg mag else mag
 
+(* Canonical means lowest terms with zero as 0/1: exactly what the
+   encoder writes, so re-encoding a decoded payload is the identity. *)
 let dec_rational d =
+  let qpos = d.pos in
   let num = dec_bigint d in
   let dpos = d.pos in
   let den = dec_bigint d in
   if Bigint.sign den <= 0 then fail_at dpos "denominator must be positive";
-  Rational.make num den
+  let q = Rational.make num den in
+  if not (Bigint.equal (Rational.den q) den) then fail_at qpos "non-canonical rational";
+  q
 
 (* [f] is applied at indices 0 .. n-1 in order (decoders carry state in
    [d.pos], so the unspecified evaluation order of [Array.init] would
@@ -189,164 +194,47 @@ let peek_kind s =
 (* ------------------------------------------------------------------ *)
 (* Games                                                               *)
 
+(* Both game kinds are Game_io's reduced-form table: backend byte, entry
+   and link counts, class counts (class games only), weights, presence
+   (participation only), then one row per entry — m capacities, or m
+   'lo hi' pairs under strict. *)
+
 let backend_byte = function
   | Model.Uncertainty.Bayesian -> 0
   | Model.Uncertainty.Participation -> 1
   | Model.Uncertainty.Strict -> 2
 
-(* Mirrors Game_io's writer check: a payload stores one backend for the
-   whole population. *)
-let uniform_kind ~what count uncertainty_of =
-  let k0 = Model.Uncertainty.kind (uncertainty_of 0) in
-  for i = 1 to count - 1 do
-    if not (Model.Uncertainty.equal_kind k0 (Model.Uncertainty.kind (uncertainty_of i))) then
-      invalid_arg (what ^ ": cannot serialise mixed uncertainty backends")
-  done;
-  k0
-
-let add_strict_row buf m u =
-  match Model.Uncertainty.strict_bounds u with
-  | None -> assert false (* only called on Strict backends *)
-  | Some (lo, hi) ->
-    for l = 0 to m - 1 do
-      add_rational buf (Model.State.capacity lo l);
-      add_rational buf (Model.State.capacity hi l)
-    done
-
-let wrap_make f = try f () with Invalid_argument msg -> invalid_arg ("Wire: " ^ msg)
-
-let dec_strict_row d m =
-  let ivs =
-    read_array m (fun _ ->
-        let lo = dec_rational d in
-        let hi = dec_rational d in
-        (lo, hi))
-  in
-  wrap_make (fun () -> Model.Uncertainty.strict_of_intervals ivs)
-
-let participation_uncertainty probs rows =
-  wrap_make (fun () ->
-      Array.map2
-        (fun p row ->
-          Model.Uncertainty.participation ~presence:p
-            (Model.Belief.certain (Model.State.make row)))
-        probs rows)
-
-let encode_game g =
-  let n = Model.Game.users g and m = Model.Game.links g in
-  let k = uniform_kind ~what:"Wire.encode_game" n (Model.Game.uncertainty g) in
+let encode_table k (t : Model.Game_io.table) =
   let buf = Buffer.create 256 in
-  header buf Game;
-  add_u8 buf (backend_byte k);
-  add_u32 buf n;
-  add_u32 buf m;
-  for i = 0 to n - 1 do
-    add_rational buf (Model.Game.weight g i)
-  done;
-  (match k with
-   | Model.Uncertainty.Participation ->
-     for i = 0 to n - 1 do
-       add_rational buf (Model.Uncertainty.presence (Model.Game.uncertainty g i))
-     done
-   | _ -> ());
-  (match k with
-   | Model.Uncertainty.Strict ->
-     for i = 0 to n - 1 do
-       add_strict_row buf m (Model.Game.uncertainty g i)
-     done
-   | _ ->
-     for i = 0 to n - 1 do
-       let row = Model.Game.capacity_row g i in
-       for l = 0 to m - 1 do
-         add_rational buf row.(l)
-       done
-     done);
+  header buf k;
+  add_u8 buf (backend_byte (Model.Game_io.table_kind t));
+  add_u32 buf (Array.length t.weights);
+  add_u32 buf (Model.Game_io.table_links t);
+  Option.iter (Array.iter (add_u32 buf)) t.counts;
+  Array.iter (add_rational buf) t.weights;
+  Option.iter (Array.iter (add_rational buf)) t.presence;
+  Array.iter (Array.iter (add_rational buf)) (Model.Game_io.table_rows t);
   Buffer.contents buf
 
-let decode_game s =
-  let d, _ = open_dec ~expect:Game s in
+let decode_table k s build =
+  let d, _ = open_dec ~expect:k s in
   let bpos = d.pos in
   let backend = u8 d in
   if backend > 2 then fail_at bpos (Printf.sprintf "unknown backend byte %d" backend);
-  let n = checked_count d "user" (u32 d) in
+  let n = checked_count d (if k = Cgame then "class" else "user") (u32 d) in
   let m = checked_count d "link" (u32 d) in
+  let counts = if k = Cgame then Some (read_array n (fun _ -> u32 d)) else None in
   let weights = read_array n (fun _ -> dec_rational d) in
   let presence = if backend = 1 then Some (read_array n (fun _ -> dec_rational d)) else None in
-  let g =
-    if backend = 2 then begin
-      let uncertainty = read_array n (fun _ -> dec_strict_row d m) in
-      wrap_make (fun () -> Model.Game.make_uncertain ~weights ~uncertainty)
-    end
-    else begin
-      let rows = read_array n (fun _ -> read_array m (fun _ -> dec_rational d)) in
-      match presence with
-      | None -> wrap_make (fun () -> Model.Game.of_capacities ~weights rows)
-      | Some probs ->
-        let uncertainty = participation_uncertainty probs rows in
-        wrap_make (fun () -> Model.Game.make_uncertain ~weights ~uncertainty)
-    end
-  in
-  finish d g
+  let width = if backend = 2 then 2 * m else m in
+  let rows = read_array n (fun _ -> read_array width (fun _ -> dec_rational d)) in
+  let rows = if backend = 2 then Model.Game_io.Intervals rows else Model.Game_io.Capacities rows in
+  finish d (build ~prefix:(fun _ -> "Wire: ") { Model.Game_io.counts; weights; presence; rows })
 
-let encode_cgame g =
-  let k = Model.Cgame.classes g and m = Model.Cgame.links g in
-  let kind = uniform_kind ~what:"Wire.encode_cgame" k (Model.Cgame.uncertainty g) in
-  let buf = Buffer.create 256 in
-  header buf Cgame;
-  add_u8 buf (backend_byte kind);
-  add_u32 buf k;
-  add_u32 buf m;
-  for c = 0 to k - 1 do
-    add_u32 buf (Model.Cgame.count g c)
-  done;
-  for c = 0 to k - 1 do
-    add_rational buf (Model.Cgame.weight g c)
-  done;
-  (match kind with
-   | Model.Uncertainty.Participation ->
-     for c = 0 to k - 1 do
-       add_rational buf (Model.Uncertainty.presence (Model.Cgame.uncertainty g c))
-     done
-   | _ -> ());
-  (match kind with
-   | Model.Uncertainty.Strict ->
-     for c = 0 to k - 1 do
-       add_strict_row buf m (Model.Cgame.uncertainty g c)
-     done
-   | _ ->
-     for c = 0 to k - 1 do
-       let row = Model.Cgame.capacity_row g c in
-       for l = 0 to m - 1 do
-         add_rational buf row.(l)
-       done
-     done);
-  Buffer.contents buf
-
-let decode_cgame s =
-  let d, _ = open_dec ~expect:Cgame s in
-  let bpos = d.pos in
-  let backend = u8 d in
-  if backend > 2 then fail_at bpos (Printf.sprintf "unknown backend byte %d" backend);
-  let k = checked_count d "class" (u32 d) in
-  let m = checked_count d "link" (u32 d) in
-  let counts = read_array k (fun _ -> u32 d) in
-  let weights = read_array k (fun _ -> dec_rational d) in
-  let presence = if backend = 1 then Some (read_array k (fun _ -> dec_rational d)) else None in
-  let g =
-    if backend = 2 then begin
-      let uncertainty = read_array k (fun _ -> dec_strict_row d m) in
-      wrap_make (fun () -> Model.Cgame.make_uncertain ~counts ~weights ~uncertainty)
-    end
-    else begin
-      let rows = read_array k (fun _ -> read_array m (fun _ -> dec_rational d)) in
-      match presence with
-      | None -> wrap_make (fun () -> Model.Cgame.of_capacities ~counts ~weights rows)
-      | Some probs ->
-        let uncertainty = participation_uncertainty probs rows in
-        wrap_make (fun () -> Model.Cgame.make_uncertain ~counts ~weights ~uncertainty)
-    end
-  in
-  finish d g
+let encode_game g = encode_table Game (Model.Game_io.table_of_game ~what:"Wire.encode_game" g)
+let decode_game s = decode_table Game s Model.Game_io.game_of_table
+let encode_cgame g = encode_table Cgame (Model.Game_io.table_of_cgame ~what:"Wire.encode_cgame" g)
+let decode_cgame s = decode_table Cgame s Model.Game_io.cgame_of_table
 
 (* ------------------------------------------------------------------ *)
 (* Mutation logs                                                       *)

@@ -12,18 +12,23 @@
     lossless: decoding an encoded value is the identity, and
     re-encoding a decoded payload reproduces the input bytes.
 
-    Like the text writers, the game encoders store the reduced
-    effective-capacity form (plus the presence line's worth of data
-    under participation, interval endpoints under strict) — faithful to
-    every latency, and byte-stable under round-trips through the text
-    parser.  Games mixing uncertainty backends across users have no
-    wire form.
+    Both game kinds encode {!Model.Game_io}'s reduced-form
+    {!Model.Game_io.table}, the one the text writers print: a
+    backend byte, the entry and link counts, class counts (class games
+    only — a per-user game is the count-less case), weights, presence
+    probabilities (participation only), then one row per entry — the
+    effective capacities, or [lo hi] pairs under strict.  That form is
+    faithful to every latency and byte-stable under round-trips through
+    the text parser.  Games mixing uncertainty backends across users
+    have no wire form.
 
     Decoders validate eagerly and raise [Invalid_argument] with
     offset-numbered messages in {!Model.Game_io}'s style:
     ["Wire: offset <n>: ..."] — truncated input, bad magic, unsupported
     version, unknown or mismatched payload kind, malformed integers,
-    and trailing bytes are all pinned errors. *)
+    non-canonical rationals (not in lowest terms, or zero other than
+    [0/1]) and trailing bytes are all pinned errors.  Rejected tables
+    raise ["Wire: <reason>"] from the shared game construction. *)
 
 type kind = Game | Cgame | Log
 

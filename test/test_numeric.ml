@@ -150,6 +150,18 @@ let test_rational_of_string () =
   Alcotest.check check_q "bare decimal" (q 1 4) (Rational.of_string ".25");
   Alcotest.check check_q "trim" (q 1 2) (Rational.of_string " 1/2 ")
 
+(* A zero denominator in text is malformed input (Invalid_argument, which
+   every text reader turns into a "bad number" error); [make] keeps
+   Division_by_zero for programmer errors. *)
+let test_rational_of_string_zero_den () =
+  List.iter
+    (fun s ->
+      Alcotest.check_raises s (Invalid_argument (Printf.sprintf "Rational.of_string: %S" s))
+        (fun () -> ignore (Rational.of_string s)))
+    [ "1/0"; "1/-0"; "0/0"; "-3/00" ];
+  Alcotest.check_raises "make" Division_by_zero (fun () ->
+      ignore (Rational.make Bigint.one Bigint.zero))
+
 let test_rational_float () =
   Alcotest.(check (float 1e-12)) "to_float" 0.75 (Rational.to_float (q 3 4));
   Alcotest.check check_q "of_float exact" (q 3 4) (Rational.of_float_dyadic 0.75);
@@ -770,6 +782,7 @@ let suite =
     ("rational compare", `Quick, test_rational_compare);
     ("rational floor/ceil", `Quick, test_rational_floor_ceil);
     ("rational of_string", `Quick, test_rational_of_string);
+    ("rational of_string zero denominator", `Quick, test_rational_of_string_zero_den);
     ("rational float conversions", `Quick, test_rational_float);
     ("rational decimal rendering", `Quick, test_rational_decimal);
     ("qvec operations", `Quick, test_qvec);

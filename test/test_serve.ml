@@ -79,18 +79,22 @@ let is_class_text text =
   String.split_on_char '\n' text
   |> List.exists (fun l -> String.length l >= 6 && String.sub l 0 6 = "class ")
 
+(* "../games" under dune runtest (cwd is _build/default/test), "games"
+   under a bare dune exec from the project root. *)
+let games_dir () = if Sys.file_exists "../games" then "../games" else "games"
+
+(* The shipped game files and mutation log, sorted. *)
+let shipped_files () =
+  Sys.readdir (games_dir ()) |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".game" || Filename.check_suffix f ".mutlog")
+  |> List.sort compare (* lint: allow R1 — sorting file names *)
+
 (* Every shipped game file must survive text -> value -> bytes -> value
    -> bytes with the text writer agreeing at both ends and the second
    encoding byte-identical to the first. *)
 let test_wire_game_files () =
-  (* "../games" under dune runtest (cwd is _build/default/test),
-     "games" under a bare dune exec from the project root. *)
-  let dir = if Sys.file_exists "../games" then "../games" else "games" in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".game")
-    |> List.sort compare (* lint: allow R1 — sorting file names *)
-  in
+  let dir = games_dir () in
+  let files = List.filter (fun f -> Filename.check_suffix f ".game") (shipped_files ()) in
   Alcotest.(check bool) "found shipped game files" true (List.length files >= 5);
   List.iter
     (fun f ->
@@ -119,6 +123,7 @@ let test_wire_game_files () =
 
 let test_wire_cgame_roundtrip () =
   let rng = Prng.Rng.create 77 in
+  let all = Buffer.create 65536 in
   for trial = 1 to 200 do
     let g = random_cgame rng in
     let bytes = Wire.encode_cgame g in
@@ -126,8 +131,13 @@ let test_wire_cgame_roundtrip () =
     if Game_io.to_class_string g <> Game_io.to_class_string g' then
       Alcotest.failf "trial %d: class text diverged after wire round-trip" trial;
     if Wire.encode_cgame g' <> bytes then
-      Alcotest.failf "trial %d: re-encoding is not byte-identical" trial
-  done
+      Alcotest.failf "trial %d: re-encoding is not byte-identical" trial;
+    Buffer.add_string all (Game_io.to_class_string g);
+    Buffer.add_string all bytes
+  done;
+  (* All three backends in both formats, against a fixed digest. *)
+  Alcotest.(check string) "golden digest of 200 class games" "fa86ffe93e92ac719bea444cc296c680"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
 
 (* A log mixing every mutation kind, including a rational whose
    magnitude needs the multi-byte bigint path. *)
@@ -164,10 +174,174 @@ let test_wire_log_roundtrip () =
     (Mutation.render (Mutation.parse (Mutation.render log)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden pins and codec fuzz                                          *)
+
+(* Digests of every writer's and encoder's output on the shipped files.
+   The round-trip tests compare each codec with itself; fixed digests
+   also catch a format shift made in both directions at once. *)
+let golden =
+  [
+    ("participation.game", "to_string", "e1e9294622c34d9cc688957b56f328b5");
+    ("participation.game", "to_generative_string", "f31b5f8e5c4045f116718ee1aa543ac6");
+    ("participation.game", "encode_game", "50f110535c6150c4df604076aad705e1");
+    ("quickstart.game", "to_string", "2d77dc0aed998bb7273c2bda62c0ca1a");
+    ("quickstart.game", "to_generative_string", "5844c0feee215e3be60b9586d490d87c");
+    ("quickstart.game", "encode_game", "3e04d1fc9a539d085dd64830728c3de5");
+    ("stream.game", "to_class_string", "7afc1eff2cb2d3283f05ede8a747fb7a");
+    ("stream.game", "encode_cgame", "de30263d08d2a506a8badeb3a42f0b3c");
+    ("stream.mutlog", "render", "ae6887ca0192b7966bd35ae98e1bd8a2");
+    ("stream.mutlog", "encode_log", "776cb592586163ab44b6195dd1f1f2d7");
+    ("strict.game", "to_string", "3a530b82576b9f0d777d0487c0850bc5");
+    ("strict.game", "to_generative_string", "3a530b82576b9f0d777d0487c0850bc5");
+    ("strict.game", "encode_game", "60b26a4b563284516081a83b22a492e9");
+    ("uniform.game", "to_string", "911bf852035cbb8def79aa08743bc950");
+    ("uniform.game", "to_generative_string", "f5816946c9a691976f06f4ad01b42cc3");
+    ("uniform.game", "encode_game", "6f2d14dcb75358bbfab1f0a3bdf42e18");
+    ("witness.game", "to_string", "bf19266893a21d9d39a98c6a525c582b");
+    ("witness.game", "to_generative_string", "da74be99bc52af5d7ba2f60f511d5647");
+    ("witness.game", "encode_game", "3889cd288ef9a4c57ffa73106e304749");
+  ]
+
+let writer_outputs f text =
+  if Filename.check_suffix f ".mutlog" then
+    let log = Mutation.parse text in
+    [ ("render", Mutation.render log); ("encode_log", Wire.encode_log log) ]
+  else if is_class_text text then
+    let g = Game_io.parse_cgame text in
+    [ ("to_class_string", Game_io.to_class_string g); ("encode_cgame", Wire.encode_cgame g) ]
+  else
+    let g = Game_io.parse text in
+    [
+      ("to_string", Game_io.to_string g);
+      ("to_generative_string", Game_io.to_generative_string g);
+      ("encode_game", Wire.encode_game g);
+    ]
+
+let test_golden_digests () =
+  List.iter
+    (fun f ->
+      let outputs = writer_outputs f (read_file (Filename.concat (games_dir ()) f)) in
+      List.iter
+        (fun (writer, out) ->
+          match List.find_opt (fun (f', w, _) -> f' = f && w = writer) golden with
+          | None -> Alcotest.failf "%s: no golden digest for %s" f writer
+          | Some (_, _, hex) ->
+            Alcotest.(check string) (f ^ " " ^ writer) hex (Digest.to_hex (Digest.string out)))
+        outputs)
+    (shipped_files ())
+
+let fuzz_tokens =
+  [|
+    "1/0"; "1/-0"; "0/0"; "-1"; "0"; "0x10"; "2/4"; "1.5"; "x"; "#"; ""; "1e3"; "a:"; "1,";
+    "99999999999999999999999"; "links"; "weights"; "state"; "belief"; "capacities"; "class";
+    "presence"; "uncertainty"; "interval"; "bayesian"; "participation"; "strict"; "batch";
+    "arrive"; "depart"; "reweight"; "capacity";
+  |]
+
+(* One to four edits: drop a line, copy one line over another, or
+   replace a word with a token from [fuzz_tokens]. *)
+let mutate_text rng text =
+  let lines =
+    Array.of_list
+      (List.map
+         (fun l -> Array.of_list (String.split_on_char ' ' l))
+         (String.split_on_char '\n' text))
+  in
+  let pick a = a.(Prng.Rng.int rng (Array.length a)) in
+  for _ = 0 to Prng.Rng.int rng 4 do
+    let i = Prng.Rng.int rng (Array.length lines) in
+    match Prng.Rng.int rng 4 with
+    | 0 -> lines.(i) <- [||]
+    | 1 -> lines.(i) <- pick lines
+    | _ ->
+      let words = Array.copy lines.(i) in
+      if Array.length words > 0 then words.(Prng.Rng.int rng (Array.length words)) <- pick fuzz_tokens;
+      lines.(i) <- words
+  done;
+  String.concat "\n" (Array.to_list (Array.map (fun w -> String.concat " " (Array.to_list w)) lines))
+
+(* Flip bits or bytes, or truncate. *)
+let mutate_bytes rng s =
+  let n = String.length s in
+  if Prng.Rng.int rng 5 = 0 then String.sub s 0 (Prng.Rng.int rng n)
+  else begin
+    let b = Bytes.of_string s in
+    for _ = 0 to Prng.Rng.int rng 2 do
+      let i = Prng.Rng.int rng n in
+      let c = if Prng.Rng.bool rng then Char.code s.[i] lxor (1 lsl Prng.Rng.int rng 8) else Prng.Rng.int rng 256 in
+      Bytes.set b i (Char.chr c)
+    done;
+    Bytes.to_string b
+  end
+
+(* [Some v] on success, [None] on an [Invalid_argument] carrying
+   [prefix]; anything else fails the test. *)
+let decode_or_reject ~prefix input f =
+  match f input with
+  | v -> Some v
+  | exception Invalid_argument msg when String.starts_with ~prefix msg -> None
+  | exception e -> Alcotest.failf "%S raised %s" input (Printexc.to_string e)
+
+let wire_reencode s =
+  match Wire.peek_kind s with
+  | Wire.Game -> Wire.encode_game (Wire.decode_game s)
+  | Wire.Cgame -> Wire.encode_cgame (Wire.decode_cgame s)
+  | Wire.Log -> Wire.encode_log (Wire.decode_log s)
+
+(* How file [f]'s form is read: the reader's error prefix, and a decoder
+   returning the text rendering and the wire bytes of what it read. *)
+let text_codec f text =
+  if Filename.check_suffix f ".mutlog" then
+    ( "Mutation: ",
+      fun t ->
+        let log = Mutation.parse t in
+        (Mutation.render log, Wire.encode_log log) )
+  else if is_class_text text then
+    ( "Game_io: ",
+      fun t ->
+        let g = Game_io.parse_cgame t in
+        (Game_io.to_class_string g, Wire.encode_cgame g) )
+  else
+    ( "Game_io: ",
+      fun t ->
+        let g = Game_io.parse t in
+        (Game_io.to_string g, Wire.encode_game g) )
+
+(* A decoded text input re-renders stably and its wire form round-trips
+   byte-exactly; a decoded wire input re-encodes to the input bytes. *)
+let test_codec_fuzz () =
+  let rng = Prng.Rng.create 9 in
+  List.iter
+    (fun f ->
+      let text = read_file (Filename.concat (games_dir ()) f) in
+      let prefix, codec = text_codec f text in
+      for _ = 1 to 5000 do
+        decode_or_reject ~prefix (mutate_text rng text) codec
+        |> Option.iter (fun (rendered, bytes) ->
+               if fst (codec rendered) <> rendered then
+                 Alcotest.failf "%s: re-render is not stable:\n%s" f rendered;
+               if wire_reencode bytes <> bytes then
+                 Alcotest.failf "%s: text-decoded wire form does not round-trip" f)
+      done;
+      let bytes = snd (codec text) in
+      for _ = 1 to 5000 do
+        let input = mutate_bytes rng bytes in
+        decode_or_reject ~prefix:"Wire: " input wire_reencode
+        |> Option.iter (fun out ->
+               if out <> input then Alcotest.failf "%s: re-encoding is not byte-identical" f)
+      done)
+    (shipped_files ())
+
+(* ------------------------------------------------------------------ *)
 (* Wire error pins                                                     *)
 
 let raises_invalid msg f =
   Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+
+(* Hand-built log payloads: header (7 bytes) + u32 batch count + u32
+   mutation count puts the first opcode at offset 15. *)
+let log_payload body =
+  "SRWF\001\000\005" ^ "\001\000\000\000" ^ "\001\000\000\000" ^ body
 
 let test_wire_errors () =
   raises_invalid "Wire: offset 0: truncated input (expected 4-byte magic)" (fun () ->
@@ -198,12 +372,16 @@ let test_wire_errors () =
      before any allocation. *)
   raises_invalid "Wire: offset 12: user count 16777216 exceeds remaining payload" (fun () ->
       Wire.decode_game "SRWF\001\000\001\000\000\000\000\001");
+  (* A rational is canonical (lowest terms, zero as 0/1), so decoding
+     never normalises what re-encoding would change: reweight to 2/4
+     and to 0/5, the weight starting at offset 20. *)
+  raises_invalid "Wire: offset 20: non-canonical rational" (fun () ->
+      Wire.decode_log
+        (log_payload "\002\000\000\000\000\000\001\000\000\000\002\000\001\000\000\000\004"));
+  raises_invalid "Wire: offset 20: non-canonical rational" (fun () ->
+      Wire.decode_log
+        (log_payload "\002\000\000\000\000\000\000\000\000\000\000\001\000\000\000\005"));
   ()
-
-(* Hand-built log payloads: header (7 bytes) + u32 batch count + u32
-   mutation count puts the first opcode at offset 15. *)
-let log_payload body =
-  "SRWF\001\000\005" ^ "\001\000\000\000" ^ "\001\000\000\000" ^ body
 
 let test_wire_bigint_errors () =
   raises_invalid "Wire: offset 15: unknown mutation opcode 9" (fun () ->
@@ -660,6 +838,8 @@ let () =
           Alcotest.test_case "header and framing errors" `Quick test_wire_errors;
           Alcotest.test_case "integer and payload errors" `Quick test_wire_bigint_errors;
           Alcotest.test_case "Game_io rejects wire payloads" `Quick test_game_io_rejects_wire;
+          Alcotest.test_case "golden digests of every writer" `Quick test_golden_digests;
+          Alcotest.test_case "codec fuzz: decode or a prefixed error" `Quick test_codec_fuzz;
         ] );
       ( "mutation",
         [
