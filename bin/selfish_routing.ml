@@ -484,11 +484,14 @@ let run_serve game_file log_file (_deprecated_domains : int) max_moves =
   let log = input_guard load_log log_file in
   Printf.printf "class game: %d classes, %d users, %d links; %d mutation batches\n"
     (Cgame.classes g) (Cgame.users g) (Cgame.links g) (List.length log);
-  let o = Algo.Cbr.converge ~max_steps:max_moves g (Algo.Cbr.proportional_start g) in
-  if not o.converged then
+  (* Solve on the serving cursor itself: the converged scan certifies
+     it, so the first batch need not re-prove the equilibrium. *)
+  let v = Cview.of_profile g (Algo.Cbr.proportional_start g) in
+  let steps, users_moved, converged = Algo.Cbr.converge_in_place ~max_steps:max_moves v in
+  if not converged then
     fail_input (Printf.sprintf "initial solve did not converge within --max-moves %d" max_moves);
-  Printf.printf "initial equilibrium: %d block moves, %d users moved\n" o.steps o.users_moved;
-  let v = Cview.of_profile g o.profile in
+  Printf.printf "initial equilibrium: %d block moves, %d users moved\n" steps users_moved;
+  Cview.clear_history v;
   List.iteri
     (fun idx batch ->
       let r =

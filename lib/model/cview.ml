@@ -24,7 +24,12 @@ open Numeric
    The first [social_cost1] builds A and B; from then on count changes
    only mark their (class, link) pair — no rational work on the move
    path — and the next query folds the marked pairs in.  Capacity and
-   bias changes refold the class's terms around the change. *)
+   bias changes refold the class's terms around the change.
+
+   [certified] is a Nash certificate: set by a clean exact scan or by
+   [certify], cleared by every state change (a move, an undo, a
+   structural delta), so a caller that proved equilibrium by other
+   means need not scan again. *)
 
 (* Undo record for one structural delta.  [restore = Some lane] marks
    a delta that spilled the packed lane; reverting it reinstates the
@@ -63,6 +68,7 @@ type t = {
   mutable nrev : int; (* structural deltas currently applied *)
   mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
   mutable sc1 : sc1 option; (* built by the first [social_cost1] *)
+  mutable certified : bool; (* proven Nash since the last state change *)
 }
 
 let game v = v.game
@@ -107,6 +113,7 @@ let of_profile g ?initial x =
     nrev = 0;
     owner = Parallel.Ownership.record ();
     sc1 = None;
+    certified = false;
   }
 
 let assigned v c l = v.assign.(c).(l)
@@ -120,6 +127,7 @@ let revised v = v.nrev > 0
 let load v l = Packing.load v.lane l
 let loads v = Array.init (links v) (load v)
 let depth v = v.depth
+let certified v = v.certified
 
 (* Queue pair (c, l) for the next SC1 fold once the aggregates exist. *)
 let mark v c l =
@@ -160,6 +168,7 @@ let refolding v c f =
 (* Unrecorded block reassignment shared by [move] and [undo]: one
    exact multiplication and two load updates, whatever [count] is. *)
 let shift v cls src dst count =
+  v.certified <- false;
   if count > 0 && src <> dst then begin
     Packing.shift v.lane v.rows cls ~src ~dst count;
     v.assign.(cls).(src) <- v.assign.(cls).(src) - count;
@@ -197,6 +206,7 @@ let relane v lane =
   if lane == old then None else Some old
 
 let push_structural v d =
+  v.certified <- false;
   push v (-1) 0;
   v.shist <- d :: v.shist;
   v.nrev <- v.nrev + 1
@@ -250,6 +260,7 @@ let undo_structural v =
   match v.shist with
   | [] -> assert false (* sentinel in hist implies a side-stack entry *)
   | d :: rest ->
+    v.certified <- false;
     v.shist <- rest;
     v.nrev <- v.nrev - 1;
     let revert_lane restore revert =
@@ -308,14 +319,26 @@ let first_defecting_pair v =
   and over_classes c = if c >= k then None else over_links c 0 in
   over_classes 0
 
+(* The scan is exact, so a clean one certifies the cursor; [is_nash]
+   never reads the bit. *)
+let scan v =
+  Parallel.Ownership.guard "Cview cursor" v.owner;
+  let r = first_defecting_pair v in
+  if Option.is_none r then v.certified <- true;
+  r
+
 (* A pair defects iff its best response strictly beats staying put, so
    that best response (lowest index among the minimisers) is the move. *)
 let first_defector v =
-  Option.map
-    (fun (c, l) -> (c, l, fst (best_response_for v ~cls:c ~src:l)))
-    (first_defecting_pair v)
+  Option.map (fun (c, l) -> (c, l, fst (best_response_for v ~cls:c ~src:l))) (scan v)
 
-let is_nash v = Option.is_none (first_defecting_pair v)
+let is_nash v = Option.is_none (scan v)
+
+let certify v =
+  Parallel.Ownership.guard "Cview cursor" v.owner;
+  if !Sanitize.enabled && not (is_nash v) then
+    Sanitize.fail "Cview.certify: the profile is not a Nash equilibrium";
+  v.certified <- true
 
 (* The j-th sequential mover (j ≥ 1) improves iff
      (load_dst + (j-1)·t + w + β)·/c_dst < (load_src - (j-1)·t + β)/c_src

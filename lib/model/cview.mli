@@ -58,9 +58,10 @@ val assigned : t -> int -> int -> int
 val profile : t -> Cgame.profile
 
 (** [owner v] is the creating domain's id as recorded for the
-    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); the mutators
-    and {!social_cost1} raise {!Parallel.Ownership.Violation} under the
-    sanitizer when called from another domain. *)
+    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); the mutators,
+    {!first_defector}, {!is_nash}, {!certify} and {!social_cost1} raise
+    {!Parallel.Ownership.Violation} under the sanitizer when called
+    from another domain. *)
 val owner : t -> int
 
 (** [unsafe_set_owner v id] rewrites the recorded owner.  Test-only
@@ -180,12 +181,32 @@ val improves : t -> cls:int -> src:int -> int -> bool
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
     first-defector policy would pick on the expanded profile.
-    [None] at a Nash equilibrium.  O(k·m²). *)
+    [None] at a Nash equilibrium, which also sets {!certified}.
+    O(k·m²).  Guarded like a mutator ({!owner}). *)
 val first_defector : t -> (int * int * int) option
 
 (** [is_nash v] holds when no user of any class can strictly improve by
-    switching links.  O(k·m²) — independent of the population size. *)
+    switching links.  O(k·m²) — independent of the population size.
+    Always the exact scan: it never reads {!certified}, and a [true]
+    verdict sets it.  Guarded like a mutator ({!owner}). *)
 val is_nash : t -> bool
+
+(** [certified v] holds when the current profile is proven Nash: an
+    exact scan found no defector ({!is_nash} returned [true],
+    {!first_defector} returned [None]), or {!certify} was called, and
+    the state has not changed since.  {!of_profile} starts uncertified;
+    every {!move}, {!undo} and structural delta clears the bit, and
+    {!clear_history} keeps it.  O(1). *)
+val certified : t -> bool
+
+(** [certify v] sets {!certified} on the caller's word that the
+    profile is Nash, e.g. after a restricted scan that is a proof (see
+    [Serve.Repair]).  Under [SELFISH_SANITIZE] ({!Numeric.Sanitize})
+    it runs the exact {!is_nash} first, so the claim is tested rather
+    than trusted.  Guarded like a mutator ({!owner}).
+    @raise Numeric.Sanitize.Violation under the sanitizer when the
+    profile is not Nash. *)
+val certify : t -> unit
 
 (** [max_improving_block v ~cls ~src ~dst] is the largest [t] such that
     moving [t] class-[cls] users from [src] to [dst] one at a time is a

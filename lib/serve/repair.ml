@@ -43,7 +43,7 @@ let find_candidate v touched dirty =
   in
   classes 0
 
-let repair ~max_steps v batch =
+let repair ~max_steps ~certified v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
   let touched = Array.make m false and dirty = Array.make k false in
@@ -96,10 +96,12 @@ let repair ~max_steps v batch =
       epochs ()
   in
   epochs ();
-  (* A clean scan proves Nash only from an equilibrium start; otherwise
-     Cbr's loop finishes the job on this cursor with what is left of
-     the budget. *)
-  let fallback = not (Cview.is_nash v) in
+  (* A clean scan proves Nash from a certified start, so the cursor is
+     re-certified without a scan.  From any other start the exact scan
+     decides, and Cbr's loop finishes the job on this cursor with what
+     is left of the budget. *)
+  let fallback = (not certified) && not (Cview.is_nash v) in
+  if certified then Cview.certify v;
   if fallback then begin
     let steps, users, converged =
       Algo.Cbr.converge_in_place ~max_steps:(max_steps - !moves) v
@@ -122,14 +124,16 @@ let repair ~max_steps v batch =
 
 (* Every mutation and move goes through the view's undo history, so a
    failure anywhere in the batch unwinds to the entry depth and the
-   view is exactly as it was before the batch. *)
+   view is exactly as it was before the batch — certificate included,
+   since the restored state is the one that was certified. *)
 let repair_batch ?(max_steps = 1_000_000) v batch =
   if max_steps <= 0 then invalid_arg "Repair.repair_batch: max_steps must be positive";
-  let base = Cview.depth v in
-  try repair ~max_steps v batch
+  let base = Cview.depth v and certified = Cview.certified v in
+  try repair ~max_steps ~certified v batch
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     while Cview.depth v > base do
       Cview.undo v
     done;
+    if certified then Cview.certify v;
     Printexc.raise_with_backtrace e bt

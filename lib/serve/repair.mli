@@ -33,15 +33,21 @@
     - {b One budget.}  [max_steps] bounds the block moves of the whole
       batch, restricted scan and fallback together; the fallback gets
       what the scan left.
-    - {b Verification.}  Every return passes the exact
-      {!Model.Cview.is_nash}; a repair that cannot reach equilibrium
-      rolls the batch back and raises instead of returning.
+    - {b Verification.}  Every return is a proven equilibrium, and
+      the cursor leaves {!Model.Cview.certified}.  A batch that began
+      on a certified cursor needs no further proof: from an
+      equilibrium start the restricted scan is sound, so its clean
+      finish {e is} the proof, and the repair calls
+      {!Model.Cview.certify} instead of scanning again (under
+      [SELFISH_SANITIZE] [certify] still runs the exact scan and
+      raises on a disagreement).  A batch that began uncertified ends
+      in the exact {!Model.Cview.is_nash}.  A repair that cannot reach
+      equilibrium rolls the batch back, certificate included, and
+      raises instead of returning.
 
-    Starting from a genuine equilibrium the restricted scan is sound —
-    a clean scan implies Nash — and the final [is_nash] doubles as the
-    CI-gated verdict.  From an arbitrary (non-Nash) start the scan may
-    terminate early; the verification then routes into the fallback,
-    so the result is an equilibrium regardless.
+    From an arbitrary (non-Nash) start the scan may terminate early;
+    such a start is never certified, so the exact verification routes
+    into the fallback and the result is an equilibrium regardless.
 
     This is the only repair driver.  A per-user game is served as its
     class game ({!Model.Cgame.compress}): users differ only by weight
@@ -54,14 +60,18 @@ type outcome = {
   seeded_links : int;  (** links touched by the batch itself *)
   frontier_links : int;  (** touched links when the scan finished *)
   fallback : bool;  (** full re-solve fallback was taken *)
-  nash : bool;  (** exact final verdict; [true] on every return *)
+  nash : bool;
+      (** the batch ended at a proven equilibrium — by the certified
+          scan or the exact {!Model.Cview.is_nash}; [true] on every
+          return *)
 }
 
 (** [repair_batch ?max_steps v batch] applies [batch] to [v] (via
     {!Mutation.apply}, in order) and repairs equilibrium as described
     above.  The batch is atomic: when it raises, every mutation and
-    move it made has been undone, so [v]'s profile, loads, lane and
-    undo depth are exactly those before the call.
+    move it made has been undone, so [v]'s profile, loads, lane, undo
+    depth and {!Model.Cview.certified} are exactly those before the
+    call.
     @raise Invalid_argument when a mutation is rejected,
     [max_steps <= 0] (default [1_000_000]), or the batch needs more
     than [max_steps] block moves in all. *)

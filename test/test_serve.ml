@@ -7,8 +7,9 @@
    of randomized mutation sequences must leave the live Cview cursor
    bit-identical to a fresh cursor re-materialised through
    to_cgame/of_profile, undo-all must restore the original state (fast
-   lane included), and every repaired profile must pass the exact
-   is_nash that a full re-solve passes. *)
+   lane included), every repaired profile must pass the exact is_nash
+   that a full re-solve passes, and a cursor's Nash certificate must
+   never outlive its equilibrium. *)
 
 open Model
 open Numeric
@@ -608,6 +609,115 @@ let test_repair_differential () =
       Alcotest.failf "trial %d: re-solve verdict diverged" trial
   done
 
+(* The exact verdict on a fresh cursor over the live state: never reads
+   or sets [v]'s certificate. *)
+let fresh_is_nash v = Cview.is_nash (Cview.of_profile (Cview.to_cgame v) (Cview.profile v))
+
+(* A cursor that was solved in place, as [selfish_routing serve] does,
+   so it starts certified. *)
+let solved_cursor trial g =
+  let v = Cview.of_profile g (Algo.Cbr.proportional_start g) in
+  let _, _, converged = Algo.Cbr.converge_in_place ~max_steps:1_000_000 v in
+  if not converged then Alcotest.failf "trial %d: seed solve diverged" trial;
+  Cview.clear_history v;
+  v
+
+(* Many batches on one live cursor, so later batches begin certified and
+   skip the final exact scan.  A twin cursor replays every batch with
+   its certificate cleared first (a recorded no-op move), so it always
+   takes the exact-scan path: both must report the same outcome and
+   reach the same profile, and after every batch the test's own exact
+   scan must agree that the profile is Nash. *)
+let test_repair_multi_batch () =
+  let rng = Prng.Rng.create 1818 in
+  let batches = 24 and began_certified = ref 0 and total = ref 0 in
+  for trial = 1 to 150 do
+    let g = random_cgame rng in
+    let v = solved_cursor trial g in
+    let twin = Cview.of_profile g (Cview.profile v) in
+    for b = 1 to batches do
+      (* Generated on the twin, which is uncertified anyway. *)
+      let batch =
+        List.init (1 + Prng.Rng.int rng 4) (fun _ ->
+            let mu = random_mutation rng twin in
+            Mutation.apply twin mu;
+            mu)
+      in
+      while Cview.depth twin > 0 do
+        Cview.undo twin
+      done;
+      incr total;
+      if Cview.certified v then incr began_certified;
+      Cview.move twin ~cls:0 ~src:0 ~dst:0 ~count:0;
+      if Cview.certified twin then Alcotest.failf "trial %d: a move left the twin certified" trial;
+      let r = Repair.repair_batch v batch and r' = Repair.repair_batch twin batch in
+      if r <> r' then Alcotest.failf "trial %d batch %d: certified outcome differs" trial b;
+      if Cview.profile v <> Cview.profile twin then
+        Alcotest.failf "trial %d batch %d: certified profile differs" trial b;
+      if not (Cview.certified v && r.Repair.nash) then
+        Alcotest.failf "trial %d batch %d: repair did not end certified" trial b;
+      if not (fresh_is_nash v) then Alcotest.failf "trial %d batch %d: not Nash" trial b;
+      Cview.clear_history v;
+      Cview.clear_history twin
+    done
+  done;
+  if 10 * !began_certified < 9 * !total then
+    Alcotest.failf "only %d of %d batches began certified" !began_certified !total
+
+(* [certified v] implies [is_nash v] along random sequences of moves,
+   undos, mutations, repairs and history clears.  Repairs start from
+   both certified and arbitrary states, so the skip, the exact scan and
+   the fallback all run; a repair that runs out of budget rolls back. *)
+let test_certificate_property () =
+  let rng = Prng.Rng.create 2718 in
+  let steps = ref 0 and certified_steps = ref 0 in
+  for trial = 1 to 300 do
+    let v = solved_cursor trial (random_cgame rng) in
+    for _ = 1 to 40 do
+      (match Prng.Rng.int rng 6 with
+       | 0 -> random_move rng v
+       | 1 -> if Cview.depth v > 0 then Cview.undo v
+       | 2 -> Mutation.apply v (random_mutation rng v)
+       | 3 -> Cview.clear_history v
+       | _ -> (
+         let batch = List.init (Prng.Rng.int rng 3) (fun _ -> random_mutation rng v) in
+         match Repair.repair_batch ~max_steps:10_000 v batch with
+         | _ -> ()
+         | exception Invalid_argument _ -> ()));
+      incr steps;
+      if Cview.certified v then begin
+        incr certified_steps;
+        if not (fresh_is_nash v) then Alcotest.failf "trial %d: certified but not Nash" trial
+      end
+    done
+  done;
+  if 4 * !certified_steps < !steps then
+    Alcotest.failf "only %d of %d steps ended certified" !certified_steps !steps
+
+(* Under SELFISH_SANITIZE, [certify] re-proves its claim with the exact
+   scan and refuses a profile that is not Nash. *)
+let test_certify_sanitized () =
+  let g =
+    Cgame.kp ~counts:[| 4 |] ~weights:[| Rational.one |]
+      ~capacities:[| Rational.one; Rational.one |]
+  in
+  let v = Cview.of_profile g [| [| 4; 0 |] |] in
+  Alcotest.(check bool) "of_profile starts uncertified" false (Cview.certified v);
+  let saved = !Sanitize.enabled in
+  Sanitize.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Sanitize.enabled := saved)
+    (fun () ->
+      Alcotest.check_raises "certify of a non-Nash profile"
+        (Sanitize.Violation "SELFISH_SANITIZE: Cview.certify: the profile is not a Nash equilibrium")
+        (fun () -> Cview.certify v);
+      Alcotest.(check bool) "refused certificate stays unset" false (Cview.certified v);
+      Cview.move v ~cls:0 ~src:0 ~dst:1 ~count:2;
+      Cview.certify v;
+      Alcotest.(check bool) "Nash profile certifies" true (Cview.certified v);
+      Cview.clear_history v;
+      Alcotest.(check bool) "clear_history keeps the certificate" true (Cview.certified v))
+
 let test_repair_argument_errors () =
   let g =
     Cgame.kp ~counts:[| 4 |] ~weights:[| Rational.one |]
@@ -618,13 +728,14 @@ let test_repair_argument_errors () =
       Repair.repair_batch ~max_steps:0 v [])
 
 (* A batch that raises must leave the view exactly as it found it:
-   profile, loads, lane, undo depth, the materialised game and SC1
-   (queried first, so the batch runs on live aggregates). *)
+   profile, loads, lane, undo depth, Nash certificate, the materialised
+   game and SC1 (queried first, so the batch runs on live aggregates). *)
 let check_rolled_back v msg run =
   let profile = Cview.profile v and loads = Cview.loads v and packed = Cview.packed v in
   let depth = Cview.depth v and game = Wire.encode_cgame (Cview.to_cgame v) in
-  let sc1 = Cview.social_cost1 v in
+  let sc1 = Cview.social_cost1 v and certified = Cview.certified v in
   raises_invalid msg run;
+  Alcotest.(check bool) (msg ^ ": certificate rolled back") certified (Cview.certified v);
   Alcotest.check check_q (msg ^ ": SC1 rolled back") sc1 (Cview.social_cost1 v);
   check_sc1 msg v;
   if Cview.profile v <> profile then Alcotest.failf "%s: profile not rolled back" msg;
@@ -825,6 +936,12 @@ let test_mutation_apply_guards () =
           Mutation.apply v (Mutation.Arrive { cls = 0; link = 0; count = 1 }));
       Alcotest.check_raises "foreign-domain social_cost1 trips the sanitizer" expected (fun () ->
           ignore (Cview.social_cost1 v));
+      Alcotest.check_raises "foreign-domain is_nash trips the sanitizer" expected (fun () ->
+          ignore (Cview.is_nash v));
+      Alcotest.check_raises "foreign-domain first_defector trips the sanitizer" expected (fun () ->
+          ignore (Cview.first_defector v));
+      Alcotest.check_raises "foreign-domain certify trips the sanitizer" expected (fun () ->
+          Cview.certify v);
       Cview.unsafe_set_owner v (O.self_id ()))
 
 let () =
@@ -861,5 +978,8 @@ let () =
           Alcotest.test_case "fallback matches Cbr.converge" `Quick test_repair_fallback;
           Alcotest.test_case "mid-batch rejection rolls back" `Quick
             test_repair_mid_batch_rejection;
+          Alcotest.test_case "multi-batch certified vs exact path" `Slow test_repair_multi_batch;
+          Alcotest.test_case "certified implies Nash" `Slow test_certificate_property;
+          Alcotest.test_case "certify under the sanitizer" `Quick test_certify_sanitized;
         ] );
     ]
