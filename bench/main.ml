@@ -5,9 +5,9 @@
    or figures (theory venue), so each measurable claim — each algorithm
    theorem, the n = 3 result, Conjecture 3.7's simulations, the fully
    mixed equilibrium theorems and the price-of-anarchy bounds — gets a
-   table here.  A Bechamel timing section measures the polynomial-time
-   algorithms.  Seven artefact sections (numeric, engine, walk, mixed,
-   class, ignorance, serve) then record their measurements as rows of
+   table here; the scaling tables of E1–E3 and E8 time the
+   polynomial-time algorithms.  Seven artefact sections (numeric,
+   engine, walk, mixed, class, ignorance, serve) then record their measurements as rows of
    one file, BENCH.json, which bench/validate.py checks against its
    gate table.
 
@@ -637,92 +637,6 @@ let ablations () =
   Stats.Table.add_row t [ "alias method"; Report.flt a_us ];
   Stats.Table.add_row t [ "linear scan"; Report.flt l_us ];
   Stats.Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let bechamel_section () =
-  Report.heading "TIMING" "Bechamel micro-benchmarks (ns per call, OLS on monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let rng = Prng.Rng.create 118 in
-  let two_links n =
-    let g =
-      Generators.game rng ~n ~m:2 ~weights:(Generators.Integer_weights 6)
-        ~beliefs:(Generators.Private_point { cap_bound = 8 })
-    in
-    Test.make ~name:(Printf.sprintf "A_twolinks/n=%d" n) (Staged.stage (fun () -> Algo.Two_links.solve g))
-  in
-  let symmetric (n, m) =
-    let g =
-      Generators.game rng ~n ~m ~weights:Generators.Unit_weights
-        ~beliefs:(Generators.Private_point { cap_bound = 8 })
-    in
-    Test.make ~name:(Printf.sprintf "A_symmetric/n=%d,m=%d" n m)
-      (Staged.stage (fun () -> Algo.Symmetric.solve g))
-  in
-  let uniform (n, m) =
-    let g =
-      Generators.game rng ~n ~m ~weights:(Generators.Integer_weights 6)
-        ~beliefs:(Generators.Uniform_link_view { cap_bound = 6 })
-    in
-    Test.make ~name:(Printf.sprintf "A_uniform/n=%d,m=%d" n m)
-      (Staged.stage (fun () -> Algo.Uniform_beliefs.solve g))
-  in
-  let fmne (n, m) =
-    let g =
-      Generators.game rng ~n ~m ~weights:(Generators.Integer_weights 6)
-        ~beliefs:(Generators.Private_point { cap_bound = 8 })
-    in
-    Test.make ~name:(Printf.sprintf "fmne_candidate/n=%d,m=%d" n m)
-      (Staged.stage (fun () -> Algo.Fully_mixed.candidate g))
-  in
-  let enumerate (n, m) =
-    let g =
-      Generators.game rng ~n ~m ~weights:(Generators.Integer_weights 6)
-        ~beliefs:(Generators.Private_point { cap_bound = 8 })
-    in
-    Test.make ~name:(Printf.sprintf "enumerate_nash/n=%d,m=%d" n m)
-      (Staged.stage (fun () -> Algo.Enumerate.count g))
-  in
-  let rational_ops =
-    let a = Rational.of_ints 355 113 and b = Rational.of_ints 22 7 in
-    Test.make ~name:"rational/add+mul" (Staged.stage (fun () -> Rational.add (Rational.mul a b) a))
-  in
-  let bignat_ops =
-    let a = Bignat.of_string "123456789012345678901234567890" in
-    let b = Bignat.of_string "987654321098765432109" in
-    Test.make ~name:"bignat/divmod-30x7-limbs" (Staged.stage (fun () -> Bignat.divmod a b))
-  in
-  let tests =
-    Test.make_grouped ~name:"selfish_routing"
-      ([ rational_ops; bignat_ops ]
-      @ List.map two_links [ 4; 16; 64 ]
-      @ List.map symmetric [ (8, 3); (32, 3) ]
-      @ List.map uniform [ (16, 4); (256, 4) ]
-      @ List.map fmne [ (4, 3); (16, 8) ]
-      @ List.map enumerate [ (4, 3); (6, 3) ])
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let quota = if quick then 0.2 else 0.5 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table = Stats.Table.create [ "benchmark"; "ns/call" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> Printf.sprintf "%.0f" est
-        | _ -> "n/a"
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter (fun (name, ns) -> Stats.Table.add_row table [ name; ns ])
-    (List.sort compare !rows);
-  Stats.Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* The BENCH.json artefact                                             *)
@@ -1522,7 +1436,6 @@ let main () =
   e20 ();
   figures ();
   ablations ();
-  bechamel_section ();
   bench_numeric ();
   bench_engine ();
   bench_walk ();

@@ -1,73 +1,15 @@
 open Numeric
+open Population
 
-type t = {
-  counts : int array;
-  weights : Rational.t array;
-  uncertainty : Uncertainty.t array;
-  beliefs : Belief.t array; (* decision-equivalent beliefs (Uncertainty.belief) *)
-  capacities : Rational.t array array; (* capacities.(c).(l) = c^l of class c *)
-  contribs : Rational.t array; (* presence-discounted weight others meet *)
-  biases : Rational.t array; (* w_c - contribs.(c), own-latency surcharge *)
-  load_linear : bool;
-  users : int; (* Σ counts, overflow-checked at construction *)
-  total : Rational.t; (* Σ counts·w *)
-  packed : Packing.t option; (* native-int tables for the Cview fast lane *)
-}
-
+type t = Population.t
 type profile = int array array
-
-let checked_total_users counts =
-  Array.fold_left
-    (fun acc c ->
-      if c <= 0 then invalid_arg "Cgame.make: class counts must be positive";
-      if c > max_int - acc then invalid_arg "Cgame.make: total user count overflows a native int";
-      acc + c)
-    0 counts
 
 let make_uncertain ~counts ~weights ~uncertainty =
   let k = Array.length counts in
   if k = 0 then invalid_arg "Cgame.make: no classes";
   if Array.length weights <> k || Array.length uncertainty <> k then
     invalid_arg "Cgame.make: one count, weight and belief per class required";
-  Array.iter
-    (fun w -> if Rational.sign w <= 0 then invalid_arg "Cgame.make: traffics must be positive")
-    weights;
-  let m = Uncertainty.links uncertainty.(0) in
-  Array.iter
-    (fun u ->
-      if Uncertainty.links u <> m then invalid_arg "Cgame.make: beliefs disagree on link count")
-    uncertainty;
-  if m < 2 then invalid_arg "Cgame.make: at least two links required";
-  let users = checked_total_users counts in
-  let total = ref Rational.zero in
-  Array.iteri
-    (fun c n -> total := Rational.add !total (Rational.mul (Rational.of_int n) weights.(c)))
-    counts;
-  let capacities = Array.map Uncertainty.eval_capacities uncertainty in
-  (* Sharing the weight value for load-linear classes keeps every
-     Bayesian class game bit-identical to the pre-backend layout. *)
-  let contribs =
-    Array.map2
-      (fun u w -> if Uncertainty.is_load_linear u then w else Rational.mul (Uncertainty.load_factor u) w)
-      uncertainty weights
-  in
-  let biases = Array.map2 Rational.sub weights contribs in
-  let load_linear = Array.for_all Uncertainty.is_load_linear uncertainty in
-  {
-    counts = Array.copy counts;
-    weights = Array.copy weights;
-    uncertainty = Array.copy uncertainty;
-    beliefs = Array.map Uncertainty.belief uncertainty;
-    capacities;
-    contribs;
-    biases;
-    load_linear;
-    users;
-    total = !total;
-    (* The packed lane's products assume plain load/ĉ latencies, so
-       only load-linear class games get tables. *)
-    packed = (if load_linear then Packing.build ~mults:counts weights capacities else None);
-  }
+  Population.make "Cgame.make" ~counts ~weights ~uncertainty
 
 let make ~counts ~weights ~beliefs =
   make_uncertain ~counts ~weights ~uncertainty:(Array.map Uncertainty.bayesian beliefs)
@@ -127,6 +69,7 @@ let capacity_row g c =
 
 let total_traffic g = g.total
 let packed_tables g = g.packed
+let rows = Population.rows
 
 (* Group by (weight, effective capacity row, contribution), first-seen
    order — the observational identity of a user: two users with this

@@ -7,7 +7,8 @@
     [k] {e classes}, each with a user count (up to [10^6] and beyond),
     one weight and one belief, instead of [n] individual users, so the
     class-aware consumers ({!Cview}, [Algo.Cbr], [Serve.Repair]) run
-    in poly(k, m) with no dependence on [n].
+    in poly(k, m) with no dependence on [n].  A per-user {!Game.t} is
+    the same record with every count 1, built by the same constructor.
 
     A {e class profile} assigns per-class user counts to links:
     [x.(c).(l)] users of class [c] play link [l], with
@@ -33,7 +34,8 @@ val make : counts:int array -> weights:Numeric.Rational.t array -> beliefs:Belie
 (** [make_uncertain ~counts ~weights ~uncertainty] builds a class game
     from per-class uncertainty backends ({!Uncertainty}); {!make} is
     exactly this over {!Uncertainty.bayesian} wrappers, bit-identically.
-    Per-class contribution and bias mirror {!Game.make_uncertain}. *)
+    Per-class contribution and bias come from the same constructor as
+    {!Game.make_uncertain}'s. *)
 val make_uncertain :
   counts:int array -> weights:Numeric.Rational.t array -> uncertainty:Uncertainty.t array -> t
 
@@ -93,6 +95,10 @@ val total_traffic : t -> Numeric.Rational.t
     one row per class with count multiplicities), computed once at
     construction; [None] when any component exceeds the native range. *)
 val packed_tables : t -> Packing.t option
+
+(** [rows g] is the game's per-class tables, one row per class, sharing
+    the game's own arrays: read-only ({!Game.rows}). *)
+val rows : t -> Packing.rows
 
 (** [compress g] groups the users of a per-user game into classes of
     equal weight, equal effective-capacity row and equal contribution,

@@ -1,12 +1,12 @@
 open Numeric
 
-(* The cursor: current assignment counts, current loads (initial
-   traffic included), and a packed move history for [undo].  A history
-   entry is two ints — [(cls * m + src) * m + dst] and [count] — so
-   the stack is a flat int array that doubles on demand.  Structural
-   deltas (count / weight / capacity revisions) push a sentinel meta
-   [-1] paired with a variant on the [shist] side stack, so moves keep
-   their two-int cost and [undo] reverts both kinds in LIFO order.
+(* The cursor: current assignment counts, current loads, and a packed
+   move history for [undo].  A history entry is two ints —
+   [(cls * m + src) * m + dst] and [count] — so the stack is a flat
+   int array that doubles on demand.  Structural deltas (count /
+   weight / capacity revisions) push a sentinel meta [-1] paired with
+   a variant on the [shist] side stack, so moves keep their two-int
+   cost and [undo] reverts both kinds in LIFO order.
 
    Like [View], loads live in a [Packing] lane, one row per class.  A
    structural delta that breaks the packed product bound spills the
@@ -15,9 +15,9 @@ open Numeric
    restores the fast lane bit-identically.
 
    The class tables (weights, contributions, biases, capacity rows)
-   are view-local copies: revisions mutate the view, never the
-   underlying [Cgame.t], and [to_cgame] re-materialises a game from
-   the revised state.
+   are view-local copies of [Cgame.rows]: revisions mutate the view,
+   never the underlying [Cgame.t], and [to_cgame] re-materialises a
+   game from the revised state.
 
    A latency is (load_l + bias_c)/cap_{c,l}, so SC1 = Σ_l (load_l·A_l +
    B_l) with A_l = Σ_c e_{c,l}/cap_{c,l} and B_l = Σ_c e_{c,l}·bias_c/cap_{c,l}.
@@ -71,33 +71,22 @@ type t = {
   mutable certified : bool; (* proven Nash since the last state change *)
 }
 
-let game v = v.game
 let classes v = Array.length v.assign
 let links v = Packing.links v.lane
 let packed v = Packing.is_packed v.lane
 
-let of_profile g ?initial x =
+let of_profile g x =
   Cgame.validate g x;
-  let m = Cgame.links g in
-  (match initial with
-   | None -> ()
-   | Some t ->
-     if Array.length t <> m then
-       invalid_arg "Cview.of_profile: initial traffic length differs from link count";
-     Array.iter
-       (fun q ->
-         if Rational.sign q < 0 then invalid_arg "Cview.of_profile: negative initial traffic")
-       t);
-  let k = Cgame.classes g in
+  let shared = Cgame.rows g in
   let rows =
     {
-      Packing.weights = Array.init k (Cgame.weight g);
-      contribs = Array.init k (Cgame.contribution g);
-      biases = Array.init k (Cgame.bias g);
-      caps = Array.init k (Cgame.capacity_row g);
+      Packing.weights = Array.copy shared.weights;
+      contribs = Array.copy shared.contribs;
+      biases = Array.copy shared.biases;
+      caps = Array.map Array.copy shared.caps;
     }
   in
-  let lane = Packing.make_lane (Cgame.packed_tables g) ?initial m in
+  let lane = Packing.make_lane (Cgame.packed_tables g) (Cgame.links g) in
   Array.iteri
     (fun c row ->
       Array.iteri (fun l e -> if e > 0 then Packing.add_count lane rows c ~link:l ~delta:e) row)
@@ -237,7 +226,7 @@ let revise_weight v ~cls w' =
   if cls < 0 || cls >= k then invalid_arg "Cview.revise_weight: class out of range";
   if Rational.sign w' <= 0 then invalid_arg "Cview.revise_weight: weight must be positive";
   Parallel.Ownership.guard "Cview cursor" v.owner;
-  let contrib' = Rational.mul (Uncertainty.load_factor (Cgame.uncertainty v.game cls)) w' in
+  let contrib' = Population.contribution (Cgame.uncertainty v.game cls) w' in
   let weight = v.rows.weights.(cls)
   and contrib = v.rows.contribs.(cls)
   and bias = v.rows.biases.(cls) in

@@ -38,15 +38,10 @@ type t
     depend on it. *)
 val packed : t -> bool
 
-(** [of_profile g ?initial x] positions a fresh view at [x], validating
-    it and computing all link loads once in O(k·m).  [x] is deep-copied.
-    @raise Invalid_argument when [x] or [initial] is malformed. *)
-val of_profile : Cgame.t -> ?initial:Numeric.Rational.t array -> Cgame.profile -> t
-
-(** [game v] is the game the view was constructed over.  After a
-    structural delta it reflects the {e original} spec, not the revised
-    one — use {!to_cgame} for the live state. *)
-val game : t -> Cgame.t
+(** [of_profile g x] positions a fresh view at [x], validating it and
+    computing all link loads once in O(k·m).  [x] is deep-copied.
+    @raise Invalid_argument when [x] is malformed. *)
+val of_profile : Cgame.t -> Cgame.profile -> t
 
 val classes : t -> int
 val links : t -> int

@@ -14,22 +14,14 @@
 
     More generally, {!make_uncertain} accepts any {!Uncertainty}
     backend per user; {!make} is exactly [make_uncertain] over
-    {!Uncertainty.bayesian} wrappers.  Two derived per-user quantities
-    drive every latency downstream:
-
-    {ul
-    {- the {e contribution} [t_i = load_factor(u_i)·w_i] — the traffic
-       other users expect to meet from user [i] (its full weight except
-       under Bernoulli participation);}
-    {- the {e bias} [β_i = w_i − t_i] — the surcharge on user [i]'s own
-       expected latency, since it is always present for itself.}}
-
-    User [i]'s expected latency on its chosen link [ℓ] is
-    [(L_ℓ + β_i)/c^ℓ_i] where [L_ℓ] sums contributions, and the
-    latency after a deviation to [ℓ'] is [(L_{ℓ'} + t_i + β_i)/c^{ℓ'}_i
-    = (L_{ℓ'} + w_i)/c^{ℓ'}_i].  With every bias zero ([β_i = 0], the
-    {e load-linear} case) both collapse to the paper's [load/ĉ] form,
-    bit-identically to the pre-backend construction. *)
+    {!Uncertainty.bayesian} wrappers.  Per-user and class games
+    ({!Cgame}) are built by the same constructor.  It derives each
+    user's {e contribution} [t_i], the traffic other users meet (its
+    weight discounted by {!Uncertainty.presence}), and {e bias}
+    [β_i = w_i − t_i], its own-latency surcharge: user [i]'s latency on
+    its link [ℓ] is [(L_ℓ + β_i)/c^ℓ_i] where [L_ℓ] sums contributions.
+    With every bias zero (the {e load-linear} case) this is the paper's
+    [load/ĉ] form. *)
 
 type t
 
@@ -75,7 +67,7 @@ val belief : t -> int -> Belief.t
 (** [uncertainty g i] is user [i]'s uncertainty backend. *)
 val uncertainty : t -> int -> Uncertainty.t
 
-(** [contribution g i] is [t_i = load_factor(u_i)·w_i], the traffic
+(** [contribution g i] is [t_i = presence(u_i)·w_i], the traffic
     link loads carry for user [i]; equal (physically) to [w_i] for
     load-linear users. *)
 val contribution : t -> int -> Numeric.Rational.t
@@ -121,11 +113,5 @@ val has_uniform_beliefs : t -> bool
 
 (** [is_symmetric g] holds when all user weights are equal. *)
 val is_symmetric : t -> bool
-
-(** [restrict g ~drop] is the sub-game without user [drop] (used by the
-    recursive algorithms of Section 3).
-    @raise Invalid_argument when [drop] is out of range or the game has
-    a single user. *)
-val restrict : t -> drop:int -> t
 
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ open Numeric
    immutable [Game.t], so no per-user state is copied. *)
 
 type t = {
-  game : Game.t;
   rows : Packing.rows;
   prof : int array;
   lane : Packing.lane;
@@ -20,7 +19,6 @@ type t = {
   mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
 }
 
-let game v = v.game
 let users v = Array.length v.prof
 let links v = Packing.links v.lane
 let packed v = Packing.is_packed v.lane
@@ -44,7 +42,6 @@ let of_profile g ?initial p =
   let lane = Packing.make_lane (Game.packed_tables g) ?initial m in
   Array.iteri (fun i l -> Packing.add_count lane rows i ~link:l ~delta:1) p;
   {
-    game = g;
     rows;
     prof = Array.copy p;
     lane;

@@ -40,9 +40,6 @@ val packed : t -> bool
     checks as {!Pure.validate}). *)
 val of_profile : Game.t -> ?initial:Numeric.Rational.t array -> int array -> t
 
-(** [game v] is the game the view was constructed over. *)
-val game : t -> Game.t
-
 val users : t -> int
 val links : t -> int
 

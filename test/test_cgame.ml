@@ -9,7 +9,8 @@
    capacities), point beliefs (per-user certain rows) and heterogeneous
    beliefs over shared state spaces — and compares:
 
-     - compress/expand round trips (weights, capacity rows, counts)
+     - compress/expand round trips (weights, capacity rows, counts),
+       and unit-count class games against the per-user tables
      - pure-profile loads, latencies, is_nash, SC1/SC2 (Cview vs Pure)
      - the first-defector best-response step (Cview vs Best_response)
      - maximal improving blocks against single-move simulation
@@ -108,6 +109,21 @@ let check_bridge trial g =
       if class_of'.(u) <> c then Alcotest.failf "trial %d: class-major map drifted" trial
     done
   done;
+  (* A unit-count class game over the same users is the per-user game:
+     same exact tables, same packing. *)
+  let unit =
+    Cgame.make_uncertain ~counts:(Array.make n 1) ~weights:(Game.weights g)
+      ~uncertainty:(Array.init n (Game.uncertainty g))
+  in
+  let r = Game.rows g and r' = Cgame.rows unit in
+  let same_q a a' = Array.for_all2 Rational.equal a a' in
+  if
+    not
+      (same_q r.weights r'.weights && same_q r.contribs r'.contribs && same_q r.biases r'.biases
+     && Array.for_all2 same_q r.caps r'.caps)
+  then Alcotest.failf "trial %d: unit-count class rows differ from the per-user rows" trial;
+  if Cgame.packed_tables unit <> Game.packed_tables g then
+    Alcotest.failf "trial %d: unit-count class packing differs from the per-user packing" trial;
   (cg, class_of)
 
 (* ------------------------------------------------------------------ *)

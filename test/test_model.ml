@@ -127,14 +127,273 @@ let test_game_predicates () =
   Alcotest.(check bool) "symmetric" true (Game.is_symmetric flat);
   Alcotest.(check bool) "flat not kp" false (Game.is_kp flat)
 
-let test_game_restrict () =
-  let g = game_fixture () in
-  let g' = Game.restrict g ~drop:0 in
-  Alcotest.(check int) "one user left" 1 (Game.users g');
-  Alcotest.check check_q "kept weight" (qi 2) (Game.weight g' 0);
-  Alcotest.check check_q "kept capacity" (q 4 3) (Game.capacity g' 0 0);
-  Alcotest.check_raises "cannot drop last" (Invalid_argument "Game.restrict: cannot drop the last user")
-    (fun () -> ignore (Game.restrict g' ~drop:0))
+(* Every constructor error of [Game] and [Cgame], message pinned
+   exactly; the per-user and class constructors share one validator, so
+   the table also pins which prefix each entry point reports under. *)
+let ones = Array.make 2 Rational.one
+let row2 = [| qi 1; qi 2 |]
+let b2 = Belief.certain (State.make row2)
+let b1 = Belief.certain (State.make [| qi 1 |])
+let u2 = Uncertainty.bayesian b2
+let u1 = Uncertainty.bayesian b1
+let bad = [| Rational.zero; qi 1 |]
+
+let constructor_errors =
+  [
+    ( "Game.make empty",
+      "Game.make: no users",
+      fun () -> ignore (Game.make ~weights:[||] ~beliefs:[||]) );
+    ( "Game.make arity",
+      "Game.make: one belief per user required",
+      fun () -> ignore (Game.make ~weights:ones ~beliefs:[| b2 |]) );
+    ( "Game.make traffic",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.make ~weights:bad ~beliefs:[| b2; b2 |]) );
+    ( "Game.make links disagree",
+      "Game.make: beliefs disagree on link count",
+      fun () -> ignore (Game.make ~weights:ones ~beliefs:[| b2; b1 |]) );
+    ( "Game.make one link",
+      "Game.make: at least two links required",
+      fun () -> ignore (Game.make ~weights:ones ~beliefs:[| b1; b1 |]) );
+    ( "Game.make_uncertain empty",
+      "Game.make: no users",
+      fun () -> ignore (Game.make_uncertain ~weights:[||] ~uncertainty:[||]) );
+    ( "Game.make_uncertain arity",
+      "Game.make: one uncertainty backend per user required",
+      fun () -> ignore (Game.make_uncertain ~weights:ones ~uncertainty:[| u2 |]) );
+    ( "Game.make_uncertain traffic",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.make_uncertain ~weights:bad ~uncertainty:[| u2; u2 |]) );
+    ( "Game.make_uncertain links disagree",
+      "Game.make: beliefs disagree on link count",
+      fun () -> ignore (Game.make_uncertain ~weights:ones ~uncertainty:[| u2; u1 |]) );
+    ( "Game.make_uncertain one link",
+      "Game.make: at least two links required",
+      fun () -> ignore (Game.make_uncertain ~weights:ones ~uncertainty:[| u1; u1 |]) );
+    ( "Game.of_capacities empty",
+      "Game.make: no users",
+      fun () -> ignore (Game.of_capacities ~weights:[||] [||]) );
+    ( "Game.of_capacities traffic",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.of_capacities ~weights:bad [| row2; row2 |]) );
+    ( "Game.of_capacities arity",
+      "Game.of_capacities: one capacity row per user required",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| row2 |]) );
+    ( "Game.of_capacities empty row",
+      "State.make: no links",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| row2; [||] |]) );
+    ( "Game.of_capacities capacity",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| row2; bad |]) );
+    ( "Game.of_capacities links disagree",
+      "Game.make: beliefs disagree on link count",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| row2; [| qi 1 |] |]) );
+    ( "Game.of_capacities one link",
+      "Game.make: at least two links required",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| [| qi 1 |]; [| qi 1 |] |]) );
+    ( "Game.kp empty",
+      "Game.make: no users",
+      fun () -> ignore (Game.kp ~weights:[||] ~capacities:row2) );
+    ( "Game.kp traffic",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.kp ~weights:bad ~capacities:row2) );
+    ( "Game.kp no links",
+      "State.make: no links",
+      fun () -> ignore (Game.kp ~weights:ones ~capacities:[||]) );
+    ( "Game.kp capacity",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Game.kp ~weights:ones ~capacities:bad) );
+    ( "Game.kp one link",
+      "Game.make: at least two links required",
+      fun () -> ignore (Game.kp ~weights:ones ~capacities:[| qi 1 |]) );
+    ( "Cgame.make empty",
+      "Cgame.make: no classes",
+      fun () -> ignore (Cgame.make ~counts:[||] ~weights:[||] ~beliefs:[||]) );
+    ( "Cgame.make arity",
+      "Cgame.make: one count, weight and belief per class required",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 1 |] ~weights:ones ~beliefs:[| b2 |]) );
+    ( "Cgame.make traffic",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 1 |] ~weights:bad ~beliefs:[| b2; b2 |]) );
+    ( "Cgame.make links disagree",
+      "Cgame.make: beliefs disagree on link count",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 1 |] ~weights:ones ~beliefs:[| b2; b1 |]) );
+    ( "Cgame.make one link",
+      "Cgame.make: at least two links required",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 1 |] ~weights:ones ~beliefs:[| b1; b1 |]) );
+    ( "Cgame.make count",
+      "Cgame.make: class counts must be positive",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 0 |] ~weights:ones ~beliefs:[| b2; b2 |]) );
+    ( "Cgame.make overflow",
+      "Cgame.make: total user count overflows a native int",
+      fun () -> ignore (Cgame.make ~counts:[| max_int; 1 |] ~weights:ones ~beliefs:[| b2; b2 |]) );
+    ( "Cgame.make_uncertain empty",
+      "Cgame.make: no classes",
+      fun () -> ignore (Cgame.make_uncertain ~counts:[||] ~weights:[||] ~uncertainty:[||]) );
+    ( "Cgame.make_uncertain arity",
+      "Cgame.make: one count, weight and belief per class required",
+      fun () -> ignore (Cgame.make_uncertain ~counts:[| 1; 1 |] ~weights:ones ~uncertainty:[| u2 |])
+    );
+    ( "Cgame.make_uncertain traffic",
+      "Cgame.make: traffics must be positive",
+      fun () ->
+        ignore (Cgame.make_uncertain ~counts:[| 1; 1 |] ~weights:bad ~uncertainty:[| u2; u2 |]) );
+    ( "Cgame.make_uncertain links disagree",
+      "Cgame.make: beliefs disagree on link count",
+      fun () ->
+        ignore (Cgame.make_uncertain ~counts:[| 1; 1 |] ~weights:ones ~uncertainty:[| u2; u1 |]) );
+    ( "Cgame.make_uncertain one link",
+      "Cgame.make: at least two links required",
+      fun () ->
+        ignore (Cgame.make_uncertain ~counts:[| 1; 1 |] ~weights:ones ~uncertainty:[| u1; u1 |]) );
+    ( "Cgame.make_uncertain count",
+      "Cgame.make: class counts must be positive",
+      fun () ->
+        ignore (Cgame.make_uncertain ~counts:[| -1; 1 |] ~weights:ones ~uncertainty:[| u2; u2 |]) );
+    ( "Cgame.make_uncertain overflow",
+      "Cgame.make: total user count overflows a native int",
+      fun () ->
+        ignore
+          (Cgame.make_uncertain ~counts:[| 1; max_int |] ~weights:ones ~uncertainty:[| u2; u2 |]) );
+    ( "Cgame.of_capacities empty",
+      "Cgame.make: no classes",
+      fun () -> ignore (Cgame.of_capacities ~counts:[||] ~weights:[||] [||]) );
+    ( "Cgame.of_capacities rows",
+      "Cgame.of_capacities: one capacity row per class required",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:ones [| row2 |]) );
+    ( "Cgame.of_capacities arity",
+      "Cgame.make: one count, weight and belief per class required",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1 |] ~weights:ones [| row2 |]) );
+    ( "Cgame.of_capacities empty row",
+      "State.make: no links",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:ones [| row2; [||] |]) );
+    ( "Cgame.of_capacities capacity",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:ones [| row2; bad |]) );
+    ( "Cgame.of_capacities traffic",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:bad [| row2; row2 |]) );
+    ( "Cgame.of_capacities links disagree",
+      "Cgame.make: beliefs disagree on link count",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:ones [| row2; [| qi 1 |] |])
+    );
+    ( "Cgame.of_capacities one link",
+      "Cgame.make: at least two links required",
+      fun () ->
+        ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:ones [| [| qi 1 |]; [| qi 1 |] |]) );
+    ( "Cgame.of_capacities count",
+      "Cgame.make: class counts must be positive",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 0; 1 |] ~weights:ones [| row2; row2 |]) );
+    ( "Cgame.of_capacities overflow",
+      "Cgame.make: total user count overflows a native int",
+      fun () ->
+        ignore (Cgame.of_capacities ~counts:[| max_int; max_int |] ~weights:ones [| row2; row2 |]) );
+    ( "Cgame.kp empty",
+      "Cgame.make: no classes",
+      fun () -> ignore (Cgame.kp ~counts:[||] ~weights:[||] ~capacities:row2) );
+    ( "Cgame.kp arity",
+      "Cgame.make: one count, weight and belief per class required",
+      fun () -> ignore (Cgame.kp ~counts:[| 1 |] ~weights:ones ~capacities:row2) );
+    ( "Cgame.kp no links",
+      "State.make: no links",
+      fun () -> ignore (Cgame.kp ~counts:[| 1; 1 |] ~weights:ones ~capacities:[||]) );
+    ( "Cgame.kp capacity",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Cgame.kp ~counts:[| 1; 1 |] ~weights:ones ~capacities:bad) );
+    ( "Cgame.kp traffic",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.kp ~counts:[| 1; 1 |] ~weights:bad ~capacities:row2) );
+    ( "Cgame.kp one link",
+      "Cgame.make: at least two links required",
+      fun () -> ignore (Cgame.kp ~counts:[| 1; 1 |] ~weights:ones ~capacities:[| qi 1 |]) );
+    ( "Cgame.kp count",
+      "Cgame.make: class counts must be positive",
+      fun () -> ignore (Cgame.kp ~counts:[| 1; 0 |] ~weights:ones ~capacities:row2) );
+    ( "Cgame.kp overflow",
+      "Cgame.make: total user count overflows a native int",
+      fun () -> ignore (Cgame.kp ~counts:[| max_int; 1 |] ~weights:ones ~capacities:row2) );
+  ]
+
+(* Inputs with two faults each: the message names the one reported
+   first. *)
+let constructor_fault_order =
+  [
+    ( "Game.make arity before traffic",
+      "Game.make: one belief per user required",
+      fun () -> ignore (Game.make ~weights:bad ~beliefs:[| b2 |]) );
+    ( "Game.make traffic before link count",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.make ~weights:bad ~beliefs:[| b2; b1 |]) );
+    ( "Game.make disagreement before one link",
+      "Game.make: beliefs disagree on link count",
+      fun () -> ignore (Game.make ~weights:ones ~beliefs:[| b1; b2 |]) );
+    ( "Game.make_uncertain traffic before arity",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.make_uncertain ~weights:bad ~uncertainty:[| u2 |]) );
+    ( "Game.make_uncertain traffic before one link",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.make_uncertain ~weights:bad ~uncertainty:[| u1; u1 |]) );
+    ( "Game.of_capacities traffic before arity",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.of_capacities ~weights:bad [| row2 |]) );
+    ( "Game.of_capacities arity before capacity",
+      "Game.of_capacities: one capacity row per user required",
+      fun () -> ignore (Game.of_capacities ~weights:ones [| bad |]) );
+    ( "Game.of_capacities traffic before capacity",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.of_capacities ~weights:bad [| row2; bad |]) );
+    ( "Game.kp traffic before capacity",
+      "Game.make: traffics must be positive",
+      fun () -> ignore (Game.kp ~weights:bad ~capacities:[||]) );
+    ( "Cgame.make empty before arity",
+      "Cgame.make: no classes",
+      fun () -> ignore (Cgame.make ~counts:[||] ~weights:ones ~beliefs:[| b2 |]) );
+    ( "Cgame.make arity before traffic",
+      "Cgame.make: one count, weight and belief per class required",
+      fun () -> ignore (Cgame.make ~counts:[| 1 |] ~weights:bad ~beliefs:[| b2 |]) );
+    ( "Cgame.make traffic before count",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.make ~counts:[| 0; 1 |] ~weights:bad ~beliefs:[| b2; b2 |]) );
+    ( "Cgame.make traffic before link count",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.make ~counts:[| 1; 1 |] ~weights:bad ~beliefs:[| b2; b1 |]) );
+    ( "Cgame.make one link before count",
+      "Cgame.make: at least two links required",
+      fun () -> ignore (Cgame.make ~counts:[| 0; 1 |] ~weights:ones ~beliefs:[| b1; b1 |]) );
+    ( "Cgame.make disagreement before overflow",
+      "Cgame.make: beliefs disagree on link count",
+      fun () -> ignore (Cgame.make ~counts:[| max_int; 1 |] ~weights:ones ~beliefs:[| b2; b1 |]) );
+    ( "Cgame.make count before overflow",
+      "Cgame.make: class counts must be positive",
+      fun () ->
+        ignore (Cgame.make ~counts:[| 0; max_int; 1 |] ~weights:[| qi 1; qi 1; qi 1 |]
+                  ~beliefs:[| b2; b2; b2 |]) );
+    ( "Cgame.make overflow before count",
+      "Cgame.make: total user count overflows a native int",
+      fun () ->
+        ignore (Cgame.make ~counts:[| max_int; 1; 0 |] ~weights:[| qi 1; qi 1; qi 1 |]
+                  ~beliefs:[| b2; b2; b2 |]) );
+    ( "Cgame.of_capacities rows before empty",
+      "Cgame.of_capacities: one capacity row per class required",
+      fun () -> ignore (Cgame.of_capacities ~counts:[||] ~weights:[||] [| row2 |]) );
+    ( "Cgame.of_capacities capacity before traffic",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1; 1 |] ~weights:bad [| row2; bad |]) );
+    ( "Cgame.of_capacities capacity before arity",
+      "State.make: capacities must be positive",
+      fun () -> ignore (Cgame.of_capacities ~counts:[| 1 |] ~weights:ones [| bad |]) );
+    ( "Cgame.kp capacity before empty",
+      "State.make: no links",
+      fun () -> ignore (Cgame.kp ~counts:[||] ~weights:[||] ~capacities:[||]) );
+    ( "Cgame.kp traffic before count",
+      "Cgame.make: traffics must be positive",
+      fun () -> ignore (Cgame.kp ~counts:[| 0; 1 |] ~weights:bad ~capacities:row2) );
+  ]
+
+let check_messages table () =
+  List.iter
+    (fun (label, msg, thunk) -> Alcotest.check_raises label (Invalid_argument msg) thunk)
+    table
 
 let test_of_capacities_matches_beliefs () =
   (* The reduced form must agree with the generative form. *)
@@ -402,18 +661,6 @@ let model_properties =
             Rational.compare (Social.ratio1 g mx) Rational.one >= 0
             && Rational.compare (Social.ratio2 g mx) Rational.one >= 0)
           (Algo.Enumerate.pure_nash g));
-    prop "restrict preserves the kept users' data" game_gen (fun g ->
-        Game.users g < 2
-        ||
-        let drop = Game.users g - 1 in
-        let g' = Game.restrict g ~drop in
-        List.for_all
-          (fun i ->
-            Rational.equal (Game.weight g i) (Game.weight g' i)
-            && List.for_all
-                 (fun l -> Rational.equal (Game.capacity g i l) (Game.capacity g' i l))
-                 (List.init (Game.links g) Fun.id))
-          (List.init (Game.users g - 1) Fun.id));
     prop "best_response attains the minimal post-move latency" game_gen (fun g ->
         let rng = Prng.Rng.create 7 in
         let p = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
@@ -453,7 +700,8 @@ let suite =
     ("game validation", `Quick, test_game_validation);
     ("game accessors", `Quick, test_game_accessors);
     ("game predicates", `Quick, test_game_predicates);
-    ("game restrict", `Quick, test_game_restrict);
+    ("constructor messages", `Quick, check_messages constructor_errors);
+    ("constructor fault order", `Quick, check_messages constructor_fault_order);
     ("reduced form agrees", `Quick, test_of_capacities_matches_beliefs);
     ("pure latency hand computed", `Quick, test_pure_latency_hand);
     ("pure latency on link", `Quick, test_pure_latency_on_link);

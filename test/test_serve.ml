@@ -462,18 +462,18 @@ let reference_sc1 v =
   !acc
 
 (* The live SC1 must equal the fold and a fresh cursor's first query. *)
-let check_sc1 ?initial what v =
+let check_sc1 what v =
   let live = Cview.social_cost1 v in
   if not (Rational.equal live (reference_sc1 v)) then
     Alcotest.failf "%s: live SC1 %s differs from the fold %s" what (Rational.to_string live)
       (Rational.to_string (reference_sc1 v));
-  let fresh = Cview.of_profile (Cview.to_cgame v) ?initial (Cview.profile v) in
+  let fresh = Cview.of_profile (Cview.to_cgame v) (Cview.profile v) in
   if not (Rational.equal live (Cview.social_cost1 fresh)) then
     Alcotest.failf "%s: live SC1 differs from a fresh cursor" what
 
-let check_view_identity ?initial trial v =
+let check_view_identity trial v =
   let g' = Cview.to_cgame v in
-  let fresh = Cview.of_profile g' ?initial (Cview.profile v) in
+  let fresh = Cview.of_profile g' (Cview.profile v) in
   let k = Cview.classes v and m = Cview.links v in
   for l = 0 to m - 1 do
     if not (Rational.equal (Cview.load v l) (Cview.load fresh l)) then
@@ -491,7 +491,7 @@ let check_view_identity ?initial trial v =
   done;
   if Cview.is_nash v <> Cview.is_nash fresh then
     Alcotest.failf "trial %d: is_nash diverged from re-materialised view" trial;
-  check_sc1 ?initial (Printf.sprintf "trial %d" trial) v
+  check_sc1 (Printf.sprintf "trial %d" trial) v
 
 (* A recorded block move of some occupied class-link pair. *)
 let random_move rng v =
@@ -503,9 +503,8 @@ let random_move rng v =
   Cview.move v ~cls ~src:!src ~dst:(Prng.Rng.int rng m)
     ~count:(1 + Prng.Rng.int rng (Cview.assigned v cls !src))
 
-(* 10^4 randomized sequences of mutations and block moves, a quarter of
-   them over views with initial traffic: after every sequence the live
-   cursor is bit-identical to a fresh of_profile (to_cgame v)
+(* 10^4 randomized sequences of mutations and block moves: after
+   every sequence the live cursor is bit-identical to a fresh of_profile (to_cgame v)
    (profile v), and undoing everything restores the original state —
    loads, profile, SC1 and the packed fast lane.  SC1 is queried before
    the sequence and now and then inside it, so the deltas land on live
@@ -515,12 +514,7 @@ let test_differential_mutations () =
   for trial = 1 to 10_000 do
     let g = random_cgame rng in
     let x = Algo.Cbr.proportional_start g in
-    let initial =
-      if trial mod 4 <> 0 then None
-      else
-        Some (Array.init (Cgame.links g) (fun _ -> q (Prng.Rng.int rng 5) (1 + Prng.Rng.int rng 2)))
-    in
-    let v = Cview.of_profile g ?initial x in
+    let v = Cview.of_profile g x in
     let loads0 = Cview.loads v and packed0 = Cview.packed v in
     let sc0 = Cview.social_cost1 v in
     Alcotest.check check_q "initial SC1 is the fold" (reference_sc1 v) sc0;
@@ -528,9 +522,9 @@ let test_differential_mutations () =
     for _ = 1 to len do
       if Prng.Rng.int rng 3 = 0 then random_move rng v
       else Mutation.apply v (random_mutation rng v);
-      if Prng.Rng.int rng 3 = 0 then check_sc1 ?initial (Printf.sprintf "trial %d" trial) v
+      if Prng.Rng.int rng 3 = 0 then check_sc1 (Printf.sprintf "trial %d" trial) v
     done;
-    check_view_identity ?initial trial v;
+    check_view_identity trial v;
     while Cview.depth v > 0 do
       Cview.undo v
     done;

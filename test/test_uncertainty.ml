@@ -205,10 +205,7 @@ let test_load_linear_guards () =
     (fun () -> ignore (Algo.Two_links.solve g));
   Alcotest.check_raises "mixed guard"
     (Invalid_argument "Mixed.validate: game must be load-linear (no Bernoulli participation)")
-    (fun () -> Mixed.validate g (Mixed.uniform g));
-  (* Dropping the Bernoulli user restores load-linearity (and packing). *)
-  let g' = Game.restrict g ~drop:0 in
-  Alcotest.(check bool) "restrict recomputes load-linearity" true (Game.is_load_linear g')
+    (fun () -> Mixed.validate g (Mixed.uniform g))
 
 (* ------------------------------------------------------------------ *)
 (* Differential harness: Bayesian backend vs the seed formulas         *)
