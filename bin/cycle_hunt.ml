@@ -13,15 +13,18 @@
 
 open Cmdliner
 
-(* Integer power for profile encoding: the old float [**] round-trip
-   ([int_of_float (x ** y +. 0.5)]) loses exactness past 2^53 and trips
-   the R2 float lint; m and n are small, so the loop never overflows. *)
-let ipow b e =
-  let rec go acc b e =
-    if e = 0 then acc
-    else go (if e land 1 = 1 then acc * b else acc) (b * b) (e lsr 1)
-  in
-  go 1 b e
+(* The largest state space one instance may have: the budget of the
+   library's better-response cycle search, [Algo.Game_graph.find_cycle].
+   Both commands check their largest (n, m) before the first search, so
+   an over-budget grid is refused up front instead of wrapping [m^n]. *)
+let check_space ~users ~links =
+  try
+    ignore
+      (Numeric.Combinat.search_space ~who:"cycle_hunt" ~what:"pure profiles"
+         ~budget:Algo.Game_graph.budget links users)
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
 (* Three-colour DFS over the better-response graph of one instance;
    weights [w], capacities [c], [m] links.  Returns true iff cyclic.
@@ -32,9 +35,13 @@ let ipow b e =
    plus full load refill. *)
 let has_cycle ~w ~c ~m =
   let n = Array.length w in
-  let nodes = ipow m n in
+  (* pw.(i) = m^i; [check_space] has bounded pw.(n). *)
+  let pw = Array.make (n + 1) 1 in
+  for i = 1 to n do
+    pw.(i) <- pw.(i - 1) * m
+  done;
+  let nodes = pw.(n) in
   let colour = Bytes.make nodes '\000' in
-  let pw = Array.init n (fun i -> ipow m i) in
   let cycle = ref false in
   let p = Array.make n 0 in
   let loads = Array.make m 0 in
@@ -95,19 +102,31 @@ let print_instance w c =
         (String.concat "; " (Array.to_list (Array.map string_of_int row))))
     c
 
+(* The one count converter: a worker-domain number, an attempt count
+   or a grid bound below 1 is a usage error (exit 124) reported by
+   cmdliner, not an exception from the search. *)
+let positive s =
+  match int_of_string_opt s with
+  | Some n when n > 0 -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+
+let positive_int = Arg.conv (positive, Format.pp_print_int)
+
 let range_conv =
   let parse s =
     match String.split_on_char '-' s with
-    | [ a ] -> (try Ok (int_of_string a, int_of_string a) with Failure _ -> Error (`Msg "bad range"))
-    | [ a; b ] -> (try Ok (int_of_string a, int_of_string b) with Failure _ -> Error (`Msg "bad range"))
-    | _ -> Error (`Msg "expected N or LO-HI")
+    | [ a ] -> Result.map (fun a -> (a, a)) (positive a)
+    | [ a; b ] -> (
+      match (positive a, positive b) with
+      | Ok a, Ok b when a <= b -> Ok (a, b)
+      | Ok _, Ok _ -> Error (`Msg (Printf.sprintf "invalid range '%s', LO exceeds HI" s))
+      | (Error _ as e), _ | _, (Error _ as e) -> e)
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected N or LO-HI" s))
   in
   Arg.conv (parse, fun fmt (a, b) -> Format.fprintf fmt "%d-%d" a b)
 
-let users_arg = Arg.(value & opt range_conv (3, 4) & info [ "users" ] ~docv:"LO-HI")
-let links_arg = Arg.(value & opt range_conv (3, 3) & info [ "links" ] ~docv:"LO-HI")
-
 let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
+  check_space ~users:n_hi ~links:m_hi;
   (* Attempt [i] draws from its own stream [Rng.of_path seed [i]], so
      the instance tested at global index [i] is the same for any domain
      count or batch size.  Batches are contiguous ascending index
@@ -148,33 +167,25 @@ let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
   in
   go 0
 
-(* A worker-domain count: 0 and negatives are a usage error (exit 124)
-   reported by cmdliner, not an exception from the task grid. *)
-let domains_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let random_cmd =
-  let attempts = Arg.(value & opt int 1_000_000 & info [ "attempts" ]) in
-  let w_hi = Arg.(value & opt int 9 & info [ "max-weight" ]) in
-  let c_hi = Arg.(value & opt int 40 & info [ "max-capacity" ]) in
+  let users = Arg.(value & opt range_conv (3, 4) & info [ "users" ] ~docv:"LO-HI") in
+  let links = Arg.(value & opt range_conv (3, 3) & info [ "links" ] ~docv:"LO-HI") in
+  let attempts = Arg.(value & opt positive_int 1_000_000 & info [ "attempts" ]) in
+  let w_hi = Arg.(value & opt positive_int 9 & info [ "max-weight" ]) in
+  let c_hi = Arg.(value & opt positive_int 40 & info [ "max-capacity" ]) in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
   let domains =
     Arg.(
       value
-      & opt domains_conv (Parallel.available_domains ())
+      & opt positive_int (Parallel.available_domains ())
       & info [ "domains" ]
           ~doc:"Worker domains (default: all available cores; same hits for any value).")
   in
   let info = Cmd.info "random" ~doc:"Random sampling over an integer grid." in
-  Cmd.v info Term.(const run_random $ users_arg $ links_arg $ attempts $ w_hi $ c_hi $ seed $ domains)
+  Cmd.v info Term.(const run_random $ users $ links $ attempts $ w_hi $ c_hi $ seed $ domains)
 
-let run_exhaustive (n_lo, _) (m_lo, _) w_hi c_hi =
-  let n = n_lo and m = m_lo in
+let run_exhaustive n m w_hi c_hi =
+  check_space ~users:n ~links:m;
   let w = Array.make n 1 and c = Array.init n (fun _ -> Array.make m 1) in
   let total = ref 0 and cycles = ref 0 in
   let check () =
@@ -209,10 +220,12 @@ let run_exhaustive (n_lo, _) (m_lo, _) w_hi c_hi =
     n m w_hi c_hi !total !cycles
 
 let exhaustive_cmd =
-  let w_hi = Arg.(value & opt int 3 & info [ "max-weight" ]) in
-  let c_hi = Arg.(value & opt int 3 & info [ "max-capacity" ]) in
+  let users = Arg.(value & opt positive_int 3 & info [ "users" ] ~docv:"N") in
+  let links = Arg.(value & opt positive_int 3 & info [ "links" ] ~docv:"N") in
+  let w_hi = Arg.(value & opt positive_int 3 & info [ "max-weight" ]) in
+  let c_hi = Arg.(value & opt positive_int 3 & info [ "max-capacity" ]) in
   let info = Cmd.info "exhaustive" ~doc:"Enumerate every weight/capacity combination of a grid." in
-  Cmd.v info Term.(const run_exhaustive $ users_arg $ links_arg $ w_hi $ c_hi)
+  Cmd.v info Term.(const run_exhaustive $ users $ links $ w_hi $ c_hi)
 
 let () =
   let doc = "Hunt for better-response cycles in the linear belief model (E6)." in

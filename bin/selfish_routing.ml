@@ -31,16 +31,19 @@ let initial_arg =
   let doc = "Initial per-link traffic, comma separated (e.g. 1/2,0)." in
   Arg.(value & opt (some string) None & info [ "initial" ] ~docv:"T" ~doc)
 
-(* A count such as a worker-domain number or a move budget: 0 and
-   negatives are a usage error (exit 124) reported by cmdliner before
+(* A count such as a worker-domain number or a move budget: a value
+   below [lo] is a usage error (exit 124) reported by cmdliner before
    any output, not an exception from the code that uses it. *)
-let positive_int =
+let at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ when lo = 1 -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = at_least 1
 
 (* A malformed input file, a rejected mutation, conflicting flags or a
    request the input cannot satisfy is a user error, not a bug: report
@@ -267,7 +270,7 @@ let fmne_cmd =
 
 let run_enumerate file =
   let g = parse_game file in
-  let nes = Algo.Enumerate.pure_nash g in
+  let nes = input_guard Algo.Enumerate.pure_nash g in
   Printf.printf "%d pure Nash equilibria (out of %s profiles):\n" (List.length nes)
     (match Social.profile_count g with Some c -> string_of_int c | None -> "many");
   let opt1, _ = Social.opt1 g and opt2, _ = Social.opt2 g in
@@ -342,7 +345,7 @@ let mixed_cmd =
 
 let run_potential file =
   let g = parse_game file in
-  match Algo.Potential.find_nonzero_square g with
+  match input_guard Algo.Potential.find_nonzero_square g with
   | None ->
     Printf.printf
       "the exact-potential condition (Monderer–Shapley) HOLDS on every deviation square.\n"
@@ -382,7 +385,7 @@ let run_monte_carlo file samples seed =
 
 let monte_carlo_cmd =
   let samples =
-    Arg.(value & opt int 100_000 & info [ "samples" ] ~doc:"States sampled per user.")
+    Arg.(value & opt positive_int 100_000 & info [ "samples" ] ~doc:"States sampled per user.")
   in
   let info =
     Cmd.info "monte-carlo"
@@ -406,7 +409,7 @@ let run_correlated file =
           (Rational.to_string prob))
       r.distribution
   in
-  show "best correlated equilibrium," (Algo.Correlated.best_social_cost g);
+  show "best correlated equilibrium," (input_guard Algo.Correlated.best_social_cost g);
   show "worst correlated equilibrium," (Algo.Correlated.worst_social_cost g);
   let opt1, _ = Social.opt1 g in
   Printf.printf "OPT1 = %s\n" (Rational.to_string opt1)
@@ -438,7 +441,9 @@ let run_fictitious file rounds seed =
     o.empirical
 
 let fictitious_cmd =
-  let rounds = Arg.(value & opt int 5000 & info [ "rounds" ] ~doc:"Maximum rounds to play.") in
+  let rounds =
+    Arg.(value & opt positive_int 5000 & info [ "rounds" ] ~doc:"Maximum rounds to play.")
+  in
   let info =
     Cmd.info "fictitious" ~doc:"Run fictitious play (simultaneous best responses to history)."
   in
@@ -459,9 +464,11 @@ let run_sweep seed trials n_hi m_hi domains =
   Stats.Table.print (Experiments.Existence.table rows)
 
 let sweep_cmd =
-  let trials = Arg.(value & opt int 50 & info [ "trials" ] ~doc:"Instances per (n,m) cell.") in
-  let n_hi = Arg.(value & opt int 5 & info [ "max-users" ] ~doc:"Largest n (from 2).") in
-  let m_hi = Arg.(value & opt int 3 & info [ "max-links" ] ~doc:"Largest m (from 2).") in
+  let trials =
+    Arg.(value & opt positive_int 50 & info [ "trials" ] ~doc:"Instances per (n,m) cell.")
+  in
+  let n_hi = Arg.(value & opt (at_least 2) 5 & info [ "max-users" ] ~doc:"Largest n (from 2).") in
+  let m_hi = Arg.(value & opt (at_least 2) 3 & info [ "max-links" ] ~doc:"Largest m (from 2).") in
   let domains =
     Arg.(
       value

@@ -85,10 +85,12 @@ let ce_constraints g all =
 let social_cost_objective g all =
   Array.map (fun p -> Pure.social_cost1 g p) all
 
-let optimise direction ?(limit = 4_096) g =
-  (match Social.profile_count g with
-   | Some c when c <= limit -> ()
-   | _ -> invalid_arg "Correlated: profile space exceeds the limit");
+let budget = 4_096
+
+let optimise name direction g =
+  ignore
+    (Combinat.search_space ~who:("Correlated." ^ name) ~what:"pure profiles" ~budget
+       (Game.links g) (Game.users g));
   let all = profiles g in
   let objective = social_cost_objective g all in
   let constraints = ce_constraints g all in
@@ -110,8 +112,8 @@ let optimise direction ?(limit = 4_096) g =
     assert false
   | Simplex.Unbounded -> assert false (* the polytope is a subset of the simplex *)
 
-let best_social_cost ?limit g = optimise `Min ?limit g
-let worst_social_cost ?limit g = optimise `Max ?limit g
+let best_social_cost g = optimise "best_social_cost" `Min g
+let worst_social_cost g = optimise "worst_social_cost" `Max g
 
 let of_mixed g p =
   Mixed.validate g p;

@@ -32,13 +32,13 @@ val is_correlated_equilibrium : Game.t -> (Pure.profile * Numeric.Rational.t) li
 
 (** [best_social_cost g] minimises [SC1 = Σ_σ x_σ Σ_i λ_{i,b_i}(σ)]
     over the CE polytope.
-    @raise Invalid_argument when [m^n] exceeds [limit]
-    (default [4_096] — the LP has one variable per profile). *)
-val best_social_cost : ?limit:int -> Game.t -> result
+    @raise Invalid_argument when [m^n] exceeds the fixed budget
+    [4_096] (the LP has one variable per profile). *)
+val best_social_cost : Game.t -> result
 
 (** [worst_social_cost g] maximises the same objective (the polytope is
     bounded, so this always exists). *)
-val worst_social_cost : ?limit:int -> Game.t -> result
+val worst_social_cost : Game.t -> result
 
 (** [of_mixed g p] is the product distribution of a mixed profile, as a
     support list (for feeding Nash equilibria to the checker). *)

@@ -1,37 +1,39 @@
 open Model
 open Numeric
 
-let guard name limit g =
-  match Social.profile_count g with
-  | Some c when c <= limit -> ()
-  | _ -> invalid_arg (Printf.sprintf "Enumerate.%s: state space exceeds the limit" name)
+let budget = 10_000_000
+
+let guard name g =
+  ignore
+    (Combinat.search_space ~who:("Enumerate." ^ name) ~what:"pure profiles" ~budget
+       (Game.links g) (Game.users g))
 
 (* The exhaustive scans ride [View.sweep]: the odometer applies O(1)
    load deltas between consecutive profiles, so checking a profile is
    the O(n·m) [View.is_nash] pass instead of the seed's O(n²·m)
    recompute-per-user. *)
-let pure_nash ?(limit = 10_000_000) g =
-  guard "pure_nash" limit g;
+let pure_nash g =
+  guard "pure_nash" g;
   let acc = ref [] in
   View.sweep g (fun v -> if View.is_nash v then acc := View.profile v :: !acc);
   List.rev !acc
 
-let count ?(limit = 10_000_000) g =
-  guard "count" limit g;
+let count g =
+  guard "count" g;
   let acc = ref 0 in
   View.sweep g (fun v -> if View.is_nash v then incr acc);
   !acc
 
-let exists ?(limit = 10_000_000) g =
-  guard "exists" limit g;
+let exists g =
+  guard "exists" g;
   let exception Found in
   try
     View.sweep g (fun v -> if View.is_nash v then raise Found);
     false
   with Found -> true
 
-let extremal_nash ?limit g ~cost =
-  match pure_nash ?limit g with
+let extremal_nash g ~cost =
+  match pure_nash g with
   | [] -> None
   | first :: rest ->
     let value = cost g first in

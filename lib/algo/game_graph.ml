@@ -2,27 +2,22 @@ open Model
 
 type move_kind = Best_response | Better_response
 
-(* Exact [m^n] with the multiply checked against [max_int] before it
-   happens (the bin/cycle_hunt [ipow] discipline): the mixed-radix node
-   ids below are only bijective while every intermediate power stays
-   representable. *)
-let ipow_checked name ~m ~n =
-  let rec go acc i =
-    if i = 0 then acc
-    else if acc > max_int / m then
-      invalid_arg (Printf.sprintf "Game_graph.%s: %d^%d overflows the native int range" name m n)
-    else go (acc * m) (i - 1)
-  in
-  go 1 n
+let budget = 2_000_000
+
+(* The mixed-radix node ids below are only bijective while [m^n] stays
+   representable, so [encode]/[decode] refuse a space past [max_int]. *)
+let space name ~budget g =
+  Numeric.Combinat.search_space ~who:("Game_graph." ^ name) ~what:"pure profiles" ~budget
+    (Game.links g) (Game.users g)
 
 let encode g p =
   let m = Game.links g in
-  ignore (ipow_checked "encode" ~m ~n:(Game.users g));
+  ignore (space "encode" ~budget:max_int g);
   Array.fold_right (fun l acc -> (acc * m) + l) p 0
 
 let decode g k =
   let n = Game.users g and m = Game.links g in
-  ignore (ipow_checked "decode" ~m ~n);
+  ignore (space "decode" ~budget:max_int g);
   let p = Array.make n 0 in
   let rest = ref k in
   for i = 0 to n - 1 do
@@ -55,13 +50,8 @@ let successors g ?initial ~kind p =
       next)
     (successor_moves v ~kind)
 
-let node_count name limit g =
-  match Social.profile_count g with
-  | Some c when c <= limit -> c
-  | _ -> invalid_arg (Printf.sprintf "Game_graph.%s: state space exceeds the limit" name)
-
-let find_cycle ?(limit = 2_000_000) ?initial g ~kind =
-  let count = node_count "find_cycle" limit g in
+let find_cycle ?initial g ~kind =
+  let count = space "find_cycle" ~budget g in
   let n = Game.users g and m = Game.links g in
   (* pw.(i) = m^i: moving user i from link l to l' shifts the node id by
      (l' - l)·m^i, so the DFS never re-encodes a whole profile. *)
@@ -104,5 +94,3 @@ let find_cycle ?(limit = 2_000_000) ?initial g ~kind =
     incr id
   done;
   !cycle
-
-let all_reach_nash ?limit ?initial g ~kind = find_cycle ?limit ?initial g ~kind = None

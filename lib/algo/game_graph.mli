@@ -11,10 +11,16 @@ open Model
 
 type move_kind = Best_response | Better_response
 
+(** [budget] is the largest profile space {!find_cycle} searches:
+    [2_000_000].  {!Kp.Milchtaich}'s improvement-cycle search shares
+    it. *)
+val budget : int
+
 (** [encode g p] bijectively maps a profile to an integer in
     [0, m^n); [decode g k] inverts it.
     @raise Invalid_argument when [m^n] overflows the native int range
-    (the message names the offending [m] and [n]) — without the guard
+    (the message names the offending [m] and [n] and the limit
+    [max_int]) — without the guard
     the mixed-radix id would silently wrap and stop being injective. *)
 val encode : Game.t -> Pure.profile -> int
 
@@ -32,14 +38,6 @@ val successors :
     exists.  The DFS carries one incremental {!View} per root — an O(1)
     move/undo per tree edge and an id delta of [(l' - l)·m^i] — instead
     of decoding and re-materialising every node.
-    @raise Invalid_argument when [m^n] exceeds [limit]
-    (default [2_000_000]). *)
+    @raise Invalid_argument when [m^n] exceeds {!budget}. *)
 val find_cycle :
-  ?limit:int -> ?initial:Numeric.Rational.t array -> Game.t -> kind:move_kind ->
-  Pure.profile list option
-
-(** [all_reach_nash g ~kind] holds when from every profile the dynamics
-    can only terminate in a Nash equilibrium, i.e. the graph is acyclic
-    (its sinks are exactly the pure Nash equilibria). *)
-val all_reach_nash :
-  ?limit:int -> ?initial:Numeric.Rational.t array -> Game.t -> kind:move_kind -> bool
+  ?initial:Numeric.Rational.t array -> Game.t -> kind:move_kind -> Pure.profile list option

@@ -27,11 +27,12 @@ let square_defect_v v ~i ~j ~li ~lj =
 
 let square_defect g sigma ~i ~j ~li ~lj = square_defect_v (View.of_profile g sigma) ~i ~j ~li ~lj
 
-let find_nonzero_square ?(limit = 100_000) g =
-  (match Social.profile_count g with
-   | Some c when c <= limit -> ()
-   | _ -> invalid_arg "Potential.find_nonzero_square: state space exceeds the limit");
+let budget = 100_000
+
+let find_nonzero_square g =
   let n = Game.users g and m = Game.links g in
+  ignore
+    (Combinat.search_space ~who:"Potential.find_nonzero_square" ~what:"pure profiles" ~budget m n);
   let witness = ref None in
   (try
      View.sweep g (fun v ->
@@ -52,7 +53,7 @@ let find_nonzero_square ?(limit = 100_000) g =
    with Exit -> ());
   !witness
 
-let is_exact_potential_game ?limit g = find_nonzero_square ?limit g = None
+let is_exact_potential_game g = find_nonzero_square g = None
 
 let rosenthal g sigma =
   if not (Game.is_symmetric g) then

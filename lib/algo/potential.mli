@@ -24,13 +24,12 @@ val square_defect :
 (** [find_nonzero_square g] searches all profiles and deviation squares
     and returns a witness [(sigma, i, j, li, lj)] with non-zero defect,
     or [None] if the game satisfies the exact-potential condition.
-    @raise Invalid_argument when [m^n] exceeds [limit]
-    (default [100_000]). *)
-val find_nonzero_square :
-  ?limit:int -> Game.t -> (Pure.profile * int * int * int * int) option
+    @raise Invalid_argument when [m^n] exceeds the fixed budget
+    [100_000]. *)
+val find_nonzero_square : Game.t -> (Pure.profile * int * int * int * int) option
 
 (** [is_exact_potential_game g] is [find_nonzero_square g = None]. *)
-val is_exact_potential_game : ?limit:int -> Game.t -> bool
+val is_exact_potential_game : Game.t -> bool
 
 (** [rosenthal g sigma] is the Rosenthal potential
     [Σ_ℓ Σ_{k=1}^{N_ℓ} k / c^ℓ] for {e unweighted KP} games (all

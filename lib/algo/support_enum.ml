@@ -94,37 +94,20 @@ let classify g supports =
 let solve_support g supports =
   match classify g supports with Equilibrium f -> Some f | Rejected | Degenerate -> None
 
-let all_nash ?(limit = 200_000) g =
+let budget = 200_000
+
+let all_nash g =
   let n = Game.users g and m = Game.links g in
+  (* Each user's support is one of the [2^m - 1] non-empty link masks;
+     odometer digit [d] stands for mask [d + 1]. *)
   let masks = (1 lsl m) - 1 in
-  (* masks^n support profiles in total. *)
-  let rec count acc i =
-    if i = 0 then Some acc
-    else if acc > limit then None
-    else count (acc * masks) (i - 1)
-  in
-  (match count 1 n with
-   | Some c when c <= limit -> ()
-   | _ -> invalid_arg "Support_enum.all_nash: support space exceeds the limit");
-  let current = Array.make n 1 in
+  ignore
+    (Combinat.search_space ~who:"Support_enum.all_nash" ~what:"support profiles" ~budget masks
+       n);
   let equilibria = ref [] and degenerate = ref 0 in
-  let rec next i =
-    if i < 0 then false
-    else if current.(i) + 1 <= masks then begin
-      current.(i) <- current.(i) + 1;
-      true
-    end
-    else begin
-      current.(i) <- 1;
-      next (i - 1)
-    end
-  in
-  let continue = ref true in
-  while !continue do
-    (match classify g (Array.map (links_of_mask m) current) with
-     | Equilibrium f -> equilibria := f :: !equilibria
-     | Degenerate -> incr degenerate
-     | Rejected -> ());
-    continue := next (n - 1)
-  done;
+  Combinat.iter_odometer ~digits:n ~base:masks (fun d ->
+      match classify g (Array.map (fun k -> links_of_mask m (k + 1)) d) with
+      | Equilibrium f -> equilibria := f :: !equilibria
+      | Degenerate -> incr degenerate
+      | Rejected -> ());
   { equilibria = List.rev !equilibria; degenerate_supports = !degenerate }

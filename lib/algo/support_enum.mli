@@ -37,9 +37,9 @@ type result = {
 }
 
 (** [all_nash g] enumerates every support profile.
-    @raise Invalid_argument when [(2^m - 1)^n] exceeds [limit]
-    (default [200_000]). *)
-val all_nash : ?limit:int -> Game.t -> result
+    @raise Invalid_argument when [(2^m - 1)^n] exceeds the fixed
+    budget [200_000]. *)
+val all_nash : Game.t -> result
 
 (** [solve_support g supports] solves the equal-latency system for one
     support profile: [Some finding] when the system is non-singular and

@@ -56,24 +56,6 @@ let run ?(domains = 1) ~seed ~ns ~ms ~trials ~weights ~beliefs () =
         all_have_pure_ne = !all_pure;
       })
 
-let find_better_response_witness ~seed ~trials =
-  let rng = Prng.Rng.create seed in
-  let rec go k =
-    if k > trials then None
-    else begin
-      let n = Prng.Rng.int_in rng 3 4 and m = Prng.Rng.int_in rng 2 3 in
-      let g =
-        Generators.game rng ~n ~m
-          ~weights:(Generators.Integer_weights 4)
-          ~beliefs:(Generators.Private_point { cap_bound = 6 })
-      in
-      match Algo.Game_graph.find_cycle g ~kind:Algo.Game_graph.Better_response with
-      | Some cycle -> Some (g, cycle)
-      | None -> go (k + 1)
-    end
-  in
-  go 1
-
 let table rows =
   let t =
     Stats.Table.create

@@ -34,10 +34,4 @@ val run :
   unit ->
   row list
 
-(** [find_better_response_witness ~seed ~trials] scans random small
-    instances and returns the first game whose better-response graph
-    contains a cycle, with the witness cycle. *)
-val find_better_response_witness :
-  seed:int -> trials:int -> (Model.Game.t * Model.Pure.profile list) option
-
 val table : row list -> Stats.Table.t

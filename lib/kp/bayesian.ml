@@ -117,39 +117,30 @@ let solve t =
   done;
   s
 
-let exists_pure_nash ?(limit = 1_000_000) t =
-  let m = links t in
-  let slots = ref [] in
-  for i = users t - 1 downto 0 do
-    for ty = type_count t i - 1 downto 0 do
-      slots := (i, ty) :: !slots
-    done
-  done;
-  let slots = Array.of_list !slots in
-  let total = Array.length slots in
-  let rec count acc i =
-    if i = 0 then Some acc else if acc > limit then None else count (acc * m) (i - 1)
-  in
-  (match count 1 total with
-   | Some c when c <= limit -> ()
-   | _ -> invalid_arg "Bayesian.exists_pure_nash: strategy space exceeds the limit");
+let budget = 1_000_000
+
+(* One odometer digit per (user, type) slot, user-major, so the last
+   type of the last user varies fastest. *)
+let exists_pure_nash t =
+  let total = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.traffics in
+  ignore
+    (Combinat.search_space ~who:"Bayesian.exists_pure_nash" ~what:"strategies" ~budget (links t)
+       total);
   let s = Array.init (users t) (fun i -> Array.make (type_count t i) 0) in
-  let rec next idx =
-    if idx < 0 then false
-    else begin
-      let i, ty = slots.(idx) in
-      if s.(i).(ty) + 1 < m then begin
-        s.(i).(ty) <- s.(i).(ty) + 1;
-        true
-      end
-      else begin
-        s.(i).(ty) <- 0;
-        next (idx - 1)
-      end
-    end
-  in
-  let rec scan () = if is_nash t s then true else if next (total - 1) then scan () else false in
-  scan ()
+  let exception Found in
+  try
+    Combinat.iter_odometer ~digits:total ~base:(links t) (fun d ->
+        let k = ref 0 in
+        Array.iter
+          (fun row ->
+            for ty = 0 to Array.length row - 1 do
+              row.(ty) <- d.(!k);
+              incr k
+            done)
+          s;
+        if is_nash t s then raise Found);
+    false
+  with Found -> true
 
 let random rng ~n ~m ~max_types ~bound =
   let capacities = Array.init m (fun _ -> Rational.of_int (Prng.Rng.int_in rng 1 bound)) in

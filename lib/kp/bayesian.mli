@@ -62,9 +62,9 @@ val is_nash : t -> strategy -> bool
 val solve : t -> strategy
 
 (** [exists_pure_nash t] checks exhaustively over all [m^{Σ|T_i|}]
-    strategies. @raise Invalid_argument when that count exceeds [limit]
-    (default [1_000_000]). *)
-val exists_pure_nash : ?limit:int -> t -> bool
+    strategies. @raise Invalid_argument when that count exceeds the
+    fixed budget [1_000_000]. *)
+val exists_pure_nash : t -> bool
 
 (** [random rng ~n ~m ~max_types ~bound] draws a random instance with
     integer capacities and traffics in [1, bound]. *)

@@ -1,24 +1,26 @@
 open Numeric
 
-(* Shared profile enumeration: all links^players assignments. *)
-let iter_profiles ~players ~links f =
-  let p = Array.make players 0 in
-  let rec next i =
-    if i < 0 then false
-    else if p.(i) + 1 < links then begin
-      p.(i) <- p.(i) + 1;
-      true
-    end
-    else begin
-      p.(i) <- 0;
-      next (i - 1)
-    end
-  in
-  let continue = ref true in
-  while !continue do
-    f p;
-    continue := next (players - 1)
-  done
+(* The exhaustive NE scans share Algo.Enumerate's budget and the
+   improvement-cycle search Algo.Game_graph's; both variants walk the
+   links^players profiles on the one odometer. *)
+let space who ~budget ~players ~links =
+  Combinat.search_space ~who:("Milchtaich." ^ who) ~what:"pure profiles" ~budget links players
+
+let scan who ~players ~links f =
+  ignore (space who ~budget:Algo.Enumerate.budget ~players ~links);
+  Combinat.iter_odometer ~digits:players ~base:links f
+
+let pure_nash who ~players ~links is_nash =
+  let acc = ref [] in
+  scan who ~players ~links (fun p -> if is_nash p then acc := Array.copy p :: !acc);
+  List.rev !acc
+
+let exists_pure_nash who ~players ~links is_nash =
+  let exception Found in
+  try
+    scan who ~players ~links (fun p -> if is_nash p then raise Found);
+    false
+  with Found -> true
 
 (* Three-colour DFS for a cycle in an abstract successor graph over
    integer-encoded profiles; shared by both game variants. *)
@@ -54,10 +56,6 @@ let decode ~players ~links k =
     rest := !rest / links
   done;
   p
-
-let pow_int b e =
-  let rec go acc e = if e = 0 then acc else go (acc * b) (e - 1) in
-  go 1 e
 
 module Unweighted = struct
   type t = { cost : Rational.t array array array }
@@ -115,19 +113,10 @@ module Unweighted = struct
     in
     check_player 0
 
-  let pure_nash t =
-    let acc = ref [] in
-    iter_profiles ~players:(players t) ~links:(links t) (fun p ->
-        if is_nash t p then acc := Array.copy p :: !acc);
-    List.rev !acc
+  let pure_nash t = pure_nash "Unweighted.pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
 
   let exists_pure_nash t =
-    let exception Found in
-    try
-      iter_profiles ~players:(players t) ~links:(links t) (fun p ->
-          if is_nash t p then raise Found);
-      false
-    with Found -> true
+    exists_pure_nash "Unweighted.exists_pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
 
   let random rng ~players ~links ~value_bound =
     let monotone_column () =
@@ -146,7 +135,10 @@ module Unweighted = struct
 
   let has_better_response_cycle t =
     let n = players t and m = links t in
-    let nodes = pow_int m n in
+    let nodes =
+      space "Unweighted.has_better_response_cycle" ~budget:Algo.Game_graph.budget ~players:n
+        ~links:m
+    in
     let successors v =
       let p = decode ~players:n ~links:m v in
       List.concat_map
@@ -224,19 +216,10 @@ module Weighted = struct
     in
     check_player 0
 
-  let pure_nash t =
-    let acc = ref [] in
-    iter_profiles ~players:(players t) ~links:(links t) (fun p ->
-        if is_nash t p then acc := Array.copy p :: !acc);
-    List.rev !acc
+  let pure_nash t = pure_nash "Weighted.pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
 
   let exists_pure_nash t =
-    let exception Found in
-    try
-      iter_profiles ~players:(players t) ~links:(links t) (fun p ->
-          if is_nash t p then raise Found);
-      false
-    with Found -> true
+    exists_pure_nash "Weighted.exists_pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
 
   let random rng ~weights ~links ~value_bound =
     let loads = total_weight weights in

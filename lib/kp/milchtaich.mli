@@ -14,7 +14,13 @@
       3-player/3-link counterexample); {!Weighted.search_no_pure_nash}
       finds such instances, which is what experiment E7 contrasts with
       the belief-induced games of the paper (where the n = 3 case is
-      proven to always have one). *)
+      proven to always have one).
+
+    The exhaustive scans ([pure_nash], [exists_pure_nash]) refuse more
+    than {!Algo.Enumerate.budget} profiles and
+    {!Unweighted.has_better_response_cycle} more than
+    {!Algo.Game_graph.budget}, raising [Invalid_argument] through
+    {!Numeric.Combinat.search_space} before any search. *)
 
 module Unweighted : sig
   type t

@@ -14,11 +14,6 @@ let max_congestion g sigma =
   done;
   !best
 
-let guard name limit g =
-  match Social.profile_count g with
-  | Some c when c <= limit -> ()
-  | _ -> invalid_arg (Printf.sprintf "Congestion.%s: realisation space exceeds the limit" name)
-
 (* The max congestion of the profile a view is positioned at: O(m)
    against the view's O(1) loads (the one-shot [max_congestion] above
    pays an O(n) load materialisation instead). *)
@@ -32,15 +27,16 @@ let max_congestion_of_view g v =
 (* The expectation no longer sweeps the m^n realisations: the product
    measure is pushed forward to the distribution of the load vector
    (Load_dist), whose user-class DP merges equal-load realisations, so
-   [limit] now bounds distinct load states instead of m^n.  The result
-   is bit-identical to the seed sweep (exact arithmetic throughout);
-   test/test_load_dist.ml pins that equality differentially. *)
-let expected_max_congestion ?limit g p =
+   Load_dist's state limit bounds distinct load states instead of m^n.
+   The result is bit-identical to the seed sweep (exact arithmetic
+   throughout); test/test_load_dist.ml pins that equality
+   differentially. *)
+let expected_max_congestion g p =
   require_kp "expected_max_congestion" g;
   Mixed.validate g p;
   let caps = Game.capacity_row g 0 in
   let m = Game.links g in
-  let dist = Load_dist.of_mixed ?limit g p in
+  let dist = Load_dist.of_mixed g p in
   Load_dist.expect dist (fun loads ->
       let best = ref (Rational.div loads.(0) caps.(0)) in
       for l = 1 to m - 1 do
@@ -67,9 +63,13 @@ let estimate g p ~samples rng =
   done;
   Rational.to_float (Rational.div !acc (Rational.of_int samples))
 
-let optimum ?(limit = 1_000_000) g =
+let budget = 1_000_000
+
+let optimum g =
   require_kp "optimum" g;
-  guard "optimum" limit g;
+  ignore
+    (Combinat.search_space ~who:"Congestion.optimum" ~what:"pure profiles" ~budget
+       (Game.links g) (Game.users g));
   let best =
     View.fold g ~init:None ~f:(fun acc v ->
         let c = max_congestion_of_view g v in

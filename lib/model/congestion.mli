@@ -24,11 +24,10 @@ val max_congestion : Game.t -> Pure.profile -> Numeric.Rational.t
     enumerating the [m^n] realisations, so exchangeable users (equal
     weight, equal row) cost [C(n_c + m - 1, m - 1)] states per class:
     uniform fully mixed profiles far beyond the seed enumerator's
-    [m^n <= 1_000_000] range are exact and fast.  [limit] bounds the
-    number of distinct load states (default [1_000_000]).
+    [m^n <= 1_000_000] range are exact and fast.
     @raise Invalid_argument unless [g] is a KP instance, or when the
-    load-state space exceeds [limit]. *)
-val expected_max_congestion : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
+    load-state space exceeds {!Load_dist.of_mixed}'s default limit. *)
+val expected_max_congestion : Game.t -> Mixed.profile -> Numeric.Rational.t
 
 (** [estimate g p ~samples rng] is a Monte-Carlo estimate of
     {!expected_max_congestion} usable beyond the exact limit.  The
@@ -39,5 +38,5 @@ val estimate : Game.t -> Mixed.profile -> samples:int -> Prng.Rng.t -> float
     of {!max_congestion}, with an argmin (the classical OPT of [13]),
     found by one serial {!View.fold}.
     @raise Invalid_argument unless [g] is a KP instance or when [m^n]
-    exceeds [limit]. *)
-val optimum : ?limit:int -> Game.t -> Numeric.Rational.t * Pure.profile
+    exceeds the fixed budget [1_000_000]. *)
+val optimum : Game.t -> Numeric.Rational.t * Pure.profile

@@ -1,42 +1,10 @@
 open Numeric
 
-let iter_profiles g f =
-  let n = Game.users g and m = Game.links g in
-  let p = Array.make n 0 in
-  (* Odometer enumeration of [m^n] profiles. *)
-  let rec next i =
-    if i < 0 then false
-    else if p.(i) + 1 < m then begin
-      p.(i) <- p.(i) + 1;
-      true
-    end
-    else begin
-      p.(i) <- 0;
-      next (i - 1)
-    end
-  in
-  let continue = ref true in
-  while !continue do
-    f p;
-    continue := next (n - 1)
-  done
+let iter_profiles g f = Combinat.iter_odometer ~digits:(Game.users g) ~base:(Game.links g) f
 
-let profile_count g =
-  let n = Game.users g and m = Game.links g in
-  let rec go acc i =
-    if i = 0 then Some acc
-    else if acc > max_int / m then None
-    else go (acc * m) (i - 1)
-  in
-  go 1 n
+let profile_count g = Combinat.pow (Game.links g) (Game.users g)
 
-let guard name limit g =
-  match profile_count g with
-  | Some c when c <= limit -> ()
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "Social.%s: %d^%d pure profiles exceed the limit %d" name (Game.links g)
-         (Game.users g) limit)
+let budget = 10_000_000
 
 (* Exhaustive optimisation walks the profiles in odometer order through
    an incremental [View.fold]: consecutive profiles differ by an
@@ -44,8 +12,10 @@ let guard name limit g =
    is the O(n) cost evaluation against O(1) loads — the seed path
    rebuilt every load with an O(n) scan, i.e. O(n²) per profile.
    Strict improvement keeps the first minimum in odometer order. *)
-let optimum name cost ?(limit = 10_000_000) g =
-  guard name limit g;
+let optimum name cost g =
+  ignore
+    (Combinat.search_space ~who:("Social." ^ name) ~what:"pure profiles" ~budget (Game.links g)
+       (Game.users g));
   let best =
     View.fold g ~init:None ~f:(fun acc v ->
         let c = cost v in
@@ -57,15 +27,15 @@ let optimum name cost ?(limit = 10_000_000) g =
   | Some (v, p) -> (v, p)
   | None -> assert false (* the sweep visits at least one profile *)
 
-let opt1 ?limit g = optimum "opt1" View.social_cost1 ?limit g
-let opt2 ?limit g = optimum "opt2" View.social_cost2 ?limit g
+let opt1 g = optimum "opt1" View.social_cost1 g
+let opt2 g = optimum "opt2" View.social_cost2 g
 
-let ratio1 ?limit g p =
-  let opt, _ = opt1 ?limit g in
+let ratio1 g p =
+  let opt, _ = opt1 g in
   Rational.div (Mixed.social_cost1 g p) opt
 
-let ratio2 ?limit g p =
-  let opt, _ = opt2 ?limit g in
+let ratio2 g p =
+  let opt, _ = opt2 g in
   Rational.div (Mixed.social_cost2 g p) opt
 
 (* Branch-and-bound over users in decreasing weight order.  The bound

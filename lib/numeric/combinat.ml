@@ -67,3 +67,38 @@ let iter_compositions ~total ~parts f =
     end
   in
   go 0 total
+
+(* For [b >= 2] the result passes [max_int] within 62 factors, so the
+   linear loop is short; [b <= 1] never grows and returns at once. *)
+let pow b e =
+  if b < 0 || e < 0 then invalid_arg "Combinat.pow: negative argument";
+  if b <= 1 then Some (if e = 0 then 1 else b)
+  else
+    let rec go acc e =
+      if e = 0 then Some acc else if acc > max_int / b then None else go (acc * b) (e - 1)
+    in
+    go 1 e
+
+let search_space ~who ~what ~budget b e =
+  match pow b e with
+  | Some c when c <= budget -> c
+  | _ -> invalid_arg (Printf.sprintf "%s: %d^%d %s exceed the limit %d" who b e what budget)
+
+let iter_odometer ~digits ~base f =
+  let d = Array.make digits 0 in
+  let rec next i =
+    if i < 0 then false
+    else if d.(i) + 1 < base then begin
+      d.(i) <- d.(i) + 1;
+      true
+    end
+    else begin
+      d.(i) <- 0;
+      next (i - 1)
+    end
+  in
+  let continue = ref true in
+  while !continue do
+    f d;
+    continue := next (digits - 1)
+  done

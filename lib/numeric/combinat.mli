@@ -7,7 +7,14 @@
     coefficient.  This module is the single home for those quantities:
     binomials and multinomials over {!Bigint} (always exact, never
     overflowing) and weak-composition enumeration/counting with an
-    explicit overflow guard where a native count is required. *)
+    explicit overflow guard where a native count is required.
+
+    It is also the one home of the exhaustive-search guard.  Every
+    search over a product space ([m^n] pure profiles, support or
+    Bayesian strategy profiles) sizes the space with the checked power
+    {!pow}, refuses it through {!search_space} against a fixed budget
+    named in the calling module, and walks it with the one odometer
+    {!iter_odometer}. *)
 
 (** [choose n k] is the binomial coefficient C(n, k) — [zero] when
     [k < 0] or [k > n].  Exact for any magnitude.
@@ -43,3 +50,23 @@ val compositions_int : total:int -> parts:int -> int
     is reused between calls: copy it if you retain it.
     @raise Invalid_argument when [total < 0] or [parts < 1]. *)
 val iter_compositions : total:int -> parts:int -> (int array -> unit) -> unit
+
+(** [pow b e] is [Some b^e], or [None] when the power exceeds
+    [max_int].  [pow b 0 = Some 1]; [b = 0] and [b = 1] return at once
+    for any [e].
+    @raise Invalid_argument when [b < 0] or [e < 0]. *)
+val pow : int -> int -> int option
+
+(** [search_space ~who ~what ~budget b e] is [b^e] when it is at most
+    [budget].  Every exhaustive search calls it before searching, so an
+    over-budget space is refused after at most 63 multiplications.
+    @raise Invalid_argument ["<who>: <b>^<e> <what> exceed the limit
+    <budget>"] when [b^e] exceeds [budget] or overflows. *)
+val search_space : who:string -> what:string -> budget:int -> int -> int -> int
+
+(** [iter_odometer ~digits ~base f] calls [f] on every vector in
+    [[0, base)^digits], in odometer order: the last digit varies
+    fastest.  The array passed to [f] is reused between calls: copy it
+    if you retain it.  With [digits = 0] or [base <= 1], [f] sees the
+    all-zero vector once. *)
+val iter_odometer : digits:int -> base:int -> (int array -> unit) -> unit

@@ -59,10 +59,14 @@ let test_solve_converges () =
   Alcotest.(check bool) "solution is a Bayesian NE" true (Kp.Bayesian.is_nash t s)
 
 let test_exhaustive_guard () =
-  let t = fixture () in
-  Alcotest.check_raises "limit"
-    (Invalid_argument "Bayesian.exists_pure_nash: strategy space exceeds the limit") (fun () ->
-      ignore (Kp.Bayesian.exists_pure_nash ~limit:2 t))
+  (* Ten users with two types each on two links: 2^20 strategies. *)
+  let t =
+    Kp.Bayesian.make ~capacities:[| qi 2; qi 1 |]
+      ~types:(Array.make 10 [ (qi 1, q 1 2); (qi 4, q 1 2) ])
+  in
+  Alcotest.check_raises "budget"
+    (Invalid_argument "Bayesian.exists_pure_nash: 2^20 strategies exceed the limit 1000000")
+    (fun () -> ignore (Kp.Bayesian.exists_pure_nash t))
 
 let bayesian_properties =
   [

@@ -1,7 +1,9 @@
 (* Property tests for the shared combinatorics module
    (Numeric.Combinat): binomials against Pascal's rule, multinomials
    against the factorial ratio, composition enumeration against its
-   closed-form count, and the overflow guard on native counts. *)
+   closed-form count, and the overflow guard on native counts; the
+   checked power, the odometer, and the exhaustive-search guard every
+   budgeted entry point raises through. *)
 
 open Numeric
 
@@ -123,6 +125,105 @@ let test_argument_guards () =
     (Invalid_argument "Combinat.iter_compositions: negative total") (fun () ->
       Combinat.iter_compositions ~total:(-1) ~parts:2 (fun _ -> ()))
 
+let test_pow_boundaries () =
+  let check name want b e = Alcotest.(check (option int)) name want (Combinat.pow b e) in
+  check "max_int^1 is exactly max_int" (Some max_int) max_int 1;
+  check "max_int^2 overflows" None max_int 2;
+  check "2^61 fits" (Some (1 lsl 61)) 2 61;
+  check "2^62 is one step past max_int" None 2 62;
+  check "3^39 fits" (Some 4052555153018976267) 3 39;
+  check "3^40 overflows" None 3 40;
+  check "4^32 overflows instead of wrapping to 0" None 4 32;
+  check "e = 0" (Some 1) 7 0;
+  check "0^0" (Some 1) 0 0;
+  check "0^e" (Some 0) 0 5;
+  check "b = 1 at a huge exponent" (Some 1) 1 max_int;
+  Alcotest.check_raises "negative exponent" (Invalid_argument "Combinat.pow: negative argument")
+    (fun () -> ignore (Combinat.pow 2 (-1)));
+  Alcotest.(check int) "space at its budget" 8
+    (Combinat.search_space ~who:"t" ~what:"things" ~budget:8 2 3);
+  Alcotest.check_raises "space one past its budget"
+    (Invalid_argument "t: 2^3 things exceed the limit 7") (fun () ->
+      ignore (Combinat.search_space ~who:"t" ~what:"things" ~budget:7 2 3))
+
+let test_odometer_order () =
+  let seen = ref [] in
+  Combinat.iter_odometer ~digits:2 ~base:3 (fun d -> seen := Array.to_list d :: !seen);
+  Alcotest.(check (list (list int)))
+    "last digit fastest"
+    [ [ 0; 0 ]; [ 0; 1 ]; [ 0; 2 ]; [ 1; 0 ]; [ 1; 1 ]; [ 1; 2 ]; [ 2; 0 ]; [ 2; 1 ]; [ 2; 2 ] ]
+    (List.rev !seen);
+  let calls = ref 0 in
+  Combinat.iter_odometer ~digits:0 ~base:3 (fun _ -> incr calls);
+  Alcotest.(check int) "no digits: one empty vector" 1 !calls
+
+(* Every exhaustive entry point on an instance just over its fixed
+   budget: the guard fires before any search, so each row is cheap. *)
+let test_budget_table () =
+  let open Model in
+  let qi = Rational.of_int in
+  let game n caps = Game.of_capacities ~weights:(Array.make n Rational.one) (Array.make n caps) in
+  let two = [| qi 1; qi 2 |] in
+  let g24 = game 24 two and g21 = game 21 two and g20 = game 20 two in
+  let g17 = game 17 two and g13 = game 13 two in
+  let g7 = game 7 [| qi 1; qi 2; qi 3 |] in
+  let bayes =
+    Kp.Bayesian.make ~capacities:two
+      ~types:(Array.make 10 [ (qi 1, Rational.of_ints 1 2); (qi 2, Rational.of_ints 1 2) ])
+  in
+  let rng = Prng.Rng.create 1 in
+  let mu = Kp.Milchtaich.Unweighted.random rng ~players:32 ~links:4 ~value_bound:6 in
+  let mw = Kp.Milchtaich.Weighted.random rng ~weights:(Array.make 32 1) ~links:4 ~value_bound:6 in
+  let p24 = Mixed.uniform g24 in
+  let rows =
+    [
+      ("Social.opt1: 2^24 pure profiles exceed the limit 10000000", fun () -> ignore (Social.opt1 g24));
+      ("Social.opt2: 2^24 pure profiles exceed the limit 10000000", fun () -> ignore (Social.opt2 g24));
+      ( "Social.opt1: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Social.ratio1 g24 p24) );
+      ( "Social.opt2: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Social.ratio2 g24 p24) );
+      ( "Enumerate.pure_nash: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Algo.Enumerate.pure_nash g24) );
+      ( "Enumerate.count: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Algo.Enumerate.count g24) );
+      ( "Enumerate.exists: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Algo.Enumerate.exists g24) );
+      ( "Enumerate.pure_nash: 2^24 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Algo.Enumerate.extremal_nash g24 ~cost:(fun g p -> Pure.social_cost1 g p)) );
+      ( "Game_graph.find_cycle: 2^21 pure profiles exceed the limit 2000000",
+        fun () -> ignore (Algo.Game_graph.find_cycle g21 ~kind:Algo.Game_graph.Better_response) );
+      ( "Game_graph.find_cycle: 2^21 pure profiles exceed the limit 2000000",
+        fun () -> ignore (Algo.Game_graph.find_cycle g21 ~kind:Algo.Game_graph.Best_response) );
+      ( "Congestion.optimum: 2^20 pure profiles exceed the limit 1000000",
+        fun () -> ignore (Congestion.optimum g20) );
+      ( "Potential.find_nonzero_square: 2^17 pure profiles exceed the limit 100000",
+        fun () -> ignore (Algo.Potential.find_nonzero_square g17) );
+      ( "Potential.find_nonzero_square: 2^17 pure profiles exceed the limit 100000",
+        fun () -> ignore (Algo.Potential.is_exact_potential_game g17) );
+      ( "Correlated.best_social_cost: 2^13 pure profiles exceed the limit 4096",
+        fun () -> ignore (Algo.Correlated.best_social_cost g13) );
+      ( "Correlated.worst_social_cost: 2^13 pure profiles exceed the limit 4096",
+        fun () -> ignore (Algo.Correlated.worst_social_cost g13) );
+      ( "Support_enum.all_nash: 7^7 support profiles exceed the limit 200000",
+        fun () -> ignore (Algo.Support_enum.all_nash g7) );
+      ( "Bayesian.exists_pure_nash: 2^20 strategies exceed the limit 1000000",
+        fun () -> ignore (Kp.Bayesian.exists_pure_nash bayes) );
+      ( "Milchtaich.Unweighted.pure_nash: 4^32 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Kp.Milchtaich.Unweighted.pure_nash mu) );
+      ( "Milchtaich.Unweighted.exists_pure_nash: 4^32 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Kp.Milchtaich.Unweighted.exists_pure_nash mu) );
+      ( "Milchtaich.Unweighted.has_better_response_cycle: 4^32 pure profiles exceed the limit \
+         2000000",
+        fun () -> ignore (Kp.Milchtaich.Unweighted.has_better_response_cycle mu) );
+      ( "Milchtaich.Weighted.pure_nash: 4^32 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Kp.Milchtaich.Weighted.pure_nash mw) );
+      ( "Milchtaich.Weighted.exists_pure_nash: 4^32 pure profiles exceed the limit 10000000",
+        fun () -> ignore (Kp.Milchtaich.Weighted.exists_pure_nash mw) );
+    ]
+  in
+  List.iter (fun (msg, f) -> Alcotest.check_raises msg (Invalid_argument msg) f) rows
+
 let () =
   Alcotest.run "combinat"
     [
@@ -138,5 +239,8 @@ let () =
           Alcotest.test_case "native count overflow guard" `Quick
             test_compositions_int_overflow_guard;
           Alcotest.test_case "argument guards" `Quick test_argument_guards;
+          Alcotest.test_case "checked power at its boundaries" `Quick test_pow_boundaries;
+          Alcotest.test_case "odometer order" `Quick test_odometer_order;
+          Alcotest.test_case "every exhaustive entry point's budget" `Quick test_budget_table;
         ] );
     ]

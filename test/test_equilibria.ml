@@ -68,10 +68,11 @@ let test_solve_support_validation () =
       ignore (Algo.Support_enum.solve_support g [| [ 5 ]; [ 0 ] |]))
 
 let test_all_nash_limit () =
-  let g = fixture () in
-  Alcotest.check_raises "limit guard"
-    (Invalid_argument "Support_enum.all_nash: support space exceeds the limit") (fun () ->
-      ignore (Algo.Support_enum.all_nash ~limit:2 g))
+  (* Seven users on three links: 7^7 support profiles. *)
+  let g = Game.of_capacities ~weights:(Array.make 7 (qi 1)) (Array.make 7 [| qi 1; qi 2; qi 3 |]) in
+  Alcotest.check_raises "budget guard"
+    (Invalid_argument "Support_enum.all_nash: 7^7 support profiles exceed the limit 200000")
+    (fun () -> ignore (Algo.Support_enum.all_nash g))
 
 let support_properties =
   [

@@ -523,9 +523,10 @@ let test_social_optimum () =
   Alcotest.(check (array int)) "OPT2 profile" [| 0; 1 |] p2
 
 let test_social_guard () =
-  let g = game_fixture () in
-  Alcotest.check_raises "limit" (Invalid_argument "Social.opt1: 2^2 pure profiles exceed the limit 3")
-    (fun () -> ignore (Social.opt1 ~limit:3 g))
+  let g = Game.of_capacities ~weights:(Array.make 24 Rational.one) (Array.make 24 [| qi 1; qi 2 |]) in
+  Alcotest.check_raises "budget"
+    (Invalid_argument "Social.opt1: 2^24 pure profiles exceed the limit 10000000") (fun () ->
+      ignore (Social.opt1 g))
 
 let test_profile_count () =
   let g = game_fixture () in
