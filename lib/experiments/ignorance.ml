@@ -63,10 +63,7 @@ let expected_scw d ~true_caps =
       !acc)
 
 let expected_max_congestion d ~true_caps =
-  Load_dist.expect d (fun loads ->
-      let worst = ref Rational.zero in
-      Array.iteri (fun l c -> worst := Rational.max !worst (Rational.div loads.(l) c)) true_caps;
-      !worst)
+  Load_dist.expect d (fun loads -> Congestion.max_relative_load ~loads ~caps:true_caps)
 
 type trial = {
   t_informed : Rational.t;

@@ -4,25 +4,19 @@ let require_kp name g =
   if not (Game.is_kp g) then
     invalid_arg (Printf.sprintf "Congestion.%s: the classical social cost needs a KP instance" name)
 
+(* The argmax link is found by exact cross comparison (no quotient is
+   built, no gcd is taken), then divided out once. *)
+let max_relative_load ~loads ~caps =
+  let best = ref 0 in
+  for l = 1 to Array.length caps - 1 do
+    if Rational.compare_div loads.(l) caps.(l) loads.(!best) caps.(!best) > 0 then best := l
+  done;
+  Rational.div loads.(!best) caps.(!best)
+
 let max_congestion g sigma =
   require_kp "max_congestion" g;
   Pure.validate g sigma;
-  let loads = Pure.loads g sigma in
-  let best = ref (Rational.div loads.(0) (Game.capacity g 0 0)) in
-  for l = 1 to Game.links g - 1 do
-    best := Rational.max !best (Rational.div loads.(l) (Game.capacity g 0 l))
-  done;
-  !best
-
-(* The max congestion of the profile a view is positioned at: O(m)
-   against the view's O(1) loads (the one-shot [max_congestion] above
-   pays an O(n) load materialisation instead). *)
-let max_congestion_of_view g v =
-  let best = ref (Rational.div (View.load v 0) (Game.capacity g 0 0)) in
-  for l = 1 to Game.links g - 1 do
-    best := Rational.max !best (Rational.div (View.load v l) (Game.capacity g 0 l))
-  done;
-  !best
+  max_relative_load ~loads:(Pure.loads g sigma) ~caps:(Game.capacity_row g 0)
 
 (* The expectation no longer sweeps the m^n realisations: the product
    measure is pushed forward to the distribution of the load vector
@@ -35,14 +29,7 @@ let expected_max_congestion g p =
   require_kp "expected_max_congestion" g;
   Mixed.validate g p;
   let caps = Game.capacity_row g 0 in
-  let m = Game.links g in
-  let dist = Load_dist.of_mixed g p in
-  Load_dist.expect dist (fun loads ->
-      let best = ref (Rational.div loads.(0) caps.(0)) in
-      for l = 1 to m - 1 do
-        best := Rational.max !best (Rational.div loads.(l) caps.(l))
-      done;
-      !best)
+  Load_dist.expect (Load_dist.of_mixed g p) (fun loads -> max_relative_load ~loads ~caps)
 
 let estimate g p ~samples rng =
   require_kp "estimate" g;
@@ -70,9 +57,12 @@ let optimum g =
   ignore
     (Combinat.search_space ~who:"Congestion.optimum" ~what:"pure profiles" ~budget
        (Game.links g) (Game.users g));
+  let caps = Game.capacity_row g 0 in
   let best =
     View.fold g ~init:None ~f:(fun acc v ->
-        let c = max_congestion_of_view g v in
+        (* O(m) against the view's O(1) loads, where [max_congestion]
+           would pay an O(n) load materialisation. *)
+        let c = max_relative_load ~loads:(Array.init (Game.links g) (View.load v)) ~caps in
         match acc with
         | Some (b, _) when Rational.compare b c <= 0 -> acc
         | _ -> Some (c, View.profile v))

@@ -13,6 +13,15 @@
     All functions below require [Game.is_kp g] and use the shared
     capacity vector. *)
 
+(** [max_relative_load ~loads ~caps] is [max_ℓ loads.(ℓ)/caps.(ℓ)] over
+    the links [ℓ < Array.length caps] ([loads] may carry extra
+    coordinates, e.g. a phantom "absent" link).  The argmax is found by
+    {!Numeric.Rational.compare_div}, so the scan builds no quotient and
+    the result costs one division.  Needs no KP instance.
+    @raise Invalid_argument when [caps] is empty or longer than [loads]. *)
+val max_relative_load :
+  loads:Numeric.Rational.t array -> caps:Numeric.Rational.t array -> Numeric.Rational.t
+
 (** [max_congestion g sigma] is [max_ℓ load(ℓ)/c^ℓ] for a pure profile.
     @raise Invalid_argument unless [g] is a KP instance. *)
 val max_congestion : Game.t -> Pure.profile -> Numeric.Rational.t

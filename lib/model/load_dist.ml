@@ -1,20 +1,36 @@
 open Numeric
 
-(* Keyed on the exact load vector; Qvec.hash/Qvec.equal compose the
-   canonical Rational hashes, so equal vectors collide by law and the
-   polymorphic hash never runs (R1). *)
+(* Keyed on one packed integer per load state (see [radix] below);
+   Bigint.hash/Bigint.equal respect the canonical small/big split, so
+   equal keys collide by law and the polymorphic hash never runs (R1). *)
 module Tbl = Hashtbl.Make (struct
-  type t = Qvec.t
+  type t = Bigint.t
 
-  let equal = Qvec.equal
-  let hash = Qvec.hash
+  let equal = Bigint.equal
+  let hash = Bigint.hash
 end)
 
-type t = { table : Rational.t Tbl.t; links : int; classes : int }
+(* The lattice representation.  Loads are scaled by [scale], the lcm
+   of the weight denominators, so every scaled load is an integer in
+   [0, total].  The first m-1 of them are the digits of one key in
+   radix [total + 1] (no digit can carry); the last is [total] minus
+   the rest.  Every class row is a vector of integer numerators over
+   one denominator b_c, so a state's probability is its integer mass
+   over the common denominator [den] = Π_c b_c^{n_c}.  The final layer
+   is decoded once into [loads] and [masses], index-aligned. *)
+type t = {
+  loads : Rational.t array array;
+  masses : Bigint.t array;
+  den : Bigint.t;
+  links : int;
+  classes : int;
+}
 
 let links d = d.links
-let size d = Tbl.length d.table
+let size d = Array.length d.loads
 let classes d = d.classes
+
+let lcm a b = Bigint.mul (Bigint.div a (Bigint.gcd a b)) b
 
 (* Group users into classes of equal weight and equal probability row,
    in first-seen order.  Capacities are irrelevant: the load vector is
@@ -33,23 +49,30 @@ let classes_of g p =
   done;
   List.map (fun (w, row, count) -> (w, row, !count)) !cls
 
-(* All ways to split [count] exchangeable users of weight [weight]
-   across the links, as (load delta, probability mass) pairs.  The mass
-   of the split (k_1, …, k_m) is the multinomial C(count; k_1 … k_m)
-   times Π_l row(l)^{k_l} — both now computed by the shared
-   [Numeric.Combinat] module.  Splits placing users on a
-   zero-probability link are skipped before any arithmetic, so
-   zero-mass load states are never generated (this keeps [size]
-   identical to the seed enumeration). *)
-let class_splits ~links:m ~count ~weight ~(row : Qvec.t) =
+(* [over d q] is the integer numerator of [q] over a multiple [d] of
+   its denominator. *)
+let over d q = Bigint.mul (Rational.num q) (Bigint.div d (Rational.den q))
+
+(* All ways to split [count] exchangeable users across the links, as
+   (key delta, integer mass) pairs.  The split (k_1, …, k_m) moves the
+   key by Σ_{l<m-1} k_l·step·place(l) and has mass C(count; k_1 … k_m)
+   · Π_l a_l^{k_l}, where a_l/b is the row over its lcm denominator b;
+   the class contributes b^count to the common denominator.  Splits
+   placing users on a zero-probability link are skipped before any
+   arithmetic, so zero-mass load states are never generated (this
+   keeps [size] identical to the seed enumeration). *)
+let class_splits ~places ~count ~step ~(row : Qvec.t) =
+  let m = Array.length row in
+  let b = Array.fold_left (fun acc q -> lcm acc (Rational.den q)) Bigint.one row in
   let pows =
     Array.map
       (fun q ->
-        let a = Array.make (count + 1) Rational.one in
+        let a = over b q in
+        let ps = Array.make (count + 1) Bigint.one in
         for k = 1 to count do
-          a.(k) <- Rational.mul a.(k - 1) q
+          ps.(k) <- Bigint.mul ps.(k - 1) a
         done;
-        a)
+        ps)
       row
   in
   let splits = ref [] in
@@ -59,62 +82,127 @@ let class_splits ~links:m ~count ~weight ~(row : Qvec.t) =
         if counts.(l) > 0 && Rational.sign row.(l) = 0 then supported := false
       done;
       if !supported then begin
-        let mass = ref (Rational.of_bigint (Combinat.multinomial counts)) in
+        let mass = ref (Combinat.multinomial counts) and delta = ref Bigint.zero in
         for l = 0 to m - 1 do
-          mass := Rational.mul !mass pows.(l).(counts.(l))
+          mass := Bigint.mul !mass pows.(l).(counts.(l))
         done;
-        let delta = Qvec.init m (fun l -> Rational.mul (Rational.of_int counts.(l)) weight) in
-        splits := (delta, !mass) :: !splits
+        for l = 0 to m - 2 do
+          delta := Bigint.add !delta (Bigint.mul (Bigint.of_int counts.(l)) places.(l))
+        done;
+        splits := (Bigint.mul !delta step, !mass) :: !splits
       end);
-  !splits
+  (Array.of_list !splits, Bigint.pow b count)
 
 let limit_message = "Load_dist.of_mixed: distinct load states exceed the limit"
 
-(* Fold one state's outgoing splits into the next layer's table. *)
-let expand_into ~limit next splits loads prob =
-  List.iter
-    (fun (delta, mass) ->
-      let loads' = Qvec.add loads delta in
-      let contribution = Rational.mul prob mass in
-      match Tbl.find_opt next loads' with
-      | Some q -> Tbl.replace next loads' (Rational.add q contribution)
-      | None ->
-        if Tbl.length next >= limit then invalid_arg limit_message;
-        Tbl.add next loads' contribution)
-    splits
+(* Accumulated masses live in mutable cells, so merging a state that
+   is already present costs one lookup. *)
+type cell = { mutable mass : Bigint.t }
 
 (* One DP layer: fold a class's splits into every accumulated state,
-   merging states that land on the same load vector.  Each layer's
-   table is built and dropped inside [of_mixed], so it never crosses a
-   domain and needs no ownership guard. *)
+   merging states that land on the same key.  Each layer's table is
+   built and dropped inside [of_mixed], so it never crosses a domain
+   and needs no ownership guard. *)
 let apply ~limit layer splits =
   let next = Tbl.create (2 * Tbl.length layer) in
-  Tbl.iter (expand_into ~limit next splits) layer;
+  Tbl.iter
+    (fun key cell ->
+      Array.iter
+        (fun (delta, mass) ->
+          let key' = Bigint.add key delta in
+          let contribution = Bigint.mul cell.mass mass in
+          match Tbl.find_opt next key' with
+          | Some c -> c.mass <- Bigint.add c.mass contribution
+          | None ->
+            if Tbl.length next >= limit then invalid_arg limit_message;
+            Tbl.add next key' { mass = contribution })
+        splits)
+    layer;
   next
+
+(* Digits of [key] in radix [radix], the last load completing the
+   scaled total; each coordinate becomes a rational once, here. *)
+let unscale scale v = if Bigint.equal scale Bigint.one then Rational.of_bigint v else Rational.make v scale
+
+let decode ~links:m ~radix ~total ~scale key =
+  let loads = Array.make m Rational.zero in
+  let rest = ref key and last = ref total in
+  for l = 0 to m - 2 do
+    let q, r = Bigint.divmod !rest radix in
+    loads.(l) <- unscale scale r;
+    last := Bigint.sub !last r;
+    rest := q
+  done;
+  loads.(m - 1) <- unscale scale !last;
+  loads
 
 let of_mixed ?(limit = 1_000_000) g p =
   Mixed.validate g p;
   if limit <= 0 then invalid_arg "Load_dist.of_mixed: limit must be positive";
   let m = Game.links g in
   let cls = classes_of g p in
-  let layer0 = Tbl.create 16 in
-  Tbl.add layer0 (Qvec.make m Rational.zero) Rational.one;
-  let table =
+  let scale = List.fold_left (fun acc (w, _, _) -> lcm acc (Rational.den w)) Bigint.one cls in
+  let total =
     List.fold_left
-      (fun layer (weight, row, count) ->
-        apply ~limit layer (class_splits ~links:m ~count ~weight ~row))
-      layer0 cls
+      (fun acc (w, _, count) -> Bigint.add acc (Bigint.mul (Bigint.of_int count) (over scale w)))
+      Bigint.zero cls
   in
-  { table; links = m; classes = List.length cls }
+  let radix = Bigint.add total Bigint.one in
+  let places = Array.make (max 0 (m - 1)) Bigint.one in
+  for l = 1 to m - 2 do
+    places.(l) <- Bigint.mul places.(l - 1) radix
+  done;
+  let layer0 = Tbl.create 16 in
+  Tbl.add layer0 Bigint.zero { mass = Bigint.one };
+  let table, den =
+    List.fold_left
+      (fun (layer, den) (w, row, count) ->
+        let splits, b = class_splits ~places ~count ~step:(over scale w) ~row in
+        (apply ~limit layer splits, Bigint.mul den b))
+      (layer0, Bigint.one) cls
+  in
+  let states = Tbl.length table in
+  let loads = Array.make states [||] and masses = Array.make states Bigint.zero in
+  let i = ref 0 in
+  Tbl.iter
+    (fun key cell ->
+      loads.(!i) <- decode ~links:m ~radix ~total ~scale key;
+      masses.(!i) <- cell.mass;
+      incr i)
+    table;
+  { loads; masses; den; links = m; classes = List.length cls }
 
-let total_probability d =
-  let acc = ref Rational.zero in
-  Tbl.iter (fun _ prob -> acc := Rational.add !acc prob) d.table;
-  !acc
+let total_probability d = Rational.make (Array.fold_left Bigint.add Bigint.zero d.masses) d.den
 
+(* Σ_v mass(v)·f(v) over one running common denominator [acc_den].
+   [cofactors] maps every denominator already absorbed to acc_den/den,
+   so a gcd is taken only when a new denominator appears; the sum is
+   reduced once, at the end. *)
 let expect d f =
-  let acc = ref Rational.zero in
-  Tbl.iter (fun loads prob -> acc := Rational.add !acc (Rational.mul prob (f loads))) d.table;
-  !acc
+  let cofactors = Tbl.create 8 in
+  let acc = ref Bigint.zero and acc_den = ref Bigint.one in
+  let cofactor q =
+    let qd = Rational.den q in
+    match Tbl.find_opt cofactors qd with
+    | Some k -> k
+    | None ->
+      let grow = Bigint.div qd (Bigint.gcd !acc_den qd) in
+      acc := Bigint.mul !acc grow;
+      acc_den := Bigint.mul !acc_den grow;
+      Tbl.filter_map_inplace (fun _ k -> Some (Bigint.mul k grow)) cofactors;
+      let k = Bigint.div !acc_den qd in
+      Tbl.add cofactors qd k;
+      k
+  in
+  Array.iteri
+    (fun i loads ->
+      let q = f loads in
+      if not (Rational.is_zero q) then begin
+        (* [cofactor] may rescale [acc], so it runs before [acc] is read. *)
+        let k = cofactor q in
+        acc := Bigint.add !acc (Bigint.mul (Bigint.mul d.masses.(i) (Rational.num q)) k)
+      end)
+    d.loads;
+  Rational.make !acc (Bigint.mul !acc_den d.den)
 
-let iter d f = Tbl.iter f d.table
+let iter d f = Array.iteri (fun i loads -> f loads (Rational.make d.masses.(i) d.den)) d.loads

@@ -15,9 +15,19 @@
        that enumerates its [C(n_c + m - 1, m - 1)] link-count splits
        with multinomial weights instead of its [m^{n_c}] realisations;}
     {- realisations that produce the same load vector are merged into a
-       single state of a hash table keyed on the exact rational vector
-       ({!Numeric.Qvec.hash}/{!Numeric.Qvec.equal}), with their
-       probabilities accumulated.}}
+       single state, with their probabilities accumulated.}}
+
+    The DP runs on an integer lattice.  Loads are scaled by [L], the
+    lcm of the weight denominators, so every scaled load is an integer
+    in [[0, T]] ([T] the scaled total traffic), and a load state is
+    {e one} {!Numeric.Bigint} key: the first [m - 1] scaled loads are
+    its digits in radix [T + 1] (the last is [T] minus the rest).  A DP
+    step is one [Bigint.add] on the key and a merge one hash lookup.
+    Each class row is held as integer numerators over its lcm
+    denominator [b_c], so a state's mass is an integer and every
+    probability shares the one denominator [Π_c b_c^{n_c}]; the loop
+    takes no gcd.  The final layer is decoded once into rational load
+    vectors, and each expectation is reduced once.
 
     All arithmetic is exact, so the resulting expectations are
     bit-identical to the brute-force [m^n] sum.  For exchangeable users
@@ -58,10 +68,15 @@ val classes : t -> int
 val total_probability : t -> Numeric.Rational.t
 
 (** [expect d f] is the exact expectation [Σ_v P(v)·f(v)] of a function
-    of the load vector.  [f] must treat its argument as read-only (it
-    is the distribution's internal state, not a copy). *)
+    of the load vector.  The terms are summed as integer masses times
+    [f(v)] over one running common denominator — a gcd is taken only
+    when [f] returns a denominator not seen before — and the sum is
+    reduced once.  [f] must treat its argument as read-only (it is the
+    distribution's decoded state, not a copy). *)
 val expect : t -> (Numeric.Rational.t array -> Numeric.Rational.t) -> Numeric.Rational.t
 
 (** [iter d f] calls [f loads prob] on every state, in an unspecified
-    (but deterministic) order.  [loads] is read-only, as in {!expect}. *)
+    (but deterministic) order.  [loads] is read-only, as in {!expect};
+    [prob] is built from the state's integer mass on each call, so a
+    caller that needs only expectations should use {!expect}. *)
 val iter : t -> (Numeric.Rational.t array -> Numeric.Rational.t -> unit) -> unit

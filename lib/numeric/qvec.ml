@@ -31,11 +31,6 @@ let sum = Rational.sum_array
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Rational.equal a b
 
-(* Composed from [Rational.hash] entrywise so [equal a b] implies
-   [hash a = hash b] without ever touching [Hashtbl.hash]. *)
-let hash v =
-  Array.fold_left (fun h q -> (((h * 31) + Rational.hash q) land max_int)) (Array.length v) v
-
 let extreme_index name better v =
   if Array.length v = 0 then invalid_arg (Printf.sprintf "Qvec.%s: empty vector" name);
   let best = ref 0 in

@@ -21,10 +21,6 @@ val dot : t -> t -> Rational.t
 val sum : t -> Rational.t
 val equal : t -> t -> bool
 
-(** [hash v] composes {!Rational.hash} entrywise, so [equal a b]
-    implies [hash a = hash b]; never falls back to [Hashtbl.hash]. *)
-val hash : t -> int
-
 (** [min_index v] is the least index attaining the minimum value.
     @raise Invalid_argument on the empty vector. *)
 val min_index : t -> int

@@ -152,6 +152,28 @@ let compare_sum a b c =
       (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
       (Bigint.mul a.den b.den) c.num c.den
 
+(* The unreduced quotient x/y with a positive denominator. *)
+let times x y = if Bigint.equal y Bigint.one then x else Bigint.mul x y
+
+let quotient_num x y =
+  if Bigint.sign y.num < 0 then Bigint.neg (times x.num y.den) else times x.num y.den
+
+let quotient_den x y = times x.den (Bigint.abs y.num)
+
+(* [compare_div a b c d] decides a/b ⋚ c/d without materialising either
+   quotient: a/b is the unreduced (a.num·b.den)/(a.den·b.num), negated
+   top and bottom when b < 0 so the denominator stays positive, and the
+   two unreduced fractions feed the staged cross comparison.  Unit
+   factors are skipped, so integer operands cost no multiply.  This is
+   the max-relative-load kernel: "load_l / c_l ⋚ load_l' / c_l'". *)
+let compare_div a b c d =
+  guard "Rational.compare_div" a;
+  guard "Rational.compare_div" b;
+  guard "Rational.compare_div" c;
+  guard "Rational.compare_div" d;
+  if Bigint.is_zero b.num || Bigint.is_zero d.num then raise Division_by_zero;
+  cross_compare (quotient_num a b) (quotient_den a b) (quotient_num c d) (quotient_den c d)
+
 (* Composed from [Bigint.hash] on the canonical (num, den) pair, so the
    law [equal a b => hash a = hash b] holds across the small/big
    representation split of the underlying integers. *)

@@ -51,6 +51,14 @@ val compare : t -> t -> int
     normalisation and no rational allocation. *)
 val compare_sum : t -> t -> t -> int
 
+(** [compare_div a b c d] is [compare (div a b) (div c d)] computed
+    without materialising either quotient: the unreduced cross terms
+    of [a/b] and [c/d] (signs fixed for negative divisors) feed the
+    same staged comparison as {!compare_sum}, so the max-relative-load
+    scan [load_l / c_l ⋚ load_l' / c_l'] costs no gcd and allocates no
+    rational.  @raise Division_by_zero when [b] or [d] is zero. *)
+val compare_div : t -> t -> t -> t -> int
+
 (** [hash q] is derived from {!Bigint.hash} on the canonical
     [(num, den)] pair, so [equal a b] implies [hash a = hash b]
     regardless of how either value was computed. *)

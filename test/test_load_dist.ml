@@ -229,6 +229,136 @@ let test_distinct_weights_frontier () =
          else [| Rational.zero; Rational.of_ints 1 3; Rational.of_ints 2 3 |]))
 
 (* ------------------------------------------------------------------ *)
+(* Lattice paths: scaled loads (L > 1), mixed row denominators, keys
+   beyond max_int, and phantom-link participation profiles.  Integer
+   weights 1–3 never leave the L = 1, native-key corner. *)
+
+(* The number of distinct load vectors the seed enumerator visits with
+   positive probability (at most 4^4 realisations here, so a list). *)
+let seed_states g p =
+  let seen = ref [] in
+  Social.iter_profiles g (fun sigma ->
+      if Array.for_all (fun i -> Rational.sign p.(i).(sigma.(i)) > 0) (Array.init (Game.users g) Fun.id)
+      then begin
+        let loads = Pure.loads g sigma in
+        if not (List.exists (Qvec.equal loads) !seen) then seen := loads :: !seen
+      end);
+  List.length !seen
+
+(* Every lattice case is pinned the same way: the expectation matches
+   the seed bit for bit, the masses sum to one (through both
+   [total_probability] and [iter]), and [size] is the seed's count of
+   distinct load vectors. *)
+let check_lattice name g p =
+  let dist = Load_dist.of_mixed g p in
+  let total = Load_dist.total_probability dist in
+  Alcotest.check check_q (name ^ ": total probability") Rational.one total;
+  let summed = ref Rational.zero in
+  Load_dist.iter dist (fun _ prob -> summed := Rational.add !summed prob);
+  Alcotest.check check_q (name ^ ": iter sums to total_probability") total !summed;
+  Alcotest.(check int) (name ^ ": size = seed load vectors") (seed_states g p) (Load_dist.size dist);
+  Alcotest.check check_q (name ^ ": expectation") (seed_expected_max g p)
+    (Congestion.expected_max_congestion g p)
+
+(* A row by stick-breaking with a fresh denominator 2..7 per cut, so
+   entries carry different denominators and zeros are common. *)
+let stick_row rng m =
+  let rest = ref Rational.one in
+  Array.init m (fun l ->
+      if l = m - 1 then !rest
+      else begin
+        let d = Prng.Rng.int_in rng 2 7 in
+        let x = Rational.mul !rest (Rational.of_ints (Prng.Rng.int_in rng 0 d) d) in
+        rest := Rational.sub !rest x;
+        x
+      end)
+
+let fractional_weight rng = Rational.of_ints (Prng.Rng.int_in rng 1 9) (Prng.Rng.int_in rng 2 7)
+
+let test_fractional_weights () =
+  let rng = Prng.Rng.create 0x1A77 in
+  for trial = 1 to 300 do
+    let n = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 3 in
+    (* Two weight draws per game keep classes merging. *)
+    let pool = [| fractional_weight rng; fractional_weight rng |] in
+    let g =
+      Game.kp
+        ~weights:(Array.init n (fun _ -> Prng.Rng.pick rng pool))
+        ~capacities:(Array.init m (fun _ -> Prng.Rng.positive_rational rng ~num_bound:5 ~den_bound:3))
+    in
+    check_lattice (Printf.sprintf "fractional weights, trial %d" trial) g
+      (random_profile rng ~kind:(trial mod 4) g)
+  done
+
+let test_mixed_row_denominators () =
+  let rng = Prng.Rng.create 0xD3A0 in
+  for trial = 1 to 300 do
+    let n = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 3 in
+    let g =
+      if trial mod 2 = 0 then random_kp rng ~n ~m
+      else
+        Game.kp
+          ~weights:(Array.init n (fun _ -> fractional_weight rng))
+          ~capacities:(Array.init m (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 5)))
+    in
+    (* Rows repeat across users now and then, so classes share a row
+       while other classes bring their own denominators. *)
+    let first = stick_row rng m in
+    let p = Array.init n (fun _ -> if Prng.Rng.bool rng then Array.copy first else stick_row rng m) in
+    check_lattice (Printf.sprintf "mixed row denominators, trial %d" trial) g p
+  done
+
+(* Weights (2^40 + k)/3 scale to integers near 2^40 with L = 3, so the
+   radix is near 2^42 and a second-link load pushes the packed key past
+   max_int. *)
+let test_big_keys () =
+  let rng = Prng.Rng.create 0xB16 in
+  let base = 1 lsl 40 in
+  for trial = 1 to 40 do
+    let n = Prng.Rng.int_in rng 2 4 in
+    let g =
+      Game.kp
+        ~weights:(Array.init n (fun _ -> Rational.of_ints (base + Prng.Rng.int rng 4) 3))
+        ~capacities:[| Rational.one; Rational.two; Rational.of_int 3 |]
+    in
+    check_lattice (Printf.sprintf "big keys, trial %d" trial) g (random_profile rng ~kind:(trial mod 4) g)
+  done;
+  (* One fixed instance that certainly holds a key past max_int: all
+     four users may sit on the last packed link. *)
+  let g =
+    Game.kp ~weights:(Array.make 4 (Rational.of_ints (base + 1) 3))
+      ~capacities:[| Rational.one; Rational.two; Rational.of_int 3 |]
+  in
+  check_lattice "big keys, uniform" g (Mixed.uniform g)
+
+(* The participation shape of Ignorance.demand_dist: m real links plus
+   a phantom "absent" link; user i is on its link with probability
+   [presence] and absent otherwise. *)
+let test_phantom_participation () =
+  let rng = Prng.Rng.create 0xFA27 in
+  List.iter
+    (fun presence ->
+      for trial = 1 to 60 do
+        let n = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 3 in
+        let g =
+          Game.kp
+            ~weights:(Array.init n (fun _ -> Rational.of_int (Prng.Rng.int_in rng 1 5)))
+            ~capacities:(Array.make (m + 1) Rational.one)
+        in
+        let p =
+          Array.init n (fun _ ->
+              let row = Array.make (m + 1) Rational.zero in
+              row.(Prng.Rng.int rng m) <- presence;
+              row.(m) <- Rational.sub Rational.one presence;
+              row)
+        in
+        check_lattice
+          (Printf.sprintf "phantom link, presence %s, trial %d" (Rational.to_string presence) trial)
+          g p
+      done)
+    [ Rational.of_ints 1 3; Rational.of_ints 3 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Mixed.Eval vs the seed Mixed formulas                               *)
 
 let test_eval_differential () =
@@ -296,6 +426,13 @@ let () =
           Alcotest.test_case "state limit guard" `Quick test_state_limit_guard;
           Alcotest.test_case "distinct weights fill the frontier" `Quick
             test_distinct_weights_frontier;
+          Alcotest.test_case "fractional weights scale the lattice" `Quick
+            test_fractional_weights;
+          Alcotest.test_case "rows with mixed denominators and zeros" `Quick
+            test_mixed_row_denominators;
+          Alcotest.test_case "packed keys beyond max_int" `Quick test_big_keys;
+          Alcotest.test_case "phantom-link participation profiles" `Quick
+            test_phantom_participation;
         ] );
       ( "eval",
         [

@@ -587,6 +587,40 @@ let compare_sum_properties =
         && Rational.compare_sum b Rational.zero c = Rational.compare b c);
   ]
 
+(* Quotient comparison: compare_div must agree with the materialised
+   [compare (div a b) (div c d)].  Dividends are zero one time in four
+   so the sign exits are hit; divisors are any non-zero mixed rational,
+   negative ones included, so the sign fix-up is exercised. *)
+
+let dividend_gen = QCheck2.Gen.(frequency [ (1, return Rational.zero); (3, mixed_q_gen) ])
+
+let divisor_gen =
+  QCheck2.Gen.map (fun q -> if Rational.is_zero q then Rational.minus_one else q) mixed_q_gen
+
+let compare_div_properties =
+  [
+    prop "compare_div agrees with materialised quotients" ~count:600
+      QCheck2.Gen.(quad dividend_gen divisor_gen dividend_gen divisor_gen)
+      (fun (a, b, c, d) ->
+        Rational.compare_div a b c d
+        = Rational.compare (Rational.div a b) (Rational.div c d));
+    prop "compare_div detects exact equality" ~count:300
+      QCheck2.Gen.(triple dividend_gen divisor_gen divisor_gen)
+      (fun (a, b, k) ->
+        (* a/b = (a·k)/(b·k) with both sides unreduced differently. *)
+        Rational.compare_div a b (Rational.mul a k) (Rational.mul b k) = 0);
+  ]
+
+let test_compare_div_units () =
+  Alcotest.(check int) "3/2 = 6/4" 0 (Rational.compare_div (Rational.of_int 3) (Rational.of_int 2) (Rational.of_int 6) (Rational.of_int 4));
+  Alcotest.(check int) "1/3 < 1/2" (-1) (Rational.compare_div Rational.one (Rational.of_int 3) Rational.one (Rational.of_int 2));
+  Alcotest.(check int) "negative divisor flips" 1
+    (Rational.compare_div Rational.one (Rational.of_int (-3)) Rational.one (Rational.of_int (-2)));
+  Alcotest.(check int) "zero dividends" 0
+    (Rational.compare_div Rational.zero (Rational.of_int (-5)) Rational.zero (q 1 7));
+  Alcotest.check_raises "zero divisor" Division_by_zero (fun () ->
+      ignore (Rational.compare_div Rational.one Rational.zero Rational.one Rational.one))
+
 let test_compare_sum_units () =
   Alcotest.(check int) "1/3 + 1/6 = 1/2" 0 (Rational.compare_sum (q 1 3) (q 1 6) (q 1 2));
   Alcotest.(check bool) "1/3 + 1/7 < 1/2" true (Rational.compare_sum (q 1 3) (q 1 7) (q 1 2) < 0);
@@ -788,6 +822,7 @@ let suite =
     ("qvec operations", `Quick, test_qvec);
     ("bignat 62/63-bit boundary", `Quick, test_bignat_int_boundary);
     ("compare_sum units", `Quick, test_compare_sum_units);
+    ("compare_div units", `Quick, test_compare_div_units);
     ("rational compare large vs reference", `Quick, test_rational_compare_large_vs_reference);
     ("bigint boundary ops vs reference", `Quick, test_bigint_boundary_ops_vs_reference);
     ("rational string round-trip fuzz", `Quick, test_rational_string_roundtrip_fuzz);
@@ -805,5 +840,6 @@ let () =
     [
       ("unit", suite);
       ("properties",
-       numeric_properties @ boundary_properties @ hash_law_properties @ compare_sum_properties);
+       numeric_properties @ boundary_properties @ hash_law_properties @ compare_sum_properties
+       @ compare_div_properties);
     ]
