@@ -10,9 +10,9 @@ open Numeric
 
    Like [View], loads live in a [Packing] lane, one row per class.  A
    structural delta that breaks the packed product bound spills the
-   live loads to the exact lane without rebuilding; the abandoned
-   packed lane is kept in the undo entry so reverting the delta
-   restores the fast lane bit-identically.
+   live loads to the exact [Bigint] lane without rebuilding; the
+   abandoned packed lane is kept in the undo entry so reverting the
+   delta restores the fast lane bit-identically.
 
    The class tables (weights, contributions, biases, capacity rows)
    are view-local copies of [Cgame.rows]: revisions mutate the view,
@@ -74,6 +74,7 @@ type t = {
 let classes v = Array.length v.assign
 let links v = Packing.links v.lane
 let packed v = Packing.is_packed v.lane
+let scale v = Packing.scale v.lane
 
 let of_profile g x =
   Cgame.validate g x;
@@ -86,11 +87,12 @@ let of_profile g x =
       caps = Array.map Array.copy shared.caps;
     }
   in
-  let lane = Packing.make_lane (Cgame.packed_tables g) (Cgame.links g) in
+  let lane = Packing.make_lane (Cgame.packed_tables g) rows (Cgame.links g) in
   Array.iteri
     (fun c row ->
-      Array.iteri (fun l e -> if e > 0 then Packing.add_count lane rows c ~link:l ~delta:e) row)
+      Array.iteri (fun l e -> if e > 0 then Packing.add_count lane c ~link:l ~delta:e) row)
     x;
+  Packing.audit lane rows (fun c l -> x.(c).(l));
   {
     game = g;
     assign = Array.map Array.copy x;
@@ -159,7 +161,7 @@ let refolding v c f =
 let shift v cls src dst count =
   v.certified <- false;
   if count > 0 && src <> dst then begin
-    Packing.shift v.lane v.rows cls ~src ~dst count;
+    Packing.shift v.lane cls ~src ~dst count;
     v.assign.(cls).(src) <- v.assign.(cls).(src) - count;
     v.assign.(cls).(dst) <- v.assign.(cls).(dst) + count;
     mark v cls src;
@@ -194,7 +196,12 @@ let relane v lane =
   v.lane <- lane;
   if lane == old then None else Some old
 
+(* The lane's scale invariant under SELFISH_SANITIZE, checked after
+   every construction, spill and reweight. *)
+let audit v = Packing.audit v.lane v.rows (fun c l -> v.assign.(c).(l))
+
 let push_structural v d =
+  audit v;
   v.certified <- false;
   push v (-1) 0;
   v.shist <- d :: v.shist;
@@ -241,7 +248,7 @@ let revise_capacity v ~cls ~link cap' =
   if Rational.sign cap' <= 0 then invalid_arg "Cview.revise_capacity: capacity must be positive";
   Parallel.Ownership.guard "Cview cursor" v.owner;
   let cap = v.rows.caps.(cls).(link) in
-  let lane = Packing.revise_capacity v.lane cls ~link cap' in
+  let lane = Packing.revise_capacity v.lane v.rows cls ~link cap' in
   refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap');
   push_structural v (Scap { cls; link; cap; restore = relane v lane })
 
@@ -259,13 +266,14 @@ let undo_structural v =
      | Scount { cls; link; delta; restore } ->
        v.assign.(cls).(link) <- v.assign.(cls).(link) - delta;
        mark v cls link;
-       revert_lane restore (fun () -> Packing.add_count v.lane v.rows cls ~link ~delta:(-delta))
+       revert_lane restore (fun () -> Packing.add_count v.lane cls ~link ~delta:(-delta))
      | Sweight { cls; weight; contrib; bias; restore } ->
        revert_lane restore (fun () -> Packing.reweight v.lane v.rows cls v.assign.(cls) ~weight ~contrib);
        refolding v cls (fun () -> set_class_weight v cls weight contrib bias)
      | Scap { cls; link; cap; restore } ->
        refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap);
-       revert_lane restore (fun () -> Packing.set_capacity v.lane cls ~link cap))
+       revert_lane restore (fun () -> Packing.set_capacity v.lane cls ~link cap));
+    audit v
 
 let undo v =
   if v.depth = 0 then invalid_arg "Cview.undo: empty history";
@@ -329,34 +337,15 @@ let certify v =
     Sanitize.fail "Cview.certify: the profile is not a Nash equilibrium";
   v.certified <- true
 
-(* The j-th sequential mover (j ≥ 1) improves iff
-     (load_dst + (j-1)·t + w + β)·/c_dst < (load_src - (j-1)·t + β)/c_src
-   with t the class contribution and β = w − t its bias (so t = w,
-   β = 0 on the seed's load-linear path) ⟺ j < q for
-     q = (Δ + t/c_src) / (t·(1/c_dst + 1/c_src)),
-   Δ = (load_src + β)/c_src − (load_dst + β)/c_dst.  The valid j form
-   a prefix (LHS grows, RHS shrinks), so the maximal block is the
-   largest integer strictly below q, clamped to the available users. *)
+(* The closed form and its derivation live with the lane kernel
+   [Packing.max_block]. *)
 let max_improving_block v ~cls ~src ~dst =
   let k = classes v and m = links v in
   if cls < 0 || cls >= k then invalid_arg "Cview.max_improving_block: class out of range";
   if src < 0 || src >= m || dst < 0 || dst >= m then
     invalid_arg "Cview.max_improving_block: link out of range";
   if src = dst then invalid_arg "Cview.max_improving_block: source and destination coincide";
-  let t = v.rows.contribs.(cls) in
-  let cap_s = v.rows.caps.(cls).(src) and cap_d = v.rows.caps.(cls).(dst) in
-  let delta = Rational.sub (latency v cls src) (latency v cls dst) in
-  let q =
-    Rational.div
-      (Rational.add delta (Rational.div t cap_s))
-      (Rational.mul t (Rational.add (Rational.inv cap_d) (Rational.inv cap_s)))
-  in
-  let avail = v.assign.(cls).(src) in
-  if Rational.compare q Rational.one <= 0 then 0
-  else if Rational.compare q (Rational.of_int avail) > 0 then avail
-  else
-    (* q ∈ (1, avail]: ceil(q) − 1 ∈ [1, avail] fits a native int. *)
-    Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
+  Packing.max_block v.lane v.rows cls ~src ~dst ~avail:v.assign.(cls).(src)
 
 (* The aggregates with every marked pair's count change folded in.  The
    first call builds them by marking every occupied pair. *)

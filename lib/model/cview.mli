@@ -3,7 +3,7 @@
     The class-layer analogue of {!View}: per-link loads are
     materialised once from the [k × m] assignment counts (O(k·m)) and
     maintained under {e block moves} — [count] users of one class
-    moving from one link to another — in O(1) exact rational updates,
+    moving from one link to another — in O(1) exact integer updates,
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
     is O(k·m²), SC2 is O(k·m) and SC1 is O(m) plus the (class, link)
@@ -21,7 +21,7 @@
     {!revise_capacity} — each an exact O(m)-or-better load patch that
     mutates the view (never the underlying {!Cgame.t}), records an
     undo entry, and re-checks the {!Packing} product bound, spilling
-    to the big-rational lane without a rebuild when the revised
+    to the exact [Bigint] lane without a rebuild when the revised
     magnitudes no longer fit.  {!to_cgame} re-materialises a class
     game from the revised state.
 
@@ -37,6 +37,12 @@ type t
     (see {!Packing}).  Exposed for benchmarks and tests; results never
     depend on it. *)
 val packed : t -> bool
+
+(** [scale v] is the common denominator the view's loads are held over
+    ({!Packing.scale}): on the exact lane always the lcm of the live
+    weight and contribution denominators.  Exposed for tests; results
+    never depend on it. *)
+val scale : t -> Numeric.Bigint.t
 
 (** [of_profile g x] positions a fresh view at [x], validating it and
     computing all link loads once in O(k·m).  [x] is deep-copied.
@@ -208,7 +214,8 @@ val certify : t -> unit
     strictly improving step for {e each} of them (the [j]-th mover
     compares its pre-move latency on [src] against its post-move
     latency on [dst] with [j] movers already there).  [0] when even the
-    first move does not improve.  Closed form, O(1); never exceeds
+    first move does not improve.  Closed form in integer arithmetic on
+    the view's lane ({!Packing.max_block}), O(1); never exceeds
     [assigned v cls src].  Requires [dst <> src]. *)
 val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 

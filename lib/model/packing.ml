@@ -1,13 +1,15 @@
 open Numeric
 
 (* Native-int image of a game's numeric data, and the two load lanes
-   that the [View] and [Cview] cursors run on.  Loads are stored as
-   integers scaled by [scale] (the lcm of the weight denominators) and
-   capacities as reduced (numerator, denominator) int pairs, so every
-   latency comparison becomes a three-factor native product.  [build]
-   refuses (returns [None]) whenever any component spills the native
-   range; the views then stay on the exact big-rational lane, so packing
-   is a pure optimisation with no semantic surface.
+   that the [View] and [Cview] cursors run on.  Both lanes use one
+   scheme: loads and row weights are integer numerators over one common
+   denominator, and capacities are reduced (numerator, denominator)
+   pairs, so every latency comparison is a three-factor integer cross
+   product.  The packed lane holds native ints — [build] refuses
+   (returns [None]) whenever any component spills the native range, and
+   the product bound makes every product fit — and the exact lane holds
+   [Bigint]s, so packing is a pure optimisation with no semantic
+   surface.
 
    This is the only module that knows which lane a cursor is on.  A row
    is a user for [View] and a class for [Cview]; every kernel below is
@@ -51,10 +53,12 @@ let admits ~total ~maxcn ~maxcd =
   | Some _ -> true
   | None -> false
 
+(* [lcm s d] for a positive scale [s] and denominator [d]. *)
+let lcm s d = if Bigint.equal d Bigint.one then s else Bigint.mul s (Bigint.div d (Bigint.gcd s d))
+
 (* [scale_lcm from dens] extends the Bigint scale [from] to a common
    multiple of every denominator in [dens]. *)
-let scale_lcm from dens =
-  Array.fold_left (fun acc d -> Bigint.mul acc (Bigint.div d (Bigint.gcd acc d))) from dens
+let scale_lcm from dens = Array.fold_left lcm from dens
 
 let build ~mults (weights : Rational.t array) (capacities : Rational.t array array) =
   try
@@ -142,32 +146,90 @@ type packed_lane = {
   mutable pmaxcn : int; (* monotone upper bounds for the product bound *)
   mutable pmaxcd : int;
   mutable ptotal : int; (* current total scaled traffic, initial included *)
+  pinit : Rational.t array option; (* the initial traffic, for a spill *)
 }
 
-type lane = Exact of Rational.t array | Packed of packed_lane
+(* The exact lane is the packed scheme in [Bigint]: loads and each
+   row's weight, contribution and bias are integer numerators over one
+   common denominator [es], and capacities are read from the rows'
+   reduced num/den.  [es] is always exactly the lcm of the live weight,
+   contribution and initial-traffic denominators: construction, spill
+   and reweight recompute it and rescale exactly, so it shrinks back
+   when a denominator leaves. *)
+type exact_lane = {
+  mutable es : Bigint.t;
+  ew : Bigint.t array; (* weight_r · es *)
+  et : Bigint.t array; (* contribution_r · es *)
+  eb : Bigint.t array; (* bias_r · es = ew.(r) − et.(r) *)
+  eload : Bigint.t array; (* load_l · es *)
+  einit : Rational.t array option; (* the initial traffic *)
+}
+
+type lane = Exact of exact_lane | Packed of packed_lane
 
 let links = function
-  | Exact loads -> Array.length loads
+  | Exact e -> Array.length e.eload
   | Packed pk -> Array.length pk.piload
 
 let is_packed = function Packed _ -> true | Exact _ -> false
 
-(* [count·q], skipping the multiplication for a single user. *)
-let times count q = if count = 1 then q else Rational.mul (Rational.of_int count) q
+let scale = function
+  | Exact e -> e.es
+  | Packed pk -> Bigint.of_int pk.pscale
+
+(* [q·s] for a denominator of [q] that divides [s]. *)
+let scaled s q = Bigint.mul (Rational.num q) (Bigint.div s (Rational.den q))
+
+(* [live_scale ?revise rows init] is the lcm of the initial-traffic
+   denominators and every row's weight and contribution denominators,
+   with [revise = (r, w, t)] standing in for row [r]'s pair. *)
+let live_scale ?revise rows init =
+  let s = ref Bigint.one in
+  Option.iter (Array.iter (fun q -> s := lcm !s (Rational.den q))) init;
+  Array.iteri
+    (fun r w ->
+      let w, t =
+        match revise with
+        | Some (r', w', t') when r = r' -> (w', t')
+        | _ -> (w, rows.contribs.(r))
+      in
+      s := lcm (lcm !s (Rational.den w)) (Rational.den t))
+    rows.weights;
+  !s
+
+(* A fresh exact lane over [rows] at scale [es], holding [eload]. *)
+let exact rows init es eload =
+  Exact
+    {
+      es;
+      ew = Array.map (scaled es) rows.weights;
+      et = Array.map (scaled es) rows.contribs;
+      eb = Array.map (scaled es) rows.biases;
+      eload;
+      einit = init;
+    }
+
+(* [count·x], skipping the multiplication for a single user. *)
+let times count x = if count = 1 then x else Bigint.mul (Bigint.of_int count) x
+
+(* [x + y], skipping the addition (and its allocation) for a zero [y]:
+   the bias of every load-linear row. *)
+let plus x y = if Bigint.is_zero y then x else Bigint.add x y
 
 (* Unchecked load patch: [delta] more row-[r] users on [link].  Loads
    sum contributions, not weights: other users only meet the
    presence-discounted traffic of a row (for load-linear rows the
    contribution is physically the weight). *)
-let add_count lane rows r ~link ~delta =
+let add_count lane r ~link ~delta =
   match lane with
-  | Exact loads -> loads.(link) <- Rational.add loads.(link) (times delta rows.contribs.(r))
+  | Exact e -> e.eload.(link) <- Bigint.add e.eload.(link) (times delta e.et.(r))
   | Packed pk ->
     let d = delta * pk.ppw.(r) in
     pk.piload.(link) <- pk.piload.(link) + d;
     pk.ptotal <- pk.ptotal + d
 
-let make_lane pk ?initial m =
+let make_lane pk rows ?initial m =
+  let initial = Option.map Array.copy initial in
   let packed =
     match (pk, initial) with
     | Some pk, None when pk.base_ok -> Some (pk, (pk.scale, pk.pw, Array.make m 0))
@@ -175,7 +237,12 @@ let make_lane pk ?initial m =
     | _ -> None
   in
   match packed with
-  | None -> Exact (match initial with None -> Array.make m Rational.zero | Some t -> Array.copy t)
+  | None ->
+    let es = live_scale rows initial in
+    exact rows initial es
+      (match initial with
+       | None -> Array.make m Bigint.zero
+       | Some t -> Array.map (scaled es) t)
   | Some (pk, (scale, pw, iload)) ->
     (* The product bound was checked at the full total, so every
        partial total met while the caller places the occupants with
@@ -191,15 +258,16 @@ let make_lane pk ?initial m =
         pmaxcn = pk.maxcn;
         pmaxcd = pk.maxcd;
         ptotal = Array.fold_left ( + ) 0 iload;
+        pinit = initial;
       }
 
-(* Packed-lane rationals are rebuilt on demand through [Rational.make],
+(* Both lanes rebuild rationals on demand through [Rational.make],
    whose canonical lowest-terms form makes them structurally identical
-   to what the exact lane would have computed — lane choice is
-   unobservable in results. *)
+   whichever lane computed them — lane choice is unobservable in
+   results.  [Rational.make] runs only where a rational is returned. *)
 let load lane l =
   match lane with
-  | Exact loads -> loads.(l)
+  | Exact e -> Rational.make e.eload.(l) e.es
   | Packed pk -> Rational.make (Bigint.of_int pk.piload.(l)) (Bigint.of_int pk.pscale)
 
 let q_latency pk total idx =
@@ -207,17 +275,21 @@ let q_latency pk total idx =
     (Bigint.of_int (total * pk.pcd.(idx)))
     (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int pk.pcn.(idx)))
 
+(* The exact-lane twin: [total] scaled by [es], over capacity [c]. *)
+let e_latency e total c =
+  Rational.make (Bigint.mul total (Rational.den c)) (Bigint.mul e.es (Rational.num c))
+
 (* Unrecorded block reassignment: [count] row-[r] users from [src] to
    [dst].  Touches exactly the two affected load entries; both lanes
    are exact, so repeated shifts never drift.  On the packed lane
    [count·pw] cannot wrap: it is at most the total scaled traffic,
    which fits by construction. *)
-let shift lane rows r ~src ~dst count =
+let shift lane r ~src ~dst count =
   match lane with
-  | Exact loads ->
-    let d = times count rows.contribs.(r) in
-    loads.(src) <- Rational.sub loads.(src) d;
-    loads.(dst) <- Rational.add loads.(dst) d
+  | Exact e ->
+    let d = times count e.et.(r) in
+    e.eload.(src) <- Bigint.sub e.eload.(src) d;
+    e.eload.(dst) <- Bigint.add e.eload.(dst) d
   | Packed pk ->
     let d = count * pk.ppw.(r) in
     pk.piload.(src) <- pk.piload.(src) - d;
@@ -225,45 +297,44 @@ let shift lane rows r ~src ~dst count =
 
 (* A row's own latency carries its bias (w − t): a user is always
    present for itself, even when others only expect it with probability
-   p.  The guard keeps load-linear rows on the seed's exact code path
-   (bias is physically zero there). *)
-let biased rows r q =
-  let b = rows.biases.(r) in
-  if Rational.is_zero b then q else Rational.add q b
-
+   p.  After a deviation the user meets its full weight: contribution +
+   bias = w.  The packed lane holds load-linear rows only, where the
+   bias is zero. *)
 let latency lane rows r l =
   match lane with
-  | Exact loads -> Rational.div (biased rows r loads.(l)) rows.caps.(r).(l)
+  | Exact e -> e_latency e (plus e.eload.(l) e.eb.(r)) rows.caps.(r).(l)
   | Packed pk -> q_latency pk pk.piload.(l) ((r * Array.length pk.piload) + l)
 
 let latency_after_move lane rows r ~src dst =
   match lane with
-  | Exact loads ->
-    (* After a deviation the user meets its full weight: contribution +
-       bias = w, so the moving branch is the seed expression. *)
-    let base = loads.(dst) in
-    let total = if dst = src then biased rows r base else Rational.add base rows.weights.(r) in
-    Rational.div total rows.caps.(r).(dst)
+  | Exact e ->
+    let extra = if dst = src then e.eb.(r) else e.ew.(r) in
+    e_latency e (plus e.eload.(dst) extra) rows.caps.(r).(dst)
   | Packed pk ->
     let total = pk.piload.(dst) + if dst = src then 0 else pk.ppw.(r) in
     q_latency pk total ((r * Array.length pk.piload) + dst)
 
+(* Candidate latencies are (load'·cd)/(scale·cn): both lanes track the
+   best as the pair (load'·cd, cn) and compare by cross products —
+   native within the packed bound, [Bigint] on the exact lane. *)
 let best_response lane rows r ~src =
   match lane with
-  | Exact _ ->
-    let best_link = ref 0 and best = ref (latency_after_move lane rows r ~src 0) in
-    for l = 1 to links lane - 1 do
-      let lat = latency_after_move lane rows r ~src l in
-      if Rational.compare lat !best < 0 then begin
+  | Exact e ->
+    let caps = rows.caps.(r) in
+    let numer l =
+      Bigint.mul (plus e.eload.(l) (if l = src then e.eb.(r) else e.ew.(r))) (Rational.den caps.(l))
+    in
+    let best_link = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
+    for l = 1 to Array.length caps - 1 do
+      let a = numer l and cn = Rational.num caps.(l) in
+      if Bigint.compare (Bigint.mul a !bcn) (Bigint.mul !bnum cn) < 0 then begin
         best_link := l;
-        best := lat
+        bnum := a;
+        bcn := cn
       end
     done;
-    (!best_link, !best)
+    (!best_link, Rational.make !bnum (Bigint.mul e.es !bcn))
   | Packed pk ->
-    (* Candidate latencies are (load'·cd)/(scale·cn): track the best as
-       the int pair (load'·cd, cn) and compare by cross products, all
-       within the packed bound. *)
     let m = Array.length pk.piload in
     let base = r * m and w = pk.ppw.(r) in
     let best_link = ref 0 in
@@ -282,24 +353,28 @@ let best_response lane rows r ~src =
       Rational.make (Bigint.of_int !bnum) (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int !bcn))
     )
 
-(* The Nash inequality on the exact lane rides the fused kernel:
-   (load_l + w)/cap_l < current  ⟺  load_l + w < current·cap_l, i.e.
-   [Rational.compare_sum load_l w (current·cap_l) < 0] — no sum is
-   materialised and no division happens per candidate link.  On the
-   packed lane it is a pure three-factor native product comparison.
-   The kernel is backend-agnostic as written: a deviation numerator is
-   load + contribution + bias = load + w for every backend, and
-   [current] already carries the bias through [latency]. *)
+(* The Nash inequality as a cross product: moving to [l] strictly
+   improves on [src] iff
+     (L_l + W)·cd_l·cn_src < (L_src + B)·cd_src·cn_l,
+   with every term scaled by the lane's denominator.  A deviation
+   numerator is load + contribution + bias = load + W for every
+   backend.  No gcd and no rational on either lane. *)
+let e_improves e caps ~w ~cnum ~ccn l =
+  Bigint.compare
+    (Bigint.mul (Bigint.mul (Bigint.add e.eload.(l) w) (Rational.den caps.(l))) ccn)
+    (Bigint.mul cnum (Rational.num caps.(l)))
+  < 0
+
 let is_defector lane rows r ~src =
   match lane with
-  | Exact loads ->
-    let current = latency lane rows r src in
-    let w = rows.weights.(r) and caps = rows.caps.(r) in
-    let m = Array.length loads in
+  | Exact e ->
+    let caps = rows.caps.(r) and w = e.ew.(r) in
+    let cnum = Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src))
+    and ccn = Rational.num caps.(src) in
+    let m = Array.length caps in
     let rec scan l =
       if l >= m then false
-      else if l <> src && Rational.compare_sum loads.(l) w (Rational.mul current caps.(l)) < 0
-      then true
+      else if l <> src && e_improves e caps ~w ~cnum ~ccn l then true
       else scan (l + 1)
     in
     scan 0
@@ -315,21 +390,67 @@ let is_defector lane rows r ~src =
     in
     scan 0
 
-(* Single-destination restriction of [is_defector]: no rational is
-   built on the packed lane, so callers may probe candidate links one
-   at a time without paying for a full best-response sweep. *)
+(* Single-destination restriction of [is_defector]: callers may probe
+   candidate links one at a time without paying for a full
+   best-response sweep. *)
 let improves lane rows r ~src dst =
   dst <> src
   &&
   match lane with
-  | Exact loads ->
-    let current = latency lane rows r src in
-    Rational.compare_sum loads.(dst) rows.weights.(r) (Rational.mul current rows.caps.(r).(dst)) < 0
+  | Exact e ->
+    let caps = rows.caps.(r) in
+    e_improves e caps ~w:e.ew.(r)
+      ~cnum:(Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src)))
+      ~ccn:(Rational.num caps.(src)) dst
   | Packed pk ->
     let m = Array.length pk.piload in
     let base = r * m and w = pk.ppw.(r) in
     (pk.piload.(dst) + w) * pk.pcd.(base + dst) * pk.pcn.(base + src)
     < pk.piload.(src) * pk.pcd.(base + src) * pk.pcn.(base + dst)
+
+(* The maximal improving block.  After j − 1 row-[r] users moved from
+   [src] to [dst] (each carrying its contribution T), the j-th mover
+   improves iff
+     (L_dst + (j−1)·T + W)/c_dst < (L_src − (j−1)·T + B)/c_src.
+   With a = cd_dst·cn_src and b = cd_src·cn_dst this is
+     (L_dst + W)·a + (j−1)·T·a < (L_src + B)·b − (j−1)·T·b
+     ⟺ (j−1)·T·(a + b) < D,   D = (L_src + B)·b − (L_dst + W)·a.
+   The valid j form a prefix (the left side grows with j), so the block
+   is 0 when D ≤ 0 (not even the first mover gains) and otherwise the
+   largest j with j − 1 < D/(T·(a+b)), i.e.
+     ⌊(D − 1)/(T·(a + b))⌋ + 1
+   for integer D > 0 — clamped to the [avail] users on [src].  A
+   mover whose inequality is an equality stays: ties do not improve.
+   On the packed lane B = 0 and T = W, L_src·b ≤ total·maxcd·maxcn and
+   (L_dst + W)·a, T·(a + b) ≤ 2·total·maxcd·maxcn, so every
+   intermediate is native under the product bound. *)
+let max_block lane rows r ~src ~dst ~avail =
+  match lane with
+  | Exact e ->
+    let cs = rows.caps.(r).(src) and cd = rows.caps.(r).(dst) in
+    let a = Bigint.mul (Rational.den cd) (Rational.num cs)
+    and b = Bigint.mul (Rational.den cs) (Rational.num cd) in
+    let d =
+      Bigint.sub
+        (Bigint.mul (plus e.eload.(src) e.eb.(r)) b)
+        (Bigint.mul (Bigint.add e.eload.(dst) e.ew.(r)) a)
+    in
+    if Bigint.sign d <= 0 then 0
+    else begin
+      let q = Bigint.div (Bigint.sub d Bigint.one) (Bigint.mul e.et.(r) (Bigint.add a b)) in
+      if Bigint.compare q (Bigint.of_int (avail - 1)) >= 0 then avail else Bigint.to_int_exn q + 1
+    end
+  | Packed pk ->
+    let m = Array.length pk.piload in
+    let base = r * m and w = pk.ppw.(r) in
+    let a = pk.pcd.(base + dst) * pk.pcn.(base + src)
+    and b = pk.pcd.(base + src) * pk.pcn.(base + dst) in
+    let d = (pk.piload.(src) * b) - ((pk.piload.(dst) + w) * a) in
+    if d <= 0 then 0
+    else begin
+      let q = (d - 1) / (w * (a + b)) in
+      if q >= avail - 1 then avail else q + 1
+    end
 
 (* --- structural deltas ------------------------------------------- *)
 
@@ -349,10 +470,14 @@ let own pk =
     pk.powned <- true
   end
 
-(* The current loads as exact rationals: the same canonical values the
-   exact lane would have held. *)
-let spill pk =
-  Exact (Array.map (fun s -> Rational.make (Bigint.of_int s) (Bigint.of_int pk.pscale)) pk.piload)
+(* The packed loads as an exact lane over [rows] (the tables the packed
+   lane mirrors): an O(k + m) int→Bigint copy.  Every live denominator
+   divides the packing scale, so the exact scale divides it too and the
+   loads rescale by one native division each. *)
+let spill pk rows =
+  let es = live_scale rows pk.pinit in
+  let down = pk.pscale / Bigint.to_int_exn es in
+  exact rows pk.pinit es (Array.map (fun s -> Bigint.of_int (s / down)) pk.piload)
 
 (* [q·scale] as a positive native int, when integral and representable. *)
 let scaled_int ~scale q =
@@ -373,23 +498,49 @@ let revise_count lane rows r ~link ~delta =
         || (delta <= (max_int - pk.ptotal) / pw
             && admits ~total:(pk.ptotal + (delta * pw)) ~maxcn:pk.pmaxcn ~maxcd:pk.pmaxcd)
       then lane
-      else spill pk
+      else spill pk rows
     | Exact _ -> lane
   in
-  add_count lane rows r ~link ~delta;
+  add_count lane r ~link ~delta;
   lane
 
+(* Multiply ([up]) or exactly divide ([down]) every scaled quantity of
+   the exact lane by [f]; a no-op for [f = 1]. *)
+let rescale_exact e op f =
+  if not (Bigint.equal f Bigint.one) then
+    List.iter
+      (fun a -> Array.iteri (fun i x -> a.(i) <- op x f) a)
+      [ e.ew; e.et; e.eb; e.eload ]
+
 (* Unchecked: row [r]'s users, laid out over the links as [counts],
-   now each carry [contrib] (the packed lane exists only for
-   load-linear rows, where that is [weight], scaled to a native int).
-   Reads the row's previous contribution, so call it before updating
-   [rows]. *)
+   now each carry weight [weight] and contribution [contrib].  Reads the
+   row's previous contribution, so call it before updating [rows].
+
+   On the exact lane the new scale [s'] is the lcm of the live
+   denominators with row [r]'s pair revised.  Every quantity is first
+   lifted to lcm(s, s') (a multiple of both the old and the new
+   denominators), the row is revised there, and every quantity is then
+   divided down to [s'] — exactly, since each one is now a multiple of
+   1/s'. *)
 let reweight lane rows r counts ~weight ~contrib =
   match lane with
-  | Exact loads ->
-    let d = Rational.sub contrib rows.contribs.(r) in
-    if not (Rational.is_zero d) then
-      Array.iteri (fun l e -> if e > 0 then loads.(l) <- Rational.add loads.(l) (times e d)) counts
+  | Exact e ->
+    let s' = live_scale ~revise:(r, weight, contrib) rows e.einit in
+    let g = Bigint.gcd e.es s' in
+    let up = Bigint.div s' g in
+    rescale_exact e Bigint.mul up;
+    let lifted = Bigint.mul e.es up in
+    let w' = scaled lifted weight and t' = scaled lifted contrib in
+    let d = Bigint.sub t' e.et.(r) in
+    if not (Bigint.is_zero d) then
+      Array.iteri
+        (fun l c -> if c > 0 then e.eload.(l) <- Bigint.add e.eload.(l) (times c d))
+        counts;
+    e.ew.(r) <- w';
+    e.et.(r) <- t';
+    e.eb.(r) <- Bigint.sub w' t';
+    rescale_exact e Bigint.div (Bigint.div e.es g);
+    e.es <- s'
   | Packed pk ->
     let pw' = match scaled_int ~scale:pk.pscale weight with Some x -> x | None -> assert false in
     let d = pw' - pk.ppw.(r) in
@@ -416,7 +567,7 @@ let revise_weight lane rows r counts ~weight ~contrib =
                   ~maxcd:pk.pmaxcd ->
         own pk;
         lane
-      | _ -> spill pk
+      | _ -> spill pk rows
     end
     | Exact _ -> lane
   in
@@ -424,7 +575,8 @@ let revise_weight lane rows r counts ~weight ~contrib =
   lane
 
 (* Unchecked: store [cap]'s reduced pair as row [r]'s capacity on
-   [link].  Loads are unaffected, so the exact lane has nothing to do. *)
+   [link].  The exact lane reads capacities from the rows, so it has
+   nothing to do. *)
 let set_capacity lane r ~link cap =
   match lane with
   | Exact _ -> ()
@@ -433,7 +585,7 @@ let set_capacity lane r ~link cap =
     pk.pcn.(idx) <- to_native (Rational.num cap);
     pk.pcd.(idx) <- to_native (Rational.den cap)
 
-let revise_capacity lane r ~link cap =
+let revise_capacity lane rows r ~link cap =
   match lane with
   | Exact _ -> lane
   | Packed pk -> (
@@ -445,4 +597,35 @@ let revise_capacity lane r ~link cap =
       pk.pmaxcn <- max pk.pmaxcn a;
       pk.pmaxcd <- max pk.pmaxcd b;
       lane
-    | _ -> spill pk)
+    | _ -> spill pk rows)
+
+(* --- sanitizer --------------------------------------------------- *)
+
+(* The scale invariant, re-derived from scratch in O(k·m): the scale is
+   the lcm of the live denominators, every row entry is its rational
+   times the scale, and every load is the scale times the initial
+   traffic plus Σ count·contribution. *)
+let audit lane rows count =
+  match lane with
+  | Exact e when !Sanitize.enabled ->
+    if not (Bigint.equal e.es (live_scale rows e.einit)) then
+      Sanitize.fail "Packing: exact-lane scale is not the lcm of the live denominators";
+    let row_ok a qs = Array.for_all2 (fun x q -> Bigint.equal x (scaled e.es q)) a qs in
+    if not (row_ok e.ew rows.weights && row_ok e.et rows.contribs && row_ok e.eb rows.biases)
+    then Sanitize.fail "Packing: exact-lane row tables disagree with the rows";
+    Array.iteri
+      (fun l x ->
+        let acc = ref (match e.einit with None -> Rational.zero | Some t -> t.(l)) in
+        Array.iteri
+          (fun r t ->
+            let c = count r l in
+            if c > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int c) t))
+          rows.contribs;
+        if not (Rational.equal (Rational.make x e.es) !acc) then
+          Sanitize.fail
+            (Printf.sprintf
+               "Packing: exact-lane load %d is not the scale times the initial traffic plus \
+                the placed contributions"
+               l))
+      e.eload
+  | Exact _ | Packed _ -> ()

@@ -1,16 +1,25 @@
-(** Native-int packing of a game's numeric data, and the load lanes of
-    the [View]/[Cview] cursors.
+(** Integer images of a game's numeric data, and the load lanes of the
+    [View]/[Cview] cursors.
 
-    The packed tables are the backing store of the fast lane: link
-    loads as integers scaled by the lcm of the weight denominators,
-    capacities as reduced [(num, den)] int pairs.  Under the product
-    bound [2·total·maxcd·maxcn <= max_int], every latency comparison in
-    the packed representation is a three-factor native multiply whose
-    intermediates provably fit a native int — an exact computation with
-    zero allocation and zero per-operation checks.  Whenever any
-    component would spill the native range the lane is the exact
-    big-rational one instead, so packing never changes results, only
-    speed.
+    Both lanes use one scheme: link loads and each row's weight,
+    contribution and bias are integer numerators over one common
+    denominator, and capacities are reduced [(num, den)] pairs, so every
+    latency comparison is a three-factor integer cross product with no
+    gcd and no rational built.
+
+    - The {e packed} lane holds native ints, scaled by the lcm of the
+      weight denominators.  Under the product bound
+      [2·total·maxcd·maxcn <= max_int] every product and intermediate
+      provably fits a native int — an exact computation with zero
+      allocation and zero per-operation checks.
+    - Whenever any component would spill the native range the lane is
+      the {e exact} one instead: the same numerators as [Bigint]s over
+      a denominator that is always exactly the lcm of the live weight,
+      contribution and initial-traffic denominators (recomputed on
+      construction, spill and reweight), with capacities read from the
+      rows' reduced num/den.
+
+    Packing therefore never changes results, only speed.
 
     This module is the only one that knows which lane a cursor runs on
     ({!lane} is abstract).  A {e row} is a user for [View] and a class
@@ -37,10 +46,10 @@ val build : mults:int array -> Numeric.Rational.t array -> Numeric.Rational.t ar
 
 (** {1 Lanes} *)
 
-(** The exact per-row tables the big-rational lane reads: weight,
-    contribution (the presence-discounted traffic other users meet),
-    bias (weight − contribution, the own-latency surcharge) and the
-    effective capacity row. *)
+(** The exact per-row tables the lanes mirror: weight, contribution
+    (the presence-discounted traffic other users meet), bias (weight −
+    contribution, the own-latency surcharge) and the effective capacity
+    row.  The exact lane reads capacities straight from [caps]. *)
 type rows = {
   weights : Numeric.Rational.t array;
   contribs : Numeric.Rational.t array;
@@ -48,32 +57,40 @@ type rows = {
   caps : Numeric.Rational.t array array;
 }
 
-(** Mutable per-link loads, packed or exact. *)
+(** Mutable per-link loads over one common denominator: native ints
+    (packed) or [Bigint]s (exact). *)
 type lane
 
-(** [make_lane pk ?initial m] is a lane over [m] links holding only the
-    [initial] traffic (none when absent): packed when [pk] is given and
-    the product bound holds at [pk]'s full population plus [initial],
-    exact otherwise.  The caller then places every occupant with
-    {!add_count}. *)
-val make_lane : t option -> ?initial:Numeric.Rational.t array -> int -> lane
+(** [make_lane pk rows ?initial m] is a lane over [m] links and the
+    rows [rows], holding only the [initial] traffic (none when absent):
+    packed when [pk] is given and the product bound holds at [pk]'s
+    full population plus [initial], exact otherwise, with its scale the
+    lcm of [rows]' weight and contribution denominators and [initial]'s.
+    The caller then places every occupant with {!add_count}. *)
+val make_lane : t option -> rows -> ?initial:Numeric.Rational.t array -> int -> lane
 
 val links : lane -> int
 
 (** [is_packed lane] holds on the native-int lane. *)
 val is_packed : lane -> bool
 
+(** [scale lane] is the common denominator the loads are held over: the
+    packing scale on the packed lane, and exactly the lcm of the live
+    weight, contribution and initial-traffic denominators on the exact
+    lane. *)
+val scale : lane -> Numeric.Bigint.t
+
 (** [load lane l] is the current traffic on link [l], canonical on both
     lanes. O(1). *)
 val load : lane -> int -> Numeric.Rational.t
 
-(** [add_count lane rows r ~link ~delta] adds [delta] (possibly
-    negative) row-[r] users to [link]'s load, unchecked. O(1). *)
-val add_count : lane -> rows -> int -> link:int -> delta:int -> unit
+(** [add_count lane r ~link ~delta] adds [delta] (possibly negative)
+    row-[r] users to [link]'s load, unchecked. O(1). *)
+val add_count : lane -> int -> link:int -> delta:int -> unit
 
-(** [shift lane rows r ~src ~dst count] moves [count > 0] row-[r] users
+(** [shift lane r ~src ~dst count] moves [count > 0] row-[r] users
     from [src] to [dst]: one exact patch of each of the two loads. *)
-val shift : lane -> rows -> int -> src:int -> dst:int -> int -> unit
+val shift : lane -> int -> src:int -> dst:int -> int -> unit
 
 (** {1 Kernels}
 
@@ -92,7 +109,8 @@ val latency_after_move : lane -> rows -> int -> src:int -> int -> Numeric.Ration
 val best_response : lane -> rows -> int -> src:int -> int * Numeric.Rational.t
 
 (** [is_defector lane rows r ~src] holds when some link strictly
-    improves on [src]. O(m), allocation-free on the packed lane. *)
+    improves on [src]: integer cross products, no gcd on either lane.
+    O(m), allocation-free on the packed lane. *)
 val is_defector : lane -> rows -> int -> src:int -> bool
 
 (** [improves lane rows r ~src dst] holds when moving to [dst] strictly
@@ -100,23 +118,37 @@ val is_defector : lane -> rows -> int -> src:int -> bool
     allocation-free on the packed lane. *)
 val improves : lane -> rows -> int -> src:int -> int -> bool
 
+(** [max_block lane rows r ~src ~dst ~avail] is the largest [t <= avail]
+    such that [t] row-[r] users moving one after another from [src] to
+    [dst <> src] each strictly improve: with a = cd_dst·cn_src,
+    b = cd_src·cn_dst and D = (L_src + B)·b − (L_dst + W)·a over the
+    lane's denominator, 0 when D <= 0 and otherwise
+    min(avail, ⌊(D − 1)/(T·(a + b))⌋ + 1), T the row's contribution.
+    O(1), native and allocation-free on the packed lane. *)
+val max_block : lane -> rows -> int -> src:int -> dst:int -> avail:int -> int
+
 (** {1 Structural deltas}
 
     Each [revise_*] patches the lane and returns the lane to carry on
     with: the argument itself, or — when the revised magnitudes break
-    the product bound — a fresh exact lane.  A spill leaves the old
-    packed lane untouched, so it is the lane to restore on undo.  The
-    unchecked [reweight]/[set_capacity] revert a delta that did not
-    spill. *)
+    the product bound — a fresh exact lane, built from [rows] and the
+    packed loads by an O(k + m) int→[Bigint] copy.  A spill leaves the
+    old packed lane untouched, so it is the lane to restore on undo.
+    The unchecked [reweight]/[set_capacity] revert a delta that did not
+    spill.  Call each one before updating [rows]. *)
 
 (** [revise_count lane rows r ~link ~delta] adds [delta] row-[r] users
-    on [link]; undo with [add_count ~delta:(-delta)]. *)
+    on [link]; undo with [add_count ~delta:(-delta)].  [rows] is read
+    only by a spill. *)
 val revise_count : lane -> rows -> int -> link:int -> delta:int -> lane
 
 (** [revise_weight lane rows r counts ~weight ~contrib] gives each
     row-[r] user (laid out over the links as [counts]) the weight
     [weight] and contribution [contrib].  Reads the previous
-    contribution from [rows], so call it before updating [rows]. *)
+    contribution from [rows], so call it before updating [rows].  On
+    the exact lane it recomputes the scale with row [r]'s new pair and
+    rescales every load and row entry exactly, so the scale also
+    shrinks when a denominator leaves. *)
 val revise_weight :
   lane ->
   rows ->
@@ -136,10 +168,24 @@ val reweight :
   contrib:Numeric.Rational.t ->
   unit
 
-(** [revise_capacity lane r ~link cap] sets row [r]'s effective
-    capacity on [link] to [cap > 0].  Loads are unaffected. *)
-val revise_capacity : lane -> int -> link:int -> Numeric.Rational.t -> lane
+(** [revise_capacity lane rows r ~link cap] sets row [r]'s effective
+    capacity on [link] to [cap > 0].  Loads are unaffected, and the
+    exact lane reads capacities from [rows], so only the packed lane
+    has work to do. *)
+val revise_capacity : lane -> rows -> int -> link:int -> Numeric.Rational.t -> lane
 
 (** [set_capacity] is {!revise_capacity} without the bound check or
     spill. *)
 val set_capacity : lane -> int -> link:int -> Numeric.Rational.t -> unit
+
+(** {1 Sanitizer} *)
+
+(** [audit lane rows count] checks the exact lane's scale invariant
+    when {!Numeric.Sanitize.enabled}: the scale is the lcm of the live
+    weight, contribution and initial-traffic denominators, each row
+    entry is its rational times the scale, and each load is the scale
+    times (initial + Σ_r [count r l]·contribution_r), where [count r l]
+    is the number of row-[r] users on link [l].  Raises
+    {!Numeric.Sanitize.Violation} on a breach.  O(k·m) when armed; free
+    when disarmed or on the packed lane. *)
+val audit : lane -> rows -> (int -> int -> int) -> unit

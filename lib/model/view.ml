@@ -6,9 +6,10 @@ open Numeric
    int array that doubles on demand.
 
    Loads live in a [Packing] lane (packed native ints when the game's
-   magnitudes allow, exact rationals otherwise); each user is one row
-   of it, and the exact per-user tables are read straight from the
-   immutable [Game.t], so no per-user state is copied. *)
+   magnitudes allow, [Bigint] numerators over one common denominator
+   otherwise); each user is one row of it, and the exact per-user
+   tables are read straight from the immutable [Game.t], so no per-user
+   state is copied. *)
 
 type t = {
   rows : Packing.rows;
@@ -39,8 +40,9 @@ let of_profile g ?initial p =
     (fun l -> if l < 0 || l >= m then invalid_arg "View.of_profile: link out of range")
     p;
   let rows = Game.rows g in
-  let lane = Packing.make_lane (Game.packed_tables g) ?initial m in
-  Array.iteri (fun i l -> Packing.add_count lane rows i ~link:l ~delta:1) p;
+  let lane = Packing.make_lane (Game.packed_tables g) rows ?initial m in
+  Array.iteri (fun i l -> Packing.add_count lane i ~link:l ~delta:1) p;
+  Packing.audit lane rows (fun i l -> if p.(i) = l then 1 else 0);
   {
     rows;
     prof = Array.copy p;
@@ -63,7 +65,7 @@ let depth v = v.depth
 let shift v i l =
   let old = v.prof.(i) in
   if l <> old then begin
-    Packing.shift v.lane v.rows i ~src:old ~dst:l 1;
+    Packing.shift v.lane i ~src:old ~dst:l 1;
     v.prof.(i) <- l
   end
 

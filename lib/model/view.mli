@@ -6,7 +6,7 @@
     DFS, exhaustive odometer sweeps.  A [View.t] materialises the
     per-link loads of one profile once ({!of_profile}, honouring
     [?initial]) and then maintains them under single-user moves in O(1)
-    exact rational updates: {!move} touches exactly the two affected
+    exact integer updates: {!move} touches exactly the two affected
     load entries and {!undo} restores them.  Against the view, a load
     lookup is O(1), a latency is O(1), a best response is O(m) and a
     full Nash check is O(n·m) — where the scan-based {!Pure} seed path
@@ -20,9 +20,10 @@
     every scaled component of the game fits the native range (the
     {!Packing} bound), loads are flat native-int arrays and every
     equilibrium predicate is a three-factor native product — exact,
-    allocation-free and check-free.  Otherwise the loads are
-    big-rational values.  Both lanes compute identical canonical
-    rationals; lane choice is observable only through {!packed}.  The
+    allocation-free and check-free.  Otherwise the loads are [Bigint]
+    numerators over one common denominator and the predicates are the
+    same cross products in [Bigint].  Both lanes compute identical
+    canonical rationals; lane choice is observable only through {!packed}.  The
     lane and its kernels live in {!Packing}, shared with {!Cview}: each
     user is one row, and per-user data is read straight from the
     immutable {!Game.t}. *)
@@ -69,7 +70,7 @@ val load : t -> int -> Numeric.Rational.t
 val loads : t -> Numeric.Rational.t array
 
 (** [move v i l] reassigns user [i] to link [l], updating the two
-    affected loads in O(1) exact rational operations and recording the
+    affected loads in O(1) exact integer operations and recording the
     move for {!undo}.  Moving a user to its current link is a recorded
     no-op, so move/undo sequences always balance.
     @raise Invalid_argument when [i] or [l] is out of range. *)

@@ -13,7 +13,11 @@
        and unit-count class games against the per-user tables
      - pure-profile loads, latencies, is_nash, SC1/SC2 (Cview vs Pure)
      - the first-defector best-response step (Cview vs Best_response)
-     - maximal improving blocks against single-move simulation
+     - maximal improving blocks against single-move simulation and the
+       Rational closed form, on both lanes, at exact ties and clamps
+     - every lane kernel against a Rational oracle on the exact lane
+       (all three backends, rational initial traffic, 2^100 operands)
+       and at the packed lane's product-bound edges
      - block best-response convergence (Nash at both levels). *)
 
 open Model
@@ -202,10 +206,198 @@ let test_twelve_users () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Lane kernels vs a Rational oracle                                   *)
+
+(* The exact-rational formulas the lane kernels evaluate as integer
+   cross products, recomputed from the game's rows and a from-scratch
+   load fold: load_l = initial_l + Σ_r count(r, l)·contribution_r. *)
+type oracle = { rows : Packing.rows; loads : Rational.t array }
+
+let oracle_of (rows : Packing.rows) ~m ?initial count =
+  let loads =
+    Array.init m (fun l ->
+        let acc = ref (match initial with None -> Rational.zero | Some t -> t.(l)) in
+        Array.iteri
+          (fun r t ->
+            let e = count r l in
+            if e > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int e) t))
+          rows.contribs;
+        !acc)
+  in
+  { rows; loads }
+
+let cview_oracle v = oracle_of (Cgame.rows (Cview.to_cgame v)) ~m:(Cview.links v) (Cview.assigned v)
+
+let view_oracle g ?initial p =
+  oracle_of (Game.rows g) ~m:(Game.links g) ?initial (fun i l -> if p.(i) = l then 1 else 0)
+
+let o_latency o r l = Rational.div (Rational.add o.loads.(l) o.rows.biases.(r)) o.rows.caps.(r).(l)
+
+let o_after o r ~src dst =
+  if dst = src then o_latency o r src
+  else Rational.div (Rational.add o.loads.(dst) o.rows.weights.(r)) o.rows.caps.(r).(dst)
+
+let o_improves o r ~src dst =
+  dst <> src && Rational.compare (o_after o r ~src dst) (o_latency o r src) < 0
+
+let o_best o r ~src =
+  let best = ref 0 in
+  for l = 1 to Array.length o.loads - 1 do
+    if Rational.compare (o_after o r ~src l) (o_after o r ~src !best) < 0 then best := l
+  done;
+  (!best, o_after o r ~src !best)
+
+let o_defector o r ~src =
+  List.exists (o_improves o r ~src) (List.init (Array.length o.loads) Fun.id)
+
+(* The Rational closed form [Cview.max_improving_block] used before the
+   integer lane kernel: with Δ the latency gap between [src] and [dst]
+   and t the contribution, the j-th mover improves iff j < q for
+     q = (Δ + t/c_src) / (t·(1/c_dst + 1/c_src)),
+   so the block is ceil(q) − 1, clamped to [0, avail]. *)
+let reference_max_block o r ~src ~dst ~avail =
+  let t = o.rows.contribs.(r) in
+  let cap_s = o.rows.caps.(r).(src) and cap_d = o.rows.caps.(r).(dst) in
+  let delta = Rational.sub (o_latency o r src) (o_latency o r dst) in
+  let q =
+    Rational.div
+      (Rational.add delta (Rational.div t cap_s))
+      (Rational.mul t (Rational.add (Rational.inv cap_d) (Rational.inv cap_s)))
+  in
+  if Rational.compare q Rational.one <= 0 then 0
+  else if Rational.compare q (Rational.of_int avail) > 0 then avail
+  else Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
+
+let same_q what a b =
+  if not (Rational.equal a b) then
+    Alcotest.failf "%s: %s, oracle %s" what (Rational.to_string b) (Rational.to_string a)
+
+(* Every Cview kernel on every (class, source, destination) triple. *)
+let check_cview_kernels what v =
+  let o = cview_oracle v in
+  let m = Cview.links v in
+  for c = 0 to Cview.classes v - 1 do
+    for src = 0 to m - 1 do
+      let at fmt = Printf.sprintf ("%s: class %d on %d: " ^^ fmt) what c src in
+      same_q (at "latency") (o_latency o c src) (Cview.latency v c src);
+      let bl, blat = Cview.best_response_for v ~cls:c ~src and ol, olat = o_best o c ~src in
+      if bl <> ol then Alcotest.failf "%s" (at "best response %d, oracle %d" bl ol);
+      same_q (at "best-response latency") olat blat;
+      if Cview.is_defector v ~cls:c ~src <> o_defector o c ~src then
+        Alcotest.failf "%s" (at "is_defector disagrees");
+      for dst = 0 to m - 1 do
+        same_q (at "latency after moving to %d" dst) (o_after o c ~src dst)
+          (Cview.latency_after_move v ~cls:c ~src dst);
+        if Cview.improves v ~cls:c ~src dst <> o_improves o c ~src dst then
+          Alcotest.failf "%s" (at "improves %d disagrees" dst);
+        if dst <> src then begin
+          let t = Cview.max_improving_block v ~cls:c ~src ~dst in
+          let r = reference_max_block o c ~src ~dst ~avail:(Cview.assigned v c src) in
+          if t <> r then Alcotest.failf "%s" (at "block to %d is %d, closed form %d" dst t r)
+        end
+      done
+    done
+  done
+
+(* Every View kernel for every user. *)
+let check_view_kernels what g ?initial v p =
+  let o = view_oracle g ?initial p in
+  let m = Game.links g in
+  for i = 0 to Game.users g - 1 do
+    let src = p.(i) in
+    same_q (Printf.sprintf "%s: latency(%d)" what i) (o_latency o i src) (View.latency v i);
+    for l = 0 to m - 1 do
+      same_q (Printf.sprintf "%s: latency_on_link(%d, %d)" what i l) (o_after o i ~src l)
+        (View.latency_on_link v i l)
+    done;
+    let bl, blat = View.best_response_for v i and ol, olat = o_best o i ~src in
+    if bl <> ol then Alcotest.failf "%s: best_response_for(%d) %d, oracle %d" what i bl ol;
+    same_q (Printf.sprintf "%s: best-response latency(%d)" what i) olat blat;
+    if View.is_defector v i <> o_defector o i ~src then
+      Alcotest.failf "%s: is_defector(%d) disagrees" what i;
+    if View.improving_moves v i <> List.filter (o_improves o i ~src) (List.init m Fun.id) then
+      Alcotest.failf "%s: improving_moves(%d) disagrees" what i
+  done
+
+let two_100 = Bigint.pow (Bigint.of_int 2) 100
+
+(* A cursor at [x] forced onto the exact lane: a reweight by 2^-100
+   cannot pack, so it spills, and the reweight back keeps the exact
+   lane while restoring every value. *)
+let exact_twin g x =
+  let v = Cview.of_profile g x in
+  let w = Cgame.weight g 0 in
+  Cview.revise_weight v ~cls:0 (Rational.add w (Rational.make Bigint.one two_100));
+  Cview.revise_weight v ~cls:0 w;
+  Cview.clear_history v;
+  if Cview.packed v then Alcotest.fail "a 2^-100 reweight did not spill the packed lane";
+  v
+
+(* Class games over all three uncertainty backends: Bayesian (which
+   may pack), Participation (bias ≠ 0, never packs) and Strict. *)
+let random_backend_cgame rng ~k ~m =
+  let q = Rational.of_ints in
+  let counts = Array.init k (fun _ -> 1 + Prng.Rng.int rng 4) in
+  let weights = Array.init k (fun _ -> q (1 + Prng.Rng.int rng 6) (1 + Prng.Rng.int rng 3)) in
+  let row () = Array.init m (fun _ -> q (1 + Prng.Rng.int rng 8) (1 + Prng.Rng.int rng 3)) in
+  let uncertainty =
+    Array.init k (fun _ ->
+        match Prng.Rng.int rng 3 with
+        | 0 -> Uncertainty.bayesian (Belief.certain (State.make (row ())))
+        | 1 ->
+          Uncertainty.participation
+            ~presence:(q (1 + Prng.Rng.int rng 4) 5)
+            (Belief.certain (State.make (row ())))
+        | _ ->
+          Uncertainty.strict_of_intervals
+            (Array.map (fun lo -> (lo, Rational.add lo (q 1 2))) (row ())))
+  in
+  (counts, weights, uncertainty)
+
+let random_profile rng counts m =
+  Array.map
+    (fun n ->
+      let row = Array.make m 0 in
+      for _ = 1 to n do
+        let l = Prng.Rng.int rng m in
+        row.(l) <- row.(l) + 1
+      done;
+      row)
+    counts
+
+(* ------------------------------------------------------------------ *)
 (* Maximal improving blocks vs single-move simulation                  *)
 
+(* Check one block on [v]: it matches the Rational closed form, each of
+   its movers improves in turn on the live state and the next one does
+   not, and the undos restore the loads.  Returns the block. *)
+let check_block what v ~cls ~src ~dst =
+  let t = Cview.max_improving_block v ~cls ~src ~dst in
+  let avail = Cview.assigned v cls src in
+  let r = reference_max_block (cview_oracle v) cls ~src ~dst ~avail in
+  if t <> r then Alcotest.failf "%s: block %d, closed form %d" what t r;
+  if t > avail then Alcotest.failf "%s: block exceeds available users" what;
+  let loads = Cview.loads v in
+  let improves () =
+    Rational.compare (Cview.latency_after_move v ~cls ~src dst) (Cview.latency v cls src) < 0
+  in
+  for j = 1 to t do
+    if not (improves ()) then Alcotest.failf "%s: mover %d of %d does not improve" what j t;
+    Cview.move v ~cls ~src ~dst ~count:1
+  done;
+  if avail > t && improves () then
+    Alcotest.failf "%s: block %d is not maximal (%d available)" what t avail;
+  for _ = 1 to t do
+    Cview.undo v
+  done;
+  Alcotest.(check (array check_q)) "undo restores loads" loads (Cview.loads v);
+  t
+
+(* Random instances, each on the cursor's own lane and on its exact
+   twin. *)
 let test_max_improving_block () =
   let rng = Prng.Rng.create 0xB10C in
+  let packed = ref 0 in
   for trial = 1 to 2_000 do
     let n = Prng.Rng.int_in rng 2 9 and m = Prng.Rng.int_in rng 2 3 in
     let g = random_game rng ~kind:trial ~n ~m in
@@ -213,32 +405,171 @@ let test_max_improving_block () =
     let p = Array.init n (fun _ -> Prng.Rng.int rng m) in
     let x = Cgame.compress_profile cg ~class_of p in
     let v = Cview.of_profile cg x in
+    if Cview.packed v then incr packed;
     let cls = Prng.Rng.int rng (Cgame.classes cg) in
     let src = Prng.Rng.int rng m in
     let dst = (src + 1 + Prng.Rng.int rng (m - 1)) mod m in
-    let t = Cview.max_improving_block v ~cls ~src ~dst in
-    let avail = Cview.assigned v cls src in
-    if t > avail then Alcotest.failf "trial %d: block exceeds available users" trial;
-    (* Each of the t movers must improve in turn; the (t+1)-th must
-       not.  [improves] evaluates the j-th comparison on the view state
-       after j-1 single moves. *)
-    let improves () =
-      Rational.compare (Cview.latency_after_move v ~cls ~src dst) (Cview.latency v cls src) < 0
+    let what = Printf.sprintf "trial %d" trial in
+    let t = check_block what v ~cls ~src ~dst in
+    let tx = check_block (what ^ " (exact lane)") (exact_twin cg x) ~cls ~src ~dst in
+    if t <> tx then Alcotest.failf "%s: the lanes disagree on the block (%d vs %d)" what t tx
+  done;
+  if !packed < 500 then Alcotest.failf "only %d of 2000 trials ran on the packed lane" !packed
+
+(* Exact ties.  Two links with capacities s·f and d·f and one weight w:
+   with x users of weight w on [src] and y on [dst], the j-th mover
+   improves iff (y + j)·s < (x − j + 1)·d.  Taking y + n + 1 = d·j0 and
+   x − n = s·j0 makes the (n+1)-th mover tie exactly (D is n times
+   T·(a + b)), so the block is n — the tying mover stays — clamped to
+   the [avail] users of the moving class.  Class 1 shares the weight
+   and row; it fills [src] up to x and parks one user on a third link. *)
+let test_block_ties_and_clamps () =
+  let rng = Prng.Rng.create 0x71E5 in
+  for trial = 1 to 400 do
+    let s = 1 + Prng.Rng.int rng 5 and d = 1 + Prng.Rng.int rng 5 in
+    let j0 = 2 + Prng.Rng.int rng 3 in
+    let n = 1 + Prng.Rng.int rng ((d * j0) - 1) in
+    let y = (d * j0) - 1 - n and x = n + (s * j0) in
+    let avail =
+      match Prng.Rng.int rng 4 with 0 -> x | 1 -> max 1 (n - 1) | 2 -> n | _ -> min x (n + 1)
     in
-    for j = 1 to t do
-      if not (improves ()) then Alcotest.failf "trial %d: mover %d of %d does not improve" trial j t;
-      Cview.move v ~cls ~src ~dst ~count:1
+    let f = Rational.of_ints (1 + Prng.Rng.int rng 4) (1 + Prng.Rng.int rng 3) in
+    let w = Rational.of_ints (1 + Prng.Rng.int rng 5) (1 + Prng.Rng.int rng 4) in
+    let caps =
+      [| Rational.mul (Rational.of_int s) f; Rational.mul (Rational.of_int d) f;
+         Rational.of_ints (1 + Prng.Rng.int rng 9) 2 |]
+    in
+    let x0 = [| [| avail; y; 0 |]; [| x - avail; 0; 1 |] |] in
+    let g =
+      Cgame.kp
+        ~counts:(Array.map (Array.fold_left ( + ) 0) x0)
+        ~weights:[| w; w |] ~capacities:caps
+    in
+    let what = Printf.sprintf "tie trial %d (n = %d, avail = %d)" trial n avail in
+    List.iter
+      (fun v ->
+        let t = check_block what v ~cls:0 ~src:0 ~dst:1 in
+        if t <> min avail n then Alcotest.failf "%s: block %d, expected %d" what t (min avail n);
+        if avail > n then begin
+          (* The (n+1)-th mover ties exactly: it stays, and the block
+             is not maximal by a strict margin. *)
+          Cview.move v ~cls:0 ~src:0 ~dst:1 ~count:n;
+          same_q (what ^ ": tying mover") (Cview.latency v 0 0)
+            (Cview.latency_after_move v ~cls:0 ~src:0 1);
+          Cview.undo v
+        end)
+      [ Cview.of_profile g x0; exact_twin g x0 ]
+  done;
+  (* A destination so fast that every available user moves. *)
+  let g =
+    Cgame.kp ~counts:[| 7 |] ~weights:[| Rational.of_ints 3 2 |]
+      ~capacities:[| Rational.one; Rational.of_int 1000 |]
+  in
+  let x = [| [| 7; 0 |] |] in
+  List.iter
+    (fun v ->
+      Alcotest.(check int) "every user moves" 7 (check_block "clamp" v ~cls:0 ~src:0 ~dst:1))
+    [ Cview.of_profile g x; exact_twin g x ]
+
+(* Every kernel on exact-lane cursors against the Rational oracle:
+   class games over all three backends, on the cursor's own lane, on
+   its exact twin, scaled by 2^100 (Big operands throughout) and after
+   random structural deltas that rescale the exact lane; per-user
+   views over the same backends with rational initial traffic. *)
+let test_exact_lane_kernels () =
+  let rng = Prng.Rng.create 0xE8AC in
+  let big = Rational.of_bigint two_100 in
+  for trial = 1 to 300 do
+    let k = 1 + Prng.Rng.int rng 3 and m = Prng.Rng.int_in rng 2 3 in
+    let counts, weights, uncertainty = random_backend_cgame rng ~k ~m in
+    let g = Cgame.make_uncertain ~counts ~weights ~uncertainty in
+    let x = random_profile rng counts m in
+    let what = Printf.sprintf "trial %d" trial in
+    check_cview_kernels what (Cview.of_profile g x);
+    let vx = exact_twin g x in
+    check_cview_kernels (what ^ " (exact twin)") vx;
+    let gb =
+      Cgame.make_uncertain ~counts ~weights:(Array.map (Rational.mul big) weights) ~uncertainty
+    in
+    let vb = Cview.of_profile gb x in
+    if Cview.packed vb then Alcotest.failf "%s: 2^100-scaled game packed anyway" what;
+    check_cview_kernels (what ^ " (2^100)") vb;
+    for step = 1 to 4 do
+      let c = Prng.Rng.int rng k in
+      (match Prng.Rng.int rng 3 with
+       | 0 ->
+         Cview.revise_weight vx ~cls:c
+           (Rational.of_ints (1 + Prng.Rng.int rng 9) (1 + Prng.Rng.int rng 7))
+       | 1 ->
+         Cview.revise_capacity vx ~cls:c ~link:(Prng.Rng.int rng m)
+           (Rational.of_ints (1 + Prng.Rng.int rng 9) (1 + Prng.Rng.int rng 5))
+       | _ ->
+         Cview.revise_count vx ~cls:c ~link:(Prng.Rng.int rng m) ~delta:(1 + Prng.Rng.int rng 3));
+      check_cview_kernels (Printf.sprintf "%s (exact twin, delta %d)" what step) vx
     done;
-    if avail > t && improves () then
-      Alcotest.failf "trial %d: block %d is not maximal (%d available)" trial t avail;
-    for _ = 1 to t do
-      Cview.undo v
-    done;
-    (* The view must be back at the start state after the undos. *)
-    for l = 0 to m - 1 do
-      Alcotest.check check_q "undo restores loads" (Pure.loads g p).(l) (Cview.load v l)
-    done
+    (* Per-user views, with and without rational initial traffic. *)
+    let n = Array.fold_left ( + ) 0 counts in
+    let ug =
+      Game.make_uncertain
+        ~weights:(Array.init n (fun i -> weights.(i mod k)))
+        ~uncertainty:(Array.init n (fun i -> uncertainty.(i mod k)))
+    in
+    let p = Array.init n (fun _ -> Prng.Rng.int rng m) in
+    let initial =
+      Array.init m (fun _ -> Rational.of_ints (Prng.Rng.int rng 5) (1 + Prng.Rng.int rng 6))
+    in
+    check_view_kernels what ug (View.of_profile ug p) p;
+    check_view_kernels (what ^ " (initial)") ug ~initial (View.of_profile ug ~initial p) p;
+    let ub =
+      Game.make_uncertain
+        ~weights:(Array.init n (fun i -> Rational.mul big weights.(i mod k)))
+        ~uncertainty:(Array.init n (fun i -> uncertainty.(i mod k)))
+    in
+    let vb = View.of_profile ub ~initial p in
+    if View.packed vb then Alcotest.failf "%s: 2^100-scaled view packed anyway" what;
+    check_view_kernels (what ^ " (2^100, initial)") ub ~initial vb p
   done
+
+(* The packed lane's edges.  With integer capacities up to 2^31 the
+   product bound 2·total·maxcd·maxcn <= max_int admits a total traffic
+   of 2^30 − 1 and refuses 2^30, so the kernels run right at the top of
+   the native range.  On both sides the cursor's own lane and its exact
+   twin agree with the oracle, and one repair batch — a capacity cut
+   plus an arrival, which pushes the under-bound instance over and
+   spills it mid-batch — ends with the same outcome and profile. *)
+let test_product_bound_edges () =
+  let cap = Rational.of_bigint (Bigint.pow (Bigint.of_int 2) 31) in
+  let r = Rational.of_int in
+  List.iter
+    (fun (total, packs) ->
+      let heavy = (1 lsl 28) + 3 in
+      let counts = [| 5; heavy; total - 5 - (2 * heavy) |] in
+      let g =
+        Cgame.of_capacities ~counts
+          ~weights:[| Rational.one; r 2; Rational.one |]
+          [| [| cap; r 3; r 7 |]; [| cap; r 5; Rational.one |]; [| r 2; cap; r 9 |] |]
+      in
+      let what = Printf.sprintf "total %d" total in
+      let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
+      if not o.converged then Alcotest.failf "%s: the initial solve did not converge" what;
+      let v = Cview.of_profile g o.profile and vx = exact_twin g o.profile in
+      if Cview.packed v <> packs then Alcotest.failf "%s: packed is %b" what (Cview.packed v);
+      check_cview_kernels what v;
+      check_cview_kernels (what ^ " (exact twin)") vx;
+      let batch =
+        Serve.Mutation.
+          [ Revise_capacity { cls = 1; link = 0; cap = r 3 };
+            Arrive { cls = 2; link = 1; count = 1 } ]
+      in
+      let out = Serve.Repair.repair_batch v batch and outx = Serve.Repair.repair_batch vx batch in
+      if Cview.packed v then Alcotest.failf "%s: the arrival did not spill the lane" what;
+      if out <> outx then Alcotest.failf "%s: the lanes' repair outcomes differ" what;
+      if not out.nash then Alcotest.failf "%s: the repair did not reach an equilibrium" what;
+      if out.moves = 0 then Alcotest.failf "%s: the batch needed no repair" what;
+      if Cview.profile v <> Cview.profile vx then
+        Alcotest.failf "%s: the lanes' repaired profiles differ" what;
+      check_cview_kernels (what ^ " after repair") v)
+    [ ((1 lsl 30) - 1, true); (1 lsl 30, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Block best-response dynamics                                        *)
@@ -313,6 +644,15 @@ let () =
           Alcotest.test_case "twelve-user games" `Quick test_twelve_users;
           Alcotest.test_case "maximal blocks vs single-move simulation" `Quick
             test_max_improving_block;
+          Alcotest.test_case "maximal blocks at exact ties and clamps" `Quick
+            test_block_ties_and_clamps;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "exact-lane kernels vs the Rational oracle" `Quick
+            test_exact_lane_kernels;
+          Alcotest.test_case "product-bound edges agree across lanes" `Quick
+            test_product_bound_edges;
         ] );
       ( "algo",
         [

@@ -712,6 +712,63 @@ let test_certify_sanitized () =
       Cview.clear_history v;
       Alcotest.(check bool) "clear_history keeps the certificate" true (Cview.certified v))
 
+(* The exact lane's scale S is always exactly the lcm of the live
+   weight and contribution denominators.  A Participation class (bias
+   ≠ 0, so the cursor is on the exact lane from the start) is reweighted
+   to (p+1)/p through the first 30 primes and back; under the sanitizer
+   every construction, spill and reweight re-derives the invariant
+   from scratch, and S tracks the one live denominator instead of
+   accumulating the primes.  Undoing everything restores S and every
+   load. *)
+let test_scale_invariant_sanitized () =
+  let primes =
+    let rec sieve acc n =
+      if List.length acc = 30 then List.rev acc
+      else if List.exists (fun p -> n mod p = 0) acc then sieve acc (n + 1)
+      else sieve (n :: acc) (n + 1)
+    in
+    sieve [] 2
+  in
+  let saved = !Sanitize.enabled in
+  Sanitize.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Sanitize.enabled := saved)
+    (fun () ->
+      let certain row = Belief.certain (State.make row) in
+      let g =
+        Cgame.make_uncertain ~counts:[| 3; 2; 4 |]
+          ~weights:[| q 3 2; q 1 1; q 5 3 |]
+          ~uncertainty:
+            [| Uncertainty.participation ~presence:(q 1 2) (certain [| q 3 1; q 2 1 |]);
+               Uncertainty.bayesian (certain [| q 1 1; q 5 2 |]);
+               Uncertainty.participation ~presence:(q 2 3) (certain [| q 4 3; q 7 1 |]) |]
+      in
+      let v = Cview.of_profile g [| [| 2; 1 |]; [| 0; 2 |]; [| 3; 1 |] |] in
+      Alcotest.(check bool) "participation starts on the exact lane" false (Cview.packed v);
+      let big = Alcotest.testable Bigint.pp Bigint.equal in
+      (* weights 3/2, 1, 5/3 and contributions 3/4, 1, 10/9 *)
+      Alcotest.check big "S is the lcm of the live denominators" (Bigint.of_int 36) (Cview.scale v);
+      let loads0 = Cview.loads v and sc0 = Cview.social_cost1 v in
+      (* Class 0's pair (p+1)/p, (p+1)/2p brings the denominator p (4
+         for p = 2) to class 2's 3 and 9. *)
+      let reweight p =
+        Cview.revise_weight v ~cls:0 (q (p + 1) p);
+        let want = if p = 2 then 36 else if p = 3 then 9 else 9 * p in
+        Alcotest.check big (Printf.sprintf "S at weight %d/%d" (p + 1) p) (Bigint.of_int want)
+          (Cview.scale v);
+        check_view_identity p v
+      in
+      List.iter reweight primes;
+      List.iter reweight (List.rev primes);
+      Cview.revise_weight v ~cls:0 (q 3 2);
+      Alcotest.check big "S returns to its starting value" (Bigint.of_int 36) (Cview.scale v);
+      while Cview.depth v > 0 do
+        Cview.undo v
+      done;
+      Alcotest.check big "undo-all restores S" (Bigint.of_int 36) (Cview.scale v);
+      Alcotest.(check (array check_q)) "undo-all restores the loads" loads0 (Cview.loads v);
+      Alcotest.check check_q "undo-all restores SC1" sc0 (Cview.social_cost1 v))
+
 let test_repair_argument_errors () =
   let g =
     Cgame.kp ~counts:[| 4 |] ~weights:[| Rational.one |]
@@ -962,6 +1019,8 @@ let () =
           Alcotest.test_case "10k mutation sequences vs re-materialisation" `Slow
             test_differential_mutations;
           Alcotest.test_case "packed spill and restore" `Quick test_packed_spill_and_restore;
+          Alcotest.test_case "exact-lane scale invariant under the sanitizer" `Quick
+            test_scale_invariant_sanitized;
         ] );
       ( "repair",
         [

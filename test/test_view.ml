@@ -219,7 +219,7 @@ let test_sweep_matches_iter_profiles () =
 
 (* ------------------------------------------------------------------ *)
 (* Two-lane agreement: the packed native-int lane and the exact
-   big-rational lane must produce identical predicates and
+   [Bigint] lane must produce identical predicates and
    proportionally identical quantities.  Scaling every weight by 2^100
    leaves all equilibrium predicates invariant (latencies scale
    uniformly) but blows the packing bound, so the same instance can be
