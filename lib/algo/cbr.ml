@@ -8,25 +8,26 @@ type outcome = {
   converged : bool;
 }
 
-(* Cumulative rounding: link l gets floor(count·S_l/S) − floor(count·S_{l−1}/S)
-   users, S_l the capacity prefix sum.  Exact, non-negative, sums to
-   count, and tracks the capacity proportions within one user. *)
+(* Cumulative rounding: link l gets upto_l − upto_{l−1} users, where
+   upto_l = ⌊count·(a_0 + … + a_l) / (a_0 + … + a_{m−1})⌋ and a is the
+   capacity row scaled to integers by the lcm of its denominators —
+   the same ratio as the capacity prefix sums, so the same counts, in
+   integer division.  Exact, non-negative, sums to count, and tracks
+   the capacity proportions within one user. *)
 let proportional_start g =
-  let k = Cgame.classes g and m = Cgame.links g in
+  let k = Cgame.classes g in
   Array.init k (fun c ->
-      let row = Cgame.capacity_row g c in
-      let total = Rational.sum (Array.to_list row) in
-      let count = Rational.of_int (Cgame.count g c) in
-      let cum = ref Rational.zero and prev = ref 0 in
-      Array.init m (fun l ->
-          cum := Rational.add !cum row.(l);
-          let upto =
-            Bigint.to_int_exn
-              (Rational.num (Rational.floor (Rational.div (Rational.mul count !cum) total)))
-          in
+      let row = Packing.lift (Cgame.capacity_row g c) in
+      let count = Bigint.of_int (Cgame.count g c) in
+      let cum = ref Bigint.zero and prev = ref 0 in
+      Array.map
+        (fun a ->
+          cum := Bigint.add !cum a;
+          let upto = Bigint.to_int_exn (Bigint.div (Bigint.mul count !cum) row.mass) in
           let here = upto - !prev in
           prev := upto;
-          here))
+          here)
+        row.nums)
 
 (* The budget is checked only when a defector is found, so a run that
    needs exactly [max_steps] moves still converges. *)

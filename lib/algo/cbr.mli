@@ -22,9 +22,12 @@ type outcome = {
 }
 
 (** [proportional_start g] assigns each class's users to links in
-    proportion to the class's effective capacities (largest-remainder
-    by cumulative rounding, so counts are exact and sum to the class
-    count). *)
+    proportion to the class's effective capacities by cumulative
+    rounding: with S_l the capacity prefix sum, link [l] gets
+    ⌊count·S_l/S⌋ − ⌊count·S_{l−1}/S⌋ users, computed in integers.
+    Counts are exact, non-negative, sum to the class count and miss
+    each quota by less than one user.  This is not largest remainder:
+    one user over the row (2, 1, 2) goes to link 2, not link 0. *)
 val proportional_start : Model.Cgame.t -> Model.Cgame.profile
 
 (** [converge_in_place ~max_steps v] runs block best-response dynamics

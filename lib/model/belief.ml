@@ -77,8 +77,27 @@ let expected_inverse_capacity b l =
     b.probs;
   !acc
 
-let effective_capacity b l = Rational.inv (expected_inverse_capacity b l)
-let effective_capacities b = Array.init (links b) (effective_capacity b)
+(* The one state carrying all the probability, if there is one.  Its
+   probability is then 1, so the harmonic mean 1/(1/c) is the state's
+   own (reduced) capacity c: certain, point and fully conditioned
+   beliefs read their capacities with no division. *)
+let sole_state b =
+  let rec scan probs k found =
+    if k = Array.length probs then found
+    else if Rational.is_zero probs.(k) then scan probs (k + 1) found
+    else match found with None -> scan probs (k + 1) (Some k) | Some _ -> None
+  in
+  scan b.probs 0 None
+
+let effective_capacity b l =
+  match sole_state b with
+  | Some k -> State.capacity (State.state b.space k) l
+  | None -> Rational.inv (expected_inverse_capacity b l)
+
+let effective_capacities b =
+  match sole_state b with
+  | Some k -> State.capacities (State.state b.space k)
+  | None -> Array.init (links b) (fun l -> Rational.inv (expected_inverse_capacity b l))
 
 let is_uniform_link_view b =
   let caps = effective_capacities b in

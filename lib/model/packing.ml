@@ -60,23 +60,31 @@ let lcm s d = if Bigint.equal d Bigint.one then s else Bigint.mul s (Bigint.div 
    multiple of every denominator in [dens]. *)
 let scale_lcm from dens = Array.fold_left lcm from dens
 
-let build ~mults (weights : Rational.t array) (capacities : Rational.t array array) =
+(* [q·s] for a denominator of [q] that divides [s]. *)
+let scaled s q = Bigint.mul (Rational.num q) (Bigint.div s (Rational.den q))
+
+type lifted = { den : Bigint.t; nums : Bigint.t array; mass : Bigint.t }
+
+let lift ?mults qs =
+  let den = scale_lcm Bigint.one (Array.map Rational.den qs) in
+  let nums = Array.map (scaled den) qs in
+  let mass = ref Bigint.zero in
+  Array.iteri
+    (fun r a ->
+      let a = match mults with None -> a | Some c -> Bigint.mul (Bigint.of_int c.(r)) a in
+      mass := Bigint.add !mass a)
+    nums;
+  { den; nums; mass = !mass }
+
+(* Narrows [weights]' one integer pass to native ints; the capacities
+   are read as their reduced num/den. *)
+let build (weights : lifted) (capacities : Rational.t array array) =
   try
-    let n = Array.length weights in
+    let n = Array.length weights.nums in
     let m = Array.length capacities.(0) in
-    let scale_b = scale_lcm Bigint.one (Array.map Rational.den weights) in
-    let scale = to_native scale_b in
-    let pw =
-      Array.map
-        (fun w -> to_native (Bigint.mul (Rational.num w) (Bigint.div scale_b (Rational.den w))))
-        weights
-    in
-    let wsum = ref Bigint.zero in
-    Array.iteri
-      (fun r p ->
-        wsum := Bigint.add !wsum (Bigint.mul (Bigint.of_int mults.(r)) (Bigint.of_int p)))
-      pw;
-    let wsum = to_native !wsum in
+    let scale = to_native weights.den in
+    let pw = Array.map to_native weights.nums in
+    let wsum = to_native weights.mass in
     let cn = Array.make (n * m) 0 and cd = Array.make (n * m) 0 in
     let maxcn = ref 1 and maxcd = ref 1 in
     Array.iteri
@@ -176,9 +184,6 @@ let is_packed = function Packed _ -> true | Exact _ -> false
 let scale = function
   | Exact e -> e.es
   | Packed pk -> Bigint.of_int pk.pscale
-
-(* [q·s] for a denominator of [q] that divides [s]. *)
-let scaled s q = Bigint.mul (Rational.num q) (Bigint.div s (Rational.den q))
 
 (* [live_scale ?revise rows init] is the lcm of the initial-traffic
    denominators and every row's weight and contribution denominators,

@@ -38,11 +38,27 @@ type t = {
   base_ok : bool;  (** the product bound holds at [total = wsum] (no initial traffic) *)
 }
 
-(** [build ~mults weights capacities] packs one row per weight, where
-    [mults.(r)] is the row's population multiplicity (all ones for
-    per-user games, class counts for compressed games).  [None] when
-    any scaled component exceeds the native range. *)
-val build : mults:int array -> Numeric.Rational.t array -> Numeric.Rational.t array array -> t option
+(** An exact rational vector over one common denominator. *)
+type lifted = {
+  den : Numeric.Bigint.t;  (** the lcm of the entries' denominators *)
+  nums : Numeric.Bigint.t array;  (** [nums.(i)] = entry [i] · [den], an integer *)
+  mass : Numeric.Bigint.t;  (** Σ mults.(i) · nums.(i) *)
+}
+
+(** [lift ?mults qs] scales [qs] to integers by the lcm of their
+    denominators in one [Bigint] pass: no gcd beyond the lcm fold and
+    no rational built.  [mults] (default all ones) weights the [mass];
+    for a game's weights it is the rows' population multiplicities (all
+    ones for per-user games, class counts for compressed games), so
+    [mass / den] is the total traffic. *)
+val lift : ?mults:int array -> Numeric.Rational.t array -> lifted
+
+(** [build weights capacities] packs one row per weight from the
+    weights' {!lift} (with the rows' multiplicities), narrowing its
+    scale, numerators and mass to native ints without recomputing
+    them, and each capacity's reduced num/den.  [None] when any of
+    these exceeds the native range. *)
+val build : lifted -> Numeric.Rational.t array array -> t option
 
 (** {1 Lanes} *)
 

@@ -44,6 +44,9 @@ let make who ~counts ~weights ~uncertainty =
   let capacities = Array.map Uncertainty.eval_capacities uncertainty in
   let contribs = Array.map2 contribution uncertainty weights in
   let load_linear = Array.for_all Uncertainty.is_load_linear uncertainty in
+  (* One integer pass over the weights serves both the exact total and
+     the packed tables. *)
+  let lifted = Packing.lift ~mults:counts weights in
   {
     counts = Array.copy counts;
     weights = Array.copy weights;
@@ -54,12 +57,10 @@ let make who ~counts ~weights ~uncertainty =
     biases = Array.map2 Rational.sub weights contribs;
     load_linear;
     users;
-    total =
-      Rational.sum_array
-        (Array.map2 (fun n w -> Rational.mul (Rational.of_int n) w) counts weights);
+    total = Rational.make lifted.mass lifted.den;
     (* The packed lane's three-factor Nash products assume latencies of
        the exact form load/ĉ, so only load-linear games get tables. *)
-    packed = (if load_linear then Packing.build ~mults:counts weights capacities else None);
+    packed = (if load_linear then Packing.build lifted capacities else None);
   }
 
 let rows p =

@@ -3,9 +3,10 @@ open Numeric
 type kind = Bayesian | Participation | Strict
 
 (* Each backend caches its evaluation capacities at construction, so
-   [Game.make_uncertain] pays the belief-weighted sums exactly once per
-   user — the same cost profile as the pre-refactor
-   [Belief.effective_capacities] call. *)
+   [Game.make_uncertain] reads them once per user through
+   [Belief.effective_capacities]: the state's own capacities for a
+   belief with one live state, the belief-weighted harmonic sums
+   otherwise. *)
 type t =
   | B of { belief : Belief.t; eval : Qvec.t }
   | P of { belief : Belief.t; presence : Rational.t; eval : Qvec.t }

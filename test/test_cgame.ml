@@ -18,7 +18,8 @@
      - every lane kernel against a Rational oracle on the exact lane
        (all three backends, rational initial traffic, 2^100 operands)
        and at the packed lane's product-bound edges
-     - block best-response convergence (Nash at both levels). *)
+     - block best-response convergence (Nash at both levels), and the
+       integer proportional start against the Rational formula. *)
 
 open Model
 open Numeric
@@ -572,6 +573,106 @@ let test_product_bound_edges () =
     [ ((1 lsl 30) - 1, true); (1 lsl 30, false) ]
 
 (* ------------------------------------------------------------------ *)
+(* Proportional start vs the Rational oracle                           *)
+
+(* The Rational formula [Cbr.proportional_start] evaluated before it
+   divided integers: upto_l = ⌊count·S_l/S⌋ with S_l the capacity
+   prefix sum and S the row sum, four Rational operations per link. *)
+let reference_proportional_start g =
+  Array.init (Cgame.classes g) (fun c ->
+      let row = Cgame.capacity_row g c in
+      let total = Rational.sum (Array.to_list row) in
+      let count = Rational.of_int (Cgame.count g c) in
+      let cum = ref Rational.zero and prev = ref 0 in
+      Array.map
+        (fun cap ->
+          cum := Rational.add !cum cap;
+          let upto =
+            Bigint.to_int_exn
+              (Rational.num (Rational.floor (Rational.div (Rational.mul count !cum) total)))
+          in
+          let here = upto - !prev in
+          prev := upto;
+          here)
+        row)
+
+(* The start equals the oracle, and each class row is a rounding of
+   the class's capacity proportions: it sums to the count, has no
+   negative entry, and misses count·c_l/S by less than one user. *)
+let check_start what g =
+  let x = Algo.Cbr.proportional_start g in
+  if x <> reference_proportional_start g then
+    Alcotest.failf "%s: the start differs from the Rational oracle" what;
+  Array.iteri
+    (fun c row ->
+      let count = Cgame.count g c and caps = Cgame.capacity_row g c in
+      let total = Rational.sum (Array.to_list caps) in
+      if Array.fold_left ( + ) 0 row <> count then
+        Alcotest.failf "%s: class %d does not sum to its count %d" what c count;
+      Array.iteri
+        (fun l e ->
+          if e < 0 then Alcotest.failf "%s: class %d has %d users on link %d" what c e l;
+          let ideal = Rational.div (Rational.mul (Rational.of_int count) caps.(l)) total in
+          if Rational.compare (Rational.abs (Rational.sub (Rational.of_int e) ideal)) Rational.one >= 0
+          then Alcotest.failf "%s: class %d on link %d is a user or more off" what c l)
+        row)
+    x
+
+(* Class games over all three backends; rows whose entries have
+   distinct prime denominators; those rows scaled by 2^±100 as a
+   whole and on one link only (Big operands, skewed proportions); and
+   one or two classes of nearly max_int / 2 users, where count·S_l
+   leaves the native range. *)
+let test_proportional_start () =
+  let rng = Prng.Rng.create 0x57A7 in
+  let primes = [| 2; 3; 5; 7; 11; 13; 17; 19; 23; 29 |] in
+  for trial = 1 to 500 do
+    let k = 1 + Prng.Rng.int rng 3 and m = Prng.Rng.int_in rng 2 4 in
+    let counts, weights, uncertainty = random_backend_cgame rng ~k ~m in
+    let what = Printf.sprintf "trial %d" trial in
+    check_start what (Cgame.make_uncertain ~counts ~weights ~uncertainty);
+    let rows =
+      Array.init k (fun _ ->
+          let first = Prng.Rng.int rng (Array.length primes) in
+          Array.init m (fun l ->
+              Rational.of_ints (1 + Prng.Rng.int rng 40)
+                primes.((first + l) mod Array.length primes)))
+    in
+    check_start (what ^ " (distinct denominators)") (Cgame.of_capacities ~counts ~weights rows);
+    let big = Rational.of_bigint two_100 in
+    let factor = if trial mod 2 = 0 then big else Rational.inv big in
+    let scaled = Array.map (Array.map (Rational.mul factor)) rows in
+    check_start (what ^ " (2^±100 rows)") (Cgame.of_capacities ~counts ~weights scaled);
+    let skewed =
+      Array.map
+        (fun row ->
+          let row = Array.copy row and l = Prng.Rng.int rng m in
+          row.(l) <- Rational.mul factor row.(l);
+          row)
+        rows
+    in
+    check_start (what ^ " (one 2^±100 link)") (Cgame.of_capacities ~counts ~weights skewed);
+    let kh = min k 2 in
+    let huge = Array.init kh (fun _ -> (max_int / 2) - Prng.Rng.int rng 1000) in
+    let sub a = Array.sub a 0 kh in
+    check_start (what ^ " (max_int / 2 users)")
+      (Cgame.make_uncertain ~counts:huge ~weights:(sub weights) ~uncertainty:(sub uncertainty));
+    check_start (what ^ " (max_int / 2 users, 2^±100 rows)")
+      (Cgame.of_capacities ~counts:huge ~weights:(sub weights) (sub scaled))
+  done
+
+(* The start is cumulative rounding, not largest remainder.  One user
+   over the row (2, 1, 2) has quotas (2/5, 1/5, 2/5): largest remainder
+   seats it on link 0, the first of the two largest remainders, while
+   cumulative rounding seats it on the link where the prefix sum first
+   reaches the whole row, link 2. *)
+let test_start_rounding () =
+  let r = Rational.of_int in
+  let g = Cgame.of_capacities ~counts:[| 1 |] ~weights:[| Rational.one |] [| [| r 2; r 1; r 2 |] |] in
+  Alcotest.(check (array (array int)))
+    "cumulative rounding" [| [| 0; 0; 1 |] |] (Algo.Cbr.proportional_start g)
+
+(* ------------------------------------------------------------------ *)
 (* Block best-response dynamics                                        *)
 
 let test_cbr_convergence () =
@@ -657,6 +758,10 @@ let () =
       ( "algo",
         [
           Alcotest.test_case "block best-response convergence" `Slow test_cbr_convergence;
+          Alcotest.test_case "proportional start vs the Rational oracle" `Quick
+            test_proportional_start;
+          Alcotest.test_case "proportional start is cumulative rounding" `Quick
+            test_start_rounding;
         ] );
       ( "ownership",
         [ Alcotest.test_case "sanitizer guards Cview mutators" `Quick test_ownership_guard ] );

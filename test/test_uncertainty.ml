@@ -1,6 +1,6 @@
 (* Tests for the pluggable uncertainty backends (DESIGN.md §16).
 
-   Three layers:
+   Four layers:
 
    - unit tests for the backend contract: construction validation,
      evaluation capacities, worst-case views, load factors, equality;
@@ -11,7 +11,12 @@
      refactored contribution/bias path must be BIT-IDENTICAL to the
      seed formulas (loads as plain weight sums, latencies as load/ĉ
      with ĉ from Belief.effective_capacities, Nash predicates, full
-     best-response traces and the Cgame compress/expand bridge). *)
+     best-response traces and the Cgame compress/expand bridge);
+   - a construction differential: effective capacities of certain,
+     point, conditioned and general beliefs against the harmonic-mean
+     fold, and game totals and packed tables against the Rational sum
+     and the pre-integer-pass [Packing.build], on fractional weights
+     that do and do not pack. *)
 
 open Model
 open Numeric
@@ -329,6 +334,139 @@ let test_differential_bayesian () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Construction differential: integer front end vs the Rational fold   *)
+
+(* The harmonic-mean fold [Belief.effective_capacity] evaluated for
+   every belief before certain beliefs read their capacities:
+   1 / Σ_φ b(φ)/c_φ over the states of nonzero probability. *)
+let reference_effective_capacity b l =
+  let space = Belief.space b in
+  let acc = ref Rational.zero in
+  Array.iteri
+    (fun k p ->
+      if not (Rational.is_zero p) then
+        acc := Rational.add !acc (Rational.div p (State.capacity (State.state space k) l)))
+    (Belief.probs b);
+  Rational.inv !acc
+
+(* The weight total before the one integer pass: Σ count·w as a
+   Rational sum. *)
+let reference_total counts weights =
+  Rational.sum (List.map2 (fun n w -> Rational.mul (qi n) w) (Array.to_list counts)
+                  (Array.to_list weights))
+
+(* [Packing.build] before it took the integer pass: it recomputed the
+   weights' lcm, the scaled weights and their multiplicity-weighted sum
+   itself, refusing anything outside the native range. *)
+let reference_build ~mults weights capacities =
+  let native b = match Bigint.to_int_opt b with Some v -> v | None -> raise Exit in
+  try
+    let n = Array.length weights and m = Array.length capacities.(0) in
+    let scale_b =
+      Array.fold_left
+        (fun s w ->
+          let d = Rational.den w in
+          Bigint.mul s (Bigint.div d (Bigint.gcd s d)))
+        Bigint.one weights
+    in
+    let pw =
+      Array.map (fun w -> native (Bigint.mul (Rational.num w) (Bigint.div scale_b (Rational.den w))))
+        weights
+    in
+    let wsum = ref Bigint.zero in
+    Array.iteri
+      (fun r p -> wsum := Bigint.add !wsum (Bigint.mul (Bigint.of_int mults.(r)) (Bigint.of_int p)))
+      pw;
+    let wsum = native !wsum in
+    let cn = Array.make (n * m) 0 and cd = Array.make (n * m) 0 in
+    Array.iteri
+      (fun r row ->
+        Array.iteri
+          (fun l c ->
+            cn.((r * m) + l) <- native (Rational.num c);
+            cd.((r * m) + l) <- native (Rational.den c))
+          row)
+      capacities;
+    let maxcn = Array.fold_left max 1 cn and maxcd = Array.fold_left max 1 cd in
+    let base_ok =
+      Option.is_some
+        (Bigint.to_int_opt
+           (Bigint.mul
+              (Bigint.mul (Bigint.of_int 2) (Bigint.of_int wsum))
+              (Bigint.mul (Bigint.of_int maxcd) (Bigint.of_int maxcn))))
+    in
+    Some { Packing.scale = native scale_b; pw; cn; cd; wsum; maxcn; maxcd; base_ok }
+  with Exit -> None
+
+let two_pow e = Bigint.pow (Bigint.of_int 2) e
+
+(* Fractional weights, some of whose scale (2^-70, or a few of the
+   large coprime denominators together) or scaled sum (2^61 twice)
+   passes [max_int], so the game does not pack. *)
+let random_weight rng =
+  match Rng.int rng 6 with
+  | 0 -> Rational.make Bigint.one (two_pow 70)
+  | 1 -> Rational.of_bigint (two_pow 61)
+  | 2 -> q (1 + Rng.int rng 9) [| 1_000_003; 1_000_033; 1_000_037; 999_983 |].(Rng.int rng 4)
+  | _ -> q (1 + Rng.int rng 9) (1 + Rng.int rng 12)
+
+let random_caps rng m = Array.init m (fun _ -> q (1 + Rng.int rng 20) (1 + Rng.int rng 7))
+
+(* A belief of each shape: certain, a point on a multi-state space, a
+   uniform prior conditioned down to one state, and a general belief
+   whose empirical counts leave some states at probability zero. *)
+let random_belief rng m =
+  let states = 2 + Rng.int rng 3 in
+  let space = State.space (List.init states (fun _ -> State.make (random_caps rng m))) in
+  let k = Rng.int rng states in
+  match Rng.int rng 4 with
+  | 0 -> Belief.certain (State.make (random_caps rng m))
+  | 1 -> Belief.point space k
+  | 2 -> Belief.condition (Belief.uniform space) ~event:(fun j -> j = k)
+  | _ ->
+    let counts = Array.init states (fun j -> if j = k then 0 else Rng.int rng 4) in
+    counts.((k + 1) mod states) <- 1 + counts.((k + 1) mod states);
+    Belief.from_counts space counts ~smoothing:Rational.zero
+
+let test_construction_differential () =
+  let rng = Rng.create 0xC0DE in
+  let packed = ref 0 and unpacked = ref 0 in
+  for trial = 1 to 2_000 do
+    let k = 1 + Rng.int rng 4 and m = 2 + Rng.int rng 3 in
+    let beliefs = Array.init k (fun _ -> random_belief rng m) in
+    let weights = Array.init k (fun _ -> random_weight rng) in
+    let counts = Array.init k (fun _ -> 1 + Rng.int rng 5) in
+    let caps =
+      Array.map
+        (fun b ->
+          let row = Array.init m (reference_effective_capacity b) in
+          Alcotest.check check_qs "effective_capacities" row (Belief.effective_capacities b);
+          Array.iteri
+            (fun l c -> Alcotest.check check_q "effective_capacity" c (Belief.effective_capacity b l))
+            row;
+          row)
+        beliefs
+    in
+    let what = Printf.sprintf "trial %d" trial in
+    let cg = Cgame.make ~counts ~weights ~beliefs in
+    Alcotest.check check_q (what ^ ": Cgame.total_traffic") (reference_total counts weights)
+      (Cgame.total_traffic cg);
+    Array.iteri
+      (fun c row -> Alcotest.check check_qs (what ^ ": class row") row (Cgame.capacity_row cg c))
+      caps;
+    let expected = reference_build ~mults:counts weights caps in
+    if Cgame.packed_tables cg <> expected then Alcotest.failf "%s: Cgame packed tables differ" what;
+    if Option.is_some expected then incr packed else incr unpacked;
+    let g = Game.make ~weights ~beliefs in
+    Alcotest.check check_q (what ^ ": Game.total_traffic")
+      (reference_total (Array.make k 1) weights) (Game.total_traffic g);
+    if Game.packed_tables g <> reference_build ~mults:(Array.make k 1) weights caps then
+      Alcotest.failf "%s: Game packed tables differ" what
+  done;
+  if !packed < 200 || !unpacked < 200 then
+    Alcotest.failf "only %d packed and %d unpacked games of 2000" !packed !unpacked
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "uncertainty"
@@ -355,5 +493,7 @@ let () =
         [
           Alcotest.test_case "bayesian backend vs seed formulas" `Slow
             test_differential_bayesian;
+          Alcotest.test_case "construction vs the Rational fold" `Quick
+            test_construction_differential;
         ] );
     ]
