@@ -874,8 +874,9 @@ let bench_engine () =
    mover's best response — because [Pure] itself now delegates to
    views, so timing [Pure] would no longer measure the old core.  Three
    fixed workloads run through both cores and must agree exactly: a
-   First_defector best-response walk, an exhaustive OPT1 sweep and a
-   Nash-verification batch. *)
+   First_defector best-response walk, an OPT1 search (the seed's
+   exhaustive scan against the live branch-and-bound [Social.opt1])
+   and a Nash-verification batch. *)
 module Seed_eval = struct
   let load_on g p l =
     let acc = ref Rational.zero in
@@ -969,7 +970,9 @@ let bench_walk () =
     && Pure.equal !seed_final inc.Algo.Best_response.profile
     && !seed_steps = inc.Algo.Best_response.steps
   in
-  (* Workload 2: a fixed exhaustive OPT1 sweep over all m^n profiles. *)
+  (* Workload 2: a fixed OPT1 search.  The seed scans all m^n profiles;
+     [Social.opt1] is the branch-and-bound, which must return the same
+     value and the same first argmin in odometer order. *)
   let n_opt = if quick then 7 else 9 and m_opt = 3 in
   let g_opt =
     Generators.game rng ~n:n_opt ~m:m_opt

@@ -26,14 +26,18 @@ let check_space ~users ~links =
     prerr_endline msg;
     exit 2
 
+(* What the search found in one instance.  An instance whose DFS
+   overflowed the stack was not searched, so it counts as neither. *)
+type verdict = Acyclic | Cyclic | Skipped
+
 (* Three-colour DFS over the better-response graph of one instance;
-   weights [w], capacities [c], [m] links.  Returns true iff cyclic.
+   weights [w], capacities [c], [m] links.
    [p]/[loads] mirror the node the DFS sits at: decoded and refilled
    once per root, then maintained across edges by applying each move
    before recursing and reverting it after — the integer analogue of
    Model.View's O(1) move/undo, replacing the seed's per-node decode
    plus full load refill. *)
-let has_cycle ~w ~c ~m =
+let search ~w ~c ~m =
   let n = Array.length w in
   (* pw.(i) = m^i; [check_space] has bounded pw.(n). *)
   let pw = Array.make (n + 1) 1 in
@@ -75,23 +79,25 @@ let has_cycle ~w ~c ~m =
     done;
     if not !cycle then Bytes.set colour v '\002'
   in
-  (try
-     let v = ref 0 in
-     while (not !cycle) && !v < nodes do
-       if Bytes.get colour !v = '\000' then begin
-         let rest = ref !v in
-         for i = 0 to n - 1 do
-           p.(i) <- !rest mod m;
-           rest := !rest / m
-         done;
-         Array.fill loads 0 m 0;
-         Array.iteri (fun i l -> loads.(l) <- loads.(l) + w.(i)) p;
-         dfs !v
-       end;
-       incr v
-     done
-   with Stack_overflow -> prerr_endline "warning: DFS overflow; instance skipped");
-  !cycle
+  try
+    let v = ref 0 in
+    while (not !cycle) && !v < nodes do
+      if Bytes.get colour !v = '\000' then begin
+        let rest = ref !v in
+        for i = 0 to n - 1 do
+          p.(i) <- !rest mod m;
+          rest := !rest / m
+        done;
+        Array.fill loads 0 m 0;
+        Array.iteri (fun i l -> loads.(l) <- loads.(l) + w.(i)) p;
+        dfs !v
+      end;
+      incr v
+    done;
+    if !cycle then Cyclic else Acyclic
+  with Stack_overflow ->
+    prerr_endline "warning: DFS overflow; instance skipped";
+    Skipped
 
 let print_instance w c =
   Printf.printf "weights = [%s]\n"
@@ -101,6 +107,18 @@ let print_instance w c =
       Printf.printf "capacities[%d] = [%s]\n" i
         (String.concat "; " (Array.to_list (Array.map string_of_int row))))
     c
+
+(* Skipped instances were not searched: summaries count "N of T"
+   instances when some were skipped, name the skipped ones on a line of
+   their own and fail the run, so a clean summary means a full search. *)
+let searched ~skipped total =
+  if skipped = 0 then string_of_int total else Printf.sprintf "%d of %d" (total - skipped) total
+
+let exit_if_skipped skipped =
+  if skipped > 0 then begin
+    Printf.printf "%d instances skipped after a DFS stack overflow\n" skipped;
+    exit 1
+  end
 
 (* The one count converter: a worker-domain number, an attempt count
    or a grid bound below 1 is a usage error (exit 124) reported by
@@ -127,7 +145,7 @@ let range_conv =
 
 let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
   check_space ~users:n_hi ~links:m_hi;
-  (* Attempt [i] draws from its own stream [Rng.of_path seed [i]], so
+  (* Attempt [i] draws from its own stream [Rng.of_path seed [0; i]], so
      the instance tested at global index [i] is the same for any domain
      count or batch size.  Batches are contiguous ascending index
      ranges, so the first batch containing a hit contains the globally
@@ -136,28 +154,35 @@ let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
     let n = Prng.Rng.int_in rng n_lo n_hi and m = Prng.Rng.int_in rng m_lo m_hi in
     let w = Array.init n (fun _ -> Prng.Rng.int_in rng 1 w_hi) in
     let c = Array.init n (fun _ -> Array.init m (fun _ -> Prng.Rng.int_in rng 1 c_hi)) in
-    if has_cycle ~w ~c ~m then Some (n, m, w, c) else None
+    (search ~w ~c ~m, (n, m, w, c))
   in
   let batch = max 1 (256 * domains) in
+  let skipped = ref 0 in
   let rec go start =
-    if start >= attempts then
+    if start >= attempts then begin
       Printf.printf
-        "no better-response cycle in %d random instances (n=%d-%d, m=%d-%d, w<=%d, c<=%d)\n"
-        attempts n_lo n_hi m_lo m_hi w_hi c_hi
+        "no better-response cycle in %s random instances (n=%d-%d, m=%d-%d, w<=%d, c<=%d)\n"
+        (searched ~skipped:!skipped attempts)
+        n_lo n_hi m_lo m_hi w_hi c_hi;
+      exit_if_skipped !skipped
+    end
     else begin
       let count = min batch (attempts - start) in
       let results = Engine.map_tasks ~domains ~seed ~offset:start ~tasks:count try_one in
+      (* Only instances before the first hit count as skipped. *)
       let hit = ref None in
       Array.iteri
-        (fun i r ->
-          match r, !hit with
-          | Some found, None -> hit := Some (start + i, found)
+        (fun i (verdict, found) ->
+          match (verdict, !hit) with
+          | Cyclic, None -> hit := Some (start + i, found)
+          | Skipped, None -> incr skipped
           | _ -> ())
         results;
       match !hit with
       | Some (idx, (n, m, w, c)) ->
         Printf.printf "CYCLE FOUND at attempt %d (n=%d, m=%d):\n" (idx + 1) n m;
-        print_instance w c
+        print_instance w c;
+        exit_if_skipped !skipped
       | None ->
         let finished = start + count in
         if finished / 1_000_000 > start / 1_000_000 then
@@ -187,16 +212,18 @@ let random_cmd =
 let run_exhaustive n m w_hi c_hi =
   check_space ~users:n ~links:m;
   let w = Array.make n 1 and c = Array.init n (fun _ -> Array.make m 1) in
-  let total = ref 0 and cycles = ref 0 in
+  let total = ref 0 and cycles = ref 0 and skipped = ref 0 in
   let check () =
     incr total;
-    if has_cycle ~w ~c ~m then begin
+    match search ~w ~c ~m with
+    | Acyclic -> ()
+    | Skipped -> incr skipped
+    | Cyclic ->
       incr cycles;
       if !cycles = 1 then begin
         print_endline "CYCLE FOUND:";
         print_instance w c
       end
-    end
   in
   let rec enum_caps i l =
     if i = n then check ()
@@ -216,8 +243,11 @@ let run_exhaustive n m w_hi c_hi =
       done
   in
   enum_weights 0;
-  Printf.printf "exhaustive n=%d m=%d w<=%d c<=%d: %d instances, %d with better-response cycles\n"
-    n m w_hi c_hi !total !cycles
+  Printf.printf "exhaustive n=%d m=%d w<=%d c<=%d: %s instances, %d with better-response cycles\n"
+    n m w_hi c_hi
+    (searched ~skipped:!skipped !total)
+    !cycles;
+  exit_if_skipped !skipped
 
 let exhaustive_cmd =
   let users = Arg.(value & opt positive_int 3 & info [ "users" ] ~docv:"N") in

@@ -59,7 +59,7 @@ let find_cycle ?initial g ~kind =
   for i = 1 to n - 1 do
     pw.(i) <- pw.(i - 1) * m
   done;
-  (* Iterative three-colour DFS; colours: 0 unvisited, 1 on stack,
+  (* Recursive three-colour DFS; colours: 0 unvisited, 1 on stack,
      2 done.  [parent] reconstructs the witness cycle.  One [View] per
      DFS root carries the loads down the tree: each edge is an O(1)
      [move] on descent and an [undo] on return, where the seed decoded

@@ -6,17 +6,12 @@ let effective_domains requested =
       | _ -> requested)
   | None -> requested
 
-let map_tasks ~domains ~seed ?(salt = 0) ?(offset = 0) ~tasks f =
+let map_tasks ~domains ~seed ?(offset = 0) ~tasks f =
   if tasks < 0 then invalid_arg "Engine.map_tasks: tasks must be non-negative";
   let domains = effective_domains domains in
   Parallel.map_array ~domains
-    (fun i -> f (Prng.Rng.of_path seed [ salt; offset + i ]) i)
+    (fun i -> f (Prng.Rng.of_path seed [ 0; offset + i ]) i)
     (Array.init tasks Fun.id)
-
-let fold_tasks ~domains ~seed ?(salt = 0) ~tasks ~task ~init ~combine () =
-  (* The parallel part is the task map; the fold is serial and in task
-     order, so the merge sequence is independent of the domain count. *)
-  Array.fold_left combine init (map_tasks ~domains ~seed ~salt ~tasks task)
 
 let sweep ~domains ~seed ~cells ~trials ~task ~reduce =
   if trials < 0 then invalid_arg "Engine.sweep: trials must be non-negative";

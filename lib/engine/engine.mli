@@ -1,7 +1,7 @@
 (** Deterministic sharded experiment engine.
 
     An experiment is expressed as independent tasks; each task receives
-    its own PRNG derived from [(seed, salt, task index)] via
+    its own PRNG derived from [(seed, task index)] via
     {!Prng.Rng.of_path}, so the stream a task draws from depends only on
     the task's identity — never on which domain runs it or how many
     domains there are.  Results come back in task order and are merged
@@ -17,34 +17,17 @@
     set to a positive integer, else [requested]. *)
 val effective_domains : int -> int
 
-(** [map_tasks ~domains ~seed ?salt ?offset ~tasks f] runs
-    [f rng i] for [i] in [0, tasks), where [rng] is
-    [Rng.of_path seed [salt; offset + i]] ([salt] and [offset] default
-    to [0]), sharded over [domains]; results are in task order. *)
+(** [map_tasks ~domains ~seed ?offset ~tasks f] runs [f rng i] for
+    [i] in [0, tasks), where [rng] is [Rng.of_path seed [0; offset + i]]
+    ([offset] defaults to [0]), sharded over [domains]; results are in
+    task order. *)
 val map_tasks :
   domains:int ->
   seed:int ->
-  ?salt:int ->
   ?offset:int ->
   tasks:int ->
   (Prng.Rng.t -> int -> 'a) ->
   'a array
-
-(** [fold_tasks ~domains ~seed ?salt ~tasks ~task ~init ~combine ()]
-    is [map_tasks] followed by a serial left fold of [combine] over the
-    per-task results in task order.  [combine] need not be commutative;
-    because the fold is serial and ordered, it need not even be
-    associative for determinism to hold. *)
-val fold_tasks :
-  domains:int ->
-  seed:int ->
-  ?salt:int ->
-  tasks:int ->
-  task:(Prng.Rng.t -> int -> 'a) ->
-  init:'b ->
-  combine:('b -> 'a -> 'b) ->
-  unit ->
-  'b
 
 (** [sweep ~domains ~seed ~cells ~trials ~task ~reduce] runs a
     cells-by-trials experiment grid: for every cell [c] (index [ci] in

@@ -13,27 +13,27 @@ type row = {
 }
 
 (* SCw(σ) = Σ_ℓ load_ℓ² / c*_ℓ: every user pays its weight times its
-   true latency load/c*. *)
-let scw ~weights ~true_caps sigma =
-  let m = Array.length true_caps in
-  let loads = Array.make m Rational.zero in
-  Array.iteri (fun i l -> loads.(l) <- Rational.add loads.(l) weights.(i)) sigma;
+   true latency load/c*.  Coordinates of [loads] past the real links
+   (the phantom "absent" link below) are ignored. *)
+let scw_of_loads ~true_caps loads =
   let acc = ref Rational.zero in
-  for l = 0 to m - 1 do
-    acc := Rational.add !acc (Rational.div (Rational.mul loads.(l) loads.(l)) true_caps.(l))
-  done;
+  Array.iteri
+    (fun l c -> acc := Rational.add !acc (Rational.div (Rational.mul loads.(l) loads.(l)) c))
+    true_caps;
   !acc
 
-(* min over all m^n assignments — the coordinator's optimum under the
-   true capacities.  Instances are kept small enough to enumerate. *)
-let opt_scw g ~weights ~true_caps =
-  let best = ref None in
-  Social.iter_profiles g (fun sigma ->
-      let c = scw ~weights ~true_caps sigma in
-      match !best with
-      | Some b when Rational.compare b c <= 0 -> ()
-      | _ -> best := Some c);
-  match !best with Some b -> b | None -> assert false
+let scw ~weights ~true_caps sigma =
+  let loads = Array.make (Array.length true_caps) Rational.zero in
+  Array.iteri (fun i l -> loads.(l) <- Rational.add loads.(l) weights.(i)) sigma;
+  scw_of_loads ~true_caps loads
+
+(* The coordinator's optimum under the true capacities.  [g] is the
+   informed game, whose loads carry the plain weights; SCw only grows
+   as users are placed, so [Social.minimise] may prune. *)
+let opt_scw g ~true_caps =
+  fst
+    (Social.minimise ~who:"Ignorance.opt_scw" ~budget:Social.budget g (fun loads _ _ ->
+         scw_of_loads ~true_caps loads))
 
 (* The exact load-vector distribution when user [i] is present with
    probability [p] on its equilibrium link: a mixed profile of a helper
@@ -54,13 +54,7 @@ let demand_dist ~weights ~presence ~m sigma =
   in
   Load_dist.of_mixed helper rows
 
-let expected_scw d ~true_caps =
-  Load_dist.expect d (fun loads ->
-      let acc = ref Rational.zero in
-      Array.iteri
-        (fun l c -> acc := Rational.add !acc (Rational.div (Rational.mul loads.(l) loads.(l)) c))
-        true_caps;
-      !acc)
+let expected_scw d ~true_caps = Load_dist.expect d (scw_of_loads ~true_caps)
 
 let expected_max_congestion d ~true_caps =
   Load_dist.expect d (fun loads -> Congestion.max_relative_load ~loads ~caps:true_caps)
@@ -119,7 +113,7 @@ let run ?(domains = 1) ~seed ~n ~m ~states ~presences ~trials () =
       in
       match (solve informed_g, solve misinformed_g, solve robust_g, solve bernoulli_g) with
       | Some s_inf, Some s_mis, Some s_rob, Some s_ber ->
-        let opt = opt_scw informed_g ~weights ~true_caps in
+        let opt = opt_scw informed_g ~true_caps in
         let ratio sigma = Rational.div (scw ~weights ~true_caps sigma) opt in
         let d_ber = demand_dist ~weights ~presence ~m s_ber in
         let d_inf = demand_dist ~weights ~presence ~m s_inf in

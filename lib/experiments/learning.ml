@@ -53,7 +53,7 @@ let run ?(domains = 1) ~seed ~n ~m ~states ~observations ~trials () =
                    Rational.div (View.load v o.profile.(i)) true_caps.(o.profile.(i))))
           in
           let informed = Game.make ~weights ~beliefs:(Array.make n true_belief) in
-          let opt, _ = Social.opt1_bb informed in
+          let opt, _ = Social.opt1 informed in
           Some (Rational.to_float (Rational.div realised opt))
         end
       in

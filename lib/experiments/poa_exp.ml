@@ -37,7 +37,7 @@ let run ?(domains = 1) ~seed ~ns ~ms ~trials ~weights ~beliefs ~bound () =
         | `Uniform -> Bounds.theorem_4_13 g
         | `General -> Bounds.theorem_4_14 g
       in
-      let opt1, _ = Social.opt1_bb g and opt2, _ = Social.opt2_bb g in
+      let opt1, _ = Social.opt1 g and opt2, _ = Social.opt2 g in
       let consider ~sc1 ~sc2 =
         let r1 = Rational.div sc1 opt1 in
         let r2 = Rational.div sc2 opt2 in

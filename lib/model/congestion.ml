@@ -54,19 +54,6 @@ let budget = 1_000_000
 
 let optimum g =
   require_kp "optimum" g;
-  ignore
-    (Combinat.search_space ~who:"Congestion.optimum" ~what:"pure profiles" ~budget
-       (Game.links g) (Game.users g));
   let caps = Game.capacity_row g 0 in
-  let best =
-    View.fold g ~init:None ~f:(fun acc v ->
-        (* O(m) against the view's O(1) loads, where [max_congestion]
-           would pay an O(n) load materialisation. *)
-        let c = max_relative_load ~loads:(Array.init (Game.links g) (View.load v)) ~caps in
-        match acc with
-        | Some (b, _) when Rational.compare b c <= 0 -> acc
-        | _ -> Some (c, View.profile v))
-  in
-  match best with
-  | Some (v, p) -> (v, p)
-  | None -> assert false
+  Social.minimise ~who:"Congestion.optimum" ~budget g (fun loads _ _ ->
+      max_relative_load ~loads ~caps)

@@ -44,8 +44,9 @@ val expected_max_congestion : Game.t -> Mixed.profile -> Numeric.Rational.t
 val estimate : Game.t -> Mixed.profile -> samples:int -> Prng.Rng.t -> float
 
 (** [optimum g] is the makespan optimum: the minimum over pure profiles
-    of {!max_congestion}, with an argmin (the classical OPT of [13]),
-    found by one serial {!View.fold}.
+    of {!max_congestion}, with an argmin (the classical OPT of [13]):
+    the first minimum in odometer order, found by {!Social.minimise}
+    (the maximum relative load only grows as users are placed).
     @raise Invalid_argument unless [g] is a KP instance or when [m^n]
     exceeds the fixed budget [1_000_000]. *)
 val optimum : Game.t -> Numeric.Rational.t * Pure.profile

@@ -151,8 +151,3 @@ let sweep g ?initial f =
     f v;
     continue := tick v
   done
-
-let fold ?initial g ~init ~f =
-  let acc = ref init in
-  sweep g ?initial (fun v -> acc := f !acc v);
-  !acc

@@ -127,11 +127,3 @@ val social_cost2 : t -> Numeric.Rational.t
     profile.  [f] may {!move}/{!undo} on the view as long as every
     move is undone before it returns; do not retain the view. *)
 val sweep : Game.t -> ?initial:Numeric.Rational.t array -> (t -> unit) -> unit
-
-(** [fold ?initial g ~init ~f] folds [f] over every pure profile in
-    {!sweep} order: [f (… (f init v₀) …) v_last].  The fold is serial;
-    to spread many such folds over cores, run them as separate
-    [Engine] tasks, each on its own view.  [f] follows {!sweep}'s
-    rules: balance its moves and do not retain the view. *)
-val fold :
-  ?initial:Numeric.Rational.t array -> Game.t -> init:'a -> f:('a -> t -> 'a) -> 'a

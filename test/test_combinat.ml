@@ -197,6 +197,11 @@ let test_budget_table () =
         fun () -> ignore (Algo.Game_graph.find_cycle g21 ~kind:Algo.Game_graph.Best_response) );
       ( "Congestion.optimum: 2^20 pure profiles exceed the limit 1000000",
         fun () -> ignore (Congestion.optimum g20) );
+      ( "Ignorance.opt_scw: 2^24 pure profiles exceed the limit 10000000",
+        fun () ->
+          ignore
+            (Experiments.Ignorance.run ~seed:1 ~n:24 ~m:2 ~states:2 ~presences:[ Rational.one ]
+               ~trials:1 ()) );
       ( "Potential.find_nonzero_square: 2^17 pure profiles exceed the limit 100000",
         fun () -> ignore (Algo.Potential.find_nonzero_square g17) );
       ( "Potential.find_nonzero_square: 2^17 pure profiles exceed the limit 100000",

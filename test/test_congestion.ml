@@ -105,12 +105,16 @@ let congestion_properties =
         let opt, _ = Congestion.optimum g in
         Rational.compare (Congestion.expected_max_congestion g p) opt >= 0);
     prop "optimum lower-bounds every pure profile" seed_gen (fun seed ->
+        (* It is the brute-force minimum, with the first argmin in odometer order. *)
         let _, g = random_kp seed in
-        let opt, _ = Congestion.optimum g in
-        let ok = ref true in
+        let best = ref None in
         Social.iter_profiles g (fun sigma ->
-            if Rational.compare (Congestion.max_congestion g sigma) opt < 0 then ok := false);
-        !ok);
+            let c = Congestion.max_congestion g sigma in
+            match !best with
+            | Some (b, _) when Rational.compare b c <= 0 -> ()
+            | _ -> best := Some (c, Array.copy sigma));
+        let v, p = Congestion.optimum g and v', p' = Option.get !best in
+        Rational.equal v v' && Pure.equal p p');
     prop "FMNE conjecture of [7]/[14] on KP instances" seed_gen (fun seed ->
         (* Among the equilibria we can enumerate (all pure NE), none has
            a larger expected maximum congestion than the fully mixed

@@ -1,6 +1,6 @@
 (* Tests for the sharded experiment engine: the determinism contract
    (bit-identical output for any domain count), task-order results and
-   folds, and the per-task seed-derivation scheme.  Driver results are
+   the per-task seed-derivation scheme.  Driver results are
    compared with [compare] rather than [=] because rows can contain NaN
    fields (e.g. mean over zero converged trials). *)
 
@@ -30,33 +30,19 @@ let test_map_tasks_order () =
     [ 1; 2; 5 ]
 
 let test_map_tasks_rng_by_index () =
-  (* The stream a task sees depends only on (seed, salt, offset+index),
+  (* The stream a task sees depends only on (seed, offset+index),
      never on the domain count. *)
-  let draws ~domains ~salt ~offset =
-    Engine.map_tasks ~domains ~seed:7 ~salt ~offset ~tasks:6 (fun rng _ -> Prng.Rng.bits64 rng)
+  let draws ~domains ~offset =
+    Engine.map_tasks ~domains ~seed:7 ~offset ~tasks:6 (fun rng _ -> Prng.Rng.bits64 rng)
   in
   Alcotest.(check bool) "domain count does not change streams" true
-    (draws ~domains:1 ~salt:0 ~offset:0 = draws ~domains:4 ~salt:0 ~offset:0);
+    (draws ~domains:1 ~offset:0 = draws ~domains:4 ~offset:0);
   Alcotest.(check bool) "offset shifts the stream table" true
-    (Array.sub (draws ~domains:1 ~salt:0 ~offset:0) 2 4
-    = Array.sub (draws ~domains:1 ~salt:0 ~offset:2) 0 4);
-  Alcotest.(check bool) "salt separates task families" true
-    (draws ~domains:1 ~salt:0 ~offset:0 <> draws ~domains:1 ~salt:1 ~offset:0);
+    (Array.sub (draws ~domains:1 ~offset:0) 2 4 = Array.sub (draws ~domains:1 ~offset:2) 0 4);
   (* Matches the documented derivation exactly. *)
   let direct = Array.init 6 (fun i -> Prng.Rng.bits64 (Prng.Rng.of_path 7 [ 0; i ])) in
-  Alcotest.(check bool) "rng is of_path seed [salt; offset+i]" true
-    (direct = draws ~domains:1 ~salt:0 ~offset:0)
-
-let test_fold_tasks_serial_order () =
-  (* A non-commutative combine: the fold must follow task order for
-     every domain count. *)
-  let run domains =
-    Engine.fold_tasks ~domains ~seed:3 ~tasks:26
-      ~task:(fun _rng i -> String.make 1 (Char.chr (Char.code 'a' + i)))
-      ~init:"" ~combine:( ^ ) ()
-  in
-  Alcotest.(check string) "serial fold" "abcdefghijklmnopqrstuvwxyz" (run 1);
-  check_domains "fold_tasks" run
+  Alcotest.(check bool) "rng is of_path seed [0; offset+i]" true
+    (direct = draws ~domains:1 ~offset:0)
 
 let test_sweep_cell_rows () =
   let run domains =
@@ -133,7 +119,6 @@ let suite =
   [
     ("map_tasks keeps task order", `Quick, test_map_tasks_order);
     ("map_tasks rng depends only on index", `Quick, test_map_tasks_rng_by_index);
-    ("fold_tasks folds serially in task order", `Quick, test_fold_tasks_serial_order);
     ("sweep rows in cell order, trials threaded", `Quick, test_sweep_cell_rows);
     ("ENGINE_DOMAINS override", `Quick, test_engine_domains_override);
     ("cycles bit-identical across domains", `Slow, test_cycles_deterministic);

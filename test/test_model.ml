@@ -1,6 +1,6 @@
 (* Tests for the game model: states, beliefs, effective capacities,
    pure/mixed latencies, the exact Nash predicates, social costs, the
-   exhaustive optimum, and the bound values of Theorems 4.13/4.14. *)
+   pure optimum, and the bound values of Theorems 4.13/4.14. *)
 
 open Model
 open Numeric
@@ -522,6 +522,24 @@ let test_social_optimum () =
   Alcotest.check check_q "OPT2 value" (q 3 2) v2;
   Alcotest.(check (array int)) "OPT2 profile" [| 0; 1 |] p2
 
+(* Three unit-weight users on two unit-capacity links, each present
+   with probability 1/2: every user adds 1/2 to its link's load and pays
+   a bias of 1/2 on its own latency.  At ⟨0,0,1⟩ the pair pays
+   (1 + 1/2)/1 each and the single user (1/2 + 1/2)/1, so SC1 = 4 and
+   SC2 = 3/2; ⟨0,0,0⟩ costs 6 and 2. *)
+let test_participation_optimum () =
+  let b = Belief.certain (State.make [| qi 1; qi 1 |]) in
+  let g =
+    Game.make_uncertain ~weights:(Array.make 3 Rational.one)
+      ~uncertainty:(Array.make 3 (Uncertainty.participation ~presence:(q 1 2) b))
+  in
+  let v1, p1 = Social.opt1 g in
+  Alcotest.check check_q "OPT1 value" (qi 4) v1;
+  Alcotest.(check (array int)) "OPT1 profile" [| 0; 0; 1 |] p1;
+  let v2, p2 = Social.opt2 g in
+  Alcotest.check check_q "OPT2 value" (q 3 2) v2;
+  Alcotest.(check (array int)) "OPT2 profile" [| 0; 0; 1 |] p2
+
 let test_social_guard () =
   let g = Game.of_capacities ~weights:(Array.make 24 Rational.one) (Array.make 24 [| qi 1; qi 2 |]) in
   Alcotest.check_raises "budget"
@@ -562,6 +580,43 @@ let game_gen =
           ~weights:(Experiments.Generators.Rational_weights 5)
           ~beliefs:(Experiments.Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 }))
       (int_bound 1_000_000))
+
+(* Games whose users mix the three backends: Bayesian beliefs,
+   Bernoulli participation at presences 1/4..1 and strict intervals. *)
+let uncertain_game_gen =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Prng.Rng.create seed in
+        let n = Prng.Rng.int_in rng 2 5 and m = Prng.Rng.int_in rng 2 3 in
+        let space = Experiments.Generators.state_space rng ~m ~states:2 ~cap_bound:5 in
+        let belief () = Belief.make space (Prng.Rng.positive_simplex rng ~dim:2 ~grain:4) in
+        let interval _ =
+          let a = Prng.Rng.int_in rng 1 5 and b = Prng.Rng.int_in rng 1 5 in
+          (qi (min a b), qi (max a b))
+        in
+        let uncertainty =
+          Array.init n (fun _ ->
+              match Prng.Rng.int rng 3 with
+              | 0 -> Uncertainty.bayesian (belief ())
+              | 1 ->
+                Uncertainty.participation ~presence:(q (Prng.Rng.int_in rng 1 4) 4) (belief ())
+              | _ -> Uncertainty.strict_of_intervals (Array.init m interval))
+        in
+        Game.make_uncertain
+          ~weights:(Experiments.Generators.weights rng ~n (Experiments.Generators.Rational_weights 5))
+          ~uncertainty)
+      (int_bound 1_000_000))
+
+(* The first minimum of [cost] in odometer order, by brute force. *)
+let brute_force_optimum g cost =
+  let best = ref None in
+  Social.iter_profiles g (fun p ->
+      let c = cost g p in
+      match !best with
+      | Some (b, _) when Rational.compare b c <= 0 -> ()
+      | _ -> best := Some (c, Array.copy p));
+  Option.get !best
 
 (* A rational in [0, 1] with a small denominator. *)
 let unit_rational rng =
@@ -630,13 +685,10 @@ let model_properties =
         Social.iter_profiles g (fun p ->
             if Rational.compare (Pure.social_cost1 g p) opt < 0 then ok := false);
         !ok);
-    prop "branch-and-bound optima equal the exhaustive optima" game_gen (fun g ->
-        let v1, p1 = Social.opt1 g and v1', p1' = Social.opt1_bb g in
-        let v2, p2 = Social.opt2 g and v2', p2' = Social.opt2_bb g in
-        ignore (p1, p1', p2, p2');
-        Rational.equal v1 v1' && Rational.equal v2 v2'
-        && Rational.equal (Pure.social_cost1 g p1') v1
-        && Rational.equal (Pure.social_cost2 g p2') v2);
+    prop "optima are the first brute-force minima across backends" uncertain_game_gen (fun g ->
+        let same (v, p) (v', p') = Rational.equal v v' && Pure.equal p p' in
+        same (Social.opt1 g) (brute_force_optimum g (fun g p -> Pure.social_cost1 g p))
+        && same (Social.opt2 g) (brute_force_optimum g (fun g p -> Pure.social_cost2 g p)));
     prop "OPT2 <= OPT1 (max of positives <= their sum)" game_gen (fun g ->
         let o1, _ = Social.opt1 g and o2, _ = Social.opt2 g in
         Rational.compare o2 o1 <= 0);
@@ -716,6 +768,7 @@ let suite =
     ("mixed support", `Quick, test_mixed_support_and_fully_mixed);
     ("mixed latency formula", `Quick, test_mixed_latency_formula);
     ("social optimum", `Quick, test_social_optimum);
+    ("social optimum under participation", `Quick, test_participation_optimum);
     ("social guard", `Quick, test_social_guard);
     ("profile count", `Quick, test_profile_count);
     ("ratio at OPT", `Quick, test_ratios_at_least_one_at_opt);

@@ -87,18 +87,18 @@ let test_enumerate_medium () =
   Alcotest.(check bool) "pure NE exists at n=10" true (Algo.Enumerate.exists g)
 
 let test_bb_optimum_medium () =
-  (* Branch-and-bound handles n=12 on 3 links (3^12 ≈ 531k leaves pruned
-     heavily); cross-check SC at the argmin. *)
+  (* The branch-and-bound optimum handles n=12 on 3 links (3^12 ≈ 531k
+     leaves, pruned heavily); cross-check SC at the argmin. *)
   let rng = Prng.Rng.create 8 in
   let g =
     Experiments.Generators.game rng ~n:12 ~m:3
       ~weights:(Experiments.Generators.Integer_weights 9)
       ~beliefs:(Experiments.Generators.Private_point { cap_bound = 9 })
   in
-  let v1, p1 = Social.opt1_bb g in
+  let v1, p1 = Social.opt1 g in
   Alcotest.(check bool) "argmin consistent" true
     (Rational.equal v1 (Pure.social_cost1 g p1));
-  let v2, p2 = Social.opt2_bb g in
+  let v2, p2 = Social.opt2 g in
   Alcotest.(check bool) "argmin consistent (max)" true
     (Rational.equal v2 (Pure.social_cost2 g p2))
 

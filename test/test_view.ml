@@ -286,25 +286,24 @@ let test_initial_spill_falls_back_exactly () =
   if not (View.packed (View.of_profile g p)) then Alcotest.fail "plain KP instance did not pack"
 
 (* ------------------------------------------------------------------ *)
-(* Folds across domains: View.fold is serial, and many folds spread
+(* Sweeps across domains: View.sweep is serial, and many sweeps spread
    over cores by running one per task on the task grid, each on its own
    view.  The per-game count and first-wins argmin must be
-   bit-identical to the in-order serial folds at every domain count
+   bit-identical to the in-order serial sweeps at every domain count
    (1 = calling domain, 2 and 5 = forked; 5 exceeds the smallest
    batches' task counts). *)
 
 let test_fold_domains_bit_identity () =
   let rng = Rng.create 0xF01D in
-  let fold_task (g, initial) =
-    let count = View.fold ?initial g ~init:0 ~f:(fun acc _ -> acc + 1) in
-    let argmin =
-      View.fold ?initial g ~init:None ~f:(fun acc v ->
-          let c = View.social_cost1 v in
-          match acc with
-          | Some (b, _) when Rational.compare b c <= 0 -> acc
-          | _ -> Some (c, View.profile v))
-    in
-    (count, argmin)
+  let sweep_task (g, initial) =
+    let count = ref 0 and argmin = ref None in
+    View.sweep g ?initial (fun v ->
+        incr count;
+        let c = View.social_cost1 v in
+        match !argmin with
+        | Some (b, _) when Rational.compare b c <= 0 -> ()
+        | _ -> argmin := Some (c, View.profile v));
+    (!count, !argmin)
   in
   for _ = 1 to 10 do
     let batch =
@@ -312,18 +311,18 @@ let test_fold_domains_bit_identity () =
           let g = random_game rng in
           (g, random_initial rng (Game.links g)))
     in
-    let serial = Array.map fold_task batch in
+    let serial = Array.map sweep_task batch in
     Array.iteri
       (fun k (count, argmin) ->
         let g, _ = batch.(k) in
         (match Social.profile_count g with
-         | Some c -> Alcotest.(check int) "fold visits every profile" c count
+         | Some c -> Alcotest.(check int) "sweep visits every profile" c count
          | None -> ());
-        if argmin = None then Alcotest.fail "serial fold on a non-empty game returned no argmin")
+        if argmin = None then Alcotest.fail "serial sweep on a non-empty game returned no argmin")
       serial;
     List.iter
       (fun domains ->
-        let par = Parallel.map_array ~domains fold_task batch in
+        let par = Parallel.map_array ~domains sweep_task batch in
         Array.iteri
           (fun k (count, argmin) ->
             let pcount, pargmin = par.(k) in
@@ -337,7 +336,7 @@ let test_fold_domains_bit_identity () =
               if not (Pure.equal ps pp) then
                 Alcotest.failf "argmin profile diverged at %d domains (first-wins broken)"
                   domains
-            | _ -> Alcotest.failf "fold at %d domains returned no argmin" domains)
+            | _ -> Alcotest.failf "sweep at %d domains returned no argmin" domains)
           serial)
       [ 1; 2; 5 ]
   done

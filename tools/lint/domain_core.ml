@@ -10,9 +10,8 @@
 
      D1 (capture) closures passed to the parallel entry points
                   ([Parallel.map_array]/[fork_join] and the task grid
-                  [Engine.sweep]/[map_tasks]/[fold_tasks]; every
-                  algorithm below them is serial) must not capture
-                  identifiers bound
+                  [Engine.sweep]/[map_tasks]; every algorithm below
+                  them is serial) must not capture identifiers bound
                   outside the closure to mutable constructs ([ref],
                   [Hashtbl]/[Buffer]/[Queue]/[Stack] values — incl.
                   project-local [Hashtbl.Make] functor instances —
@@ -67,16 +66,14 @@ let last2 parts =
 (* D1 policy: which arguments of which entry points run on workers.    *)
 
 (* Argument labels whose closures execute on worker domains ("" is the
-   unlabelled position).  [Engine.sweep]'s ~reduce and [fold_tasks]'
-   ~combine fold task results serially in the calling domain, so they
-   are deliberately not scanned. *)
+   unlabelled position).  [Engine.sweep]'s ~reduce folds task results
+   serially in the calling domain, so it is deliberately not scanned. *)
 let entry_policy =
   [
     (("Parallel", "map_array"), [ "" ]);
     (("Parallel", "fork_join"), [ "" ]);
     (("Engine", "sweep"), [ "task" ]);
     (("Engine", "map_tasks"), [ "" ]);
-    (("Engine", "fold_tasks"), [ "task" ]);
   ]
 
 let entry_of fn =

@@ -3,7 +3,7 @@
 
     - [Capture] (D1): closures passed to the parallel entry points
       ([Parallel.map_array]/[fork_join],
-      [Engine.sweep]/[map_tasks]/[fold_tasks]) must not capture
+      [Engine.sweep]/[map_tasks]) must not capture
       mutable state bound outside the closure, nor mutate anything
       they captured.
     - [Domain_prim] (D2): raw [Domain]/[Atomic]/[Mutex]/[Condition]/
