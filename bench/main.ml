@@ -1096,11 +1096,21 @@ let bench_mixed () =
       ~weights:(Array.init n (fun i -> Rational.of_int (1 lsl (3 * i / n))))
       ~capacities:caps3
   in
+  (* Fractional weights (L = 12) and rational capacities (C = 1001):
+     the seed gate then reaches the scaled lattice kernel, which integer
+     weights and capacities 1, 2, 3 leave at L = C = 1. *)
+  let fractional_kp n =
+    let ws = [| Rational.half; Rational.of_ints 2 3; Rational.of_ints 5 4 |] in
+    Game.kp
+      ~weights:(Array.init n (fun i -> ws.(3 * i / n)))
+      ~capacities:[| Rational.of_ints 7 2; Rational.of_ints 11 3; Rational.of_ints 13 5 |]
+  in
   (* (instance label, game, profile, m^n within the seed's cap?) *)
   let instances =
     [
       ("uniform_n12", uniform_kp 12, `Uniform, true);
       ("two_classes_n12", two_class_kp 12, `Uniform, true);
+      ("fractional_n12", fractional_kp 12, `Uniform, true);
       ("uniform_n20", uniform_kp 20, `Uniform, false);
       ("uniform_n40", uniform_kp 40, `Uniform, false);
       ("three_classes_n24", three_class_kp 24, `Uniform, false);

@@ -26,7 +26,7 @@ NUMERIC = [f"{op}_{size}"
            for size in ("small", "large")]
 ENGINE = ["cycles", "existence", "poa_exp", "robustness", "learning", "monte_carlo"]
 WALK = ["br_walk", "opt1_sweep", "is_nash_check"]
-MIXED_SEED = ["uniform_n12", "two_classes_n12"]
+MIXED_SEED = ["uniform_n12", "two_classes_n12", "fractional_n12"]
 MIXED_DP_ONLY = ["uniform_n20", "uniform_n40", "three_classes_n24"]
 CLASS = ["k8_m4_small", "k8_m4_million"]
 IGNORANCE = ["presence=1", "presence=3/4", "presence=1/2", "presence=1/4"]

@@ -54,10 +54,21 @@ let demand_dist ~weights ~presence ~m sigma =
   in
   Load_dist.of_mixed helper rows
 
-let expected_scw d ~true_caps = Load_dist.expect d (scw_of_loads ~true_caps)
-
-let expected_max_congestion d ~true_caps =
-  Load_dist.expect d (fun loads -> Congestion.max_relative_load ~loads ~caps:true_caps)
+(* E[SCw] on the lattice: with load_l = K_l/L and 1/c*_l = u_l/C (the
+   reciprocal capacities over one denominator), SCw is
+   Σ_l K_l²·u_l / (L²·C), an integer sum per state; the phantom
+   coordinate is ignored. *)
+let expected_scw d ~true_caps =
+  let inv = Packing.lift (Array.map Rational.inv true_caps) in
+  let scale = Load_dist.scale d in
+  Load_dist.expect_scaled d
+    ~over:(Bigint.mul (Bigint.mul scale scale) inv.den)
+    (fun k ->
+      let acc = ref Bigint.zero in
+      Array.iteri
+        (fun l u -> acc := Bigint.add !acc (Bigint.mul (Bigint.mul k.(l) k.(l)) u))
+        inv.nums;
+      !acc)
 
 type trial = {
   t_informed : Rational.t;
@@ -124,7 +135,7 @@ let run ?(domains = 1) ~seed ~n ~m ~states ~presences ~trials () =
             t_robust = ratio s_rob;
             t_gain =
               Rational.div (expected_scw d_ber ~true_caps) (expected_scw d_inf ~true_caps);
-            t_congestion = expected_max_congestion d_ber ~true_caps;
+            t_congestion = Congestion.expected_max_relative_load d_ber ~caps:true_caps;
           }
       | _ -> None)
     ~reduce:(fun presence outcomes ->

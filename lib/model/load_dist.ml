@@ -17,18 +17,22 @@ end)
    the rest.  Every class row is a vector of integer numerators over
    one denominator b_c, so a state's probability is its integer mass
    over the common denominator [den] = Π_c b_c^{n_c}.  The final layer
-   is decoded once into [loads] and [masses], index-aligned. *)
+   is kept as built: [keys] and [masses], index-aligned. *)
 type t = {
-  loads : Rational.t array array;
+  keys : Bigint.t array;
   masses : Bigint.t array;
   den : Bigint.t;
+  scale : Bigint.t;
+  radix : Bigint.t;
+  total : Bigint.t;
   links : int;
   classes : int;
 }
 
 let links d = d.links
-let size d = Array.length d.loads
+let size d = Array.length d.keys
 let classes d = d.classes
+let scale d = d.scale
 
 let lcm a b = Bigint.mul (Bigint.div a (Bigint.gcd a b)) b
 
@@ -99,12 +103,20 @@ let limit_message = "Load_dist.of_mixed: distinct load states exceed the limit"
    is already present costs one lookup. *)
 type cell = { mutable mass : Bigint.t }
 
+(* [a·b] saturated at [max_int], for non-negative [a] and [b]. *)
+let saturating_mul a b = if a = 0 || b <= max_int / a then a * b else max_int
+
 (* One DP layer: fold a class's splits into every accumulated state,
-   merging states that land on the same key.  Each layer's table is
-   built and dropped inside [of_mixed], so it never crosses a domain
-   and needs no ownership guard. *)
-let apply ~limit layer splits =
-  let next = Tbl.create (2 * Tbl.length layer) in
+   merging states that land on the same key.  The table is created at
+   its final size bound — every state times every split, at most
+   [key_space] (the lattice's key count) and at most [limit] — so it
+   never rehashes.  Each layer's table is built and dropped inside
+   [of_mixed], so it never crosses a domain and needs no ownership
+   guard. *)
+let apply ~limit ~key_space layer splits =
+  let next =
+    Tbl.create (min limit (min key_space (saturating_mul (Tbl.length layer) (Array.length splits))))
+  in
   Tbl.iter
     (fun key cell ->
       Array.iter
@@ -119,22 +131,6 @@ let apply ~limit layer splits =
         splits)
     layer;
   next
-
-(* Digits of [key] in radix [radix], the last load completing the
-   scaled total; each coordinate becomes a rational once, here. *)
-let unscale scale v = if Bigint.equal scale Bigint.one then Rational.of_bigint v else Rational.make v scale
-
-let decode ~links:m ~radix ~total ~scale key =
-  let loads = Array.make m Rational.zero in
-  let rest = ref key and last = ref total in
-  for l = 0 to m - 2 do
-    let q, r = Bigint.divmod !rest radix in
-    loads.(l) <- unscale scale r;
-    last := Bigint.sub !last r;
-    rest := q
-  done;
-  loads.(m - 1) <- unscale scale !last;
-  loads
 
 let of_mixed ?(limit = 1_000_000) g p =
   Mixed.validate g p;
@@ -152,27 +148,63 @@ let of_mixed ?(limit = 1_000_000) g p =
   for l = 1 to m - 2 do
     places.(l) <- Bigint.mul places.(l - 1) radix
   done;
-  let layer0 = Tbl.create 16 in
+  (* Every key is below radix^(m-1). *)
+  let key_space =
+    match Bigint.to_int_opt (Bigint.pow radix (max 0 (m - 1))) with Some k -> k | None -> max_int
+  in
+  let layer0 = Tbl.create 1 in
   Tbl.add layer0 Bigint.zero { mass = Bigint.one };
   let table, den =
     List.fold_left
       (fun (layer, den) (w, row, count) ->
         let splits, b = class_splits ~places ~count ~step:(over scale w) ~row in
-        (apply ~limit layer splits, Bigint.mul den b))
+        (apply ~limit ~key_space layer splits, Bigint.mul den b))
       (layer0, Bigint.one) cls
   in
   let states = Tbl.length table in
-  let loads = Array.make states [||] and masses = Array.make states Bigint.zero in
+  let keys = Array.make states Bigint.zero and masses = Array.make states Bigint.zero in
   let i = ref 0 in
   Tbl.iter
     (fun key cell ->
-      loads.(!i) <- decode ~links:m ~radix ~total ~scale key;
+      keys.(!i) <- key;
       masses.(!i) <- cell.mass;
       incr i)
     table;
-  { loads; masses; den; links = m; classes = List.length cls }
+  { keys; masses; den; scale; radix; total; links = m; classes = List.length cls }
 
 let total_probability d = Rational.make (Array.fold_left Bigint.add Bigint.zero d.masses) d.den
+
+(* The scaled loads of [key] into [into]: its digits in radix [radix],
+   the last load completing the scaled total. *)
+let digits d key into =
+  let m = d.links in
+  let rest = ref key and last = ref d.total in
+  for l = 0 to m - 2 do
+    let q, r = Bigint.divmod !rest d.radix in
+    into.(l) <- r;
+    last := Bigint.sub !last r;
+    rest := q
+  done;
+  into.(m - 1) <- !last
+
+(* Σ_v mass(v)·f(K(v)) is an integer; one [Rational.make] reduces it.
+   The scratch vector belongs to this call alone. *)
+let expect_scaled d ~over f =
+  let k = Array.make d.links Bigint.zero in
+  let acc = ref Bigint.zero in
+  Array.iteri
+    (fun i key ->
+      digits d key k;
+      acc := Bigint.add !acc (Bigint.mul d.masses.(i) (f k)))
+    d.keys;
+  Rational.make !acc (Bigint.mul d.den over)
+
+(* The rational load vector of [key], built afresh for the caller. *)
+let decode d key =
+  let k = Array.make d.links Bigint.zero in
+  digits d key k;
+  if Bigint.equal d.scale Bigint.one then Array.map Rational.of_bigint k
+  else Array.map (fun v -> Rational.make v d.scale) k
 
 (* Σ_v mass(v)·f(v) over one running common denominator [acc_den].
    [cofactors] maps every denominator already absorbed to acc_den/den,
@@ -195,14 +227,14 @@ let expect d f =
       k
   in
   Array.iteri
-    (fun i loads ->
-      let q = f loads in
+    (fun i key ->
+      let q = f (decode d key) in
       if not (Rational.is_zero q) then begin
         (* [cofactor] may rescale [acc], so it runs before [acc] is read. *)
         let k = cofactor q in
         acc := Bigint.add !acc (Bigint.mul (Bigint.mul d.masses.(i) (Rational.num q)) k)
       end)
-    d.loads;
+    d.keys;
   Rational.make !acc (Bigint.mul !acc_den d.den)
 
-let iter d f = Array.iteri (fun i loads -> f loads (Rational.make d.masses.(i) d.den)) d.loads
+let iter d f = Array.iteri (fun i key -> f (decode d key) (Rational.make d.masses.(i) d.den)) d.keys

@@ -26,8 +26,11 @@
     Each class row is held as integer numerators over its lcm
     denominator [b_c], so a state's mass is an integer and every
     probability shares the one denominator [Π_c b_c^{n_c}]; the loop
-    takes no gcd.  The final layer is decoded once into rational load
-    vectors, and each expectation is reduced once.
+    takes no gcd.  The final layer is kept as built — integer keys and
+    masses, no rational — and expectations are taken on the lattice by
+    {!expect_scaled}: the integer sum [Σ mass·f(K)] over the scaled
+    loads [K], reduced once.  {!expect} and {!iter} decode each state
+    into rational loads at call time.
 
     All arithmetic is exact, so the resulting expectations are
     bit-identical to the brute-force [m^n] sum.  For exchangeable users
@@ -67,16 +70,33 @@ val classes : t -> int
     exactly [1] by construction; exposed for tests and sanity checks. *)
 val total_probability : t -> Numeric.Rational.t
 
+(** [scale d] is [L], the lcm of the weight denominators: every load
+    vector is [K / L] for an integer vector [K] of scaled loads. *)
+val scale : t -> Numeric.Bigint.t
+
+(** [expect_scaled d ~over f] is the exact expectation
+    [Σ_K P(K)·f(K) / over] of an integer function of the {e scaled}
+    load vector [K] ([load_ℓ = K_ℓ / L], [L] = {!scale}).  The terms
+    are summed as integer masses times [f(K)] and the sum is reduced
+    once, by a single [Rational.make]; no rational is built per state.
+    [f] sees one scratch vector per call, overwritten state by state,
+    so it must not keep or modify it.  E.g. [E[max_ℓ load_ℓ]] is
+    [expect_scaled d ~over:(scale d)] of the integer max of [K].
+    @raise Division_by_zero when [over] is zero. *)
+val expect_scaled :
+  t -> over:Numeric.Bigint.t -> (Numeric.Bigint.t array -> Numeric.Bigint.t) -> Numeric.Rational.t
+
 (** [expect d f] is the exact expectation [Σ_v P(v)·f(v)] of a function
-    of the load vector.  The terms are summed as integer masses times
-    [f(v)] over one running common denominator — a gcd is taken only
-    when [f] returns a denominator not seen before — and the sum is
-    reduced once.  [f] must treat its argument as read-only (it is the
-    distribution's decoded state, not a copy). *)
+    of the rational load vector.  Each state is decoded into a fresh
+    rational vector at call time; the terms are summed as integer
+    masses times [f(v)] over one running common denominator — a gcd is
+    taken only when [f] returns a denominator not seen before — and the
+    sum is reduced once.  Prefer {!expect_scaled} when [f] has an
+    integer form on the scaled loads. *)
 val expect : t -> (Numeric.Rational.t array -> Numeric.Rational.t) -> Numeric.Rational.t
 
 (** [iter d f] calls [f loads prob] on every state, in an unspecified
-    (but deterministic) order.  [loads] is read-only, as in {!expect};
-    [prob] is built from the state's integer mass on each call, so a
-    caller that needs only expectations should use {!expect}. *)
+    (but deterministic) order.  [loads] and [prob] are built from the
+    state's key and integer mass on each call, so a caller that needs
+    only expectations should use {!expect_scaled} or {!expect}. *)
 val iter : t -> (Numeric.Rational.t array -> Numeric.Rational.t -> unit) -> unit

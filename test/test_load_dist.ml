@@ -195,12 +195,19 @@ let test_shared_combinatorics_regression () =
     (Combinat.compositions_int ~total:n ~parts:m)
     (Load_dist.size dist)
 
+(* The guard counts distinct states, and a layer never holds fewer
+   states than the one before it, so [limit] = the final size passes
+   and one less trips, with the same message; presizing a layer's
+   table does not move that point. *)
 let test_state_limit_guard () =
   let g = random_kp (Prng.Rng.create 7) ~n:4 ~m:3 in
   let p = random_profile (Prng.Rng.create 8) ~kind:0 g in
-  Alcotest.check_raises "limit trips"
-    (Invalid_argument "Load_dist.of_mixed: distinct load states exceed the limit")
-    (fun () -> ignore (Load_dist.of_mixed ~limit:2 g p))
+  let message = Invalid_argument "Load_dist.of_mixed: distinct load states exceed the limit" in
+  Alcotest.check_raises "limit trips" message (fun () -> ignore (Load_dist.of_mixed ~limit:2 g p));
+  let size = Load_dist.size (Load_dist.of_mixed g p) in
+  Alcotest.(check int) "limit = size passes" size (Load_dist.size (Load_dist.of_mixed ~limit:size g p));
+  Alcotest.check_raises "limit = size - 1 trips" message (fun () ->
+      ignore (Load_dist.of_mixed ~limit:(size - 1) g p))
 
 (* ------------------------------------------------------------------ *)
 (* Large frontiers: distinct powers-of-two weights keep every
@@ -245,10 +252,51 @@ let seed_states g p =
       end);
   List.length !seen
 
+(* The rational SCw of a load vector, Σ_l load_l²/c_l over the links
+   of [caps] (coordinates past them ignored). *)
+let scw_of_loads ~caps loads =
+  let acc = ref Rational.zero in
+  Array.iteri
+    (fun l c -> acc := Rational.add !acc (Rational.div (Rational.mul loads.(l) loads.(l)) c))
+    caps;
+  !acc
+
+(* The integer SCw of the scaled loads, Σ_l K_l²·u_l with 1/c_l = u_l/C,
+   to be divided by L²·C. *)
+let expected_scw_scaled dist ~caps =
+  let c = Array.fold_left (fun acc q -> Bigint.mul acc (Rational.num q)) Bigint.one caps in
+  let u = Array.map (fun q -> Bigint.div (Bigint.mul c (Rational.den q)) (Rational.num q)) caps in
+  let scale = Load_dist.scale dist in
+  Load_dist.expect_scaled dist
+    ~over:(Bigint.mul (Bigint.mul scale scale) c)
+    (fun k ->
+      let acc = ref Bigint.zero in
+      Array.iteri (fun l u -> acc := Bigint.add !acc (Bigint.mul (Bigint.mul k.(l) k.(l)) u)) u;
+      !acc)
+
+(* The lattice kernels against the generic rational path, which
+   decodes every state: the max relative load and SCw, over all of the
+   capacities and, when there are two or more links, over all but the
+   last (the phantom-link rule). *)
+let check_kernels name dist caps =
+  let m = Array.length caps in
+  let prefixes = if m > 1 then [ caps; Array.sub caps 0 (m - 1) ] else [ caps ] in
+  List.iter
+    (fun caps ->
+      let what = Printf.sprintf "%s, %d caps" name (Array.length caps) in
+      Alcotest.check check_q (what ^ ": lattice max = generic expect")
+        (Load_dist.expect dist (fun loads -> Congestion.max_relative_load ~loads ~caps))
+        (Congestion.expected_max_relative_load dist ~caps);
+      Alcotest.check check_q (what ^ ": lattice SCw = generic expect")
+        (Load_dist.expect dist (scw_of_loads ~caps))
+        (expected_scw_scaled dist ~caps))
+    prefixes
+
 (* Every lattice case is pinned the same way: the expectation matches
    the seed bit for bit, the masses sum to one (through both
-   [total_probability] and [iter]), and [size] is the seed's count of
-   distinct load vectors. *)
+   [total_probability] and [iter]), [size] is the seed's count of
+   distinct load vectors, and the lattice kernels match the generic
+   rational path. *)
 let check_lattice name g p =
   let dist = Load_dist.of_mixed g p in
   let total = Load_dist.total_probability dist in
@@ -258,7 +306,8 @@ let check_lattice name g p =
   Alcotest.check check_q (name ^ ": iter sums to total_probability") total !summed;
   Alcotest.(check int) (name ^ ": size = seed load vectors") (seed_states g p) (Load_dist.size dist);
   Alcotest.check check_q (name ^ ": expectation") (seed_expected_max g p)
-    (Congestion.expected_max_congestion g p)
+    (Congestion.expected_max_congestion g p);
+  check_kernels name dist (Game.capacity_row g 0)
 
 (* A row by stick-breaking with a fresh denominator 2..7 per cut, so
    entries carry different denominators and zeros are common. *)
@@ -358,6 +407,125 @@ let test_phantom_participation () =
       done)
     [ Rational.of_ints 1 3; Rational.of_ints 3 4 ]
 
+(* Capacities with coprime numerators > 1 and denominators other than
+   1, so the reciprocal capacities need a common denominator C > 1 and
+   every u_l carries its capacity's denominator. *)
+let test_rational_capacities () =
+  let rng = Prng.Rng.create 0xCA95 in
+  let caps = [| Rational.of_ints 7 2; Rational.of_ints 11 3; Rational.of_ints 13 5 |] in
+  for trial = 1 to 100 do
+    let n = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 3 in
+    let g =
+      Game.kp
+        ~weights:
+          (Array.init n (fun _ ->
+               if Prng.Rng.bool rng then fractional_weight rng
+               else Rational.of_int (1 + Prng.Rng.int rng 3)))
+        ~capacities:(Array.sub caps 0 m)
+    in
+    check_lattice (Printf.sprintf "rational capacities, trial %d" trial) g
+      (random_profile rng ~kind:(trial mod 4) g)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Degenerate lattices and the kernel's contract                       *)
+
+(* A game has at least two links, so the one-link shape is pinned two
+   ways.  Rows that put every user on one link make a point mass (key
+   0 on the last link, key T on the first); and one capacity over a
+   two-link distribution is a one-coordinate max, whose expectation is
+   E[load_0]/c_0 = Σ_i p_i0·w_i/c_0 by linearity. *)
+let test_one_link () =
+  let weights = [| Rational.of_ints 3 2; Rational.of_int 2; Rational.of_ints 5 3 |] in
+  let caps = [| Rational.of_ints 7 2; Rational.of_ints 11 3 |] in
+  let g = Game.kp ~weights ~capacities:caps in
+  let total = Rational.sum_array weights in
+  List.iter
+    (fun l ->
+      let p = Mixed.of_pure g (Array.make 3 l) in
+      let dist = Load_dist.of_mixed g p in
+      Alcotest.(check int) (Printf.sprintf "all on link %d: one state" l) 1 (Load_dist.size dist);
+      Alcotest.check check_q
+        (Printf.sprintf "all on link %d: total / c" l)
+        (Rational.div total caps.(l))
+        (Congestion.expected_max_congestion g p);
+      check_kernels (Printf.sprintf "all on link %d" l) dist caps)
+    [ 0; 1 ];
+  let rows =
+    [| [| Rational.of_ints 1 3; Rational.of_ints 2 3 |]; [| Rational.half; Rational.half |];
+       [| Rational.of_ints 4 5; Rational.of_ints 1 5 |] |]
+  in
+  let dist = Load_dist.of_mixed g rows in
+  let first = ref Rational.zero in
+  Array.iteri (fun i row -> first := Rational.add !first (Rational.mul row.(0) weights.(i))) rows;
+  Alcotest.check check_q "one capacity: E[load_0]/c_0"
+    (Rational.div !first caps.(0))
+    (Congestion.expected_max_relative_load dist ~caps:[| caps.(0) |]);
+  check_kernels "one capacity" dist caps
+
+(* One user: one state per supported link, E[max load/c] = Σ_l p_l·w/c_l. *)
+let test_one_user () =
+  let w = Rational.of_ints 5 3 in
+  let caps = [| Rational.of_ints 7 2; Rational.of_ints 11 3; Rational.of_ints 13 5 |] in
+  let g = Game.kp ~weights:[| w |] ~capacities:caps in
+  let row = [| Rational.of_ints 1 6; Rational.zero; Rational.of_ints 5 6 |] in
+  let dist = Load_dist.of_mixed g [| row |] in
+  Alcotest.(check int) "n = 1: one state per supported link" 2 (Load_dist.size dist);
+  let closed = ref Rational.zero in
+  Array.iteri (fun l q -> closed := Rational.add !closed (Rational.div (Rational.mul q w) caps.(l))) row;
+  Alcotest.check check_q "n = 1: Σ p_l·w/c_l" !closed (Congestion.expected_max_congestion g [| row |]);
+  check_kernels "n = 1" dist caps
+
+(* Two 40-user classes (weights 1 and 2) on three links: 861·861
+   candidate states per step, but every key is a load vector summing
+   to 120, so at most 121² keys; the merged count is checked against a
+   direct enumeration of the class splits. *)
+let test_heavy_merge () =
+  let n = 80 and total = 120 in
+  let g =
+    Game.kp
+      ~weights:(Array.init n (fun i -> if i < n / 2 then Rational.one else Rational.two))
+      ~capacities:[| Rational.one; Rational.two; Rational.of_int 3 |]
+  in
+  let dist = Load_dist.of_mixed g (Mixed.uniform g) in
+  let seen = Array.make_matrix (total + 1) (total + 1) false in
+  let count = ref 0 in
+  Combinat.iter_compositions ~total:(n / 2) ~parts:3 (fun a ->
+      let a0 = a.(0) and a1 = a.(1) in
+      Combinat.iter_compositions ~total:(n / 2) ~parts:3 (fun b ->
+          let l0 = a0 + (2 * b.(0)) and l1 = a1 + (2 * b.(1)) in
+          if not seen.(l0).(l1) then begin
+            seen.(l0).(l1) <- true;
+            incr count
+          end));
+  Alcotest.(check int) "two classes" 2 (Load_dist.classes dist);
+  Alcotest.(check int) "size = distinct split sums" !count (Load_dist.size dist);
+  Alcotest.check check_q "total probability" Rational.one (Load_dist.total_probability dist);
+  check_kernels "heavy merge" dist (Game.capacity_row g 0)
+
+(* Both max-relative-load functions refuse empty capacities and
+   capacities past the load coordinates. *)
+let test_caps_contract () =
+  let g =
+    Game.kp ~weights:[| Rational.one; Rational.two |] ~capacities:[| Rational.one; Rational.two |]
+  in
+  let dist = Load_dist.of_mixed g (Mixed.uniform g) in
+  let loads = [| Rational.one; Rational.two |] in
+  List.iter
+    (fun caps ->
+      let m = Array.length caps in
+      Alcotest.check_raises
+        (Printf.sprintf "max_relative_load, %d caps" m)
+        (Invalid_argument
+           (Printf.sprintf "Congestion.max_relative_load: %d capacities for 2 load coordinates" m))
+        (fun () -> ignore (Congestion.max_relative_load ~loads ~caps));
+      Alcotest.check_raises
+        (Printf.sprintf "expected_max_relative_load, %d caps" m)
+        (Invalid_argument
+           (Printf.sprintf "Congestion.expected_max_relative_load: %d capacities for 2 load coordinates" m))
+        (fun () -> ignore (Congestion.expected_max_relative_load dist ~caps)))
+    [ [||]; [| Rational.one; Rational.one; Rational.one |] ]
+
 (* ------------------------------------------------------------------ *)
 (* Mixed.Eval vs the seed Mixed formulas                               *)
 
@@ -433,6 +601,12 @@ let () =
           Alcotest.test_case "packed keys beyond max_int" `Quick test_big_keys;
           Alcotest.test_case "phantom-link participation profiles" `Quick
             test_phantom_participation;
+          Alcotest.test_case "rational capacities need a common denominator" `Quick
+            test_rational_capacities;
+          Alcotest.test_case "one link: point masses and one capacity" `Quick test_one_link;
+          Alcotest.test_case "one user, one state per supported link" `Quick test_one_user;
+          Alcotest.test_case "heavy merge stays within the lattice" `Quick test_heavy_merge;
+          Alcotest.test_case "max relative load capacity contract" `Quick test_caps_contract;
         ] );
       ( "eval",
         [
