@@ -1,5 +1,6 @@
 (** Best-response dynamics over class profiles: maximal improving
-    blocks instead of single users, so each step is O(k·m²) and the
+    blocks instead of single users, so each step is O(k·m) (one
+    defector pass per class, {!Model.Cview.first_defector}) and the
     total work never scales with the population size [n].
 
     Each step takes the class layer's first defector — the exact

@@ -300,21 +300,28 @@ let clear_history v =
 let latency v c l = Packing.latency v.lane v.rows c l
 let latency_after_move v ~cls ~src dst = Packing.latency_after_move v.lane v.rows cls ~src dst
 let best_response_for v ~cls ~src = Packing.best_response v.lane v.rows cls ~src
+let best_link v ~cls ~src = Packing.best_link v.lane v.rows cls ~src
 let is_defector v ~cls ~src = Packing.is_defector v.lane v.rows cls ~src
 let improves v ~cls ~src dst = Packing.improves v.lane v.rows cls ~src dst
+
+let first_defecting_source ?only v ~cls =
+  let s = Packing.first_defecting_source ?only v.lane v.rows cls v.assign.(cls) in
+  if s < 0 then None else Some s
 
 (* Class ascending, source link ascending: the exact order in which
    [Cgame.expand_profile] lays out the users, so the first defecting
    pair is the per-user first-defector choice computed without any
    per-user work. *)
 let first_defecting_pair v =
-  let k = classes v and m = links v in
-  let rec over_links c l =
-    if l >= m then over_classes (c + 1)
-    else if v.assign.(c).(l) > 0 && is_defector v ~cls:c ~src:l then Some (c, l)
-    else over_links c (l + 1)
-  and over_classes c = if c >= k then None else over_links c 0 in
-  over_classes 0
+  let k = classes v in
+  let rec from c =
+    if c >= k then None
+    else
+      match first_defecting_source v ~cls:c with
+      | Some s -> Some (c, s)
+      | None -> from (c + 1)
+  in
+  from 0
 
 (* The scan is exact, so a clean one certifies the cursor; [is_nash]
    never reads the bit. *)
@@ -326,8 +333,7 @@ let scan v =
 
 (* A pair defects iff its best response strictly beats staying put, so
    that best response (lowest index among the minimisers) is the move. *)
-let first_defector v =
-  Option.map (fun (c, l) -> (c, l, fst (best_response_for v ~cls:c ~src:l))) (scan v)
+let first_defector v = Option.map (fun (c, l) -> (c, l, best_link v ~cls:c ~src:l)) (scan v)
 
 let is_nash v = Option.is_none (scan v)
 

@@ -6,8 +6,9 @@
     moving from one link to another — in O(1) exact integer updates,
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
-    is O(k·m²), SC2 is O(k·m) and SC1 is O(m) plus the (class, link)
-    pairs changed since the last query: no operation scales with [n].
+    is O(k·m) (one defector pass per class, {!Packing.first_defecting_source}),
+    SC2 is O(k·m) and SC1 is O(m) plus the (class, link) pairs changed
+    since the last query: no operation scales with [n].
 
     All per-user predicates survive compression exactly: users of one
     class on one link are interchangeable, so "some user defects" is a
@@ -166,6 +167,11 @@ val latency_after_move : t -> cls:int -> src:int -> int -> Numeric.Rational.t
     [cls] on [src]. *)
 val best_response_for : t -> cls:int -> src:int -> int * Numeric.Rational.t
 
+(** [best_link v ~cls ~src] is [fst (best_response_for v ~cls ~src)]
+    without building the latency.  O(m), allocation-free on the packed
+    lane. *)
+val best_link : t -> cls:int -> src:int -> int
+
 (** [is_defector v ~cls ~src] holds when a class-[cls] user on [src]
     has a strictly improving move.  Meaningful when
     [assigned v cls src > 0].  O(m). *)
@@ -178,16 +184,27 @@ val is_defector : t -> cls:int -> src:int -> bool
     may probe candidate destinations one at a time. *)
 val improves : t -> cls:int -> src:int -> int -> bool
 
+(** [first_defecting_source ?only v ~cls] is the lowest link holding
+    class-[cls] users who defect ({!is_defector}), [None] when none
+    does.  With [only] (a mask over the links) a source outside the
+    mask counts as defecting only when moving to some masked link
+    strictly improves ({!improves}), while a source inside it gets the
+    full test: the restricted rule of [Serve.Repair].  One pass over the
+    links, O(m) whatever the number of occupied sources
+    ({!Packing.first_defecting_source}). *)
+val first_defecting_source : ?only:bool array -> t -> cls:int -> int option
+
 (** [first_defector v] is the first occupied (class, link) pair — class
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
     first-defector policy would pick on the expanded profile.
     [None] at a Nash equilibrium, which also sets {!certified}.
-    O(k·m²).  Guarded like a mutator ({!owner}). *)
+    O(k·m): one {!first_defecting_source} pass per class.  Guarded like
+    a mutator ({!owner}). *)
 val first_defector : t -> (int * int * int) option
 
 (** [is_nash v] holds when no user of any class can strictly improve by
-    switching links.  O(k·m²) — independent of the population size.
+    switching links.  O(k·m) — independent of the population size.
     Always the exact scan: it never reads {!certified}, and a [true]
     verdict sets it.  Guarded like a mutator ({!owner}). *)
 val is_nash : t -> bool

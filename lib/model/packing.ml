@@ -322,41 +322,43 @@ let latency_after_move lane rows r ~src dst =
 (* Candidate latencies are (load'·cd)/(scale·cn): both lanes track the
    best as the pair (load'·cd, cn) and compare by cross products —
    native within the packed bound, [Bigint] on the exact lane. *)
-let best_response lane rows r ~src =
+let best_link lane rows r ~src =
   match lane with
   | Exact e ->
     let caps = rows.caps.(r) in
     let numer l =
       Bigint.mul (plus e.eload.(l) (if l = src then e.eb.(r) else e.ew.(r))) (Rational.den caps.(l))
     in
-    let best_link = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
+    let best = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
     for l = 1 to Array.length caps - 1 do
       let a = numer l and cn = Rational.num caps.(l) in
       if Bigint.compare (Bigint.mul a !bcn) (Bigint.mul !bnum cn) < 0 then begin
-        best_link := l;
+        best := l;
         bnum := a;
         bcn := cn
       end
     done;
-    (!best_link, Rational.make !bnum (Bigint.mul e.es !bcn))
+    !best
   | Packed pk ->
     let m = Array.length pk.piload in
     let base = r * m and w = pk.ppw.(r) in
-    let best_link = ref 0 in
+    let best = ref 0 in
     let t0 = pk.piload.(0) + if src = 0 then 0 else w in
     let bnum = ref (t0 * pk.pcd.(base)) and bcn = ref pk.pcn.(base) in
     for l = 1 to m - 1 do
       let t = pk.piload.(l) + if src = l then 0 else w in
       let a = t * pk.pcd.(base + l) in
       if a * !bcn < !bnum * pk.pcn.(base + l) then begin
-        best_link := l;
+        best := l;
         bnum := a;
         bcn := pk.pcn.(base + l)
       end
     done;
-    ( !best_link,
-      Rational.make (Bigint.of_int !bnum) (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int !bcn))
-    )
+    !best
+
+let best_response lane rows r ~src =
+  let l = best_link lane rows r ~src in
+  (l, latency_after_move lane rows r ~src l)
 
 (* The Nash inequality as a cross product: moving to [l] strictly
    improves on [src] iff
@@ -364,36 +366,31 @@ let best_response lane rows r ~src =
    with every term scaled by the lane's denominator.  A deviation
    numerator is load + contribution + bias = load + W for every
    backend.  No gcd and no rational on either lane. *)
+let e_dev e caps w l = Bigint.mul (Bigint.add e.eload.(l) w) (Rational.den caps.(l))
+
 let e_improves e caps ~w ~cnum ~ccn l =
-  Bigint.compare
-    (Bigint.mul (Bigint.mul (Bigint.add e.eload.(l) w) (Rational.den caps.(l))) ccn)
-    (Bigint.mul cnum (Rational.num caps.(l)))
-  < 0
+  Bigint.compare (Bigint.mul (e_dev e caps w l) ccn) (Bigint.mul cnum (Rational.num caps.(l))) < 0
 
 let is_defector lane rows r ~src =
-  match lane with
-  | Exact e ->
-    let caps = rows.caps.(r) and w = e.ew.(r) in
-    let cnum = Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src))
-    and ccn = Rational.num caps.(src) in
-    let m = Array.length caps in
-    let rec scan l =
-      if l >= m then false
-      else if l <> src && e_improves e caps ~w ~cnum ~ccn l then true
-      else scan (l + 1)
-    in
-    scan 0
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = r * m and w = pk.ppw.(r) in
-    let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
-    let rec scan l =
-      if l >= m then false
-      else if l <> src && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
-      then true
-      else scan (l + 1)
-    in
-    scan 0
+  let m = links lane and l = ref 0 in
+  (match lane with
+   | Exact e ->
+     let caps = rows.caps.(r) and w = e.ew.(r) in
+     let cnum = Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src))
+     and ccn = Rational.num caps.(src) in
+     while !l < m && (!l = src || not (e_improves e caps ~w ~cnum ~ccn !l)) do
+       incr l
+     done
+   | Packed pk ->
+     let base = r * m and w = pk.ppw.(r) in
+     let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
+     while
+       !l < m
+       && (!l = src || (pk.piload.(!l) + w) * pk.pcd.(base + !l) * ccn >= cnum * pk.pcn.(base + !l))
+     do
+       incr l
+     done);
+  !l < m
 
 (* Single-destination restriction of [is_defector]: callers may probe
    candidate links one at a time without paying for a full
@@ -412,6 +409,133 @@ let improves lane rows r ~src dst =
     let base = r * m and w = pk.ppw.(r) in
     (pk.piload.(dst) + w) * pk.pcd.(base + dst) * pk.pcn.(base + src)
     < pk.piload.(src) * pk.pcd.(base + src) * pk.pcn.(base + dst)
+
+(* --- the per-row defector pass ----------------------------------- *)
+
+(* One minimum decides every source.  A deviation latency
+   (L_l + W)·cd_l/cn_l does not depend on the source: a deviating user
+   meets link l's load plus its own full weight W whichever link it
+   leaves.  A user on s defects iff some l ≠ s has a deviation latency
+   strictly below its own latency (L_s + B)·cd_s/cn_s.  The source's
+   own entry can never be that witness: it exceeds the own latency by
+   (W − B)·cd_s/cn_s = T·cd_s/cn_s > 0, T the row's contribution.  So
+   "some l ≠ s is below" is "the smallest deviation latency over all
+   links is below": one O(m) pass finds that minimum, as a pair
+   (dev, cn) = ((L_l + W)·cd_l, cn_l), and one cross product per
+   occupied source then decides it.  That is O(m) per row instead of
+   an O(m) [is_defector] per source, and no second-smallest is needed:
+   when the minimum sits on s itself, nothing is below.
+
+   With a mask [only], a source outside it is compared only with the
+   cheapest link inside the mask (never the source itself), while a
+   source inside it gets the full minimum: the restricted rule of
+   [Serve.Repair].  A minimum is carried as its pair, with cn = 0 for
+   "no masked link yet" (capacities are positive).  Each decision
+   dev·cn_s < (L_s + B)·cd_s·cn is [improves]'s own cross product
+   towards the link holding the minimum, so the packed lane stays
+   inside the product bound and the exact lane forms the same [Bigint]
+   products. *)
+
+let p_first_defecting pk r counts only =
+  let m = Array.length pk.piload in
+  let base = r * m and w = pk.ppw.(r) in
+  let bn = ref 0 and bc = ref 0 and tn = ref 0 and tc = ref 0 in
+  for l = 0 to m - 1 do
+    let a = (pk.piload.(l) + w) * pk.pcd.(base + l) and c = pk.pcn.(base + l) in
+    if !bc = 0 || a * !bc < !bn * c then begin
+      bn := a;
+      bc := c
+    end;
+    match only with
+    | Some t when t.(l) && (!tc = 0 || a * !tc < !tn * c) ->
+      tn := a;
+      tc := c
+    | _ -> ()
+  done;
+  let s = ref 0 in
+  while
+    !s < m
+    && not
+         (counts.(!s) > 0
+         &&
+         let own = pk.piload.(!s) * pk.pcd.(base + !s) and cn = pk.pcn.(base + !s) in
+         match only with
+         | Some t when not t.(!s) -> !tc > 0 && !tn * cn < own * !tc
+         | _ -> !bn * cn < own * !bc)
+  do
+    incr s
+  done;
+  if !s < m then !s else -1
+
+let e_first_defecting e rows r counts only =
+  let caps = rows.caps.(r) and w = e.ew.(r) in
+  let m = Array.length caps in
+  (* [below a c n d]: a/c < n/d. *)
+  let below a c n d = Bigint.compare (Bigint.mul a d) (Bigint.mul n c) < 0 in
+  let bn = ref Bigint.zero and bc = ref Bigint.zero in
+  let tn = ref Bigint.zero and tc = ref Bigint.zero in
+  for l = 0 to m - 1 do
+    let a = e_dev e caps w l and c = Rational.num caps.(l) in
+    if Bigint.is_zero !bc || below a c !bn !bc then begin
+      bn := a;
+      bc := c
+    end;
+    match only with
+    | Some t when t.(l) && (Bigint.is_zero !tc || below a c !tn !tc) ->
+      tn := a;
+      tc := c
+    | _ -> ()
+  done;
+  let defects s =
+    let own = Bigint.mul (plus e.eload.(s) e.eb.(r)) (Rational.den caps.(s))
+    and cn = Rational.num caps.(s) in
+    match only with
+    | Some t when not t.(s) -> (not (Bigint.is_zero !tc)) && below !tn !tc own cn
+    | _ -> below !bn !bc own cn
+  in
+  let s = ref 0 in
+  while !s < m && not (counts.(!s) > 0 && defects !s) do
+    incr s
+  done;
+  if !s < m then !s else -1
+
+(* The per-pair scan the pass replaces, under SELFISH_SANITIZE: each
+   occupied source in ascending order, [is_defector] for a full one and
+   [improves] towards every masked link for a restricted one.  O(m²),
+   and allocation-free on the packed lane like the pass itself. *)
+let check_first_defecting only lane rows r counts got =
+  let m = links lane in
+  let want = ref (-1) and s = ref 0 in
+  while !want < 0 && !s < m do
+    let src = !s in
+    if counts.(src) > 0 then begin
+      let hit =
+        match only with
+        | Some t when not t.(src) ->
+          let l = ref 0 in
+          while !l < m && not (t.(!l) && improves lane rows r ~src !l) do
+            incr l
+          done;
+          !l < m
+        | _ -> is_defector lane rows r ~src
+      in
+      if hit then want := src
+    end;
+    incr s
+  done;
+  if !want <> got then
+    Sanitize.fail
+      (Printf.sprintf "Packing: the defector pass of row %d found source %d, the per-pair scan %d"
+         r got !want)
+
+let first_defecting_source ?only lane rows r counts =
+  let s =
+    match lane with
+    | Exact e -> e_first_defecting e rows r counts only
+    | Packed pk -> p_first_defecting pk r counts only
+  in
+  if !Sanitize.enabled then check_first_defecting only lane rows r counts s;
+  s
 
 (* The maximal improving block.  After j − 1 row-[r] users moved from
    [src] to [dst] (each carrying its contribution T), the j-th mover

@@ -120,14 +120,42 @@ val latency : lane -> rows -> int -> int -> Numeric.Rational.t
     current latency when [dst = src]). *)
 val latency_after_move : lane -> rows -> int -> src:int -> int -> Numeric.Rational.t
 
-(** [best_response lane rows r ~src] is the lowest-index link
-    minimising that post-move latency, paired with the latency. O(m). *)
+(** [best_link lane rows r ~src] is the lowest-index link minimising
+    that post-move latency.  O(m), allocation-free on the packed
+    lane. *)
+val best_link : lane -> rows -> int -> src:int -> int
+
+(** [best_response lane rows r ~src] is {!best_link} paired with its
+    post-move latency, [latency_after_move lane rows r ~src l]. O(m). *)
 val best_response : lane -> rows -> int -> src:int -> int * Numeric.Rational.t
 
 (** [is_defector lane rows r ~src] holds when some link strictly
     improves on [src]: integer cross products, no gcd on either lane.
     O(m), allocation-free on the packed lane. *)
 val is_defector : lane -> rows -> int -> src:int -> bool
+
+(** [first_defecting_source ?only lane rows r counts] is the lowest
+    link [s] with [counts.(s) > 0] whose row-[r] users defect, or [-1]
+    when none does: the first hit of {!is_defector} over the occupied
+    sources in ascending order, in one O(m) pass.
+
+    A deviation latency (L_l + W)·cd_l/cn_l is the same from every
+    source, and a source's own entry exceeds its latency
+    (L_s + B)·cd_s/cn_s by T·cd_s/cn_s > 0 (T the contribution), so the
+    cheapest link b decides every source: [s] defects iff b's deviation
+    latency is strictly below its own latency, by {!improves}'s own
+    cross product.  When [s = b] nothing is below.
+
+    With [only] (a mask over the links), a source inside the mask still
+    gets that full test, while a source outside it defects iff moving
+    to the cheapest masked link strictly improves: the same answer as
+    {!improves} probed towards every masked link.  [counts] and [only]
+    have one entry per link.
+
+    Under {!Numeric.Sanitize.enabled} the answer is re-derived by that
+    per-pair scan, O(m²), raising {!Numeric.Sanitize.Violation} on a
+    mismatch.  Allocation-free on the packed lane, armed or not. *)
+val first_defecting_source : ?only:bool array -> lane -> rows -> int -> int array -> int
 
 (** [improves lane rows r ~src dst] holds when moving to [dst] strictly
     improves on [src]; [false] when [dst = src].  O(1),

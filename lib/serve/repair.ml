@@ -14,34 +14,19 @@ type outcome = {
    Cbr's first-defector order.  A clean pair — clean class on an
    untouched link — kept its latency, so from an equilibrium start any
    new improving move leads into a touched link: only those comparisons
-   are made.  Dirty or touched pairs get the full O(m) defector check. *)
+   are made.  Dirty or touched pairs get the full defector check.  One
+   O(m) pass per class decides all of its pairs. *)
 let find_candidate v touched dirty =
-  let k = Cview.classes v and m = Cview.links v in
-  let rec classes cls =
+  let k = Cview.classes v and restricted = Some touched in
+  let rec from cls =
     if cls >= k then None
-    else begin
-      let found = ref None in
-      let src = ref 0 in
-      while !found = None && !src < m do
-        let s = !src in
-        if Cview.assigned v cls s > 0 then begin
-          if dirty.(cls) || touched.(s) then begin
-            if Cview.is_defector v ~cls ~src:s then found := Some (cls, s)
-          end
-          else begin
-            let l = ref 0 in
-            while !found = None && !l < m do
-              if touched.(!l) && Cview.improves v ~cls ~src:s !l then found := Some (cls, s);
-              incr l
-            done
-          end
-        end;
-        incr src
-      done;
-      match !found with Some _ as r -> r | None -> classes (cls + 1)
-    end
+    else
+      let only = if dirty.(cls) then None else restricted in
+      match Cview.first_defecting_source ?only v ~cls with
+      | Some src -> Some (cls, src)
+      | None -> from (cls + 1)
   in
-  classes 0
+  from 0
 
 let repair ~max_steps ~certified v batch =
   let k = Cview.classes v and m = Cview.links v in
@@ -85,7 +70,7 @@ let repair ~max_steps ~certified v batch =
     | None -> ()
     | Some _ when !moves >= max_steps -> out_of_budget ()
     | Some (cls, src) ->
-      let dst, _ = Cview.best_response_for v ~cls ~src in
+      let dst = Cview.best_link v ~cls ~src in
       let count = Cview.max_improving_block v ~cls ~src ~dst in
       Cview.move v ~cls ~src ~dst ~count;
       touch src;

@@ -19,8 +19,12 @@
       class on an untouched link — only checks moves {e into} touched
       links: starting from an equilibrium, its own latency is
       unchanged, so any new improving move must target a link whose
-      load dropped.  Dirty or touched pairs get the full O(m) defector
-      check.  Each block move marks its source and destination links
+      load dropped.  Dirty or touched pairs get the full defector
+      check.  Both rules run in one O(m) pass per class
+      ({!Model.Cview.first_defecting_source} with the touched mask for
+      a clean class): a touched source is compared with the cheapest
+      link overall, an untouched one with the cheapest touched link.
+      Each block move marks its source and destination links
       touched ({e frontier expansion}) and re-enters the scan.
     - {b Saturation and fallback.}  When the frontier saturates (every
       link touched) the restricted scan degrades to exactly

@@ -18,6 +18,9 @@
      - every lane kernel against a Rational oracle on the exact lane
        (all three backends, rational initial traffic, 2^100 operands)
        and at the packed lane's product-bound edges
+     - the per-class defector pass against the per-pair scans it
+       replaced, full and restricted, and the packed kernels' zero
+       allocation
      - block best-response convergence (Nash at both levels), and the
        integer proportional start against the Rational formula. *)
 
@@ -573,6 +576,273 @@ let test_product_bound_edges () =
     [ ((1 lsl 30) - 1, true); (1 lsl 30, false) ]
 
 (* ------------------------------------------------------------------ *)
+(* The per-class defector pass vs the per-pair scans                   *)
+
+(* The per-pair scans the pass replaced, kept as references.
+   [reference_pair] is [Cview]'s class-then-link loop over
+   [is_defector]; [reference_candidate] is [Serve.Repair]'s restricted
+   loop, in which a clean class's untouched source only probes the
+   moves into touched links; [reference_source] is one class of it
+   ([only = None] for a dirty class). *)
+let reference_pair v =
+  let k = Cview.classes v and m = Cview.links v in
+  let rec over_links c l =
+    if l >= m then over_classes (c + 1)
+    else if Cview.assigned v c l > 0 && Cview.is_defector v ~cls:c ~src:l then Some (c, l)
+    else over_links c (l + 1)
+  and over_classes c = if c >= k then None else over_links c 0 in
+  over_classes 0
+
+let reference_candidate v touched dirty =
+  let k = Cview.classes v and m = Cview.links v in
+  let rec classes cls =
+    if cls >= k then None
+    else begin
+      let found = ref None in
+      let src = ref 0 in
+      while !found = None && !src < m do
+        let s = !src in
+        if Cview.assigned v cls s > 0 then begin
+          if dirty.(cls) || touched.(s) then begin
+            if Cview.is_defector v ~cls ~src:s then found := Some (cls, s)
+          end
+          else begin
+            let l = ref 0 in
+            while !found = None && !l < m do
+              if touched.(!l) && Cview.improves v ~cls ~src:s !l then found := Some (cls, s);
+              incr l
+            done
+          end
+        end;
+        incr src
+      done;
+      match !found with Some _ as r -> r | None -> classes (cls + 1)
+    end
+  in
+  classes 0
+
+let reference_source v ~cls only =
+  let m = Cview.links v in
+  let defects s =
+    match only with
+    | Some touched when not touched.(s) ->
+      List.exists (fun l -> touched.(l) && Cview.improves v ~cls ~src:s l) (List.init m Fun.id)
+    | _ -> Cview.is_defector v ~cls ~src:s
+  in
+  List.find_opt (fun s -> Cview.assigned v cls s > 0 && defects s) (List.init m Fun.id)
+
+(* [reference_candidate] through the pass: the loop [Serve.Repair] runs. *)
+let pass_candidate v touched dirty =
+  let k = Cview.classes v in
+  let rec from c =
+    if c >= k then None
+    else
+      let only = if dirty.(c) then None else Some touched in
+      match Cview.first_defecting_source ?only v ~cls:c with
+      | Some s -> Some (c, s)
+      | None -> from (c + 1)
+  in
+  from 0
+
+let show_pair = function None -> "none" | Some (c, s) -> Printf.sprintf "(%d, %d)" c s
+let show_source = function None -> "none" | Some s -> string_of_int s
+
+(* Every scan the pass serves against its reference on [v]: the full
+   scan behind [first_defector]/[is_nash], each class under the empty,
+   the full and [masks] random touched masks, and the repair loop
+   under random touched masks and dirty flags. *)
+let check_pass what rng v ~masks =
+  let k = Cview.classes v and m = Cview.links v in
+  let want = reference_pair v in
+  let expected = Option.map (fun (c, s) -> (c, s, fst (Cview.best_response_for v ~cls:c ~src:s))) want in
+  if Cview.first_defector v <> expected then
+    Alcotest.failf "%s: first_defector differs from the per-pair scan %s" what (show_pair want);
+  if Cview.is_nash v <> Option.is_none want then Alcotest.failf "%s: is_nash differs" what;
+  let random_mask () = Array.init m (fun _ -> Prng.Rng.int rng 2 = 0) in
+  let fixed = [ None; Some (Array.make m false); Some (Array.make m true) ] in
+  let drawn = List.init masks (fun _ -> Some (random_mask ())) in
+  for cls = 0 to k - 1 do
+    List.iter
+      (fun only ->
+        let got = Cview.first_defecting_source ?only v ~cls and want = reference_source v ~cls only in
+        if got <> want then
+          Alcotest.failf "%s: class %d: the pass found %s, the per-pair scan %s" what cls
+            (show_source got) (show_source want))
+      (fixed @ drawn)
+  done;
+  for _ = 1 to masks do
+    let touched = random_mask () and dirty = Array.init k (fun _ -> Prng.Rng.int rng 3 = 0) in
+    let got = pass_candidate v touched dirty and want = reference_candidate v touched dirty in
+    if got <> want then
+      Alcotest.failf "%s: the restricted scan found %s, the per-pair scan %s" what (show_pair got)
+        (show_pair want)
+  done
+
+(* Class games over all three backends at random profiles (mostly
+   non-equilibria), on the cursor's own lane and on its exact twin, and
+   compressed per-user games over all three belief kinds. *)
+let test_pass_vs_pair_scan () =
+  let rng = Prng.Rng.create 0xDEF5 in
+  let packed = ref 0 in
+  for trial = 1 to 1_500 do
+    let what = Printf.sprintf "trial %d" trial in
+    let k = 1 + Prng.Rng.int rng 4 and m = Prng.Rng.int_in rng 2 5 in
+    let counts, weights, uncertainty = random_backend_cgame rng ~k ~m in
+    let g = Cgame.make_uncertain ~counts ~weights ~uncertainty in
+    let x = random_profile rng counts m in
+    let v = Cview.of_profile g x in
+    if Cview.packed v then incr packed;
+    check_pass what rng v ~masks:4;
+    check_pass (what ^ " (exact twin)") rng (exact_twin g x) ~masks:4;
+    let n = 1 + Prng.Rng.int rng 8 in
+    let pg = random_game rng ~kind:trial ~n ~m in
+    let cg, class_of = Cgame.compress pg in
+    let cx = Cgame.compress_profile cg ~class_of (Array.init n (fun _ -> Prng.Rng.int rng m)) in
+    let cv = Cview.of_profile cg cx in
+    if Cview.packed cv then incr packed;
+    check_pass (what ^ " (compressed)") rng cv ~masks:4;
+    check_pass (what ^ " (compressed, exact twin)") rng (exact_twin cg cx) ~masks:4
+  done;
+  if !packed < 1_000 then Alcotest.failf "only %d of 3000 cursors ran on the packed lane" !packed
+
+(* Hand-made cases with known answers, each on the cursor's own lane
+   and on its exact twin: [first_defecting_source] for every mask given
+   (None for a full scan), next to the per-pair reference. *)
+let test_pass_edge_cases () =
+  let r = Rational.of_int in
+  let case what g x expected =
+    List.iter
+      (fun (lane, v) ->
+        List.iter
+          (fun (only, want) ->
+            let got = Cview.first_defecting_source ?only v ~cls:0 in
+            let mask =
+              match only with
+              | None -> "full"
+              | Some t -> String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") t))
+            in
+            if got <> want then
+              Alcotest.failf "%s (%s, mask %s): found %s, expected %s" what lane mask
+                (show_source got) (show_source want);
+            if reference_source v ~cls:0 only <> want then
+              Alcotest.failf "%s (%s, mask %s): the per-pair scan disagrees" what lane mask)
+          expected)
+      [ ("own lane", Cview.of_profile g x); ("exact twin", exact_twin g x) ]
+  in
+  let one_class ~w caps x = Cgame.of_capacities ~counts:[| Array.fold_left ( + ) 0 x |] ~weights:[| w |] [| caps |] in
+  (* m = 2, loads (2, 1): the move from link 0 ties at 2, and a tie
+     does not improve. *)
+  let g = one_class ~w:Rational.one [| r 1; r 1 |] [| 2; 1 |] in
+  case "m = 2, own latency ties the cheapest deviation" g [| [| 2; 1 |] |] [ (None, None) ];
+  (* Loads (3, 1, 1): links 1 and 2 tie for the cheapest deviation (2),
+     below link 0's own latency 3. *)
+  let x = [| [| 3; 1; 1 |] |] in
+  let g = one_class ~w:Rational.one [| r 1; r 1; r 1 |] x.(0) in
+  case "two links tie for the cheapest deviation" g x
+    [ (None, Some 0); (Some [| false; false; true |], Some 0); (Some [| false; true; false |], Some 0);
+      (Some [| true; false; false |], Some 0); (Some [| false; false; false |], None) ];
+  (* Capacities (4, 1), loads (2, 1): link 0 holds the cheapest
+     deviation (3/4); its own users (latency 1/2) must not count it,
+     and link 1's user (latency 1) moves there. *)
+  let x = [| [| 2; 1 |] |] in
+  let g = one_class ~w:Rational.one [| r 4; r 1 |] x.(0) in
+  case "the source holds the cheapest deviation" g x
+    [ (None, Some 1); (Some [| true; false |], Some 1); (Some [| false; true |], Some 1);
+      (Some [| false; false |], None) ];
+  (* One occupied link: every user on link 0 of three. *)
+  let x = [| [| 3; 0; 0 |] |] in
+  let g = one_class ~w:Rational.one [| r 1; r 1; r 1 |] x.(0) in
+  case "a single occupied link, defecting" g x
+    [ (None, Some 0); (Some [| false; false; false |], None); (Some [| true; true; true |], Some 0);
+      (Some [| false; false; true |], Some 0); (Some [| true; false; false |], Some 0) ];
+  let g = one_class ~w:Rational.one [| r 10; r 1; r 1 |] x.(0) in
+  case "a single occupied link, at equilibrium" g x
+    [ (None, None); (Some [| true; true; true |], None); (Some [| false; true; true |], None) ];
+  (* Capacities (1, 1, 8), loads (4, 1, 0): link 0's users gain only by
+     moving to link 2 (1/8); a mask without link 2 hides that move from
+     an untouched source, but not from a touched one. *)
+  let x = [| [| 4; 1; 0 |] |] in
+  let g = one_class ~w:Rational.one [| r 1; r 1; r 8 |] x.(0) in
+  case "the cheapest deviation lies outside the mask" g x
+    [ (None, Some 0); (Some [| false; true; false |], Some 0); (Some [| true; true; false |], Some 0);
+      (Some [| false; false; true |], Some 0); (Some [| false; false; false |], None) ];
+  (* Capacities (1, 2, 8), loads (1, 4, 8): link 1's users (latency 2)
+     gain only by moving to link 2 (9/8) — moving to link 0 ties at
+     2 — and no other source defects. *)
+  let x = [| [| 1; 4; 8 |] |] in
+  let g = one_class ~w:Rational.one [| r 1; r 2; r 8 |] x.(0) in
+  case "a clean source sees only the masked links" g x
+    [ (None, Some 1); (Some [| true; false; false |], None); (Some [| false; true; false |], Some 1);
+      (Some [| false; false; true |], Some 1); (Some [| true; false; true |], Some 1) ];
+  (* Participation, presence 1/2, weight 2: contribution 1 and bias 1.
+     Loads (3, 1): link 0's own latency is 3 + 1 = 4 against 1 + 2 = 3
+     on link 1 — the bias decides, since without it the move would tie.
+     Link 1's own latency 2 against 5 on link 0 stays. *)
+  let part presence caps =
+    Uncertainty.participation ~presence (Belief.certain (State.make caps))
+  in
+  let g =
+    Cgame.make_uncertain ~counts:[| 4 |] ~weights:[| r 2 |]
+      ~uncertainty:[| part (Rational.of_ints 1 2) [| r 1; r 1 |] |]
+  in
+  case "participation bias decides" g [| [| 3; 1 |] |]
+    [ (None, Some 0); (Some [| false; true |], Some 0); (Some [| true; false |], Some 0);
+      (Some [| false; false |], None) ];
+  (* Loads (2, 1) with the same bias: 3 against 3, a tie. *)
+  let g =
+    Cgame.make_uncertain ~counts:[| 3 |] ~weights:[| r 2 |]
+      ~uncertainty:[| part (Rational.of_ints 1 2) [| r 1; r 1 |] |]
+  in
+  case "participation tie" g [| [| 2; 1 |] |] [ (None, None); (Some [| true; true |], None) ]
+
+(* The packed kernels allocate nothing: a [Gc.minor_words] delta over
+   10k calls of each equals the delta of an empty loop, with and
+   without a mask, on a packed lane at a non-equilibrium profile (so
+   the passes find defectors as well as run through). *)
+let test_packed_kernels_allocate_nothing () =
+  let r = Rational.of_int in
+  let counts = [| 5; 7; 3 |] and m = 4 in
+  let g =
+    Cgame.of_capacities ~counts
+      ~weights:[| r 1; r 2; Rational.of_ints 3 2 |]
+      [| [| r 1; r 2; r 3; r 4 |]; [| r 4; r 1; r 1; r 2 |]; [| r 2; r 2; r 5; r 1 |] |]
+  in
+  let x = [| [| 5; 0; 0; 0 |]; [| 0; 3; 4; 0 |]; [| 1; 1; 0; 1 |] |] in
+  let rows = Cgame.rows g in
+  let lane = Packing.make_lane (Cgame.packed_tables g) rows m in
+  Array.iteri (fun c row -> Array.iteri (fun l e -> Packing.add_count lane c ~link:l ~delta:e) row) x;
+  if not (Packing.is_packed lane) then Alcotest.fail "the instance did not pack";
+  let k = Array.length counts and calls = 10_000 in
+  let mask = Some [| true; false; false; true |] in
+  let hits = ref 0 in
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      f i
+    done;
+    Gc.minor_words () -. before
+  in
+  let empty = words (fun i -> hits := !hits + (i land 0)) in
+  let check name f =
+    let w = words f in
+    if w <> empty then Alcotest.failf "%s allocated %.0f minor words over %d calls" name (w -. empty) calls
+  in
+  check "is_defector" (fun i ->
+      if Packing.is_defector lane rows (i mod k) ~src:(i mod m) then incr hits);
+  check "improves" (fun i ->
+      if Packing.improves lane rows (i mod k) ~src:(i mod m) (i / k mod m) then incr hits);
+  check "max_block" (fun i ->
+      let src = i mod m in
+      let dst = (src + 1 + (i / m mod (m - 1))) mod m in
+      hits := !hits + Packing.max_block lane rows (i mod k) ~src ~dst ~avail:x.(i mod k).(src));
+  check "best_link" (fun i -> hits := !hits + Packing.best_link lane rows (i mod k) ~src:(i mod m));
+  check "first_defecting_source" (fun i ->
+      hits := !hits + Packing.first_defecting_source lane rows (i mod k) x.(i mod k));
+  check "first_defecting_source ~only" (fun i ->
+      hits := !hits + Packing.first_defecting_source ?only:mask lane rows (i mod k) x.(i mod k));
+  if !hits = 0 then Alcotest.fail "no kernel found a defector"
+
+(* ------------------------------------------------------------------ *)
 (* Proportional start vs the Rational oracle                           *)
 
 (* The Rational formula [Cbr.proportional_start] evaluated before it
@@ -754,6 +1024,10 @@ let () =
             test_exact_lane_kernels;
           Alcotest.test_case "product-bound edges agree across lanes" `Quick
             test_product_bound_edges;
+          Alcotest.test_case "per-class pass vs per-pair scan" `Quick test_pass_vs_pair_scan;
+          Alcotest.test_case "per-class pass edge cases" `Quick test_pass_edge_cases;
+          Alcotest.test_case "packed kernels allocate nothing" `Quick
+            test_packed_kernels_allocate_nothing;
         ] );
       ( "algo",
         [

@@ -924,6 +924,149 @@ let test_repair_fallback () =
   Alcotest.(check (array (array int))) "repaired profile"
     [| [| 0; 0; 2; 0 |]; [| 4; 4; 0; 0 |] |] (Cview.profile v)
 
+(* [Repair.repair_batch] replayed with the per-pair scans the per-class
+   defector pass replaced: the restricted candidate loop over
+   [Cview.is_defector]/[Cview.improves] (Repair's old [find_candidate],
+   kept verbatim) and, for the fallback, Cbr's first-defector loop over
+   [Cview.is_defector] and [Cview.best_response_for]. *)
+let reference_candidate v touched dirty =
+  let k = Cview.classes v and m = Cview.links v in
+  let rec classes cls =
+    if cls >= k then None
+    else begin
+      let found = ref None in
+      let src = ref 0 in
+      while !found = None && !src < m do
+        let s = !src in
+        if Cview.assigned v cls s > 0 then begin
+          if dirty.(cls) || touched.(s) then begin
+            if Cview.is_defector v ~cls ~src:s then found := Some (cls, s)
+          end
+          else begin
+            let l = ref 0 in
+            while !found = None && !l < m do
+              if touched.(!l) && Cview.improves v ~cls ~src:s !l then found := Some (cls, s);
+              incr l
+            done
+          end
+        end;
+        incr src
+      done;
+      match !found with Some _ as r -> r | None -> classes (cls + 1)
+    end
+  in
+  classes 0
+
+let reference_first_defector v =
+  let all = Array.make (Cview.links v) true and dirty = Array.make (Cview.classes v) true in
+  Option.map
+    (fun (cls, src) -> (cls, src, fst (Cview.best_response_for v ~cls ~src)))
+    (reference_candidate v all dirty)
+
+let reference_repair ~max_steps v batch : Repair.outcome =
+  let k = Cview.classes v and m = Cview.links v in
+  List.iter (Mutation.apply v) batch;
+  let touched = Array.make m false and dirty = Array.make k false in
+  List.iter
+    (fun mu ->
+      match mu with
+      | Mutation.Arrive { cls; link; _ } | Mutation.Depart { cls; link; _ } ->
+        dirty.(cls) <- true;
+        touched.(link) <- true
+      | Mutation.Reweight { cls; _ } ->
+        dirty.(cls) <- true;
+        for l = 0 to m - 1 do
+          if Cview.assigned v cls l > 0 then touched.(l) <- true
+        done
+      | Mutation.Revise_capacity { cls; _ } -> dirty.(cls) <- true)
+    batch;
+  let count a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a in
+  let seeded_classes = count dirty and seeded_links = count touched in
+  let moves = ref 0 and users_moved = ref 0 in
+  let step cls src dst =
+    if !moves >= max_steps then invalid_arg "reference_repair: out of budget";
+    let c = Cview.max_improving_block v ~cls ~src ~dst in
+    Cview.move v ~cls ~src ~dst ~count:c;
+    incr moves;
+    users_moved := !users_moved + c
+  in
+  let rec epochs () =
+    match reference_candidate v touched dirty with
+    | None -> ()
+    | Some (cls, src) ->
+      let dst = fst (Cview.best_response_for v ~cls ~src) in
+      step cls src dst;
+      touched.(src) <- true;
+      touched.(dst) <- true;
+      dirty.(cls) <- true;
+      epochs ()
+  in
+  epochs ();
+  let rec converge () =
+    match reference_first_defector v with
+    | None -> ()
+    | Some (cls, src, dst) ->
+      step cls src dst;
+      converge ()
+  in
+  let fallback = Option.is_some (reference_first_defector v) in
+  converge ();
+  {
+    moves = !moves;
+    users_moved = !users_moved;
+    seeded_classes;
+    seeded_links;
+    frontier_links = count touched;
+    fallback;
+    nash = true;
+  }
+
+(* From an uncertified, non-equilibrium entry the restricted scan runs
+   on a state it cannot prove, so it may stop early and leave the rest
+   to the fallback: the order of both phases' moves shows in the outcome
+   and the profile, which must be the reference's. *)
+let test_repair_matches_reference () =
+  let rng = Prng.Rng.create 2626 in
+  let scanned = ref 0 and fell_back = ref 0 and trials = 800 in
+  for trial = 1 to trials do
+    let g = random_cgame rng in
+    let k = Cgame.classes g and m = Cgame.links g in
+    let x =
+      Array.init k (fun c ->
+          let row = Array.make m 0 in
+          for _ = 1 to Cgame.count g c do
+            let l = Prng.Rng.int rng m in
+            row.(l) <- row.(l) + 1
+          done;
+          row)
+    in
+    let v = Cview.of_profile g x and twin = Cview.of_profile g x in
+    let batch =
+      List.init (Prng.Rng.int rng 4) (fun _ ->
+          let mu = random_mutation rng twin in
+          Mutation.apply twin mu;
+          mu)
+    in
+    while Cview.depth twin > 0 do
+      Cview.undo twin
+    done;
+    let run f = match f () with o -> Ok o | exception Invalid_argument _ -> Error () in
+    let got = run (fun () -> Repair.repair_batch ~max_steps:10_000 v batch)
+    and want = run (fun () -> reference_repair ~max_steps:10_000 twin batch) in
+    (match (got, want) with
+     | Ok r, Ok r' ->
+       if r <> r' then Alcotest.failf "trial %d: the outcome differs from the reference" trial;
+       if r.fallback then incr fell_back;
+       if r.moves > 0 then incr scanned
+     | Error (), Error () -> ()
+     | _ -> Alcotest.failf "trial %d: only one side ran out of budget" trial);
+    if Result.is_ok got && Cview.profile v <> Cview.profile twin then
+      Alcotest.failf "trial %d: the profile differs from the reference" trial
+  done;
+  if 8 * !fell_back < trials || 2 * !scanned < trials then
+    Alcotest.failf "only %d fallbacks and %d repairs with moves in %d trials" !fell_back !scanned
+      trials
+
 (* A mutation rejected mid-batch undoes the mutations applied before
    it, including a reweight that spilled the packed lane, and stops at
    the history left by the previous batch. *)
@@ -1029,6 +1172,8 @@ let () =
           Alcotest.test_case "clear_history keeps the state" `Quick test_clear_history;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
           Alcotest.test_case "fallback matches Cbr.converge" `Quick test_repair_fallback;
+          Alcotest.test_case "uncertified entry matches the per-pair reference" `Quick
+            test_repair_matches_reference;
           Alcotest.test_case "mid-batch rejection rolls back" `Quick
             test_repair_mid_batch_rejection;
           Alcotest.test_case "multi-batch certified vs exact path" `Slow test_repair_multi_batch;
