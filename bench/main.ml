@@ -11,6 +11,9 @@
    one file, BENCH.json, which bench/validate.py checks against its
    gate table.
 
+   A theorem check that fails (E7 finds no witness, E11/E12 see an
+   equilibrium beat its bound) ends the run with exit 1.
+
    QUICK=1 dune exec bench/main.exe  — reduced trial counts. *)
 
 open Model
@@ -33,6 +36,15 @@ let print_exponent label rows =
 
 
 let trials base = if quick then max 5 (base / 10) else base
+
+(* A failed theorem check ends the run with one line on stderr and
+   exit 1, so the bench smoke fails instead of printing a table. *)
+let theorem_failed fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: theorem check failed: " ^ msg);
+      exit 1)
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* E1–E3: the paper's polynomial-time algorithms                       *)
@@ -206,7 +218,7 @@ let e7 () =
     "Weighted player-specific games may lack a pure NE; belief games do not (Section 3)";
   let rng = Prng.Rng.create 5 in
   (match Kp.Milchtaich.Weighted.search_no_pure_nash rng ~weights:[| 1; 2; 3 |] ~links:3 ~attempts:5000 with
-   | None -> print_endline "no-pure-NE search FAILED (unexpected)"
+   | None -> theorem_failed "E7: the adaptive search found no weighted game without a pure NE"
    | Some (t, steps) ->
      Printf.printf
        "no-pure-NE witness: 3 players (weights 1,2,3), 3 links, found after %d adaptive steps; \
@@ -253,6 +265,12 @@ let e8_to_e10 () =
 (* ------------------------------------------------------------------ *)
 (* E11/E12: price of anarchy vs the theorem bounds                     *)
 
+(* Equilibria that beat the bound refute the theorem: end the run. *)
+let check_bound id theorem rows =
+  match List.fold_left (fun acc (r : Poa_exp.row) -> acc + r.violations) 0 rows with
+  | 0 -> ()
+  | v -> theorem_failed "%s: %d equilibria beat the %s bound" id v theorem
+
 let e11 () =
   Report.heading "E11" "Empirical coordination ratio vs the Theorem 4.13 bound (uniform beliefs)";
   let rows =
@@ -262,7 +280,8 @@ let e11 () =
       ~beliefs:(Generators.Uniform_link_view { cap_bound = 4 })
       ~bound:`Uniform ()
   in
-  Stats.Table.print (Poa_exp.table rows)
+  Stats.Table.print (Poa_exp.table rows);
+  check_bound "E11" "Theorem 4.13" rows
 
 let e12 () =
   Report.heading "E12" "Empirical coordination ratio vs the Theorem 4.14 bound (general case)";
@@ -273,7 +292,8 @@ let e12 () =
       ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 })
       ~bound:`General ()
   in
-  Stats.Table.print (Poa_exp.table rows)
+  Stats.Table.print (Poa_exp.table rows);
+  check_bound "E12" "Theorem 4.14" rows
 
 (* ------------------------------------------------------------------ *)
 (* E13: point beliefs subsume the KP-model                             *)

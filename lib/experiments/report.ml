@@ -3,7 +3,5 @@ let pct hits trials =
 
 let flt x = Printf.sprintf "%.4g" x
 
-let rat q = flt (Numeric.Rational.to_float q)
-
 let heading id title =
   Printf.printf "\n=== %s: %s ===\n" id title

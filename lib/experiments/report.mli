@@ -6,9 +6,6 @@ val pct : int -> int -> string
 (** [flt x] renders a float with 4 significant digits. *)
 val flt : float -> string
 
-(** [rat q] renders a rational as a float with 4 significant digits. *)
-val rat : Numeric.Rational.t -> string
-
 (** [heading id title] prints the experiment banner used by
     [bench/main.exe]. *)
 val heading : string -> string -> unit

@@ -34,21 +34,8 @@ let make ~capacities ~types =
 let users t = Array.length t.traffics
 let links t = Array.length t.capacities
 let type_count t i = Array.length t.traffics.(i)
-let traffic t i k = t.traffics.(i).(k)
-let type_prob t i k = t.probs.(i).(k)
 
 type strategy = int array array
-
-let validate t s =
-  if Array.length s <> users t then invalid_arg "Bayesian.validate: one row per user required";
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> type_count t i then
-        invalid_arg "Bayesian.validate: one choice per type required";
-      Array.iter
-        (fun l -> if l < 0 || l >= links t then invalid_arg "Bayesian.validate: link out of range")
-        row)
-    s
 
 let expected_foreign_load t s ~user l =
   let acc = ref Rational.zero in

@@ -24,23 +24,9 @@ val make :
   types:(Numeric.Rational.t * Numeric.Rational.t) list array ->
   t
 
-val users : t -> int
-val links : t -> int
-
-(** [type_count t i] is the number of types of user [i]. *)
-val type_count : t -> int -> int
-
-(** [traffic t i k] and [type_prob t i k] describe type [k] of user [i]. *)
-val traffic : t -> int -> int -> Numeric.Rational.t
-
-val type_prob : t -> int -> int -> Numeric.Rational.t
-
 type strategy = int array array
 (** [strategy.(i).(k)] is the link chosen by user [i] when its type is
     [k]. *)
-
-(** [validate t s]. @raise Invalid_argument on malformed strategies. *)
-val validate : t -> strategy -> unit
 
 (** [expected_foreign_load t s ~user l] is
     [Σ_{k≠user} E[w_k · 1(s_k = l)]] — the expected traffic others put

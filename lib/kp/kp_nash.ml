@@ -35,26 +35,3 @@ let solve g =
       load.(!best) <- Rational.add load.(!best) (Game.weight g k))
     order;
   sigma
-
-let nashify g p =
-  require_kp "nashify" g;
-  Pure.validate g p;
-  let p = Array.copy p in
-  let budget = ref (Game.users g * Game.users g * Game.links g * 64) in
-  let rec go () =
-    match Pure.defectors g p with
-    | [] -> p
-    | defectors ->
-      decr budget;
-      if !budget < 0 then failwith "Kp_nash.nashify: step budget exceeded";
-      let heaviest =
-        List.fold_left
-          (fun best d ->
-            if Rational.compare (Game.weight g d) (Game.weight g best) > 0 then d else best)
-          (List.hd defectors) defectors
-      in
-      let target, _ = Pure.best_response g p heaviest in
-      p.(heaviest) <- target;
-      go ()
-  in
-  go ()

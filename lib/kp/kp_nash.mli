@@ -7,19 +7,8 @@ open Model
     Graham's LPT rule for related links: process users in order of
     decreasing weight and give each its best response against the users
     already placed.  For KP instances this yields a pure Nash
-    equilibrium in O(n(log n + m)).
-
-    [nashify] converts an arbitrary pure profile into a Nash equilibrium
-    by max-weight-first best-response moves (in the spirit of
-    Feldmann et al. [4]); for KP instances the dynamics terminate. *)
+    equilibrium in O(n(log n + m)). *)
 
 (** [solve g] is a pure Nash equilibrium.
     @raise Invalid_argument unless [Game.is_kp g]. *)
 val solve : Game.t -> Pure.profile
-
-(** [nashify g p] upgrades [p] to a Nash equilibrium by repeatedly
-    moving the heaviest defector to its best response.
-    @raise Invalid_argument unless [Game.is_kp g].
-    @raise Failure if the dynamics exceed a generous step budget
-    (cannot happen on KP instances). *)
-val nashify : Game.t -> Pure.profile -> Pure.profile

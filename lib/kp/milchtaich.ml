@@ -84,11 +84,6 @@ module Unweighted = struct
   let players t = Array.length t.cost
   let links t = Array.length t.cost.(0)
 
-  let cost t ~player ~link ~occupancy =
-    if occupancy < 1 || occupancy > players t then
-      invalid_arg "Milchtaich.Unweighted.cost: occupancy out of range";
-    t.cost.(player).(link).(occupancy - 1)
-
   let occupancy p l =
     Array.fold_left (fun acc lk -> if lk = l then acc + 1 else acc) 0 p
 
@@ -187,8 +182,6 @@ module Weighted = struct
 
   let players t = Array.length t.weights
   let links t = Array.length t.cost.(0)
-
-  let weight t i = t.weights.(i)
 
   let load t p l =
     let acc = ref 0 in

@@ -31,10 +31,6 @@ module Unweighted : sig
       congestions [1..players], or costs decreasing in [k]. *)
   val make : Numeric.Rational.t array array array -> t
 
-  val players : t -> int
-  val links : t -> int
-  val cost : t -> player:int -> link:int -> occupancy:int -> Numeric.Rational.t
-
   (** [latency t p i] is player [i]'s cost under profile [p]. *)
   val latency : t -> int array -> int -> Numeric.Rational.t
 
@@ -66,12 +62,7 @@ module Weighted : sig
       @raise Invalid_argument on malformed input. *)
   val make : weights:int array -> Numeric.Rational.t array array array -> t
 
-  val players : t -> int
-  val links : t -> int
-  val weight : t -> int -> int
-
   val latency : t -> int array -> int -> Numeric.Rational.t
-  val is_nash : t -> int array -> bool
   val pure_nash : t -> int array list
   val exists_pure_nash : t -> bool
 

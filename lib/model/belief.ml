@@ -117,6 +117,3 @@ let condition b ~event =
   }
 
 let equal a b = same_space a b && Qvec.equal a.probs b.probs
-
-let pp fmt b =
-  Format.fprintf fmt "belief%a over %a" Qvec.pp b.probs State.pp_space b.space

@@ -75,4 +75,3 @@ val is_uniform_link_view : t -> bool
 val expected_inverse_capacity : t -> int -> Numeric.Rational.t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -5,9 +5,6 @@
     effective capacity matrix and the dimensions, so they are computed
     exactly as rationals. *)
 
-(** [capacity_extremes g] is [(cmax, cmin)] over all users and links. *)
-val capacity_extremes : Game.t -> Numeric.Rational.t * Numeric.Rational.t
-
 (** [theorem_4_13 g] is [(cmax/cmin) · (m + n - 1)/m], the bound for the
     model of uniform user beliefs.
     @raise Invalid_argument when [g] does not have uniform beliefs

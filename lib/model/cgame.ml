@@ -40,10 +40,6 @@ let weight g c =
   check_class "weight" g c;
   g.weights.(c)
 
-let belief g c =
-  check_class "belief" g c;
-  g.beliefs.(c)
-
 let uncertainty g c =
   check_class "uncertainty" g c;
   g.uncertainty.(c)
@@ -177,8 +173,3 @@ let compress_profile g ~class_of p =
     p;
   validate g x;
   x
-
-let pp fmt g =
-  Format.fprintf fmt "cgame k=%d n=%d m=%d counts=%a" (classes g) g.users (links g)
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ",") Format.pp_print_int)
-    (Array.to_list g.counts)

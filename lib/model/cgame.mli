@@ -62,10 +62,6 @@ val count : t -> int -> int
 (** [weight g c] is the common weight of class [c]'s users. *)
 val weight : t -> int -> Numeric.Rational.t
 
-(** [belief g c] is the belief through which class [c] prices
-    capacities ({!Uncertainty.belief}). *)
-val belief : t -> int -> Belief.t
-
 (** [uncertainty g c] is class [c]'s uncertainty backend. *)
 val uncertainty : t -> int -> Uncertainty.t
 
@@ -133,5 +129,3 @@ val expand_profile : t -> profile -> int array
     {!compress}).  @raise Invalid_argument when lengths or link indices
     are out of range. *)
 val compress_profile : t -> class_of:int array -> int array -> profile
-
-val pp : Format.formatter -> t -> unit

@@ -53,25 +53,6 @@ let expected_max_congestion g p =
   Mixed.validate g p;
   expected_max_relative_load (Load_dist.of_mixed g p) ~caps:(Game.capacity_row g 0)
 
-let estimate g p ~samples rng =
-  require_kp "estimate" g;
-  Mixed.validate g p;
-  if samples <= 0 then invalid_arg "Congestion.estimate: samples must be positive";
-  let samplers = Array.map Prng.Alias.of_rationals p in
-  let n = Game.users g in
-  let sigma = Array.make n 0 in
-  (* The sample sum stays exact; one float conversion at the end, so
-     the estimator's only error is sampling error, not accumulated
-     rounding drift. *)
-  let acc = ref Rational.zero in
-  for _ = 1 to samples do
-    for i = 0 to n - 1 do
-      sigma.(i) <- Prng.Alias.sample samplers.(i) rng
-    done;
-    acc := Rational.add !acc (max_congestion g sigma)
-  done;
-  Rational.to_float (Rational.div !acc (Rational.of_int samples))
-
 let budget = 1_000_000
 
 let optimum g =

@@ -51,11 +51,6 @@ val max_congestion : Game.t -> Pure.profile -> Numeric.Rational.t
     load-state space exceeds {!Load_dist.of_mixed}'s default limit. *)
 val expected_max_congestion : Game.t -> Mixed.profile -> Numeric.Rational.t
 
-(** [estimate g p ~samples rng] is a Monte-Carlo estimate of
-    {!expected_max_congestion} usable beyond the exact limit.  The
-    sample sum is accumulated exactly and converted to float once. *)
-val estimate : Game.t -> Mixed.profile -> samples:int -> Prng.Rng.t -> float
-
 (** [optimum g] is the makespan optimum: the minimum over pure profiles
     of {!max_congestion}, with an argmin (the classical OPT of [13]):
     the first minimum in odometer order, found by {!Social.minimise}

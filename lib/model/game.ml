@@ -83,8 +83,3 @@ let has_uniform_beliefs g =
   Array.for_all (fun row -> Array.for_all (Rational.equal row.(0)) row) g.capacities
 
 let is_symmetric g = Array.for_all (Rational.equal g.weights.(0)) g.weights
-
-let pp fmt g =
-  Format.fprintf fmt "game n=%d m=%d w=%a" (users g) (links g)
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ",") Rational.pp)
-    (Array.to_list g.weights)

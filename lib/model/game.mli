@@ -113,5 +113,3 @@ val has_uniform_beliefs : t -> bool
 
 (** [is_symmetric g] holds when all user weights are equal. *)
 val is_symmetric : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -77,8 +77,6 @@ module Eval = struct
     check_dims g p;
     of_rows g (Array.map Array.copy p)
 
-  let game e = e.game
-  let profile e = Array.map Array.copy e.rows
   let expected_traffic e l = e.traffics.(l)
 
   let latency_on_link e i l =
@@ -144,8 +142,3 @@ let social_cost2 g p = Eval.social_cost2 (transient g p)
 
 let equal (a : profile) b =
   Array.length a = Array.length b && Array.for_all2 Qvec.equal a b
-
-let pp fmt p =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Qvec.pp)
-    (Array.to_list p)

@@ -52,11 +52,6 @@ module Eval : sig
       [0, 1] when no FMNE exists; all formulas remain well-defined. *)
   val unchecked : Game.t -> profile -> t
 
-  val game : t -> Game.t
-
-  (** [profile e] is a fresh copy of the evaluated rows. *)
-  val profile : t -> profile
-
   (** [expected_traffic e l] is [W^l]. O(1). *)
   val expected_traffic : t -> int -> Numeric.Rational.t
 
@@ -107,4 +102,3 @@ val social_cost1 : Game.t -> profile -> Numeric.Rational.t
 val social_cost2 : Game.t -> profile -> Numeric.Rational.t
 
 val equal : profile -> profile -> bool
-val pp : Format.formatter -> profile -> unit

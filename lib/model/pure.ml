@@ -84,8 +84,3 @@ let social_cost1 g ?initial p = View.social_cost1 (View.of_profile g ?initial p)
 let social_cost2 g ?initial p = View.social_cost2 (View.of_profile g ?initial p)
 
 let equal (a : profile) b = a = b
-
-let pp fmt p =
-  Format.fprintf fmt "⟨%a⟩"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ",") Format.pp_print_int)
-    (Array.to_list p)

@@ -79,4 +79,3 @@ val social_cost1 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Num
 val social_cost2 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Numeric.Rational.t
 
 val equal : profile -> profile -> bool
-val pp : Format.formatter -> profile -> unit

@@ -21,11 +21,6 @@ let capacity s l =
 let capacities = Array.copy
 let equal a b = Array.length a = Array.length b && Array.for_all2 Rational.equal a b
 
-let pp fmt s =
-  Format.fprintf fmt "⟨%a⟩"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") Rational.pp)
-    (Array.to_list s)
-
 let space = function
   | [] -> invalid_arg "State.space: empty state space"
   | first :: _ as states ->
@@ -42,10 +37,3 @@ let space_size = Array.length
 let state sp k =
   if k < 0 || k >= Array.length sp then invalid_arg "State.state: index out of range";
   sp.(k)
-
-let states = Array.to_list
-
-let pp_space fmt sp =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f "; ") pp)
-    (Array.to_list sp)

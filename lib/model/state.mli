@@ -28,7 +28,6 @@ val capacity : t -> int -> Numeric.Rational.t
 
 val capacities : t -> Numeric.Rational.t array
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** [space states] validates a state space: non-empty, all states over
     the same link count.
@@ -45,6 +44,3 @@ val space_size : space -> int
 (** [state space k] is the [k]-th state.
     @raise Invalid_argument when [k] is out of range. *)
 val state : space -> int -> t
-
-val states : space -> t list
-val pp_space : Format.formatter -> space -> unit

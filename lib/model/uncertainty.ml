@@ -56,7 +56,6 @@ let eval_capacity u l =
   e.(l)
 
 let eval_capacities u = Array.copy (eval u)
-let inverse_capacity u l = Rational.inv (eval_capacity u l)
 
 let worst_case_inverse_capacity u l =
   if l < 0 || l >= links u then
@@ -95,9 +94,3 @@ let equal a b =
   | S { lo = la; hi = ha; _ }, S { lo = lb; hi = hb; _ } ->
     State.equal la lb && State.equal ha hb
   | (B _ | P _ | S _), _ -> false
-
-let pp fmt = function
-  | B { belief; _ } -> Format.fprintf fmt "bayesian %a" Belief.pp belief
-  | P { belief; presence; _ } ->
-    Format.fprintf fmt "participation p=%a %a" Rational.pp presence Belief.pp belief
-  | S { lo; hi; _ } -> Format.fprintf fmt "strict [%a, %a]" State.pp lo State.pp hi

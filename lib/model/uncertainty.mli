@@ -26,10 +26,10 @@
     built from them alone:
 
     {ul
-    {- an exact {e expected} latency per unit load on each link
-       ({!inverse_capacity}), which induces the effective-capacity-style
-       link view ({!eval_capacity}) where the existing parallel-links
-       machinery lives;}
+    {- an exact {e expected} latency per unit load on each link, whose
+       inverse is the effective-capacity-style link view
+       ({!eval_capacity}) where the existing parallel-links machinery
+       lives;}
     {- an exact {e worst-case} latency per unit load
        ({!worst_case_inverse_capacity}) — over the belief's support for
        the probabilistic backends, over the interval for [Strict];}
@@ -73,14 +73,9 @@ val equal_kind : kind -> kind -> bool
 (** [links u] is the number of links the backend prices. *)
 val links : t -> int
 
-(** [inverse_capacity u l] is the backend's exact expected latency per
-    unit load on link [l] — the quantity every decision of the user
-    factors through.  For [Strict] "expected" and "worst-case"
-    coincide. *)
-val inverse_capacity : t -> int -> Numeric.Rational.t
-
-(** [eval_capacity u l] is [1/inverse_capacity u l]: the
-    effective-capacity-style link view of the backend. *)
+(** [eval_capacity u l] is the inverse of the backend's exact expected
+    latency per unit load on link [l]: the effective-capacity-style link
+    view of the backend. *)
 val eval_capacity : t -> int -> Numeric.Rational.t
 
 (** [eval_capacities u] is the vector of all [m] evaluation
@@ -119,5 +114,3 @@ val strict_bounds : t -> (State.t * State.t) option
     equal, even when observationally equivalent (e.g. a degenerate
     interval versus the matching point belief). *)
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

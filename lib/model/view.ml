@@ -57,7 +57,6 @@ let profile v = Array.copy v.prof
 let owner v = v.owner
 let unsafe_set_owner v id = v.owner <- id
 let load v l = Packing.load v.lane l
-let loads v = Array.init (links v) (load v)
 let depth v = v.depth
 
 (* Unrecorded reassignment: the O(1) delta shared by [move], [undo] and

@@ -42,7 +42,6 @@ val packed : t -> bool
 val of_profile : Game.t -> ?initial:Numeric.Rational.t array -> int array -> t
 
 val users : t -> int
-val links : t -> int
 
 (** [link v i] is the link user [i] currently plays. O(1). *)
 val link : t -> int -> int
@@ -65,9 +64,6 @@ val unsafe_set_owner : t -> int -> unit
 (** [load v l] is the current total traffic on link [l] (initial
     traffic plus the weights of the users assigned there). O(1). *)
 val load : t -> int -> Numeric.Rational.t
-
-(** [loads v] is a snapshot copy of the per-link loads. *)
-val loads : t -> Numeric.Rational.t array
 
 (** [move v i l] reassigns user [i] to link [l], updating the two
     affected loads in O(1) exact integer operations and recording the

@@ -15,7 +15,6 @@ type t =
 
 let zero = Small 0
 let one = Small 1
-let minus_one = Small (-1)
 
 (* |min_int| = max_int + 1, the first magnitude that must live in a Big. *)
 let min_int_mag = Bignat.succ (Bignat.of_int max_int)
@@ -61,11 +60,6 @@ let to_int_exn n =
   match to_int_opt n with
   | Some i -> i
   | None -> failwith "Bigint.to_int_exn: value exceeds native int range"
-
-let to_nat_exn = function
-  | Small i -> if i < 0 then invalid_arg "Bigint.to_nat_exn: negative value" else Bignat.of_int i
-  | Big (false, m) -> m
-  | Big (true, _) -> invalid_arg "Bigint.to_nat_exn: negative value"
 
 let abs_nat = function
   | Small i -> Bignat.of_int (abs i)
@@ -226,7 +220,6 @@ let divmod a b =
     (norm_big (na <> nb) q, norm_big na r)
 
 let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
 
 let gcd a b =
   guard "Bigint.gcd" a;
@@ -263,8 +256,6 @@ let of_string s =
   else if s.[0] = '+' then
     of_nat (Bignat.of_string (String.sub s 1 (String.length s - 1)))
   else of_nat (Bignat.of_string s)
-
-let pp fmt n = Format.pp_print_string fmt (to_string n)
 
 (* Intended float boundary: the one lossy exit from the exact tower. *)
 let to_float = function

@@ -13,18 +13,10 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 val to_int_opt : t -> int option
 val to_int_exn : t -> int
-
-(** [of_nat n] embeds a natural number. *)
-val of_nat : Bignat.t -> t
-
-(** [to_nat_exn n] is the magnitude of a non-negative [n].
-    @raise Invalid_argument when [n < 0]. *)
-val to_nat_exn : t -> Bignat.t
 
 (** [abs_nat n] is the magnitude |n| as a natural. *)
 val abs_nat : t -> Bignat.t
@@ -84,7 +76,6 @@ val mul : t -> t -> t
 val divmod : t -> t -> t * t
 
 val div : t -> t -> t
-val rem : t -> t -> t
 
 (** [gcd a b] is the non-negative greatest common divisor. *)
 val gcd : t -> t -> t
@@ -95,5 +86,4 @@ val pow : t -> int -> t
 
 val of_string : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val to_float : t -> float

@@ -10,10 +10,8 @@ type t = int array
 
 let zero : t = [||]
 let one : t = [| 1 |]
-let two : t = [| 2 |]
 
 let is_zero n = Array.length n = 0
-let is_one n = Array.length n = 1 && n.(0) = 1
 
 let assert_well_formed ~ctx (n : t) =
   let len = Array.length n in
@@ -345,7 +343,6 @@ let divmod (a : t) (b : t) : t * t =
   else if Array.length b = 1 then divmod_small a b.(0)
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 (* Binary GCD on non-negative native ints: no division, and the whole
@@ -440,8 +437,6 @@ let of_string s =
     pos := !pos + take
   done;
   !acc
-
-let pp fmt n = Format.pp_print_string fmt (to_string n)
 
 (* Intended float boundary: the one lossy exit from the exact tower. *)
 let to_float (n : t) =

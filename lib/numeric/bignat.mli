@@ -11,10 +11,6 @@
 
 type t
 
-val zero : t
-val one : t
-val two : t
-
 (** [of_int n] converts a non-negative [n].
     @raise Invalid_argument if [n < 0]. *)
 val of_int : int -> t
@@ -25,9 +21,6 @@ val to_int_opt : t -> int option
 (** [to_int_exn n] is [n] as a native int.
     @raise Failure when [n] does not fit. *)
 val to_int_exn : t -> int
-
-val is_zero : t -> bool
-val is_one : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -81,7 +74,6 @@ val mul_schoolbook : t -> t -> t
     @raise Division_by_zero when [b] is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 (** [gcd a b] is the greatest common divisor; [gcd zero zero = zero]. *)
@@ -116,7 +108,6 @@ val num_limbs : t -> int
 val of_string : string -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** [to_float n] is the nearest (up to rounding in the conversion chain)
     float; large values may overflow to [infinity]. *)

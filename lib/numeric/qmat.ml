@@ -27,15 +27,6 @@ let copy m = { data = Array.map Array.copy m.data }
 
 let transpose m = init (cols m) (rows m) (fun i j -> m.data.(j).(i))
 
-(* Composed from [Rational.hash] entrywise so [equal a b] implies
-   [hash a = hash b] without ever touching [Hashtbl.hash]. *)
-let hash m =
-  Array.fold_left
-    (fun h row ->
-      Array.fold_left (fun h q -> ((h * 31) + Rational.hash q) land max_int) (h lxor 0x2545F49) row)
-    (Array.length m.data)
-    m.data
-
 let equal a b =
   rows a = rows b && cols a = cols b
   && Array.for_all2 (Array.for_all2 Rational.equal) a.data b.data
@@ -145,13 +136,3 @@ let solve a b =
   let pivots = echelon aug in
   if List.length pivots <> n || List.exists (fun c -> c >= n) pivots then None
   else Some (Array.init n (fun i -> aug.data.(i).(n)))
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "[%a]@,"
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ") Rational.pp)
-        (Array.to_list row))
-    m.data;
-  Format.fprintf fmt "@]"

@@ -23,13 +23,8 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Rational.t
 val set : t -> int -> int -> Rational.t -> unit
-val copy : t -> t
 val transpose : t -> t
 val equal : t -> t -> bool
-
-(** [hash m] composes {!Rational.hash} entrywise, so [equal a b]
-    implies [hash a = hash b]; never falls back to [Hashtbl.hash]. *)
-val hash : t -> int
 
 (** [mul a b]. @raise Invalid_argument on dimension mismatch. *)
 val mul : t -> t -> t
@@ -50,5 +45,3 @@ val rank : t -> int
 (** [det a] is the determinant of square [a].
     @raise Invalid_argument when [a] is not square. *)
 val det : t -> Rational.t
-
-val pp : Format.formatter -> t -> unit

@@ -266,10 +266,6 @@ let max a b =
 let sum qs = List.fold_left add zero qs
 let sum_array qs = Array.fold_left add zero qs
 
-let mean = function
-  | [] -> invalid_arg "Rational.mean: empty list"
-  | qs -> div (sum qs) (of_int (List.length qs))
-
 let floor q =
   let quot, rem = Bigint.divmod q.num q.den in
   if Bigint.is_zero rem || Bigint.sign q.num >= 0 then of_bigint quot
@@ -327,34 +323,3 @@ let to_decimal_string q ~digits =
   end
 
 let pp fmt q = Format.pp_print_string fmt (to_string q)
-
-(* Infix aliases, defined last so the rest of the module keeps the
-   standard operators in scope. *)
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div
-let ( = ) = equal
-
-(* The comparison operators guard each operand once and then run the
-   unguarded comparison — same entry-point validation as [compare],
-   without stacking a second guard pass per chained use. *)
-let ( < ) a b =
-  guard "Rational.(<)" a;
-  guard "Rational.(<)" b;
-  compare_unguarded a b < 0
-
-let ( <= ) a b =
-  guard "Rational.(<=)" a;
-  guard "Rational.(<=)" b;
-  compare_unguarded a b <= 0
-
-let ( > ) a b =
-  guard "Rational.(>)" a;
-  guard "Rational.(>)" b;
-  compare_unguarded a b > 0
-
-let ( >= ) a b =
-  guard "Rational.(>=)" a;
-  guard "Rational.(>=)" b;
-  compare_unguarded a b >= 0

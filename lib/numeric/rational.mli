@@ -64,12 +64,6 @@ val compare_div : t -> t -> t -> t -> int
     regardless of how either value was computed. *)
 val hash : t -> int
 
-(** [assert_well_formed ~ctx q] checks the invariants (well-formed
-    numerator and denominator, [den > 0], lowest terms) and raises
-    {!Sanitize.Violation} naming [ctx] on the first breach.  Called
-    automatically at operation boundaries when {!Sanitize.enabled}. *)
-val assert_well_formed : ctx:string -> t -> unit
-
 (** [unsafe_of_parts num den] builds [num/den] with no normalization
     or checking.  Exists only so sanitizer tests can forge malformed
     values; never use it to build real numbers. *)
@@ -93,21 +87,8 @@ val sub_mul : t -> t -> t -> t
 val min : t -> t -> t
 val max : t -> t -> t
 
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-val ( = ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-
 val sum : t list -> t
 val sum_array : t array -> t
-
-(** [mean qs] of a non-empty list. @raise Invalid_argument on []. *)
-val mean : t list -> t
 
 (** [floor q] is the greatest integer [<= q], as a rational. *)
 val floor : t -> t

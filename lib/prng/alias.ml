@@ -28,8 +28,6 @@ let of_weights ws =
 
 let of_rationals qs = of_weights (Array.map Numeric.Rational.to_float qs)
 
-let size t = Array.length t.prob
-
 let sample t rng =
   let i = Rng.int rng (Array.length t.prob) in
   if Rng.float rng < t.prob.(i) then i else t.alias.(i)

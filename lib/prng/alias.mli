@@ -15,8 +15,5 @@ val of_weights : float array -> t
 (** [of_rationals qs] builds a sampler proportional to exact weights. *)
 val of_rationals : Numeric.Rational.t array -> t
 
-(** [size t] is the number of categories. *)
-val size : t -> int
-
 (** [sample t rng] draws a category index. *)
 val sample : t -> Rng.t -> int

@@ -32,14 +32,6 @@
 
 type kind = Game | Cgame | Log
 
-val kind_name : kind -> string
-
-(** The 4-byte magic prefix, ["SRWF"]. *)
-val magic : string
-
-(** The format version this library reads and writes. *)
-val version : int
-
 (** [is_wire s] holds when [s] starts with the wire {!magic} — the
     cheap test CLI tools use to tell binary payloads from text files. *)
 val is_wire : string -> bool

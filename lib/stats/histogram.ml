@@ -23,7 +23,6 @@ let add t x =
     t.bins.(i) <- t.bins.(i) + 1
   end
 
-let add_many t xs = List.iter (add t) xs
 let count t = t.total
 let underflow t = t.underflow
 let overflow t = t.overflow

@@ -8,7 +8,6 @@ type t
 val create : lo:float -> hi:float -> bins:int -> t
 
 val add : t -> float -> unit
-val add_many : t -> float list -> unit
 val count : t -> int
 val underflow : t -> int
 val overflow : t -> int

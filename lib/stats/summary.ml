@@ -37,9 +37,3 @@ let of_array xs =
     p75 = quantile xs 0.75;
     max = Welford.max w;
   }
-
-let of_list xs = of_array (Array.of_list xs)
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g max=%.4g" t.count t.mean t.stddev
-    t.min t.median t.max

@@ -11,9 +11,6 @@ type t = {
   max : float;
 }
 
-(** [of_list xs]. @raise Invalid_argument on the empty list. *)
-val of_list : float list -> t
-
 (** [of_array xs]. @raise Invalid_argument on the empty array; does not
     mutate [xs]. *)
 val of_array : float array -> t
@@ -22,5 +19,3 @@ val of_array : float array -> t
     order statistics), [0. <= p <= 1.].
     @raise Invalid_argument on empty input or [p] outside [0, 1]. *)
 val quantile : float array -> float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,6 @@ let add t x =
   let m2 = t.m2 +. (delta *. (x -. mean)) in
   { n; mean; m2; min = Float.min t.min x; max = Float.max t.max x }
 
-let add_many t xs = List.fold_left add t xs
-
 let count t = t.n
 
 let require_nonempty name t = if t.n = 0 then invalid_arg ("Welford." ^ name ^ ": no samples")

@@ -7,7 +7,6 @@ type t
 
 val empty : t
 val add : t -> float -> t
-val add_many : t -> float list -> t
 val count : t -> int
 
 (** [mean t]. @raise Invalid_argument when no samples were added. *)

@@ -33,19 +33,10 @@ let test_validation () =
       ignore
         (Kp.Bayesian.make ~capacities:[| qi 1; qi 1 |] ~types:[| [ (qi 0, Rational.one) ] |]))
 
-let test_accessors () =
-  let t = fixture () in
-  Alcotest.(check int) "users" 2 (Kp.Bayesian.users t);
-  Alcotest.(check int) "links" 2 (Kp.Bayesian.links t);
-  Alcotest.(check int) "types of user 1" 2 (Kp.Bayesian.type_count t 1);
-  Alcotest.check check_q "traffic" (qi 4) (Kp.Bayesian.traffic t 1 1);
-  Alcotest.check check_q "prob" (q 1 2) (Kp.Bayesian.type_prob t 1 1)
-
 let test_expected_load () =
   let t = fixture () in
   (* Strategy: user 0 always link 0; user 1 type0→0, type1→1. *)
   let s = [| [| 0 |]; [| 0; 1 |] |] in
-  Kp.Bayesian.validate t s;
   (* From user 0's view: foreign load on link 0 = (1/2)·1 = 1/2; on
      link 1 = (1/2)·4 = 2. *)
   Alcotest.check check_q "foreign on 0" (q 1 2) (Kp.Bayesian.expected_foreign_load t s ~user:0 0);
@@ -99,7 +90,6 @@ let bayesian_properties =
 let suite =
   [
     ("validation", `Quick, test_validation);
-    ("accessors", `Quick, test_accessors);
     ("expected load and latency", `Quick, test_expected_load);
     ("solve converges", `Quick, test_solve_converges);
     ("exhaustive guard", `Quick, test_exhaustive_guard);

@@ -86,14 +86,6 @@ let test_expected_max_beyond_seed_limit () =
   Alcotest.check check_q "binomial closed form" closed_form
     (Congestion.expected_max_congestion g (Mixed.uniform g))
 
-let test_estimate_close () =
-  let g = kp_fixture () in
-  let p = [| [| q 1 2; q 1 2 |]; [| q 1 3; q 2 3 |] |] in
-  let exact = Rational.to_float (Congestion.expected_max_congestion g p) in
-  let rng = Prng.Rng.create 5 in
-  let estimate = Congestion.estimate g p ~samples:200_000 rng in
-  Alcotest.(check bool) "within 1%" true (Float.abs (estimate -. exact) /. exact < 0.01)
-
 let congestion_properties =
   [
     prop "expected max congestion >= max congestion of the optimum" seed_gen (fun seed ->
@@ -148,7 +140,6 @@ let suite =
     ("expectation of a pure profile", `Quick, test_expected_max_of_pure);
     ("makespan optimum", `Quick, test_optimum);
     ("expectation beyond the seed limit", `Quick, test_expected_max_beyond_seed_limit);
-    ("Monte-Carlo estimate", `Slow, test_estimate_close);
   ]
 
 let () = Alcotest.run "congestion" [ ("unit", suite); ("properties", congestion_properties) ]

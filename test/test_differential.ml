@@ -63,7 +63,8 @@ let modulus = ipair_of_string "1000000000000000000000000000057"
 
 let clamp_i p =
   if Bigint.num_bits p.fast > 600 then
-    check_i "rem(clamp)" { fast = Bigint.rem p.fast modulus.fast; slow = R.Int.rem p.slow modulus.slow }
+    check_i "rem(clamp)"
+      { fast = snd (Bigint.divmod p.fast modulus.fast); slow = R.Int.rem p.slow modulus.slow }
   else p
 
 let bigint_sequence rng stack =

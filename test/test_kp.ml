@@ -41,22 +41,11 @@ let test_kp_solve_rejects_non_kp () =
     (Invalid_argument "Kp_nash.solve: game is not a KP instance") (fun () ->
       ignore (Kp.Kp_nash.solve g))
 
-let test_nashify_fixes_profile () =
-  let g = Game.kp ~weights:[| qi 4; qi 2; qi 2 |] ~capacities:[| qi 3; qi 1 |] in
-  let bad = [| 1; 1; 1 |] in
-  Alcotest.(check bool) "start is not a NE" false (Pure.is_nash g bad);
-  let fixed = Kp.Kp_nash.nashify g bad in
-  Alcotest.(check bool) "nashified" true (Pure.is_nash g fixed)
-
 let kp_properties =
   [
     prop "KP solver returns a pure NE" seed_gen (fun seed ->
         let _, g = random_kp seed ~n_hi:8 ~m_hi:5 in
         Pure.is_nash g (Kp.Kp_nash.solve g));
-    prop "nashify reaches a NE from any start" seed_gen (fun seed ->
-        let rng, g = random_kp seed ~n_hi:6 ~m_hi:4 in
-        let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
-        Pure.is_nash g (Kp.Kp_nash.nashify g start));
     prop "point beliefs subsume the KP-model (Section 2, E13)" seed_gen (fun seed ->
         (* A game whose users all hold the same point belief must agree,
            on every quantity we compute, with the directly constructed
@@ -181,9 +170,7 @@ let test_weighted_no_pure_nash_search () =
   | None -> Alcotest.fail "expected to find a no-pure-NE weighted instance"
   | Some (t, _) ->
     Alcotest.(check bool) "really has no pure NE" false
-      (Kp.Milchtaich.Weighted.exists_pure_nash t);
-    Alcotest.(check int) "three players" 3 (Kp.Milchtaich.Weighted.players t);
-    Alcotest.(check int) "three links" 3 (Kp.Milchtaich.Weighted.links t)
+      (Kp.Milchtaich.Weighted.exists_pure_nash t)
 
 let test_weighted_load_semantics () =
   let t =
@@ -229,7 +216,6 @@ let suite =
   [
     ("KP solver hand case", `Quick, test_kp_solve_hand_case);
     ("KP solver rejects non-KP", `Quick, test_kp_solve_rejects_non_kp);
-    ("nashify fixes a profile", `Quick, test_nashify_fixes_profile);
     ("unweighted validation", `Quick, test_unweighted_validation);
     ("unweighted nash", `Quick, test_unweighted_nash);
     ("unweighted latency", `Quick, test_unweighted_latency);

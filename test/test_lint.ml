@@ -1,5 +1,6 @@
-(* Tests for the exactness lint (tools/lint/lint_core) and the
-   domain-safety lint (tools/lint/domain_core).
+(* Tests for the exactness lint (tools/lint/lint_core), the
+   domain-safety lint (tools/lint/domain_core) and the dead-export
+   rule U1 (tools/lint/unused_core).
 
    The fixtures under [lint_fixtures/] are tiny known-good/known-bad
    snippets that are parsed by the linter but never compiled (the
@@ -7,7 +8,10 @@
    scoping policy, so each test passes the rules it wants explicitly:
    R-fixture tests use [Lint_core.lint_file] with every rule (the R
    pass ignores D rules), D-fixture tests use [Domain_core.lint_file]
-   with just the D rule under test, so R and D findings never mix. *)
+   with just the D rule under test, so R and D findings never mix.
+   U1 reads compiled units instead: [lint_fixtures/u1] is a small dune
+   tree (a library and its bin/, test/ and bench/ callers) whose .cmt
+   files the test scans as if it were the project root. *)
 
 open Lint_core
 
@@ -279,6 +283,8 @@ let test_rule_of_string () =
   Alcotest.check rule_t "d3" (Some Top_mutable) (rule_of_string "d3");
   Alcotest.check rule_t "clock" (Some Wall_clock) (rule_of_string "clock");
   Alcotest.check rule_t "d4" (Some Wall_clock) (rule_of_string "d4");
+  Alcotest.check rule_t "u1" (Some Unused_export) (rule_of_string "u1");
+  Alcotest.check rule_t "unused" (Some Unused_export) (rule_of_string "unused");
   Alcotest.check rule_t "bogus" None (rule_of_string "bogus")
 
 let test_allowlist_exact_path () =
@@ -302,6 +308,95 @@ let test_allowlist_wildcard_subtree () =
   let fs = apply_allowlist entries all in
   Alcotest.(check int) "subtree wildcard suppresses everything" 0
     (List.length (unsuppressed fs))
+
+(* ---------------------------------------------------------------- *)
+(* Dead exports (U1, tools/lint/unused_core)                         *)
+
+let u1_exports = lazy (Unused_core.scan (fixture "u1"))
+
+let u1_export name =
+  let full = "U1fix.Exported." ^ name in
+  match List.find_opt (fun (e : Unused_core.export) -> e.name = full) (Lazy.force u1_exports) with
+  | Some e -> e
+  | None -> Alcotest.failf "U1 scan found no export %s" full
+
+let test_u1_classes () =
+  let use name = Unused_core.use_name (u1_export name).use in
+  Alcotest.(check int) "every fixture export is found" 11 (List.length (Lazy.force u1_exports));
+  Alcotest.(check string) "unreferenced" "unused" (use "dead");
+  Alcotest.(check bool) "unreferenced is not internal" false (u1_export "dead").internal;
+  Alcotest.(check string) "own-unit use only" "unused" (use "internal");
+  Alcotest.(check bool) "own-unit use is internal" true (u1_export "internal").internal;
+  Alcotest.(check string) "test caller" "test-only" (use "test_only");
+  Alcotest.(check string) "bench and test callers" "bench-only" (use "bench_only");
+  Alcotest.(check string) "full path (wrapped alias folded)" "used" (use "direct");
+  Alcotest.(check string) "through open" "used" (use "via_open");
+  Alcotest.(check string) "through let module" "used" (use "via_let_module");
+  Alcotest.(check string) "through a module alias" "used" (use "via_alias");
+  Alcotest.(check string) "submodule value used" "used" (use "Sub.inner_used");
+  Alcotest.(check string) "submodule value unused" "unused" (use "Sub.inner_dead");
+  Alcotest.(check string) "allowlisted value is still unused" "unused" (use "allowed");
+  let e = u1_export "dead" in
+  Alcotest.(check (pair string int)) "reported at the interface"
+    ("test/lint_fixtures/u1/lib/exported.mli", 3) (e.file, e.line)
+
+let u1_check allowlist =
+  Unused_core.check ~allowlist_file:"allowlist" (parse_allowlist allowlist)
+    (Lazy.force u1_exports)
+
+let test_u1_allowlist () =
+  let fs = u1_check "U1 U1fix.Exported.allowed hook # fixture value\n" in
+  let at line = List.filter (fun f -> f.file = "test/lint_fixtures/u1/lib/exported.mli" && f.line = line) fs in
+  (match at 11 with
+   | [ f ] -> Alcotest.(check bool) "allowlisted export is suppressed" true f.suppressed
+   | _ -> Alcotest.fail "expected one finding for U1fix.Exported.allowed");
+  (* A fresh unreferenced export is a live finding: the lint fails. *)
+  (match at 3 with
+   | [ f ] ->
+     Alcotest.(check bool) "unreferenced export is live" false f.suppressed;
+     Alcotest.(check string) "U1 rule" "U1" (rule_id f.rule)
+   | _ -> Alcotest.fail "expected one finding for U1fix.Exported.dead");
+  Alcotest.(check int) "live findings: dead, internal, test_only, bench_only, Sub.inner_dead" 5
+    (List.length (unsuppressed fs))
+
+let test_u1_stale_entries () =
+  (* Each line names a value that no longer needs it; each is itself
+     reported, at its allowlist line, and cannot be suppressed. *)
+  let fs =
+    u1_check
+      "U1 U1fix.Exported.direct oracle # now used\n\
+       U1 U1fix.Exported.vanished model-api # no such value\n\
+       U1 U1fix.Exported.test_only bench-probe # not a bench caller\n\
+       U1 U1fix.Exported.bench_only bench-probe # still probed\n"
+  in
+  let stale = List.filter (fun f -> f.file = "allowlist") fs in
+  check_shapes "three stale entries" [ (1, "U1", false); (2, "U1", false); (3, "U1", false) ] stale;
+  Alcotest.(check string) "used-value message"
+    "stale allowlist entry: U1 U1fix.Exported.direct names a value that is now used; remove the line"
+    (find_message 1 stale);
+  Alcotest.(check string) "missing-value message"
+    "stale allowlist entry: U1 U1fix.Exported.vanished names no exported lib/ value; remove the line"
+    (find_message 2 stale);
+  Alcotest.(check string) "class-mismatch message"
+    "stale allowlist entry: U1 U1fix.Exported.test_only is a bench-probe but the value is now \
+     test-only; remove the line"
+    (find_message 3 stale)
+
+let test_u1_allowlist_syntax () =
+  let rejects what text =
+    match parse_allowlist text with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Failure _ -> ()
+  in
+  rejects "no reason" "U1 U1fix.Exported.dead # why\n";
+  rejects "unknown reason" "U1 U1fix.Exported.dead convenience # why\n";
+  rejects "no comment" "U1 U1fix.Exported.dead oracle\n";
+  rejects "path form" "U1 lib/\n";
+  match parse_allowlist "\n# header\nU1 U1fix.Exported.dead oracle # why\n" with
+  | [ e ] ->
+    Alcotest.(check (option string)) "reason kept" (Some "oracle") e.al_reason;
+    Alcotest.(check int) "line kept" 3 e.al_line
+  | _ -> Alcotest.fail "expected one entry"
 
 let test_allowlist_rule_mismatch () =
   let entries = parse_allowlist "R1 lint_fixtures/bad_float.ml\n" in
@@ -340,5 +435,12 @@ let () =
           Alcotest.test_case "exact path" `Quick test_allowlist_exact_path;
           Alcotest.test_case "wildcard subtree" `Quick test_allowlist_wildcard_subtree;
           Alcotest.test_case "rule mismatch" `Quick test_allowlist_rule_mismatch;
+        ] );
+      ( "dead-exports",
+        [
+          Alcotest.test_case "classes" `Quick test_u1_classes;
+          Alcotest.test_case "allowlisted and live" `Quick test_u1_allowlist;
+          Alcotest.test_case "stale allowlist entries" `Quick test_u1_stale_entries;
+          Alcotest.test_case "allowlist syntax" `Quick test_u1_allowlist_syntax;
         ] );
     ]

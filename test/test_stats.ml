@@ -10,7 +10,7 @@ let close = Alcotest.(check (float 1e-9))
 (* Welford                                                             *)
 
 let test_welford_basic () =
-  let w = Stats.Welford.add_many Stats.Welford.empty [ 1.0; 2.0; 3.0; 4.0 ] in
+  let w = List.fold_left Stats.Welford.add Stats.Welford.empty [ 1.0; 2.0; 3.0; 4.0 ] in
   Alcotest.(check int) "count" 4 (Stats.Welford.count w);
   close "mean" 2.5 (Stats.Welford.mean w);
   close "variance" (5.0 /. 3.0) (Stats.Welford.variance w);
@@ -32,7 +32,7 @@ let welford_properties =
       QCheck2.Gen.(list_size (int_range 2 50) (float_bound_inclusive 1000.0))
       (fun xs ->
         let n = List.length xs in
-        let w = Stats.Welford.add_many Stats.Welford.empty xs in
+        let w = List.fold_left Stats.Welford.add Stats.Welford.empty xs in
         let mean = List.fold_left ( +. ) 0.0 xs /. float_of_int n in
         let var =
           List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs /. float_of_int (n - 1)
@@ -45,7 +45,7 @@ let welford_properties =
 (* Summary                                                             *)
 
 let test_summary_known () =
-  let s = Stats.Summary.of_list [ 4.0; 1.0; 3.0; 2.0 ] in
+  let s = Stats.Summary.of_array [| 4.0; 1.0; 3.0; 2.0 |] in
   Alcotest.(check int) "count" 4 s.count;
   close "mean" 2.5 s.mean;
   close "min" 1.0 s.min;
@@ -76,7 +76,7 @@ let test_quantile_does_not_mutate () =
 
 let test_histogram_binning () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  Stats.Histogram.add_many h [ 0.0; 1.9; 2.0; 5.5; 9.99 ];
+  List.iter (Stats.Histogram.add h) [ 0.0; 1.9; 2.0; 5.5; 9.99 ];
   Alcotest.(check (array int)) "bins" [| 2; 1; 1; 0; 1 |] (Stats.Histogram.counts h);
   Alcotest.(check int) "count" 5 (Stats.Histogram.count h);
   Stats.Histogram.add h (-1.0);
@@ -92,7 +92,7 @@ let test_histogram_validation () =
 
 let test_histogram_render () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:2.0 ~bins:2 in
-  Stats.Histogram.add_many h [ 0.5; 0.6; 1.5 ];
+  List.iter (Stats.Histogram.add h) [ 0.5; 0.6; 1.5 ];
   let s = Stats.Histogram.render h in
   Alcotest.(check bool) "has bars" true (String.length s > 0 && String.contains s '#')
 

@@ -40,9 +40,6 @@
 open Parsetree
 open Lint_core
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 let normalize_path p =
   if has_prefix ~prefix:"./" p then String.sub p 2 (String.length p - 2) else p
 

@@ -1,4 +1,5 @@
-(* CLI driver for the exactness + domain-safety lint (R1-R4, D1-D4).
+(* CLI driver for the exactness, domain-safety and dead-export lint
+   (R1-R4, D1-D4, U1).
 
      lint [--allowlist FILE] [--json FILE] [--show-suppressed] PATH...
 
@@ -6,7 +7,14 @@
    directories), applies the repo scoping policy from
    [Lint_core.default_rules], prints human-readable findings and an
    optional machine-readable JSON summary, and exits 1 when any
-   unsuppressed finding remains (2 on parse/usage errors). *)
+   unsuppressed finding remains (2 on parse/usage errors).
+
+   U1 is whole-program: when a path is lib/ or lies inside it, every
+   lib/ export is checked against the compiled tree of the project in
+   the current directory — _build/default from a source checkout, the
+   current directory itself inside a dune build context (the @lint
+   rule).  It needs a prior build; finding no compiled lib/ unit is a
+   usage error. *)
 
 let usage () =
   prerr_endline "usage: lint [--allowlist FILE] [--json FILE] [--show-suppressed] PATH...";
@@ -52,7 +60,7 @@ let write_json path ~files_scanned findings =
                  (count (fun f -> f.Lint_core.rule = r && f.Lint_core.suppressed = suppressed)))
              Lint_core.all_rules)
       in
-      Printf.fprintf oc "{\n  \"schema\": \"exactness-lint/2\",\n";
+      Printf.fprintf oc "{\n  \"schema\": \"exactness-lint/3\",\n";
       Printf.fprintf oc "  \"files_scanned\": %d,\n" files_scanned;
       Printf.fprintf oc "  \"unsuppressed\": %d,\n" (count (fun f -> not f.Lint_core.suppressed));
       Printf.fprintf oc "  \"suppressed\": %d,\n" (count (fun f -> f.Lint_core.suppressed));
@@ -75,12 +83,14 @@ let write_json path ~files_scanned findings =
 
 let () =
   let allowlist = ref [] in
+  let allowlist_file = ref "allowlist" in
   let json_out = ref None in
   let show_suppressed = ref false in
   let paths = ref [] in
   let rec parse_args = function
     | [] -> ()
     | "--allowlist" :: file :: rest ->
+      allowlist_file := file;
       (allowlist := try Lint_core.load_allowlist file with Failure m -> prerr_endline m; exit 2);
       parse_args rest
     | "--json" :: file :: rest ->
@@ -115,6 +125,18 @@ let () =
             Printf.eprintf "%s\n" m;
             [])
       files
+  in
+  let covers_lib p = p = "." || p = "lib" || Lint_core.has_prefix ~prefix:"lib/" p in
+  let findings =
+    if not (List.exists covers_lib !paths) then findings
+    else begin
+      let root = if Sys.file_exists "_build/default" then "_build/default" else "." in
+      match Unused_core.scan root with
+      | [] ->
+        Printf.eprintf "lint: U1 found no compiled lib/ unit under %s; build first\n" root;
+        exit 2
+      | exports -> findings @ Unused_core.check ~allowlist_file:!allowlist_file !allowlist exports
+    end
   in
   List.iter
     (fun f ->

@@ -33,6 +33,13 @@
      D3 (global)  top-level mutable state in lib/ modules.
      D4 (clock)   wall-clock timing outside bench/.
 
+   The dead-export rule U1 shares the finding type and the allowlist
+   file; its typed, whole-program analysis lives in [Unused_core]:
+
+     U1 (unused)  an exported value of a lib/ unit that nothing outside
+                  its own compilation unit references, or that only
+                  test/ or bench/ code does.
+
    Suppression: a [(* lint: allow *)] comment (optionally naming rules,
    e.g. [(* lint: allow R2 nondet *)]) on the flagged line or the line
    directly above silences matching findings at that site; an allowlist
@@ -47,9 +54,13 @@ type rule =
   | Domain_prim
   | Top_mutable
   | Wall_clock
+  | Unused_export
 
 let all_rules =
-  [ Poly; Float_op; Nondet; Unprotected_io; Capture; Domain_prim; Top_mutable; Wall_clock ]
+  [
+    Poly; Float_op; Nondet; Unprotected_io; Capture; Domain_prim; Top_mutable; Wall_clock;
+    Unused_export;
+  ]
 
 let rule_id = function
   | Poly -> "R1"
@@ -60,6 +71,7 @@ let rule_id = function
   | Domain_prim -> "D2"
   | Top_mutable -> "D3"
   | Wall_clock -> "D4"
+  | Unused_export -> "U1"
 
 let rule_mnemonic = function
   | Poly -> "poly"
@@ -70,6 +82,7 @@ let rule_mnemonic = function
   | Domain_prim -> "domain"
   | Top_mutable -> "global"
   | Wall_clock -> "clock"
+  | Unused_export -> "unused"
 
 let rule_of_string s =
   match String.lowercase_ascii s with
@@ -81,6 +94,7 @@ let rule_of_string s =
   | "d2" | "domain" -> Some Domain_prim
   | "d3" | "global" -> Some Top_mutable
   | "d4" | "clock" -> Some Wall_clock
+  | "u1" | "unused" -> Some Unused_export
   | _ -> None
 
 type finding = {
@@ -413,15 +427,29 @@ let lint_file ~rules path = lint_source ~rules ~path (read_file path)
 (* ------------------------------------------------------------------ *)
 (* Allowlist                                                           *)
 
-type allowlist_entry = { al_rule : rule option; al_path : string }
+type allowlist_entry = {
+  al_rule : rule option;
+  al_path : string;
+  al_reason : string option;
+  al_line : int;
+}
 
+let u1_reasons = [ "model-api"; "oracle"; "hook"; "bench-probe" ]
+
+(* [<rule> <path>] silences a file or subtree; a U1 line names one
+   exported value instead, with a reason class and a comment:
+   [U1 <Lib.Module.value> <reason> # why]. *)
 let parse_allowlist content =
   String.split_on_char '\n' content
-  |> List.concat_map (fun line ->
-         let line =
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.concat_map (fun (al_line, line) ->
+         let line, comment =
            match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
+           | Some i -> (String.sub line 0 i, String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+           | None -> (line, "")
+         in
+         let malformed want =
+           failwith (Printf.sprintf "allowlist: malformed line %d %S (want: %s)" al_line line want)
          in
          match
            String.split_on_char ' ' line
@@ -429,6 +457,13 @@ let parse_allowlist content =
            |> List.filter (fun t -> t <> "")
          with
          | [] -> []
+         | rule_tok :: rest when rule_of_string rule_tok = Some Unused_export -> (
+           match rest with
+           | [ name; reason ] when List.mem reason u1_reasons && comment <> "" ->
+             [ { al_rule = Some Unused_export; al_path = name; al_reason = Some reason; al_line } ]
+           | _ ->
+             malformed
+               (Printf.sprintf "U1 <Lib.Module.value> <%s> # comment" (String.concat "|" u1_reasons)))
          | [ rule_tok; path ] ->
            let al_rule =
              if rule_tok = "*" then None
@@ -437,13 +472,15 @@ let parse_allowlist content =
                | Some r -> Some r
                | None -> failwith (Printf.sprintf "allowlist: unknown rule %S" rule_tok)
            in
-           [ { al_rule; al_path = normalize_path path } ]
-         | _ -> failwith (Printf.sprintf "allowlist: malformed line %S (want: <rule> <path>)" line))
+           [ { al_rule; al_path = normalize_path path; al_reason = None; al_line } ]
+         | _ -> malformed "<rule> <path>")
 
 let load_allowlist path = parse_allowlist (read_file path)
 
+(* U1 findings are silenced only by U1 value lines ([Unused_core.check]). *)
 let entry_matches entry f =
-  (match entry.al_rule with None -> true | Some r -> r = f.rule)
+  f.rule <> Unused_export
+  && (match entry.al_rule with None -> true | Some r -> r = f.rule)
   &&
   let p = entry.al_path in
   if String.length p > 0 && p.[String.length p - 1] = '/' then has_prefix ~prefix:p f.file

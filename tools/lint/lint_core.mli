@@ -18,6 +18,12 @@
       analysis in {!Domain_core}.
     - [Wall_clock] (D4): wall-clock timing outside [bench/] — analysis
       in {!Domain_core}.
+    - [Unused_export] (U1): an exported value of a [lib/] unit with no
+      reference from outside its own compilation unit, or with
+      references only from [test/] or [bench/] — a typed,
+      whole-program pass over the compiled tree in {!Unused_core}.
+      Only [U1] allowlist lines, each naming one value with a reason
+      class, silence it.
 
     This module's own pass implements R1–R4 only; use
     {!Domain_core.lint_file} for the combined R+D pass. *)
@@ -31,15 +37,16 @@ type rule =
   | Domain_prim
   | Top_mutable
   | Wall_clock
+  | Unused_export
 
 val all_rules : rule list
 
-(** [rule_id r] is the stable identifier ("R1".."R4", "D1".."D4"). *)
+(** [rule_id r] is the stable identifier ("R1".."R4", "D1".."D4", "U1"). *)
 val rule_id : rule -> string
 
 (** [rule_mnemonic r] is the short name accepted in allow comments
     ("poly", "float", "nondet", "io", "capture", "domain", "global",
-    "clock"). *)
+    "clock", "unused"). *)
 val rule_mnemonic : rule -> string
 
 (** [rule_of_string s] accepts ids and mnemonics, case-insensitive. *)
@@ -53,6 +60,9 @@ type finding = {
   message : string;
   suppressed : bool;  (** silenced by an allow comment or allowlist *)
 }
+
+(** [has_prefix ~prefix s] is whether [s] starts with [prefix]. *)
+val has_prefix : prefix:string -> string -> bool
 
 (** [default_rules path] is the repo scoping policy: which rules apply
     to [path] (relative to the repo root). *)
@@ -89,15 +99,23 @@ val lint_file : rules:rule list -> string -> finding list
 (** [read_file path] reads a whole file (binary-safe). *)
 val read_file : string -> string
 
-type allowlist_entry = { al_rule : rule option; al_path : string }
+type allowlist_entry = {
+  al_rule : rule option;  (** [None] for [*] *)
+  al_path : string;  (** a path, or for [U1] the value's dotted name *)
+  al_reason : string option;  (** the [U1] reason class *)
+  al_line : int;  (** 1-based line in the allowlist file *)
+}
 
-(** [load_allowlist path] parses lines of [<rule> <path>] ([#]
-    comments allowed); rule [*] matches every rule, a path ending in
-    [/] matches the whole subtree. @raise Failure on malformed input. *)
+(** The reason classes a [U1] line may give: [model-api] (the paper's
+    model API), [oracle] (a test oracle), [hook] (a test hook) and
+    [bench-probe] (probed by the benchmark). *)
+val u1_reasons : string list
+
 val load_allowlist : string -> allowlist_entry list
 
 val parse_allowlist : string -> allowlist_entry list
 
 (** [apply_allowlist entries findings] marks matching findings
-    suppressed (never unsuppresses). *)
+    suppressed (never unsuppresses).  [U1] findings are left to
+    {!Unused_core.check}. *)
 val apply_allowlist : allowlist_entry list -> finding list -> finding list
