@@ -65,51 +65,3 @@ let converge g ?initial ?(policy = First_defector) ~max_steps p =
         go (steps + 1)
   in
   go 0
-
-(* Cycle detection keys whole pure profiles.  The table is functorized
-   with an explicit int-array equality and hash so no lookup falls back
-   to the polymorphic [Hashtbl] structural hash (banned by the R1
-   exactness lint in lib/algo); the semantics are identical because a
-   profile is a plain int array. *)
-module Profile_table = Hashtbl.Make (struct
-  type t = Pure.profile
-
-  let equal (a : Pure.profile) (b : Pure.profile) =
-    Array.length a = Array.length b
-    &&
-    let rec eq i = i < 0 || (Int.equal a.(i) b.(i) && eq (i - 1)) in
-    eq (Array.length a - 1)
-
-  let hash (p : Pure.profile) =
-    Array.fold_left (fun h l -> (((h * 31) + l) + 1) land max_int) (Array.length p) p
-end)
-
-let random_better_response_walk g ~rng ~max_steps p =
-  let seen = Profile_table.create 64 in
-  let v = View.of_profile g p in
-  let rec go steps =
-    let p = View.profile v in
-    match Profile_table.find_opt seen p with
-    | Some at -> ({ profile = p; steps; converged = false }, Some (steps - at))
-    | None ->
-      Profile_table.add seen p steps;
-      if steps >= max_steps then ({ profile = p; steps; converged = View.is_nash v }, None)
-      else begin
-        (* Collect every improving (user, link) move and pick one
-           uniformly: better-response, not best-response.  The move list
-           is built exactly as before — ascending links per user,
-           prepended over ascending users — so the RNG draw protocol is
-           unchanged. *)
-        let moves = ref [] in
-        for i = 0 to Game.users g - 1 do
-          List.iter (fun l -> moves := (i, l) :: !moves) (View.improving_moves v i)
-        done;
-        match !moves with
-        | [] -> ({ profile = p; steps; converged = true }, None)
-        | moves ->
-          let i, l = Prng.Rng.pick_list rng moves in
-          View.move v i l;
-          go (steps + 1)
-      end
-  in
-  go 0

@@ -38,11 +38,3 @@ val converge :
   max_steps:int ->
   Pure.profile ->
   outcome
-
-(** [random_better_response_walk g ~rng ~max_steps p] repeatedly applies
-    a uniformly chosen improving move (any defector, any improving
-    link).  Returns the walk's outcome together with [Some cycle_length]
-    if some profile was revisited before convergence — a witness that
-    the better-response graph has a cycle. *)
-val random_better_response_walk :
-  Game.t -> rng:Prng.Rng.t -> max_steps:int -> Pure.profile -> outcome * int option

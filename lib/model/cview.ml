@@ -19,12 +19,17 @@ open Numeric
    never the underlying [Cgame.t], and [to_cgame] re-materialises a
    game from the revised state.
 
-   A latency is (load_l + bias_c)/cap_{c,l}, so SC1 = Σ_l (load_l·A_l +
-   B_l) with A_l = Σ_c e_{c,l}/cap_{c,l} and B_l = Σ_c e_{c,l}·bias_c/cap_{c,l}.
-   The first [social_cost1] builds A and B; from then on count changes
-   only mark their (class, link) pair — no rational work on the move
-   path — and the next query folds the marked pairs in.  Capacity and
-   bias changes refold the class's terms around the change.
+   A latency is (load_l + bias_c)·cd_{c,l}/cn_{c,l}, so SC1 =
+   Σ_l load_l·A_l + B with A_l = Σ_c e_{c,l}·cd_{c,l}/cn_{c,l} and
+   B = Σ_{c,l} e_{c,l}·bias_c·cd_{c,l}/cn_{c,l}.  A is kept on integers:
+   over one common multiple D of the rows' capacity numerators,
+   D·A_l is a [Bigint], so a query is m integer products with the
+   lane's load numerators and one [Rational.make].  The first
+   [social_cost1] builds the aggregates; from then on count changes
+   only mark their (class, link) pair — no exact work on the move path
+   — and the next query folds the marked pairs in.  A capacity
+   revision refolds its one pair; a reweight moves only B, which is
+   zero outside Participation rows.
 
    [certified] is a Nash certificate: set by a clean exact scan or by
    [certify], cleared by every state change (a move, an undo, a
@@ -45,12 +50,17 @@ type sdelta =
     }
   | Scap of { cls : int; link : int; cap : Rational.t; restore : Packing.lane option }
 
-(* SC1 aggregates.  [folded] holds the counts A and B were last built
-   from, row-major [c * m + l]; [marked] pairs sit on [pending], whose
-   k·m slots hold every pair at most once. *)
+(* SC1 aggregates.  [d] is a common multiple of every capacity
+   numerator in the rows and [na.(l)] = d·A_l.  [folded]
+   holds the counts A and B were last built from, row-major [c * m + l];
+   [marked] pairs sit on [pending], whose k·m slots hold every pair at
+   most once.  [bits] is d's bit length when the aggregates were
+   built. *)
 type sc1 = {
-  a : Rational.t array;
-  b : Rational.t array;
+  mutable d : Bigint.t;
+  bits : int;
+  na : Bigint.t array;
+  mutable b : Rational.t;
   folded : int array;
   marked : bool array;
   pending : int array;
@@ -125,36 +135,74 @@ let mark v c l =
   match v.sc1 with
   | None -> ()
   | Some s ->
-    let i = (c * Array.length s.a) + l in
+    let i = (c * Array.length s.na) + l in
     if not s.marked.(i) then begin
       s.marked.(i) <- true;
       s.pending.(s.npending) <- i;
       s.npending <- s.npending + 1
     end
 
-(* Add [e] class-[c] users on link [l] to the aggregates. *)
-let fold_in rows s c l e =
-  let r = Rational.div (Rational.of_int e) rows.Packing.caps.(c).(l) in
-  s.a.(l) <- Rational.add s.a.(l) r;
-  let bias = rows.biases.(c) in
-  if not (Rational.is_zero bias) then s.b.(l) <- Rational.add s.b.(l) (Rational.mul bias r)
+(* [e·bias·cd/cn] onto B for [e] class-[c] users on link [l]. *)
+let add_bias rows s c l e bias =
+  if not (Rational.is_zero bias) then
+    let r = Rational.div bias rows.Packing.caps.(c).(l) in
+    s.b <- Rational.add s.b (Rational.mul (Rational.of_int e) r)
 
-(* Run [f], which changes class [c]'s capacity row or bias, with the
-   class's folded terms taken out of the aggregates and put back. *)
-let refolding v c f =
+(* Add [e] (possibly negative) class-[c] users on link [l] to the
+   aggregates: [e·cd·(d/cn)] onto d·A_l, and their bias term onto B. *)
+let fold_in rows s c l e =
+  let cap = rows.Packing.caps.(c).(l) in
+  let share = Bigint.mul (Rational.den cap) (Bigint.div s.d (Rational.num cap)) in
+  s.na.(l) <- Bigint.add s.na.(l) (Bigint.mul (Bigint.of_int e) share);
+  add_bias rows s c l e rows.biases.(c)
+
+(* The factor that extends [d] to a multiple of the numerator [cn]. *)
+let extension d cn = Bigint.div cn (Bigint.gcd d cn)
+
+(* Run [f], which sets class [c]'s capacity on link [l] to [cap], with
+   that one pair taken out of the aggregates and put back.  When
+   [cap]'s numerator does not divide d, d and every d·A_l grow by the
+   missing factor — unless d would then have twice the bits it was
+   built with: the aggregates are dropped instead, and the next query
+   rebuilds them over the live rows, so d stays below twice the bit
+   length of the lcm it was last built as, however long the stream
+   runs. *)
+let recapping v c l cap f =
   match v.sc1 with
   | None -> f ()
   | Some s ->
-    let m = Array.length s.a in
-    let each sign =
-      for l = 0 to m - 1 do
-        let e = s.folded.((c * m) + l) in
-        if e > 0 then fold_in v.rows s c l (sign * e)
-      done
-    in
-    each (-1);
-    f ();
-    each 1
+    let x = extension s.d (Rational.num cap) in
+    let d = Bigint.mul s.d x in
+    if Bigint.num_bits d >= 2 * s.bits then begin
+      v.sc1 <- None;
+      f ()
+    end
+    else begin
+      let i = (c * Array.length s.na) + l in
+      let e = s.folded.(i) in
+      if e > 0 then fold_in v.rows s c l (-e);
+      f ();
+      if not (Bigint.equal x Bigint.one) then begin
+        s.d <- d;
+        Array.iteri (fun j y -> s.na.(j) <- Bigint.mul y x) s.na
+      end;
+      if e > 0 then fold_in v.rows s c l e
+    end
+
+(* Run [f], which changes class [c]'s weight, contribution and bias,
+   moving B by the bias change.  A does not depend on the weight. *)
+let rebiasing v c f =
+  let bias = v.rows.biases.(c) in
+  f ();
+  match v.sc1 with
+  | None -> ()
+  | Some s ->
+    let delta = Rational.sub v.rows.biases.(c) bias in
+    let m = Array.length s.na in
+    for l = 0 to m - 1 do
+      let e = s.folded.((c * m) + l) in
+      if e > 0 then add_bias v.rows s c l e delta
+    done
 
 (* Unrecorded block reassignment shared by [move] and [undo]: one
    exact multiplication and two load updates, whatever [count] is. *)
@@ -238,7 +286,7 @@ let revise_weight v ~cls w' =
   and contrib = v.rows.contribs.(cls)
   and bias = v.rows.biases.(cls) in
   let lane = Packing.revise_weight v.lane v.rows cls v.assign.(cls) ~weight:w' ~contrib:contrib' in
-  refolding v cls (fun () -> set_class_weight v cls w' contrib' (Rational.sub w' contrib'));
+  rebiasing v cls (fun () -> set_class_weight v cls w' contrib' (Rational.sub w' contrib'));
   push_structural v (Sweight { cls; weight; contrib; bias; restore = relane v lane })
 
 let revise_capacity v ~cls ~link cap' =
@@ -249,7 +297,7 @@ let revise_capacity v ~cls ~link cap' =
   Parallel.Ownership.guard "Cview cursor" v.owner;
   let cap = v.rows.caps.(cls).(link) in
   let lane = Packing.revise_capacity v.lane v.rows cls ~link cap' in
-  refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap');
+  recapping v cls link cap' (fun () -> v.rows.caps.(cls).(link) <- cap');
   push_structural v (Scap { cls; link; cap; restore = relane v lane })
 
 let undo_structural v =
@@ -269,9 +317,9 @@ let undo_structural v =
        revert_lane restore (fun () -> Packing.add_count v.lane cls ~link ~delta:(-delta))
      | Sweight { cls; weight; contrib; bias; restore } ->
        revert_lane restore (fun () -> Packing.reweight v.lane v.rows cls v.assign.(cls) ~weight ~contrib);
-       refolding v cls (fun () -> set_class_weight v cls weight contrib bias)
+       rebiasing v cls (fun () -> set_class_weight v cls weight contrib bias)
      | Scap { cls; link; cap; restore } ->
-       refolding v cls (fun () -> v.rows.caps.(cls).(link) <- cap);
+       recapping v cls link cap (fun () -> v.rows.caps.(cls).(link) <- cap);
        revert_lane restore (fun () -> Packing.set_capacity v.lane cls ~link cap));
     audit v
 
@@ -354,17 +402,32 @@ let max_improving_block v ~cls ~src ~dst =
   Packing.max_block v.lane v.rows cls ~src ~dst ~avail:v.assign.(cls).(src)
 
 (* The aggregates with every marked pair's count change folded in.  The
-   first call builds them by marking every occupied pair. *)
+   first call builds them over d = the lcm of the rows' capacity
+   numerators, marking every occupied pair. *)
 let sc1_aggregates v =
   let m = links v in
   let s =
     match v.sc1 with
     | Some s -> s
     | None ->
-      let km = classes v * m and zeros () = Array.make m Rational.zero in
-      let folded = Array.make km 0 and marked = Array.make km false in
-      let pending = Array.make km 0 in
-      let s = { a = zeros (); b = zeros (); folded; marked; pending; npending = 0 } in
+      let d =
+        Array.fold_left
+          (Array.fold_left (fun d cap -> Bigint.mul d (extension d (Rational.num cap))))
+          Bigint.one v.rows.caps
+      in
+      let km = classes v * m in
+      let s =
+        {
+          d;
+          bits = Bigint.num_bits d;
+          na = Array.make m Bigint.zero;
+          b = Rational.zero;
+          folded = Array.make km 0;
+          marked = Array.make km false;
+          pending = Array.make km 0;
+          npending = 0;
+        }
+      in
       v.sc1 <- Some s;
       Array.iteri (fun c row -> Array.iteri (fun l e -> if e > 0 then mark v c l) row) v.assign;
       s
@@ -381,14 +444,34 @@ let sc1_aggregates v =
   s.npending <- 0;
   s
 
+(* The from-scratch fold Σ_{c,l} e_{c,l}·latency(c, l) the aggregates
+   stand for, under SELFISH_SANITIZE. *)
+let check_sc1 v got =
+  let acc = ref Rational.zero in
+  Array.iteri
+    (fun c row ->
+      Array.iteri
+        (fun l e ->
+          if e > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int e) (latency v c l)))
+        row)
+    v.assign;
+  if not (Rational.equal got !acc) then
+    Sanitize.fail
+      (Printf.sprintf "Cview.social_cost1: the aggregates give %s, the fold %s"
+         (Rational.to_string got) (Rational.to_string !acc))
+
+let sc1_multiple v = Option.map (fun s -> s.d) v.sc1
+
+(* Σ_l load_l·A_l + B with load_l = num_l/scale and A_l = na_l/d: one
+   integer sum of products, then one [Rational.make]. *)
 let social_cost1 v =
   Parallel.Ownership.guard "Cview cursor" v.owner;
   let s = sc1_aggregates v in
-  let acc = ref Rational.zero in
-  for l = 0 to links v - 1 do
-    acc := Rational.add !acc (Rational.add (Rational.mul (load v l) s.a.(l)) s.b.(l))
-  done;
-  !acc
+  let acc = ref Bigint.zero in
+  Array.iteri (fun l a -> acc := Bigint.add !acc (Bigint.mul (Packing.load_num v.lane l) a)) s.na;
+  let sc = Rational.add (Rational.make !acc (Bigint.mul (scale v) s.d)) s.b in
+  if !Sanitize.enabled then check_sc1 v sc;
+  sc
 
 let social_cost2 v =
   let acc = ref Rational.zero in

@@ -7,8 +7,9 @@
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
     is O(k·m) (one defector pass per class, {!Packing.first_defecting_source}),
-    SC2 is O(k·m) and SC1 is O(m) plus the (class, link) pairs changed
-    since the last query: no operation scales with [n].
+    SC2 is O(k·m) and SC1 is O(m) integer products plus one integer
+    fold per (class, link) pair changed since the last query: no
+    operation scales with [n].
 
     All per-user predicates survive compression exactly: users of one
     class on one link are interchangeable, so "some user defects" is a
@@ -237,11 +238,23 @@ val certify : t -> unit
 val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 
 (** [social_cost1 v] is [SC1 = Σ_c count-weighted latencies].  Not a
-    pure read: it keeps per-link aggregates on the cursor, built by the
-    first call in O(k·m) ({!of_profile} builds none), so a later call
-    is O(m) plus the (class, link) pairs whose counts changed since the
-    previous one.  Guarded like a mutator ({!owner}). *)
+    pure read: it keeps integer per-link aggregates on the cursor over
+    one common multiple of the capacity numerators ({!sc1_multiple}),
+    built by the first call in O(k·m) ({!of_profile} builds none), so a
+    later call is O(m) integer products and one [Rational.make], plus
+    one integer fold per (class, link) pair whose count changed since
+    the previous one.  A {!revise_capacity} refolds its one pair, and a
+    {!revise_weight} moves only the Participation bias term.  Under
+    [SELFISH_SANITIZE] ({!Numeric.Sanitize}) each call re-derives SC1
+    by the O(k·m) rational fold and raises
+    {!Numeric.Sanitize.Violation} on a mismatch.  Guarded like a
+    mutator ({!owner}). *)
 val social_cost1 : t -> Numeric.Rational.t
+
+(** [sc1_multiple v] is the common multiple of the capacity numerators
+    the {!social_cost1} aggregates are held over, [None] while none are
+    built.  Exposed for tests; results never depend on it. *)
+val sc1_multiple : t -> Numeric.Bigint.t option
 
 (** [social_cost2 v] is [SC2 = max latency over occupied (c, l)].
     O(k·m). *)

@@ -275,6 +275,11 @@ let load lane l =
   | Exact e -> Rational.make e.eload.(l) e.es
   | Packed pk -> Rational.make (Bigint.of_int pk.piload.(l)) (Bigint.of_int pk.pscale)
 
+let load_num lane l =
+  match lane with
+  | Exact e -> e.eload.(l)
+  | Packed pk -> Bigint.of_int pk.piload.(l)
+
 let q_latency pk total idx =
   Rational.make
     (Bigint.of_int (total * pk.pcd.(idx)))

@@ -100,6 +100,10 @@ val scale : lane -> Numeric.Bigint.t
     lanes. O(1). *)
 val load : lane -> int -> Numeric.Rational.t
 
+(** [load_num lane l] is link [l]'s load times {!scale}: an integer,
+    not reduced.  O(1). *)
+val load_num : lane -> int -> Numeric.Bigint.t
+
 (** [add_count lane r ~link ~delta] adds [delta] (possibly negative)
     row-[r] users to [link]'s load, unchecked. O(1). *)
 val add_count : lane -> int -> link:int -> delta:int -> unit

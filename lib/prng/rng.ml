@@ -5,18 +5,8 @@ type t = Xoshiro256.t
 let create seed = Xoshiro256.create (Int64.of_int seed)
 
 (* One full 64-bit avalanche: a SplitMix64 step from the given word.
-   Shared by [split] and [of_path] to derive seeding keys. *)
+   [of_path] derives its seeding keys with it. *)
 let mix64 z = fst (Splitmix64.next (Splitmix64.create z))
-
-let split t =
-  (* Seed the child from a fresh SplitMix64 expansion of two parent
-     draws.  The former copy+jump scheme was broken for repeated
-     splitting: the jump polynomial is linear over the state and
-     commutes with single-stepping, so child k+1 was exactly child k
-     advanced by one draw — maximally correlated sibling streams. *)
-  let a = Xoshiro256.next_int64 t in
-  let b = Xoshiro256.next_int64 t in
-  Xoshiro256.create (mix64 (Int64.logxor a (mix64 b)))
 
 let of_path seed path =
   let absorb key c = mix64 (Int64.logxor key (mix64 (Int64.of_int c))) in
@@ -56,14 +46,6 @@ let pick t arr =
 let pick_list t = function
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | xs -> List.nth xs (int t (List.length xs))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let rational t ~den_bound =
   let d = int_in t 1 den_bound in

@@ -1,7 +1,7 @@
 (** Deterministic random source for experiments.
 
     Wraps {!Xoshiro256} with the derived draws the experiment harness
-    needs: bounded integers without modulo bias, unit floats, shuffles,
+    needs: bounded integers without modulo bias, unit floats,
     choices and bounded-denominator rationals.  Every experiment in this
     repository threads an explicit [Rng.t] so that all reported numbers
     are reproducible from a seed. *)
@@ -9,14 +9,6 @@
 type t
 
 val create : int -> t
-
-(** [split t] derives a generator statistically independent of [t],
-    seeded from a SplitMix64 expansion of two draws from [t] ([t] is
-    advanced by those two draws).  Successive splits yield mutually
-    unrelated streams — in particular, sibling streams are not shifted
-    copies of one another, which the earlier copy+jump scheme did not
-    guarantee (the jump polynomial commutes with single-stepping). *)
-val split : t -> t
 
 (** [of_path seed path] is the generator at address [path] in a tree of
     streams rooted at [seed]: every coordinate is absorbed through a
@@ -49,9 +41,6 @@ val pick : t -> 'a array -> 'a
 
 (** [pick_list t xs]. @raise Invalid_argument on an empty list. *)
 val pick_list : t -> 'a list -> 'a
-
-(** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** [rational t ~den_bound] is a uniform rational [k/d] with
     [d] uniform in [1, den_bound] and [k] uniform in [0, d]. *)

@@ -2,8 +2,8 @@
 
     256 bits of state, period 2^256 - 1, excellent statistical quality.
     State is mutable and owned by a single simulation thread; create
-    independent generators (via distinct seeds or {!jump}) for
-    independent experiment streams. *)
+    independent generators from distinct seeds for independent
+    experiment streams. *)
 
 type t
 
@@ -11,12 +11,5 @@ type t
     SplitMix64, as recommended by the authors. *)
 val create : int64 -> t
 
-(** [copy t] is an independent generator with identical state. *)
-val copy : t -> t
-
 (** [next_int64 t] advances the state and returns 64 uniform bits. *)
 val next_int64 : t -> int64
-
-(** [jump t] advances the state by 2^128 steps in place, yielding a
-    stream independent of the original for any realistic usage. *)
-val jump : t -> unit

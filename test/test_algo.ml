@@ -374,52 +374,6 @@ let dynamics_properties =
             ~beliefs:(Experiments.Generators.Shared_space { states = 2; cap_bound = 7; grain = 3 })
         in
         Algo.Enumerate.exists g);
-    prop "random better-response walks terminate or witness a cycle" seed_gen (fun seed ->
-        let rng, g = random_game seed ~n_lo:2 ~n_hi:4 ~m_lo:2 ~m_hi:3 in
-        let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
-        let o, cycle = Algo.Best_response.random_better_response_walk g ~rng ~max_steps:2000 start in
-        (match cycle with
-         | Some len -> len > 0
-         | None -> o.converged && Pure.is_nash g o.profile));
-    prop "functorized seen-table walk matches a reference walk" seed_gen (fun seed ->
-        (* Regression for the Profile_table refactor: mirror the walk
-           with an assoc-list seen set and the identical rng draw
-           protocol; same seed must give identical outcome and cycle
-           detection. *)
-        let rng, g = random_game seed ~n_lo:2 ~n_hi:4 ~m_lo:2 ~m_hi:3 in
-        let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
-        let reference ~rng ~max_steps p =
-          let rec go seen p steps =
-            match List.assoc_opt (Array.to_list p) seen with
-            | Some at -> ((p, steps, false), Some (steps - at))
-            | None ->
-              let seen = (Array.to_list p, steps) :: seen in
-              if steps >= max_steps then ((p, steps, Pure.is_nash g p), None)
-              else begin
-                let moves = ref [] in
-                for i = 0 to Game.users g - 1 do
-                  List.iter (fun l -> moves := (i, l) :: !moves) (Pure.improving_moves g p i)
-                done;
-                match !moves with
-                | [] -> ((p, steps, true), None)
-                | moves ->
-                  let i, l = Prng.Rng.pick_list rng moves in
-                  let next = Array.copy p in
-                  next.(i) <- l;
-                  go seen next (steps + 1)
-              end
-          in
-          go [] (Array.copy p) 0
-        in
-        let o, cyc =
-          Algo.Best_response.random_better_response_walk g
-            ~rng:(Prng.Rng.create (seed + 77)) ~max_steps:300 start
-        in
-        let (rp, rsteps, rconv), rcyc =
-          reference ~rng:(Prng.Rng.create (seed + 77)) ~max_steps:300 start
-        in
-        Array.to_list o.profile = Array.to_list rp
-        && o.steps = rsteps && o.converged = rconv && cyc = rcyc);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -35,14 +35,6 @@ let test_xoshiro_streams () =
   let c = Prng.Xoshiro256.create 43L in
   Alcotest.(check bool) "different seed different stream" true (take a <> take c)
 
-let test_xoshiro_copy_and_jump () =
-  let a = Prng.Xoshiro256.create 7L in
-  let b = Prng.Xoshiro256.copy a in
-  Alcotest.(check int64) "copy tracks" (Prng.Xoshiro256.next_int64 a) (Prng.Xoshiro256.next_int64 b);
-  Prng.Xoshiro256.jump b;
-  let take g = List.init 8 (fun _ -> Prng.Xoshiro256.next_int64 g) in
-  Alcotest.(check bool) "jumped stream differs" true (take a <> take b)
-
 (* ------------------------------------------------------------------ *)
 (* Rng derived draws                                                   *)
 
@@ -100,14 +92,6 @@ let test_rng_float_unit () =
   let mean = !sum /. 10_000.0 in
   Alcotest.(check bool) "mean near 1/2" true (mean > 0.45 && mean < 0.55)
 
-let test_rng_shuffle_permutes () =
-  let rng = Prng.Rng.create 6 in
-  let arr = Array.init 20 Fun.id in
-  Prng.Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 20 Fun.id) sorted
-
 let test_rng_pick () =
   let rng = Prng.Rng.create 7 in
   Alcotest.(check int) "singleton pick" 5 (Prng.Rng.pick rng [| 5 |]);
@@ -115,51 +99,6 @@ let test_rng_pick () =
       ignore (Prng.Rng.pick rng [||]));
   Alcotest.check_raises "empty list" (Invalid_argument "Rng.pick_list: empty list") (fun () ->
       ignore (Prng.Rng.pick_list rng []))
-
-let test_rng_split_independent () =
-  let rng = Prng.Rng.create 8 in
-  let child = Prng.Rng.split rng in
-  let a = List.init 8 (fun _ -> Prng.Rng.bits64 rng) in
-  let b = List.init 8 (fun _ -> Prng.Rng.bits64 child) in
-  Alcotest.(check bool) "streams differ" true (a <> b)
-
-(* Regression for the copy+jump split: because the jump polynomial is
-   linear over the state and commutes with single-stepping, sibling
-   child k+1 was exactly child k advanced by one draw.  Eight siblings'
-   first 64 draws must now be pairwise disjoint as shifted sequences:
-   no sibling's stream may equal another's at any relative shift. *)
-let test_rng_split_siblings_not_shifted () =
-  let parent = Prng.Rng.create 8 in
-  let draws = 64 and siblings = 8 in
-  let streams =
-    Array.init siblings (fun _ ->
-        let child = Prng.Rng.split parent in
-        Array.init draws (fun _ -> Prng.Rng.bits64 child))
-  in
-  for a = 0 to siblings - 1 do
-    for b = 0 to siblings - 1 do
-      if a <> b then
-        for shift = 0 to draws - 1 do
-          (* Compare stream a advanced by [shift] with stream b; the
-             overlapping window must disagree somewhere. *)
-          let overlap = draws - shift in
-          let all_equal = ref true in
-          for i = 0 to overlap - 1 do
-            if streams.(a).(i + shift) <> streams.(b).(i) then all_equal := false
-          done;
-          if !all_equal then
-            Alcotest.failf "sibling %d shifted by %d reproduces sibling %d" a shift b
-        done
-    done
-  done;
-  (* And all 512 draws are distinct outright (64-bit collisions in 512
-     draws would be astronomically unlikely for independent streams). *)
-  let seen = Hashtbl.create 1024 in
-  Array.iter
-    (Array.iter (fun v ->
-         if Hashtbl.mem seen v then Alcotest.fail "duplicate draw across siblings";
-         Hashtbl.add seen v ()))
-    streams
 
 let test_rng_of_path_reproducible () =
   let stream seed path =
@@ -237,16 +176,12 @@ let suite =
     ("splitmix reference", `Quick, test_splitmix_reference);
     ("splitmix zero seed", `Quick, test_splitmix_zero_seed);
     ("xoshiro streams", `Quick, test_xoshiro_streams);
-    ("xoshiro copy/jump", `Quick, test_xoshiro_copy_and_jump);
     ("rng int bounds", `Quick, test_rng_int_bounds);
     ("rng int covers range", `Quick, test_rng_int_covers_range);
     ("rng int unbiased", `Quick, test_rng_int_unbiased);
     ("rng int_in", `Quick, test_rng_int_in);
     ("rng float unit", `Quick, test_rng_float_unit);
-    ("rng shuffle permutes", `Quick, test_rng_shuffle_permutes);
     ("rng pick", `Quick, test_rng_pick);
-    ("rng split independent", `Quick, test_rng_split_independent);
-    ("rng split siblings not shifted", `Quick, test_rng_split_siblings_not_shifted);
     ("rng of_path reproducible", `Quick, test_rng_of_path_reproducible);
     ("alias validation", `Quick, test_alias_validation);
     ("alias frequencies", `Quick, test_alias_frequencies);

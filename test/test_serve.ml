@@ -1140,6 +1140,123 @@ let test_mutation_apply_guards () =
           Cview.certify v);
       Cview.unsafe_set_owner v (O.self_id ()))
 
+(* ------------------------------------------------------------------ *)
+(* Incremental SC1                                                     *)
+
+(* After every step of random streams — block moves, undos, single
+   mutations and repaired batches, some of which run out of budget and
+   roll back — the live SC1 is the from-scratch fold; undoing back to
+   the stream's base depth restores it.  The streams cover both load
+   lanes and Participation rows, whose bias term moves with every
+   reweight. *)
+let test_sc1_streams () =
+  let rng = Prng.Rng.create 1729 in
+  let packed = ref 0 and exact = ref 0 and biased = ref 0 in
+  for trial = 1 to 1_500 do
+    let g = random_cgame rng in
+    let v = Cview.of_profile g (Algo.Cbr.proportional_start g) in
+    for _ = 1 to Prng.Rng.int rng 3 do
+      random_move rng v
+    done;
+    let base = Cview.depth v and sc0 = Cview.social_cost1 v in
+    let check step =
+      let live = Cview.social_cost1 v and fold = reference_sc1 v in
+      if not (Rational.equal live fold) then
+        Alcotest.failf "trial %d step %d: live SC1 %s differs from the fold %s" trial step
+          (Rational.to_string live) (Rational.to_string fold)
+    in
+    for step = 1 to 12 do
+      (match Prng.Rng.int rng 4 with
+       | 0 -> random_move rng v
+       | 1 -> if Cview.depth v > base then Cview.undo v
+       | 2 -> Mutation.apply v (random_mutation rng v)
+       | _ -> (
+         let batch = List.init (Prng.Rng.int rng 3) (fun _ -> random_mutation rng v) in
+         match Repair.repair_batch ~max_steps:50 v batch with
+         | _ -> ()
+         | exception Invalid_argument _ -> ()));
+      if Cview.packed v then incr packed else incr exact;
+      check step
+    done;
+    if Uncertainty.kind (Cgame.uncertainty g 0) = Uncertainty.Participation then incr biased;
+    while Cview.depth v > base do
+      Cview.undo v
+    done;
+    Alcotest.check check_q (Printf.sprintf "trial %d: undo to the base restores SC1" trial) sc0
+      (Cview.social_cost1 v)
+  done;
+  if !packed = 0 || !exact = 0 || !biased = 0 then
+    Alcotest.failf "streams missed a case: %d packed steps, %d exact, %d Participation trials"
+      !packed !exact !biased
+
+(* 1,000 capacity revisions, each bringing a prime no earlier
+   revision used, interleaved with block moves: SC1 stays the exact
+   fold, and the aggregates' common multiple keeps fewer than twice the
+   bits of any lcm the live numerators can reach, where never dropping
+   it would grow it past 10,000 bits.  Undoing everything walks the
+   primes back and restores SC1.  One game runs on the packed lane, the
+   other (Participation rows) on the exact lane. *)
+let test_sc1_fresh_primes () =
+  let primes =
+    let rec sieve acc count n =
+      if count = 1_000 then List.rev acc
+      else if List.exists (fun p -> n mod p = 0) acc then sieve acc count (n + 1)
+      else sieve (n :: acc) (count + 1) (n + 1)
+    in
+    sieve [] 0 2
+  in
+  let run name g x =
+    let v = Cview.of_profile g x in
+    let packed = Cview.packed v and sc0 = Cview.social_cost1 v in
+    let k = Cview.classes v and m = Cview.links v in
+    (* every live numerator is at most 7,919 < 2^13, so no lcm of the
+       k·m of them exceeds 13·k·m bits *)
+    let bound = 2 * 13 * k * m in
+    let check what =
+      let live = Cview.social_cost1 v and fold = reference_sc1 v in
+      if not (Rational.equal live fold) then
+        Alcotest.failf "%s %s: live SC1 %s differs from the fold %s" name what
+          (Rational.to_string live) (Rational.to_string fold);
+      match Cview.sc1_multiple v with
+      | None -> Alcotest.failf "%s %s: no aggregates after a query" name what
+      | Some d ->
+        if Bigint.num_bits d > bound then
+          Alcotest.failf "%s %s: the common multiple has %d bits, over %d" name what
+            (Bigint.num_bits d) bound
+    in
+    List.iteri
+      (fun i p ->
+        Cview.revise_capacity v ~cls:(i mod k) ~link:(i / k mod m) (q p (1 + (i mod 3)));
+        if i mod 3 = 0 then begin
+          let cls = i / 3 mod k in
+          let src = ref (i mod m) in
+          while Cview.assigned v cls !src = 0 do
+            src := (!src + 1) mod m
+          done;
+          Cview.move v ~cls ~src:!src ~dst:((!src + 1) mod m) ~count:1
+        end;
+        check (Printf.sprintf "revision %d" i))
+      primes;
+    Alcotest.(check bool) (name ^ ": the lane held") packed (Cview.packed v);
+    while Cview.depth v > 0 do
+      Cview.undo v;
+      if Cview.depth v mod 50 = 0 then check (Printf.sprintf "undo to depth %d" (Cview.depth v))
+    done;
+    Alcotest.check check_q (name ^ ": undo-all restores SC1") sc0 (Cview.social_cost1 v)
+  in
+  let row a b c = [| q a 1; q b 2; q c 3 |] in
+  let x = [| [| 2; 1; 1 |]; [| 1; 2; 1 |] |] in
+  run "packed"
+    (Cgame.of_capacities ~counts:[| 4; 4 |] ~weights:[| q 1 1; q 3 2 |] [| row 2 3 5; row 7 1 4 |])
+    x;
+  let certain r = Belief.certain (State.make r) in
+  run "exact"
+    (Cgame.make_uncertain ~counts:[| 4; 4 |] ~weights:[| q 1 1; q 3 2 |]
+       ~uncertainty:
+         [| Uncertainty.participation ~presence:(q 1 3) (certain (row 2 3 5));
+            Uncertainty.participation ~presence:(q 3 4) (certain (row 7 1 4)) |])
+    x
+
 let () =
   Alcotest.run "serve"
     [
@@ -1181,5 +1298,10 @@ let () =
           Alcotest.test_case "multi-batch certified vs exact path" `Slow test_repair_multi_batch;
           Alcotest.test_case "certified implies Nash" `Slow test_certificate_property;
           Alcotest.test_case "certify under the sanitizer" `Quick test_certify_sanitized;
+        ] );
+      ( "sc1",
+        [
+          Alcotest.test_case "live SC1 is the fold along random streams" `Slow test_sc1_streams;
+          Alcotest.test_case "fresh-prime capacity revisions" `Quick test_sc1_fresh_primes;
         ] );
     ]
