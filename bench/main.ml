@@ -198,13 +198,18 @@ let e6 () =
      ~68M smaller instances had none.  This reproduces the paper's
      Section 3.2 claim (B. Monien's unpublished observation). *)
   let witness = Algo.Witness.better_response_cycle_game () in
+  let better_cycle = Algo.Game_graph.find_cycle witness ~kind:Algo.Game_graph.Better_response <> None in
+  let pure_ne = Algo.Enumerate.count witness in
+  let best_cycle = Algo.Game_graph.find_cycle witness ~kind:Algo.Game_graph.Best_response <> None in
   Printf.printf
     "witness (found by cycle_hunt, minimised to n=%d, m=%d): better-response cycle %b, \
      pure NE count %d, best-response cycle %b\n"
-    (Game.users witness) (Game.links witness)
-    (Algo.Game_graph.find_cycle witness ~kind:Algo.Game_graph.Better_response <> None)
-    (Algo.Enumerate.count witness)
-    (Algo.Game_graph.find_cycle witness ~kind:Algo.Game_graph.Best_response <> None);
+    (Game.users witness) (Game.links witness) better_cycle pure_ne best_cycle;
+  if not (better_cycle && pure_ne = 8 && not best_cycle) then
+    theorem_failed
+      "E6: the witness should have a better-response cycle, 8 pure NE and no best-response \
+       cycle (got %b, %d, %b)"
+      better_cycle pure_ne best_cycle;
   print_endline
     "=> the belief model is NOT an ordinal potential game (Section 3.2), yet the witness\n\
      still has pure NE and an acyclic best-response graph. No cycle exists among ~68M\n\
@@ -575,88 +580,6 @@ let figures () =
     "F6 — exact E[SC] of the equiprobable FMNE on identical unit links, normalised by n/m:";
   Stats.Table.print
     (Curves.table "E[SC] / (n/m)" (Curves.fmne_emc ~ns:[ 4; 8; 16; 32 ] ~ms:[ 2; 3; 4 ]))
-
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
-
-let ablations () =
-  Report.heading "ABLATION" "Design-choice ablations";
-  (* 1. Best-response policies: moves needed to converge. *)
-  let rng = Prng.Rng.create 123 in
-  let count = trials 300 in
-  let policy_stats =
-    List.map
-      (fun (name, policy) ->
-        let steps = ref Stats.Welford.empty in
-        let rng = Prng.Rng.create 124 in
-        for _ = 1 to count do
-          let n = Prng.Rng.int_in rng 3 6 and m = Prng.Rng.int_in rng 2 4 in
-          let g =
-            Generators.game rng ~n ~m ~weights:(Generators.Rational_weights 5)
-              ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 6; grain = 4 })
-          in
-          let start = Array.init n (fun _ -> Prng.Rng.int rng m) in
-          let o = Algo.Best_response.converge g ~policy ~max_steps:2000 start in
-          if o.converged then steps := Stats.Welford.add !steps (float_of_int o.steps)
-        done;
-        (name, !steps))
-      [
-        ("first defector", Algo.Best_response.First_defector);
-        ("last defector", Algo.Best_response.Last_defector);
-        ("best improvement", Algo.Best_response.Best_improvement);
-      ]
-  in
-  let t = Stats.Table.create [ "policy"; "mean moves"; "max moves" ] in
-  List.iter
-    (fun (name, w) ->
-      Stats.Table.add_row t
-        [ name; Report.flt (Stats.Welford.mean w); Report.flt (Stats.Welford.max w) ])
-    policy_stats;
-  Stats.Table.print t;
-  ignore rng;
-  (* 2. Karatsuba vs schoolbook multiplication. *)
-  let big k = Numeric.Bignat.pow (Numeric.Bignat.of_int 1000003) k in
-  let t = Stats.Table.create [ "operand limbs"; "karatsuba µs"; "schoolbook µs" ] in
-  List.iter
-    (fun k ->
-      let a = big k and b = big (k + 1) in
-      let kara, _ = Scaling.time_call (fun () -> ignore (Numeric.Bignat.mul a b)) in
-      let school, _ = Scaling.time_call (fun () -> ignore (Numeric.Bignat.mul_schoolbook a b)) in
-      Stats.Table.add_row t
-        [
-          string_of_int (Numeric.Bignat.num_bits a / 30);
-          Report.flt kara;
-          Report.flt school;
-        ])
-    [ 150; 600; 1500 ];
-  Stats.Table.print t;
-  (* 3. Alias-method sampling vs linear scan. *)
-  let rng = Prng.Rng.create 125 in
-  let dim = 64 in
-  let weights = Array.init dim (fun _ -> Prng.Rng.float rng +. 0.01) in
-  let alias = Prng.Alias.of_weights weights in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let linear_scan () =
-    let x = Prng.Rng.float rng *. total in
-    let acc = ref 0.0 and hit = ref (dim - 1) in
-    (try
-       Array.iteri
-         (fun i w ->
-           acc := !acc +. w;
-           if !acc >= x then begin
-             hit := i;
-             raise Exit
-           end)
-         weights
-     with Exit -> ());
-    !hit
-  in
-  let a_us, _ = Scaling.time_call (fun () -> ignore (Prng.Alias.sample alias rng)) in
-  let l_us, _ = Scaling.time_call (fun () -> ignore (linear_scan ())) in
-  let t = Stats.Table.create [ "sampler (64 categories)"; "µs/draw" ] in
-  Stats.Table.add_row t [ "alias method"; Report.flt a_us ];
-  Stats.Table.add_row t [ "linear scan"; Report.flt l_us ];
-  Stats.Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* The BENCH.json artefact                                             *)
@@ -1468,7 +1391,6 @@ let main () =
   e19 ();
   e20 ();
   figures ();
-  ablations ();
   bench_numeric ();
   bench_engine ();
   bench_walk ();

@@ -4,7 +4,7 @@
     total work never scales with the population size [n].
 
     Each step takes the class layer's first defector — the exact
-    (class, link) pair the per-user first-defector policy would pick on
+    (class, link) pair the per-user first-defector step would pick on
     the expanded game — and moves the {e maximal improving block}
     ({!Model.Cview.max_improving_block}) of that class from its link to
     its best response.  Every such block is a sequence of strictly

@@ -198,7 +198,8 @@ val first_defecting_source : ?only:bool array -> t -> cls:int -> int option
 (** [first_defector v] is the first occupied (class, link) pair — class
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
-    first-defector policy would pick on the expanded profile.
+    first-defector step ([Algo.Best_response.step]) would make on the
+    expanded profile.
     [None] at a Nash equilibrium, which also sets {!certified}.
     O(k·m): one {!first_defecting_source} pass per class.  Guarded like
     a mutator ({!owner}). *)

@@ -136,7 +136,9 @@ let sub (a : t) (b : t) : t =
 let succ n = add n one
 let pred n = sub n one
 
-let mul_schoolbook (a : t) (b : t) : t =
+let mul (a : t) (b : t) : t =
+  guard "Bignat.mul" a;
+  guard "Bignat.mul" b;
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -152,43 +154,6 @@ let mul_schoolbook (a : t) (b : t) : t =
       r.(i + lb) <- !carry
     done;
     normalize r
-  end
-
-(* [shift_limbs n k] is n * base^k. *)
-let shift_limbs (n : t) k : t =
-  if is_zero n || k = 0 then (if k = 0 then n else n)
-  else begin
-    let len = Array.length n in
-    let r = Array.make (len + k) 0 in
-    Array.blit n 0 r k len;
-    r
-  end
-
-(* Below ~500 limbs the cache-friendly schoolbook loop wins; the
-   crossover was measured with the ablation bench in bench/main.ml. *)
-let karatsuba_threshold = 512
-
-let rec mul (a : t) (b : t) : t =
-  guard "Bignat.mul" a;
-  guard "Bignat.mul" b;
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then zero
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then mul_schoolbook a b
-  else begin
-    (* Karatsuba: split both operands at [half] limbs.
-       a = a1*B + a0, b = b1*B + b0 with B = base^half;
-       a*b = a1*b1*B^2 + ((a0+a1)(b0+b1) - a1*b1 - a0*b0)*B + a0*b0. *)
-    let half = max la lb / 2 in
-    let split (x : t) =
-      let lx = Array.length x in
-      if lx <= half then (x, zero)
-      else (normalize (Array.sub x 0 half), Array.sub x half (lx - half))
-    in
-    let a0, a1 = split a and b0, b1 = split b in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    add (add (shift_limbs z2 (2 * half)) (shift_limbs z1 half)) z0
   end
 
 let num_limbs (n : t) = Array.length n

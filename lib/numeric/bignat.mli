@@ -66,10 +66,6 @@ val pred : t -> t
 
 val mul : t -> t -> t
 
-(** [mul_schoolbook a b] is the quadratic multiplication used below the
-    Karatsuba threshold; exposed for differential testing. *)
-val mul_schoolbook : t -> t -> t
-
 (** [divmod a b] is [(a / b, a mod b)] with Euclidean semantics.
     @raise Division_by_zero when [b] is zero. *)
 val divmod : t -> t -> t * t

@@ -38,16 +38,6 @@ let den q = q.den
 (* Intended float boundary: the one lossy exit from the exact tower. *)
 let to_float q = Bigint.to_float q.num /. Bigint.to_float q.den (* lint: allow R2 *)
 
-let of_float_dyadic f =
-  if not (Float.is_finite f) then invalid_arg "Rational.of_float_dyadic: not finite" (* lint: allow R2 *);
-  let mantissa, exponent = Float.frexp f in (* lint: allow R2 *)
-  (* mantissa * 2^53 is integral for every finite float. *)
-  let scaled = Int64.to_int (Int64.of_float (Float.ldexp mantissa 53)) in (* lint: allow R2 *)
-  let num = Bigint.of_int scaled in
-  let e = exponent - 53 in
-  if e >= 0 then make (Bigint.mul num (Bigint.pow (Bigint.of_int 2) e)) Bigint.one
-  else make num (Bigint.pow (Bigint.of_int 2) (-e))
-
 let is_zero q = Bigint.is_zero q.num
 let is_integer q = Bigint.equal q.den Bigint.one
 let sign q = Bigint.sign q.num
@@ -173,11 +163,6 @@ let compare_div a b c d =
   guard "Rational.compare_div" d;
   if Bigint.is_zero b.num || Bigint.is_zero d.num then raise Division_by_zero;
   cross_compare (quotient_num a b) (quotient_den a b) (quotient_num c d) (quotient_den c d)
-
-(* Composed from [Bigint.hash] on the canonical (num, den) pair, so the
-   law [equal a b => hash a = hash b] holds across the small/big
-   representation split of the underlying integers. *)
-let hash q = (Bigint.hash q.num * 31) + Bigint.hash q.den
 
 let neg q = { q with num = Bigint.neg q.num }
 let abs q = { q with num = Bigint.abs q.num }

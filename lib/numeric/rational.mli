@@ -31,10 +31,6 @@ val den : t -> Bigint.t
     images of numerator and denominator. *)
 val to_float : t -> float
 
-(** [of_float_dyadic f] is the exact rational value of a finite float.
-    @raise Invalid_argument on NaN or infinities. *)
-val of_float_dyadic : float -> t
-
 val is_zero : t -> bool
 val is_integer : t -> bool
 val sign : t -> int
@@ -58,11 +54,6 @@ val compare_sum : t -> t -> t -> int
     scan [load_l / c_l ⋚ load_l' / c_l'] costs no gcd and allocates no
     rational.  @raise Division_by_zero when [b] or [d] is zero. *)
 val compare_div : t -> t -> t -> t -> int
-
-(** [hash q] is derived from {!Bigint.hash} on the canonical
-    [(num, den)] pair, so [equal a b] implies [hash a = hash b]
-    regardless of how either value was computed. *)
-val hash : t -> int
 
 (** [unsafe_of_parts num den] builds [num/den] with no normalization
     or checking.  Exists only so sanitizer tests can forge malformed

@@ -7,12 +7,10 @@
 
 type t
 
-(** [of_weights ws] builds a sampler for the distribution proportional
-    to [ws]. @raise Invalid_argument if [ws] is empty, any weight is
-    negative, or all weights are zero. *)
-val of_weights : float array -> t
-
-(** [of_rationals qs] builds a sampler proportional to exact weights. *)
+(** [of_rationals qs] builds a sampler for the distribution
+    proportional to [qs], whose float images feed the tables.
+    @raise Invalid_argument if [qs] is empty, any weight is negative,
+    or all weights are zero. *)
 val of_rationals : Numeric.Rational.t array -> t
 
 (** [sample t rng] draws a category index. *)

@@ -39,10 +39,6 @@ let float t =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
 let pick_list t = function
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | xs -> List.nth xs (int t (List.length xs))

@@ -35,11 +35,8 @@ val float : t -> float
 
 val bool : t -> bool
 
-(** [pick t arr] is a uniformly chosen element.
-    @raise Invalid_argument on an empty array. *)
-val pick : t -> 'a array -> 'a
-
-(** [pick_list t xs]. @raise Invalid_argument on an empty list. *)
+(** [pick_list t xs] is a uniformly chosen element of [xs].
+    @raise Invalid_argument on an empty list. *)
 val pick_list : t -> 'a list -> 'a
 
 (** [rational t ~den_bound] is a uniform rational [k/d] with

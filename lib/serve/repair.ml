@@ -62,7 +62,7 @@ let repair ~max_steps ~certified v batch =
   let moves = ref 0 and users_moved = ref 0 in
   let out_of_budget () = invalid_arg "Repair.repair_batch: did not converge within max_steps" in
   (* Once the frontier saturates (every link touched) the restricted
-     scan IS the full first-defector scan, i.e. exactly Cbr's policy
+     scan IS the full first-defector scan, i.e. exactly Cbr's dynamics
      running in place on the warm profile — no rebuild.  The budget is
      checked only when a move is due, as in Cbr. *)
   let rec epochs () =

@@ -15,7 +15,7 @@
       class's latencies move.
     - {b Restricted epochs.}  The scan visits occupied (class, link)
       pairs in the same class-ascending, link-ascending order as
-      {!Algo.Cbr}'s first-defector policy, but a {e clean} pair — clean
+      {!Algo.Cbr}'s first-defector order, but a {e clean} pair — clean
       class on an untouched link — only checks moves {e into} touched
       links: starting from an equilibrium, its own latency is
       unchanged, so any new improving move must target a link whose

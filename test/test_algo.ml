@@ -314,16 +314,7 @@ let test_step_on_equilibrium () =
   let g = fmne_game () in
   let outcome = Algo.Best_response.converge g ~max_steps:100 [| 0; 0 |] in
   Alcotest.(check bool) "step on NE returns None" true
-    (Algo.Best_response.step g ~policy:Algo.Best_response.First_defector outcome.profile = None)
-
-let test_policies_agree_on_convergence () =
-  let g = fmne_game () in
-  List.iter
-    (fun policy ->
-      let o = Algo.Best_response.converge g ~policy ~max_steps:100 [| 0; 0 |] in
-      Alcotest.(check bool) "converges" true o.converged)
-    [ Algo.Best_response.First_defector; Algo.Best_response.Last_defector;
-      Algo.Best_response.Best_improvement ]
+    (Algo.Best_response.step g outcome.profile = None)
 
 let test_encode_decode_roundtrip () =
   let g =
@@ -469,7 +460,6 @@ let suite =
     ("FMNE requires two users", `Quick, test_fmne_requires_two_users);
     ("best-response convergence", `Quick, test_converge_small_game);
     ("step on equilibrium", `Quick, test_step_on_equilibrium);
-    ("all policies converge", `Quick, test_policies_agree_on_convergence);
     ("game graph encode/decode", `Quick, test_encode_decode_roundtrip);
     ("successors strictly improve", `Quick, test_successors_are_improvements);
     ("enumeration hand case", `Quick, test_enumerate_hand_case);

@@ -154,14 +154,11 @@ let check_pure trial g (cg, class_of) p =
   Alcotest.check check_q "SC1" (Pure.social_cost1 g p) (Cview.social_cost1 v);
   Alcotest.check check_q "SC2" (Pure.social_cost2 g p) (Cview.social_cost2 v);
   (* The first-defector step: the class move must be exactly the move
-     the per-user policy makes on the expanded profile. *)
+     the per-user step makes on the expanded profile. *)
   let ex = Cgame.expand cg in
   let ex_p = Cgame.expand_profile cg x in
   let off = offsets cg in
-  (match
-     (Algo.Best_response.step ex ~policy:Algo.Best_response.First_defector ex_p,
-      Cview.first_defector v)
-   with
+  (match (Algo.Best_response.step ex ex_p, Cview.first_defector v) with
   | None, None -> ()
   | None, Some _ -> Alcotest.failf "trial %d: phantom class defector" trial
   | Some _, None -> Alcotest.failf "trial %d: class layer missed a defector" trial

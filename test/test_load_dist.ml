@@ -332,7 +332,7 @@ let test_fractional_weights () =
     let pool = [| fractional_weight rng; fractional_weight rng |] in
     let g =
       Game.kp
-        ~weights:(Array.init n (fun _ -> Prng.Rng.pick rng pool))
+        ~weights:(Array.init n (fun _ -> pool.(Prng.Rng.int rng 2)))
         ~capacities:(Array.init m (fun _ -> Prng.Rng.positive_rational rng ~num_bound:5 ~den_bound:3))
     in
     check_lattice (Printf.sprintf "fractional weights, trial %d" trial) g

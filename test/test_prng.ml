@@ -94,9 +94,7 @@ let test_rng_float_unit () =
 
 let test_rng_pick () =
   let rng = Prng.Rng.create 7 in
-  Alcotest.(check int) "singleton pick" 5 (Prng.Rng.pick rng [| 5 |]);
-  Alcotest.check_raises "empty array" (Invalid_argument "Rng.pick: empty array") (fun () ->
-      ignore (Prng.Rng.pick rng [||]));
+  Alcotest.(check int) "singleton pick" 5 (Prng.Rng.pick_list rng [ 5 ]);
   Alcotest.check_raises "empty list" (Invalid_argument "Rng.pick_list: empty list") (fun () ->
       ignore (Prng.Rng.pick_list rng []))
 
@@ -144,14 +142,14 @@ let rng_properties =
 
 let test_alias_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Alias.of_weights: empty distribution")
-    (fun () -> ignore (Prng.Alias.of_weights [||]));
+    (fun () -> ignore (Prng.Alias.of_rationals [||]));
   Alcotest.check_raises "negative" (Invalid_argument "Alias.of_weights: negative weight")
-    (fun () -> ignore (Prng.Alias.of_weights [| 1.0; -0.5 |]));
+    (fun () -> ignore (Prng.Alias.of_rationals [| Rational.one; Rational.of_ints (-1) 2 |]));
   Alcotest.check_raises "all zero" (Invalid_argument "Alias.of_weights: all weights are zero")
-    (fun () -> ignore (Prng.Alias.of_weights [| 0.0; 0.0 |]))
+    (fun () -> ignore (Prng.Alias.of_rationals [| Rational.zero; Rational.zero |]))
 
 let test_alias_frequencies () =
-  let a = Prng.Alias.of_weights [| 1.0; 2.0; 7.0 |] in
+  let a = Prng.Alias.of_rationals (Array.map Rational.of_int [| 1; 2; 7 |]) in
   let rng = Prng.Rng.create 9 in
   let counts = Array.make 3 0 in
   let total = 100_000 in

@@ -56,21 +56,28 @@ let test_bignat_huge () =
   let digits k seed =
     String.init k (fun i -> Char.chr (Char.code '0' + ((seed + (7 * i) + (i * i mod 11)) mod 10)))
   in
-  let a = Bignat.of_string ("9" ^ digits 9_999 3) in
-  let b = Bignat.of_string ("7" ^ digits 4_999 5) in
+  let sa = "9" ^ digits 9_999 3 and sb = "7" ^ digits 4_999 5 in
+  let a = Bignat.of_string sa and b = Bignat.of_string sb in
   Alcotest.(check int) "a has 10000 digits" 10_000 (String.length (Bignat.to_string a));
   let quot, rem = Bignat.divmod a b in
   Alcotest.(check bool) "division invariant at 10k digits" true
     (Bignat.equal a (Bignat.add (Bignat.mul quot b) rem) && Bignat.compare rem b < 0);
+  (* Both products multiply operands of more than 500 limbs; the seed
+     tower's loop is the oracle. *)
+  let seed_mul x y = Reference.Nat.(to_string (mul (of_string x) (of_string y))) in
   let product = Bignat.mul a b in
-  Alcotest.(check bool) "karatsuba path round trips" true
+  Alcotest.(check string) "a * b matches the seed tower" (seed_mul sa sb) (Bignat.to_string product);
+  let sq = Bignat.to_string quot in
+  Alcotest.(check string) "quot * b matches the seed tower" (seed_mul sq sb)
+    (Bignat.to_string (Bignat.mul quot b));
+  Alcotest.(check bool) "a * b round trips through decimal" true
     (Bignat.equal product (Bignat.of_string (Bignat.to_string product)))
 
 let test_alias_many_categories () =
   let k = 100_000 in
   let rng = Prng.Rng.create 6 in
-  let weights = Array.init k (fun i -> 1.0 +. float_of_int (i mod 17)) in
-  let alias = Prng.Alias.of_weights weights in
+  let weights = Array.init k (fun i -> Rational.of_int (1 + (i mod 17))) in
+  let alias = Prng.Alias.of_rationals weights in
   for _ = 1 to 10_000 do
     let i = Prng.Alias.sample alias rng in
     if i < 0 || i >= k then Alcotest.fail "sample out of range"

@@ -293,7 +293,7 @@ let lint_structure ~rules ~path structure =
      | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] when has Poly ->
        report Poly loc
          "Hashtbl.hash is representation-polymorphic (and truncates big structures); hash \
-          canonical contents explicitly (Rational.hash, Bignat.hash, ...)"
+          canonical contents explicitly (Bigint.hash, Bignat.hash, ...)"
      | [ "Hashtbl"; f ] when has Poly && f.[0] >= 'a' && f.[0] <= 'z' ->
        report Poly loc
          (Printf.sprintf
