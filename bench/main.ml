@@ -81,8 +81,8 @@ let e1 () =
       Generators.game rng ~n ~m:2 ~weights:(Generators.Rational_weights 6)
         ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 6; grain = 4 }));
   let rows =
-    Scaling.run ~seed:102 ~sizes:(List.map (fun n -> (n, 2)) [ 4; 8; 16; 32; 64 ])
-    |> List.filter (fun (r : Scaling.row) -> r.algorithm = "A_twolinks (Thm 3.3)")
+    Scaling.run ~seed:102 Scaling.Two_links
+      ~sizes:(List.map (fun n -> (n, 2)) [ 4; 8; 16; 32; 64 ])
   in
   Stats.Table.print (Scaling.table rows);
   print_exponent "A_twolinks time (theorem: n^2 of exact ops)" rows
@@ -112,8 +112,7 @@ let e2 () =
   done;
   Printf.printf "worst observed defections / (n(n-1)/2) = %.3f (theorem requires <= 1)\n" !worst_ratio;
   let rows =
-    Scaling.run ~seed:105 ~sizes:[ (8, 4); (16, 4); (32, 4); (64, 4) ]
-    |> List.filter (fun (r : Scaling.row) -> r.algorithm = "A_symmetric (Thm 3.5)")
+    Scaling.run ~seed:105 Scaling.Symmetric ~sizes:[ (8, 4); (16, 4); (32, 4); (64, 4) ]
   in
   Stats.Table.print (Scaling.table rows);
   print_exponent "A_symmetric time (theorem: n^2·m)" rows
@@ -127,8 +126,7 @@ let e3 () =
       Generators.game rng ~n ~m ~weights:(Generators.Rational_weights 6)
         ~beliefs:(Generators.Uniform_link_view { cap_bound = 6 }));
   let rows =
-    Scaling.run ~seed:107 ~sizes:[ (16, 4); (64, 4); (256, 4) ]
-    |> List.filter (fun (r : Scaling.row) -> r.algorithm = "A_uniform (Thm 3.6)")
+    Scaling.run ~seed:107 Scaling.Uniform ~sizes:[ (16, 4); (64, 4); (256, 4) ]
   in
   Stats.Table.print (Scaling.table rows);
   print_exponent "A_uniform time (theorem: n·(log n + m))" rows
@@ -187,7 +185,7 @@ let e6 () =
   let count = trials 2000 in
   for _ = 1 to count do
     let t = Kp.Milchtaich.Unweighted.random rng ~players:3 ~links:3 ~value_bound:6 in
-    if Kp.Milchtaich.Unweighted.has_better_response_cycle t then incr cyclic
+    if Kp.Milchtaich.Weighted.has_better_response_cycle t then incr cyclic
   done;
   Printf.printf
     "contrast — general player-specific (3 players, 3 links, monotone tables): %s have a \
@@ -264,8 +262,7 @@ let e8_to_e10 () =
   (* FMNE computation is O(nm) (Corollary 4.7): timing. *)
   Stats.Table.print
     (Scaling.table
-       (Scaling.run ~seed:114 ~sizes:[ (8, 4); (16, 8); (32, 8) ]
-        |> List.filter (fun (r : Scaling.row) -> r.algorithm = "FMNE closed form (Cor 4.7)")))
+       (Scaling.run ~seed:114 Scaling.Fully_mixed ~sizes:[ (8, 4); (16, 8); (32, 8) ]))
 
 (* ------------------------------------------------------------------ *)
 (* E11/E12: price of anarchy vs the theorem bounds                     *)

@@ -58,23 +58,49 @@ let fail_input msg =
 let input_guard ?(context = "") f x =
   try f x with Invalid_argument msg -> fail_input (context ^ msg)
 
-(* One reader for every input file; game, class-game and log files are
-   text or SRWF, told apart by the wire magic. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_game file = input_guard Game_io.parse (read_file file)
+(* One reader for every input file.  An SRWF payload names its kind in
+   its header byte.  Text is told apart by its lines' first words:
+   mutation logs use batch/arrive/depart, class games have 'class'
+   rows, and everything else is a per-user game.  Parse errors then
+   carry their native line- or offset-numbered messages. *)
+type input = Game of Game.t | Cgame of Cgame.t | Log of Serve.Mutation.log
 
-let load_cgame path =
-  let data = read_file path in
-  if Serve.Wire.is_wire data then Serve.Wire.decode_cgame data else Game_io.parse_cgame data
+let classify_text text =
+  let log = ref false and classes = ref false in
+  Game_io.scan_lines text (fun _ _ -> function
+    | ("batch" | "arrive" | "depart") :: _ -> log := true
+    | "class" :: _ -> classes := true
+    | _ -> ());
+  if !log then Serve.Wire.Log else if !classes then Serve.Wire.Cgame else Serve.Wire.Game
 
-let load_log path =
-  let data = read_file path in
-  if Serve.Wire.is_wire data then Serve.Wire.decode_log data else Serve.Mutation.parse data
+let decode data =
+  let wire = Serve.Wire.is_wire data in
+  match if wire then Serve.Wire.peek_kind data else classify_text data with
+  | Serve.Wire.Game -> Game (if wire then Serve.Wire.decode_game data else Game_io.parse data)
+  | Serve.Wire.Cgame ->
+    Cgame (if wire then Serve.Wire.decode_cgame data else Game_io.parse_cgame data)
+  | Serve.Wire.Log -> Log (if wire then Serve.Wire.decode_log data else Serve.Mutation.parse data)
+
+let read_input path = input_guard decode (read_file path)
+
+let describe = function
+  | Game _ -> "a per-user game"
+  | Cgame _ -> "a class game"
+  | Log _ -> "a mutation log"
+
+let wrong_input cmd path input ~want =
+  fail_input (Printf.sprintf "%s: %s is %s, not %s" cmd path (describe input) want)
+
+let read_game cmd path =
+  match read_input path with
+  | Game g -> g
+  | input -> wrong_input cmd path input ~want:"a per-user game"
 
 let parse_initial g = function
   | None -> None
@@ -104,14 +130,6 @@ let print_profile g ?initial sigma =
 
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
-
-let classes_arg =
-  let doc =
-    "Treat the game file as a class game ('class <count> <weight> <c_1> ... <c_m>' \
-     rows) and solve it with block best-response dynamics in poly(k,m) — \
-     population size does not matter."
-  in
-  Arg.(value & flag & info [ "classes" ] ~doc)
 
 let uncertainty_arg =
   let backends =
@@ -148,8 +166,7 @@ let check_backend flag kind =
      || not (Uncertainty.equal_kind kind Uncertainty.Bayesian)
   then Printf.printf "uncertainty backend: %s\n" (Uncertainty.kind_name kind)
 
-let run_solve_classes file uflag =
-  let g = input_guard load_cgame file in
+let run_solve_classes g uflag =
   input_guard (check_backend uflag) (Uncertainty.kind (Cgame.uncertainty g 0));
   Printf.printf "class game: %d classes, %d users, %d links\n" (Cgame.classes g)
     (Cgame.users g) (Cgame.links g);
@@ -192,8 +209,7 @@ let pick_auto g initial =
   else if Game.is_symmetric g && initial = None then `Symmetric
   else `Best_response
 
-let run_solve_users file uflag algo initial_str seed =
-  let g = parse_game file in
+let run_solve_users g uflag algo initial_str seed =
   input_guard (check_backend uflag) (Uncertainty.kind (Game.uncertainty g 0));
   let initial = parse_initial g initial_str in
   let algo = if algo = `Auto then pick_auto g initial else algo in
@@ -221,26 +237,31 @@ let run_solve_users file uflag algo initial_str seed =
   in
   print_profile g ?initial sigma
 
-let run_solve file classes uflag algo initial_str seed =
-  if classes then begin
-    if initial_str <> None then fail_input "--initial is not supported with --classes";
-    if algo <> `Auto then fail_input "--algo is not supported with --classes";
-    run_solve_classes file uflag
-  end
-  else run_solve_users file uflag algo initial_str seed
+(* A class game is solved by block best-response dynamics in
+   poly(k,m), whatever the population size; --initial and --algo name
+   per-user settings, so a class game refuses them. *)
+let run_solve file uflag algo initial_str seed =
+  match read_input file with
+  | Game g -> run_solve_users g uflag algo initial_str seed
+  | Cgame g ->
+    if initial_str <> None || algo <> `Auto then
+      fail_input (file ^ " is a class game; --initial and --algo apply to per-user games only");
+    run_solve_classes g uflag
+  | input -> wrong_input "solve" file input ~want:"a game"
 
 let solve_cmd =
-  let info = Cmd.info "solve" ~doc:"Compute a pure Nash equilibrium of a game file." in
-  Cmd.v info
-    Term.(
-      const run_solve $ game_arg $ classes_arg $ uncertainty_arg $ algo_arg $ initial_arg
-      $ seed_arg)
+  let doc =
+    "Compute a pure Nash equilibrium of a game file: a per-user game, or a class game \
+     ('class <count> <weight> <c_1> ... <c_m>' rows, text or SRWF)."
+  in
+  Cmd.v (Cmd.info "solve" ~doc)
+    Term.(const run_solve $ game_arg $ uncertainty_arg $ algo_arg $ initial_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fmne                                                                *)
 
 let run_fmne file =
-  let g = parse_game file in
+  let g = read_game "fmne" file in
   let candidate = input_guard Algo.Fully_mixed.candidate g in
   Printf.printf "candidate probabilities (Lemma 4.3):\n";
   Array.iteri
@@ -269,7 +290,7 @@ let fmne_cmd =
 (* enumerate                                                           *)
 
 let run_enumerate file =
-  let g = parse_game file in
+  let g = read_game "enumerate" file in
   let nes = input_guard Algo.Enumerate.pure_nash g in
   Printf.printf "%d pure Nash equilibria (out of %s profiles):\n" (List.length nes)
     (match Social.profile_count g with Some c -> string_of_int c | None -> "many");
@@ -293,7 +314,7 @@ let enumerate_cmd =
 (* bounds                                                              *)
 
 let run_bounds file =
-  let g = parse_game file in
+  let g = read_game "bounds" file in
   Printf.printf "Theorem 4.14 (general) bound: %s ≈ %.4f\n"
     (Rational.to_string (Bounds.theorem_4_14 g))
     (Rational.to_float (Bounds.theorem_4_14 g));
@@ -311,7 +332,7 @@ let bounds_cmd =
 (* mixed (support enumeration)                                         *)
 
 let run_mixed file =
-  let g = parse_game file in
+  let g = read_game "mixed" file in
   let result = input_guard Algo.Support_enum.all_nash g in
   Printf.printf "%d mixed Nash equilibria found by support enumeration"
     (List.length result.equilibria);
@@ -344,7 +365,7 @@ let mixed_cmd =
 (* potential                                                           *)
 
 let run_potential file =
-  let g = parse_game file in
+  let g = read_game "potential" file in
   match input_guard Algo.Potential.find_nonzero_square g with
   | None ->
     Printf.printf
@@ -366,7 +387,7 @@ let potential_cmd =
 (* monte-carlo                                                         *)
 
 let run_monte_carlo file samples seed =
-  let g = parse_game file in
+  let g = read_game "monte-carlo" file in
   let rng = Prng.Rng.create seed in
   let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
   let o = Algo.Best_response.converge g ~max_steps:1000 start in
@@ -397,7 +418,7 @@ let monte_carlo_cmd =
 (* correlated                                                          *)
 
 let run_correlated file =
-  let g = parse_game file in
+  let g = read_game "correlated" file in
   let show label (r : Algo.Correlated.result) =
     Printf.printf "%s SC1 = %s (%s):\n" label
       (Rational.to_string r.value)
@@ -425,7 +446,7 @@ let correlated_cmd =
 (* fictitious                                                          *)
 
 let run_fictitious file rounds seed =
-  let g = parse_game file in
+  let g = read_game "fictitious" file in
   let rng = Prng.Rng.create seed in
   let start = Array.init (Game.users g) (fun _ -> Prng.Rng.int rng (Game.links g)) in
   let o = input_guard (Algo.Fictitious.play g ~rounds ~window:10) start in
@@ -487,8 +508,16 @@ let sweep_cmd =
 (* serve                                                               *)
 
 let run_serve game_file log_file (_deprecated_domains : int) max_moves =
-  let g = input_guard load_cgame game_file in
-  let log = input_guard load_log log_file in
+  let g =
+    match read_input game_file with
+    | Cgame g -> g
+    | input -> wrong_input "serve" game_file input ~want:"a class game"
+  in
+  let log =
+    match read_input log_file with
+    | Log log -> log
+    | input -> wrong_input "serve" log_file input ~want:"a mutation log"
+  in
   Printf.printf "class game: %d classes, %d users, %d links; %d mutation batches\n"
     (Cgame.classes g) (Cgame.users g) (Cgame.links g) (List.length log);
   (* Solve on the serving cursor itself: the converged scan certifies
@@ -553,38 +582,18 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 (* wire                                                                *)
 
-(* Text payloads are told apart by their directives: mutation logs use
-   batch/arrive/depart, class games have 'class' rows, everything else
-   is a per-user game.  Parse errors then carry their native
-   line-numbered messages. *)
-let classify_text text =
-  let starts p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  let lines =
-    String.split_on_char '\n' text |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  if List.exists (fun l -> l = "batch" || starts "arrive " l || starts "depart " l) lines
-  then `Log
-  else if List.exists (fun l -> starts "class " l) lines then `Cgame
-  else `Game
-
+(* Binary decodes to the reduced text form, which is faithful to every
+   latency; text encodes to binary. *)
 let run_wire file out =
   let data = read_file file in
+  let binary = Serve.Wire.is_wire data in
+  if (not binary) && out = None then
+    fail_input "wire: refusing to write binary data to stdout; pass --out FILE";
   let convert data =
-    if Serve.Wire.is_wire data then
-      match Serve.Wire.peek_kind data with
-      | Serve.Wire.Game -> Game_io.to_string (Serve.Wire.decode_game data)
-      | Serve.Wire.Cgame -> Game_io.to_class_string (Serve.Wire.decode_cgame data)
-      | Serve.Wire.Log -> Serve.Mutation.render (Serve.Wire.decode_log data)
-    else if out = None then
-      invalid_arg "wire: refusing to write binary data to stdout; pass --out FILE"
-    else
-      match classify_text data with
-      | `Log -> Serve.Wire.encode_log (Serve.Mutation.parse data)
-      | `Cgame -> Serve.Wire.encode_cgame (Game_io.parse_cgame data)
-      | `Game -> Serve.Wire.encode_game (Game_io.parse data)
+    match decode data with
+    | Game g -> if binary then Game_io.to_string g else Serve.Wire.encode_game g
+    | Cgame g -> if binary then Game_io.to_class_string g else Serve.Wire.encode_cgame g
+    | Log log -> if binary then Serve.Mutation.render log else Serve.Wire.encode_log log
   in
   let content = input_guard convert data in
   match out with

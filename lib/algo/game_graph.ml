@@ -4,20 +4,10 @@ type move_kind = Best_response | Better_response
 
 let budget = 2_000_000
 
-(* The mixed-radix node ids below are only bijective while [m^n] stays
-   representable, so [encode]/[decode] refuse a space past [max_int]. *)
-let space name ~budget g =
-  Numeric.Combinat.search_space ~who:("Game_graph." ^ name) ~what:"pure profiles" ~budget
-    (Game.links g) (Game.users g)
-
-let encode g p =
-  let m = Game.links g in
-  ignore (space "encode" ~budget:max_int g);
-  Array.fold_right (fun l acc -> (acc * m) + l) p 0
-
+(* Node ids are mixed-radix profile codes, bijective while [m^n] stays
+   within {!budget}; [find_cycle] checks that before decoding any. *)
 let decode g k =
   let n = Game.users g and m = Game.links g in
-  ignore (space "decode" ~budget:max_int g);
   let p = Array.make n 0 in
   let rest = ref k in
   for i = 0 to n - 1 do
@@ -26,9 +16,9 @@ let decode g k =
   done;
   p
 
-(* The (user, target) moves defining a node's out-edges, in the order
-   [successors] has always listed them: ascending user, and within a
-   user the better-response targets in descending link order. *)
+(* The (user, target) moves defining a node's out-edges: ascending
+   user, and within a user the better-response targets in descending
+   link order. *)
 let successor_moves v ~kind =
   let acc = ref [] in
   for i = View.users v - 1 downto 0 do
@@ -41,17 +31,11 @@ let successor_moves v ~kind =
   done;
   !acc
 
-let successors g ?initial ~kind p =
-  let v = View.of_profile g ?initial p in
-  List.map
-    (fun (i, l) ->
-      let next = Array.copy p in
-      next.(i) <- l;
-      next)
-    (successor_moves v ~kind)
-
 let find_cycle ?initial g ~kind =
-  let count = space "find_cycle" ~budget g in
+  let count =
+    Numeric.Combinat.search_space ~who:"Game_graph.find_cycle" ~what:"pure profiles" ~budget
+      (Game.links g) (Game.users g)
+  in
   let n = Game.users g and m = Game.links g in
   (* pw.(i) = m^i: moving user i from link l to l' shifts the node id by
      (l' - l)·m^i, so the DFS never re-encodes a whole profile. *)

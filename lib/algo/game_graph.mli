@@ -16,28 +16,14 @@ type move_kind = Best_response | Better_response
     it. *)
 val budget : int
 
-(** [encode g p] bijectively maps a profile to an integer in
-    [0, m^n); [decode g k] inverts it.
-    @raise Invalid_argument when [m^n] overflows the native int range
-    (the message names the offending [m] and [n] and the limit
-    [max_int]) — without the guard
-    the mixed-radix id would silently wrap and stop being injective. *)
-val encode : Game.t -> Pure.profile -> int
-
-val decode : Game.t -> int -> Pure.profile
-
-(** [successors g ?initial ~kind p] lists the profiles reachable by one
-    move of the given kind (optionally with initial link traffic, the
-    Definition 3.1 setting). *)
-val successors :
-  Game.t -> ?initial:Numeric.Rational.t array -> kind:move_kind -> Pure.profile ->
-  Pure.profile list
-
 (** [find_cycle g ~kind] searches the whole graph and returns a witness
     cycle (a list of successive profiles, first = last omitted) if one
-    exists.  The DFS carries one incremental {!View} per root — an O(1)
-    move/undo per tree edge and an id delta of [(l' - l)·m^i] — instead
-    of decoding and re-materialising every node.
+    exists: each profile, and the first after the last, is reached by
+    one move of the given kind (optionally with initial link traffic,
+    the Definition 3.1 setting).  The DFS carries one incremental
+    {!View} per root — an O(1) move/undo per tree edge and an id delta
+    of [(l' - l)·m^i] — instead of decoding and re-materialising every
+    node.
     @raise Invalid_argument when [m^n] exceeds {!budget}. *)
 val find_cycle :
   ?initial:Numeric.Rational.t array -> Game.t -> kind:move_kind -> Pure.profile list option

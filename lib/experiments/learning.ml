@@ -40,22 +40,7 @@ let run ?(domains = 1) ~seed ~n ~m ~states ~observations ~trials () =
       let o = Algo.Best_response.converge g ~max_steps:(64 * n * m * (n + m)) start in
       let ratio =
         if not o.converged then None
-        else begin
-          let true_belief = Belief.make space truth in
-          let true_caps = Belief.effective_capacities true_belief in
-          (* One view materialises the final loads; the realised cost
-             reads them under the true capacities (the players' beliefs
-             only shaped the dynamics above). *)
-          let v = View.of_profile g o.profile in
-          let realised =
-            Rational.sum
-              (List.init n (fun i ->
-                   Rational.div (View.load v o.profile.(i)) true_caps.(o.profile.(i))))
-          in
-          let informed = Game.make ~weights ~beliefs:(Array.make n true_belief) in
-          let opt, _ = Social.opt1 informed in
-          Some (Rational.to_float (Rational.div realised opt))
-        end
+        else Some (Robustness.truth_ratio g ~truth:(Belief.make space truth) o.profile)
       in
       (tv_errors, ratio))
     ~reduce:(fun k per_trial ->

@@ -15,6 +15,21 @@ let contaminate ~epsilon ~truth ~noise =
   Array.init (Array.length truth) (fun k ->
       Rational.add (Rational.mul keep truth.(k)) (Rational.mul epsilon noise.(k)))
 
+let truth_ratio g ~truth profile =
+  let n = Game.users g in
+  let true_caps = Belief.effective_capacities truth in
+  (* One view materialises the loads; the realised cost reads them
+     under the true capacities (the beliefs only shaped the dynamics). *)
+  let v = View.of_profile g profile in
+  let realised =
+    Rational.sum
+      (List.init n (fun i -> Rational.div (View.load v profile.(i)) true_caps.(profile.(i))))
+  in
+  (* The best any coordinator could do if everyone knew the truth:
+     OPT1 of the game with the true shared belief. *)
+  let opt, _ = Social.opt1 (Game.make ~weights:(Game.weights g) ~beliefs:(Array.make n truth)) in
+  Rational.to_float (Rational.div realised opt)
+
 let run ?(domains = 1) ?(noise = `Simplex) ~seed ~n ~m ~states ~epsilons ~trials () =
   Engine.sweep ~domains ~seed ~cells:epsilons ~trials
     ~task:(fun epsilon rng _trial ->
@@ -39,25 +54,7 @@ let run ?(domains = 1) ?(noise = `Simplex) ~seed ~n ~m ~states ~epsilons ~trials
       let start = Array.init n (fun _ -> Prng.Rng.int rng m) in
       let o = Algo.Best_response.converge g ~max_steps:(64 * n * m * (n + m)) start in
       if not o.converged then None
-      else begin
-        (* Price the equilibrium under the truth: one view materialises
-           the final loads, read under the true capacities. *)
-        let true_belief = Belief.make space truth in
-        let true_caps = Belief.effective_capacities true_belief in
-        let v = View.of_profile g o.profile in
-        let realised =
-          Rational.sum
-            (List.init n (fun i ->
-                 Rational.div (View.load v o.profile.(i)) true_caps.(o.profile.(i))))
-        in
-        (* The best any coordinator could do if everyone knew the
-           truth: OPT1 of the game with the true shared belief. *)
-        let informed =
-          Game.make ~weights ~beliefs:(Array.make n true_belief)
-        in
-        let opt, _ = Social.opt1 informed in
-        Some (Rational.to_float (Rational.div realised opt))
-      end)
+      else Some (truth_ratio g ~truth:(Belief.make space truth) o.profile))
     ~reduce:(fun epsilon outcomes ->
       let ratios = ref Stats.Welford.empty in
       let failures = ref 0 in

@@ -19,6 +19,13 @@ type row = {
   equilibrium_failures : int;  (** dynamics not converged (expect 0) *)
 }
 
+(** [truth_ratio g ~truth profile] prices [profile] under the true
+    belief [truth]: its SC1 with each user's load read against the
+    true effective capacities, over OPT1 of the informed game ([g]'s
+    weights, every user holding [truth]).  E18 ({!Learning}) prices
+    its equilibria the same way. *)
+val truth_ratio : Model.Game.t -> truth:Model.Belief.t -> Model.Pure.profile -> float
+
 (** [run ~seed ~n ~m ~states ~epsilons ~trials ()] sweeps contamination
     levels; each trial draws a fresh truth, fresh noise and a fresh
     starting profile.  [noise] selects the contamination shape:

@@ -13,39 +13,35 @@ let time_call f =
   done;
   (elapsed () *. 1e6 /. float_of_int (max 1 !reps), !reps)
 
-let run ~seed ~sizes =
+type algorithm = Two_links | Symmetric | Uniform | Fully_mixed
+
+(* Each algorithm's name, instance family and solver call. *)
+let spec ~cap = function
+  | Two_links ->
+    ( "A_twolinks (Thm 3.3)", Generators.Integer_weights cap,
+      Generators.Private_point { cap_bound = cap },
+      fun g -> ignore (Algo.Two_links.solve g) )
+  | Symmetric ->
+    ( "A_symmetric (Thm 3.5)", Generators.Unit_weights,
+      Generators.Private_point { cap_bound = cap },
+      fun g -> ignore (Algo.Symmetric.solve g) )
+  | Uniform ->
+    ( "A_uniform (Thm 3.6)", Generators.Integer_weights cap,
+      Generators.Uniform_link_view { cap_bound = cap },
+      fun g -> ignore (Algo.Uniform_beliefs.solve g) )
+  | Fully_mixed ->
+    ( "FMNE closed form (Cor 4.7)", Generators.Integer_weights cap,
+      Generators.Private_point { cap_bound = cap },
+      fun g -> ignore (Algo.Fully_mixed.candidate g) )
+
+let run ~seed algorithm ~sizes =
   let rng = Prng.Rng.create seed in
-  List.concat_map
+  let name, weights, beliefs, solve = spec ~cap:8 algorithm in
+  List.map
     (fun (n, m) ->
-      let cap = 8 in
-      let measure name f =
-        let us, reps = time_call f in
-        { algorithm = name; n; m; microseconds = us; repetitions = reps }
-      in
-      let rows = ref [] in
-      if m = 2 then begin
-        let g =
-          Generators.game rng ~n ~m ~weights:(Generators.Integer_weights cap)
-            ~beliefs:(Generators.Private_point { cap_bound = cap })
-        in
-        rows := measure "A_twolinks (Thm 3.3)" (fun () -> ignore (Algo.Two_links.solve g)) :: !rows
-      end;
-      let sym =
-        Generators.game rng ~n ~m ~weights:Generators.Unit_weights
-          ~beliefs:(Generators.Private_point { cap_bound = cap })
-      in
-      rows := measure "A_symmetric (Thm 3.5)" (fun () -> ignore (Algo.Symmetric.solve sym)) :: !rows;
-      let uni =
-        Generators.game rng ~n ~m ~weights:(Generators.Integer_weights cap)
-          ~beliefs:(Generators.Uniform_link_view { cap_bound = cap })
-      in
-      rows := measure "A_uniform (Thm 3.6)" (fun () -> ignore (Algo.Uniform_beliefs.solve uni)) :: !rows;
-      let fm =
-        Generators.game rng ~n ~m ~weights:(Generators.Integer_weights cap)
-          ~beliefs:(Generators.Private_point { cap_bound = cap })
-      in
-      rows := measure "FMNE closed form (Cor 4.7)" (fun () -> ignore (Algo.Fully_mixed.candidate fm)) :: !rows;
-      List.rev !rows)
+      let g = Generators.game rng ~n ~m ~weights ~beliefs in
+      let us, reps = time_call (fun () -> solve g) in
+      { algorithm = name; n; m; microseconds = us; repetitions = reps })
     sizes
 
 let table rows =

@@ -20,8 +20,13 @@ type row = {
     accumulates and returns (microseconds per call, repetitions). *)
 val time_call : (unit -> unit) -> float * int
 
-(** [run ~seed ~sizes] measures all four algorithms on random instances
-    for each [(n, m)] in [sizes]. *)
-val run : seed:int -> sizes:(int * int) list -> row list
+(** The timed algorithms: A_twolinks (m = 2 only), A_symmetric (on
+    unit weights), A_uniform (on uniform link views) and the fully
+    mixed closed form. *)
+type algorithm = Two_links | Symmetric | Uniform | Fully_mixed
+
+(** [run ~seed algorithm ~sizes] times [algorithm] on one random
+    instance of its family for each [(n, m)] in [sizes], in order. *)
+val run : seed:int -> algorithm -> sizes:(int * int) list -> row list
 
 val table : row list -> Stats.Table.t

@@ -1,153 +1,10 @@
 open Numeric
 
 (* The exhaustive NE scans share Algo.Enumerate's budget and the
-   improvement-cycle search Algo.Game_graph's; both variants walk the
+   improvement-cycle search Algo.Game_graph's; both walk the
    links^players profiles on the one odometer. *)
 let space who ~budget ~players ~links =
   Combinat.search_space ~who:("Milchtaich." ^ who) ~what:"pure profiles" ~budget links players
-
-let scan who ~players ~links f =
-  ignore (space who ~budget:Algo.Enumerate.budget ~players ~links);
-  Combinat.iter_odometer ~digits:players ~base:links f
-
-let pure_nash who ~players ~links is_nash =
-  let acc = ref [] in
-  scan who ~players ~links (fun p -> if is_nash p then acc := Array.copy p :: !acc);
-  List.rev !acc
-
-let exists_pure_nash who ~players ~links is_nash =
-  let exception Found in
-  try
-    scan who ~players ~links (fun p -> if is_nash p then raise Found);
-    false
-  with Found -> true
-
-(* Three-colour DFS for a cycle in an abstract successor graph over
-   integer-encoded profiles; shared by both game variants. *)
-let graph_cycle ~nodes ~successors =
-  let colour = Bytes.make nodes '\000' in
-  let cycle = ref None in
-  let rec dfs v =
-    Bytes.set colour v '\001';
-    List.iter
-      (fun s ->
-        if !cycle = None then
-          match Bytes.get colour s with
-          | '\000' -> dfs s
-          | '\001' -> cycle := Some s
-          | _ -> ())
-      (successors v);
-    if !cycle = None then Bytes.set colour v '\002'
-  in
-  let v = ref 0 in
-  while !cycle = None && !v < nodes do
-    if Bytes.get colour !v = '\000' then dfs !v;
-    incr v
-  done;
-  !cycle <> None
-
-let encode ~links p = Array.fold_right (fun l acc -> (acc * links) + l) p 0
-
-let decode ~players ~links k =
-  let p = Array.make players 0 in
-  let rest = ref k in
-  for i = 0 to players - 1 do
-    p.(i) <- !rest mod links;
-    rest := !rest / links
-  done;
-  p
-
-module Unweighted = struct
-  type t = { cost : Rational.t array array array }
-
-  let make cost =
-    let players = Array.length cost in
-    if players = 0 then invalid_arg "Milchtaich.Unweighted.make: no players";
-    let links = Array.length cost.(0) in
-    if links < 2 then invalid_arg "Milchtaich.Unweighted.make: at least two links required";
-    Array.iter
-      (fun rows ->
-        if Array.length rows <> links then
-          invalid_arg "Milchtaich.Unweighted.make: ragged link dimension";
-        Array.iter
-          (fun col ->
-            if Array.length col <> players then
-              invalid_arg "Milchtaich.Unweighted.make: table must cover congestions 1..players";
-            for k = 1 to players - 1 do
-              if Rational.compare col.(k) col.(k - 1) < 0 then
-                invalid_arg "Milchtaich.Unweighted.make: costs must be non-decreasing in congestion"
-            done)
-          rows)
-      cost;
-    { cost = Array.map (Array.map Array.copy) cost }
-
-  let players t = Array.length t.cost
-  let links t = Array.length t.cost.(0)
-
-  let occupancy p l =
-    Array.fold_left (fun acc lk -> if lk = l then acc + 1 else acc) 0 p
-
-  let latency t p i = t.cost.(i).(p.(i)).(occupancy p p.(i) - 1)
-
-  let is_nash t p =
-    let n = players t and m = links t in
-    let rec check_player i =
-      if i >= n then true
-      else begin
-        let here = latency t p i in
-        let rec check_link l =
-          if l >= m then true
-          else if l = p.(i) then check_link (l + 1)
-          else begin
-            let there = t.cost.(i).(l).(occupancy p l) (* +1 occupant, 0-based *) in
-            Rational.compare there here >= 0 && check_link (l + 1)
-          end
-        in
-        check_link 0 && check_player (i + 1)
-      end
-    in
-    check_player 0
-
-  let pure_nash t = pure_nash "Unweighted.pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
-
-  let exists_pure_nash t =
-    exists_pure_nash "Unweighted.exists_pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
-
-  let random rng ~players ~links ~value_bound =
-    let monotone_column () =
-      let acc = ref Rational.zero in
-      Array.init players (fun _ ->
-          acc := Rational.add !acc (Prng.Rng.positive_rational rng ~num_bound:value_bound ~den_bound:value_bound);
-          !acc)
-    in
-    make (Array.init players (fun _ -> Array.init links (fun _ -> monotone_column ())))
-
-  let improving_moves t p i =
-    let here = latency t p i in
-    List.filter
-      (fun l -> l <> p.(i) && Rational.compare t.cost.(i).(l).(occupancy p l) here < 0)
-      (List.init (links t) Fun.id)
-
-  let has_better_response_cycle t =
-    let n = players t and m = links t in
-    let nodes =
-      space "Unweighted.has_better_response_cycle" ~budget:Algo.Game_graph.budget ~players:n
-        ~links:m
-    in
-    let successors v =
-      let p = decode ~players:n ~links:m v in
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun l ->
-              let q = Array.copy p in
-              q.(i) <- l;
-              encode ~links:m q)
-            (improving_moves t p i))
-        (List.init n Fun.id)
-    in
-    graph_cycle ~nodes ~successors
-end
 
 module Weighted = struct
   type t = { weights : int array; cost : Rational.t array array array }
@@ -190,29 +47,86 @@ module Weighted = struct
 
   let latency t p i = t.cost.(i).(p.(i)).(load t p p.(i))
 
-  let is_nash t p =
-    let n = players t and m = links t in
-    let rec check_player i =
-      if i >= n then true
-      else begin
-        let here = latency t p i in
-        let rec check_link l =
-          if l >= m then true
-          else if l = p.(i) then check_link (l + 1)
-          else begin
-            let there = t.cost.(i).(l).(load t p l + t.weights.(i)) in
-            Rational.compare there here >= 0 && check_link (l + 1)
-          end
-        in
-        check_link 0 && check_player (i + 1)
-      end
-    in
-    check_player 0
+  (* The one improvement relation: player [i] strictly gains by moving
+     to [l] when its cost there, at the link's load plus its own
+     weight, is below its current latency. *)
+  let improving_moves t p i =
+    let here = latency t p i in
+    List.filter
+      (fun l ->
+        l <> p.(i) && Rational.compare t.cost.(i).(l).(load t p l + t.weights.(i)) here < 0)
+      (List.init (links t) Fun.id)
 
-  let pure_nash t = pure_nash "Weighted.pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
+  let is_nash t p =
+    let rec stable i = i >= players t || (improving_moves t p i = [] && stable (i + 1)) in
+    stable 0
+
+  let scan who t f =
+    let players = players t and links = links t in
+    ignore (space who ~budget:Algo.Enumerate.budget ~players ~links);
+    Combinat.iter_odometer ~digits:players ~base:links f
+
+  let pure_nash t =
+    let acc = ref [] in
+    scan "Weighted.pure_nash" t (fun p -> if is_nash t p then acc := Array.copy p :: !acc);
+    List.rev !acc
 
   let exists_pure_nash t =
-    exists_pure_nash "Weighted.exists_pure_nash" ~players:(players t) ~links:(links t) (is_nash t)
+    let exception Found in
+    try
+      scan "Weighted.exists_pure_nash" t (fun p -> if is_nash t p then raise Found);
+      false
+    with Found -> true
+
+  (* Three-colour DFS over the profiles, numbered in mixed radix
+     [links] (player 0 the least significant digit). *)
+  let has_better_response_cycle t =
+    let n = players t and m = links t in
+    let nodes =
+      space "Weighted.has_better_response_cycle" ~budget:Algo.Game_graph.budget ~players:n
+        ~links:m
+    in
+    let decode v =
+      let p = Array.make n 0 and rest = ref v in
+      for i = 0 to n - 1 do
+        p.(i) <- !rest mod m;
+        rest := !rest / m
+      done;
+      p
+    in
+    let encode p = Array.fold_right (fun l acc -> (acc * m) + l) p 0 in
+    let successors v =
+      let p = decode v in
+      List.concat_map
+        (fun i ->
+          List.map
+            (fun l ->
+              let q = Array.copy p in
+              q.(i) <- l;
+              encode q)
+            (improving_moves t p i))
+        (List.init n Fun.id)
+    in
+    let colour = Bytes.make nodes '\000' in
+    let cyclic = ref false in
+    let rec dfs v =
+      Bytes.set colour v '\001';
+      List.iter
+        (fun s ->
+          if not !cyclic then
+            match Bytes.get colour s with
+            | '\000' -> dfs s
+            | '\001' -> cyclic := true
+            | _ -> ())
+        (successors v);
+      if not !cyclic then Bytes.set colour v '\002'
+    in
+    let v = ref 0 in
+    while (not !cyclic) && !v < nodes do
+      if Bytes.get colour !v = '\000' then dfs !v;
+      incr v
+    done;
+    !cyclic
 
   let random rng ~weights ~links ~value_bound =
     let loads = total_weight weights in
@@ -268,4 +182,42 @@ module Weighted = struct
           go (k + 1)
     in
     go 1
+end
+
+module Unweighted = struct
+  (* Validates the occupancy-indexed table [cost.(i).(l).(k-1)], then
+     folds it into the unit-weight game: each column gains a copy of its
+     first entry in front, so load k reads the cost at k occupants.
+     Load 0 is never read (a player always counts itself), and the copy
+     keeps the column monotone. *)
+  let make cost =
+    let players = Array.length cost in
+    if players = 0 then invalid_arg "Milchtaich.Unweighted.make: no players";
+    let links = Array.length cost.(0) in
+    if links < 2 then invalid_arg "Milchtaich.Unweighted.make: at least two links required";
+    Array.iter
+      (fun rows ->
+        if Array.length rows <> links then
+          invalid_arg "Milchtaich.Unweighted.make: ragged link dimension";
+        Array.iter
+          (fun col ->
+            if Array.length col <> players then
+              invalid_arg "Milchtaich.Unweighted.make: table must cover congestions 1..players";
+            for k = 1 to players - 1 do
+              if Rational.compare col.(k) col.(k - 1) < 0 then
+                invalid_arg "Milchtaich.Unweighted.make: costs must be non-decreasing in congestion"
+            done)
+          rows)
+      cost;
+    Weighted.make ~weights:(Array.make players 1)
+      (Array.map (Array.map (fun col -> Array.append [| col.(0) |] col)) cost)
+
+  let random rng ~players ~links ~value_bound =
+    let monotone_column () =
+      let acc = ref Rational.zero in
+      Array.init players (fun _ ->
+          acc := Rational.add !acc (Prng.Rng.positive_rational rng ~num_bound:value_bound ~den_bound:value_bound);
+          !acc)
+    in
+    make (Array.init players (fun _ -> Array.init links (fun _ -> monotone_column ())))
 end

@@ -4,54 +4,23 @@
     The uncertainty game of the paper is an instance of this class, so
     the class itself is implemented as a substrate:
 
-    - {!Unweighted}: every player contributes one unit of congestion and
-      player [i]'s cost on link [l] with [k] occupants is a monotone
-      table entry.  Milchtaich proved these games {e always} possess a
-      pure Nash equilibrium; our engine checks that claim exhaustively
-      in tests.
-    - {!Weighted}: players carry integer weights and costs depend on the
-      total load.  Here pure equilibria can fail to exist (Milchtaich's
+    - {!Weighted}: players carry integer weights and player [i]'s cost
+      on link [l] is a monotone table entry indexed by the link's total
+      load.  Here pure equilibria can fail to exist (Milchtaich's
       3-player/3-link counterexample); {!Weighted.search_no_pure_nash}
       finds such instances, which is what experiment E7 contrasts with
       the belief-induced games of the paper (where the n = 3 case is
       proven to always have one).
+    - {!Unweighted}: every player contributes one unit of congestion, so
+      the game is the unit-weight {!Weighted} game.  Milchtaich proved
+      these games {e always} possess a pure Nash equilibrium; our engine
+      checks that claim exhaustively in tests.
 
     The exhaustive scans ([pure_nash], [exists_pure_nash]) refuse more
     than {!Algo.Enumerate.budget} profiles and
-    {!Unweighted.has_better_response_cycle} more than
+    {!Weighted.has_better_response_cycle} more than
     {!Algo.Game_graph.budget}, raising [Invalid_argument] through
     {!Numeric.Combinat.search_space} before any search. *)
-
-module Unweighted : sig
-  type t
-
-  (** [make cost] wraps [cost.(i).(l).(k-1)] = cost to player [i] on
-      link [l] shared by [k] players.
-      @raise Invalid_argument on ragged tables, tables not covering
-      congestions [1..players], or costs decreasing in [k]. *)
-  val make : Numeric.Rational.t array array array -> t
-
-  (** [latency t p i] is player [i]'s cost under profile [p]. *)
-  val latency : t -> int array -> int -> Numeric.Rational.t
-
-  val is_nash : t -> int array -> bool
-  val pure_nash : t -> int array list
-  val exists_pure_nash : t -> bool
-
-  (** [random rng ~players ~links ~value_bound] draws monotone cost
-      tables with rational entries. *)
-  val random : Prng.Rng.t -> players:int -> links:int -> value_bound:int -> t
-
-  (** [improving_moves t p i] lists the links that strictly lower
-      player [i]'s cost from profile [p]. *)
-  val improving_moves : t -> int array -> int -> int list
-
-  (** [has_better_response_cycle t] holds when the improvement graph of
-      [t] has a cycle — i.e. the game lacks the finite improvement
-      property.  Milchtaich showed this can happen even though a pure
-      NE always exists in the unweighted case. *)
-  val has_better_response_cycle : t -> bool
-end
 
 module Weighted : sig
   type t
@@ -62,9 +31,19 @@ module Weighted : sig
       @raise Invalid_argument on malformed input. *)
   val make : weights:int array -> Numeric.Rational.t array array array -> t
 
+  (** [latency t p i] is player [i]'s cost under profile [p]. *)
   val latency : t -> int array -> int -> Numeric.Rational.t
+
   val pure_nash : t -> int array list
   val exists_pure_nash : t -> bool
+
+  (** [has_better_response_cycle t] holds when the improvement graph of
+      [t] has a cycle — i.e. the game lacks the finite improvement
+      property.  Milchtaich showed this can happen even in unweighted
+      games, where a pure NE always exists.  A move of player [i] to
+      link [l] improves when [cost.(i).(l).(load l + w_i)] is below
+      [i]'s current latency. *)
+  val has_better_response_cycle : t -> bool
 
   (** [random rng ~weights ~links ~value_bound] draws a weighted
       player-specific game with monotone cost tables. *)
@@ -78,4 +57,17 @@ module Weighted : sig
       tables almost always admit a pure NE. *)
   val search_no_pure_nash :
     Prng.Rng.t -> weights:int array -> links:int -> attempts:int -> (t * int) option
+end
+
+module Unweighted : sig
+  (** [make cost] is the unit-weight game with
+      [cost.(i).(l).(k-1)] = cost to player [i] on link [l] shared by
+      [k] players.
+      @raise Invalid_argument on ragged tables, tables not covering
+      congestions [1..players], or costs decreasing in [k]. *)
+  val make : Numeric.Rational.t array array array -> Weighted.t
+
+  (** [random rng ~players ~links ~value_bound] draws monotone cost
+      tables with rational entries. *)
+  val random : Prng.Rng.t -> players:int -> links:int -> value_bound:int -> Weighted.t
 end

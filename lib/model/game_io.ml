@@ -219,9 +219,7 @@ let scan ~classes text =
            let weight = parse_rational lineno weight in
            acc.classes <- (lineno, count, weight, rationals lineno caps) :: acc.classes
          | _ -> fail_line lineno "expected: class <count> <weight> <c_1> ... <c_m>")
-      | "class" :: _ ->
-        fail_line lineno
-          "'class' rows describe a class game; use parse_cgame (or the --classes CLI flag)"
+      | "class" :: _ -> fail_line lineno "'class' rows describe a class game; use parse_cgame"
       | ("weights" | "state" | "belief" | "capacities" | "interval") :: _ when classes ->
         fail_line lineno "per-user directives cannot appear in a class game file"
       | "weights" :: rest ->
@@ -380,9 +378,8 @@ let parse_cgame text =
 
 (* Files carry an 'uncertainty' stanza (plus its companion lines)
    exactly when the backend is non-Bayesian, so all-Bayesian output is
-   byte-identical to the pre-backend format.  [body] replaces the
-   reduced rows (the belief form's state and belief lines). *)
-let render ?body t =
+   byte-identical to the pre-backend format. *)
+let render t =
   let buf = Buffer.create 256 in
   let line directive qs =
     Buffer.add_string buf directive;
@@ -395,64 +392,15 @@ let render ?body t =
    | k -> Buffer.add_string buf (Printf.sprintf "uncertainty %s\n" (Uncertainty.kind_name k)));
   if Option.is_none t.counts then line "weights" t.weights;
   Option.iter (line "presence") t.presence;
-  (match body with
-   | Some add -> add buf
-   | None ->
-     let directive = match t.rows with Intervals _ -> "interval" | _ -> "capacities" in
-     Array.iteri
-       (fun i row ->
-         match t.counts with
-         | None -> line directive row
-         | Some counts ->
-           line (Printf.sprintf "class %d %s" counts.(i) (Rational.to_string t.weights.(i))) row)
-       (table_rows t));
+  let directive = match t.rows with Intervals _ -> "interval" | _ -> "capacities" in
+  Array.iteri
+    (fun i row ->
+      match t.counts with
+      | None -> line directive row
+      | Some counts ->
+        line (Printf.sprintf "class %d %s" counts.(i) (Rational.to_string t.weights.(i))) row)
+    (table_rows t);
   Buffer.contents buf
 
 let to_string g = render (table_of_game ~what:"Game_io.to_string" g)
 let to_class_string g = render (table_of_cgame ~what:"Game_io.to_class_string" g)
-
-(* A strict game's only faithful file form is the interval form: its
-   decision-equivalent beliefs would drop the hi endpoints. *)
-let to_generative_string g =
-  let t = table_of_game ~what:"Game_io.to_generative_string" g in
-  match t.rows with
-  | Intervals _ -> render t
-  | _ ->
-    (* Union of states across the users' (possibly private) spaces,
-       deduplicated structurally; remember each (user, local index) →
-       global name. *)
-    let states = ref [] in
-    let count = ref 0 in
-    let global_name st =
-      match List.find_opt (fun (_, s) -> State.equal s st) !states with
-      | Some (name, _) -> name
-      | None ->
-        incr count;
-        let name = Printf.sprintf "s%d" !count in
-        states := !states @ [ (name, st) ];
-        name
-    in
-    let belief_lines =
-      List.init (Game.users g) (fun i ->
-          let b = Game.belief g i in
-          let space = Belief.space b in
-          let parts = ref [] in
-          for k = State.space_size space - 1 downto 0 do
-            let p = Belief.prob b k in
-            if not (Rational.is_zero p) then begin
-              let name = global_name (State.state space k) in
-              parts := Printf.sprintf "%s: %s" name (Rational.to_string p) :: !parts
-            end
-          done;
-          "belief " ^ String.concat ", " !parts)
-    in
-    render t ~body:(fun buf ->
-        List.iter
-          (fun (name, st) ->
-            Buffer.add_string buf ("state " ^ name);
-            Array.iter
-              (fun c -> Buffer.add_string buf (" " ^ Rational.to_string c))
-              (State.capacities st);
-            Buffer.add_char buf '\n')
-          !states;
-        List.iter (fun line -> Buffer.add_string buf (line ^ "\n")) belief_lines)

@@ -165,15 +165,6 @@ val parse : string -> Game.t
     has no file form). *)
 val to_string : Game.t -> string
 
-(** [to_generative_string g] renders [g] in the belief form, collecting
-    the (structurally deduplicated) union of the users' state spaces
-    under names [s1, s2, …].  [parse] of the result has the same
-    dimensions, weights and effective capacities as [g].  Participation
-    games carry their stanza and presence line; strict games fall back
-    to the interval form.
-    @raise Invalid_argument when users mix backend kinds. *)
-val to_generative_string : Game.t -> string
-
 (** [parse_cgame text] builds the class game described by [text]
     (class form only).
     @raise Invalid_argument with a line-numbered message on malformed

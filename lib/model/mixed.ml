@@ -32,23 +32,10 @@ let uniform g =
   let m = Game.links g in
   Array.init (Game.users g) (fun _ -> Array.make m (Rational.of_ints 1 m))
 
-let expected_traffic g p l =
-  let acc = ref Rational.zero in
-  Array.iteri (fun i row -> acc := Rational.add !acc (Rational.mul row.(l) (Game.weight g i))) p;
-  !acc
-
-let expected_traffics g p = Array.init (Game.links g) (expected_traffic g p)
-
-let latency_on_link g p i l =
-  let w_i = Game.weight g i in
-  let own = Rational.mul (Rational.sub Rational.one p.(i).(l)) w_i in
-  Rational.div (Rational.add own (expected_traffic g p l)) (Game.capacity g i l)
-
 (* Cached evaluator: the mixed-layer analogue of [Model.View].  The
    expected-traffic vector W is materialised once (O(n·m)); every
    latency query is then O(1) against it, so a full Nash check is
-   O(n·m) where the scan-based path paid an O(n) traffic rescan per
-   (user, link) pair. *)
+   O(n·m). *)
 module Eval = struct
   type eval = { game : Game.t; rows : profile; traffics : Rational.t array }
   type t = eval
@@ -56,7 +43,16 @@ module Eval = struct
   (* Internal constructor: trusts dimensions, optionally skips the
      distribution check (the Lemma 4.9 comparator of fmne_exp evaluates
      FMNE *candidates* whose rows may leave [0, 1]). *)
-  let of_rows g rows = { game = g; rows; traffics = expected_traffics g rows }
+  let of_rows g rows =
+    let traffics =
+      Array.init (Game.links g) (fun l ->
+          let acc = ref Rational.zero in
+          Array.iteri
+            (fun i row -> acc := Rational.add !acc (Rational.mul row.(l) (Game.weight g i)))
+            rows;
+          !acc)
+    in
+    { game = g; rows; traffics }
 
   let check_dims g p =
     if not (Game.is_load_linear g) then
@@ -127,6 +123,9 @@ let transient g p =
   Eval.check_dims g p;
   Eval.of_rows g p
 
+let expected_traffic g p l = Eval.expected_traffic (transient g p) l
+let expected_traffics g p = (transient g p).Eval.traffics
+let latency_on_link g p i l = Eval.latency_on_link (transient g p) i l
 let min_latency g p i = Eval.min_latency (transient g p) i
 
 let support p i =

@@ -22,22 +22,12 @@ val of_pure : Game.t -> Pure.profile -> profile
 (** [uniform g] assigns every user the equiprobable distribution. *)
 val uniform : Game.t -> profile
 
-(** [expected_traffic g p l] is [W^l]. *)
-val expected_traffic : Game.t -> profile -> int -> Numeric.Rational.t
-
-(** [expected_traffics g p] is the vector [W]. *)
-val expected_traffics : Game.t -> profile -> Numeric.Rational.t array
-
-(** [latency_on_link g p i l] is [λ^l_{i,b_i}(P)]. *)
-val latency_on_link : Game.t -> profile -> int -> int -> Numeric.Rational.t
-
 (** Cached evaluator over one mixed profile — the mixed-layer analogue
     of {!View}.  [make]/[unchecked] materialise the expected-traffic
     vector [W] once in O(n·m); against it every latency is O(1), a
-    user's minimum latency is O(m) and a full Nash check is O(n·m) —
-    where the one-shot functions below paid an O(n) traffic rescan per
-    (user, link) query, O(n²·m) for a Nash check.  Build one evaluator
-    per profile whenever more than one query is made. *)
+    user's minimum latency is O(m) and a full Nash check is O(n·m).
+    The one-shot functions below each build a transient evaluator, so
+    build one per profile whenever more than one query is made. *)
 module Eval : sig
   type t
 
@@ -71,6 +61,19 @@ module Eval : sig
   (** [social_cost2 e] is [SC2]. O(n·m). *)
   val social_cost2 : t -> Numeric.Rational.t
 end
+
+(** [expected_traffic g p l] is [W^l].  Like every one-shot below, it
+    rides a transient {!Eval} (O(n·m)), which checks dimensions and
+    load-linearity but not the rows' distributions.
+    @raise Invalid_argument on a non-load-linear game or a profile of
+    the wrong shape. *)
+val expected_traffic : Game.t -> profile -> int -> Numeric.Rational.t
+
+(** [expected_traffics g p] is the vector [W]. *)
+val expected_traffics : Game.t -> profile -> Numeric.Rational.t array
+
+(** [latency_on_link g p i l] is [λ^l_{i,b_i}(P)]. *)
+val latency_on_link : Game.t -> profile -> int -> int -> Numeric.Rational.t
 
 (** [min_latency g p i] is [λ_{i,b_i}(P) = min_l λ^l_{i,b_i}(P)].
     One-shot convenience over a transient {!Eval}.

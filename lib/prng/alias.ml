@@ -1,11 +1,14 @@
 type t = { prob : float array; alias : int array }
 
-let of_weights ws =
+let of_rationals qs =
+  let ws = Array.map Numeric.Rational.to_float qs in
   let k = Array.length ws in
-  if k = 0 then invalid_arg "Alias.of_weights: empty distribution";
-  Array.iter (fun w -> if w < 0.0 || Float.is_nan w then invalid_arg "Alias.of_weights: negative weight") ws;
+  if k = 0 then invalid_arg "Alias.of_rationals: empty distribution";
+  Array.iter
+    (fun w -> if w < 0.0 || Float.is_nan w then invalid_arg "Alias.of_rationals: negative weight")
+    ws;
   let total = Array.fold_left ( +. ) 0.0 ws in
-  if total <= 0.0 then invalid_arg "Alias.of_weights: all weights are zero";
+  if total <= 0.0 then invalid_arg "Alias.of_rationals: all weights are zero";
   (* Scale to mean 1 and split into under- and over-full buckets. *)
   let scaled = Array.map (fun w -> w *. float_of_int k /. total) ws in
   let prob = Array.make k 1.0 and alias = Array.init k (fun i -> i) in
@@ -25,8 +28,6 @@ let of_weights ws =
   in
   pair ();
   { prob; alias }
-
-let of_rationals qs = of_weights (Array.map Numeric.Rational.to_float qs)
 
 let sample t rng =
   let i = Rng.int rng (Array.length t.prob) in

@@ -316,30 +316,6 @@ let test_step_on_equilibrium () =
   Alcotest.(check bool) "step on NE returns None" true
     (Algo.Best_response.step g outcome.profile = None)
 
-let test_encode_decode_roundtrip () =
-  let g =
-    Game.of_capacities ~weights:[| qi 1; qi 1; qi 2 |]
-      [| [| qi 1; qi 2; qi 3 |]; [| qi 3; qi 2; qi 1 |]; [| qi 1; qi 1; qi 1 |] |]
-  in
-  for v = 0 to 26 do
-    Alcotest.(check int) "roundtrip" v (Algo.Game_graph.encode g (Algo.Game_graph.decode g v))
-  done
-
-let test_successors_are_improvements () =
-  let g = fmne_game () in
-  let p = [| 0; 0 |] in
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun s ->
-          (* The mover's latency must strictly decrease. *)
-          let mover = ref (-1) in
-          Array.iteri (fun i l -> if l <> p.(i) then mover := i) s;
-          Alcotest.(check bool) "strictly better" true
-            (Rational.compare (Pure.latency g s !mover) (Pure.latency g p !mover) < 0))
-        (Algo.Game_graph.successors g ~kind p))
-    [ Algo.Game_graph.Best_response; Algo.Game_graph.Better_response ]
-
 let dynamics_properties =
   [
     prop "best-response dynamics converge on small games" seed_gen (fun seed ->
@@ -460,8 +436,6 @@ let suite =
     ("FMNE requires two users", `Quick, test_fmne_requires_two_users);
     ("best-response convergence", `Quick, test_converge_small_game);
     ("step on equilibrium", `Quick, test_step_on_equilibrium);
-    ("game graph encode/decode", `Quick, test_encode_decode_roundtrip);
-    ("successors strictly improve", `Quick, test_successors_are_improvements);
     ("enumeration hand case", `Quick, test_enumerate_hand_case);
     ("extremal equilibria", `Quick, test_enumerate_extremal);
   ]

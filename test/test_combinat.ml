@@ -215,13 +215,9 @@ let test_budget_table () =
         fun () -> ignore (Algo.Support_enum.all_nash g7) );
       ( "Bayesian.exists_pure_nash: 2^20 strategies exceed the limit 1000000",
         fun () -> ignore (Kp.Bayesian.exists_pure_nash bayes) );
-      ( "Milchtaich.Unweighted.pure_nash: 4^32 pure profiles exceed the limit 10000000",
-        fun () -> ignore (Kp.Milchtaich.Unweighted.pure_nash mu) );
-      ( "Milchtaich.Unweighted.exists_pure_nash: 4^32 pure profiles exceed the limit 10000000",
-        fun () -> ignore (Kp.Milchtaich.Unweighted.exists_pure_nash mu) );
-      ( "Milchtaich.Unweighted.has_better_response_cycle: 4^32 pure profiles exceed the limit \
+      ( "Milchtaich.Weighted.has_better_response_cycle: 4^32 pure profiles exceed the limit \
          2000000",
-        fun () -> ignore (Kp.Milchtaich.Unweighted.has_better_response_cycle mu) );
+        fun () -> ignore (Kp.Milchtaich.Weighted.has_better_response_cycle mu) );
       ( "Milchtaich.Weighted.pure_nash: 4^32 pure profiles exceed the limit 10000000",
         fun () -> ignore (Kp.Milchtaich.Weighted.pure_nash mw) );
       ( "Milchtaich.Weighted.exists_pure_nash: 4^32 pure profiles exceed the limit 10000000",

@@ -214,6 +214,32 @@ let test_witness_with_initial_traffic () =
   Social.iter_profiles g (fun p -> if Pure.is_nash g ~initial p then found := true);
   Alcotest.(check bool) "pure NE with initial traffic" true !found
 
+(* A witness cycle is real when each consecutive pair, and the last
+   profile with the first, differ in one user's link and that move
+   strictly lowers the user's latency (with the same initial traffic). *)
+let check_improvement_cycle ?initial g cycle =
+  let steps = List.combine cycle (List.tl cycle @ [ List.hd cycle ]) in
+  Alcotest.(check bool) "at least two profiles" true (List.length cycle >= 2);
+  List.iter
+    (fun (p, q) ->
+      let movers = List.filter (fun i -> p.(i) <> q.(i)) (List.init (Game.users g) Fun.id) in
+      match movers with
+      | [ i ] ->
+        Alcotest.(check bool) "the mover strictly gains" true
+          (Rational.compare (Pure.latency g ?initial q i) (Pure.latency g ?initial p i) < 0)
+      | _ -> Alcotest.failf "a step moves %d users, not one" (List.length movers))
+    steps
+
+let test_witness_cycles_are_real () =
+  let witness ?initial g =
+    match Algo.Game_graph.find_cycle ?initial g ~kind:Algo.Game_graph.Better_response with
+    | None -> Alcotest.fail "expected a better-response cycle"
+    | Some cycle -> check_improvement_cycle ?initial g cycle
+  in
+  witness (Algo.Witness.better_response_cycle_game ());
+  let g, initial = Algo.Witness.better_response_cycle_with_initial () in
+  witness ~initial g
+
 let test_original_witness () =
   let g = Algo.Witness.original_cycle_game () in
   Alcotest.(check bool) "original instance is cyclic too" true
@@ -225,6 +251,7 @@ let suite =
   [
     ("witness: better-response cycle (Monien/E6)", `Quick, test_witness_has_better_response_cycle);
     ("witness: 3 users + initial traffic", `Quick, test_witness_with_initial_traffic);
+    ("witness: find_cycle returns real cycles", `Quick, test_witness_cycles_are_real);
     ("witness: original unminimised instance", `Slow, test_original_witness);
     ("solve support: pure", `Quick, test_solve_support_pure);
     ("solve support: full = closed form", `Quick, test_solve_support_full);

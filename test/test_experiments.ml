@@ -185,14 +185,27 @@ let test_poa_bounds_hold () =
 (* Scaling (E1–E3)                                                     *)
 
 let test_scaling_rows () =
-  let rows = Experiments.Scaling.run ~seed:17 ~sizes:[ (4, 2); (4, 3) ] in
-  (* m=2 gets all four algorithms; m=3 gets three (no A_twolinks). *)
-  Alcotest.(check int) "row count" 7 (List.length rows);
+  (* One row per size, in order, for the one algorithm asked for;
+     A_twolinks needs m = 2. *)
   List.iter
-    (fun (r : Experiments.Scaling.row) ->
-      Alcotest.(check bool) "positive time" true (r.microseconds > 0.0);
-      Alcotest.(check bool) "ran at least once" true (r.repetitions >= 1))
-    rows
+    (fun (algorithm, name, sizes) ->
+      let rows = Experiments.Scaling.run ~seed:17 algorithm ~sizes in
+      Alcotest.(check (list (pair int int)))
+        (name ^ " sizes") sizes
+        (List.map (fun (r : Experiments.Scaling.row) -> (r.n, r.m)) rows);
+      List.iter
+        (fun (r : Experiments.Scaling.row) ->
+          Alcotest.(check string) "algorithm" name r.algorithm;
+          Alcotest.(check bool) "positive time" true (r.microseconds > 0.0);
+          Alcotest.(check bool) "ran at least once" true (r.repetitions >= 1))
+        rows)
+    Experiments.Scaling.
+      [
+        (Two_links, "A_twolinks (Thm 3.3)", [ (4, 2) ]);
+        (Symmetric, "A_symmetric (Thm 3.5)", [ (4, 2); (4, 3) ]);
+        (Uniform, "A_uniform (Thm 3.6)", [ (4, 2); (4, 3) ]);
+        (Fully_mixed, "FMNE closed form (Cor 4.7)", [ (4, 2); (4, 3) ]);
+      ]
 
 let test_time_call_measures () =
   let us, reps = Experiments.Scaling.time_call (fun () -> ignore (Sys.opaque_identity 1)) in

@@ -99,20 +99,10 @@ let test_belief_accumulates () =
   in
   Alcotest.check check_q "capacity from accumulated belief" (qi 2) (Game.capacity g 0 1)
 
-let test_generative_roundtrip () =
-  let g = Game_io.parse generative_example in
-  let g' = Game_io.parse (Game_io.to_generative_string g) in
-  Alcotest.(check int) "users preserved" (Game.users g) (Game.users g');
-  for i = 0 to Game.users g - 1 do
-    for l = 0 to Game.links g - 1 do
-      Alcotest.check check_q "capacities preserved" (Game.capacity g i l) (Game.capacity g' i l)
-    done
-  done
-
 let roundtrip_properties =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"random games roundtrip through both forms" ~count:100
+      (QCheck2.Test.make ~name:"random games roundtrip through both formats" ~count:100
          QCheck2.Gen.(int_bound 1_000_000)
          (fun seed ->
            let rng = Prng.Rng.create seed in
@@ -133,7 +123,7 @@ let roundtrip_properties =
                   (List.init n Fun.id)
            in
            same (Game_io.parse (Game_io.to_string g))
-           && same (Game_io.parse (Game_io.to_generative_string g))));
+           && same (Serve.Wire.decode_game (Serve.Wire.encode_game g))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -195,31 +185,13 @@ let same_uncertainty g g' =
        (fun i -> Uncertainty.equal (Game.uncertainty g i) (Game.uncertainty g' i))
        (List.init (Game.users g) Fun.id)
 
-(* The generative form rebuilds the state space (fresh names, the
-   deduplicated union), so it preserves the backend's observable data —
-   kind, presence, evaluation capacities — not the belief structure. *)
-let same_observable g g' =
-  Game.users g = Game.users g'
-  && List.for_all
-       (fun i ->
-         let u = Game.uncertainty g i and u' = Game.uncertainty g' i in
-         Uncertainty.equal_kind (Uncertainty.kind u) (Uncertainty.kind u')
-         && Rational.equal (Uncertainty.presence u) (Uncertainty.presence u')
-         && Array.for_all2 Rational.equal (Uncertainty.eval_capacities u)
-              (Uncertainty.eval_capacities u'))
-       (List.init (Game.users g) Fun.id)
-
 let test_backend_roundtrips () =
   let p = Game_io.parse participation_example in
   Alcotest.(check bool) "participation reduced roundtrip" true
     (same_uncertainty p (Game_io.parse (Game_io.to_string p)));
-  Alcotest.(check bool) "participation generative roundtrip" true
-    (same_observable p (Game_io.parse (Game_io.to_generative_string p)));
   let s = Game_io.parse strict_example in
   Alcotest.(check bool) "strict roundtrip keeps both bounds" true
-    (same_uncertainty s (Game_io.parse (Game_io.to_string s)));
-  Alcotest.(check bool) "strict generative falls back to intervals" true
-    (same_uncertainty s (Game_io.parse (Game_io.to_generative_string s)))
+    (same_uncertainty s (Game_io.parse (Game_io.to_string s)))
 
 let test_bayesian_output_byte_identical () =
   (* All-Bayesian games must render exactly as before the stanza
@@ -461,7 +433,6 @@ let suite =
     ("roundtrip through to_string", `Quick, test_roundtrip);
     ("comments and blanks", `Quick, test_comments_and_blanks);
     ("belief probabilities accumulate", `Quick, test_belief_accumulates);
-    ("generative roundtrip", `Quick, test_generative_roundtrip);
     ("parse participation", `Quick, test_parse_participation);
     ("parse strict", `Quick, test_parse_strict);
     ("backend roundtrips", `Quick, test_backend_roundtrips);

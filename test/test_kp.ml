@@ -1,8 +1,9 @@
 (* Tests for the KP baseline and the player-specific (Milchtaich)
    substrate: the LPT-style solver, nashification, the subsumption of
    the KP-model under point beliefs (E13), Milchtaich's existence
-   theorem for unweighted games, the no-pure-NE search for weighted
-   games (E7), and the embedding cross-validation. *)
+   theorem for unweighted games and their fold into unit-weight
+   weighted games, the no-pure-NE search for weighted games (E7), and
+   the embedding cross-validation. *)
 
 open Model
 open Numeric
@@ -65,7 +66,9 @@ let kp_properties =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Milchtaich unweighted                                               *)
+(* Milchtaich unweighted: the unit-weight weighted game                *)
+
+module W = Kp.Milchtaich.Weighted
 
 let unweighted_fixture () =
   (* Two players, two links; player 0 strongly prefers link 0, player 1
@@ -91,21 +94,128 @@ let test_unweighted_validation () =
 
 let test_unweighted_nash () =
   let t = unweighted_fixture () in
-  Alcotest.(check bool) "split is NE" true (Kp.Milchtaich.Unweighted.is_nash t [| 0; 1 |]);
+  let nes = List.map Array.to_list (W.pure_nash t) in
+  Alcotest.(check bool) "split is NE" true (List.mem [ 0; 1 ] nes);
   (* The swapped split is also stable: moving onto an occupied link
      costs 4 > 3 for both players. *)
-  Alcotest.(check bool) "swap is also NE" true (Kp.Milchtaich.Unweighted.is_nash t [| 1; 0 |]);
-  Alcotest.(check bool) "piling up is not" false (Kp.Milchtaich.Unweighted.is_nash t [| 0; 0 |]);
-  let nes = Kp.Milchtaich.Unweighted.pure_nash t in
+  Alcotest.(check bool) "swap is also NE" true (List.mem [ 1; 0 ] nes);
+  Alcotest.(check bool) "piling up is not" false (List.mem [ 0; 0 ] nes);
   Alcotest.(check int) "exactly the two splits" 2 (List.length nes);
-  Alcotest.(check bool) "exists" true (Kp.Milchtaich.Unweighted.exists_pure_nash t)
+  Alcotest.(check bool) "exists" true (W.exists_pure_nash t)
 
 let test_unweighted_latency () =
   let t = unweighted_fixture () in
-  Alcotest.(check bool) "alone cost" true
-    (Rational.equal (Kp.Milchtaich.Unweighted.latency t [| 0; 1 |] 0) (qi 1));
-  Alcotest.(check bool) "shared cost" true
-    (Rational.equal (Kp.Milchtaich.Unweighted.latency t [| 0; 0 |] 0) (qi 4))
+  Alcotest.(check bool) "alone cost" true (Rational.equal (W.latency t [| 0; 1 |] 0) (qi 1));
+  Alcotest.(check bool) "shared cost" true (Rational.equal (W.latency t [| 0; 0 |] 0) (qi 4))
+
+(* The occupancy-indexed game the unit-weight fold replaced, kept as an
+   oracle: [cost.(i).(l).(k-1)] is player [i]'s cost on link [l] with
+   [k] occupants, and a move to [l] is read at one more occupant. *)
+module Occupancy = struct
+  let occupancy p l = Array.fold_left (fun acc lk -> if lk = l then acc + 1 else acc) 0 p
+  let latency cost p i = cost.(i).(p.(i)).(occupancy p p.(i) - 1)
+
+  let improving_moves cost p i =
+    let here = latency cost p i in
+    List.filter
+      (fun l -> l <> p.(i) && Rational.compare cost.(i).(l).(occupancy p l) here < 0)
+      (List.init (Array.length cost.(i)) Fun.id)
+
+  let is_nash cost p =
+    List.for_all (fun i -> improving_moves cost p i = []) (List.init (Array.length p) Fun.id)
+
+  let rec profiles ~players ~links =
+    if players = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest -> List.init links (fun l -> l :: rest))
+        (profiles ~players:(players - 1) ~links)
+
+  (* Plain DFS over profiles as lists; [on_path] holds the current
+     stack, [done_] every fully explored profile. *)
+  let has_cycle cost ~players ~links =
+    let done_ = Hashtbl.create 64 in
+    let rec dfs on_path p =
+      if List.mem p on_path then true
+      else if Hashtbl.mem done_ p then false
+      else begin
+        let a = Array.of_list p in
+        let cyclic =
+          List.exists
+            (fun i ->
+              List.exists
+                (fun l ->
+                  let q = Array.copy a in
+                  q.(i) <- l;
+                  dfs (p :: on_path) (Array.to_list q))
+                (improving_moves cost a i))
+            (List.init players Fun.id)
+        in
+        Hashtbl.replace done_ p ();
+        cyclic
+      end
+    in
+    List.exists (dfs []) (profiles ~players ~links)
+end
+
+(* Draws the table [Unweighted.random] draws, from the same stream. *)
+let random_table rng ~players ~links ~value_bound =
+  let column () =
+    let acc = ref Rational.zero in
+    Array.init players (fun _ ->
+        acc :=
+          Rational.add !acc
+            (Prng.Rng.positive_rational rng ~num_bound:value_bound ~den_bound:value_bound);
+        !acc)
+  in
+  Array.init players (fun _ -> Array.init links (fun _ -> column ()))
+
+let test_folded_matches_oracle () =
+  let cyclic = ref 0 and acyclic = ref 0 in
+  for seed = 1 to 1000 do
+    let rng = Prng.Rng.create seed in
+    let players = Prng.Rng.int_in rng 2 4 and links = Prng.Rng.int_in rng 2 3 in
+    let cost = random_table rng ~players ~links ~value_bound:6 in
+    let t = Kp.Milchtaich.Unweighted.make cost in
+    let sorted l = List.sort compare l in
+    let expected =
+      List.filter
+        (fun p -> Occupancy.is_nash cost (Array.of_list p))
+        (Occupancy.profiles ~players ~links)
+    in
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "seed %d: NE set" seed)
+      (sorted expected)
+      (sorted (List.map Array.to_list (W.pure_nash t)));
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: exists" seed)
+      (expected <> []) (W.exists_pure_nash t);
+    let cycle = Occupancy.has_cycle cost ~players ~links in
+    if cycle then incr cyclic else incr acyclic;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: cycle" seed)
+      cycle (W.has_better_response_cycle t);
+    (* Unweighted.random keeps its draws: the same stream gives the
+       same latencies on every profile. *)
+    let fresh () = Prng.Rng.create seed in
+    let drawn = Kp.Milchtaich.Unweighted.random (fresh ()) ~players ~links ~value_bound:6 in
+    let again =
+      Kp.Milchtaich.Unweighted.make (random_table (fresh ()) ~players ~links ~value_bound:6)
+    in
+    List.iter
+      (fun p ->
+        let p = Array.of_list p in
+        for i = 0 to players - 1 do
+          Alcotest.(check bool) "random draws the same table" true
+            (Rational.equal (W.latency drawn p i) (W.latency again p i));
+          Alcotest.(check bool) "latency at the occupancy" true
+            (Rational.equal (W.latency t p i) (Occupancy.latency cost p i))
+        done)
+      (Occupancy.profiles ~players ~links)
+  done;
+  (* Both verdicts occur, so the cycle comparison is not vacuous. *)
+  Alcotest.(check bool) "some tables are cyclic" true (!cyclic > 0);
+  Alcotest.(check bool) "some tables are acyclic" true (!acyclic > 0)
 
 let unweighted_properties =
   [
@@ -114,24 +224,8 @@ let unweighted_properties =
         let rng = Prng.Rng.create seed in
         let players = Prng.Rng.int_in rng 2 4 and links = Prng.Rng.int_in rng 2 4 in
         let t = Kp.Milchtaich.Unweighted.random rng ~players ~links ~value_bound:6 in
-        Kp.Milchtaich.Unweighted.exists_pure_nash t);
-    prop "improving moves strictly lower the mover's cost" seed_gen (fun seed ->
-        let rng = Prng.Rng.create seed in
-        let players = Prng.Rng.int_in rng 2 4 and links = Prng.Rng.int_in rng 2 4 in
-        let t = Kp.Milchtaich.Unweighted.random rng ~players ~links ~value_bound:6 in
-        let p = Array.init players (fun _ -> Prng.Rng.int rng links) in
-        List.for_all
-          (fun i ->
-            List.for_all
-              (fun l ->
-                let p' = Array.copy p in
-                p'.(i) <- l;
-                Rational.compare
-                  (Kp.Milchtaich.Unweighted.latency t p' i)
-                  (Kp.Milchtaich.Unweighted.latency t p i)
-                < 0)
-              (Kp.Milchtaich.Unweighted.improving_moves t p i))
-          (List.init players Fun.id));
+        W.exists_pure_nash t);
+    ("folded game matches occupancy oracle", `Quick, test_folded_matches_oracle);
   ]
 
 let test_unweighted_cycles_exist () =
@@ -143,7 +237,7 @@ let test_unweighted_cycles_exist () =
   while (not !found) && !attempts < 500 do
     incr attempts;
     let t = Kp.Milchtaich.Unweighted.random rng ~players:3 ~links:3 ~value_bound:6 in
-    if Kp.Milchtaich.Unweighted.has_better_response_cycle t then found := true
+    if W.has_better_response_cycle t then found := true
   done;
   Alcotest.(check bool) "cyclic unweighted instance found" true !found
 

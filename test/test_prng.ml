@@ -141,11 +141,11 @@ let rng_properties =
 (* Alias method                                                        *)
 
 let test_alias_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Alias.of_weights: empty distribution")
+  Alcotest.check_raises "empty" (Invalid_argument "Alias.of_rationals: empty distribution")
     (fun () -> ignore (Prng.Alias.of_rationals [||]));
-  Alcotest.check_raises "negative" (Invalid_argument "Alias.of_weights: negative weight")
+  Alcotest.check_raises "negative" (Invalid_argument "Alias.of_rationals: negative weight")
     (fun () -> ignore (Prng.Alias.of_rationals [| Rational.one; Rational.of_ints (-1) 2 |]));
-  Alcotest.check_raises "all zero" (Invalid_argument "Alias.of_weights: all weights are zero")
+  Alcotest.check_raises "all zero" (Invalid_argument "Alias.of_rationals: all weights are zero")
     (fun () -> ignore (Prng.Alias.of_rationals [| Rational.zero; Rational.zero |]))
 
 let test_alias_frequencies () =

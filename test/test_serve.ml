@@ -183,23 +183,18 @@ let test_wire_log_roundtrip () =
 let golden =
   [
     ("participation.game", "to_string", "e1e9294622c34d9cc688957b56f328b5");
-    ("participation.game", "to_generative_string", "f31b5f8e5c4045f116718ee1aa543ac6");
     ("participation.game", "encode_game", "50f110535c6150c4df604076aad705e1");
     ("quickstart.game", "to_string", "2d77dc0aed998bb7273c2bda62c0ca1a");
-    ("quickstart.game", "to_generative_string", "5844c0feee215e3be60b9586d490d87c");
     ("quickstart.game", "encode_game", "3e04d1fc9a539d085dd64830728c3de5");
     ("stream.game", "to_class_string", "7afc1eff2cb2d3283f05ede8a747fb7a");
     ("stream.game", "encode_cgame", "de30263d08d2a506a8badeb3a42f0b3c");
     ("stream.mutlog", "render", "ae6887ca0192b7966bd35ae98e1bd8a2");
     ("stream.mutlog", "encode_log", "776cb592586163ab44b6195dd1f1f2d7");
     ("strict.game", "to_string", "3a530b82576b9f0d777d0487c0850bc5");
-    ("strict.game", "to_generative_string", "3a530b82576b9f0d777d0487c0850bc5");
     ("strict.game", "encode_game", "60b26a4b563284516081a83b22a492e9");
     ("uniform.game", "to_string", "911bf852035cbb8def79aa08743bc950");
-    ("uniform.game", "to_generative_string", "f5816946c9a691976f06f4ad01b42cc3");
     ("uniform.game", "encode_game", "6f2d14dcb75358bbfab1f0a3bdf42e18");
     ("witness.game", "to_string", "bf19266893a21d9d39a98c6a525c582b");
-    ("witness.game", "to_generative_string", "da74be99bc52af5d7ba2f60f511d5647");
     ("witness.game", "encode_game", "3889cd288ef9a4c57ffa73106e304749");
   ]
 
@@ -214,7 +209,6 @@ let writer_outputs f text =
     let g = Game_io.parse text in
     [
       ("to_string", Game_io.to_string g);
-      ("to_generative_string", Game_io.to_generative_string g);
       ("encode_game", Wire.encode_game g);
     ]
 
