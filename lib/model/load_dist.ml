@@ -1,7 +1,7 @@
 open Numeric
 
-(* Keyed on one packed integer per load state (see [radix] below);
-   Bigint.hash/Bigint.equal respect the canonical small/big split, so
+(* The exact lane's table, keyed on one packed integer per load state
+   (see [t] below); Bigint.hash/Bigint.equal respect the canonical small/big split, so
    equal keys collide by law and the polymorphic hash never runs (R1). *)
 module Tbl = Hashtbl.Make (struct
   type t = Bigint.t
@@ -17,20 +17,25 @@ end)
    the rest.  Every class row is a vector of integer numerators over
    one denominator b_c, so a state's probability is its integer mass
    over the common denominator [den] = Π_c b_c^{n_c}.  The final layer
-   is kept as built: [keys] and [masses], index-aligned. *)
+   is kept as built, on the lane [of_mixed] admitted: [Native] is a
+   flat table of int keys and int masses whose free slots hold [free];
+   [Exact] holds [Bigint] keys and masses, index-aligned. *)
+type lattice =
+  | Native of { keys : int array; masses : int array; radix : int }
+  | Exact of { keys : Bigint.t array; masses : Bigint.t array; radix : Bigint.t }
+
 type t = {
-  keys : Bigint.t array;
-  masses : Bigint.t array;
+  lattice : lattice;
+  size : int;
   den : Bigint.t;
   scale : Bigint.t;
-  radix : Bigint.t;
   total : Bigint.t;
   links : int;
   classes : int;
 }
 
 let links d = d.links
-let size d = Array.length d.keys
+let size d = d.size
 let classes d = d.classes
 let scale d = d.scale
 
@@ -57,6 +62,9 @@ let classes_of g p =
    its denominator. *)
 let over d q = Bigint.mul (Rational.num q) (Bigint.div d (Rational.den q))
 
+(* [row_den row] is b, the lcm of the row's denominators. *)
+let row_den row = Array.fold_left (fun acc q -> lcm acc (Rational.den q)) Bigint.one row
+
 (* All ways to split [count] exchangeable users across the links, as
    (key delta, integer mass) pairs.  The split (k_1, …, k_m) moves the
    key by Σ_{l<m-1} k_l·step·place(l) and has mass C(count; k_1 … k_m)
@@ -67,7 +75,7 @@ let over d q = Bigint.mul (Rational.num q) (Bigint.div d (Rational.den q))
    keeps [size] identical to the seed enumeration). *)
 let class_splits ~places ~count ~step ~(row : Qvec.t) =
   let m = Array.length row in
-  let b = Array.fold_left (fun acc q -> lcm acc (Rational.den q)) Bigint.one row in
+  let b = row_den row in
   let pows =
     Array.map
       (fun q ->
@@ -132,6 +140,101 @@ let apply ~limit ~key_space layer splits =
     layer;
   next
 
+(* The exact DP: one [apply] per class, from the point mass at key 0. *)
+let exact_layers ~limit ~key_space ~places ~scale cls =
+  let layer0 = Tbl.create 1 in
+  Tbl.add layer0 Bigint.zero { mass = Bigint.one };
+  List.fold_left
+    (fun (layer, den) (w, row, count) ->
+      let splits, b = class_splits ~places ~count ~step:(over scale w) ~row in
+      (apply ~limit ~key_space layer splits, Bigint.mul den b))
+    (layer0, Bigint.one) cls
+
+(* A native layer: open addressing with linear probing over a
+   power-of-two capacity, [keys] and [masses] index-aligned and [free]
+   in every free slot (keys are never negative). *)
+type layer = { keys : int array; masses : int array; count : int }
+
+let free = -1
+
+(* Twice the smallest power of two at least [bound], so a table never
+   fills past half.  Past [Sys.max_array_length] the doubling stops and
+   [Array.make] refuses the size, so no loop can probe a full table. *)
+let capacity bound =
+  let c = ref 1 in
+  while !c < bound && !c <= Sys.max_array_length do
+    c := 2 * !c
+  done;
+  2 * !c
+
+(* Multiplicative hashing: the key times an odd constant, its high
+   half folded onto the low bits the mask keeps. *)
+let slot ~mask key =
+  let h = key * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 32)) land mask
+
+(* [apply] on native ints.  Admission bounds every key below the key
+   space and every mass, product and merged sum by [den], so no step
+   can overflow and the loop carries no check.  The table is presized
+   by [apply]'s bound and never grows. *)
+let native_apply ~limit ~key_space layer deltas weights =
+  let bound = min limit (min key_space (saturating_mul layer.count (Array.length deltas))) in
+  let size = capacity bound in
+  let keys = Array.make size free and masses = Array.make size 0 in
+  let mask = size - 1 and count = ref 0 in
+  Array.iteri
+    (fun s key ->
+      if key <> free then begin
+        let mass = layer.masses.(s) in
+        for j = 0 to Array.length deltas - 1 do
+          let key' = key + deltas.(j) in
+          let i = ref (slot ~mask key') in
+          while keys.(!i) <> free && keys.(!i) <> key' do
+            i := (!i + 1) land mask
+          done;
+          if keys.(!i) = free then begin
+            if !count >= limit then invalid_arg limit_message;
+            keys.(!i) <- key';
+            incr count
+          end;
+          masses.(!i) <- masses.(!i) + (mass * weights.(j))
+        done
+      end)
+    layer.keys;
+  { keys; masses; count = !count }
+
+(* The native DP: [exact_layers] with every split narrowed to ints. *)
+let native_layers ~limit ~key_space ~places ~scale cls =
+  List.fold_left
+    (fun (layer, den) (w, row, count) ->
+      let splits, b = class_splits ~places ~count ~step:(over scale w) ~row in
+      let deltas = Array.map (fun (delta, _) -> Bigint.to_int_exn delta) splits in
+      let weights = Array.map (fun (_, mass) -> Bigint.to_int_exn mass) splits in
+      (native_apply ~limit ~key_space layer deltas weights, den * Bigint.to_int_exn b))
+    ({ keys = [| 0 |]; masses = [| 1 |]; count = 1 }, 1)
+    cls
+
+(* Armed, the native lane is re-derived by the exact DP: the same state
+   count, the same mass at every key and the same denominator. *)
+let cross_check (table, den) layer nden =
+  let fail fmt = Printf.ksprintf Sanitize.fail ("Load_dist.of_mixed: " ^^ fmt) in
+  if Tbl.length table <> layer.count then
+    fail "the native lane holds %d states, the exact DP %d" layer.count (Tbl.length table);
+  if not (Bigint.equal den (Bigint.of_int nden)) then
+    fail "the native denominator %d, the exact %s" nden (Bigint.to_string den);
+  Array.iteri
+    (fun s key ->
+      if key <> free then
+        match Tbl.find_opt table (Bigint.of_int key) with
+        | Some c when Bigint.equal c.mass (Bigint.of_int layer.masses.(s)) -> ()
+        | Some c ->
+          fail "key %d has native mass %d, exact mass %s" key layer.masses.(s)
+            (Bigint.to_string c.mass)
+        | None -> fail "key %d is not an exact state" key)
+    layer.keys
+
+let max_native = Bigint.of_int max_int
+
 let of_mixed ?(limit = 1_000_000) g p =
   Mixed.validate g p;
   if limit <= 0 then invalid_arg "Load_dist.of_mixed: limit must be positive";
@@ -149,60 +252,102 @@ let of_mixed ?(limit = 1_000_000) g p =
     places.(l) <- Bigint.mul places.(l - 1) radix
   done;
   (* Every key is below radix^(m-1). *)
-  let key_space =
-    match Bigint.to_int_opt (Bigint.pow radix (max 0 (m - 1))) with Some k -> k | None -> max_int
-  in
-  let layer0 = Tbl.create 1 in
-  Tbl.add layer0 Bigint.zero { mass = Bigint.one };
-  let table, den =
+  let key_space = Bigint.pow radix (max 0 (m - 1)) in
+  let den =
     List.fold_left
-      (fun (layer, den) (w, row, count) ->
-        let splits, b = class_splits ~places ~count ~step:(over scale w) ~row in
-        (apply ~limit ~key_space layer splits, Bigint.mul den b))
-      (layer0, Bigint.one) cls
+      (fun acc (_, row, count) -> Bigint.mul acc (Bigint.pow (row_den row) count))
+      Bigint.one cls
   in
-  let states = Tbl.length table in
-  let keys = Array.make states Bigint.zero and masses = Array.make states Bigint.zero in
-  let i = ref 0 in
-  Tbl.iter
-    (fun key cell ->
-      keys.(!i) <- key;
-      masses.(!i) <- cell.mass;
-      incr i)
-    table;
-  { keys; masses; den; scale; radix; total; links = m; classes = List.length cls }
+  let classes = List.length cls in
+  (* The native lane runs whenever every key and [den], and so every
+     mass, fit a native int.  Both bounds are known before the first
+     layer, so admission is decided once and the lane never restarts. *)
+  if Bigint.compare key_space max_native <= 0 && Bigint.compare den max_native <= 0 then begin
+    let key_space = Bigint.to_int_exn key_space in
+    let layer, nden = native_layers ~limit ~key_space ~places ~scale cls in
+    if !Sanitize.enabled then
+      cross_check (exact_layers ~limit ~key_space ~places ~scale cls) layer nden;
+    (* The radix is never read when m = 1, where it need not fit. *)
+    let radix = if m > 1 then Bigint.to_int_exn radix else 1 in
+    {
+      lattice = Native { keys = layer.keys; masses = layer.masses; radix };
+      size = layer.count;
+      den = Bigint.of_int nden;
+      scale;
+      total;
+      links = m;
+      classes;
+    }
+  end
+  else begin
+    let key_space = Option.value (Bigint.to_int_opt key_space) ~default:max_int in
+    let table, den = exact_layers ~limit ~key_space ~places ~scale cls in
+    let states = Tbl.length table in
+    let keys = Array.make states Bigint.zero and masses = Array.make states Bigint.zero in
+    let i = ref 0 in
+    Tbl.iter
+      (fun key cell ->
+        keys.(!i) <- key;
+        masses.(!i) <- cell.mass;
+        incr i)
+      table;
+    let lattice = Exact { keys; masses; radix } in
+    { lattice; size = states; den; scale; total; links = m; classes }
+  end
 
-let total_probability d = Rational.make (Array.fold_left Bigint.add Bigint.zero d.masses) d.den
-
-(* The scaled loads of [key] into [into]: its digits in radix [radix],
-   the last load completing the scaled total. *)
-let digits d key into =
+(* [each d k f] calls [f mass] once per state, with the state's scaled
+   loads written into [k]: the key's first m-1 digits in radix
+   [total + 1], the last load completing the scaled total.  It is the
+   one reader of the final layer, so only it and [of_mixed] know which
+   lane ran. *)
+let each d k f =
   let m = d.links in
-  let rest = ref key and last = ref d.total in
-  for l = 0 to m - 2 do
-    let q, r = Bigint.divmod !rest d.radix in
-    into.(l) <- r;
-    last := Bigint.sub !last r;
-    rest := q
-  done;
-  into.(m - 1) <- !last
+  match d.lattice with
+  | Native { keys; masses; radix } ->
+    Array.iteri
+      (fun s key ->
+        if key <> free then begin
+          let rest = ref key and sum = ref 0 in
+          for l = 0 to m - 2 do
+            let r = !rest mod radix in
+            k.(l) <- Bigint.of_int r;
+            sum := !sum + r;
+            rest := !rest / radix
+          done;
+          k.(m - 1) <- Bigint.sub d.total (Bigint.of_int !sum);
+          f (Bigint.of_int masses.(s))
+        end)
+      keys
+  | Exact { keys; masses; radix } ->
+    Array.iteri
+      (fun i key ->
+        let rest = ref key and last = ref d.total in
+        for l = 0 to m - 2 do
+          let q, r = Bigint.divmod !rest radix in
+          k.(l) <- r;
+          last := Bigint.sub !last r;
+          rest := q
+        done;
+        k.(m - 1) <- !last;
+        f masses.(i))
+      keys
+
+let total_probability d =
+  let acc = ref Bigint.zero in
+  each d (Array.make d.links Bigint.zero) (fun mass -> acc := Bigint.add !acc mass);
+  Rational.make !acc d.den
 
 (* Σ_v mass(v)·f(K(v)) is an integer; one [Rational.make] reduces it.
    The scratch vector belongs to this call alone. *)
 let expect_scaled d ~over f =
   let k = Array.make d.links Bigint.zero in
   let acc = ref Bigint.zero in
-  Array.iteri
-    (fun i key ->
-      digits d key k;
-      acc := Bigint.add !acc (Bigint.mul d.masses.(i) (f k)))
-    d.keys;
+  each d k (fun mass -> acc := Bigint.add !acc (Bigint.mul mass (f k)));
   Rational.make !acc (Bigint.mul d.den over)
 
-(* The rational load vector of [key], built afresh for the caller. *)
-let decode d key =
-  let k = Array.make d.links Bigint.zero in
-  digits d key k;
+(* The rational load vector of the scaled loads [k], built afresh for
+   the caller. *)
+let decode d k =
   if Bigint.equal d.scale Bigint.one then Array.map Rational.of_bigint k
   else Array.map (fun v -> Rational.make v d.scale) k
 
@@ -226,15 +371,16 @@ let expect d f =
       Tbl.add cofactors qd k;
       k
   in
-  Array.iteri
-    (fun i key ->
-      let q = f (decode d key) in
+  let k = Array.make d.links Bigint.zero in
+  each d k (fun mass ->
+      let q = f (decode d k) in
       if not (Rational.is_zero q) then begin
         (* [cofactor] may rescale [acc], so it runs before [acc] is read. *)
-        let k = cofactor q in
-        acc := Bigint.add !acc (Bigint.mul (Bigint.mul d.masses.(i) (Rational.num q)) k)
-      end)
-    d.keys;
+        let c = cofactor q in
+        acc := Bigint.add !acc (Bigint.mul (Bigint.mul mass (Rational.num q)) c)
+      end);
   Rational.make !acc (Bigint.mul !acc_den d.den)
 
-let iter d f = Array.iteri (fun i key -> f (decode d key) (Rational.make d.masses.(i) d.den)) d.keys
+let iter d f =
+  let k = Array.make d.links Bigint.zero in
+  each d k (fun mass -> f (decode d k) (Rational.make mass d.den))

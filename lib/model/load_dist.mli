@@ -20,17 +20,25 @@
     The DP runs on an integer lattice.  Loads are scaled by [L], the
     lcm of the weight denominators, so every scaled load is an integer
     in [[0, T]] ([T] the scaled total traffic), and a load state is
-    {e one} {!Numeric.Bigint} key: the first [m - 1] scaled loads are
-    its digits in radix [T + 1] (the last is [T] minus the rest).  A DP
-    step is one [Bigint.add] on the key and a merge one hash lookup.
+    {e one} integer key: the first [m - 1] scaled loads are its digits
+    in radix [T + 1] (the last is [T] minus the rest), so a DP step
+    moves the key by one addition and a merge is one table lookup.
     Each class row is held as integer numerators over its lcm
     denominator [b_c], so a state's mass is an integer and every
     probability shares the one denominator [Π_c b_c^{n_c}]; the loop
-    takes no gcd.  The final layer is kept as built — integer keys and
-    masses, no rational — and expectations are taken on the lattice by
+    takes no gcd.  The lattice has two lanes, chosen once before the
+    first layer.  When the key space [(T + 1)^{m-1}] and the common
+    denominator both fit a native int, every key, mass, product and
+    merged sum does too, so each layer is a flat open-addressing table
+    of unboxed ints and the loop carries no overflow check.  Otherwise
+    keys and masses are {!Numeric.Bigint}s in a hash table.  The final
+    layer is kept as built, on its lane — integer keys and masses, no
+    rational — and expectations are taken on the lattice by
     {!expect_scaled}: the integer sum [Σ mass·f(K)] over the scaled
     loads [K], reduced once.  {!expect} and {!iter} decode each state
-    into rational loads at call time.
+    into rational loads at call time.  The lane never changes a value;
+    under [SELFISH_SANITIZE] every native run is re-derived by the
+    exact DP and must agree on every state.
 
     All arithmetic is exact, so the resulting expectations are
     bit-identical to the brute-force [m^n] sum.  For exchangeable users

@@ -61,15 +61,13 @@ let test_optimum () =
   Alcotest.check check_q "makespan optimum" (qi 1) v;
   Alcotest.(check (array int)) "argmin" [| 0; 1 |] sigma
 
-(* n = 20, m = 2: 2^20 realisations, past the seed enumerator's 10^6
-   cap.  With unit weights and unit capacities the expectation has the
-   independent closed form Σ_k C(20,k)/2^20 · max(k, 20-k), computable
-   with 21 exact terms. *)
+(* n users, m = 2: 2^n realisations, past the seed enumerator's 10^6
+   cap from n = 20 on.  With unit weights and unit capacities the
+   expectation has the independent closed form
+   Σ_k C(n,k)/2^n · max(k, n-k), computable with n + 1 exact terms.
+   The common denominator 2^n is a native int at n = 20 and 61 and is
+   not at n = 62, so the DP runs on both of its lanes. *)
 let test_expected_max_beyond_seed_limit () =
-  let n = 20 in
-  let g =
-    Game.kp ~weights:(Array.make n Rational.one) ~capacities:[| Rational.one; Rational.one |]
-  in
   let choose n k =
     let c = ref Rational.one in
     for i = 1 to k do
@@ -77,14 +75,22 @@ let test_expected_max_beyond_seed_limit () =
     done;
     !c
   in
-  let scale = Rational.div Rational.one (Rational.mul (qi 1024) (qi 1024)) in
-  let closed_form =
-    Rational.sum
-      (List.init (n + 1) (fun k ->
-           Rational.mul (Rational.mul (choose n k) scale) (qi (Stdlib.max k (n - k)))))
-  in
-  Alcotest.check check_q "binomial closed form" closed_form
-    (Congestion.expected_max_congestion g (Mixed.uniform g))
+  List.iter
+    (fun n ->
+      let g =
+        Game.kp ~weights:(Array.make n Rational.one) ~capacities:[| Rational.one; Rational.one |]
+      in
+      let scale = Rational.inv (Rational.of_bigint (Bigint.pow (Bigint.of_int 2) n)) in
+      let closed_form =
+        Rational.sum
+          (List.init (n + 1) (fun k ->
+               Rational.mul (Rational.mul (choose n k) scale) (qi (Stdlib.max k (n - k)))))
+      in
+      Alcotest.check check_q
+        (Printf.sprintf "binomial closed form, n = %d" n)
+        closed_form
+        (Congestion.expected_max_congestion g (Mixed.uniform g)))
+    [ 20; 61; 62 ]
 
 let congestion_properties =
   [

@@ -198,16 +198,27 @@ let test_shared_combinatorics_regression () =
 (* The guard counts distinct states, and a layer never holds fewer
    states than the one before it, so [limit] = the final size passes
    and one less trips, with the same message; presizing a layer's
-   table does not move that point. *)
+   table does not move that point.  Checked on both lanes: the random
+   instance runs natively, and its twin with every weight times 2^70
+   (the same load structure) has a key space past max_int. *)
 let test_state_limit_guard () =
   let g = random_kp (Prng.Rng.create 7) ~n:4 ~m:3 in
   let p = random_profile (Prng.Rng.create 8) ~kind:0 g in
+  let big = Rational.of_bigint (Bigint.pow (Bigint.of_int 2) 70) in
+  let twin =
+    Game.kp ~weights:(Array.map (Rational.mul big) (Game.weights g)) ~capacities:(Game.capacity_row g 0)
+  in
   let message = Invalid_argument "Load_dist.of_mixed: distinct load states exceed the limit" in
-  Alcotest.check_raises "limit trips" message (fun () -> ignore (Load_dist.of_mixed ~limit:2 g p));
-  let size = Load_dist.size (Load_dist.of_mixed g p) in
-  Alcotest.(check int) "limit = size passes" size (Load_dist.size (Load_dist.of_mixed ~limit:size g p));
-  Alcotest.check_raises "limit = size - 1 trips" message (fun () ->
-      ignore (Load_dist.of_mixed ~limit:(size - 1) g p))
+  List.iter
+    (fun (lane, g) ->
+      Alcotest.check_raises (lane ^ ": limit trips") message (fun () ->
+          ignore (Load_dist.of_mixed ~limit:2 g p));
+      let size = Load_dist.size (Load_dist.of_mixed g p) in
+      Alcotest.(check int) (lane ^ ": limit = size passes") size
+        (Load_dist.size (Load_dist.of_mixed ~limit:size g p));
+      Alcotest.check_raises (lane ^ ": limit = size - 1 trips") message (fun () ->
+          ignore (Load_dist.of_mixed ~limit:(size - 1) g p)))
+    [ ("native", g); ("exact", twin) ]
 
 (* ------------------------------------------------------------------ *)
 (* Large frontiers: distinct powers-of-two weights keep every
@@ -378,7 +389,77 @@ let test_big_keys () =
     Game.kp ~weights:(Array.make 4 (Rational.of_ints (base + 1) 3))
       ~capacities:[| Rational.one; Rational.two; Rational.of_int 3 |]
   in
-  check_lattice "big keys, uniform" g (Mixed.uniform g)
+  check_lattice "big keys, uniform" g (Mixed.uniform g);
+  (* Two users on three links put the key space (T + 1)^2 on either
+     side of max_int: 2^62 - 2^32 + 1 for weights 2^30 - 1 (the native
+     lane), 2^62 for 2^30 - 1 and 2^30 (one past max_int) and
+     2^62 + 2^32 + 1 for 2^30 (the exact lane). *)
+  List.iter
+    (fun (w0, w1) ->
+      let g =
+        Game.kp
+          ~weights:[| Rational.of_int w0; Rational.of_int w1 |]
+          ~capacities:[| Rational.one; Rational.two; Rational.of_int 3 |]
+      in
+      let name = Printf.sprintf "key space near max_int, weights %d %d" w0 w1 in
+      check_lattice (name ^ ", uniform") g (Mixed.uniform g);
+      check_lattice (name ^ ", random") g (random_profile rng ~kind:2 g))
+    [ ((1 lsl 30) - 1, (1 lsl 30) - 1); ((1 lsl 30) - 1, 1 lsl 30); (1 lsl 30, 1 lsl 30) ]
+
+(* Admission sits exactly at max_int on both bounds.  Each pair
+   below shares its load structure and its state count, with the key
+   space (T + 1)^(m-1) or the common denominator Π_c b_c^{n_c} at
+   max_int in the first instance and at max_int + 1 in the second.
+   The lanes agree on every value, so the lane is observed through
+   allocation: the native DP boxes nothing per state, while the exact
+   DP boxes at least a key and a mass (four words) for every state it
+   keeps.  The sanitizer is disarmed around the measurement, since
+   armed the native lane also runs the exact DP. *)
+let test_admission_bounds () =
+  let r = Rational.of_ints in
+  let words g p =
+    let armed = !Sanitize.enabled in
+    Sanitize.enabled := false;
+    Fun.protect
+      ~finally:(fun () -> Sanitize.enabled := armed)
+      (fun () ->
+        let before = Gc.minor_words () in
+        let d = Load_dist.of_mixed g p in
+        (Gc.minor_words () -. before, Load_dist.size d))
+  in
+  let pair name (inside_g, inside_p) (outside_g, outside_p) =
+    check_lattice (name ^ " at max_int") inside_g inside_p;
+    check_lattice (name ^ " past max_int") outside_g outside_p;
+    let inside, states = words inside_g inside_p and outside, states' = words outside_g outside_p in
+    Alcotest.(check int) (name ^ ": same state count") states states';
+    if outside -. inside < 4. *. float_of_int states then
+      Alcotest.failf "%s: %.0f minor words at max_int, %.0f past it, for %d states" name inside outside
+        states
+  in
+  (* m = 2, T = 2^62 - 2 and then 2^62 - 1: ten unit-scaled powers of
+     two and one weight that dwarfs them, so all 2^11 subsets have
+     distinct loads. *)
+  let key_game big =
+    Game.kp
+      ~weights:(Array.init 11 (fun i -> Rational.of_int (if i < 10 then 1 lsl i else big)))
+      ~capacities:[| Rational.one; Rational.two |]
+  in
+  let key_inside = key_game (max_int - 1024) and key_outside = key_game (max_int - 1023) in
+  pair "key space" (key_inside, Mixed.uniform key_inside) (key_outside, Mixed.uniform key_outside);
+  (* m = 16, weights 1, 2, 4: user 0 on three links, users 1 and 2 on
+     all sixteen, with row denominators 3·715827883·2147483647 = 2^62 - 1
+     and then 4·2^30·2^30 = 2^62. *)
+  let m = 16 in
+  let den_game =
+    Game.kp
+      ~weights:[| Rational.one; Rational.two; Rational.of_int 4 |]
+      ~capacities:(Array.init m (fun l -> Rational.of_int (l + 1)))
+  in
+  let spread b = Array.init m (fun l -> if l < m - 1 then r 1 b else r (b - m + 1) b) in
+  let three head = Array.init m (fun l -> if l < 3 then head.(l) else Rational.zero) in
+  let inside = [| three [| r 1 3; r 1 3; r 1 3 |]; spread 715827883; spread 2147483647 |] in
+  let outside = [| three [| r 1 4; r 1 4; r 1 2 |]; spread (1 lsl 30); spread (1 lsl 30) |] in
+  pair "denominator" (den_game, inside) (den_game, outside)
 
 (* The participation shape of Ignorance.demand_dist: m real links plus
    a phantom "absent" link; user i is on its link with probability
@@ -599,6 +680,7 @@ let () =
           Alcotest.test_case "rows with mixed denominators and zeros" `Quick
             test_mixed_row_denominators;
           Alcotest.test_case "packed keys beyond max_int" `Quick test_big_keys;
+          Alcotest.test_case "lane admission at max_int" `Quick test_admission_bounds;
           Alcotest.test_case "phantom-link participation profiles" `Quick
             test_phantom_participation;
           Alcotest.test_case "rational capacities need a common denominator" `Quick
