@@ -63,12 +63,7 @@ let expected_scw d ~true_caps =
   let scale = Load_dist.scale d in
   Load_dist.expect_scaled d
     ~over:(Bigint.mul (Bigint.mul scale scale) inv.den)
-    (fun k ->
-      let acc = ref Bigint.zero in
-      Array.iteri
-        (fun l u -> acc := Bigint.add !acc (Bigint.mul (Bigint.mul k.(l) k.(l)) u))
-        inv.nums;
-      !acc)
+    (Load_dist.Sum_sq_weighted inv.nums)
 
 type trial = {
   t_informed : Rational.t;

@@ -32,14 +32,9 @@ let max_congestion g sigma =
 let expected_max_relative_load d ~caps =
   check_caps "expected_max_relative_load" ~links:(Load_dist.links d) caps;
   let inv = Packing.lift (Array.map Rational.inv caps) in
-  let u = inv.nums in
-  Load_dist.expect_scaled d ~over:(Bigint.mul (Load_dist.scale d) inv.den) (fun k ->
-      let best = ref (Bigint.mul k.(0) u.(0)) in
-      for l = 1 to Array.length u - 1 do
-        let x = Bigint.mul k.(l) u.(l) in
-        if Bigint.compare x !best > 0 then best := x
-      done;
-      !best)
+  Load_dist.expect_scaled d
+    ~over:(Bigint.mul (Load_dist.scale d) inv.den)
+    (Load_dist.Max_weighted inv.nums)
 
 (* The expectation no longer sweeps the m^n realisations: the product
    measure is pushed forward to the distribution of the load vector

@@ -18,10 +18,11 @@ end)
    one denominator b_c, so a state's probability is its integer mass
    over the common denominator [den] = Π_c b_c^{n_c}.  The final layer
    is kept as built, on the lane [of_mixed] admitted: [Native] is a
-   flat table of int keys and int masses whose free slots hold [free];
-   [Exact] holds [Bigint] keys and masses, index-aligned. *)
+   flat table of int keys and int masses whose free slots hold [free],
+   with the radix and the scaled total as ints; [Exact] holds [Bigint]
+   keys and masses, index-aligned. *)
 type lattice =
-  | Native of { keys : int array; masses : int array; radix : int }
+  | Native of { keys : int array; masses : int array; radix : int; total : int }
   | Exact of { keys : Bigint.t array; masses : Bigint.t array; radix : Bigint.t }
 
 type t = {
@@ -259,18 +260,26 @@ let of_mixed ?(limit = 1_000_000) g p =
       Bigint.one cls
   in
   let classes = List.length cls in
-  (* The native lane runs whenever every key and [den], and so every
-     mass, fit a native int.  Both bounds are known before the first
-     layer, so admission is decided once and the lane never restarts. *)
-  if Bigint.compare key_space max_native <= 0 && Bigint.compare den max_native <= 0 then begin
+  (* The native lane runs whenever every key, every scaled load and
+     [den], and so every mass, fit a native int (the radix T + 1 is
+     below the key space unless m = 1).  The bounds are known before
+     the first layer, so admission is decided once and the lane never
+     restarts. *)
+  let fits x = Bigint.compare x max_native <= 0 in
+  if fits key_space && fits den && fits radix then begin
     let key_space = Bigint.to_int_exn key_space in
     let layer, nden = native_layers ~limit ~key_space ~places ~scale cls in
     if !Sanitize.enabled then
       cross_check (exact_layers ~limit ~key_space ~places ~scale cls) layer nden;
-    (* The radix is never read when m = 1, where it need not fit. *)
-    let radix = if m > 1 then Bigint.to_int_exn radix else 1 in
     {
-      lattice = Native { keys = layer.keys; masses = layer.masses; radix };
+      lattice =
+        Native
+          {
+            keys = layer.keys;
+            masses = layer.masses;
+            radix = Bigint.to_int_exn radix;
+            total = Bigint.to_int_exn total;
+          };
       size = layer.count;
       den = Bigint.of_int nden;
       scale;
@@ -295,26 +304,40 @@ let of_mixed ?(limit = 1_000_000) g p =
     { lattice; size = states; den; scale; total; links = m; classes }
   end
 
+(* [decode_key ~radix ~total k key] writes the scaled loads of the native
+   [key] into [k]: its first m-1 digits in radix [radix], one division
+   each (the last stored digit is the quotient left over), and the last
+   load completing [total].  The one native decoder: [each] and the
+   native expectation both read keys through it. *)
+let decode_key ~radix ~total k key =
+  let m = Array.length k in
+  let rest = ref key and sum = ref 0 in
+  for l = 0 to m - 3 do
+    let q = !rest / radix in
+    let r = !rest - (q * radix) in
+    k.(l) <- r;
+    sum := !sum + r;
+    rest := q
+  done;
+  (* When m = 1 the only key is 0, so [rest] adds nothing. *)
+  if m > 1 then k.(m - 2) <- !rest;
+  k.(m - 1) <- total - !sum - !rest
+
 (* [each d k f] calls [f mass] once per state, with the state's scaled
    loads written into [k]: the key's first m-1 digits in radix
-   [total + 1], the last load completing the scaled total.  It is the
-   one reader of the final layer, so only it and [of_mixed] know which
-   lane ran. *)
+   [total + 1], the last load completing the scaled total.  With the
+   native expectation below it is the one reader of the final layer,
+   so only they and [of_mixed] know which lane ran. *)
 let each d k f =
   let m = d.links in
   match d.lattice with
-  | Native { keys; masses; radix } ->
+  | Native { keys; masses; radix; total } ->
+    let digits = Array.make m 0 in
     Array.iteri
       (fun s key ->
         if key <> free then begin
-          let rest = ref key and sum = ref 0 in
-          for l = 0 to m - 2 do
-            let r = !rest mod radix in
-            k.(l) <- Bigint.of_int r;
-            sum := !sum + r;
-            rest := !rest / radix
-          done;
-          k.(m - 1) <- Bigint.sub d.total (Bigint.of_int !sum);
+          decode_key ~radix ~total digits key;
+          Array.iteri (fun l x -> k.(l) <- Bigint.of_int x) digits;
           f (Bigint.of_int masses.(s))
         end)
       keys
@@ -337,13 +360,102 @@ let total_probability d =
   each d (Array.make d.links Bigint.zero) (fun mass -> acc := Bigint.add !acc mass);
   Rational.make !acc d.den
 
-(* Σ_v mass(v)·f(K(v)) is an integer; one [Rational.make] reduces it.
-   The scratch vector belongs to this call alone. *)
-let expect_scaled d ~over f =
+type kernel = Max_weighted of Bigint.t array | Sum_sq_weighted of Bigint.t array
+
+(* f(K) on [Bigint]s, reading the first |u| coordinates of [k]. *)
+let exact_kernel = function
+  | Max_weighted u ->
+    fun k ->
+      let best = ref (Bigint.mul k.(0) u.(0)) in
+      for l = 1 to Array.length u - 1 do
+        let x = Bigint.mul k.(l) u.(l) in
+        if Bigint.compare x !best > 0 then best := x
+      done;
+      !best
+  | Sum_sq_weighted u ->
+    fun k ->
+      let acc = ref Bigint.zero in
+      Array.iteri (fun l u -> acc := Bigint.add !acc (Bigint.mul (Bigint.mul k.(l) k.(l)) u)) u;
+      !acc
+
+(* [exact_kernel] on ints, for a kernel [native_admits]. *)
+let native_kernel = function
+  | Max_weighted u ->
+    let u = Array.map Bigint.to_int_exn u in
+    fun k ->
+      let best = ref (k.(0) * u.(0)) in
+      for l = 1 to Array.length u - 1 do
+        let x = k.(l) * u.(l) in
+        if x > !best then best := x
+      done;
+      !best
+  | Sum_sq_weighted u ->
+    let u = Array.map Bigint.to_int_exn u in
+    fun k ->
+      let acc = ref 0 in
+      for l = 0 to Array.length u - 1 do
+        acc := !acc + (k.(l) * k.(l) * u.(l))
+      done;
+      !acc
+
+(* Since Σ_l K_l = T, |f(K)| ≤ T^p·max_l |u_l| (p = 1 for the max, 2
+   for the sum of squares), and the masses sum to [den], so every
+   product, term and partial sum of Σ mass·f(K) is at most
+   den·T^p·max_l |u_l| in magnitude.  Taking T and max |u| as at least
+   1 also bounds every u_l, every K_l·u_l and every K_l².  When that
+   bound fits, the native loop can carry no overflow check. *)
+let native_admits d kernel =
+  let u, p = match kernel with Max_weighted u -> (u, 1) | Sum_sq_weighted u -> (u, 2) in
+  let at_least a b = if Bigint.compare a b >= 0 then a else b in
+  let umax = Array.fold_left (fun acc x -> at_least (Bigint.abs x) acc) Bigint.one u in
+  let tp = Bigint.pow (at_least d.total Bigint.one) p in
+  Bigint.compare (Bigint.mul d.den (Bigint.mul tp umax)) max_native <= 0
+
+(* Σ_v mass(v)·f(K(v)) on native ints: no allocation per state. *)
+let native_sum ~keys ~masses ~radix ~total ~links f =
+  let k = Array.make links 0 and acc = ref 0 in
+  for s = 0 to Array.length keys - 1 do
+    let key = keys.(s) in
+    if key <> free then begin
+      decode_key ~radix ~total k key;
+      acc := !acc + (masses.(s) * f k)
+    end
+  done;
+  !acc
+
+(* Σ_v mass(v)·f(K(v)) on [Bigint]s; the scratch vector belongs to
+   this call alone. *)
+let exact_sum d f =
   let k = Array.make d.links Bigint.zero in
   let acc = ref Bigint.zero in
   each d k (fun mass -> acc := Bigint.add !acc (Bigint.mul mass (f k)));
-  Rational.make !acc (Bigint.mul d.den over)
+  !acc
+
+(* The sum is an integer on either lane; one [Rational.make] reduces
+   it.  Armed, a native sum is re-derived on [Bigint]s. *)
+let expect_scaled d ~over kernel =
+  let u = match kernel with Max_weighted u | Sum_sq_weighted u -> u in
+  if Array.length u > d.links then
+    invalid_arg
+      (Printf.sprintf "Load_dist.expect_scaled: %d weights for %d load coordinates" (Array.length u)
+         d.links);
+  (match kernel with
+   | Max_weighted [||] -> invalid_arg "Load_dist.expect_scaled: Max_weighted of no weights"
+   | Max_weighted _ | Sum_sq_weighted _ -> ());
+  let den = Bigint.mul d.den over in
+  match d.lattice with
+  | Native { keys; masses; radix; total } when native_admits d kernel ->
+    let sum = native_sum ~keys ~masses ~radix ~total ~links:d.links (native_kernel kernel) in
+    let q = Rational.make (Bigint.of_int sum) den in
+    if !Sanitize.enabled then begin
+      let exact = Rational.make (exact_sum d (exact_kernel kernel)) den in
+      if not (Rational.equal q exact) then
+        Sanitize.fail
+          (Printf.sprintf "Load_dist.expect_scaled: the native sum gives %s, the exact %s"
+             (Rational.to_string q) (Rational.to_string exact))
+    end;
+    q
+  | Native _ | Exact _ -> Rational.make (exact_sum d (exact_kernel kernel)) den
 
 (* The rational load vector of the scaled loads [k], built afresh for
    the caller. *)

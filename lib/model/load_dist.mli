@@ -35,10 +35,13 @@
     layer is kept as built, on its lane — integer keys and masses, no
     rational — and expectations are taken on the lattice by
     {!expect_scaled}: the integer sum [Σ mass·f(K)] over the scaled
-    loads [K], reduced once.  {!expect} and {!iter} decode each state
-    into rational loads at call time.  The lane never changes a value;
-    under [SELFISH_SANITIZE] every native run is re-derived by the
-    exact DP and must agree on every state.
+    loads [K], reduced once, for an integer function [f] given as data
+    (a {!kernel}).  Since [f] is data, the sum's magnitude is bounded
+    before the loop, and on the native lane a sum that fits runs on
+    unboxed ints too.  {!expect} and {!iter} decode each state into
+    rational loads at call time.  No lane ever changes a value; under
+    [SELFISH_SANITIZE] every native DP and every native expectation is
+    re-derived on {!Numeric.Bigint}s and must agree.
 
     All arithmetic is exact, so the resulting expectations are
     bit-identical to the brute-force [m^n] sum.  For exchangeable users
@@ -82,25 +85,45 @@ val total_probability : t -> Numeric.Rational.t
     vector is [K / L] for an integer vector [K] of scaled loads. *)
 val scale : t -> Numeric.Bigint.t
 
+(** An integer function [f] of the scaled load vector [K], as data.
+    Each reads only the first [|u|] coordinates of [K], so coordinates
+    past [u] (e.g. a phantom "absent" link) are ignored.
+    {ul
+    {- [Max_weighted u] is [max_{ℓ < |u|} K_ℓ·u_ℓ]; [u] is not empty;}
+    {- [Sum_sq_weighted u] is [Σ_{ℓ < |u|} K_ℓ²·u_ℓ].}} *)
+type kernel = Max_weighted of Numeric.Bigint.t array | Sum_sq_weighted of Numeric.Bigint.t array
+
 (** [expect_scaled d ~over f] is the exact expectation
-    [Σ_K P(K)·f(K) / over] of an integer function of the {e scaled}
-    load vector [K] ([load_ℓ = K_ℓ / L], [L] = {!scale}).  The terms
-    are summed as integer masses times [f(K)] and the sum is reduced
-    once, by a single [Rational.make]; no rational is built per state.
-    [f] sees one scratch vector per call, overwritten state by state,
-    so it must not keep or modify it.  E.g. [E[max_ℓ load_ℓ]] is
-    [expect_scaled d ~over:(scale d)] of the integer max of [K].
+    [Σ_K P(K)·f(K) / over] of the kernel [f] of the {e scaled} load
+    vector [K] ([load_ℓ = K_ℓ / L], [L] = {!scale}).  The terms are
+    summed as integer masses times [f(K)] and the sum is reduced once,
+    by a single [Rational.make]; no rational is built per state.  E.g.
+    [E[max_ℓ load_ℓ/c_ℓ]] is [expect_scaled d ~over:(L·C) (Max_weighted u)]
+    with [1/c_ℓ = u_ℓ/C].
+
+    The sum runs on one of two lanes, chosen once per call.  Since
+    [Σ_ℓ K_ℓ = T] (the scaled total), [|f(K)| ≤ T^p·max_ℓ |u_ℓ|], with
+    [p = 1] for [Max_weighted] and [2] for [Sum_sq_weighted], and the
+    masses sum to the common denominator [den].  When {!of_mixed} ran
+    on native ints and [den·T^p·max_ℓ |u_ℓ| ≤ max_int] (with [T] and
+    [max |u|] taken as at least [1]), every term and partial sum fits a
+    native int, and the loop decodes each key and sums on unboxed ints
+    with no overflow check and no allocation per state.  Otherwise
+    each state's [K], mass and [f(K)] are {!Numeric.Bigint}s.  The
+    lanes give the same value; under [SELFISH_SANITIZE] a native sum
+    is re-derived on [Bigint]s and must be equal.
+    @raise Invalid_argument when [u] is longer than {!links}, or empty
+    in [Max_weighted].
     @raise Division_by_zero when [over] is zero. *)
-val expect_scaled :
-  t -> over:Numeric.Bigint.t -> (Numeric.Bigint.t array -> Numeric.Bigint.t) -> Numeric.Rational.t
+val expect_scaled : t -> over:Numeric.Bigint.t -> kernel -> Numeric.Rational.t
 
 (** [expect d f] is the exact expectation [Σ_v P(v)·f(v)] of a function
     of the rational load vector.  Each state is decoded into a fresh
     rational vector at call time; the terms are summed as integer
     masses times [f(v)] over one running common denominator — a gcd is
     taken only when [f] returns a denominator not seen before — and the
-    sum is reduced once.  Prefer {!expect_scaled} when [f] has an
-    integer form on the scaled loads. *)
+    sum is reduced once.  Prefer {!expect_scaled} when [f] is a
+    {!kernel} of the scaled loads. *)
 val expect : t -> (Numeric.Rational.t array -> Numeric.Rational.t) -> Numeric.Rational.t
 
 (** [iter d f] calls [f loads prob] on every state, in an unspecified

@@ -273,17 +273,16 @@ let scw_of_loads ~caps loads =
   !acc
 
 (* The integer SCw of the scaled loads, Σ_l K_l²·u_l with 1/c_l = u_l/C,
-   to be divided by L²·C. *)
+   to be divided by L²·C.  [C] is the product of the capacity
+   numerators, not Packing.lift's lcm, so [u] differs from
+   Ignorance.expected_scw's. *)
 let expected_scw_scaled dist ~caps =
   let c = Array.fold_left (fun acc q -> Bigint.mul acc (Rational.num q)) Bigint.one caps in
   let u = Array.map (fun q -> Bigint.div (Bigint.mul c (Rational.den q)) (Rational.num q)) caps in
   let scale = Load_dist.scale dist in
   Load_dist.expect_scaled dist
     ~over:(Bigint.mul (Bigint.mul scale scale) c)
-    (fun k ->
-      let acc = ref Bigint.zero in
-      Array.iteri (fun l u -> acc := Bigint.add !acc (Bigint.mul (Bigint.mul k.(l) k.(l)) u)) u;
-      !acc)
+    (Load_dist.Sum_sq_weighted u)
 
 (* The lattice kernels against the generic rational path, which
    decodes every state: the max relative load and SCw, over all of the
@@ -406,35 +405,60 @@ let test_big_keys () =
       check_lattice (name ^ ", random") g (random_profile rng ~kind:2 g))
     [ ((1 lsl 30) - 1, (1 lsl 30) - 1); ((1 lsl 30) - 1, 1 lsl 30); (1 lsl 30, 1 lsl 30) ]
 
-(* Admission sits exactly at max_int on both bounds.  Each pair
-   below shares its load structure and its state count, with the key
-   space (T + 1)^(m-1) or the common denominator Π_c b_c^{n_c} at
-   max_int in the first instance and at max_int + 1 in the second.
-   The lanes agree on every value, so the lane is observed through
-   allocation: the native DP boxes nothing per state, while the exact
-   DP boxes at least a key and a mass (four words) for every state it
-   keeps.  The sanitizer is disarmed around the measurement, since
-   armed the native lane also runs the exact DP. *)
+(* Admission sits exactly at max_int on the DP's two bounds and on
+   the expectation's.  Each pair below shares its load structure and
+   its state count, with the key space (T + 1)^(m-1), the common
+   denominator Π_c b_c^{n_c} or a kernel's den·T^p·max u at max_int in
+   the first instance and at max_int + 1 in the second.  The lanes
+   agree on every value, so the lane is observed through allocation:
+   the native loops box nothing per state, while the exact ones box
+   at least a key (or load) and a mass (four words) for every state.
+   The sanitizer is disarmed around the measurement, since armed each
+   native loop is also re-derived on Bigints. *)
 let test_admission_bounds () =
   let r = Rational.of_ints in
-  let words g p =
+  let words run =
     let armed = !Sanitize.enabled in
     Sanitize.enabled := false;
     Fun.protect
       ~finally:(fun () -> Sanitize.enabled := armed)
       (fun () ->
         let before = Gc.minor_words () in
-        let d = Load_dist.of_mixed g p in
-        (Gc.minor_words () -. before, Load_dist.size d))
+        let result = run () in
+        (Gc.minor_words () -. before, result))
   in
-  let pair name (inside_g, inside_p) (outside_g, outside_p) =
-    check_lattice (name ^ " at max_int") inside_g inside_p;
-    check_lattice (name ^ " past max_int") outside_g outside_p;
-    let inside, states = words inside_g inside_p and outside, states' = words outside_g outside_p in
+  let apart name (inside, states) (outside, states') =
     Alcotest.(check int) (name ^ ": same state count") states states';
     if outside -. inside < 4. *. float_of_int states then
       Alcotest.failf "%s: %.0f minor words at max_int, %.0f past it, for %d states" name inside outside
         states
+  in
+  let dp g p = words (fun () -> Load_dist.size (Load_dist.of_mixed g p)) in
+  let pair name (inside_g, inside_p) (outside_g, outside_p) =
+    check_lattice (name ^ " at max_int") inside_g inside_p;
+    check_lattice (name ^ " past max_int") outside_g outside_p;
+    apart name (dp inside_g inside_p) (dp outside_g outside_p)
+  in
+  (* The expectation's own bound, den·T^p·max u (p = 1 for the max, 2
+     for the sum of squares), on native lattices: the exact loop boxes
+     each state's loads and mass.  Every capacity is 1/u_l, so the
+     kernels read the reciprocal numerators u_l, as Congestion's do. *)
+  let max_weighted = ("Max_weighted", fun u -> Load_dist.Max_weighted u)
+  and sum_sq_weighted = ("Sum_sq_weighted", fun u -> Load_dist.Sum_sq_weighted u) in
+  let kernel_pair name kernels (inside_g, inside_p) (outside_g, outside_p) =
+    check_lattice (name ^ " at max_int") inside_g inside_p;
+    check_lattice (name ^ " past max_int") outside_g outside_p;
+    let expect kernel g p =
+      let d = Load_dist.of_mixed g p in
+      let u = Array.map (fun c -> Rational.num (Rational.inv c)) (Game.capacity_row g 0) in
+      let allocated, _ = words (fun () -> Load_dist.expect_scaled d ~over:Bigint.one (kernel u)) in
+      (allocated, Load_dist.size d)
+    in
+    List.iter
+      (fun (kernel_name, kernel) ->
+        apart (name ^ ", " ^ kernel_name) (expect kernel inside_g inside_p)
+          (expect kernel outside_g outside_p))
+      kernels
   in
   (* m = 2, T = 2^62 - 2 and then 2^62 - 1: ten unit-scaled powers of
      two and one weight that dwarfs them, so all 2^11 subsets have
@@ -459,7 +483,31 @@ let test_admission_bounds () =
   let three head = Array.init m (fun l -> if l < 3 then head.(l) else Rational.zero) in
   let inside = [| three [| r 1 3; r 1 3; r 1 3 |]; spread 715827883; spread 2147483647 |] in
   let outside = [| three [| r 1 4; r 1 4; r 1 2 |]; spread (1 lsl 30); spread (1 lsl 30) |] in
-  pair "denominator" (den_game, inside) (den_game, outside)
+  pair "denominator" (den_game, inside) (den_game, outside);
+  (* One user of weight 1 (T = 1, so T^p = 1 for both kernels) on
+     sixteen links with row denominator b, and reciprocal capacities
+     U, 1, …, 1: b·U = 3·715827883·2147483647 = max_int, then
+     2^31·2^31 = 2^62; sixteen states either side.  Only link 0 reads
+     U, and it has mass 1, so every sum stays near 2^32 on both sides
+     and the exact loop allocates as much on one side as on the other. *)
+  let spread_game b cap =
+    let caps = Array.init m (fun l -> if l = 0 then r 1 cap else Rational.one) in
+    (Game.kp ~weights:[| Rational.one |] ~capacities:caps, [| spread b |])
+  in
+  kernel_pair "kernel bound, T = 1" [ max_weighted; sum_sq_weighted ]
+    (spread_game (3 * 715827883) 2147483647)
+    (spread_game (1 lsl 31) (1 lsl 31));
+  (* A 0/1 row (den = 1): one user of weight T on link 1 of two, with
+     u_0 = 3·715827883 and T = 2^31 - 1, so the max kernel's bound
+     T·u_0 is max_int, then 2^31·2^31 = 2^62.  The sum is T on both
+     sides.  (The sum of squares' bound T²·u_0 is past max_int on both.) *)
+  let point_game w cap =
+    let g = Game.kp ~weights:[| Rational.of_int w |] ~capacities:[| r 1 cap; Rational.one |] in
+    (g, [| [| Rational.zero; Rational.one |] |])
+  in
+  kernel_pair "kernel bound, den = 1" [ max_weighted ]
+    (point_game ((1 lsl 31) - 1) (3 * 715827883))
+    (point_game (1 lsl 31) (1 lsl 31))
 
 (* The participation shape of Ignorance.demand_dist: m real links plus
    a phantom "absent" link; user i is on its link with probability
@@ -506,7 +554,18 @@ let test_rational_capacities () =
     in
     check_lattice (Printf.sprintf "rational capacities, trial %d" trial) g
       (random_profile rng ~kind:(trial mod 4) g)
-  done
+  done;
+  (* A native lattice whose kernels are past their bound: reciprocal
+     capacities (2^40 + l)/3 make every u_l near 2^40, and twelve users
+     on three links have den = 3^12 and T = 24, so den·T·u_l is above
+     2^63 and both expectations run on Bigints. *)
+  let g =
+    Game.kp
+      ~weights:(Array.init 12 (fun i -> Rational.of_int (1 + (i mod 3))))
+      ~capacities:(Array.init 3 (fun l -> Rational.of_ints 3 ((1 lsl 40) + l)))
+  in
+  check_kernels "reciprocal capacities near 2^40" (Load_dist.of_mixed g (Mixed.uniform g))
+    (Game.capacity_row g 0)
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate lattices and the kernel's contract                       *)
@@ -585,7 +644,8 @@ let test_heavy_merge () =
   check_kernels "heavy merge" dist (Game.capacity_row g 0)
 
 (* Both max-relative-load functions refuse empty capacities and
-   capacities past the load coordinates. *)
+   capacities past the load coordinates, and so do the expectation
+   kernels. *)
 let test_caps_contract () =
   let g =
     Game.kp ~weights:[| Rational.one; Rational.two |] ~capacities:[| Rational.one; Rational.two |]
@@ -605,7 +665,21 @@ let test_caps_contract () =
         (Invalid_argument
            (Printf.sprintf "Congestion.expected_max_relative_load: %d capacities for 2 load coordinates" m))
         (fun () -> ignore (Congestion.expected_max_relative_load dist ~caps)))
-    [ [||]; [| Rational.one; Rational.one; Rational.one |] ]
+    [ [||]; [| Rational.one; Rational.one; Rational.one |] ];
+  (* The kernels underneath keep the same contract themselves. *)
+  let three = Array.make 3 Bigint.one in
+  List.iter
+    (fun (what, message, kernel) ->
+      Alcotest.check_raises what (Invalid_argument message) (fun () ->
+          ignore (Load_dist.expect_scaled dist ~over:Bigint.one kernel)))
+    [
+      ("Max_weighted, no weights", "Load_dist.expect_scaled: Max_weighted of no weights",
+       Load_dist.Max_weighted [||]);
+      ("Max_weighted, 3 weights", "Load_dist.expect_scaled: 3 weights for 2 load coordinates",
+       Load_dist.Max_weighted three);
+      ("Sum_sq_weighted, 3 weights", "Load_dist.expect_scaled: 3 weights for 2 load coordinates",
+       Load_dist.Sum_sq_weighted three);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Mixed.Eval vs the seed Mixed formulas                               *)
