@@ -6,8 +6,8 @@
    theorem, the n = 3 result, Conjecture 3.7's simulations, the fully
    mixed equilibrium theorems and the price-of-anarchy bounds — gets a
    table here; the scaling tables of E1–E3 and E8 time the
-   polynomial-time algorithms.  Seven artefact sections (numeric,
-   engine, walk, mixed, class, ignorance, serve) then record their measurements as rows of
+   polynomial-time algorithms.  Six artefact sections (numeric, walk,
+   mixed, class, ignorance, serve) then record their measurements as rows of
    one file, BENCH.json, which bench/validate.py checks against its
    gate table.
 
@@ -137,8 +137,7 @@ let e3 () =
 let e4 () =
   Report.heading "E4" "n = 3: no best-response cycles; a pure NE always exists (Section 3.1)";
   let rows =
-    Cycles.run ~domains:(Parallel.available_domains ()) ~seed:108 ~ns:[ 3 ]
-      ~ms:[ 2; 3; 4 ] ~trials:(trials 200)
+    Cycles.run ~seed:108 ~ns:[ 3 ] ~ms:[ 2; 3; 4 ] ~trials:(trials 200)
       ~weights:(Generators.Rational_weights 6)
       ~beliefs:(Generators.Private_point { cap_bound = 9 })
       ()
@@ -154,8 +153,8 @@ let e5 () =
   List.iter
     (fun (weights, beliefs) ->
       let rows =
-        Existence.run ~domains:(Parallel.available_domains ()) ~seed:109
-          ~ns:[ 2; 3; 4; 5 ] ~ms:[ 2; 3 ] ~trials:(trials 100) ~weights ~beliefs ()
+        Existence.run ~seed:109 ~ns:[ 2; 3; 4; 5 ] ~ms:[ 2; 3 ] ~trials:(trials 100) ~weights
+          ~beliefs ()
       in
       Stats.Table.print (Existence.table rows))
     [
@@ -171,8 +170,7 @@ let e6 () =
   Report.heading "E6"
     "Better-response cycles: belief model vs. general player-specific games (Section 3.2)";
   let rows =
-    Cycles.run ~domains:(Parallel.available_domains ()) ~seed:110 ~ns:[ 3; 4 ]
-      ~ms:[ 2; 3 ] ~trials:(trials 200)
+    Cycles.run ~seed:110 ~ns:[ 3; 4 ] ~ms:[ 2; 3 ] ~trials:(trials 200)
       ~weights:(Generators.Integer_weights 6)
       ~beliefs:(Generators.Private_point { cap_bound = 12 })
       ()
@@ -276,8 +274,7 @@ let check_bound id theorem rows =
 let e11 () =
   Report.heading "E11" "Empirical coordination ratio vs the Theorem 4.13 bound (uniform beliefs)";
   let rows =
-    Poa_exp.run ~domains:(Parallel.available_domains ()) ~seed:115 ~ns:[ 2; 3; 4 ]
-      ~ms:[ 2; 3 ] ~trials:(trials 60)
+    Poa_exp.run ~seed:115 ~ns:[ 2; 3; 4 ] ~ms:[ 2; 3 ] ~trials:(trials 60)
       ~weights:(Generators.Integer_weights 4)
       ~beliefs:(Generators.Uniform_link_view { cap_bound = 4 })
       ~bound:`Uniform ()
@@ -288,8 +285,7 @@ let e11 () =
 let e12 () =
   Report.heading "E12" "Empirical coordination ratio vs the Theorem 4.14 bound (general case)";
   let rows =
-    Poa_exp.run ~domains:(Parallel.available_domains ()) ~seed:116 ~ns:[ 2; 3; 4; 6 ]
-      ~ms:[ 2; 3 ] ~trials:(trials 60)
+    Poa_exp.run ~seed:116 ~ns:[ 2; 3; 4; 6 ] ~ms:[ 2; 3 ] ~trials:(trials 60)
       ~weights:(Generators.Integer_weights 4)
       ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 })
       ~bound:`General ()
@@ -427,8 +423,7 @@ let e16 () =
   Stats.Table.print t;
   Stats.Table.print
     (Monte_carlo.table
-       (Monte_carlo.run ~domains:(Parallel.available_domains ()) ~seed:122
-          ~samples_list:[ 100; 1_000; 10_000 ] ~trials:(trials 10) ()))
+       (Monte_carlo.run ~seed:122 ~samples_list:[ 100; 1_000; 10_000 ] ~trials:(trials 10) ()))
 
 (* ------------------------------------------------------------------ *)
 (* E17: the price of misinformation                                    *)
@@ -440,13 +435,12 @@ let e17 () =
   print_endline "diffuse noise (random distributions):";
   Stats.Table.print
     (Robustness.table
-       (Robustness.run ~domains:(Parallel.available_domains ()) ~seed:135 ~n:4 ~m:3
-          ~states:3 ~epsilons ~trials:(trials 150) ()));
+       (Robustness.run ~seed:135 ~n:4 ~m:3 ~states:3 ~epsilons ~trials:(trials 150) ()));
   print_endline "confidently wrong (point-mass noise):";
   Stats.Table.print
     (Robustness.table
-       (Robustness.run ~domains:(Parallel.available_domains ()) ~noise:`Point ~seed:136
-          ~n:4 ~m:3 ~states:3 ~epsilons ~trials:(trials 150) ()))
+       (Robustness.run ~noise:`Point ~seed:136 ~n:4 ~m:3 ~states:3 ~epsilons
+          ~trials:(trials 150) ()))
 
 (* ------------------------------------------------------------------ *)
 (* E18/E19: learning — measurement value and fictitious play           *)
@@ -456,8 +450,8 @@ let e18 () =
     "The value of measurement: beliefs estimated from k state observations, priced under truth";
   Stats.Table.print
     (Learning.table
-       (Learning.run ~domains:(Parallel.available_domains ()) ~seed:137 ~n:4 ~m:3
-          ~states:3 ~observations:[ 0; 2; 8; 32; 128 ] ~trials:(trials 120) ()))
+       (Learning.run ~seed:137 ~n:4 ~m:3 ~states:3 ~observations:[ 0; 2; 8; 32; 128 ]
+          ~trials:(trials 120) ()))
 
 let e19 () =
   Report.heading "E19"
@@ -727,82 +721,6 @@ let bench_numeric () =
       ("games", Int (List.length games)); ("users", Int n_users); ("links", Int n_links);
       ("calls_per_sec", Num calls_per_sec);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Engine benchmark                                                    *)
-
-(* Serial vs sharded wall time for every engine-backed experiment
-   driver.  Identity of the two result lists doubles as an end-to-end
-   determinism check ([compare] not [=]: rows may hold NaN fields).
-   Wall clock, not [Sys.time] — CPU time sums over domains and would
-   hide the speedup. *)
-let bench_engine () =
-  Report.heading "ENGINE" "serial vs sharded experiment drivers";
-  let sharded = Parallel.available_domains () in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let measure name run =
-    let serial_v, serial_ms = wall (fun () -> run 1) in
-    let sharded_v, sharded_ms = wall (fun () -> run sharded) in
-    let identical = compare serial_v sharded_v = 0 in
-    (name, serial_ms, sharded_ms, identical)
-  in
-  let t = trials in
-  let rows =
-    [
-      measure "cycles" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Cycles.run ~domains ~seed:201 ~ns:[ 3 ] ~ms:[ 2; 3 ] ~trials:(t 100)
-                  ~weights:(Generators.Integer_weights 6)
-                  ~beliefs:(Generators.Private_point { cap_bound = 9 })
-                  ())));
-      measure "existence" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Existence.run ~domains ~seed:202 ~ns:[ 3; 4 ] ~ms:[ 2; 3 ] ~trials:(t 60)
-                  ~weights:(Generators.Integer_weights 5)
-                  ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 6; grain = 4 })
-                  ())));
-      measure "poa_exp" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Poa_exp.run ~domains ~seed:203 ~ns:[ 2; 3 ] ~ms:[ 2; 3 ] ~trials:(t 40)
-                  ~weights:(Generators.Integer_weights 4)
-                  ~beliefs:(Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 })
-                  ~bound:`General ())));
-      measure "robustness" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Robustness.run ~domains ~seed:204 ~n:4 ~m:3 ~states:3
-                  ~epsilons:(List.map (fun (a, b) -> Rational.of_ints a b) [ (0, 1); (1, 2); (1, 1) ])
-                  ~trials:(t 60) ())));
-      measure "learning" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Learning.run ~domains ~seed:205 ~n:4 ~m:3 ~states:3
-                  ~observations:[ 0; 8; 32 ] ~trials:(t 60) ())));
-      measure "monte_carlo" (fun domains ->
-          ignore
-            (Sys.opaque_identity
-               (Monte_carlo.run ~domains ~seed:206 ~samples_list:[ 100; 1_000 ] ~trials:(t 10) ())));
-    ]
-  in
-  let tbl = Stats.Table.create [ "driver"; "serial ms"; "sharded ms"; "speedup"; "identical" ] in
-  List.iter
-    (fun (name, s, p, ident) ->
-      Stats.Table.add_row tbl
-        [ name; Report.flt s; Report.flt p; Printf.sprintf "%.2fx" (s /. p); string_of_bool ident ];
-      emit "engine" name
-        [
-          ("domains", Int sharded); ("serial_ms", Num s); ("sharded_ms", Num p);
-          ("speedup", Num (s /. p)); ("identical", Bool ident);
-        ])
-    rows;
-  Stats.Table.print tbl
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-evaluation benchmark                                    *)
@@ -1389,7 +1307,6 @@ let main () =
   e20 ();
   figures ();
   bench_numeric ();
-  bench_engine ();
   bench_walk ();
   bench_mixed ();
   bench_class ();

@@ -24,7 +24,6 @@ def each(section, workloads, metric, op, threshold):
 NUMERIC = [f"{op}_{size}"
            for op in ("rational_add", "rational_mul", "rational_compare", "bigint_gcd")
            for size in ("small", "large")]
-ENGINE = ["cycles", "existence", "poa_exp", "robustness", "learning", "monte_carlo"]
 WALK = ["br_walk", "opt1_sweep", "is_nash_check"]
 MIXED_SEED = ["uniform_n12", "two_classes_n12", "fractional_n12"]
 MIXED_DP_ONLY = ["uniform_n20", "uniform_n40", "three_classes_n24"]
@@ -39,11 +38,6 @@ GATES = [
     # prefilter must keep it ahead of the reference tower.
     ("numeric", "rational_compare_large", "speedup", ">=", 1.0),
     ("numeric", "is_nash", "calls_per_sec", ">", 0),
-
-    *each("engine", ENGINE, "domains", ">=", 1),
-    *each("engine", ENGINE, "serial_ms", ">", 0),
-    *each("engine", ENGINE, "sharded_ms", ">", 0),
-    *each("engine", ENGINE, "identical", "==", True),
 
     *each("walk", WALK, "seed_ms", ">", 0),
     *each("walk", WALK, "incremental_ms", ">", 0),

@@ -120,9 +120,9 @@ let exit_if_skipped skipped =
     exit 1
   end
 
-(* The one count converter: a worker-domain number, an attempt count
-   or a grid bound below 1 is a usage error (exit 124) reported by
-   cmdliner, not an exception from the search. *)
+(* The one count converter: an attempt count or a grid bound below 1
+   is a usage error (exit 124) reported by cmdliner, not an exception
+   from the search. *)
 let positive s =
   match int_of_string_opt s with
   | Some n when n > 0 -> Ok n
@@ -143,23 +143,16 @@ let range_conv =
   in
   Arg.conv (parse, fun fmt (a, b) -> Format.fprintf fmt "%d-%d" a b)
 
-let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
+let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed =
   check_space ~users:n_hi ~links:m_hi;
   (* Attempt [i] draws from its own stream [Rng.of_path seed [0; i]], so
-     the instance tested at global index [i] is the same for any domain
-     count or batch size.  Batches are contiguous ascending index
-     ranges, so the first batch containing a hit contains the globally
-     smallest hit — the reported attempt number is deterministic. *)
-  let try_one rng _index =
-    let n = Prng.Rng.int_in rng n_lo n_hi and m = Prng.Rng.int_in rng m_lo m_hi in
-    let w = Array.init n (fun _ -> Prng.Rng.int_in rng 1 w_hi) in
-    let c = Array.init n (fun _ -> Array.init m (fun _ -> Prng.Rng.int_in rng 1 c_hi)) in
-    (search ~w ~c ~m, (n, m, w, c))
-  in
-  let batch = max 1 (256 * domains) in
+     the instance tested at index [i] does not depend on the attempts
+     before it.  Attempts run in ascending order, so the first hit is
+     the smallest one, and only instances before it count as skipped. *)
   let skipped = ref 0 in
-  let rec go start =
-    if start >= attempts then begin
+  let rec go i =
+    if i > 0 && i mod 1_000_000 = 0 then Printf.printf "%d attempts...\n%!" i;
+    if i >= attempts then begin
       Printf.printf
         "no better-response cycle in %s random instances (n=%d-%d, m=%d-%d, w<=%d, c<=%d)\n"
         (searched ~skipped:!skipped attempts)
@@ -167,27 +160,19 @@ let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed domains =
       exit_if_skipped !skipped
     end
     else begin
-      let count = min batch (attempts - start) in
-      let results = Engine.map_tasks ~domains ~seed ~offset:start ~tasks:count try_one in
-      (* Only instances before the first hit count as skipped. *)
-      let hit = ref None in
-      Array.iteri
-        (fun i (verdict, found) ->
-          match (verdict, !hit) with
-          | Cyclic, None -> hit := Some (start + i, found)
-          | Skipped, None -> incr skipped
-          | _ -> ())
-        results;
-      match !hit with
-      | Some (idx, (n, m, w, c)) ->
-        Printf.printf "CYCLE FOUND at attempt %d (n=%d, m=%d):\n" (idx + 1) n m;
+      let rng = Prng.Rng.of_path seed [ 0; i ] in
+      let n = Prng.Rng.int_in rng n_lo n_hi and m = Prng.Rng.int_in rng m_lo m_hi in
+      let w = Array.init n (fun _ -> Prng.Rng.int_in rng 1 w_hi) in
+      let c = Array.init n (fun _ -> Array.init m (fun _ -> Prng.Rng.int_in rng 1 c_hi)) in
+      match search ~w ~c ~m with
+      | Cyclic ->
+        Printf.printf "CYCLE FOUND at attempt %d (n=%d, m=%d):\n" (i + 1) n m;
         print_instance w c;
         exit_if_skipped !skipped
-      | None ->
-        let finished = start + count in
-        if finished / 1_000_000 > start / 1_000_000 then
-          Printf.printf "%d attempts...\n%!" (finished / 1_000_000 * 1_000_000);
-        go finished
+      | Skipped ->
+        incr skipped;
+        go (i + 1)
+      | Acyclic -> go (i + 1)
     end
   in
   go 0
@@ -199,15 +184,8 @@ let random_cmd =
   let w_hi = Arg.(value & opt positive_int 9 & info [ "max-weight" ]) in
   let c_hi = Arg.(value & opt positive_int 40 & info [ "max-capacity" ]) in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
-  let domains =
-    Arg.(
-      value
-      & opt positive_int (Parallel.available_domains ())
-      & info [ "domains" ]
-          ~doc:"Worker domains (default: all available cores; same hits for any value).")
-  in
   let info = Cmd.info "random" ~doc:"Random sampling over an integer grid." in
-  Cmd.v info Term.(const run_random $ users $ links $ attempts $ w_hi $ c_hi $ seed $ domains)
+  Cmd.v info Term.(const run_random $ users $ links $ attempts $ w_hi $ c_hi $ seed)
 
 let run_exhaustive n m w_hi c_hi =
   check_space ~users:n ~links:m;

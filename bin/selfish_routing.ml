@@ -473,11 +473,11 @@ let fictitious_cmd =
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 
-let run_sweep seed trials n_hi m_hi domains =
+let run_sweep seed trials n_hi m_hi =
   let ns = List.init (n_hi - 1) (fun i -> i + 2) in
   let ms = List.init (m_hi - 1) (fun i -> i + 2) in
   let rows =
-    Experiments.Existence.run ~domains ~seed ~ns ~ms ~trials
+    Experiments.Existence.run ~seed ~ns ~ms ~trials
       ~weights:(Experiments.Generators.Rational_weights 5)
       ~beliefs:(Experiments.Generators.Shared_space { states = 3; cap_bound = 6; grain = 4 })
       ()
@@ -490,19 +490,10 @@ let sweep_cmd =
   in
   let n_hi = Arg.(value & opt (at_least 2) 5 & info [ "max-users" ] ~doc:"Largest n (from 2).") in
   let m_hi = Arg.(value & opt (at_least 2) 3 & info [ "max-links" ] ~doc:"Largest m (from 2).") in
-  let domains =
-    Arg.(
-      value
-      & opt positive_int (Parallel.available_domains ())
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains (default: all available cores; results are \
-             bit-identical for any value).")
-  in
   let info =
     Cmd.info "sweep" ~doc:"Pure-NE existence sweep over random instances (Conjecture 3.7)."
   in
-  Cmd.v info Term.(const run_sweep $ seed_arg $ trials $ n_hi $ m_hi $ domains)
+  Cmd.v info Term.(const run_sweep $ seed_arg $ trials $ n_hi $ m_hi)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

@@ -12,9 +12,9 @@ type row = {
 (* Per-trial outcome; folded into a row in trial order by [reduce]. *)
 type outcome = { best : bool; better_len : int option; has_pure : bool }
 
-let run ?(domains = 1) ~seed ~ns ~ms ~trials ~weights ~beliefs () =
+let run ~seed ~ns ~ms ~trials ~weights ~beliefs () =
   let cells = List.concat_map (fun n -> List.map (fun m -> (n, m)) ms) ns in
-  Engine.sweep ~domains ~seed ~cells ~trials
+  Engine.sweep ~seed ~cells ~trials
     ~task:(fun (n, m) rng _trial ->
       let g = Generators.game rng ~n ~m ~weights ~beliefs in
       (* Both graph searches and the existence scan run on incremental

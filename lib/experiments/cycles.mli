@@ -21,10 +21,8 @@ type row = {
 
 (** [run ~seed ~ns ~ms ~trials ~weights ~beliefs ()] searches both
     graphs of every sampled instance exhaustively.  Trials run through
-    the sharded engine: rows are identical for any [domains]
-    (default 1: serial). *)
+    {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   seed:int ->
   ns:int list ->
   ms:int list ->

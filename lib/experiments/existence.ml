@@ -20,9 +20,9 @@ let random_profile rng g =
 (* Per-trial outcome; folded into a row in trial order by [reduce]. *)
 type outcome = { ne_count : int; converged_steps : int option }
 
-let run ?(domains = 1) ~seed ~ns ~ms ~trials ~weights ~beliefs () =
+let run ~seed ~ns ~ms ~trials ~weights ~beliefs () =
   let cells = List.concat_map (fun n -> List.map (fun m -> (n, m)) ms) ns in
-  Engine.sweep ~domains ~seed ~cells ~trials
+  Engine.sweep ~seed ~cells ~trials
     ~task:(fun (n, m) rng _trial ->
       let g = Generators.game rng ~n ~m ~weights ~beliefs in
       (* [count] sweeps an incremental view over all m^n profiles and

@@ -21,10 +21,8 @@ type row = {
     Nash equilibria exhaustively on [trials] random instances for every
     (n, m) pair, and also follows best-response dynamics from a random
     start.  Every (cell, trial) derives its own generator from [seed]
-    via the sharded engine, so the rows are identical for any [domains]
-    (default 1: serial). *)
+    via {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   seed:int ->
   ns:int list ->
   ms:int list ->

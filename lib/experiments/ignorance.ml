@@ -73,8 +73,8 @@ type trial = {
   t_congestion : Rational.t;
 }
 
-let run ?(domains = 1) ~seed ~n ~m ~states ~presences ~trials () =
-  Engine.sweep ~domains ~seed ~cells:presences ~trials
+let run ~seed ~n ~m ~states ~presences ~trials () =
+  Engine.sweep ~seed ~cells:presences ~trials
     ~task:(fun presence rng _trial ->
       (* Draw every random input first, in a fixed order, so all four
          populations share one instance and one starting profile. *)

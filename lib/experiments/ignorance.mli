@@ -40,10 +40,8 @@ type row = {
 (** [run ~seed ~n ~m ~states ~presences ~trials ()] sweeps Bernoulli
     presence levels; each trial draws a fresh state space, true state,
     weights, misinformed beliefs and starting profile, shared by all
-    four populations.  Trials run through the sharded engine: rows are
-    identical for any [domains] (default 1: serial). *)
+    four populations.  Trials run through {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   seed:int ->
   n:int ->
   m:int ->

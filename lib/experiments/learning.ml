@@ -16,8 +16,8 @@ let tv_distance estimated truth =
   Array.iteri (fun k p -> acc := Rational.add !acc (Rational.abs (Rational.sub p truth.(k)))) probs;
   Rational.to_float (Rational.div !acc Rational.two)
 
-let run ?(domains = 1) ~seed ~n ~m ~states ~observations ~trials () =
-  Engine.sweep ~domains ~seed ~cells:observations ~trials
+let run ~seed ~n ~m ~states ~observations ~trials () =
+  Engine.sweep ~seed ~cells:observations ~trials
     ~task:(fun k rng _trial ->
       let space = Generators.state_space rng ~m ~states ~cap_bound:6 in
       let truth = Prng.Rng.positive_simplex rng ~dim:states ~grain:(states + 3) in

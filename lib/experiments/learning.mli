@@ -21,10 +21,8 @@ type row = {
 }
 
 (** [run ~seed ~n ~m ~states ~observations ~trials ()] sweeps
-    observation counts.  Trials run through the sharded engine: rows
-    are identical for any [domains] (default 1: serial). *)
+    observation counts.  Trials run through {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   seed:int ->
   n:int ->
   m:int ->

@@ -21,9 +21,9 @@ type row = {
   mean_rel_error : float;
 }
 
-let run ?(domains = 1) ~seed ~samples_list ~trials () =
+let run ~seed ~samples_list ~trials () =
   let n = 4 and m = 3 and states = 4 in
-  Engine.sweep ~domains ~seed ~cells:samples_list ~trials
+  Engine.sweep ~seed ~cells:samples_list ~trials
     ~task:(fun samples rng _trial ->
       let g =
         Generators.game rng ~n ~m

@@ -28,9 +28,8 @@ type row = {
 
 (** [run ~seed ~samples_list ~trials ()] sweeps sample counts; the
     error should shrink like 1/√samples, converging on the exact
-    reduction.  Trials run through the sharded engine: rows are
-    identical for any [domains] (default 1: serial). *)
+    reduction.  Trials run through {!Engine.sweep}. *)
 val run :
-  ?domains:int -> seed:int -> samples_list:int list -> trials:int -> unit -> row list
+  seed:int -> samples_list:int list -> trials:int -> unit -> row list
 
 val table : row list -> Stats.Table.t

@@ -27,9 +27,9 @@ type eq_outcome = {
 
 type outcome = { bound_f : float; eqs : eq_outcome list }
 
-let run ?(domains = 1) ~seed ~ns ~ms ~trials ~weights ~beliefs ~bound () =
+let run ~seed ~ns ~ms ~trials ~weights ~beliefs ~bound () =
   let cells = List.concat_map (fun n -> List.map (fun m -> (n, m)) ms) ns in
-  Engine.sweep ~domains ~seed ~cells ~trials
+  Engine.sweep ~seed ~cells ~trials
     ~task:(fun (n, m) rng _trial ->
       let g = Generators.game rng ~n ~m ~weights ~beliefs in
       let bound_value =

@@ -24,10 +24,8 @@ type row = {
 (** [run ~seed ~ns ~ms ~trials ~weights ~beliefs ~bound ()] sweeps with
     the chosen bound ([`Uniform] = Theorem 4.13, [`General] = Theorem
     4.14).  With [`Uniform] the generator must produce uniform-view
-    games.  Trials run through the sharded engine: rows are identical
-    for any [domains] (default 1: serial). *)
+    games.  Trials run through {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   seed:int ->
   ns:int list ->
   ms:int list ->

@@ -30,8 +30,8 @@ let truth_ratio g ~truth profile =
   let opt, _ = Social.opt1 (Game.make ~weights:(Game.weights g) ~beliefs:(Array.make n truth)) in
   Rational.to_float (Rational.div realised opt)
 
-let run ?(domains = 1) ?(noise = `Simplex) ~seed ~n ~m ~states ~epsilons ~trials () =
-  Engine.sweep ~domains ~seed ~cells:epsilons ~trials
+let run ?(noise = `Simplex) ~seed ~n ~m ~states ~epsilons ~trials () =
+  Engine.sweep ~seed ~cells:epsilons ~trials
     ~task:(fun epsilon rng _trial ->
       let space = Generators.state_space rng ~m ~states ~cap_bound:6 in
       let truth = Prng.Rng.positive_simplex rng ~dim:states ~grain:(states + 3) in

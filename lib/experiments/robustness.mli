@@ -31,10 +31,8 @@ val truth_ratio : Model.Game.t -> truth:Model.Belief.t -> Model.Pure.profile -> 
     starting profile.  [noise] selects the contamination shape:
     [`Simplex] (diffuse random distributions, default) or [`Point]
     (confidently wrong: all mass on one random state).  Trials run
-    through the sharded engine: rows are identical for any [domains]
-    (default 1: serial). *)
+    through {!Engine.sweep}. *)
 val run :
-  ?domains:int ->
   ?noise:[ `Simplex | `Point ] ->
   seed:int ->
   n:int ->

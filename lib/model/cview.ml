@@ -76,7 +76,6 @@ type t = {
   mutable depth : int;
   mutable shist : sdelta list;
   mutable nrev : int; (* structural deltas currently applied *)
-  mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
   mutable sc1 : sc1 option; (* built by the first [social_cost1] *)
   mutable certified : bool; (* proven Nash since the last state change *)
 }
@@ -112,15 +111,12 @@ let of_profile g x =
     depth = 0;
     shist = [];
     nrev = 0;
-    owner = Parallel.Ownership.record ();
     sc1 = None;
     certified = false;
   }
 
 let assigned v c l = v.assign.(c).(l)
 let profile v = Array.map Array.copy v.assign
-let owner v = v.owner
-let unsafe_set_owner v id = v.owner <- id
 let weight v c = v.rows.weights.(c)
 let capacity v c l = v.rows.caps.(c).(l)
 let class_count v c = Array.fold_left ( + ) 0 v.assign.(c)
@@ -233,7 +229,6 @@ let move v ~cls ~src ~dst ~count =
   if count < 0 then invalid_arg "Cview.move: negative count";
   if count > v.assign.(cls).(src) && src <> dst then
     invalid_arg "Cview.move: not enough users of the class on the source link";
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   push v ((((cls * m) + src) * m) + dst) count;
   shift v cls src dst count
 
@@ -265,7 +260,6 @@ let revise_count v ~cls ~link ~delta =
     invalid_arg "Cview.revise_count: arrival count overflows";
   if delta < 0 && class_count v cls + delta <= 0 then
     invalid_arg "Cview.revise_count: revision would empty the class";
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   let lane = Packing.revise_count v.lane v.rows cls ~link ~delta in
   v.assign.(cls).(link) <- v.assign.(cls).(link) + delta;
   mark v cls link;
@@ -280,7 +274,6 @@ let revise_weight v ~cls w' =
   let k = classes v in
   if cls < 0 || cls >= k then invalid_arg "Cview.revise_weight: class out of range";
   if Rational.sign w' <= 0 then invalid_arg "Cview.revise_weight: weight must be positive";
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   let contrib' = Population.contribution (Cgame.uncertainty v.game cls) w' in
   let weight = v.rows.weights.(cls)
   and contrib = v.rows.contribs.(cls)
@@ -294,7 +287,6 @@ let revise_capacity v ~cls ~link cap' =
   if cls < 0 || cls >= k then invalid_arg "Cview.revise_capacity: class out of range";
   if link < 0 || link >= m then invalid_arg "Cview.revise_capacity: link out of range";
   if Rational.sign cap' <= 0 then invalid_arg "Cview.revise_capacity: capacity must be positive";
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   let cap = v.rows.caps.(cls).(link) in
   let lane = Packing.revise_capacity v.lane v.rows cls ~link cap' in
   recapping v cls link cap' (fun () -> v.rows.caps.(cls).(link) <- cap');
@@ -325,7 +317,6 @@ let undo_structural v =
 
 let undo v =
   if v.depth = 0 then invalid_arg "Cview.undo: empty history";
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   v.depth <- v.depth - 1;
   let meta = v.hist.(2 * v.depth) and count = v.hist.((2 * v.depth) + 1) in
   if meta < 0 then undo_structural v
@@ -374,7 +365,6 @@ let first_defecting_pair v =
 (* The scan is exact, so a clean one certifies the cursor; [is_nash]
    never reads the bit. *)
 let scan v =
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   let r = first_defecting_pair v in
   if Option.is_none r then v.certified <- true;
   r
@@ -386,7 +376,6 @@ let first_defector v = Option.map (fun (c, l) -> (c, l, best_link v ~cls:c ~src:
 let is_nash v = Option.is_none (scan v)
 
 let certify v =
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   if !Sanitize.enabled && not (is_nash v) then
     Sanitize.fail "Cview.certify: the profile is not a Nash equilibrium";
   v.certified <- true
@@ -465,7 +454,6 @@ let sc1_multiple v = Option.map (fun s -> s.d) v.sc1
 (* Σ_l load_l·A_l + B with load_l = num_l/scale and A_l = na_l/d: one
    integer sum of products, then one [Rational.make]. *)
 let social_cost1 v =
-  Parallel.Ownership.guard "Cview cursor" v.owner;
   let s = sc1_aggregates v in
   let acc = ref Bigint.zero in
   Array.iteri (fun l a -> acc := Bigint.add !acc (Bigint.mul (Packing.load_num v.lane l) a)) s.na;

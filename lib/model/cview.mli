@@ -60,17 +60,6 @@ val assigned : t -> int -> int -> int
 (** [profile v] is a snapshot copy of the current class profile. *)
 val profile : t -> Cgame.profile
 
-(** [owner v] is the creating domain's id as recorded for the
-    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); the mutators,
-    {!first_defector}, {!is_nash}, {!certify} and {!social_cost1} raise
-    {!Parallel.Ownership.Violation} under the sanitizer when called
-    from another domain. *)
-val owner : t -> int
-
-(** [unsafe_set_owner v id] rewrites the recorded owner.  Test-only
-    forgery hook; never call it in library code. *)
-val unsafe_set_owner : t -> int -> unit
-
 (** [load v l] is the current total traffic on link [l]. O(1). *)
 val load : t -> int -> Numeric.Rational.t
 
@@ -201,14 +190,13 @@ val first_defecting_source : ?only:bool array -> t -> cls:int -> int option
     first-defector step ([Algo.Best_response.step]) would make on the
     expanded profile.
     [None] at a Nash equilibrium, which also sets {!certified}.
-    O(k·m): one {!first_defecting_source} pass per class.  Guarded like
-    a mutator ({!owner}). *)
+    O(k·m): one {!first_defecting_source} pass per class. *)
 val first_defector : t -> (int * int * int) option
 
 (** [is_nash v] holds when no user of any class can strictly improve by
     switching links.  O(k·m) — independent of the population size.
     Always the exact scan: it never reads {!certified}, and a [true]
-    verdict sets it.  Guarded like a mutator ({!owner}). *)
+    verdict sets it. *)
 val is_nash : t -> bool
 
 (** [certified v] holds when the current profile is proven Nash: an
@@ -223,7 +211,7 @@ val certified : t -> bool
     profile is Nash, e.g. after a restricted scan that is a proof (see
     [Serve.Repair]).  Under [SELFISH_SANITIZE] ({!Numeric.Sanitize})
     it runs the exact {!is_nash} first, so the claim is tested rather
-    than trusted.  Guarded like a mutator ({!owner}).
+    than trusted.
     @raise Numeric.Sanitize.Violation under the sanitizer when the
     profile is not Nash. *)
 val certify : t -> unit
@@ -248,8 +236,7 @@ val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
     {!revise_weight} moves only the Participation bias term.  Under
     [SELFISH_SANITIZE] ({!Numeric.Sanitize}) each call re-derives SC1
     by the O(k·m) rational fold and raises
-    {!Numeric.Sanitize.Violation} on a mismatch.  Guarded like a
-    mutator ({!owner}). *)
+    {!Numeric.Sanitize.Violation} on a mismatch. *)
 val social_cost1 : t -> Numeric.Rational.t
 
 (** [sc1_multiple v] is the common multiple of the capacity numerators

@@ -120,8 +120,7 @@ let saturating_mul a b = if a = 0 || b <= max_int / a then a * b else max_int
    its final size bound — every state times every split, at most
    [key_space] (the lattice's key count) and at most [limit] — so it
    never rehashes.  Each layer's table is built and dropped inside
-   [of_mixed], so it never crosses a domain and needs no ownership
-   guard. *)
+   [of_mixed]. *)
 let apply ~limit ~key_space layer splits =
   let next =
     Tbl.create (min limit (min key_space (saturating_mul (Tbl.length layer) (Array.length splits))))

@@ -17,7 +17,6 @@ type t = {
   lane : Packing.lane;
   mutable hist : int array;
   mutable depth : int;
-  mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
 }
 
 let users v = Array.length v.prof
@@ -49,13 +48,10 @@ let of_profile g ?initial p =
     lane;
     hist = Array.make 16 0;
     depth = 0;
-    owner = Parallel.Ownership.record ();
   }
 
 let link v i = v.prof.(i)
 let profile v = Array.copy v.prof
-let owner v = v.owner
-let unsafe_set_owner v id = v.owner <- id
 let load v l = Packing.load v.lane l
 let depth v = v.depth
 
@@ -80,13 +76,11 @@ let push v entry =
 let move v i l =
   if i < 0 || i >= users v then invalid_arg "View.move: user out of range";
   if l < 0 || l >= links v then invalid_arg "View.move: link out of range";
-  Parallel.Ownership.guard "View cursor" v.owner;
   push v ((i * links v) + v.prof.(i));
   shift v i l
 
 let undo v =
   if v.depth = 0 then invalid_arg "View.undo: empty history";
-  Parallel.Ownership.guard "View cursor" v.owner;
   v.depth <- v.depth - 1;
   let entry = v.hist.(v.depth) in
   let m = links v in

@@ -49,18 +49,6 @@ val link : t -> int -> int
 (** [profile v] is a snapshot copy of the current profile. *)
 val profile : t -> int array
 
-(** [owner v] is the id of the domain that created the view, as
-    recorded for the [SELFISH_OWNERSHIP] sanitizer
-    ({!Parallel.Ownership}).  Under the sanitizer, {!move} and {!undo}
-    raise {!Parallel.Ownership.Violation} when called from any other
-    domain. *)
-val owner : t -> int
-
-(** [unsafe_set_owner v id] rewrites the recorded owner.  Test-only
-    forgery hook for pinning the sanitizer's failure message; never
-    call it in library code. *)
-val unsafe_set_owner : t -> int -> unit
-
 (** [load v l] is the current total traffic on link [l] (initial
     traffic plus the weights of the users assigned there). O(1). *)
 val load : t -> int -> Numeric.Rational.t

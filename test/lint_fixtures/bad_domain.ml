@@ -1,5 +1,5 @@
-(* Fixture: D2 violations — raw concurrency primitives outside
-   lib/parallel.  Parsed, never compiled. *)
+(* Fixture: D2 violations — raw concurrency primitives.  Parsed,
+   never compiled. *)
 let spawn f = Domain.spawn f
 let cell = Atomic.make 0
 let lock = Mutex.create ()

@@ -967,42 +967,6 @@ let test_cbr_convergence () =
   if !converged < 1_000 then
     Alcotest.failf "block dynamics converged on only %d of 1500 instances" !converged
 
-let test_ownership_guard () =
-  (* Cview mutators carry the same SELFISH_OWNERSHIP guard as View;
-     forge the owner to pin the Cview-specific failure message. *)
-  let module O = Parallel.Ownership in
-  let saved = !O.enabled in
-  O.enabled := true;
-  Fun.protect
-    ~finally:(fun () -> O.enabled := saved)
-    (fun () ->
-      let g =
-        Game.kp
-          ~weights:[| Rational.one; Rational.one; Rational.of_int 2 |]
-          ~capacities:[| Rational.one; Rational.of_int 2 |]
-      in
-      let cg, _ = Cgame.compress g in
-      let v = Cview.of_profile cg (Algo.Cbr.proportional_start cg) in
-      Alcotest.(check int) "owner is the creating domain" (O.self_id ()) (Cview.owner v);
-      (* Same-domain recorded no-op move passes. *)
-      Cview.move v ~cls:0 ~src:0 ~dst:0 ~count:0;
-      let expected =
-        O.Violation
-          (Printf.sprintf
-             "SELFISH_OWNERSHIP: Cview cursor created on domain 777 mutated from domain %d"
-             (O.self_id ()))
-      in
-      Cview.unsafe_set_owner v 777;
-      Alcotest.check_raises "foreign-domain move trips the guard" expected (fun () ->
-          Cview.move v ~cls:0 ~src:0 ~dst:0 ~count:0);
-      Alcotest.check_raises "foreign-domain undo trips the guard" expected (fun () ->
-          Cview.undo v);
-      Alcotest.check_raises "foreign-domain social_cost1 trips the guard" expected (fun () ->
-          ignore (Cview.social_cost1 v));
-      Cview.unsafe_set_owner v (O.self_id ());
-      Cview.undo v;
-      Alcotest.(check int) "history balanced after guarded attempts" 0 (Cview.depth v))
-
 let () =
   Alcotest.run "cgame"
     [
@@ -1034,6 +998,4 @@ let () =
           Alcotest.test_case "proportional start is cumulative rounding" `Quick
             test_start_rounding;
         ] );
-      ( "ownership",
-        [ Alcotest.test_case "sanitizer guards Cview mutators" `Quick test_ownership_guard ] );
     ]

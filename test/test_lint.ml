@@ -63,8 +63,8 @@ let test_bad_nondet () =
     (List.exists
        (fun m ->
          m
-         = "Domain.self depends on runtime scheduling; only lib/parallel may observe domain \
-            identity")
+         = "Domain.self depends on runtime scheduling; the tree runs on one domain and never \
+            observes domain identity")
        messages)
 
 let test_bad_io () =
@@ -88,36 +88,12 @@ let test_suppression () =
   | fs -> Alcotest.failf "expected exactly one live finding, got %d" (List.length fs)
 
 (* ---------------------------------------------------------------- *)
-(* Domain-safety rules (D1-D4, tools/lint/domain_core)               *)
+(* Domain-safety rules (D2-D4, tools/lint/domain_core)               *)
 
 let find_message line findings =
   match List.find_opt (fun f -> f.line = line) findings with
   | Some f -> f.message
   | None -> Alcotest.failf "no finding on line %d" line
-
-let test_bad_capture () =
-  let fs = dlint [ Capture ] "bad_capture.ml" in
-  check_shapes "bad_capture.ml: four D1 findings"
-    [ (5, "D1", false); (9, "D1", false); (13, "D1", false); (18, "D1", false) ]
-    fs;
-  Alcotest.(check string) "View-capture message"
-    "closure passed to Parallel.map_array captures 'v', bound outside the closure to a View cursor \
-     (mutable load state); shared mutable state races across domains — build it inside the \
-     worker instead"
-    (find_message 5 fs);
-  Alcotest.(check string) "captured-mutation message"
-    "closure passed to Parallel.map_array mutates captured 'tbl' (Hashtbl.replace); \
-     cross-domain writes race — accumulate into worker-local state and merge the results"
-    (find_message 9 fs);
-  (* Closures passed by name are resolved to their definition. *)
-  Alcotest.(check string) "named-closure message"
-    "closure passed to Parallel.map_array mutates captured 'acc' (ref assignment); cross-domain \
-     writes race — accumulate into worker-local state and merge the results"
-    (find_message 13 fs);
-  Alcotest.(check string) "Engine.sweep ~task message"
-    "closure passed to Engine.sweep mutates captured 'out' (array write); cross-domain writes \
-     race — accumulate into worker-local state and merge the results"
-    (find_message 18 fs)
 
 let test_bad_domain () =
   let fs = dlint [ Domain_prim ] "bad_domain.ml" in
@@ -125,8 +101,8 @@ let test_bad_domain () =
     [ (3, "D2", false); (4, "D2", false); (5, "D2", false); (6, "D2", false) ]
     fs;
   Alcotest.(check string) "D2 message names the primitive"
-    "raw Atomic primitive outside lib/parallel; route concurrency through the Parallel \
-     fork-join layer so determinism stays auditable"
+    "raw Atomic primitive; the tree runs on one domain, so results stay reproducible without \
+     a domain-safety argument"
     (find_message 4 fs)
 
 let test_bad_global () =
@@ -153,11 +129,6 @@ let test_bad_clock () =
   Alcotest.(check string) "D4 message"
     "wall-clock read Unix.gettimeofday outside bench/; timing belongs to the benchmark harness"
     (find_message 3 fs)
-
-let test_good_parallel () =
-  (* Worker-local tables, read-only captured arrays, fresh views built
-     inside the closure and shadowed names are all clean. *)
-  check_shapes "good_parallel.ml: no D1 findings" [] (dlint [ Capture ] "good_parallel.ml")
 
 let test_suppressed_domain () =
   (* Same-line [D3] id, line-above [domain] mnemonic; the Atomic
@@ -212,7 +183,6 @@ let test_default_rules_scoping () =
   let packing = default_rules "lib/model/packing.ml" in
   Alcotest.(check bool) "packing.ml: R1 on" true (has Poly packing);
   Alcotest.(check bool) "packing.ml: R2 on" true (has Float_op packing);
-  Alcotest.(check bool) "packing.ml: D1 on" true (has Capture packing);
   Alcotest.(check bool) "packing.ml: D2 on" true (has Domain_prim packing);
   Alcotest.(check bool) "packing.ml: D3 on" true (has Top_mutable packing);
   Alcotest.(check bool) "packing.ml: D4 on" true (has Wall_clock packing);
@@ -226,7 +196,7 @@ let test_default_rules_scoping () =
   let uncertainty = default_rules "lib/model/uncertainty.ml" in
   Alcotest.(check bool) "uncertainty.ml: R1 on" true (has Poly uncertainty);
   Alcotest.(check bool) "uncertainty.ml: R2 on" true (has Float_op uncertainty);
-  Alcotest.(check bool) "uncertainty.ml: D1 on" true (has Capture uncertainty);
+  Alcotest.(check bool) "uncertainty.ml: D2 on" true (has Domain_prim uncertainty);
   let ignorance = default_rules "lib/experiments/ignorance.ml" in
   Alcotest.(check bool) "ignorance.ml: R2 on (allowlist, not scoping)" true
     (has Float_op ignorance);
@@ -238,24 +208,21 @@ let test_default_rules_scoping () =
   let repair = default_rules "lib/serve/repair.ml" in
   Alcotest.(check bool) "repair.ml: R1 on" true (has Poly repair);
   Alcotest.(check bool) "repair.ml: R2 on" true (has Float_op repair);
-  Alcotest.(check bool) "repair.ml: D1 on" true (has Capture repair);
+  Alcotest.(check bool) "repair.ml: D2 on" true (has Domain_prim repair);
   Alcotest.(check bool) "repair.ml: D4 on" true (has Wall_clock repair);
   let wire = default_rules "lib/serve/wire.ml" in
   Alcotest.(check bool) "wire.ml: R1 on" true (has Poly wire);
   Alcotest.(check bool) "wire.ml: R3 on" true (has Nondet wire);
-  (* Domain-safety scoping: D2 is off only inside lib/parallel, D3
-     only applies under lib/, D4 is off only under bench/. *)
-  let parallel = default_rules "lib/parallel/parallel.ml" in
-  Alcotest.(check bool) "parallel: D1 on" true (has Capture parallel);
-  Alcotest.(check bool) "parallel: D2 off (the sanctioned module)" false
-    (has Domain_prim parallel);
-  Alcotest.(check bool) "parallel: D3 on" true (has Top_mutable parallel);
-  Alcotest.(check bool) "view.ml: D1 on" true (has Capture view);
+  (* Domain-safety scoping: D2 applies everywhere (no directory may
+     use a concurrency primitive), D3 only under lib/, D4 is off only
+     under bench/. *)
+  let engine = default_rules "lib/experiments/engine.ml" in
+  Alcotest.(check bool) "engine.ml: D2 on" true (has Domain_prim engine);
+  Alcotest.(check bool) "engine.ml: D3 on" true (has Top_mutable engine);
   Alcotest.(check bool) "view.ml: D2 on" true (has Domain_prim view);
   Alcotest.(check bool) "view.ml: D3 on" true (has Top_mutable view);
   Alcotest.(check bool) "view.ml: D4 on" true (has Wall_clock view);
   let cli = default_rules "bin/selfish_routing.ml" in
-  Alcotest.(check bool) "bin: D1 on" true (has Capture cli);
   Alcotest.(check bool) "bin: D2 on" true (has Domain_prim cli);
   Alcotest.(check bool) "bin: D3 off (not a lib module)" false (has Top_mutable cli);
   Alcotest.(check bool) "bin: D4 on" true (has Wall_clock cli);
@@ -275,8 +242,8 @@ let test_rule_of_string () =
   Alcotest.check rule_t "FLOAT" (Some Float_op) (rule_of_string "FLOAT");
   Alcotest.check rule_t "r3" (Some Nondet) (rule_of_string "r3");
   Alcotest.check rule_t "io" (Some Unprotected_io) (rule_of_string "io");
-  Alcotest.check rule_t "D1" (Some Capture) (rule_of_string "D1");
-  Alcotest.check rule_t "capture" (Some Capture) (rule_of_string "capture");
+  Alcotest.check rule_t "D1 is gone" None (rule_of_string "D1");
+  Alcotest.check rule_t "capture is gone" None (rule_of_string "capture");
   Alcotest.check rule_t "d2" (Some Domain_prim) (rule_of_string "d2");
   Alcotest.check rule_t "domain" (Some Domain_prim) (rule_of_string "domain");
   Alcotest.check rule_t "GLOBAL" (Some Top_mutable) (rule_of_string "GLOBAL");
@@ -418,11 +385,9 @@ let () =
         ] );
       ( "domain-safety",
         [
-          Alcotest.test_case "bad_capture" `Quick test_bad_capture;
           Alcotest.test_case "bad_domain" `Quick test_bad_domain;
           Alcotest.test_case "bad_global" `Quick test_bad_global;
           Alcotest.test_case "bad_clock" `Quick test_bad_clock;
-          Alcotest.test_case "good_parallel" `Quick test_good_parallel;
           Alcotest.test_case "suppressed_domain" `Quick test_suppressed_domain;
         ] );
       ( "policy",

@@ -1095,8 +1095,7 @@ let test_repair_mid_batch_rejection () =
           Mutation.Depart { cls = 0; link = 1; count = over };
         ])
 
-(* Mutation.apply guards and the view's ownership sanitizer on the
-   mutation path. *)
+(* Mutation.apply guards on the mutation path. *)
 let test_mutation_apply_guards () =
   let g =
     Cgame.kp ~counts:[| 3 |] ~weights:[| Rational.one |]
@@ -1108,31 +1107,7 @@ let test_mutation_apply_guards () =
   raises_invalid "Mutation.apply: depart count must be positive" (fun () ->
       Mutation.apply v (Mutation.Depart { cls = 0; link = 0; count = 0 }));
   raises_invalid "Cview.revise_count: departures exceed the users of the class on the link"
-    (fun () -> Mutation.apply v (Mutation.Depart { cls = 0; link = 1; count = 1 }));
-  let module O = Parallel.Ownership in
-  let saved = !O.enabled in
-  O.enabled := true;
-  Fun.protect
-    ~finally:(fun () -> O.enabled := saved)
-    (fun () ->
-      Cview.unsafe_set_owner v 777;
-      let expected =
-        O.Violation
-          (Printf.sprintf
-             "SELFISH_OWNERSHIP: Cview cursor created on domain 777 mutated from domain %d"
-             (O.self_id ()))
-      in
-      Alcotest.check_raises "foreign-domain mutation trips the sanitizer" expected (fun () ->
-          Mutation.apply v (Mutation.Arrive { cls = 0; link = 0; count = 1 }));
-      Alcotest.check_raises "foreign-domain social_cost1 trips the sanitizer" expected (fun () ->
-          ignore (Cview.social_cost1 v));
-      Alcotest.check_raises "foreign-domain is_nash trips the sanitizer" expected (fun () ->
-          ignore (Cview.is_nash v));
-      Alcotest.check_raises "foreign-domain first_defector trips the sanitizer" expected (fun () ->
-          ignore (Cview.first_defector v));
-      Alcotest.check_raises "foreign-domain certify trips the sanitizer" expected (fun () ->
-          Cview.certify v);
-      Cview.unsafe_set_owner v (O.self_id ()))
+    (fun () -> Mutation.apply v (Mutation.Depart { cls = 0; link = 1; count = 1 }))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental SC1                                                     *)
@@ -1268,7 +1243,7 @@ let () =
       ( "mutation",
         [
           Alcotest.test_case "parse error pins" `Quick test_mutation_parse_errors;
-          Alcotest.test_case "apply guards and ownership" `Quick test_mutation_apply_guards;
+          Alcotest.test_case "apply guards" `Quick test_mutation_apply_guards;
         ] );
       ( "differential",
         [

@@ -286,62 +286,6 @@ let test_initial_spill_falls_back_exactly () =
   if not (View.packed (View.of_profile g p)) then Alcotest.fail "plain KP instance did not pack"
 
 (* ------------------------------------------------------------------ *)
-(* Sweeps across domains: View.sweep is serial, and many sweeps spread
-   over cores by running one per task on the task grid, each on its own
-   view.  The per-game count and first-wins argmin must be
-   bit-identical to the in-order serial sweeps at every domain count
-   (1 = calling domain, 2 and 5 = forked; 5 exceeds the smallest
-   batches' task counts). *)
-
-let test_fold_domains_bit_identity () =
-  let rng = Rng.create 0xF01D in
-  let sweep_task (g, initial) =
-    let count = ref 0 and argmin = ref None in
-    View.sweep g ?initial (fun v ->
-        incr count;
-        let c = View.social_cost1 v in
-        match !argmin with
-        | Some (b, _) when Rational.compare b c <= 0 -> ()
-        | _ -> argmin := Some (c, View.profile v));
-    (!count, !argmin)
-  in
-  for _ = 1 to 10 do
-    let batch =
-      Array.init (Rng.int_in rng 1 4) (fun _ ->
-          let g = random_game rng in
-          (g, random_initial rng (Game.links g)))
-    in
-    let serial = Array.map sweep_task batch in
-    Array.iteri
-      (fun k (count, argmin) ->
-        let g, _ = batch.(k) in
-        (match Social.profile_count g with
-         | Some c -> Alcotest.(check int) "sweep visits every profile" c count
-         | None -> ());
-        if argmin = None then Alcotest.fail "serial sweep on a non-empty game returned no argmin")
-      serial;
-    List.iter
-      (fun domains ->
-        let par = Parallel.map_array ~domains sweep_task batch in
-        Array.iteri
-          (fun k (count, argmin) ->
-            let pcount, pargmin = par.(k) in
-            Alcotest.(check int)
-              (Printf.sprintf "profile count at %d domains" domains)
-              count pcount;
-            match argmin, pargmin with
-            | Some (vs, ps), Some (vp, pp) ->
-              if not (Rational.equal vs vp) then
-                Alcotest.failf "argmin value diverged at %d domains" domains;
-              if not (Pure.equal ps pp) then
-                Alcotest.failf "argmin profile diverged at %d domains (first-wins broken)"
-                  domains
-            | _ -> Alcotest.failf "sweep at %d domains returned no argmin" domains)
-          serial)
-      [ 1; 2; 5 ]
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Guard rails                                                         *)
 
 let test_validation () =
@@ -367,40 +311,6 @@ let test_validation () =
   Alcotest.check_raises "move link out of range" (Invalid_argument "View.move: link out of range")
     (fun () -> View.move v 0 m)
 
-let test_ownership_guard () =
-  (* Under SELFISH_OWNERSHIP, move/undo assert the calling domain is
-     the creator.  The owner is forged through the test-only hook so a
-     single-domain test can pin the exact failure message. *)
-  let module O = Parallel.Ownership in
-  let saved = !O.enabled in
-  O.enabled := true;
-  Fun.protect
-    ~finally:(fun () -> O.enabled := saved)
-    (fun () ->
-      let rng = Rng.create 0x0FFE in
-      let g = random_game rng in
-      let p = Array.make (Game.users g) 0 in
-      let v = View.of_profile g p in
-      Alcotest.(check int) "owner is the creating domain" (O.self_id ()) (View.owner v);
-      (* Same-domain mutation passes. *)
-      View.move v 0 0;
-      let expected =
-        O.Violation
-          (Printf.sprintf
-             "SELFISH_OWNERSHIP: View cursor created on domain 12345 mutated from domain %d"
-             (O.self_id ()))
-      in
-      View.unsafe_set_owner v 12345;
-      Alcotest.check_raises "foreign-domain move trips the guard" expected (fun () ->
-          View.move v 0 0);
-      Alcotest.check_raises "foreign-domain undo trips the guard" expected (fun () ->
-          View.undo v);
-      (* Restoring the owner re-enables mutation; the guarded attempts
-         above must not have corrupted the history. *)
-      View.unsafe_set_owner v (O.self_id ());
-      View.undo v;
-      Alcotest.(check int) "history balanced after guarded attempts" 0 (View.depth v))
-
 let () =
   Alcotest.run "view"
     [
@@ -410,8 +320,6 @@ let () =
           ("sweep matches iter_profiles", `Quick, test_sweep_matches_iter_profiles);
           ("packed and exact lanes agree", `Quick, test_packed_lane_agreement);
           ("initial-traffic spill stays exact", `Quick, test_initial_spill_falls_back_exactly);
-          ("fold is domain-count invariant", `Quick, test_fold_domains_bit_identity);
           ("validation and empty-history errors", `Quick, test_validation);
-          ("ownership sanitizer guards move/undo", `Quick, test_ownership_guard);
         ] );
     ]

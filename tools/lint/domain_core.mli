@@ -1,27 +1,22 @@
-(** Domain-safety lint: rules D1–D4 over untyped parse trees (see
+(** Domain-safety lint: rules D2–D4 over untyped parse trees (see
     DESIGN.md §15 "Domain-safety contract").
 
-    - [Capture] (D1): closures passed to the parallel entry points
-      ([Parallel.map_array]/[fork_join],
-      [Engine.sweep]/[map_tasks]) must not capture
-      mutable state bound outside the closure, nor mutate anything
-      they captured.
     - [Domain_prim] (D2): raw [Domain]/[Atomic]/[Mutex]/[Condition]/
-      [Semaphore] primitives outside lib/parallel.
+      [Semaphore] primitives anywhere.
     - [Top_mutable] (D3): top-level mutable state in lib/ modules.
     - [Wall_clock] (D4): wall-clock timing outside bench/.
 
     Best-effort and syntactic, like {!Lint_core}: unknown constructs
-    are trusted, so the pass may miss races but does not cry wolf. *)
+    are trusted, so the pass may miss a case but does not cry wolf. *)
 
-(** [lint_structure ~rules ~path structure] is the raw D1–D4 pass:
-    findings in discovery order, suppressions NOT yet marked.  Rules
-    outside D1–D4 in [rules] are ignored. *)
+(** [lint_structure ~rules ~path structure] is the raw D2–D4 pass:
+    findings unsorted, suppressions NOT yet marked.  Rules outside
+    D2–D4 in [rules] are ignored. *)
 val lint_structure :
   rules:Lint_core.rule list -> path:string -> Parsetree.structure -> Lint_core.finding list
 
 (** [lint_source ~rules ~path content] parses [content] once and runs
-    BOTH passes — {!Lint_core.lint_structure} (R1–R4) and D1–D4 —
+    BOTH passes — {!Lint_core.lint_structure} (R1–R4) and D2–D4 —
     returning merged findings sorted by position with per-site
     [(* lint: allow ... *)] suppressions marked.
     @raise Syntaxerr.Error when the source does not parse. *)

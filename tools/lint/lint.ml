@@ -1,5 +1,5 @@
 (* CLI driver for the exactness, domain-safety and dead-export lint
-   (R1-R4, D1-D4, U1).
+   (R1-R4, D2-D4, U1).
 
      lint [--allowlist FILE] [--json FILE] [--show-suppressed] PATH...
 
@@ -60,7 +60,7 @@ let write_json path ~files_scanned findings =
                  (count (fun f -> f.Lint_core.rule = r && f.Lint_core.suppressed = suppressed)))
              Lint_core.all_rules)
       in
-      Printf.fprintf oc "{\n  \"schema\": \"exactness-lint/3\",\n";
+      Printf.fprintf oc "{\n  \"schema\": \"exactness-lint/4\",\n";
       Printf.fprintf oc "  \"files_scanned\": %d,\n" files_scanned;
       Printf.fprintf oc "  \"unsuppressed\": %d,\n" (count (fun f -> not f.Lint_core.suppressed));
       Printf.fprintf oc "  \"suppressed\": %d,\n" (count (fun f -> f.Lint_core.suppressed));

@@ -16,20 +16,16 @@
      R2 (float)  float literals, the [+.]/[-.]/[*.]/[/.]/[**]
                  operators, and [Float.*] values.
      R3 (nondet) ambient nondeterminism: [Random.*], [Sys.time],
-                 [Unix.time], [Unix.gettimeofday], and [Domain.self]
-                 outside [lib/parallel].
+                 [Unix.time], [Unix.gettimeofday] and [Domain.self].
      R4 (io)     [open_in*]/[open_out*] (and [In_channel.open_*] /
                  [Out_channel.open_*]) in a top-level binding that
                  never mentions [Fun.protect].
 
-   The domain-safety rules D1-D4 share this module's finding type,
+   The domain-safety rules D2-D4 share this module's finding type,
    scoping policy and suppression machinery; their analysis lives in
-   [Domain_core]:
+   [Domain_core] (ids are stable, so the retired D1 leaves a gap):
 
-     D1 (capture) closures shipped to worker domains must not capture
-                  (or mutate) shared mutable state.
-     D2 (domain)  raw Domain/Atomic/Mutex/Condition primitives outside
-                  lib/parallel.
+     D2 (domain)  raw Domain/Atomic/Mutex/Condition primitives.
      D3 (global)  top-level mutable state in lib/ modules.
      D4 (clock)   wall-clock timing outside bench/.
 
@@ -50,7 +46,6 @@ type rule =
   | Float_op
   | Nondet
   | Unprotected_io
-  | Capture
   | Domain_prim
   | Top_mutable
   | Wall_clock
@@ -58,8 +53,7 @@ type rule =
 
 let all_rules =
   [
-    Poly; Float_op; Nondet; Unprotected_io; Capture; Domain_prim; Top_mutable; Wall_clock;
-    Unused_export;
+    Poly; Float_op; Nondet; Unprotected_io; Domain_prim; Top_mutable; Wall_clock; Unused_export;
   ]
 
 let rule_id = function
@@ -67,7 +61,6 @@ let rule_id = function
   | Float_op -> "R2"
   | Nondet -> "R3"
   | Unprotected_io -> "R4"
-  | Capture -> "D1"
   | Domain_prim -> "D2"
   | Top_mutable -> "D3"
   | Wall_clock -> "D4"
@@ -78,7 +71,6 @@ let rule_mnemonic = function
   | Float_op -> "float"
   | Nondet -> "nondet"
   | Unprotected_io -> "io"
-  | Capture -> "capture"
   | Domain_prim -> "domain"
   | Top_mutable -> "global"
   | Wall_clock -> "clock"
@@ -90,7 +82,6 @@ let rule_of_string s =
   | "r2" | "float" -> Some Float_op
   | "r3" | "nondet" -> Some Nondet
   | "r4" | "io" -> Some Unprotected_io
-  | "d1" | "capture" -> Some Capture
   | "d2" | "domain" -> Some Domain_prim
   | "d3" | "global" -> Some Top_mutable
   | "d4" | "clock" -> Some Wall_clock
@@ -119,7 +110,7 @@ let normalize_path p =
    structural operations there risk diverging from the numeric
    tower's canonical equality. *)
 let poly_scoped_dirs =
-  [ "lib/numeric/"; "lib/model/"; "lib/algo/"; "lib/kp/"; "lib/engine/"; "lib/serve/" ]
+  [ "lib/numeric/"; "lib/model/"; "lib/algo/"; "lib/kp/"; "lib/serve/" ]
 
 (* Float arithmetic is legitimate only in the statistics layer, the
    report renderer and the benchmarks. *)
@@ -129,11 +120,6 @@ let float_allowed_files = [ "lib/experiments/report.ml" ]
 (* Ambient clocks/PRNGs would break [Rng.of_path] replayability
    everywhere except the benchmarks. *)
 let nondet_allowed_dirs = [ "bench/" ]
-
-(* Raw OCaml 5 concurrency primitives are sanctioned only inside the
-   fork-join layer; everywhere else they bypass the determinism
-   contract Parallel enforces. *)
-let domain_prim_allowed_dirs = [ "lib/parallel/" ]
 
 (* Wall-clock reads are measurement, and measurement lives in bench/;
    lib/experiments/scaling.ml is the documented allowlist exception. *)
@@ -153,9 +139,7 @@ let default_rules path =
       (if in_any float_allowed_dirs || List.mem path float_allowed_files then []
        else [ Float_op ]);
       (if in_any nondet_allowed_dirs then [] else [ Nondet ]);
-      [ Unprotected_io ];
-      [ Capture ];
-      (if in_any domain_prim_allowed_dirs then [] else [ Domain_prim ]);
+      [ Unprotected_io; Domain_prim ];
       (if in_any top_mutable_scoped_dirs then [ Top_mutable ] else []);
       (if in_any wall_clock_allowed_dirs then [] else [ Wall_clock ]);
     ]
@@ -237,7 +221,6 @@ let float_operators = [ "+."; "-."; "*."; "/."; "**" ]
 let lint_structure ~rules ~path structure =
   let findings = ref [] in
   let has r = List.mem r rules in
-  let in_parallel = has_prefix ~prefix:"lib/parallel/" (normalize_path path) in
   let report rule loc msg =
     let p = loc.Location.loc_start in
     findings :=
@@ -319,10 +302,10 @@ let lint_structure ~rules ~path structure =
        report Nondet loc "Unix.gettimeofday is nondeterministic; confine timing to bench/"
      | [ "Unix"; "time" ] when has Nondet ->
        report Nondet loc "Unix.time is nondeterministic; confine timing to bench/"
-     | [ "Domain"; "self" ] when has Nondet && not in_parallel ->
+     | [ "Domain"; "self" ] when has Nondet ->
        report Nondet loc
-         "Domain.self depends on runtime scheduling; only lib/parallel may observe domain \
-          identity"
+         "Domain.self depends on runtime scheduling; the tree runs on one domain and never \
+          observes domain identity"
      | _ -> ());
     (* R4: channel opens, resolved per top-level item afterwards *)
     (match parts with

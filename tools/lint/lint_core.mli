@@ -7,13 +7,11 @@
     - [Float_op] (R2): float literals/operators/[Float.*] outside the
       float-permitted modules.
     - [Nondet] (R3): ambient [Random]/[Sys.time]/[Unix.time]/
-      [Unix.gettimeofday], and [Domain.self] outside [lib/parallel].
+      [Unix.gettimeofday] and [Domain.self].
     - [Unprotected_io] (R4): channel opens with no [Fun.protect] in
       the same top-level binding.
-    - [Capture] (D1): closures shipped to worker domains capturing (or
-      mutating) shared mutable state — analysis in {!Domain_core}.
-    - [Domain_prim] (D2): raw [Domain]/[Atomic]/[Mutex]/[Condition]
-      primitives outside [lib/parallel] — analysis in {!Domain_core}.
+    - [Domain_prim] (D2): raw [Domain]/[Atomic]/[Mutex]/[Condition]/
+      [Semaphore] primitives anywhere — analysis in {!Domain_core}.
     - [Top_mutable] (D3): top-level mutable state in [lib/] modules —
       analysis in {!Domain_core}.
     - [Wall_clock] (D4): wall-clock timing outside [bench/] — analysis
@@ -33,7 +31,6 @@ type rule =
   | Float_op
   | Nondet
   | Unprotected_io
-  | Capture
   | Domain_prim
   | Top_mutable
   | Wall_clock
@@ -41,12 +38,12 @@ type rule =
 
 val all_rules : rule list
 
-(** [rule_id r] is the stable identifier ("R1".."R4", "D1".."D4", "U1"). *)
+(** [rule_id r] is the stable identifier ("R1".."R4", "D2".."D4", "U1"). *)
 val rule_id : rule -> string
 
 (** [rule_mnemonic r] is the short name accepted in allow comments
-    ("poly", "float", "nondet", "io", "capture", "domain", "global",
-    "clock", "unused"). *)
+    ("poly", "float", "nondet", "io", "domain", "global", "clock",
+    "unused"). *)
 val rule_mnemonic : rule -> string
 
 (** [rule_of_string s] accepts ids and mnemonics, case-insensitive. *)

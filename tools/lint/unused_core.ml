@@ -1,13 +1,14 @@
 (* Dead-export lint for the selfish_routing tree: rule U1.
 
-   Unlike R1-R4 and D1-D4 this pass is typed and whole-program.  It
+   Unlike R1-R4 and D2-D4 this pass is typed and whole-program.  It
    reads the .cmt/.cmti files a dune build context already holds
    (compiler-libs [Cmt_format] plus a [Tast_iterator] walk), so every
    reference is a resolved [Path.t] rather than a spelling:
 
-   - wrapped-library names fold into one: [Numeric.Rational.x],
-     [Numeric__Rational.x] and [Parallel__.Ownership.x] all become
-     [Numeric.Rational.x] / [Parallel.Ownership.x];
+   - wrapped-library names fold into one: [Numeric.Rational.x] and
+     [Numeric__Rational.x] both become [Numeric.Rational.x], and a
+     library with its own main module [M] folds its alias module
+     [M__] into [M];
    - [open]s need no work, the type checker already resolved them;
    - local module aliases ([module M = P] at any depth, and
      [let module M = P in ...]) are followed to their target;
@@ -45,8 +46,9 @@ type export = {
 
 type role = Target | Caller | Test | Bench
 
-(* [Numeric__Rational] -> [Numeric; Rational]; the generated alias
-   module [Parallel__] -> [Parallel]. *)
+(* [Numeric__Rational] -> [Numeric; Rational]; the alias module [M__]
+   that dune generates for a library with its own main module [M] ->
+   [M]. *)
 let unit_path modname =
   let rec split s =
     let n = String.length s in

@@ -6,7 +6,7 @@
     References are resolved [Path.t]s: wrapped-library aliases fold
     ([Numeric__Rational.x] is [Numeric.Rational.x]), [open]s and local
     module aliases ([module M = P], [let module M = P in]) are
-    followed, and submodule values ([Parallel.Ownership.guard]) are
+    followed, and submodule values ([Model.Mixed.Eval.make]) are
     exports in their own right. *)
 
 type use =
