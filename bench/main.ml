@@ -604,14 +604,18 @@ let write_artefact () =
     | Str s -> Printf.sprintf "%S" s
   in
   let oc = open_out "BENCH.json" in
-  Printf.fprintf oc "{\"schema\": \"bench-main/1\", \"quick\": %b, \"rows\": [" quick;
-  List.iteri
-    (fun i (section, workload, metric, v) ->
-      Printf.fprintf oc "%s\n  {\"section\": %S, \"workload\": %S, \"metric\": %S, \"value\": %s}"
-        (if i = 0 then "" else ",") section workload metric (json v))
-    (List.rev !artefact);
-  output_string oc "\n]}\n";
-  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Printf.fprintf oc "{\"schema\": \"bench-main/1\", \"quick\": %b, \"rows\": [" quick;
+      List.iteri
+        (fun i (section, workload, metric, v) ->
+          Printf.fprintf oc
+            "%s\n  {\"section\": %S, \"workload\": %S, \"metric\": %S, \"value\": %s}"
+            (if i = 0 then "" else ",") section workload metric (json v))
+        (List.rev !artefact);
+      output_string oc "\n]}\n";
+      close_out oc);
   print_endline "wrote BENCH.json"
 
 (* Milliseconds per call of [f], timed by [Scaling.time_call]. *)

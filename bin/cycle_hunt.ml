@@ -6,7 +6,11 @@
    by random sampling over integer weight/capacity grids or by
    exhaustive enumeration of a small grid.  Integer arithmetic keeps the
    improvement test exact ((L_Y + w_i)·c^X < L_X·c^Y) and fast enough
-   for tens of millions of instances.
+   for tens of millions of instances.  The DFS is its own recursive
+   native-int loop, not the library's Algo.Game_graph.search: on
+   [random --attempts 1000000] the shared explicit-stack core was
+   1.2-1.5x slower and [find_cycle] 3x (docs/ALGORITHMS.md, "The cycle
+   hunt").
 
      cycle_hunt random --users 3-4 --links 3-4 --attempts 1000000
      cycle_hunt exhaustive --users 3 --links 3 --max-weight 3 --max-capacity 3 *)
@@ -14,7 +18,7 @@
 open Cmdliner
 
 (* The largest state space one instance may have: the budget of the
-   library's better-response cycle search, [Algo.Game_graph.find_cycle].
+   library's improvement-graph search, [Algo.Game_graph.search].
    Both commands check their largest (n, m) before the first search, so
    an over-budget grid is refused up front instead of wrapping [m^n]. *)
 let check_space ~users ~links =
@@ -26,12 +30,8 @@ let check_space ~users ~links =
     prerr_endline msg;
     exit 2
 
-(* What the search found in one instance.  An instance whose DFS
-   overflowed the stack was not searched, so it counts as neither. *)
-type verdict = Acyclic | Cyclic | Skipped
-
-(* Three-colour DFS over the better-response graph of one instance;
-   weights [w], capacities [c], [m] links.
+(* Whether the better-response graph of one instance (weights [w],
+   capacities [c], [m] links) has a cycle, by three-colour DFS.
    [p]/[loads] mirror the node the DFS sits at: decoded and refilled
    once per root, then maintained across edges by applying each move
    before recursing and reverting it after — the integer analogue of
@@ -79,6 +79,10 @@ let search ~w ~c ~m =
     done;
     if not !cycle then Bytes.set colour v '\002'
   in
+  (* Bounded by [check_space], the recursion is at most
+     [Algo.Game_graph.budget] frames deep, which OCaml's default stack
+     limit holds; a smaller limit set through OCAMLRUNPARAM fails the
+     run rather than leave an instance unsearched. *)
   try
     let v = ref 0 in
     while (not !cycle) && !v < nodes do
@@ -94,10 +98,11 @@ let search ~w ~c ~m =
       end;
       incr v
     done;
-    if !cycle then Cyclic else Acyclic
+    !cycle
   with Stack_overflow ->
-    prerr_endline "warning: DFS overflow; instance skipped";
-    Skipped
+    prerr_endline
+      "cycle_hunt: DFS stack overflow; raise the stack limit (OCAMLRUNPARAM=l=<words>)";
+    exit 2
 
 let print_instance w c =
   Printf.printf "weights = [%s]\n"
@@ -107,18 +112,6 @@ let print_instance w c =
       Printf.printf "capacities[%d] = [%s]\n" i
         (String.concat "; " (Array.to_list (Array.map string_of_int row))))
     c
-
-(* Skipped instances were not searched: summaries count "N of T"
-   instances when some were skipped, name the skipped ones on a line of
-   their own and fail the run, so a clean summary means a full search. *)
-let searched ~skipped total =
-  if skipped = 0 then string_of_int total else Printf.sprintf "%d of %d" (total - skipped) total
-
-let exit_if_skipped skipped =
-  if skipped > 0 then begin
-    Printf.printf "%d instances skipped after a DFS stack overflow\n" skipped;
-    exit 1
-  end
 
 (* The one count converter: an attempt count or a grid bound below 1
    is a usage error (exit 124) reported by cmdliner, not an exception
@@ -148,31 +141,24 @@ let run_random (n_lo, n_hi) (m_lo, m_hi) attempts w_hi c_hi seed =
   (* Attempt [i] draws from its own stream [Rng.of_path seed [0; i]], so
      the instance tested at index [i] does not depend on the attempts
      before it.  Attempts run in ascending order, so the first hit is
-     the smallest one, and only instances before it count as skipped. *)
-  let skipped = ref 0 in
+     the smallest one. *)
   let rec go i =
     if i > 0 && i mod 1_000_000 = 0 then Printf.printf "%d attempts...\n%!" i;
     if i >= attempts then begin
       Printf.printf
-        "no better-response cycle in %s random instances (n=%d-%d, m=%d-%d, w<=%d, c<=%d)\n"
-        (searched ~skipped:!skipped attempts)
-        n_lo n_hi m_lo m_hi w_hi c_hi;
-      exit_if_skipped !skipped
+        "no better-response cycle in %d random instances (n=%d-%d, m=%d-%d, w<=%d, c<=%d)\n"
+        attempts n_lo n_hi m_lo m_hi w_hi c_hi
     end
     else begin
       let rng = Prng.Rng.of_path seed [ 0; i ] in
       let n = Prng.Rng.int_in rng n_lo n_hi and m = Prng.Rng.int_in rng m_lo m_hi in
       let w = Array.init n (fun _ -> Prng.Rng.int_in rng 1 w_hi) in
       let c = Array.init n (fun _ -> Array.init m (fun _ -> Prng.Rng.int_in rng 1 c_hi)) in
-      match search ~w ~c ~m with
-      | Cyclic ->
+      if search ~w ~c ~m then begin
         Printf.printf "CYCLE FOUND at attempt %d (n=%d, m=%d):\n" (i + 1) n m;
-        print_instance w c;
-        exit_if_skipped !skipped
-      | Skipped ->
-        incr skipped;
-        go (i + 1)
-      | Acyclic -> go (i + 1)
+        print_instance w c
+      end
+      else go (i + 1)
     end
   in
   go 0
@@ -190,18 +176,16 @@ let random_cmd =
 let run_exhaustive n m w_hi c_hi =
   check_space ~users:n ~links:m;
   let w = Array.make n 1 and c = Array.init n (fun _ -> Array.make m 1) in
-  let total = ref 0 and cycles = ref 0 and skipped = ref 0 in
+  let total = ref 0 and cycles = ref 0 in
   let check () =
     incr total;
-    match search ~w ~c ~m with
-    | Acyclic -> ()
-    | Skipped -> incr skipped
-    | Cyclic ->
+    if search ~w ~c ~m then begin
       incr cycles;
       if !cycles = 1 then begin
         print_endline "CYCLE FOUND:";
         print_instance w c
       end
+    end
   in
   let rec enum_caps i l =
     if i = n then check ()
@@ -221,11 +205,8 @@ let run_exhaustive n m w_hi c_hi =
       done
   in
   enum_weights 0;
-  Printf.printf "exhaustive n=%d m=%d w<=%d c<=%d: %s instances, %d with better-response cycles\n"
-    n m w_hi c_hi
-    (searched ~skipped:!skipped !total)
-    !cycles;
-  exit_if_skipped !skipped
+  Printf.printf "exhaustive n=%d m=%d w<=%d c<=%d: %d instances, %d with better-response cycles\n"
+    n m w_hi c_hi !total !cycles
 
 let exhaustive_cmd =
   let users = Arg.(value & opt positive_int 3 & info [ "users" ] ~docv:"N") in

@@ -4,77 +4,89 @@ type move_kind = Best_response | Better_response
 
 let budget = 2_000_000
 
-(* Node ids are mixed-radix profile codes, bijective while [m^n] stays
-   within {!budget}; [find_cycle] checks that before decoding any. *)
-let decode g k =
-  let n = Game.users g and m = Game.links g in
-  let p = Array.make n 0 in
-  let rest = ref k in
-  for i = 0 to n - 1 do
-    p.(i) <- !rest mod m;
-    rest := !rest / m
-  done;
-  p
+type cursor = {
+  reset : int array -> unit;
+  improves : int array -> int -> int -> bool;
+  shift : int -> src:int -> dst:int -> unit;
+}
 
-(* The (user, target) moves defining a node's out-edges: ascending
-   user, and within a user the better-response targets in descending
-   link order. *)
-let successor_moves v ~kind =
-  let acc = ref [] in
-  for i = View.users v - 1 downto 0 do
-    match kind with
-    | Best_response ->
-      let target, best = View.best_response_for v i in
-      if Numeric.Rational.compare best (View.latency v i) < 0 then acc := (i, target) :: !acc
-    | Better_response ->
-      List.iter (fun l -> acc := (i, l) :: !acc) (View.improving_moves v i)
-  done;
-  !acc
-
-let find_cycle ?initial g ~kind =
-  let count =
-    Numeric.Combinat.search_space ~who:"Game_graph.find_cycle" ~what:"pure profiles" ~budget
-      (Game.links g) (Game.users g)
-  in
-  let n = Game.users g and m = Game.links g in
-  (* pw.(i) = m^i: moving user i from link l to l' shifts the node id by
-     (l' - l)·m^i, so the DFS never re-encodes a whole profile. *)
-  let pw = Array.make (max n 1) 1 in
-  for i = 1 to n - 1 do
+(* Node ids are mixed-radix profile codes, bijective as [search_space]
+   bounds [m^n]; moving user i from x to y adds (y - x)·m^i, so the
+   current profile [p] is never re-encoded.  Colours: 0 unvisited, 1 on
+   the stack, 2 done.  Frame d is its node [st.(2d)] and its next move
+   [st.(2d+1)] = i·m + j (user i, link m-1-j): it resumes by scanning
+   on to its next unvisited successor, and pops once its moves run out,
+   shifting its entering move back.  A back edge closes the witness,
+   the stack slice from its target to the top. *)
+let search ~who ~users:n ~links:m c =
+  let count = Numeric.Combinat.search_space ~who ~what:"pure profiles" ~budget m n in
+  let pw = Array.make (n + 1) 1 in
+  for i = 1 to n do
     pw.(i) <- pw.(i - 1) * m
   done;
-  (* Recursive three-colour DFS; colours: 0 unvisited, 1 on stack,
-     2 done.  [parent] reconstructs the witness cycle.  One [View] per
-     DFS root carries the loads down the tree: each edge is an O(1)
-     [move] on descent and an [undo] on return, where the seed decoded
-     and re-materialised every node from scratch. *)
+  let decode id = Array.init n (fun i -> id / pw.(i) mod m) in
   let colour = Bytes.make count '\000' in
-  let parent = Array.make count (-1) in
-  let cycle = ref None in
-  let rec dfs v id =
-    Bytes.set colour id '\001';
-    List.iter
-      (fun (i, l) ->
-        if !cycle = None then begin
-          let s = id + ((l - View.link v i) * pw.(i)) in
-          match Bytes.get colour s with
-          | '\000' ->
-            parent.(s) <- id;
-            View.move v i l;
-            dfs v s;
-            View.undo v
-          | '\001' ->
-            (* Back edge: walk parents from id back to s. *)
-            let rec collect u acc = if u = s then u :: acc else collect parent.(u) (u :: acc) in
-            cycle := Some (List.map (decode g) (collect id []))
-          | _ -> ()
-        end)
-      (successor_moves v ~kind);
-    if Bytes.get colour id = '\001' then Bytes.set colour id '\002'
+  let st = ref (Array.make 128 0) and top = ref (-1) in
+  let push id =
+    incr top;
+    if 2 * !top = Array.length !st then st := Array.append !st (Array.make (2 * !top) 0);
+    !st.(2 * !top) <- id;
+    !st.((2 * !top) + 1) <- 0;
+    Bytes.set colour id '\001'
   in
-  let id = ref 0 in
-  while !cycle = None && !id < count do
-    if Bytes.get colour !id = '\000' then dfs (View.of_profile g ?initial (decode g !id)) !id;
-    incr id
+  let p = Array.make n 0 and cycle = ref None and root = ref 0 in
+  while !cycle = None && !root < count do
+    if Bytes.get colour !root = '\000' then begin
+      Array.blit (decode !root) 0 p 0 n;
+      c.reset p;
+      push !root;
+      while !cycle = None && !top >= 0 do
+        let d = !top and st = !st in
+        let i = ref (st.((2 * d) + 1) / m) and j = ref (st.((2 * d) + 1) mod m) in
+        let child = ref (-1) in
+        while !child < 0 && !cycle = None && !i < n do
+          let x = p.(!i) and y = m - 1 - !j in
+          if y <> x && c.improves p !i y then begin
+            let s = st.(2 * d) + ((y - x) * pw.(!i)) in
+            match Bytes.get colour s with
+            | '\000' ->
+              c.shift !i ~src:x ~dst:y;
+              p.(!i) <- y;
+              child := s
+            | '\001' ->
+              let rec base e = if st.(2 * e) = s then e else base (e - 1) in
+              let b = base d in
+              cycle := Some (List.init (d - b + 1) (fun e -> decode st.(2 * (b + e))))
+            | _ -> ()
+          end;
+          if !j = m - 1 then (incr i; j := 0) else incr j
+        done;
+        st.((2 * d) + 1) <- (!i * m) + !j;
+        if !child >= 0 then push !child
+        else if !cycle = None then begin
+          Bytes.set colour st.(2 * d) '\002';
+          decr top;
+          if d > 0 then begin
+            let i = (st.((2 * d) - 1) - 1) / m in
+            let src = st.(2 * (d - 1)) / pw.(i) mod m in
+            c.shift i ~src:p.(i) ~dst:src;
+            p.(i) <- src
+          end
+        end
+      done
+    end;
+    incr root
   done;
   !cycle
+
+(* One incremental View serves every root: [reset] shifts each user to
+   the root's link, and tree edges shift unrecorded, since the search
+   keeps its own stack. *)
+let find_cycle ?initial g ~kind =
+  let v = View.of_profile g ?initial (Array.make (Game.users g) 0) in
+  let improves _ i l =
+    View.improves v i l && (kind = Better_response || fst (View.best_response_for v i) = l)
+  in
+  let shift i ~src:_ ~dst = View.shift v i dst in
+  search ~who:"Game_graph.find_cycle" ~users:(Game.users g) ~links:(Game.links g)
+    { reset = Array.iteri (View.shift v); improves; shift }

@@ -1,11 +1,5 @@
 open Numeric
 
-(* The exhaustive NE scans share Algo.Enumerate's budget and the
-   improvement-cycle search Algo.Game_graph's; both walk the
-   links^players profiles on the one odometer. *)
-let space who ~budget ~players ~links =
-  Combinat.search_space ~who:("Milchtaich." ^ who) ~what:"pure profiles" ~budget links players
-
 module Weighted = struct
   type t = { weights : int array; cost : Rational.t array array array }
 
@@ -40,30 +34,35 @@ module Weighted = struct
   let players t = Array.length t.weights
   let links t = Array.length t.cost.(0)
 
-  let load t p l =
-    let acc = ref 0 in
-    Array.iteri (fun i lk -> if lk = l then acc := !acc + t.weights.(i)) p;
-    !acc
+  let loads t p =
+    let acc = Array.make (links t) 0 in
+    Array.iteri (fun i l -> acc.(l) <- acc.(l) + t.weights.(i)) p;
+    acc
 
-  let latency t p i = t.cost.(i).(p.(i)).(load t p p.(i))
+  let latency t p i = t.cost.(i).(p.(i)).((loads t p).(p.(i)))
 
-  (* The one improvement relation: player [i] strictly gains by moving
-     to [l] when its cost there, at the link's load plus its own
-     weight, is below its current latency. *)
-  let improving_moves t p i =
-    let here = latency t p i in
-    List.filter
-      (fun l ->
-        l <> p.(i) && Rational.compare t.cost.(i).(l).(load t p l + t.weights.(i)) here < 0)
-      (List.init (links t) Fun.id)
+  (* The one improvement relation, read against the link loads of [p]:
+     player [i] strictly gains by moving to [l] when its cost there, at
+     the link's load plus its own weight, is below its current cost. *)
+  let improves t loads p i l =
+    let x = p.(i) in
+    l <> x
+    && Rational.compare t.cost.(i).(l).(loads.(l) + t.weights.(i)) t.cost.(i).(x).(loads.(x)) < 0
 
   let is_nash t p =
-    let rec stable i = i >= players t || (improving_moves t p i = [] && stable (i + 1)) in
+    let loads = loads t p and m = links t in
+    let rec stable k =
+      k >= players t * m || ((not (improves t loads p (k / m) (k mod m))) && stable (k + 1))
+    in
     stable 0
 
+  (* The exhaustive NE scans walk the links^players profiles on the one
+     odometer, within Algo.Enumerate's budget. *)
   let scan who t f =
     let players = players t and links = links t in
-    ignore (space who ~budget:Algo.Enumerate.budget ~players ~links);
+    ignore
+      (Combinat.search_space ~who:("Milchtaich." ^ who) ~what:"pure profiles"
+         ~budget:Algo.Enumerate.budget links players);
     Combinat.iter_odometer ~digits:players ~base:links f
 
   let pure_nash t =
@@ -78,55 +77,18 @@ module Weighted = struct
       false
     with Found -> true
 
-  (* Three-colour DFS over the profiles, numbered in mixed radix
-     [links] (player 0 the least significant digit). *)
+  (* A Game_graph cursor over incrementally kept loads. *)
   let has_better_response_cycle t =
-    let n = players t and m = links t in
-    let nodes =
-      space "Weighted.has_better_response_cycle" ~budget:Algo.Game_graph.budget ~players:n
-        ~links:m
+    let cur = Array.make (links t) 0 in
+    let reset p = Array.blit (loads t p) 0 cur 0 (links t) in
+    let shift i ~src ~dst =
+      cur.(src) <- cur.(src) - t.weights.(i);
+      cur.(dst) <- cur.(dst) + t.weights.(i)
     in
-    let decode v =
-      let p = Array.make n 0 and rest = ref v in
-      for i = 0 to n - 1 do
-        p.(i) <- !rest mod m;
-        rest := !rest / m
-      done;
-      p
-    in
-    let encode p = Array.fold_right (fun l acc -> (acc * m) + l) p 0 in
-    let successors v =
-      let p = decode v in
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun l ->
-              let q = Array.copy p in
-              q.(i) <- l;
-              encode q)
-            (improving_moves t p i))
-        (List.init n Fun.id)
-    in
-    let colour = Bytes.make nodes '\000' in
-    let cyclic = ref false in
-    let rec dfs v =
-      Bytes.set colour v '\001';
-      List.iter
-        (fun s ->
-          if not !cyclic then
-            match Bytes.get colour s with
-            | '\000' -> dfs s
-            | '\001' -> cyclic := true
-            | _ -> ())
-        (successors v);
-      if not !cyclic then Bytes.set colour v '\002'
-    in
-    let v = ref 0 in
-    while (not !cyclic) && !v < nodes do
-      if Bytes.get colour !v = '\000' then dfs !v;
-      incr v
-    done;
-    !cyclic
+    Algo.Game_graph.search ~who:"Milchtaich.Weighted.has_better_response_cycle"
+      ~users:(players t) ~links:(links t)
+      { reset; improves = improves t cur; shift }
+    <> None
 
   let random rng ~weights ~links ~value_bound =
     let loads = total_weight weights in
@@ -155,7 +117,7 @@ module Weighted = struct
     let m = links t in
     let l' = (ne.(i) + 1 + Prng.Rng.int rng (m - 1)) mod m in
     let here = latency t ne i in
-    let target_load = load t ne l' + t.weights.(i) in
+    let target_load = (loads t ne).(l') + t.weights.(i) in
     (* Aim strictly below the current latency; 3/4 keeps values positive. *)
     let v = Rational.mul here (Rational.of_ints 3 4) in
     let col = t.cost.(i).(l') in

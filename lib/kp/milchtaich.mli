@@ -42,7 +42,8 @@ module Weighted : sig
       property.  Milchtaich showed this can happen even in unweighted
       games, where a pure NE always exists.  A move of player [i] to
       link [l] improves when [cost.(i).(l).(load l + w_i)] is below
-      [i]'s current latency. *)
+      [i]'s current latency, the predicate {!pure_nash} reads; the
+      search is {!Algo.Game_graph.search} over incrementally kept loads. *)
   val has_better_response_cycle : t -> bool
 
   (** [random rng ~weights ~links ~value_bound] draws a weighted

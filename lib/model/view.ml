@@ -55,8 +55,8 @@ let profile v = Array.copy v.prof
 let load v l = Packing.load v.lane l
 let depth v = v.depth
 
-(* Unrecorded reassignment: the O(1) delta shared by [move], [undo] and
-   the sweep odometer. *)
+(* Unrecorded reassignment: the O(1) delta shared by [move], [undo],
+   the sweep odometer and callers that keep their own move stack. *)
 let shift v i l =
   let old = v.prof.(i) in
   if l <> old then begin
@@ -91,8 +91,8 @@ let latency_on_link v i l = Packing.latency_after_move v.lane v.rows i ~src:v.pr
 let best_response_for v i = Packing.best_response v.lane v.rows i ~src:v.prof.(i)
 let is_defector v i = Packing.is_defector v.lane v.rows i ~src:v.prof.(i)
 
-let improving_moves v i =
-  List.filter (Packing.improves v.lane v.rows i ~src:v.prof.(i)) (List.init (links v) Fun.id)
+let improves v i l = Packing.improves v.lane v.rows i ~src:v.prof.(i) l
+let improving_moves v i = List.filter (improves v i) (List.init (links v) Fun.id)
 
 let is_nash v =
   let n = users v in

@@ -64,6 +64,9 @@ val move : t -> int -> int -> unit
     @raise Invalid_argument when the history is empty. *)
 val undo : t -> unit
 
+(** [shift v i l] is {!move} without recording it for {!undo}. *)
+val shift : t -> int -> int -> unit
+
 (** [depth v] is the number of moves that {!undo} can still revert. *)
 val depth : t -> int
 
@@ -79,6 +82,9 @@ val latency_on_link : t -> int -> int -> Numeric.Rational.t
 (** [best_response_for v i] is the lowest-index link minimising user
     [i]'s post-move latency, paired with that latency. O(m). *)
 val best_response_for : t -> int -> int * Numeric.Rational.t
+
+(** [improves v i l] holds when moving to [l] strictly lowers user [i]'s latency. O(1). *)
+val improves : t -> int -> int -> bool
 
 (** [improving_moves v i] lists, in increasing order, the links that
     would strictly lower user [i]'s latency. O(m). *)

@@ -240,6 +240,41 @@ let test_witness_cycles_are_real () =
   let g, initial = Algo.Witness.better_response_cycle_with_initial () in
   witness ~initial g
 
+(* The exact witnesses find_cycle returns, recorded from the recursive
+   search: its first back edge from root 0, moves tried in ascending
+   user and then descending link.  E6's cycle lengths read these. *)
+let test_witness_cycles_pinned () =
+  let cycle ?initial g =
+    Algo.Game_graph.find_cycle ?initial g ~kind:Algo.Game_graph.Better_response
+  in
+  Alcotest.(check (option (list (array int))))
+    "six users"
+    (Some
+       [
+         [| 0; 0; 1; 2; 2; 2 |];
+         [| 0; 0; 1; 2; 2; 0 |];
+         [| 0; 0; 2; 2; 2; 0 |];
+         [| 0; 2; 2; 2; 2; 0 |];
+         [| 0; 2; 2; 2; 2; 1 |];
+         [| 0; 2; 1; 2; 2; 1 |];
+         [| 0; 2; 1; 2; 2; 2 |];
+       ])
+    (cycle (Algo.Witness.better_response_cycle_game ()));
+  let g, initial = Algo.Witness.better_response_cycle_with_initial () in
+  Alcotest.(check (option (list (array int))))
+    "three users and initial traffic"
+    (Some
+       [
+         [| 2; 2; 0 |];
+         [| 2; 2; 1 |];
+         [| 2; 1; 1 |];
+         [| 2; 1; 2 |];
+         [| 0; 1; 2 |];
+         [| 0; 1; 0 |];
+         [| 0; 2; 0 |];
+       ])
+    (cycle ~initial g)
+
 let test_original_witness () =
   let g = Algo.Witness.original_cycle_game () in
   Alcotest.(check bool) "original instance is cyclic too" true
@@ -247,11 +282,147 @@ let test_original_witness () =
   Alcotest.(check bool) "and not an exact potential game" true
     (Algo.Potential.find_nonzero_square g <> None)
 
+(* The recursive find_cycle that Game_graph.search replaced, kept as
+   an oracle: one View per DFS root, each node's successors listed on
+   entry (ascending user, then descending link), the witness rebuilt
+   from a parent array. *)
+let recursive_find_cycle ?initial g ~kind =
+  let n = Game.users g and m = Game.links g in
+  let pw = Array.make (n + 1) 1 in
+  for i = 1 to n do
+    pw.(i) <- pw.(i - 1) * m
+  done;
+  let count = pw.(n) in
+  let decode k = Array.init n (fun i -> k / pw.(i) mod m) in
+  let successor_moves v =
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match kind with
+      | Algo.Game_graph.Best_response ->
+        let target, best = View.best_response_for v i in
+        if Rational.compare best (View.latency v i) < 0 then acc := (i, target) :: !acc
+      | Algo.Game_graph.Better_response ->
+        List.iter (fun l -> acc := (i, l) :: !acc) (View.improving_moves v i)
+    done;
+    !acc
+  in
+  let colour = Bytes.make count '\000' in
+  let parent = Array.make count (-1) in
+  let cycle = ref None in
+  let rec dfs v id =
+    Bytes.set colour id '\001';
+    List.iter
+      (fun (i, l) ->
+        if !cycle = None then begin
+          let s = id + ((l - View.link v i) * pw.(i)) in
+          match Bytes.get colour s with
+          | '\000' ->
+            parent.(s) <- id;
+            View.move v i l;
+            dfs v s;
+            View.undo v
+          | '\001' ->
+            let rec collect u acc = if u = s then u :: acc else collect parent.(u) (u :: acc) in
+            cycle := Some (List.map decode (collect id []))
+          | _ -> ()
+        end)
+      (successor_moves v);
+    if Bytes.get colour id = '\001' then Bytes.set colour id '\002'
+  in
+  for id = 0 to count - 1 do
+    if !cycle = None && Bytes.get colour id = '\000' then
+      dfs (View.of_profile g ?initial (decode id)) id
+  done;
+  !cycle
+
+(* Three families, so that both verdicts occur: integer grids as
+   cycle_hunt draws them and belief games with optional initial
+   traffic (cycles are rare in both), and relabelled copies of the two
+   E6 witnesses.  A copy permutes users and links and scales each
+   user's capacities, which keeps the cycle but moves it in the search
+   order; half the copies then nudge one capacity, which may break it. *)
+let cycle_differential_game rng =
+  let n = Prng.Rng.int_in rng 2 4 and m = Prng.Rng.int_in rng 2 3 in
+  match Prng.Rng.int rng 3 with
+  | 0 ->
+    ( Game.of_capacities
+        ~weights:(Array.init n (fun _ -> qi (Prng.Rng.int_in rng 1 9)))
+        (Array.init n (fun _ -> Array.init m (fun _ -> qi (Prng.Rng.int_in rng 1 40)))),
+      None )
+  | 1 ->
+    let g =
+      Experiments.Generators.game rng ~n ~m
+        ~weights:(Experiments.Generators.Integer_weights 6)
+        ~beliefs:(Experiments.Generators.Private_point { cap_bound = 9 })
+    in
+    (g, if Prng.Rng.bool rng then Some (Array.init m (fun _ -> qi (Prng.Rng.int rng 8))) else None)
+  | _ ->
+    let w, c, initial =
+      if Prng.Rng.bool rng then
+        ( [| 3; 6; 8; 4; 3; 3 |],
+          [|
+            [| 1; 1; 1 |]; [| 21; 1; 37 |]; [| 1; 20; 38 |]; [| 1; 1; 1 |]; [| 1; 1; 1 |]; [| 26; 14; 21 |];
+          |],
+          None )
+      else
+        ( [| 6; 8; 3 |],
+          [| [| 21; 1; 37 |]; [| 1; 20; 38 |]; [| 26; 14; 21 |] |],
+          Some [| 3; 0; 7 |] )
+    in
+    let shuffle k =
+      let a = Array.init k Fun.id in
+      for i = k - 1 downto 1 do
+        let j = Prng.Rng.int rng (i + 1) in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      done;
+      a
+    in
+    let users = shuffle (Array.length w) and links = shuffle 3 in
+    let caps =
+      Array.map
+        (fun i ->
+          let k = Prng.Rng.int_in rng 1 3 in
+          Array.map (fun l -> k * c.(i).(l)) links)
+        users
+    in
+    if Prng.Rng.bool rng then begin
+      let row = caps.(Prng.Rng.int rng (Array.length caps)) and l = Prng.Rng.int rng 3 in
+      row.(l) <- max 1 (row.(l) + Prng.Rng.int_in rng (-2) 2)
+    end;
+    ( Game.of_capacities
+        ~weights:(Array.map (fun i -> qi w.(i)) users)
+        (Array.map (Array.map qi) caps),
+      Option.map (fun t -> Array.map (fun l -> qi t.(l)) links) initial )
+
+let test_find_cycle_matches_recursive_oracle () =
+  let cyclic = ref 0 and acyclic = ref 0 in
+  for seed = 1 to 1000 do
+    let rng = Prng.Rng.create seed in
+    let g, initial = cycle_differential_game rng in
+    List.iter
+      (fun kind ->
+        let expected = recursive_find_cycle ?initial g ~kind in
+        if expected = None then incr acyclic else incr cyclic;
+        Alcotest.(check (option (list (array int))))
+          (Printf.sprintf "seed %d" seed)
+          expected
+          (Algo.Game_graph.find_cycle ?initial g ~kind))
+      [ Algo.Game_graph.Better_response; Algo.Game_graph.Best_response ]
+  done;
+  Alcotest.(check bool) "some games are cyclic" true (!cyclic > 0);
+  Alcotest.(check bool) "some games are acyclic" true (!acyclic > 0)
+
 let suite =
   [
     ("witness: better-response cycle (Monien/E6)", `Quick, test_witness_has_better_response_cycle);
     ("witness: 3 users + initial traffic", `Quick, test_witness_with_initial_traffic);
     ("witness: find_cycle returns real cycles", `Quick, test_witness_cycles_are_real);
+    ("witness: pinned cycles", `Quick, test_witness_cycles_pinned);
+    ( "witness: find_cycle matches the recursive oracle",
+      `Quick,
+      test_find_cycle_matches_recursive_oracle );
     ("witness: original unminimised instance", `Slow, test_original_witness);
     ("solve support: pure", `Quick, test_solve_support_pure);
     ("solve support: full = closed form", `Quick, test_solve_support_full);

@@ -108,21 +108,29 @@ let test_unweighted_latency () =
   Alcotest.(check bool) "alone cost" true (Rational.equal (W.latency t [| 0; 1 |] 0) (qi 1));
   Alcotest.(check bool) "shared cost" true (Rational.equal (W.latency t [| 0; 0 |] 0) (qi 4))
 
-(* The occupancy-indexed game the unit-weight fold replaced, kept as an
-   oracle: [cost.(i).(l).(k-1)] is player [i]'s cost on link [l] with
-   [k] occupants, and a move to [l] is read at one more occupant. *)
+(* The profile-indexed game that the unit-weight fold and the shared
+   cycle search replaced, kept as an oracle: [cost i l k] is player
+   [i]'s cost on link [l] at load [k], every load is recounted from the
+   profile, and a move to [l] is read at [l]'s load plus the mover's
+   weight.  Unit weights make the load the occupancy. *)
 module Occupancy = struct
-  let occupancy p l = Array.fold_left (fun acc lk -> if lk = l then acc + 1 else acc) 0 p
-  let latency cost p i = cost.(i).(p.(i)).(occupancy p p.(i) - 1)
+  let load weights p l =
+    let acc = ref 0 in
+    Array.iteri (fun i lk -> if lk = l then acc := !acc + weights.(i)) p;
+    !acc
 
-  let improving_moves cost p i =
-    let here = latency cost p i in
+  let latency cost weights p i = cost i p.(i) (load weights p p.(i))
+
+  let improving_moves cost weights ~links p i =
+    let here = latency cost weights p i in
     List.filter
-      (fun l -> l <> p.(i) && Rational.compare cost.(i).(l).(occupancy p l) here < 0)
-      (List.init (Array.length cost.(i)) Fun.id)
+      (fun l -> l <> p.(i) && Rational.compare (cost i l (load weights p l + weights.(i))) here < 0)
+      (List.init links Fun.id)
 
-  let is_nash cost p =
-    List.for_all (fun i -> improving_moves cost p i = []) (List.init (Array.length p) Fun.id)
+  let is_nash cost weights ~links p =
+    List.for_all
+      (fun i -> improving_moves cost weights ~links p i = [])
+      (List.init (Array.length p) Fun.id)
 
   let rec profiles ~players ~links =
     if players = 0 then [ [] ]
@@ -133,7 +141,8 @@ module Occupancy = struct
 
   (* Plain DFS over profiles as lists; [on_path] holds the current
      stack, [done_] every fully explored profile. *)
-  let has_cycle cost ~players ~links =
+  let has_cycle cost weights ~links =
+    let players = Array.length weights in
     let done_ = Hashtbl.create 64 in
     let rec dfs on_path p =
       if List.mem p on_path then true
@@ -148,7 +157,7 @@ module Occupancy = struct
                   let q = Array.copy a in
                   q.(i) <- l;
                   dfs (p :: on_path) (Array.to_list q))
-                (improving_moves cost a i))
+                (improving_moves cost weights ~links a i))
             (List.init players Fun.id)
         in
         Hashtbl.replace done_ p ();
@@ -157,6 +166,9 @@ module Occupancy = struct
     in
     List.exists (dfs []) (profiles ~players ~links)
 end
+
+(* An occupancy-indexed table [table.(i).(l).(k-1)] as an oracle cost. *)
+let occupancy_cost table i l k = table.(i).(l).(k - 1)
 
 (* Draws the table [Unweighted.random] draws, from the same stream. *)
 let random_table rng ~players ~links ~value_bound =
@@ -178,9 +190,10 @@ let test_folded_matches_oracle () =
     let cost = random_table rng ~players ~links ~value_bound:6 in
     let t = Kp.Milchtaich.Unweighted.make cost in
     let sorted l = List.sort compare l in
+    let ones = Array.make players 1 and oracle = occupancy_cost cost in
     let expected =
       List.filter
-        (fun p -> Occupancy.is_nash cost (Array.of_list p))
+        (fun p -> Occupancy.is_nash oracle ones ~links (Array.of_list p))
         (Occupancy.profiles ~players ~links)
     in
     Alcotest.(check (list (list int)))
@@ -190,7 +203,7 @@ let test_folded_matches_oracle () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: exists" seed)
       (expected <> []) (W.exists_pure_nash t);
-    let cycle = Occupancy.has_cycle cost ~players ~links in
+    let cycle = Occupancy.has_cycle oracle ones ~links in
     if cycle then incr cyclic else incr acyclic;
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: cycle" seed)
@@ -209,7 +222,7 @@ let test_folded_matches_oracle () =
           Alcotest.(check bool) "random draws the same table" true
             (Rational.equal (W.latency drawn p i) (W.latency again p i));
           Alcotest.(check bool) "latency at the occupancy" true
-            (Rational.equal (W.latency t p i) (Occupancy.latency cost p i))
+            (Rational.equal (W.latency t p i) (Occupancy.latency oracle ones p i))
         done)
       (Occupancy.profiles ~players ~links)
   done;
@@ -266,6 +279,47 @@ let test_weighted_no_pure_nash_search () =
     Alcotest.(check bool) "really has no pure NE" false
       (Kp.Milchtaich.Weighted.exists_pure_nash t)
 
+(* A monotone table as [Weighted.random] draws it:
+   [cost.(i).(l).(load)] for loads 0..Σ weights, rising from 0. *)
+let random_weighted_table rng ~weights ~links ~value_bound =
+  let loads = Array.fold_left ( + ) 0 weights in
+  let column () =
+    let acc = ref Rational.zero in
+    Array.init (loads + 1) (fun k ->
+        if k > 0 then
+          acc :=
+            Rational.add !acc
+              (Prng.Rng.positive_rational rng ~num_bound:value_bound ~den_bound:value_bound);
+        !acc)
+  in
+  Array.init (Array.length weights) (fun _ -> Array.init links (fun _ -> column ()))
+
+let test_weighted_matches_oracle () =
+  let cyclic = ref 0 and acyclic = ref 0 in
+  for seed = 1 to 500 do
+    let rng = Prng.Rng.create seed in
+    let players = Prng.Rng.int_in rng 2 4 and links = Prng.Rng.int_in rng 2 3 in
+    let weights = Array.init players (fun _ -> Prng.Rng.int_in rng 1 3) in
+    let cost = random_weighted_table rng ~weights ~links ~value_bound:6 in
+    let t = W.make ~weights cost in
+    let oracle i l k = cost.(i).(l).(k) in
+    let sorted l = List.sort compare l in
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "seed %d: NE set" seed)
+      (sorted
+         (List.filter
+            (fun p -> Occupancy.is_nash oracle weights ~links (Array.of_list p))
+            (Occupancy.profiles ~players ~links)))
+      (sorted (List.map Array.to_list (W.pure_nash t)));
+    let cycle = Occupancy.has_cycle oracle weights ~links in
+    if cycle then incr cyclic else incr acyclic;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: cycle" seed)
+      cycle (W.has_better_response_cycle t);
+  done;
+  Alcotest.(check bool) "some tables are cyclic" true (!cyclic > 0);
+  Alcotest.(check bool) "some tables are acyclic" true (!acyclic > 0)
+
 let test_weighted_load_semantics () =
   let t =
     Kp.Milchtaich.Weighted.make ~weights:[| 1; 2 |]
@@ -279,6 +333,27 @@ let test_weighted_load_semantics () =
     (Rational.equal (Kp.Milchtaich.Weighted.latency t [| 0; 0 |] 0) (qi 3));
   Alcotest.(check bool) "split load" true
     (Rational.equal (Kp.Milchtaich.Weighted.latency t [| 0; 1 |] 1) (qi 4))
+
+(* The two searches over one game: [find_cycle] on the belief game and
+   [has_better_response_cycle] on its player-specific image. *)
+let embedded_cycle_agrees g t =
+  Algo.Game_graph.find_cycle g ~kind:Algo.Game_graph.Better_response <> None
+  = W.has_better_response_cycle t
+
+(* Random belief games embed acyclic, so the cyclic verdict comes from
+   the E6 witnesses. *)
+let test_embedding_witness_cycles () =
+  List.iter
+    (fun (name, g) ->
+      match Kp.Embedding.to_weighted g with
+      | None -> Alcotest.failf "%s: integer weights must embed" name
+      | Some t ->
+        Alcotest.(check bool) (name ^ ": cyclic") true (W.has_better_response_cycle t);
+        Alcotest.(check bool) (name ^ ": searches agree") true (embedded_cycle_agrees g t))
+    [
+      ("minimised witness", Algo.Witness.better_response_cycle_game ());
+      ("original witness", Algo.Witness.original_cycle_game ());
+    ]
 
 let weighted_properties =
   [
@@ -295,7 +370,8 @@ let weighted_properties =
         | None -> false (* integer weights must embed *)
         | Some t ->
           List.map Array.to_list (Algo.Enumerate.pure_nash g)
-          = List.map Array.to_list (Kp.Milchtaich.Weighted.pure_nash t));
+          = List.map Array.to_list (Kp.Milchtaich.Weighted.pure_nash t)
+          && embedded_cycle_agrees g t);
     prop "embedding refuses non-integral weights" seed_gen (fun seed ->
         let rng = Prng.Rng.create seed in
         let g =
@@ -317,6 +393,8 @@ let suite =
     ("weighted validation", `Quick, test_weighted_validation);
     ("weighted no-pure-NE search (E7)", `Slow, test_weighted_no_pure_nash_search);
     ("weighted load semantics", `Quick, test_weighted_load_semantics);
+    ("weighted game matches the load oracle", `Quick, test_weighted_matches_oracle);
+    ("embedding: the E6 witnesses are cyclic on both sides", `Quick, test_embedding_witness_cycles);
   ]
 
 let () =
