@@ -588,9 +588,19 @@ let run_wire file out =
   in
   let content = input_guard convert data in
   match out with
-  | Some path ->
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
+  | Some path -> (
+    match open_out_bin path with
+    | exception Sys_error msg -> fail_input ("wire: " ^ msg)
+    | oc -> (
+      (* [close_out] flushes, so a full device surfaces there, not in
+         [output_string]. *)
+      try
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            output_string oc content;
+            close_out oc)
+      with Sys_error msg -> fail_input (Printf.sprintf "wire: %s: %s" path msg)))
   | None -> print_string content
 
 let wire_cmd =

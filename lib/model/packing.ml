@@ -8,8 +8,9 @@ open Numeric
    product.  The packed lane holds native ints — [build] refuses
    (returns [None]) whenever any component spills the native range, and
    the product bound makes every product fit — and the exact lane holds
-   [Bigint]s, so packing is a pure optimisation with no semantic
-   surface.
+   [Bigint]s, with a native image that its rows run the packed lane's
+   own integer kernels on whenever their products fit, so packing is a
+   pure optimisation with no semantic surface.
 
    This is the only module that knows which lane a cursor is on.  A row
    is a user for [View] and a class for [Cview]; every kernel below is
@@ -163,7 +164,15 @@ type packed_lane = {
    reduced num/den.  [es] is always exactly the lcm of the live weight,
    contribution and initial-traffic denominators: construction, spill
    and reweight recompute it and rescale exactly, so it shrinks back
-   when a denominator leaves. *)
+   when a denominator leaves.
+
+   Beside the [Bigint] state the lane keeps its native image: every
+   load and row entry, and every capacity's num/den in the packed
+   lane's row-major layout, as the native int it holds or [min_int]
+   when it is [Big] ([Bigint.native_or_min_int]).  Every patch of the
+   [Bigint] state patches the image too.  A row whose image passes
+   [admitted] runs the packed lane's integer kernels on it, unboxed;
+   any other row runs the [Bigint] kernels. *)
 type exact_lane = {
   mutable es : Bigint.t;
   ew : Bigint.t array; (* weight_r · es *)
@@ -171,6 +180,14 @@ type exact_lane = {
   eb : Bigint.t array; (* bias_r · es = ew.(r) − et.(r) *)
   eload : Bigint.t array; (* load_l · es *)
   einit : Rational.t array option; (* the initial traffic *)
+  nw : int array; (* the image of ew *)
+  nt : int array; (* of et *)
+  nb : int array; (* of eb *)
+  nload : int array; (* of eload *)
+  mutable ncn : int array; (* capacity numerators, row-major r*m + l *)
+  mutable ncd : int array; (* capacity denominators *)
+  mutable nowned : bool; (* ncn/ncd are private copies, safe to mutate *)
+  nlim : int array; (* per row: [row_limit] of its capacities *)
 }
 
 type lane = Exact of exact_lane | Packed of packed_lane
@@ -202,16 +219,70 @@ let live_scale ?revise rows init =
     rows.weights;
   !s
 
-(* A fresh exact lane over [rows] at scale [es], holding [eload]. *)
-let exact rows init es eload =
+let native = Bigint.native_or_min_int
+
+(* Refresh the image [n] of the [Bigint] table [a]. *)
+let sync n a = Array.iteri (fun i x -> n.(i) <- native x) a
+
+(* The image of [rows]' capacities over [m] links. *)
+let cap_image rows m =
+  let k = Array.length rows.caps in
+  let cn = Array.make (k * m) 0 and cd = Array.make (k * m) 0 in
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun l c ->
+          cn.((r * m) + l) <- native (Rational.num c);
+          cd.((r * m) + l) <- native (Rational.den c))
+        row)
+    rows.caps;
+  (cn, cd)
+
+(* The capacity half of row [r]'s admission (see [admitted]):
+   ⌊max_int/(maxcd_r·maxcn_r)⌋ over the row's largest capacity den and
+   num, or −1 when one of them is [Big] or their product overflows.
+   Kept per row so that the hot path pays no division. *)
+let row_limit cn cd m r =
+  let maxcn = ref 1 and maxcd = ref 1 and ok = ref true in
+  for l = 0 to m - 1 do
+    let a = cn.((r * m) + l) and b = cd.((r * m) + l) in
+    if a = min_int || b = min_int then ok := false
+    else begin
+      if a > !maxcn then maxcn := a;
+      if b > !maxcd then maxcd := b
+    end
+  done;
+  if !ok && !maxcd <= max_int / !maxcn then max_int / (!maxcd * !maxcn) else -1
+
+(* A fresh exact lane over [rows] at scale [es], holding [eload].  The
+   capacity image is [caps] when given (the packed tables of the same
+   rows, shared until the first capacity revision), and built from
+   [rows] otherwise. *)
+let exact ?caps rows init es eload =
+  let ew = Array.map (scaled es) rows.weights
+  and et = Array.map (scaled es) rows.contribs
+  and eb = Array.map (scaled es) rows.biases in
+  let (ncn, ncd), nowned =
+    match caps with
+    | Some tables -> (tables, false)
+    | None -> (cap_image rows (Array.length eload), true)
+  in
   Exact
     {
       es;
-      ew = Array.map (scaled es) rows.weights;
-      et = Array.map (scaled es) rows.contribs;
-      eb = Array.map (scaled es) rows.biases;
+      ew;
+      et;
+      eb;
       eload;
       einit = init;
+      nw = Array.map native ew;
+      nt = Array.map native et;
+      nb = Array.map native eb;
+      nload = Array.map native eload;
+      ncn;
+      ncd;
+      nowned;
+      nlim = Array.init (Array.length ew) (row_limit ncn ncd (Array.length eload));
     }
 
 (* [count·x], skipping the multiplication for a single user. *)
@@ -227,7 +298,9 @@ let plus x y = if Bigint.is_zero y then x else Bigint.add x y
    contribution is physically the weight). *)
 let add_count lane r ~link ~delta =
   match lane with
-  | Exact e -> e.eload.(link) <- Bigint.add e.eload.(link) (times delta e.et.(r))
+  | Exact e ->
+    e.eload.(link) <- Bigint.add e.eload.(link) (times delta e.et.(r));
+    e.nload.(link) <- native e.eload.(link)
   | Packed pk ->
     let d = delta * pk.ppw.(r) in
     pk.piload.(link) <- pk.piload.(link) + d;
@@ -244,7 +317,7 @@ let make_lane pk rows ?initial m =
   match packed with
   | None ->
     let es = live_scale rows initial in
-    exact rows initial es
+    exact ?caps:(Option.map (fun pk -> (pk.cn, pk.cd)) pk) rows initial es
       (match initial with
        | None -> Array.make m Bigint.zero
        | Some t -> Array.map (scaled es) t)
@@ -299,7 +372,9 @@ let shift lane r ~src ~dst count =
   | Exact e ->
     let d = times count e.et.(r) in
     e.eload.(src) <- Bigint.sub e.eload.(src) d;
-    e.eload.(dst) <- Bigint.add e.eload.(dst) d
+    e.eload.(dst) <- Bigint.add e.eload.(dst) d;
+    e.nload.(src) <- native e.eload.(src);
+    e.nload.(dst) <- native e.eload.(dst)
   | Packed pk ->
     let d = count * pk.ppw.(r) in
     pk.piload.(src) <- pk.piload.(src) - d;
@@ -324,42 +399,90 @@ let latency_after_move lane rows r ~src dst =
     let total = pk.piload.(dst) + if dst = src then 0 else pk.ppw.(r) in
     q_latency pk total ((r * Array.length pk.piload) + dst)
 
-(* Candidate latencies are (load'·cd)/(scale·cn): both lanes track the
-   best as the pair (load'·cd, cn) and compare by cross products —
-   native within the packed bound, [Bigint] on the exact lane. *)
+(* --- the native kernels ------------------------------------------ *)
+
+(* One integer kernel per decision, shared by both lanes.  Each reads
+   a row's loads, weight W, contribution T and bias B, and its
+   capacity nums/dens at [base] = r·m, from native tables: the packed
+   lane passes its own with T = W and B = 0 (its rows are load-linear),
+   the exact lane its image, for a row that [admitted] admits.  A row
+   it does not admit runs the [Bigint] twin of the kernel. *)
+
+(* Row [r] of the exact lane's image admits the native kernels when
+   every load and every capacity num/den of the row is native,
+   0 <= B <= W (so W, B and T = W − B are native too), and
+     (max_l L_l + W)·maxcd_r·maxcn_r <= max_int,
+   with maxcd_r, maxcn_r the row's largest capacity den and num: that
+   is, max_l L_l + W <= [row_limit], exactly, as the limit is a floor.
+   Every product the kernels form is then at most that bound: a
+   deviation or own numerator (L + W)·cd or (L + B)·cd times a cn,
+   [max_block]'s a, b <= maxcd·maxcn times L + W or L + B, and its
+   T·(a + b) <= 2T·maxcd·maxcn, where 2T <= L_src + W once the source
+   holds one of the row's users.  O(m) and allocation-free, checked
+   per row on every call, since loads move with every shift. *)
+let admitted e r =
+  let w = e.nw.(r) and b = e.nb.(r) and m = Array.length e.nload in
+  0 <= b && b <= w
+  &&
+  let maxl = ref 0 and l = ref 0 in
+  while !l < m && e.nload.(!l) <> min_int do
+    if e.nload.(!l) > !maxl then maxl := e.nload.(!l);
+    incr l
+  done;
+  !l = m && !maxl <= e.nlim.(r) - w
+
+(* An admitted kernel's answer against its [Bigint] twin, under
+   SELFISH_SANITIZE. *)
+let agree what r native exact =
+  if native <> exact then
+    Sanitize.fail
+      (Printf.sprintf "Packing: the native %s of row %d gave %d, the Bigint kernel %d" what r
+         native exact)
+
+(* Candidate latencies are (load'·cd)/(scale·cn), with load' = L + B
+   on the source and L + W elsewhere: the best is tracked as the pair
+   (load'·cd, cn) and compared by cross products. *)
+let n_best_link load cn cd base ~w ~b ~src =
+  let m = Array.length load in
+  let best = ref 0 in
+  let bnum = ref ((load.(0) + if src = 0 then b else w) * cd.(base)) and bcn = ref cn.(base) in
+  for l = 1 to m - 1 do
+    let a = (load.(l) + if src = l then b else w) * cd.(base + l) in
+    if a * !bcn < !bnum * cn.(base + l) then begin
+      best := l;
+      bnum := a;
+      bcn := cn.(base + l)
+    end
+  done;
+  !best
+
+let e_best_link e rows r ~src =
+  let caps = rows.caps.(r) in
+  let numer l =
+    Bigint.mul (plus e.eload.(l) (if l = src then e.eb.(r) else e.ew.(r))) (Rational.den caps.(l))
+  in
+  let best = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
+  for l = 1 to Array.length caps - 1 do
+    let a = numer l and cn = Rational.num caps.(l) in
+    if Bigint.compare (Bigint.mul a !bcn) (Bigint.mul !bnum cn) < 0 then begin
+      best := l;
+      bnum := a;
+      bcn := cn
+    end
+  done;
+  !best
+
 let best_link lane rows r ~src =
   match lane with
-  | Exact e ->
-    let caps = rows.caps.(r) in
-    let numer l =
-      Bigint.mul (plus e.eload.(l) (if l = src then e.eb.(r) else e.ew.(r))) (Rational.den caps.(l))
-    in
-    let best = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
-    for l = 1 to Array.length caps - 1 do
-      let a = numer l and cn = Rational.num caps.(l) in
-      if Bigint.compare (Bigint.mul a !bcn) (Bigint.mul !bnum cn) < 0 then begin
-        best := l;
-        bnum := a;
-        bcn := cn
-      end
-    done;
-    !best
   | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = r * m and w = pk.ppw.(r) in
-    let best = ref 0 in
-    let t0 = pk.piload.(0) + if src = 0 then 0 else w in
-    let bnum = ref (t0 * pk.pcd.(base)) and bcn = ref pk.pcn.(base) in
-    for l = 1 to m - 1 do
-      let t = pk.piload.(l) + if src = l then 0 else w in
-      let a = t * pk.pcd.(base + l) in
-      if a * !bcn < !bnum * pk.pcn.(base + l) then begin
-        best := l;
-        bnum := a;
-        bcn := pk.pcn.(base + l)
-      end
-    done;
-    !best
+    n_best_link pk.piload pk.pcn pk.pcd (r * Array.length pk.piload) ~w:pk.ppw.(r) ~b:0 ~src
+  | Exact e when admitted e r ->
+    let l =
+      n_best_link e.nload e.ncn e.ncd (r * Array.length e.nload) ~w:e.nw.(r) ~b:e.nb.(r) ~src
+    in
+    if !Sanitize.enabled then agree "best_link" r l (e_best_link e rows r ~src);
+    l
+  | Exact e -> e_best_link e rows r ~src
 
 let best_response lane rows r ~src =
   let l = best_link lane rows r ~src in
@@ -437,16 +560,14 @@ let improves lane rows r ~src dst =
    [Serve.Repair].  A minimum is carried as its pair, with cn = 0 for
    "no masked link yet" (capacities are positive).  Each decision
    dev·cn_s < (L_s + B)·cd_s·cn is [improves]'s own cross product
-   towards the link holding the minimum, so the packed lane stays
-   inside the product bound and the exact lane forms the same [Bigint]
-   products. *)
+   towards the link holding the minimum, so the native kernel stays
+   inside its bound and the [Bigint] one forms the same products. *)
 
-let p_first_defecting pk r counts only =
-  let m = Array.length pk.piload in
-  let base = r * m and w = pk.ppw.(r) in
+let n_first_defecting load cn cd base ~w ~b counts only =
+  let m = Array.length load in
   let bn = ref 0 and bc = ref 0 and tn = ref 0 and tc = ref 0 in
   for l = 0 to m - 1 do
-    let a = (pk.piload.(l) + w) * pk.pcd.(base + l) and c = pk.pcn.(base + l) in
+    let a = (load.(l) + w) * cd.(base + l) and c = cn.(base + l) in
     if !bc = 0 || a * !bc < !bn * c then begin
       bn := a;
       bc := c
@@ -463,10 +584,10 @@ let p_first_defecting pk r counts only =
     && not
          (counts.(!s) > 0
          &&
-         let own = pk.piload.(!s) * pk.pcd.(base + !s) and cn = pk.pcn.(base + !s) in
+         let own = (load.(!s) + b) * cd.(base + !s) and c = cn.(base + !s) in
          match only with
-         | Some t when not t.(!s) -> !tc > 0 && !tn * cn < own * !tc
-         | _ -> !bn * cn < own * !bc)
+         | Some t when not t.(!s) -> !tc > 0 && !tn * c < own * !tc
+         | _ -> !bn * c < own * !bc)
   do
     incr s
   done;
@@ -536,8 +657,13 @@ let check_first_defecting only lane rows r counts got =
 let first_defecting_source ?only lane rows r counts =
   let s =
     match lane with
+    | Packed pk ->
+      n_first_defecting pk.piload pk.pcn pk.pcd (r * Array.length pk.piload) ~w:pk.ppw.(r) ~b:0
+        counts only
+    | Exact e when admitted e r ->
+      n_first_defecting e.nload e.ncn e.ncd (r * Array.length e.nload) ~w:e.nw.(r) ~b:e.nb.(r)
+        counts only
     | Exact e -> e_first_defecting e rows r counts only
-    | Packed pk -> p_first_defecting pk r counts only
   in
   if !Sanitize.enabled then check_first_defecting only lane rows r counts s;
   s
@@ -557,34 +683,45 @@ let first_defecting_source ?only lane rows r counts =
    mover whose inequality is an equality stays: ties do not improve.
    On the packed lane B = 0 and T = W, L_src·b ≤ total·maxcd·maxcn and
    (L_dst + W)·a, T·(a + b) ≤ 2·total·maxcd·maxcn, so every
-   intermediate is native under the product bound. *)
+   intermediate is native under the product bound; an admitted exact
+   row with [avail > 0] stays inside its own bound (see [admitted]). *)
+let n_max_block load cn cd base ~w ~t ~b ~src ~dst ~avail =
+  let a = cd.(base + dst) * cn.(base + src) and b' = cd.(base + src) * cn.(base + dst) in
+  let d = ((load.(src) + b) * b') - ((load.(dst) + w) * a) in
+  if d <= 0 then 0
+  else begin
+    let q = (d - 1) / (t * (a + b')) in
+    if q >= avail - 1 then avail else q + 1
+  end
+
+let e_max_block e rows r ~src ~dst ~avail =
+  let cs = rows.caps.(r).(src) and cd = rows.caps.(r).(dst) in
+  let a = Bigint.mul (Rational.den cd) (Rational.num cs)
+  and b = Bigint.mul (Rational.den cs) (Rational.num cd) in
+  let d =
+    Bigint.sub
+      (Bigint.mul (plus e.eload.(src) e.eb.(r)) b)
+      (Bigint.mul (Bigint.add e.eload.(dst) e.ew.(r)) a)
+  in
+  if Bigint.sign d <= 0 then 0
+  else begin
+    let q = Bigint.div (Bigint.sub d Bigint.one) (Bigint.mul e.et.(r) (Bigint.add a b)) in
+    if Bigint.compare q (Bigint.of_int (avail - 1)) >= 0 then avail else Bigint.to_int_exn q + 1
+  end
+
 let max_block lane rows r ~src ~dst ~avail =
   match lane with
-  | Exact e ->
-    let cs = rows.caps.(r).(src) and cd = rows.caps.(r).(dst) in
-    let a = Bigint.mul (Rational.den cd) (Rational.num cs)
-    and b = Bigint.mul (Rational.den cs) (Rational.num cd) in
-    let d =
-      Bigint.sub
-        (Bigint.mul (plus e.eload.(src) e.eb.(r)) b)
-        (Bigint.mul (Bigint.add e.eload.(dst) e.ew.(r)) a)
-    in
-    if Bigint.sign d <= 0 then 0
-    else begin
-      let q = Bigint.div (Bigint.sub d Bigint.one) (Bigint.mul e.et.(r) (Bigint.add a b)) in
-      if Bigint.compare q (Bigint.of_int (avail - 1)) >= 0 then avail else Bigint.to_int_exn q + 1
-    end
   | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = r * m and w = pk.ppw.(r) in
-    let a = pk.pcd.(base + dst) * pk.pcn.(base + src)
-    and b = pk.pcd.(base + src) * pk.pcn.(base + dst) in
-    let d = (pk.piload.(src) * b) - ((pk.piload.(dst) + w) * a) in
-    if d <= 0 then 0
-    else begin
-      let q = (d - 1) / (w * (a + b)) in
-      if q >= avail - 1 then avail else q + 1
-    end
+    let w = pk.ppw.(r) in
+    n_max_block pk.piload pk.pcn pk.pcd (r * Array.length pk.piload) ~w ~t:w ~b:0 ~src ~dst ~avail
+  | Exact e when avail > 0 && admitted e r ->
+    let t =
+      n_max_block e.nload e.ncn e.ncd (r * Array.length e.nload) ~w:e.nw.(r) ~t:e.nt.(r)
+        ~b:e.nb.(r) ~src ~dst ~avail
+    in
+    if !Sanitize.enabled then agree "max_block" r t (e_max_block e rows r ~src ~dst ~avail);
+    t
+  | Exact e -> e_max_block e rows r ~src ~dst ~avail
 
 (* --- structural deltas ------------------------------------------- *)
 
@@ -607,11 +744,15 @@ let own pk =
 (* The packed loads as an exact lane over [rows] (the tables the packed
    lane mirrors): an O(k + m) int→Bigint copy.  Every live denominator
    divides the packing scale, so the exact scale divides it too and the
-   loads rescale by one native division each. *)
+   loads rescale by one native division each.  The capacity image is
+   the packed tables themselves, shared: the packed lane is only kept
+   for an undo, which drops the exact lane, and the exact lane copies
+   them before its first capacity write. *)
 let spill pk rows =
   let es = live_scale rows pk.pinit in
   let down = pk.pscale / Bigint.to_int_exn es in
-  exact rows pk.pinit es (Array.map (fun s -> Bigint.of_int (s / down)) pk.piload)
+  exact ~caps:(pk.pcn, pk.pcd) rows pk.pinit es
+    (Array.map (fun s -> Bigint.of_int (s / down)) pk.piload)
 
 (* [q·scale] as a positive native int, when integral and representable. *)
 let scaled_int ~scale q =
@@ -674,7 +815,11 @@ let reweight lane rows r counts ~weight ~contrib =
     e.et.(r) <- t';
     e.eb.(r) <- Bigint.sub w' t';
     rescale_exact e Bigint.div (Bigint.div e.es g);
-    e.es <- s'
+    e.es <- s';
+    sync e.nw e.ew;
+    sync e.nt e.et;
+    sync e.nb e.eb;
+    sync e.nload e.eload
   | Packed pk ->
     let pw' = match scaled_int ~scale:pk.pscale weight with Some x -> x | None -> assert false in
     let d = pw' - pk.ppw.(r) in
@@ -709,19 +854,32 @@ let revise_weight lane rows r counts ~weight ~contrib =
   lane
 
 (* Unchecked: store [cap]'s reduced pair as row [r]'s capacity on
-   [link].  The exact lane reads capacities from the rows, so it has
-   nothing to do. *)
+   [link].  The exact lane's [Bigint] kernels read capacities from the
+   rows, so it only patches its image, copying a shared one first. *)
 let set_capacity lane r ~link cap =
   match lane with
-  | Exact _ -> ()
+  | Exact e ->
+    if not e.nowned then begin
+      e.ncn <- Array.copy e.ncn;
+      e.ncd <- Array.copy e.ncd;
+      e.nowned <- true
+    end;
+    let m = Array.length e.nload in
+    e.ncn.((r * m) + link) <- native (Rational.num cap);
+    e.ncd.((r * m) + link) <- native (Rational.den cap);
+    e.nlim.(r) <- row_limit e.ncn e.ncd m r
   | Packed pk ->
     let idx = (r * Array.length pk.piload) + link in
     pk.pcn.(idx) <- to_native (Rational.num cap);
     pk.pcd.(idx) <- to_native (Rational.den cap)
 
+(* A spill shares the packed capacity tables, which still hold the old
+   pair: the new lane is patched like any exact one. *)
 let revise_capacity lane rows r ~link cap =
   match lane with
-  | Exact _ -> lane
+  | Exact _ ->
+    set_capacity lane r ~link cap;
+    lane
   | Packed pk -> (
     match (Bigint.to_int_opt (Rational.num cap), Bigint.to_int_opt (Rational.den cap)) with
     | Some a, Some b
@@ -731,14 +889,19 @@ let revise_capacity lane rows r ~link cap =
       pk.pmaxcn <- max pk.pmaxcn a;
       pk.pmaxcd <- max pk.pmaxcd b;
       lane
-    | _ -> spill pk rows)
+    | _ ->
+      let lane = spill pk rows in
+      set_capacity lane r ~link cap;
+      lane)
 
 (* --- sanitizer --------------------------------------------------- *)
 
 (* The scale invariant, re-derived from scratch in O(k·m): the scale is
    the lcm of the live denominators, every row entry is its rational
    times the scale, and every load is the scale times the initial
-   traffic plus Σ count·contribution. *)
+   traffic plus Σ count·contribution.  The native image is checked
+   entry by entry against the [Bigint] state and the rows' capacities,
+   and each row limit against its capacity image. *)
 let audit lane rows count =
   match lane with
   | Exact e when !Sanitize.enabled ->
@@ -747,6 +910,24 @@ let audit lane rows count =
     let row_ok a qs = Array.for_all2 (fun x q -> Bigint.equal x (scaled e.es q)) a qs in
     if not (row_ok e.ew rows.weights && row_ok e.et rows.contribs && row_ok e.eb rows.biases)
     then Sanitize.fail "Packing: exact-lane row tables disagree with the rows";
+    let image_ok n a = Array.for_all2 (fun x b -> x = native b) n a in
+    let m = Array.length e.eload in
+    let caps_ok = ref true in
+    Array.iteri
+      (fun r row ->
+        Array.iteri
+          (fun l c ->
+            let i = (r * m) + l in
+            if e.ncn.(i) <> native (Rational.num c) || e.ncd.(i) <> native (Rational.den c) then
+              caps_ok := false)
+          row;
+        if e.nlim.(r) <> row_limit e.ncn e.ncd m r then caps_ok := false)
+      rows.caps;
+    if
+      not
+        (image_ok e.nw e.ew && image_ok e.nt e.et && image_ok e.nb e.eb
+        && image_ok e.nload e.eload && !caps_ok)
+    then Sanitize.fail "Packing: the exact lane's native image disagrees with its Bigint state";
     Array.iteri
       (fun l x ->
         let acc = ref (match e.einit with None -> Rational.zero | Some t -> t.(l)) in

@@ -17,7 +17,16 @@
       a denominator that is always exactly the lcm of the live weight,
       contribution and initial-traffic denominators (recomputed on
       construction, spill and reweight), with capacities read from the
-      rows' reduced num/den.
+      rows' reduced num/den.  Beside them it keeps a native image of
+      every load, row entry and capacity num/den ([min_int] standing
+      for a [Big] one), patched with the [Bigint] state.  A row whose
+      image entries are native, whose bias B and weight W satisfy
+      [0 <= B <= W] and whose [(max_l L_l + W)·maxcd_r·maxcn_r] fits
+      [max_int] runs {!first_defecting_source}, {!best_link} and
+      {!max_block} on that image, through the very integer kernels of
+      the packed lane (which passes T = W and B = 0); any other row
+      runs their [Bigint] twins.  The test is per row and per call,
+      O(m).
 
     Packing therefore never changes results, only speed.
 
@@ -125,8 +134,9 @@ val latency : lane -> rows -> int -> int -> Numeric.Rational.t
 val latency_after_move : lane -> rows -> int -> src:int -> int -> Numeric.Rational.t
 
 (** [best_link lane rows r ~src] is the lowest-index link minimising
-    that post-move latency.  O(m), allocation-free on the packed
-    lane. *)
+    that post-move latency.  O(m), allocation-free on the packed lane
+    and on an admitted exact row (see the lanes above); armed, an
+    admitted row's answer is re-derived by the [Bigint] kernel. *)
 val best_link : lane -> rows -> int -> src:int -> int
 
 (** [best_response lane rows r ~src] is {!best_link} paired with its
@@ -158,7 +168,8 @@ val is_defector : lane -> rows -> int -> src:int -> bool
 
     Under {!Numeric.Sanitize.enabled} the answer is re-derived by that
     per-pair scan, O(m²), raising {!Numeric.Sanitize.Violation} on a
-    mismatch.  Allocation-free on the packed lane, armed or not. *)
+    mismatch.  Allocation-free on the packed lane, armed or not, and
+    on an admitted exact row when disarmed. *)
 val first_defecting_source : ?only:bool array -> lane -> rows -> int -> int array -> int
 
 (** [improves lane rows r ~src dst] holds when moving to [dst] strictly
@@ -172,7 +183,10 @@ val improves : lane -> rows -> int -> src:int -> int -> bool
     b = cd_src·cn_dst and D = (L_src + B)·b − (L_dst + W)·a over the
     lane's denominator, 0 when D <= 0 and otherwise
     min(avail, ⌊(D − 1)/(T·(a + b))⌋ + 1), T the row's contribution.
-    O(1), native and allocation-free on the packed lane. *)
+    [avail] is the number of row-[r] users on [src].  O(1), native and
+    allocation-free on the packed lane and, for [avail > 0], on an
+    admitted exact row, whose answer is re-derived by the [Bigint]
+    kernel when armed. *)
 val max_block : lane -> rows -> int -> src:int -> dst:int -> avail:int -> int
 
 (** {1 Structural deltas}
@@ -218,8 +232,8 @@ val reweight :
 
 (** [revise_capacity lane rows r ~link cap] sets row [r]'s effective
     capacity on [link] to [cap > 0].  Loads are unaffected, and the
-    exact lane reads capacities from [rows], so only the packed lane
-    has work to do. *)
+    exact lane's [Bigint] kernels read capacities from [rows], so it
+    only patches its native image. *)
 val revise_capacity : lane -> rows -> int -> link:int -> Numeric.Rational.t -> lane
 
 (** [set_capacity] is {!revise_capacity} without the bound check or
@@ -233,7 +247,9 @@ val set_capacity : lane -> int -> link:int -> Numeric.Rational.t -> unit
     weight, contribution and initial-traffic denominators, each row
     entry is its rational times the scale, and each load is the scale
     times (initial + Σ_r [count r l]·contribution_r), where [count r l]
-    is the number of row-[r] users on link [l].  Raises
+    is the number of row-[r] users on link [l].  Every entry of the
+    native image must equal its [Bigint] value, or [min_int] for a
+    [Big] one, and so must every capacity num/den of [rows].  Raises
     {!Numeric.Sanitize.Violation} on a breach.  O(k·m) when armed; free
     when disarmed or on the packed lane. *)
 val audit : lane -> rows -> (int -> int -> int) -> unit

@@ -113,6 +113,9 @@ let num_bits = function
 
 let is_native = function Small _ -> true | Big _ -> false
 
+(* No [Small] payload is min_int, so it is free to stand for [Big]. *)
+let native_or_min_int = function Small i -> i | Big _ -> min_int
+
 (* O(1) magnitude estimate in 30-bit limbs: 2^(30(w-1)) <= |n| < 2^(30w)
    for w = size n > 0.  Three comparisons on the Small side, an array
    length on the Big side — cheap enough to gate comparisons on. *)

@@ -64,6 +64,12 @@ val approx : t -> int * int
     equivalent to [n] lying in [[-max_int, max_int]]. *)
 val is_native : t -> bool
 
+(** [native_or_min_int n] is [n] as a native int when {!is_native}
+    holds, and [min_int] otherwise: a sentinel no native value takes,
+    since that range is symmetric.  Unlike {!to_int_opt} it allocates
+    nothing, so native images of [Bigint] tables can be kept with it. *)
+val native_or_min_int : t -> int
+
 val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t

@@ -366,6 +366,44 @@ let random_profile rng counts m =
       row)
     counts
 
+(* Minor words allocated by [calls] runs of [f], with the sanitizer
+   disarmed: armed, every admitted exact-lane kernel is re-derived on
+   Bigints. *)
+let minor_words ?(calls = 1_000) f =
+  let armed = !Sanitize.enabled in
+  Sanitize.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Sanitize.enabled := armed)
+    (fun () ->
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        f i
+      done;
+      Gc.minor_words () -. before)
+
+let empty_words () = minor_words (fun i -> ignore (Sys.opaque_identity i))
+
+(* [native v cls] holds when class [cls]'s best link and block on [v]
+   (from its first occupied link) box nothing, i.e. the row runs on the
+   exact lane's native image; otherwise they box at least a word per
+   call on the Bigint kernels. *)
+let native v ~cls =
+  let m = Cview.links v in
+  let src = ref 0 in
+  while Cview.assigned v cls !src = 0 do
+    incr src
+  done;
+  let src = !src in
+  let words =
+    minor_words (fun _ ->
+        ignore (Sys.opaque_identity (Cview.best_link v ~cls ~src));
+        ignore (Sys.opaque_identity (Cview.max_improving_block v ~cls ~src ~dst:((src + 1) mod m))))
+  and empty = empty_words () in
+  if words <> empty && words -. empty < 1_000. then
+    Alcotest.failf "class %d's kernels allocated %.0f words over 1000 calls: neither lane" cls
+      (words -. empty);
+  words = empty
+
 (* ------------------------------------------------------------------ *)
 (* Maximal improving blocks vs single-move simulation                  *)
 
@@ -675,9 +713,51 @@ let check_pass what rng v ~masks =
         (show_pair want)
   done
 
+(* [g] with one more class that carries a Big magnitude, at a random
+   profile: class 0's row and a weight 2^100 times class 0's (the links
+   it occupies hold Big loads, so no row runs natively), the same as a
+   Participation class of presence 2^-100 (its weight and bias are Big
+   but its contribution is class 0's, so only its own row is refused),
+   or class 0's weight and its row with the first capacity 2^100 times
+   larger (a Big numerator: again only that row is refused).  Every
+   kernel and pass agrees with the oracle and the per-pair scans, and
+   allocation shows which rows ran on the native image. *)
+let check_mixed what rng g =
+  let k = Cgame.classes g and m = Cgame.links g in
+  let big = Rational.of_bigint two_100 in
+  let w0 = Cgame.weight g 0 and row0 = Cgame.capacity_row g 0 in
+  let certain row = Belief.certain (State.make row) in
+  let kind = Prng.Rng.int rng 3 in
+  let weight, u =
+    match kind with
+    | 0 -> (Rational.mul big w0, Uncertainty.bayesian (certain row0))
+    | 1 ->
+      (Rational.mul big w0, Uncertainty.participation ~presence:(Rational.inv big) (certain row0))
+    | _ ->
+      ( w0,
+        Uncertainty.bayesian
+          (certain (Array.mapi (fun l c -> if l = 0 then Rational.mul big c else c) row0)) )
+  in
+  let counts = Array.append (Array.init k (Cgame.count g)) [| 1 + Prng.Rng.int rng 3 |] in
+  let gm =
+    Cgame.make_uncertain ~counts
+      ~weights:(Array.append (Array.init k (Cgame.weight g)) [| weight |])
+      ~uncertainty:(Array.append (Array.init k (Cgame.uncertainty g)) [| u |])
+  in
+  let v = Cview.of_profile gm (random_profile rng counts m) in
+  let what = Printf.sprintf "%s (mixed, kind %d)" what kind in
+  check_cview_kernels what v;
+  check_pass what rng v ~masks:2;
+  if native v ~cls:k then Alcotest.failf "%s: the Big class ran natively" what;
+  for c = 0 to k - 1 do
+    if native v ~cls:c <> (kind > 0) then
+      Alcotest.failf "%s: class %d ran %s" what c (if kind > 0 then "on Bigints" else "natively")
+  done
+
 (* Class games over all three backends at random profiles (mostly
-   non-equilibria), on the cursor's own lane and on its exact twin, and
-   compressed per-user games over all three belief kinds. *)
+   non-equilibria), on the cursor's own lane and on its exact twin,
+   compressed per-user games over all three belief kinds, and every
+   fifth game with a class of Big magnitude added. *)
 let test_pass_vs_pair_scan () =
   let rng = Prng.Rng.create 0xDEF5 in
   let packed = ref 0 in
@@ -698,7 +778,8 @@ let test_pass_vs_pair_scan () =
     let cv = Cview.of_profile cg cx in
     if Cview.packed cv then incr packed;
     check_pass (what ^ " (compressed)") rng cv ~masks:4;
-    check_pass (what ^ " (compressed, exact twin)") rng (exact_twin cg cx) ~masks:4
+    check_pass (what ^ " (compressed, exact twin)") rng (exact_twin cg cx) ~masks:4;
+    if trial mod 5 = 0 then check_mixed what rng g
   done;
   if !packed < 1_000 then Alcotest.failf "only %d of 3000 cursors ran on the packed lane" !packed
 
@@ -838,6 +919,152 @@ let test_packed_kernels_allocate_nothing () =
   check "first_defecting_source ~only" (fun i ->
       hits := !hits + Packing.first_defecting_source ?only:mask lane rows (i mod k) x.(i mod k));
   if !hits = 0 then Alcotest.fail "no kernel found a defector"
+
+(* The exact lane's admission at its bound, observed by allocation as
+   [test_load_dist]'s lane admission is.  One class of weight 1 on two
+   links with every user on link 0, so (max L + W)·maxcd·maxcn is
+   3·715827883·2147483647 = 2^62 − 1 = max_int with capacities
+   (2147483647, 1/715827883) and loads (2, 0), and 4·2^30·2^30 = 2^62
+   with (2^30, 1/2^30) and loads (3, 0); then the same with one huge
+   denominator, 3·(2^62 − 1)/3 against 4·2^60.  None of them packs
+   (the packed bound doubles the total), each agrees with the Rational
+   oracle, and only the rows at max_int run natively: best link, block
+   and the defector pass (at an equilibrium, so it returns [None]).  A
+   Participation view (bias B > 0, never packed) runs natively too. *)
+let test_exact_admission_bounds () =
+  let r = Rational.of_int and q = Rational.of_ints in
+  let view what caps n =
+    let g = Cgame.of_capacities ~counts:[| n |] ~weights:[| Rational.one |] [| caps |] in
+    let v = Cview.of_profile g [| [| n; 0 |] |] in
+    if Cview.packed v then Alcotest.failf "%s: the instance packed" what;
+    check_cview_kernels what v;
+    if Cview.first_defecting_source v ~cls:0 <> None then
+      Alcotest.failf "%s: not at equilibrium" what;
+    v
+  in
+  let empty = empty_words () in
+  let pass v =
+    minor_words (fun _ -> ignore (Sys.opaque_identity (Cview.first_defecting_source v ~cls:0)))
+  in
+  List.iter
+    (fun (name, inside, outside) ->
+      let inside = view (name ^ " at max_int") inside 2
+      and outside = view (name ^ " past max_int") outside 3 in
+      if not (native inside ~cls:0) then Alcotest.failf "%s: the kernels boxed at max_int" name;
+      if native outside ~cls:0 then Alcotest.failf "%s: the kernels ran natively past max_int" name;
+      if pass inside <> empty then Alcotest.failf "%s: the pass boxed at max_int" name;
+      if pass outside -. empty < 1_000. then
+        Alcotest.failf "%s: the pass ran natively past max_int" name)
+    [
+      ("large cn", [| r 2147483647; q 1 715827883 |], [| r (1 lsl 30); q 1 (1 lsl 30) |]);
+      ("large cd", [| Rational.one; q 1 (max_int / 3) |], [| Rational.one; q 1 (1 lsl 60) |]);
+    ];
+  (* Participation, presence 1/2, weight 2: contribution 1 and bias 1,
+     so the bias decides (see [test_pass_edge_cases]). *)
+  let g =
+    Cgame.make_uncertain ~counts:[| 4; 2 |] ~weights:[| r 2; r 3 |]
+      ~uncertainty:
+        (Array.map
+           (fun caps ->
+             Uncertainty.participation ~presence:(q 1 2) (Belief.certain (State.make caps)))
+           [| [| r 1; r 1 |]; [| r 2; r 1 |] |])
+  in
+  let v = Cview.of_profile g [| [| 3; 1 |]; [| 1; 1 |] |] in
+  if Cview.packed v then Alcotest.fail "a Participation view packed";
+  check_cview_kernels "participation" v;
+  if not (native v ~cls:0 && native v ~cls:1) then
+    Alcotest.fail "a Participation view's kernels boxed"
+
+(* Spilled cursors against twins scaled by 2^70.  Reweights with
+   denominators 3..7 spill the packed lane of a small game, whose rows
+   then run on the native image; so do capacity revisions, a third of
+   them to a Big capacity (a row the image must then refuse).  Scaling
+   every weight and reweight by 2^70 changes no predicate, but puts
+   every weight and load past max_int, so the twin runs the Bigint
+   kernels throughout.  Every kernel must agree on every row, after the
+   deltas and after one repair batch, which must end in the same
+   outcome and profile; so must fresh cursors over both games, whose
+   shared tables no delta may reach. *)
+let test_native_image_vs_big_twin () =
+  let rng = Prng.Rng.create 0x2070 in
+  let big = Rational.of_bigint (Bigint.pow (Bigint.of_int 2) 70) in
+  let spilled = ref 0 and repaired = ref 0 in
+  for trial = 1 to 300 do
+    let what = Printf.sprintf "trial %d" trial in
+    let k = 1 + Prng.Rng.int rng 4 and m = Prng.Rng.int_in rng 2 5 in
+    let counts, weights, uncertainty = random_backend_cgame rng ~k ~m in
+    let x = random_profile rng counts m in
+    let g = Cgame.make_uncertain ~counts ~weights ~uncertainty
+    and gb =
+      Cgame.make_uncertain ~counts ~weights:(Array.map (Rational.mul big) weights) ~uncertainty
+    in
+    let v = Cview.of_profile g x and vb = Cview.of_profile gb x in
+    let delta () =
+      let cls = Prng.Rng.int rng k in
+      match Prng.Rng.int rng 3 with
+      | 0 ->
+        let link = Prng.Rng.int rng m
+        and cap = Rational.of_ints (1 + Prng.Rng.int rng 9) (1 + Prng.Rng.int rng 5) in
+        let cap =
+          if Prng.Rng.int rng 3 = 0 then Rational.mul (Rational.of_bigint two_100) cap else cap
+        in
+        let mu = Serve.Mutation.Revise_capacity { cls; link; cap } in
+        (mu, mu)
+      | _ ->
+        let w = Rational.of_ints (1 + Prng.Rng.int rng 12) (3 + Prng.Rng.int rng 5) in
+        ( Serve.Mutation.Reweight { cls; weight = w },
+          Serve.Mutation.Reweight { cls; weight = Rational.mul big w } )
+    in
+    for _ = 0 to Prng.Rng.int rng 2 do
+      let mu, mub = delta () in
+      Serve.Mutation.apply v mu;
+      Serve.Mutation.apply vb mub
+    done;
+    if Cview.packed vb then Alcotest.failf "%s: the 2^70 twin packed" what;
+    if not (Cview.packed v) then incr spilled;
+    let agree name a b =
+      if a <> b then Alcotest.failf "%s: %s differs from the 2^70 twin" what name
+    in
+    let compare_kernels stage v vb =
+      for cls = 0 to k - 1 do
+        for src = 0 to m - 1 do
+          let at name = Printf.sprintf "%s: class %d on %d: %s" stage cls src name in
+          agree (at "best_link") (Cview.best_link v ~cls ~src) (Cview.best_link vb ~cls ~src);
+          agree (at "is_defector") (Cview.is_defector v ~cls ~src) (Cview.is_defector vb ~cls ~src);
+          for dst = 0 to m - 1 do
+            if dst <> src then
+              agree (at "block")
+                (Cview.max_improving_block v ~cls ~src ~dst)
+                (Cview.max_improving_block vb ~cls ~src ~dst)
+          done
+        done;
+        List.iter
+          (fun only ->
+            agree (stage ^ ": the pass")
+              (Cview.first_defecting_source ?only v ~cls)
+              (Cview.first_defecting_source ?only vb ~cls))
+          [ None; Some (Array.init m (fun _ -> Prng.Rng.int rng 2 = 0)) ]
+      done;
+      agree (stage ^ ": first_defector") (Cview.first_defector v) (Cview.first_defector vb)
+    in
+    compare_kernels "revised" v vb;
+    let mu, mub = delta () in
+    let cls = Prng.Rng.int rng k and link = Prng.Rng.int rng m in
+    let repair v mu =
+      let batch = [ mu; Serve.Mutation.Arrive { cls; link; count = 1 } ] in
+      match Serve.Repair.repair_batch ~max_steps:10_000 v batch with
+      | out -> Ok out
+      | exception Invalid_argument e -> Error e
+    in
+    let out = repair v mu in
+    agree "the repair outcome" out (repair vb mub);
+    (match out with Ok { moves; _ } when moves > 0 -> incr repaired | _ -> ());
+    agree "the repaired profile" (Cview.profile v) (Cview.profile vb);
+    compare_kernels "repaired" v vb;
+    compare_kernels "fresh" (Cview.of_profile g x) (Cview.of_profile gb x)
+  done;
+  if !spilled < 100 then Alcotest.failf "only %d of 300 cursors spilled" !spilled;
+  if !repaired < 100 then Alcotest.failf "only %d of 300 batches needed a repair" !repaired
 
 (* ------------------------------------------------------------------ *)
 (* Proportional start vs the Rational oracle                           *)
@@ -989,6 +1216,8 @@ let () =
           Alcotest.test_case "per-class pass edge cases" `Quick test_pass_edge_cases;
           Alcotest.test_case "packed kernels allocate nothing" `Quick
             test_packed_kernels_allocate_nothing;
+          Alcotest.test_case "exact-lane admission at max_int" `Quick test_exact_admission_bounds;
+          Alcotest.test_case "native image vs a 2^70 twin" `Quick test_native_image_vs_big_twin;
         ] );
       ( "algo",
         [
