@@ -350,17 +350,14 @@ let first_defecting_source ?only v ~cls =
 (* Class ascending, source link ascending: the exact order in which
    [Cgame.expand_profile] lays out the users, so the first defecting
    pair is the per-user first-defector choice computed without any
-   per-user work. *)
+   per-user work.  A loop, so a clean scan allocates nothing. *)
 let first_defecting_pair v =
-  let k = classes v in
-  let rec from c =
-    if c >= k then None
-    else
-      match first_defecting_source v ~cls:c with
-      | Some s -> Some (c, s)
-      | None -> from (c + 1)
-  in
-  from 0
+  let k = classes v and c = ref 0 and s = ref (-1) in
+  while !s < 0 && !c < k do
+    s := Packing.first_defecting_source v.lane v.rows !c v.assign.(!c);
+    if !s < 0 then incr c
+  done;
+  if !s < 0 then None else Some (!c, !s)
 
 (* The scan is exact, so a clean one certifies the cursor; [is_nash]
    never reads the bit. *)

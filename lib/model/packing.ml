@@ -8,9 +8,10 @@ open Numeric
    product.  The packed lane holds native ints — [build] refuses
    (returns [None]) whenever any component spills the native range, and
    the product bound makes every product fit — and the exact lane holds
-   [Bigint]s, with a native image that its rows run the packed lane's
-   own integer kernels on whenever their products fit, so packing is a
-   pure optimisation with no semantic surface.
+   native ints too, with a [Bigint] side table for any value past the
+   native range.  An exact-lane row whose products fit (an O(1) test on
+   the lane's total) runs the packed lane's own integer kernels, so
+   packing is a pure optimisation with no semantic surface.
 
    This is the only module that knows which lane a cursor is on.  A row
    is a user for [View] and a class for [Cview]; every kernel below is
@@ -158,32 +159,41 @@ type packed_lane = {
   pinit : Rational.t array option; (* the initial traffic, for a spill *)
 }
 
-(* The exact lane is the packed scheme in [Bigint]: loads and each
-   row's weight, contribution and bias are integer numerators over one
-   common denominator [es], and capacities are read from the rows'
-   reduced num/den.  [es] is always exactly the lcm of the live weight,
-   contribution and initial-traffic denominators: construction, spill
-   and reweight recompute it and rescale exactly, so it shrinks back
-   when a denominator leaves.
+(* The exact lane is the packed scheme over a scale [es] that is always
+   exactly the lcm of the live weight, contribution and initial-traffic
+   denominators: construction, spill and reweight recompute it and
+   rescale exactly, so it shrinks back when a denominator leaves.
+   Capacities are read from the rows' reduced num/den.
 
-   Beside the [Bigint] state the lane keeps its native image: every
-   load and row entry, and every capacity's num/den in the packed
-   lane's row-major layout, as the native int it holds or [min_int]
-   when it is [Big] ([Bigint.native_or_min_int]).  Every patch of the
-   [Bigint] state patches the image too.  A row whose image passes
-   [admitted] runs the packed lane's integer kernels on it, unboxed;
-   any other row runs the [Bigint] kernels. *)
+   Its state is native-primary.  Every load, every row entry (weight,
+   contribution and bias times [es]) and the total Σ loads is a cell: a
+   native int, or [min_int] when the value is past the native range, in
+   which case the value sits in the same slot of a [Bigint] side table
+   ([get]/[put]).  The side slot is read only under that sentinel.
+   Loads are non-negative, so while the total is native every load is,
+   and so is the contribution of every row with a user placed: a
+   [shift] or [add_count] is then native arithmetic with no [Bigint] at
+   all.  Beside the cells the lane keeps every capacity's num/den in
+   the packed lane's row-major layout ([min_int] for a [Big] one), each
+   row's [row_limit], and each row's weight/contribution denominator
+   lcm, from which a reweight recomputes the scale natively.  A row
+   that [admitted] admits runs the packed lane's integer kernels on the
+   cells, unboxed; any other row runs the [Bigint] kernels. *)
 type exact_lane = {
   mutable es : Bigint.t;
-  ew : Bigint.t array; (* weight_r · es *)
-  et : Bigint.t array; (* contribution_r · es *)
-  eb : Bigint.t array; (* bias_r · es = ew.(r) − et.(r) *)
-  eload : Bigint.t array; (* load_l · es *)
+  nw : int array; (* weight_r · es *)
+  nt : int array; (* contribution_r · es *)
+  nb : int array; (* bias_r · es = nw − nt *)
+  nload : int array; (* load_l · es *)
+  ew : Bigint.t array; (* the side tables of nw, nt, nb and nload *)
+  et : Bigint.t array;
+  eb : Bigint.t array;
+  eload : Bigint.t array;
+  mutable ntotal : int; (* Σ_l load_l · es, with side slot [etotal] *)
+  mutable etotal : Bigint.t;
+  nden : int array; (* per row: lcm of its weight and contribution dens *)
+  ninit : int; (* lcm of the initial-traffic dens, 1 without any *)
   einit : Rational.t array option; (* the initial traffic *)
-  nw : int array; (* the image of ew *)
-  nt : int array; (* of et *)
-  nb : int array; (* of eb *)
-  nload : int array; (* of eload *)
   mutable ncn : int array; (* capacity numerators, row-major r*m + l *)
   mutable ncd : int array; (* capacity denominators *)
   mutable nowned : bool; (* ncn/ncd are private copies, safe to mutate *)
@@ -193,7 +203,7 @@ type exact_lane = {
 type lane = Exact of exact_lane | Packed of packed_lane
 
 let links = function
-  | Exact e -> Array.length e.eload
+  | Exact e -> Array.length e.nload
   | Packed pk -> Array.length pk.piload
 
 let is_packed = function Packed _ -> true | Exact _ -> false
@@ -221,8 +231,78 @@ let live_scale ?revise rows init =
 
 let native = Bigint.native_or_min_int
 
-(* Refresh the image [n] of the [Bigint] table [a]. *)
-let sync n a = Array.iteri (fun i x -> n.(i) <- native x) a
+(* --- cells -------------------------------------------------------- *)
+
+(* Cell [i] of the native table [n] with side table [b]. *)
+let get n b i =
+  let x = n.(i) in
+  if x = min_int then b.(i) else Bigint.of_int x
+
+let put n b i x =
+  let v = native x in
+  n.(i) <- v;
+  if v = min_int then b.(i) <- x
+
+let total e = if e.ntotal = min_int then e.etotal else Bigint.of_int e.ntotal
+
+let set_total e x =
+  let v = native x in
+  e.ntotal <- v;
+  if v = min_int then e.etotal <- x
+
+let load_big e l = get e.nload e.eload l
+let weight_big e r = get e.nw e.ew r
+let contrib_big e r = get e.nt e.et r
+let bias_big e r = get e.nb e.eb r
+
+(* [a·b] for native [a, b >= 0], or [min_int] when it overflows.  Two
+   factors below 2^31 cannot overflow, so the division runs only for a
+   large one. *)
+let mul_int a b = if a lor b < 1 lsl 31 || b = 0 || a <= max_int / b then a * b else min_int
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* The lcm of two positive native ints, or [min_int] when either is
+   [min_int] (a [Big] denominator) or the lcm overflows. *)
+let lcm_int a b =
+  if a = min_int || b = min_int then min_int
+  else if a = b || a mod b = 0 then a
+  else mul_int a (b / gcd_int a b)
+
+let den_int q = native (Rational.den q)
+let row_den w t = lcm_int (den_int w) (den_int t)
+
+let init_den = function
+  | None -> 1
+  | Some t -> Array.fold_left (fun s q -> lcm_int s (den_int q)) 1 t
+
+(* The live scale from the native denominators [ninit] and [nden], with
+   [revise = (r, w, t)] standing in for row [r]'s: one native lcm fold,
+   and the [Bigint] [live_scale] only when a denominator is [Big] or
+   the lcm overflows.  Armed, a native result is checked against
+   [live_scale]. *)
+let native_scale ?revise rows init ninit nden =
+  let r, d = match revise with Some (r, w, t) -> (r, row_den w t) | None -> (-1, 0) in
+  let s = ref ninit and i = ref 0 in
+  while !s <> min_int && !i < Array.length nden do
+    s := lcm_int !s (if !i = r then d else nden.(!i));
+    incr i
+  done;
+  if !s = min_int then live_scale ?revise rows init
+  else begin
+    let s = Bigint.of_int !s in
+    if !Sanitize.enabled && not (Bigint.equal s (live_scale ?revise rows init)) then
+      Sanitize.fail
+        (Printf.sprintf "Packing: the native live scale %s is not the lcm of the live denominators"
+           (Bigint.to_string s));
+    s
+  end
+
+(* [q·es] as a native int, or [min_int] when a factor or the product is
+   past the native range; [q]'s denominator divides [es]. *)
+let scaled_native es q =
+  let s = native es and n = native (Rational.num q) and d = den_int q in
+  if s = min_int || n = min_int || d = min_int then min_int else mul_int (s / d) n
 
 (* The image of [rows]' capacities over [m] links. *)
 let cap_image rows m =
@@ -254,35 +334,56 @@ let row_limit cn cd m r =
   done;
   if !ok && !maxcd <= max_int / !maxcn then max_int / (!maxcd * !maxcn) else -1
 
-(* A fresh exact lane over [rows] at scale [es], holding [eload].  The
-   capacity image is [caps] when given (the packed tables of the same
-   rows, shared until the first capacity revision), and built from
-   [rows] otherwise. *)
-let exact ?caps rows init es eload =
-  let ew = Array.map (scaled es) rows.weights
-  and et = Array.map (scaled es) rows.contribs
-  and eb = Array.map (scaled es) rows.biases in
+(* Store [q·es] in cell [i]: a [Bigint] is built only for a value past
+   the native range. *)
+let put_scaled n b i es q =
+  let v = scaled_native es q in
+  if v <> min_int then n.(i) <- v else put n b i (scaled es q)
+
+let cells es qs =
+  let k = Array.length qs in
+  let n = Array.make k 0 and b = Array.make k Bigint.zero in
+  Array.iteri (fun i q -> put_scaled n b i es q) qs;
+  (n, b)
+
+(* A fresh exact lane over [rows] and [init], at their live scale [es],
+   holding the loads [loads es].  The capacity image is [caps] when
+   given (the packed tables of the same rows, shared until the first
+   capacity revision), and built from [rows] otherwise. *)
+let exact ?caps rows init loads =
+  let nden = Array.map2 row_den rows.weights rows.contribs and ninit = init_den init in
+  let es = native_scale rows init ninit nden in
+  let (nw, ew), (nt, et), (nb, eb) =
+    (cells es rows.weights, cells es rows.contribs, cells es rows.biases)
+  in
+  let loads = loads es in
+  let m = Array.length loads in
+  let nload = Array.make m 0 and eload = Array.make m Bigint.zero in
+  Array.iteri (put nload eload) loads;
+  let total = Array.fold_left Bigint.add Bigint.zero loads in
   let (ncn, ncd), nowned =
-    match caps with
-    | Some tables -> (tables, false)
-    | None -> (cap_image rows (Array.length eload), true)
+    match caps with Some tables -> (tables, false) | None -> (cap_image rows m, true)
   in
   Exact
     {
       es;
+      nw;
+      nt;
+      nb;
+      nload;
       ew;
       et;
       eb;
       eload;
+      ntotal = native total;
+      etotal = total;
+      nden;
+      ninit;
       einit = init;
-      nw = Array.map native ew;
-      nt = Array.map native et;
-      nb = Array.map native eb;
-      nload = Array.map native eload;
       ncn;
       ncd;
       nowned;
-      nlim = Array.init (Array.length ew) (row_limit ncn ncd (Array.length eload));
+      nlim = Array.init (Array.length nw) (row_limit ncn ncd m);
     }
 
 (* [count·x], skipping the multiplication for a single user. *)
@@ -292,15 +393,32 @@ let times count x = if count = 1 then x else Bigint.mul (Bigint.of_int count) x
    the bias of every load-linear row. *)
 let plus x y = if Bigint.is_zero y then x else Bigint.add x y
 
+(* [x] more on link [l]'s load and on the total, in [Bigint]. *)
+let add_big e l x =
+  put e.nload e.eload l (Bigint.add (load_big e l) x);
+  set_total e (Bigint.add (total e) x)
+
 (* Unchecked load patch: [delta] more row-[r] users on [link].  Loads
    sum contributions, not weights: other users only meet the
    presence-discounted traffic of a row (for load-linear rows the
-   contribution is physically the weight). *)
+   contribution is physically the weight).  On the exact lane a native
+   total and contribution take the native path: a departure cannot
+   wrap (|delta|·T is at most the load it leaves), and an arrival is
+   checked against the room left below [max_int]. *)
 let add_count lane r ~link ~delta =
   match lane with
   | Exact e ->
-    e.eload.(link) <- Bigint.add e.eload.(link) (times delta e.et.(r));
-    e.nload.(link) <- native e.eload.(link)
+    let t = e.nt.(r) and tot = e.ntotal in
+    let d =
+      if tot = min_int || t = min_int then min_int
+      else if delta <= 0 then delta * t
+      else mul_int delta t
+    in
+    if d <> min_int && d <= max_int - tot then begin
+      e.nload.(link) <- e.nload.(link) + d;
+      e.ntotal <- tot + d
+    end
+    else add_big e link (times delta (contrib_big e r))
   | Packed pk ->
     let d = delta * pk.ppw.(r) in
     pk.piload.(link) <- pk.piload.(link) + d;
@@ -316,11 +434,10 @@ let make_lane pk rows ?initial m =
   in
   match packed with
   | None ->
-    let es = live_scale rows initial in
-    exact ?caps:(Option.map (fun pk -> (pk.cn, pk.cd)) pk) rows initial es
-      (match initial with
-       | None -> Array.make m Bigint.zero
-       | Some t -> Array.map (scaled es) t)
+    exact ?caps:(Option.map (fun pk -> (pk.cn, pk.cd)) pk) rows initial (fun es ->
+        match initial with
+        | None -> Array.make m Bigint.zero
+        | Some t -> Array.map (scaled es) t)
   | Some (pk, (scale, pw, iload)) ->
     (* The product bound was checked at the full total, so every
        partial total met while the caller places the occupants with
@@ -345,72 +462,43 @@ let make_lane pk rows ?initial m =
    results.  [Rational.make] runs only where a rational is returned. *)
 let load lane l =
   match lane with
-  | Exact e -> Rational.make e.eload.(l) e.es
+  | Exact e -> Rational.make (load_big e l) e.es
   | Packed pk -> Rational.make (Bigint.of_int pk.piload.(l)) (Bigint.of_int pk.pscale)
 
 let load_num lane l =
   match lane with
-  | Exact e -> e.eload.(l)
+  | Exact e -> load_big e l
   | Packed pk -> Bigint.of_int pk.piload.(l)
-
-let q_latency pk total idx =
-  Rational.make
-    (Bigint.of_int (total * pk.pcd.(idx)))
-    (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int pk.pcn.(idx)))
-
-(* The exact-lane twin: [total] scaled by [es], over capacity [c]. *)
-let e_latency e total c =
-  Rational.make (Bigint.mul total (Rational.den c)) (Bigint.mul e.es (Rational.num c))
 
 (* Unrecorded block reassignment: [count] row-[r] users from [src] to
    [dst].  Touches exactly the two affected load entries; both lanes
-   are exact, so repeated shifts never drift.  On the packed lane
-   [count·pw] cannot wrap: it is at most the total scaled traffic,
-   which fits by construction. *)
+   are exact, so repeated shifts never drift.  [count·T] cannot wrap
+   on native loads: it is at most the load on [src], which is at most
+   the total (the packed lane's fits by construction, the exact lane's
+   is native on this path). *)
 let shift lane r ~src ~dst count =
   match lane with
   | Exact e ->
-    let d = times count e.et.(r) in
-    e.eload.(src) <- Bigint.sub e.eload.(src) d;
-    e.eload.(dst) <- Bigint.add e.eload.(dst) d;
-    e.nload.(src) <- native e.eload.(src);
-    e.nload.(dst) <- native e.eload.(dst)
+    if e.ntotal <> min_int then begin
+      let d = count * e.nt.(r) in
+      e.nload.(src) <- e.nload.(src) - d;
+      e.nload.(dst) <- e.nload.(dst) + d
+    end
+    else begin
+      let d = times count (contrib_big e r) in
+      put e.nload e.eload src (Bigint.sub (load_big e src) d);
+      put e.nload e.eload dst (Bigint.add (load_big e dst) d)
+    end
   | Packed pk ->
     let d = count * pk.ppw.(r) in
     pk.piload.(src) <- pk.piload.(src) - d;
     pk.piload.(dst) <- pk.piload.(dst) + d
 
-(* A row's own latency carries its bias (w − t): a user is always
-   present for itself, even when others only expect it with probability
-   p.  After a deviation the user meets its full weight: contribution +
-   bias = w.  The packed lane holds load-linear rows only, where the
-   bias is zero. *)
-let latency lane rows r l =
-  match lane with
-  | Exact e -> e_latency e (plus e.eload.(l) e.eb.(r)) rows.caps.(r).(l)
-  | Packed pk -> q_latency pk pk.piload.(l) ((r * Array.length pk.piload) + l)
+(* --- admission ---------------------------------------------------- *)
 
-let latency_after_move lane rows r ~src dst =
-  match lane with
-  | Exact e ->
-    let extra = if dst = src then e.eb.(r) else e.ew.(r) in
-    e_latency e (plus e.eload.(dst) extra) rows.caps.(r).(dst)
-  | Packed pk ->
-    let total = pk.piload.(dst) + if dst = src then 0 else pk.ppw.(r) in
-    q_latency pk total ((r * Array.length pk.piload) + dst)
-
-(* --- the native kernels ------------------------------------------ *)
-
-(* One integer kernel per decision, shared by both lanes.  Each reads
-   a row's loads, weight W, contribution T and bias B, and its
-   capacity nums/dens at [base] = r·m, from native tables: the packed
-   lane passes its own with T = W and B = 0 (its rows are load-linear),
-   the exact lane its image, for a row that [admitted] admits.  A row
-   it does not admit runs the [Bigint] twin of the kernel. *)
-
-(* Row [r] of the exact lane's image admits the native kernels when
-   every load and every capacity num/den of the row is native,
-   0 <= B <= W (so W, B and T = W − B are native too), and
+(* Row [r] admits the native kernels when every load and every capacity
+   num/den of the row is native, 0 <= B <= W (so W, B and T = W − B are
+   native too), and
      (max_l L_l + W)·maxcd_r·maxcn_r <= max_int,
    with maxcd_r, maxcn_r the row's largest capacity den and num: that
    is, max_l L_l + W <= [row_limit], exactly, as the limit is a floor.
@@ -418,18 +506,41 @@ let latency_after_move lane rows r ~src dst =
    deviation or own numerator (L + W)·cd or (L + B)·cd times a cn,
    [max_block]'s a, b <= maxcd·maxcn times L + W or L + B, and its
    T·(a + b) <= 2T·maxcd·maxcn, where 2T <= L_src + W once the source
-   holds one of the row's users.  O(m) and allocation-free, checked
-   per row on every call, since loads move with every shift. *)
-let admitted e r =
-  let w = e.nw.(r) and b = e.nb.(r) and m = Array.length e.nload in
-  0 <= b && b <= w
-  &&
-  let maxl = ref 0 and l = ref 0 in
-  while !l < m && e.nload.(!l) <> min_int do
-    if e.nload.(!l) > !maxl then maxl := e.nload.(!l);
+   holds one of the row's users.
+
+   Loads are non-negative, so max_l L_l <= Σ_l L_l: a native total with
+   total + W within the limit admits the row in O(1).  Only when that
+   fails does the O(m) max-load rule run, so the admitted rows are
+   exactly the rule's.  Both are allocation-free. *)
+let max_load_within e lim =
+  let m = Array.length e.nload and l = ref 0 in
+  while !l < m && e.nload.(!l) <> min_int && e.nload.(!l) <= lim do
     incr l
   done;
-  !l = m && !maxl <= e.nlim.(r) - w
+  !l = m
+
+(* Armed: the O(1) test is exactly "Σ loads + W <= limit" on the total
+   re-derived from the loads, and a row it admits passes the O(m)
+   rule. *)
+let check_admission e r lim quick =
+  let sum = ref Bigint.zero in
+  for l = 0 to Array.length e.nload - 1 do
+    sum := Bigint.add !sum (load_big e l)
+  done;
+  if quick <> (Bigint.compare !sum (Bigint.of_int lim) <= 0) || (quick && not (max_load_within e lim))
+  then
+    Sanitize.fail
+      (Printf.sprintf "Packing: the total test %s row %d against the loads' sum"
+         (if quick then "admitted" else "refused") r)
+
+let admitted e r =
+  let w = e.nw.(r) and b = e.nb.(r) in
+  0 <= b && b <= w
+  &&
+  let lim = e.nlim.(r) - w in
+  let quick = 0 <= e.ntotal && e.ntotal <= lim in
+  if !Sanitize.enabled then check_admission e r lim quick;
+  quick || max_load_within e lim
 
 (* An admitted kernel's answer against its [Bigint] twin, under
    SELFISH_SANITIZE. *)
@@ -438,6 +549,68 @@ let agree what r native exact =
     Sanitize.fail
       (Printf.sprintf "Packing: the native %s of row %d gave %d, the Bigint kernel %d" what r
          native exact)
+
+let agree_q what r native exact =
+  if not (Rational.equal native exact) then
+    Sanitize.fail
+      (Printf.sprintf "Packing: the native %s of row %d gave %s, the Bigint kernel %s" what r
+         (Rational.to_string native) (Rational.to_string exact))
+
+(* --- latencies ---------------------------------------------------- *)
+
+(* A row's own latency carries its bias (w − t): a user is always
+   present for itself, even when others only expect it with probability
+   p.  After a deviation the user meets its full weight: contribution +
+   bias = w.  The packed lane holds load-linear rows only, where the
+   bias is zero.  On native tables a latency is the numerator
+   (load + extra)·cd over scale·cn: one native product, which an
+   admitted row's bound covers. *)
+let n_latency scale num cn = Rational.make (Bigint.of_int num) (Bigint.mul scale (Bigint.of_int cn))
+
+(* The [Bigint] twin: [total] scaled by [es], over capacity [c]. *)
+let e_latency e total c =
+  Rational.make (Bigint.mul total (Rational.den c)) (Bigint.mul e.es (Rational.num c))
+
+let latency lane rows r l =
+  match lane with
+  | Exact e when admitted e r ->
+    let i = (r * Array.length e.nload) + l in
+    let q = n_latency e.es ((e.nload.(l) + e.nb.(r)) * e.ncd.(i)) e.ncn.(i) in
+    if !Sanitize.enabled then
+      agree_q "latency" r q (e_latency e (plus (load_big e l) (bias_big e r)) rows.caps.(r).(l));
+    q
+  | Exact e -> e_latency e (plus (load_big e l) (bias_big e r)) rows.caps.(r).(l)
+  | Packed pk ->
+    let i = (r * Array.length pk.piload) + l in
+    n_latency (Bigint.of_int pk.pscale) (pk.piload.(l) * pk.pcd.(i)) pk.pcn.(i)
+
+let e_latency_after_move e rows r ~src dst =
+  let extra = if dst = src then bias_big e r else weight_big e r in
+  e_latency e (plus (load_big e dst) extra) rows.caps.(r).(dst)
+
+let latency_after_move lane rows r ~src dst =
+  match lane with
+  | Exact e when admitted e r ->
+    let i = (r * Array.length e.nload) + dst in
+    let extra = if dst = src then e.nb.(r) else e.nw.(r) in
+    let q = n_latency e.es ((e.nload.(dst) + extra) * e.ncd.(i)) e.ncn.(i) in
+    if !Sanitize.enabled then
+      agree_q "latency_after_move" r q (e_latency_after_move e rows r ~src dst);
+    q
+  | Exact e -> e_latency_after_move e rows r ~src dst
+  | Packed pk ->
+    let i = (r * Array.length pk.piload) + dst in
+    let total = pk.piload.(dst) + if dst = src then 0 else pk.ppw.(r) in
+    n_latency (Bigint.of_int pk.pscale) (total * pk.pcd.(i)) pk.pcn.(i)
+
+(* --- the native kernels ------------------------------------------ *)
+
+(* One integer kernel per decision, shared by both lanes.  Each reads
+   a row's loads, weight W, contribution T and bias B, and its
+   capacity nums/dens at [base] = r·m, from native tables: the packed
+   lane passes its own with T = W and B = 0 (its rows are load-linear),
+   the exact lane its cells, for a row that [admitted] admits.  A row
+   it does not admit runs the [Bigint] twin of the kernel. *)
 
 (* Candidate latencies are (load'·cd)/(scale·cn), with load' = L + B
    on the source and L + W elsewhere: the best is tracked as the pair
@@ -458,9 +631,8 @@ let n_best_link load cn cd base ~w ~b ~src =
 
 let e_best_link e rows r ~src =
   let caps = rows.caps.(r) in
-  let numer l =
-    Bigint.mul (plus e.eload.(l) (if l = src then e.eb.(r) else e.ew.(r))) (Rational.den caps.(l))
-  in
+  let w = weight_big e r and b = bias_big e r in
+  let numer l = Bigint.mul (plus (load_big e l) (if l = src then b else w)) (Rational.den caps.(l)) in
   let best = ref 0 and bnum = ref (numer 0) and bcn = ref (Rational.num caps.(0)) in
   for l = 1 to Array.length caps - 1 do
     let a = numer l and cn = Rational.num caps.(l) in
@@ -494,31 +666,54 @@ let best_response lane rows r ~src =
    with every term scaled by the lane's denominator.  A deviation
    numerator is load + contribution + bias = load + W for every
    backend.  No gcd and no rational on either lane. *)
-let e_dev e caps w l = Bigint.mul (Bigint.add e.eload.(l) w) (Rational.den caps.(l))
+let n_improves load cn cd base ~w ~b ~src dst =
+  (load.(dst) + w) * cd.(base + dst) * cn.(base + src)
+  < (load.(src) + b) * cd.(base + src) * cn.(base + dst)
+
+let n_is_defector load cn cd base ~w ~b ~src =
+  let m = Array.length load in
+  let cnum = (load.(src) + b) * cd.(base + src) and ccn = cn.(base + src) in
+  let l = ref 0 in
+  while !l < m && (!l = src || (load.(!l) + w) * cd.(base + !l) * ccn >= cnum * cn.(base + !l)) do
+    incr l
+  done;
+  !l < m
+
+let e_dev e caps w l = Bigint.mul (Bigint.add (load_big e l) w) (Rational.den caps.(l))
 
 let e_improves e caps ~w ~cnum ~ccn l =
   Bigint.compare (Bigint.mul (e_dev e caps w l) ccn) (Bigint.mul cnum (Rational.num caps.(l))) < 0
 
-let is_defector lane rows r ~src =
-  let m = links lane and l = ref 0 in
-  (match lane with
-   | Exact e ->
-     let caps = rows.caps.(r) and w = e.ew.(r) in
-     let cnum = Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src))
-     and ccn = Rational.num caps.(src) in
-     while !l < m && (!l = src || not (e_improves e caps ~w ~cnum ~ccn !l)) do
-       incr l
-     done
-   | Packed pk ->
-     let base = r * m and w = pk.ppw.(r) in
-     let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
-     while
-       !l < m
-       && (!l = src || (pk.piload.(!l) + w) * pk.pcd.(base + !l) * ccn >= cnum * pk.pcn.(base + !l))
-     do
-       incr l
-     done);
+(* Row [r]'s own numerator on [src] and that capacity's numerator. *)
+let e_own e caps r src =
+  (Bigint.mul (plus (load_big e src) (bias_big e r)) (Rational.den caps.(src)), Rational.num caps.(src))
+
+let e_is_defector e rows r ~src =
+  let caps = rows.caps.(r) and w = weight_big e r in
+  let cnum, ccn = e_own e caps r src in
+  let m = Array.length caps and l = ref 0 in
+  while !l < m && (!l = src || not (e_improves e caps ~w ~cnum ~ccn !l)) do
+    incr l
+  done;
   !l < m
+
+let is_defector lane rows r ~src =
+  match lane with
+  | Packed pk ->
+    n_is_defector pk.piload pk.pcn pk.pcd (r * Array.length pk.piload) ~w:pk.ppw.(r) ~b:0 ~src
+  | Exact e when admitted e r ->
+    let d =
+      n_is_defector e.nload e.ncn e.ncd (r * Array.length e.nload) ~w:e.nw.(r) ~b:e.nb.(r) ~src
+    in
+    if !Sanitize.enabled then
+      agree "is_defector" r (Bool.to_int d) (Bool.to_int (e_is_defector e rows r ~src));
+    d
+  | Exact e -> e_is_defector e rows r ~src
+
+let e_improves_to e rows r ~src dst =
+  let caps = rows.caps.(r) in
+  let cnum, ccn = e_own e caps r src in
+  e_improves e caps ~w:(weight_big e r) ~cnum ~ccn dst
 
 (* Single-destination restriction of [is_defector]: callers may probe
    candidate links one at a time without paying for a full
@@ -527,16 +722,16 @@ let improves lane rows r ~src dst =
   dst <> src
   &&
   match lane with
-  | Exact e ->
-    let caps = rows.caps.(r) in
-    e_improves e caps ~w:e.ew.(r)
-      ~cnum:(Bigint.mul (plus e.eload.(src) e.eb.(r)) (Rational.den caps.(src)))
-      ~ccn:(Rational.num caps.(src)) dst
   | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = r * m and w = pk.ppw.(r) in
-    (pk.piload.(dst) + w) * pk.pcd.(base + dst) * pk.pcn.(base + src)
-    < pk.piload.(src) * pk.pcd.(base + src) * pk.pcn.(base + dst)
+    n_improves pk.piload pk.pcn pk.pcd (r * Array.length pk.piload) ~w:pk.ppw.(r) ~b:0 ~src dst
+  | Exact e when admitted e r ->
+    let i =
+      n_improves e.nload e.ncn e.ncd (r * Array.length e.nload) ~w:e.nw.(r) ~b:e.nb.(r) ~src dst
+    in
+    if !Sanitize.enabled then
+      agree "improves" r (Bool.to_int i) (Bool.to_int (e_improves_to e rows r ~src dst));
+    i
+  | Exact e -> e_improves_to e rows r ~src dst
 
 (* --- the per-row defector pass ----------------------------------- *)
 
@@ -594,7 +789,7 @@ let n_first_defecting load cn cd base ~w ~b counts only =
   if !s < m then !s else -1
 
 let e_first_defecting e rows r counts only =
-  let caps = rows.caps.(r) and w = e.ew.(r) in
+  let caps = rows.caps.(r) and w = weight_big e r in
   let m = Array.length caps in
   (* [below a c n d]: a/c < n/d. *)
   let below a c n d = Bigint.compare (Bigint.mul a d) (Bigint.mul n c) < 0 in
@@ -613,8 +808,7 @@ let e_first_defecting e rows r counts only =
     | _ -> ()
   done;
   let defects s =
-    let own = Bigint.mul (plus e.eload.(s) e.eb.(r)) (Rational.den caps.(s))
-    and cn = Rational.num caps.(s) in
+    let own, cn = e_own e caps r s in
     match only with
     | Some t when not t.(s) -> (not (Bigint.is_zero !tc)) && below !tn !tc own cn
     | _ -> below !bn !bc own cn
@@ -700,12 +894,12 @@ let e_max_block e rows r ~src ~dst ~avail =
   and b = Bigint.mul (Rational.den cs) (Rational.num cd) in
   let d =
     Bigint.sub
-      (Bigint.mul (plus e.eload.(src) e.eb.(r)) b)
-      (Bigint.mul (Bigint.add e.eload.(dst) e.ew.(r)) a)
+      (Bigint.mul (plus (load_big e src) (bias_big e r)) b)
+      (Bigint.mul (Bigint.add (load_big e dst) (weight_big e r)) a)
   in
   if Bigint.sign d <= 0 then 0
   else begin
-    let q = Bigint.div (Bigint.sub d Bigint.one) (Bigint.mul e.et.(r) (Bigint.add a b)) in
+    let q = Bigint.div (Bigint.sub d Bigint.one) (Bigint.mul (contrib_big e r) (Bigint.add a b)) in
     if Bigint.compare q (Bigint.of_int (avail - 1)) >= 0 then avail else Bigint.to_int_exn q + 1
   end
 
@@ -742,17 +936,16 @@ let own pk =
   end
 
 (* The packed loads as an exact lane over [rows] (the tables the packed
-   lane mirrors): an O(k + m) int→Bigint copy.  Every live denominator
-   divides the packing scale, so the exact scale divides it too and the
-   loads rescale by one native division each.  The capacity image is
-   the packed tables themselves, shared: the packed lane is only kept
-   for an undo, which drops the exact lane, and the exact lane copies
-   them before its first capacity write. *)
+   lane mirrors).  Every live denominator divides the packing scale,
+   so the exact scale divides it too and the loads rescale by one
+   native division each.  The capacity image is the packed tables
+   themselves, shared: the packed lane is only kept for an undo, which
+   drops the exact lane, and the exact lane copies them before its
+   first capacity write. *)
 let spill pk rows =
-  let es = live_scale rows pk.pinit in
-  let down = pk.pscale / Bigint.to_int_exn es in
-  exact ~caps:(pk.pcn, pk.pcd) rows pk.pinit es
-    (Array.map (fun s -> Bigint.of_int (s / down)) pk.piload)
+  exact ~caps:(pk.pcn, pk.pcd) rows pk.pinit (fun es ->
+      let down = pk.pscale / Bigint.to_int_exn es in
+      Array.map (fun s -> Bigint.of_int (s / down)) pk.piload)
 
 (* [q·scale] as a positive native int, when integral and representable. *)
 let scaled_int ~scale q =
@@ -779,47 +972,79 @@ let revise_count lane rows r ~link ~delta =
   add_count lane r ~link ~delta;
   lane
 
-(* Multiply ([up]) or exactly divide ([down]) every scaled quantity of
-   the exact lane by [f]; a no-op for [f = 1]. *)
-let rescale_exact e op f =
-  if not (Bigint.equal f Bigint.one) then
-    List.iter
-      (fun a -> Array.iteri (fun i x -> a.(i) <- op x f) a)
-      [ e.ew; e.et; e.eb; e.eload ]
+(* [x·up/down] for a native cell [x], or [min_int] when a factor or the
+   product is past the native range; [down] divides [x]. *)
+let rescaled x ~nd ~nu =
+  if x = min_int || nd = min_int || nu = min_int then min_int
+  else
+    let q = x / nd in
+    if abs q <= max_int / nu then q * nu else min_int
+
+(* Every row entry but row [r]'s, every load and the total, times
+   up/down: natively where the quotient and product fit, in [Bigint]
+   otherwise.  Each is a multiple of [down]: the loads hold no row-[r]
+   users while this runs. *)
+let rescale_cells e r ~down ~up =
+  let nd = native down and nu = native up in
+  let big x = Bigint.mul (Bigint.div x down) up in
+  let cell n b i =
+    let v = rescaled n.(i) ~nd ~nu in
+    if v <> min_int then n.(i) <- v else put n b i (big (get n b i))
+  in
+  for i = 0 to Array.length e.nw - 1 do
+    if i <> r then begin
+      cell e.nw e.ew i;
+      cell e.nt e.et i;
+      cell e.nb e.eb i
+    end
+  done;
+  for l = 0 to Array.length e.nload - 1 do
+    cell e.nload e.eload l
+  done;
+  let v = rescaled e.ntotal ~nd ~nu in
+  if v <> min_int then e.ntotal <- v else set_total e (big (total e))
+
+(* Row [r]'s weight, contribution and bias entries at the current
+   scale. *)
+let set_row e r ~weight ~contrib =
+  put_scaled e.nw e.ew r e.es weight;
+  put_scaled e.nt e.et r e.es contrib;
+  let w = e.nw.(r) and t = e.nt.(r) in
+  if w <> min_int && t <> min_int then e.nb.(r) <- w - t
+  else put e.nb e.eb r (Bigint.sub (weight_big e r) (contrib_big e r))
+
+(* Row [r]'s users, laid out over the links as [counts], added to
+   ([sign = 1]) or taken out of ([sign = -1]) the loads at its current
+   contribution. *)
+let place_row lane r counts sign =
+  for l = 0 to Array.length counts - 1 do
+    if counts.(l) > 0 then add_count lane r ~link:l ~delta:(sign * counts.(l))
+  done
 
 (* Unchecked: row [r]'s users, laid out over the links as [counts],
    now each carry weight [weight] and contribution [contrib].  Reads the
    row's previous contribution, so call it before updating [rows].
 
-   On the exact lane the new scale [s'] is the lcm of the live
-   denominators with row [r]'s pair revised.  Every quantity is first
-   lifted to lcm(s, s') (a multiple of both the old and the new
-   denominators), the row is revised there, and every quantity is then
-   divided down to [s'] — exactly, since each one is now a multiple of
-   1/s'. *)
+   On the exact lane the row's users leave the loads at the old scale,
+   every other quantity is rescaled exactly from the old scale s to the
+   new one s' (a no-op when they are equal, the common case once the
+   live denominators settle), the row's entries are set at s', and its
+   users return.  The new scale is the native lcm fold over the rows'
+   cached denominators, so a same-scale reweight does O(m) native work
+   and O(1) [Bigint] work at most. *)
 let reweight lane rows r counts ~weight ~contrib =
   match lane with
   | Exact e ->
-    let s' = live_scale ~revise:(r, weight, contrib) rows e.einit in
-    let g = Bigint.gcd e.es s' in
-    let up = Bigint.div s' g in
-    rescale_exact e Bigint.mul up;
-    let lifted = Bigint.mul e.es up in
-    let w' = scaled lifted weight and t' = scaled lifted contrib in
-    let d = Bigint.sub t' e.et.(r) in
-    if not (Bigint.is_zero d) then
-      Array.iteri
-        (fun l c -> if c > 0 then e.eload.(l) <- Bigint.add e.eload.(l) (times c d))
-        counts;
-    e.ew.(r) <- w';
-    e.et.(r) <- t';
-    e.eb.(r) <- Bigint.sub w' t';
-    rescale_exact e Bigint.div (Bigint.div e.es g);
-    e.es <- s';
-    sync e.nw e.ew;
-    sync e.nt e.et;
-    sync e.nb e.eb;
-    sync e.nload e.eload
+    let s' = native_scale ~revise:(r, weight, contrib) rows e.einit e.ninit e.nden in
+    place_row lane r counts (-1);
+    if not (Bigint.equal s' e.es) then begin
+      let g = Bigint.gcd e.es s' in
+      rescale_cells e r ~down:(Bigint.div e.es g) ~up:(Bigint.div s' g);
+      e.es <- s'
+    end;
+    set_row e r ~weight ~contrib;
+    e.nden.(r) <- row_den weight contrib;
+    place_row lane r counts 1
   | Packed pk ->
     let pw' = match scaled_int ~scale:pk.pscale weight with Some x -> x | None -> assert false in
     let d = pw' - pk.ppw.(r) in
@@ -897,21 +1122,36 @@ let revise_capacity lane rows r ~link cap =
 (* --- sanitizer --------------------------------------------------- *)
 
 (* The scale invariant, re-derived from scratch in O(k·m): the scale is
-   the lcm of the live denominators, every row entry is its rational
-   times the scale, and every load is the scale times the initial
-   traffic plus Σ count·contribution.  The native image is checked
-   entry by entry against the [Bigint] state and the rows' capacities,
-   and each row limit against its capacity image. *)
+   the lcm of the live denominators, and so are the cached per-row and
+   initial-traffic denominators; every row entry is its rational times
+   the scale; every load is the scale times the initial traffic plus
+   Σ count·contribution, and the cached total is their sum.  Every cell
+   is canonical (the sentinel exactly when the value is [Big]), and the
+   capacity image and each row limit are checked against the rows. *)
 let audit lane rows count =
   match lane with
   | Exact e when !Sanitize.enabled ->
     if not (Bigint.equal e.es (live_scale rows e.einit)) then
       Sanitize.fail "Packing: exact-lane scale is not the lcm of the live denominators";
-    let row_ok a qs = Array.for_all2 (fun x q -> Bigint.equal x (scaled e.es q)) a qs in
-    if not (row_ok e.ew rows.weights && row_ok e.et rows.contribs && row_ok e.eb rows.biases)
-    then Sanitize.fail "Packing: exact-lane row tables disagree with the rows";
-    let image_ok n a = Array.for_all2 (fun x b -> x = native b) n a in
-    let m = Array.length e.eload in
+    let dens_ok = ref (e.ninit = init_den e.einit) in
+    Array.iteri
+      (fun r d -> if d <> row_den rows.weights.(r) rows.contribs.(r) then dens_ok := false)
+      e.nden;
+    if not !dens_ok then Sanitize.fail "Packing: a cached exact-lane denominator is stale";
+    let canonical n b i = n.(i) <> min_int || native b.(i) = min_int in
+    let cells_ok = ref true in
+    let check n b qs =
+      Array.iteri
+        (fun i q ->
+          if not (canonical n b i && Bigint.equal (get n b i) (scaled e.es q)) then
+            cells_ok := false)
+        qs
+    in
+    check e.nw e.ew rows.weights;
+    check e.nt e.et rows.contribs;
+    check e.nb e.eb rows.biases;
+    if not !cells_ok then Sanitize.fail "Packing: exact-lane row cells disagree with the rows";
+    let m = Array.length e.nload in
     let caps_ok = ref true in
     Array.iteri
       (fun r row ->
@@ -923,24 +1163,25 @@ let audit lane rows count =
           row;
         if e.nlim.(r) <> row_limit e.ncn e.ncd m r then caps_ok := false)
       rows.caps;
-    if
-      not
-        (image_ok e.nw e.ew && image_ok e.nt e.et && image_ok e.nb e.eb
-        && image_ok e.nload e.eload && !caps_ok)
-    then Sanitize.fail "Packing: the exact lane's native image disagrees with its Bigint state";
-    Array.iteri
-      (fun l x ->
-        let acc = ref (match e.einit with None -> Rational.zero | Some t -> t.(l)) in
-        Array.iteri
-          (fun r t ->
-            let c = count r l in
-            if c > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int c) t))
-          rows.contribs;
-        if not (Rational.equal (Rational.make x e.es) !acc) then
-          Sanitize.fail
-            (Printf.sprintf
-               "Packing: exact-lane load %d is not the scale times the initial traffic plus \
-                the placed contributions"
-               l))
-      e.eload
+    if not !caps_ok then
+      Sanitize.fail "Packing: the exact lane's capacity image disagrees with the rows";
+    let sum = ref Bigint.zero in
+    for l = 0 to m - 1 do
+      let x = load_big e l in
+      sum := Bigint.add !sum x;
+      let acc = ref (match e.einit with None -> Rational.zero | Some t -> t.(l)) in
+      Array.iteri
+        (fun r t ->
+          let c = count r l in
+          if c > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int c) t))
+        rows.contribs;
+      if not (canonical e.nload e.eload l && Rational.equal (Rational.make x e.es) !acc) then
+        Sanitize.fail
+          (Printf.sprintf
+             "Packing: exact-lane load %d is not the scale times the initial traffic plus the \
+              placed contributions"
+             l)
+    done;
+    if not (Bigint.equal (total e) !sum && e.ntotal = native !sum) then
+      Sanitize.fail "Packing: the exact lane's cached total is not the sum of its loads"
   | Exact _ | Packed _ -> ()

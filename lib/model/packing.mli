@@ -13,20 +13,26 @@
       provably fits a native int — an exact computation with zero
       allocation and zero per-operation checks.
     - Whenever any component would spill the native range the lane is
-      the {e exact} one instead: the same numerators as [Bigint]s over
-      a denominator that is always exactly the lcm of the live weight,
+      the {e exact} one instead: the same numerators over a
+      denominator that is always exactly the lcm of the live weight,
       contribution and initial-traffic denominators (recomputed on
-      construction, spill and reweight), with capacities read from the
-      rows' reduced num/den.  Beside them it keeps a native image of
-      every load, row entry and capacity num/den ([min_int] standing
-      for a [Big] one), patched with the [Bigint] state.  A row whose
-      image entries are native, whose bias B and weight W satisfy
-      [0 <= B <= W] and whose [(max_l L_l + W)·maxcd_r·maxcn_r] fits
-      [max_int] runs {!first_defecting_source}, {!best_link} and
-      {!max_block} on that image, through the very integer kernels of
+      construction, spill and reweight, natively from cached per-row
+      denominators unless one is [Big] or their lcm overflows), with
+      capacities read from the rows' reduced num/den.  Its state is
+      native-primary: every load, row entry and the total Σ loads is
+      a native int, or [min_int] with the value in a [Bigint] side
+      table when it is past the native range.  While the total is
+      native, {!shift} and {!add_count} touch no [Bigint], and a
+      reweight that keeps the scale patches only its row and the
+      loads it occupies.  A row whose bias B and weight W satisfy
+      [0 <= B <= W], whose capacity nums/dens are native and whose
+      [(max_l L_l + W)·maxcd_r·maxcn_r] fits [max_int] runs every
+      kernel below on those ints, through the very integer kernels of
       the packed lane (which passes T = W and B = 0); any other row
-      runs their [Bigint] twins.  The test is per row and per call,
-      O(m).
+      runs their [Bigint] twins.  Loads are non-negative, so the test
+      is O(1) on the total (total + W within the row's limit), and
+      the O(m) max-load rule runs only when that fails: the admitted
+      rows are exactly the rule's.
 
     Packing therefore never changes results, only speed.
 
@@ -83,7 +89,7 @@ type rows = {
 }
 
 (** Mutable per-link loads over one common denominator: native ints
-    (packed) or [Bigint]s (exact). *)
+    (packed), or native ints with a [Bigint] side table (exact). *)
 type lane
 
 (** [make_lane pk rows ?initial m] is a lane over [m] links and the
@@ -118,14 +124,19 @@ val load_num : lane -> int -> Numeric.Bigint.t
 val add_count : lane -> int -> link:int -> delta:int -> unit
 
 (** [shift lane r ~src ~dst count] moves [count > 0] row-[r] users
-    from [src] to [dst]: one exact patch of each of the two loads. *)
+    from [src] to [dst]: one exact patch of each of the two loads,
+    native and allocation-free on the packed lane and while the exact
+    lane's total is native. *)
 val shift : lane -> int -> src:int -> dst:int -> int -> unit
 
 (** {1 Kernels}
 
     [src] is the link the row's users currently play. *)
 
-(** [latency lane rows r l] is a row-[r] user's latency on link [l]. *)
+(** [latency lane rows r l] is a row-[r] user's latency on link [l]:
+    its numerator is one native product on the packed lane and on an
+    admitted exact row (re-derived by the [Bigint] kernel when
+    armed). *)
 val latency : lane -> rows -> int -> int -> Numeric.Rational.t
 
 (** [latency_after_move lane rows r ~src dst] is the latency of one
@@ -145,7 +156,9 @@ val best_response : lane -> rows -> int -> src:int -> int * Numeric.Rational.t
 
 (** [is_defector lane rows r ~src] holds when some link strictly
     improves on [src]: integer cross products, no gcd on either lane.
-    O(m), allocation-free on the packed lane. *)
+    O(m), allocation-free on the packed lane and on an admitted exact
+    row, whose answer is re-derived by the [Bigint] kernel when
+    armed. *)
 val is_defector : lane -> rows -> int -> src:int -> bool
 
 (** [first_defecting_source ?only lane rows r counts] is the lowest
@@ -174,7 +187,8 @@ val first_defecting_source : ?only:bool array -> lane -> rows -> int -> int arra
 
 (** [improves lane rows r ~src dst] holds when moving to [dst] strictly
     improves on [src]; [false] when [dst = src].  O(1),
-    allocation-free on the packed lane. *)
+    allocation-free on the packed lane and on an admitted exact row
+    (re-derived by the [Bigint] kernel when armed). *)
 val improves : lane -> rows -> int -> src:int -> int -> bool
 
 (** [max_block lane rows r ~src ~dst ~avail] is the largest [t <= avail]
@@ -244,12 +258,15 @@ val set_capacity : lane -> int -> link:int -> Numeric.Rational.t -> unit
 
 (** [audit lane rows count] checks the exact lane's scale invariant
     when {!Numeric.Sanitize.enabled}: the scale is the lcm of the live
-    weight, contribution and initial-traffic denominators, each row
-    entry is its rational times the scale, and each load is the scale
+    weight, contribution and initial-traffic denominators (and so are
+    the cached per-row and initial-traffic denominators), each row
+    entry is its rational times the scale, each load is the scale
     times (initial + Σ_r [count r l]·contribution_r), where [count r l]
-    is the number of row-[r] users on link [l].  Every entry of the
-    native image must equal its [Bigint] value, or [min_int] for a
-    [Big] one, and so must every capacity num/den of [rows].  Raises
+    is the number of row-[r] users on link [l], and the cached total
+    is the sum of the loads.  Every cell must be canonical: its native
+    value, or [min_int] exactly when the value is [Big].  The capacity
+    image must hold every capacity num/den of [rows] ([min_int] for a
+    [Big] one), and each row limit must match it.  Raises
     {!Numeric.Sanitize.Violation} on a breach.  O(k·m) when armed; free
     when disarmed or on the packed lane. *)
 val audit : lane -> rows -> (int -> int -> int) -> unit

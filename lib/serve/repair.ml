@@ -15,23 +15,23 @@ type outcome = {
    untouched link — kept its latency, so from an equilibrium start any
    new improving move leads into a touched link: only those comparisons
    are made.  Dirty or touched pairs get the full defector check.  One
-   O(m) pass per class decides all of its pairs. *)
-let find_candidate v touched dirty =
-  let k = Cview.classes v and restricted = Some touched in
-  let rec from cls =
-    if cls >= k then None
-    else
-      let only = if dirty.(cls) then None else restricted in
-      match Cview.first_defecting_source ?only v ~cls with
-      | Some src -> Some (cls, src)
-      | None -> from (cls + 1)
-  in
-  from 0
+   O(m) pass per class decides all of its pairs.  [restricted] is
+   [Some touched], built once per batch. *)
+let find_candidate v restricted dirty =
+  let k = Cview.classes v and cls = ref 0 and found = ref None in
+  while Option.is_none !found && !cls < k do
+    let only = if dirty.(!cls) then None else restricted in
+    match Cview.first_defecting_source ?only v ~cls:!cls with
+    | Some src -> found := Some (!cls, src)
+    | None -> incr cls
+  done;
+  !found
 
 let repair ~max_steps ~certified v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
   let touched = Array.make m false and dirty = Array.make k false in
+  let restricted = Some touched in
   let touched_count = ref 0 in
   let touch l =
     if not touched.(l) then begin
@@ -66,7 +66,7 @@ let repair ~max_steps ~certified v batch =
      running in place on the warm profile — no rebuild.  The budget is
      checked only when a move is due, as in Cbr. *)
   let rec epochs () =
-    match find_candidate v touched dirty with
+    match find_candidate v restricted dirty with
     | None -> ()
     | Some _ when !moves >= max_steps -> out_of_budget ()
     | Some (cls, src) ->

@@ -383,6 +383,12 @@ let minor_words ?(calls = 1_000) f =
 
 let empty_words () = minor_words (fun i -> ignore (Sys.opaque_identity i))
 
+(* [f ()] with the sanitizer armed, whatever the environment says. *)
+let armed f =
+  let was = !Sanitize.enabled in
+  Sanitize.enabled := true;
+  Fun.protect ~finally:(fun () -> Sanitize.enabled := was) f
+
 (* [native v cls] holds when class [cls]'s best link and block on [v]
    (from its first occupied link) box nothing, i.e. the row runs on the
    exact lane's native image; otherwise they box at least a word per
@@ -918,7 +924,39 @@ let test_packed_kernels_allocate_nothing () =
       hits := !hits + Packing.first_defecting_source lane rows (i mod k) x.(i mod k));
   check "first_defecting_source ~only" (fun i ->
       hits := !hits + Packing.first_defecting_source ?only:mask lane rows (i mod k) x.(i mod k));
-  if !hits = 0 then Alcotest.fail "no kernel found a defector"
+  if !hits = 0 then Alcotest.fail "no kernel found a defector";
+  (* The cursor's scan and move paths, at an equilibrium, on the packed
+     lane and on an exact twin whose rows all run natively: [is_nash]
+     and a move with its undo, every class in turn, allocate nothing
+     (sanitizer disarmed, as the exact lane's armed checks box). *)
+  let o = Algo.Cbr.converge g x in
+  if not o.converged then Alcotest.fail "the instance did not converge";
+  let empty = empty_words () in
+  List.iter
+    (fun (lane, v) ->
+      if not (Cview.is_nash v) then Alcotest.failf "%s: not at equilibrium" lane;
+      for cls = 0 to k - 1 do
+        if not (native v ~cls) then Alcotest.failf "%s: class %d boxed" lane cls
+      done;
+      let src =
+        Array.init k (fun cls ->
+            let l = ref 0 in
+            while Cview.assigned v cls !l = 0 do
+              incr l
+            done;
+            !l)
+      in
+      let zero name f =
+        let w = minor_words f in
+        if w <> empty then Alcotest.failf "%s: %s allocated %.0f minor words" lane name (w -. empty)
+      in
+      zero "is_nash" (fun _ -> if not (Cview.is_nash v) then incr hits);
+      zero "move + undo" (fun i ->
+          let cls = i mod k in
+          Cview.move v ~cls ~src:src.(cls) ~dst:((src.(cls) + 1) mod m) ~count:1;
+          Cview.undo v);
+      if Cview.profile v <> o.profile then Alcotest.failf "%s: move + undo moved users" lane)
+    [ ("packed", Cview.of_profile g o.profile); ("exact", exact_twin g o.profile) ]
 
 (* The exact lane's admission at its bound, observed by allocation as
    [test_load_dist]'s lane admission is.  One class of weight 1 on two
@@ -989,6 +1027,7 @@ let test_native_image_vs_big_twin () =
   let rng = Prng.Rng.create 0x2070 in
   let big = Rational.of_bigint (Bigint.pow (Bigint.of_int 2) 70) in
   let spilled = ref 0 and repaired = ref 0 in
+  let same = ref 0 and changed = ref 0 and wide = ref 0 in
   for trial = 1 to 300 do
     let what = Printf.sprintf "trial %d" trial in
     let k = 1 + Prng.Rng.int rng 4 and m = Prng.Rng.int_in rng 2 5 in
@@ -999,6 +1038,10 @@ let test_native_image_vs_big_twin () =
       Cgame.make_uncertain ~counts ~weights:(Array.map (Rational.mul big) weights) ~uncertainty
     in
     let v = Cview.of_profile g x and vb = Cview.of_profile gb x in
+    let reweight cls w =
+      ( Serve.Mutation.Reweight { cls; weight = w },
+        Serve.Mutation.Reweight { cls; weight = Rational.mul big w } )
+    in
     let delta () =
       let cls = Prng.Rng.int rng k in
       match Prng.Rng.int rng 3 with
@@ -1010,15 +1053,21 @@ let test_native_image_vs_big_twin () =
         in
         let mu = Serve.Mutation.Revise_capacity { cls; link; cap } in
         (mu, mu)
-      | _ ->
-        let w = Rational.of_ints (1 + Prng.Rng.int rng 12) (3 + Prng.Rng.int rng 5) in
-        ( Serve.Mutation.Reweight { cls; weight = w },
-          Serve.Mutation.Reweight { cls; weight = Rational.mul big w } )
+      | _ -> reweight cls (Rational.of_ints (1 + Prng.Rng.int rng 12) (3 + Prng.Rng.int rng 5))
+    in
+    (* Apply a delta to both cursors, counting the reweights of an
+       exact-lane [v] that keep its scale and those that change it. *)
+    let apply (mu, mub) =
+      let exact = not (Cview.packed v) and before = Cview.scale v in
+      Serve.Mutation.apply v mu;
+      Serve.Mutation.apply vb mub;
+      match mu with
+      | Serve.Mutation.Reweight _ when exact ->
+        if Bigint.equal before (Cview.scale v) then incr same else incr changed
+      | _ -> ()
     in
     for _ = 0 to Prng.Rng.int rng 2 do
-      let mu, mub = delta () in
-      Serve.Mutation.apply v mu;
-      Serve.Mutation.apply vb mub
+      apply (delta ())
     done;
     if Cview.packed vb then Alcotest.failf "%s: the 2^70 twin packed" what;
     if not (Cview.packed v) then incr spilled;
@@ -1048,6 +1097,27 @@ let test_native_image_vs_big_twin () =
       agree (stage ^ ": first_defector") (Cview.first_defector v) (Cview.first_defector vb)
     in
     compare_kernels "revised" v vb;
+    (* One more unit on a class's weight keeps its denominator, and so
+       the scale of every load-linear row. *)
+    let cls = Prng.Rng.int rng k in
+    apply (reweight cls (Rational.add (Cview.weight v cls) Rational.one));
+    compare_kernels "same-denominator reweight" v vb;
+    (* Weights (d + 1)/d for d = 2^31 + 1 and 2^31 + 3: each denominator
+       is native, their lcm is past max_int, so the scale is the Bigint
+       fold's.  The twin shares every denominator, so this step is also
+       checked armed (the audit and the native scale check) and against
+       the oracle. *)
+    if k >= 2 then begin
+      let near d = Rational.of_ints (d + 1) d in
+      armed (fun () ->
+          apply (reweight 0 (near ((1 lsl 31) + 1)));
+          apply (reweight (k - 1) (near ((1 lsl 31) + 3))));
+      if Bigint.is_native (Cview.scale v) then
+        Alcotest.failf "%s: two near-2^31 denominators left a native scale" what;
+      incr wide;
+      check_cview_kernels (what ^ " (near-2^31 denominators)") v;
+      compare_kernels "near-2^31 denominators" v vb
+    end;
     let mu, mub = delta () in
     let cls = Prng.Rng.int rng k and link = Prng.Rng.int rng m in
     let repair v mu =
@@ -1064,7 +1134,59 @@ let test_native_image_vs_big_twin () =
     compare_kernels "fresh" (Cview.of_profile g x) (Cview.of_profile gb x)
   done;
   if !spilled < 100 then Alcotest.failf "only %d of 300 cursors spilled" !spilled;
-  if !repaired < 100 then Alcotest.failf "only %d of 300 batches needed a repair" !repaired
+  if !repaired < 100 then Alcotest.failf "only %d of 300 batches needed a repair" !repaired;
+  if !same < 100 || !changed < 100 then
+    Alcotest.failf "%d exact-lane reweights kept the scale, %d changed it" !same !changed;
+  if !wide < 150 then Alcotest.failf "only %d cursors met near-2^31 denominators" !wide
+
+(* The O(1) admission test: a native total with total + W within a row's
+   limit admits the row without the O(m) max-load rule.  Armed,
+   [Packing] checks each answer of the total test against the loads'
+   sum and the rule, so every kernel call below checks that the total
+   test never admits a row the rule refuses and refuses only the rows
+   it must.  Random exact-lane cursors over all three backends
+   (Participation rows have B > 0), through arrivals, departures,
+   reweights and capacity revisions, each delta audited; then one class
+   on two links at its limit of 3 (see [test_exact_admission_bounds]):
+   loads (2, 0) sit on it (total + W = 3), (2, 1) pass the O(m) rule
+   only (total + W = 4, max L + W = 3), and (3, 0) pass neither. *)
+let test_total_admission () =
+  let rng = Prng.Rng.create 0xAD31 in
+  armed (fun () ->
+      for trial = 1 to 200 do
+        let k = 1 + Prng.Rng.int rng 4 and m = Prng.Rng.int_in rng 2 5 in
+        let counts, weights, uncertainty = random_backend_cgame rng ~k ~m in
+        let g = Cgame.make_uncertain ~counts ~weights ~uncertainty in
+        let v = exact_twin g (random_profile rng counts m) in
+        for step = 0 to 4 do
+          check_cview_kernels (Printf.sprintf "trial %d, step %d" trial step) v;
+          let cls = Prng.Rng.int rng k and link = Prng.Rng.int rng m in
+          match Prng.Rng.int rng 4 with
+          | 0 -> Cview.revise_count v ~cls ~link ~delta:(1 + Prng.Rng.int rng 3)
+          | 1 ->
+            if Cview.assigned v cls link > 0 && Cview.class_count v cls > 1 then
+              Cview.revise_count v ~cls ~link ~delta:(-1)
+          | 2 ->
+            Cview.revise_weight v ~cls
+              (Rational.of_ints (1 + Prng.Rng.int rng 12) (1 + Prng.Rng.int rng 7))
+          | _ ->
+            Cview.revise_capacity v ~cls ~link
+              (Rational.of_ints (1 + Prng.Rng.int rng 9) (1 + Prng.Rng.int rng 5))
+        done
+      done);
+  let caps = [| Rational.of_int 2147483647; Rational.of_ints 1 715827883 |] in
+  List.iter
+    (fun (x, runs_native) ->
+      let what = Printf.sprintf "loads (%d, %d)" x.(0) x.(1) in
+      let g =
+        Cgame.of_capacities ~counts:[| x.(0) + x.(1) |] ~weights:[| Rational.one |] [| caps |]
+      in
+      let v = Cview.of_profile g [| x |] in
+      if Cview.packed v then Alcotest.failf "%s: the instance packed" what;
+      armed (fun () -> check_cview_kernels what v);
+      if native v ~cls:0 <> runs_native then
+        Alcotest.failf "%s: the kernels ran %s" what (if runs_native then "on Bigints" else "natively"))
+    [ ([| 2; 0 |], true); ([| 2; 1 |], true); ([| 3; 0 |], false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Proportional start vs the Rational oracle                           *)
@@ -1218,6 +1340,8 @@ let () =
             test_packed_kernels_allocate_nothing;
           Alcotest.test_case "exact-lane admission at max_int" `Quick test_exact_admission_bounds;
           Alcotest.test_case "native image vs a 2^70 twin" `Quick test_native_image_vs_big_twin;
+          Alcotest.test_case "O(1) total admission vs the max-load rule" `Quick
+            test_total_admission;
         ] );
       ( "algo",
         [
