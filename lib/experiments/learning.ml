@@ -7,6 +7,7 @@ type row = {
   mean_ratio : float;
   max_ratio : float;
   mean_belief_error : float;
+  equilibrium_failures : int;
 }
 
 (* Total variation distance between an estimated belief and the truth. *)
@@ -59,6 +60,7 @@ let run ~seed ~n ~m ~states ~observations ~trials () =
         mean_ratio = Stats.Welford.mean !ratios;
         max_ratio = Stats.Welford.max !ratios;
         mean_belief_error = Stats.Welford.mean !errors;
+        equilibrium_failures = trials - Stats.Welford.count !ratios;
       })
 
 let table rows =

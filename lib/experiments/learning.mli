@@ -18,6 +18,7 @@ type row = {
   mean_belief_error : float;
       (** mean total-variation distance between the estimated belief and
           the truth *)
+  equilibrium_failures : int;  (** dynamics not converged (expect 0) *)
 }
 
 (** [run ~seed ~n ~m ~states ~observations ~trials ()] sweeps

@@ -37,23 +37,21 @@ let to_native b =
   | Some v -> v
   | None -> raise Spill
 
+(* [a·b] for native [a, b >= 0], or [min_int] when it overflows.  Two
+   factors below 2^31 cannot overflow, so the division runs only for a
+   large one. *)
+let mul_int a b = if a lor b < 1 lsl 31 || b = 0 || a <= max_int / b then a * b else min_int
+
 (* Every packed predicate evaluates products of the shape
    (load + weight)·cden·cnum with load + weight ≤ 2·total, so the one
    bound that makes all of them (and every intermediate) exact is
-   2·total·maxcd·maxcn ≤ max_int.  Checked in Bigint once per view
+   2·total·maxcd·maxcn ≤ max_int.  Checked on native ints once per view
    construction and per structural delta — after which the hot path
-   carries no overflow checks at all. *)
+   carries no overflow checks at all.  A zero factor makes the product
+   0 whatever the other overflows to. *)
 let admits ~total ~maxcn ~maxcd =
-  total >= 0
-  &&
-  match
-    Bigint.to_int_opt
-      (Bigint.mul
-         (Bigint.mul (Bigint.of_int 2) (Bigint.of_int total))
-         (Bigint.mul (Bigint.of_int maxcd) (Bigint.of_int maxcn)))
-  with
-  | Some _ -> true
-  | None -> false
+  let t2 = mul_int 2 total and c = mul_int maxcd maxcn in
+  total >= 0 && (t2 = 0 || c = 0 || (t2 <> min_int && c <> min_int && mul_int t2 c <> min_int))
 
 (* [lcm s d] for a positive scale [s] and denominator [d]. *)
 let lcm s d = if Bigint.equal d Bigint.one then s else Bigint.mul s (Bigint.div d (Bigint.gcd s d))
@@ -254,11 +252,6 @@ let load_big e l = get e.nload e.eload l
 let weight_big e r = get e.nw e.ew r
 let contrib_big e r = get e.nt e.et r
 let bias_big e r = get e.nb e.eb r
-
-(* [a·b] for native [a, b >= 0], or [min_int] when it overflows.  Two
-   factors below 2^31 cannot overflow, so the division runs only for a
-   large one. *)
-let mul_int a b = if a lor b < 1 lsl 31 || b = 0 || a <= max_int / b then a * b else min_int
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 

@@ -616,6 +616,22 @@ let test_product_bound_edges () =
       check_cview_kernels (what ^ " after repair") v)
     [ ((1 lsl 30) - 1, true); (1 lsl 30, false) ]
 
+(* The packed bound's first factor, 2·total, overflowing on its own:
+   one class of unit-weight users on unit capacities packs up to
+   2^61 - 1 users (2·total = max_int - 1) and no further, even though
+   every total here is itself a native int. *)
+let test_product_bound_total_overflow () =
+  List.iter
+    (fun (users, packs) ->
+      let g =
+        Cgame.of_capacities ~counts:[| users |] ~weights:[| Rational.one |]
+          [| [| Rational.one; Rational.one |] |]
+      in
+      let v = Cview.of_profile g [| [| users; 0 |] |] in
+      if Cview.packed v <> packs then
+        Alcotest.failf "%d users: packed is %b" users (Cview.packed v))
+    [ ((1 lsl 61) - 1, true); (1 lsl 61, false); ((1 lsl 61) + 1, false) ]
+
 (* ------------------------------------------------------------------ *)
 (* The per-class defector pass vs the per-pair scans                   *)
 
@@ -1334,6 +1350,8 @@ let () =
             test_exact_lane_kernels;
           Alcotest.test_case "product-bound edges agree across lanes" `Quick
             test_product_bound_edges;
+          Alcotest.test_case "product bound with 2·total past max_int" `Quick
+            test_product_bound_total_overflow;
           Alcotest.test_case "per-class pass vs per-pair scan" `Quick test_pass_vs_pair_scan;
           Alcotest.test_case "per-class pass edge cases" `Quick test_pass_edge_cases;
           Alcotest.test_case "packed kernels allocate nothing" `Quick
